@@ -27,7 +27,7 @@
 //! analogous metric for the fault hooks: guard cost times the send+recv
 //! count per run, over the same wall — also gated below 1%.
 //! `ckpt_enabled_frac` bounds the cost of *running* with checkpoints on
-//! (gated below 10%), while `ckpt_guard_ns_per_call` pins the disabled path
+//! (gated below 15%), while `ckpt_guard_ns_per_call` pins the disabled path
 //! at a branch. The wall-clock delta between the enabled and disabled runs
 //! is also printed but is noisy at this problem size; the derived fractions
 //! are the stable signal.

@@ -513,6 +513,16 @@ impl<E: Element> Matrix<E> {
         Self { rows, cols, data }
     }
 
+    /// Re-dimensions the matrix in place for a workspace that is refilled
+    /// every use: the storage is kept, so nothing is allocated while
+    /// `rows * cols` fits what the matrix has held before. The elements
+    /// afterwards are whatever the storage held (zero where it grew).
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, E::ZERO);
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -652,6 +662,19 @@ mod tests {
         assert!(v.is_empty());
         let m = Matrix::<f64>::zeros(0, 5);
         assert!(m.view().is_empty());
+    }
+
+    #[test]
+    fn reshape_keeps_the_storage() {
+        let mut m = Matrix::<f64>::zeros(4, 6);
+        let p = m.as_slice().as_ptr();
+        m.reshape(2, 3);
+        assert_eq!((m.rows(), m.cols(), m.as_slice().len()), (2, 3, 6));
+        m.reshape(3, 8);
+        assert_eq!((m.rows(), m.cols(), m.as_slice().len()), (3, 8, 24));
+        assert_eq!(m.as_slice().as_ptr(), p, "24 elements were held before");
+        m.view_mut().set(2, 7, 1.5);
+        assert_eq!(m.get(2, 7), 1.5);
     }
 
     #[test]

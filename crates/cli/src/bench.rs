@@ -14,6 +14,7 @@
 //!     "fact_seconds": 0.0, "fact_gflops": 0.0, "sweeps": 0,
 //!     "wall_seconds": 0.01, "gflops": 1.2, "residual": 0.003, "passed": true,
 //!     "overlap_efficiency": 0.4, "seq_hash": "0x1234abcd...",
+//!     "x_hash": "0x5678ef01...",
 //!     "dropped_spans": 0,
 //!     "phase_totals": { "fact_ns": 1, "fact_comm_ns": 1, ... },
 //!     "iterations": [{ "iter": 0, "phases": { ... } }],
@@ -104,6 +105,9 @@ pub struct RunReport {
     pub overlap_efficiency: f64,
     /// Deterministic hash of the phase sequence (hex), durations excluded.
     pub seq_hash: String,
+    /// Deterministic hash of the answer (hex): solution bits, then the
+    /// pivot log.
+    pub x_hash: String,
     /// Ring-buffer evictions summed over ranks (0 unless the run was longer
     /// than the configured trace capacity).
     pub dropped_spans: u64,
@@ -170,6 +174,7 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
         recoveries: rec.recoveries,
         overlap_efficiency: overlap_efficiency(&rec.traces),
         seq_hash: format!("{:#018x}", seq_hash(&rec.traces)),
+        x_hash: format!("{:#018x}", rec.x_hash),
         dropped_spans: rec.traces.iter().map(|t| t.dropped).sum(),
         phase_totals: phase_totals(&rec.traces),
         iterations: iteration_table(&rec.traces, rec.cfg.iterations()),

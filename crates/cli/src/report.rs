@@ -34,6 +34,18 @@ pub fn table_header() -> String {
     )
 }
 
+/// `v` the way C's `%.4e` prints it — signed, at least two exponent digits
+/// (`1.0559e+01`) — which is what classic HPL prints and what result
+/// scrapers match (hpcbench: `[\d.]+e[+-][\d]+`). Rust's `{:.4e}` prints
+/// `1.0559e1`.
+fn sci(v: f64) -> String {
+    let s = format!("{v:.4e}");
+    let (mantissa, exp) = s.split_once('e').expect("`{:e}` always prints an exponent");
+    let exp: i32 = exp.parse().expect("`{:e}` prints a decimal exponent");
+    let sign = if exp < 0 { '-' } else { '+' };
+    format!("{mantissa}e{sign}{:02}", exp.abs())
+}
+
 /// One result row plus its residual line. An `--mxp` record additionally
 /// gets the HPL-MxP summary block: the f32 factorization rate, the sweep
 /// count, and the mixed-precision score — the second benchmark's classic
@@ -47,7 +59,7 @@ pub fn format_record(r: &RunRecord) -> String {
         r.cfg.p,
         r.cfg.q,
         r.time,
-        format!("{:.4e}", r.gflops)
+        sci(r.gflops)
     );
     s.push_str(&format!(
         "||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N)= {:>18.7} ...... {}\n",
@@ -61,16 +73,18 @@ pub fn format_record(r: &RunRecord) -> String {
             "HPL-MxP: {} factorization {:>10.2} sec {:>14} GFLOPS\n",
             r.element,
             m.fact_seconds,
-            format!("{:.4e}", m.fact_gflops)
+            sci(m.fact_gflops)
         ));
         s.push_str(&format!(
-            "HPL-MxP: {} refinement sweep(s), scaled residual {:.4e} -> {:.4e}\n",
-            m.sweeps, first, last
+            "HPL-MxP: {} refinement sweep(s), scaled residual {} -> {}\n",
+            m.sweeps,
+            sci(first),
+            sci(last)
         ));
         s.push_str(&format!(
             "HPL-MxP: mixed-precision performance {:>10.2} sec {:>14} GFLOPS\n",
             r.time,
-            format!("{:.4e}", r.gflops)
+            sci(r.gflops)
         ));
     }
     s
@@ -107,6 +121,7 @@ mod tests {
             retries: 0,
             recoveries: 0,
             element: "f64",
+            x_hash: 0,
             mxp: None,
             traces: Vec::new(),
         }
@@ -121,6 +136,17 @@ mod tests {
         assert!(first.contains("32"));
         assert!(s.contains("PASSED"));
         assert!(s.contains("||Ax-b||_oo"));
+    }
+
+    #[test]
+    fn exponents_print_as_classic_hpl_does() {
+        assert_eq!(sci(10.559), "1.0559e+01");
+        assert_eq!(sci(2.5), "2.5000e+00");
+        assert_eq!(sci(0.004), "4.0000e-03");
+        assert_eq!(sci(1.96e112), "1.9600e+112");
+        assert_eq!(sci(0.0), "0.0000e+00");
+        let row = format_record(&record());
+        assert!(row.lines().next().unwrap().ends_with(" 2.5000e+00"));
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use hpl_blas::ElementSel;
 use hpl_comm::{Grid, Universe};
 use rhpl_core::config::Schedule;
-use rhpl_core::{
-    run_hpl, run_hpl_with_element, verify_with_eps, FactOpts, HplConfig, HplError, MatGen,
-};
+use rhpl_core::{run_hpl_system, verify_system, FactOpts, HplConfig, HplError, System};
 
 use crate::dat::JobSpec;
 
@@ -33,6 +31,9 @@ pub struct RunRecord {
     pub recoveries: u64,
     /// Element type the factorization ran in (`"f64"` / `"f32"`).
     pub element: &'static str,
+    /// Digest of the answer (`hpl_trace::report::x_hash` over the solution
+    /// and the pivot log).
+    pub x_hash: u64,
     /// Mixed-precision extras; `Some` only for `--mxp` runs.
     pub mxp: Option<MxpStats>,
     /// Per-rank phase traces (empty unless `cfg.trace.enabled`).
@@ -169,12 +170,10 @@ pub fn run_one_element(
     threshold: f64,
     elem: ElementSel,
 ) -> Result<RunRecord, HplError> {
+    let system = System::Seeded(cfg.seed);
     let results = Universe::run(cfg.ranks(), |comm| match elem {
-        ElementSel::F64 => run_hpl(comm, cfg),
-        ElementSel::F32 => {
-            let gen = MatGen::new(cfg.seed, cfg.n);
-            run_hpl_with_element::<f32>(comm, cfg, &|i, j| gen.entry(i, j))
-        }
+        ElementSel::F64 => run_hpl_system::<f64>(comm, cfg, system),
+        ElementSel::F32 => run_hpl_system::<f32>(comm, cfg, system),
     });
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let x = results[0].x.clone();
@@ -184,8 +183,7 @@ pub fn run_one_element(
     };
     let res = Universe::run(cfg.ranks(), |comm| {
         let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-        let gen = MatGen::new(cfg.seed, cfg.n);
-        verify_with_eps(&grid, cfg.n, cfg.nb, &|i, j| gen.entry(i, j), &x, eps)
+        verify_system(&grid, cfg.n, cfg.nb, system, &x, eps)
     });
     let res = res.into_iter().collect::<Result<Vec<_>, _>>()?[0];
     let traces = results.iter_mut().filter_map(|r| r.trace.take()).collect();
@@ -199,6 +197,7 @@ pub fn run_one_element(
         retries: results.iter().map(|r| r.retries).sum(),
         recoveries: 0,
         element: results[0].element,
+        x_hash: results[0].x_hash,
         mxp: None,
         traces,
     })
@@ -223,6 +222,7 @@ pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunR
         retries: results.iter().map(|r| r.retries).sum(),
         recoveries: 0,
         element: r0.element,
+        x_hash: r0.x_hash,
         mxp: Some(MxpStats {
             sweeps: r0.sweeps,
             fact_seconds: r0.fact_seconds,

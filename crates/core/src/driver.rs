@@ -10,7 +10,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hpl_blas::mat::Matrix;
 use hpl_blas::Element;
 use hpl_ckpt::CkptStore;
 use hpl_comm::{Communicator, Grid, WireElem};
@@ -19,12 +18,12 @@ use hpl_threads::Pool;
 use crate::config::{HplConfig, Schedule};
 use crate::error::HplError;
 use crate::fact::{panel_factor, FactInput, FactOut};
-use crate::local::LocalMatrix;
+use crate::local::{LocalMatrix, System};
 use crate::panel::{
     host_view, lbcast, pack_panel, panel_from_host, panel_to_host, PanelGeom, PanelL,
 };
 use crate::solve::back_substitute;
-use crate::swap::{apply_moves, row_swap, row_swap_comm, ColRange, RsData, SwapPlan};
+use crate::swap::{apply_moves, row_swap_comm, ColRange, RsData, SwapPlan};
 use crate::update::{gemm_update_parallel, solve_u, store_u};
 
 /// Per-iteration phase timings recorded by each rank (seconds). The paper's
@@ -75,6 +74,9 @@ pub struct HplResult {
     /// Timed-out receive polls this rank retried with backoff (see
     /// `hpl_comm::RetryPolicy`).
     pub retries: u64,
+    /// Digest of the answer: [`hpl_trace::report::x_hash`] over `x` and
+    /// the pivot log. Identical on every rank.
+    pub x_hash: u64,
 }
 
 /// One running-throughput sample, the metric rocHPL prints during
@@ -129,6 +131,15 @@ struct IterPanel<E: Element> {
     plan: SwapPlan,
 }
 
+/// Which row-swap workspace of the driver a section's `U` block is in.
+#[derive(Clone, Copy)]
+enum Section {
+    /// `Driver::rs`.
+    Immediate,
+    /// `Driver::rs_right`.
+    Right,
+}
+
 /// Driver-side checkpoint machinery (inert when no store is configured).
 struct CkptState<E: Element> {
     every: usize,
@@ -156,6 +167,14 @@ struct Driver<'a, E: Element> {
     /// mixed-precision refinement sweeps replay the factorization's row
     /// exchanges against fresh right-hand sides from this log.
     pivot_log: Vec<u64>,
+    /// Row-swap workspace of the sections swapped and updated at once,
+    /// sized at setup for the widest (see `swap::RsData`).
+    rs: RsData<E>,
+    /// Row-swap workspace of the split update's right section, whose
+    /// communication is prefetched one iteration ahead of its scatter and
+    /// update — it must outlive the immediate sections in between. Empty
+    /// outside the split-update schedule.
+    rs_right: RsData<E>,
 }
 
 /// Maps a checkpoint-layer failure into the pipeline taxonomy.
@@ -169,8 +188,7 @@ fn ckpt_err(e: hpl_ckpt::CkptError) -> HplError {
 /// Collective over all ranks of `comm` (which must have exactly
 /// `cfg.p * cfg.q` ranks).
 pub fn run_hpl(comm: Communicator, cfg: &HplConfig) -> Result<HplResult, HplError> {
-    let gen = crate::rng::MatGen::new(cfg.seed, cfg.n);
-    run_hpl_with(comm, cfg, &|i, j| gen.entry(i, j))
+    run_hpl_system::<f64>(comm, cfg, System::Seeded(cfg.seed))
 }
 
 /// Runs the benchmark pipeline as a *solver* for a caller-supplied dense
@@ -182,49 +200,54 @@ pub fn run_hpl_with(
     cfg: &HplConfig,
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
 ) -> Result<HplResult, HplError> {
-    run_hpl_with_element::<f64>(comm, cfg, fill)
+    run_hpl_system::<f64>(comm, cfg, System::Fill(fill))
 }
 
-/// [`run_hpl_with`] monomorphized over the pipeline [`Element`]: the whole
-/// elimination — panel factorization, LBCAST, row swaps, split update and
-/// the distributed back-substitution — runs in `E`, and the solution is
-/// widened to `f64` only at the very end (exact for both precisions).
-/// An `f32` run is the HPL-MxP factorization; its solution carries `f32`
-/// accuracy until iterative refinement recovers the rest.
+/// [`run_hpl_with`] monomorphized over the pipeline [`Element`].
 pub fn run_hpl_with_element<E: WireElem>(
     comm: Communicator,
     cfg: &HplConfig,
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
+) -> Result<HplResult, HplError> {
+    run_hpl_system::<E>(comm, cfg, System::Fill(fill))
+}
+
+/// The benchmark on `system`, monomorphized over the pipeline [`Element`]:
+/// the whole elimination — panel factorization, LBCAST, row swaps, split
+/// update and the distributed back-substitution — runs in `E`, and the
+/// solution is widened to `f64` only at the very end (exact for both
+/// precisions). An `f32` run is the HPL-MxP factorization; its solution
+/// carries `f32` accuracy until iterative refinement recovers the rest.
+///
+/// The HPL clock (`wall`, `gflops`) covers factorization and solve, as in
+/// netlib HPL and rocHPL: it starts once the system is generated.
+pub fn run_hpl_system<E: WireElem>(
+    comm: Communicator,
+    cfg: &HplConfig,
+    system: System<'_>,
 ) -> Result<HplResult, HplError> {
     cfg.validate();
     let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
     // The tracer lives in thread-local storage of this rank's thread; no
     // signature in the pipeline changes whether tracing is on or off.
     hpl_trace::install(cfg.trace);
+    let a = system.local::<E>(cfg.n, cfg.nb, &grid);
     let t0 = Instant::now();
-    let out = match factorize::<E>(&grid, cfg, fill) {
-        Ok(o) => o,
-        Err(e) => {
-            hpl_trace::take();
-            return Err(e);
-        }
-    };
-    let x = match back_substitute(&out.a, &grid, cfg.nb) {
-        Ok(x) => x,
-        Err(e) => {
-            hpl_trace::take();
-            return Err(e);
-        }
-    };
+    let solved = factorize_local(&grid, cfg, a)
+        .and_then(|out| Ok((back_substitute(&out.a, &grid, cfg.nb)?, out)));
     let wall = t0.elapsed().as_secs_f64();
+    let trace = hpl_trace::take();
+    let (x, out) = solved?;
+    let x: Vec<f64> = x.iter().map(|v| v.to_f64()).collect();
     Ok(HplResult {
-        x: x.iter().map(|v| v.to_f64()).collect(),
+        x_hash: hpl_trace::report::x_hash(&x, &out.pivot_log),
+        x,
         timings: out.timings,
         wall,
         gflops: cfg.flops() / wall / 1e9,
         n: cfg.n,
         nb: cfg.nb,
-        trace: hpl_trace::take(),
+        trace,
         kernel: hpl_blas::kernels::active().name(),
         element: E::NAME,
         resumed_from: out.resumed_from,
@@ -250,16 +273,30 @@ pub struct PipelineOut<E: Element = f64> {
     pub resumed_from: Option<usize>,
 }
 
-/// Runs the distributed elimination (everything up to but excluding the
-/// back-substitution) under `cfg.schedule` and returns the resident
-/// factors. Collective over the grid; the caller owns tracing
-/// (`hpl_trace::install`/`take`) when it wants a phase trace.
+/// Generates the caller-supplied system `fill` and runs
+/// [`factorize_local`] on it.
 pub fn factorize<E: WireElem>(
     grid: &Grid,
     cfg: &HplConfig,
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
 ) -> Result<PipelineOut<E>, HplError> {
-    let a = LocalMatrix::<E>::generate_with(cfg.n, cfg.nb, grid, fill);
+    factorize_local(
+        grid,
+        cfg,
+        LocalMatrix::generate_with(cfg.n, cfg.nb, grid, fill),
+    )
+}
+
+/// Runs the distributed elimination (everything up to but excluding the
+/// back-substitution) of this rank's slice `a` under `cfg.schedule` and
+/// returns the resident factors. Collective over the grid; the caller owns
+/// tracing (`hpl_trace::install`/`take`) when it wants a phase trace.
+pub fn factorize_local<E: WireElem>(
+    grid: &Grid,
+    cfg: &HplConfig,
+    a: LocalMatrix<E>,
+) -> Result<PipelineOut<E>, HplError> {
+    let rs = RsData::for_sections(cfg.nb.min(cfg.n), a.nloc, grid.nprow());
     let pool = Pool::new(cfg.fact.threads.max(cfg.update_threads).max(1));
     // On fault-injected runs, tag the pool with this rank's identity so
     // worker-thread faults (slow worker, death during FACT) match
@@ -282,6 +319,8 @@ pub fn factorize<E: WireElem>(
             prefact: None,
         },
         pivot_log: Vec::new(),
+        rs,
+        rs_right: RsData::for_sections(0, 0, 1),
     };
     let resumed_from = d.restore_if_due()?;
     let start = resumed_from.unwrap_or(0);
@@ -513,35 +552,42 @@ impl<E: WireElem> Driver<'_, E> {
         }
         let tr = Instant::now();
         let rows = self.a.rows;
-        let prow = ip.geom.prow;
         let mut av = self.a.view_mut();
-        let u = row_swap(
+        row_swap_comm(
             self.grid.col(),
             rows,
             &ip.plan,
-            prow,
-            &mut av,
+            ip.geom.prow,
+            &av,
             range,
             self.cfg.swap,
+            &mut self.rs,
         )?;
+        apply_moves(&mut av, range, &self.rs);
         t.comm += tr.elapsed().as_secs_f64();
 
         let tu = Instant::now();
-        self.apply_update(ip, u, range);
+        self.apply_update(ip, Section::Immediate, range);
         t.update += tu.elapsed().as_secs_f64();
         Ok(())
     }
 
-    fn apply_update(&mut self, ip: &IterPanel<E>, mut u: Matrix<E>, range: ColRange) {
-        solve_u(&ip.panel, &mut u);
+    /// DTRSM + store + DGEMM over `range` with the `U` block the row swap
+    /// left in `section`'s workspace.
+    fn apply_update(&mut self, ip: &IterPanel<E>, section: Section, range: ColRange) {
+        let u = match section {
+            Section::Immediate => &mut self.rs.u,
+            Section::Right => &mut self.rs_right.u,
+        };
+        solve_u(&ip.panel, u);
         let mut av = self.a.view_mut();
         if ip.geom.in_curr_row {
-            store_u(&ip.geom, &u, &mut av, range);
+            store_u(&ip.geom, u, &mut av, range);
         }
         gemm_update_parallel(
             &ip.geom,
             &ip.panel,
-            &u,
+            u,
             &mut av,
             range,
             &self.pool,
@@ -594,6 +640,11 @@ impl<E: WireElem> Driver<'_, E> {
         } else {
             self.a.nloc
         };
+        self.rs_right = RsData::for_sections(
+            self.cfg.nb.min(self.cfg.n),
+            self.a.nloc - split_lj,
+            self.grid.nprow(),
+        );
 
         // Prologue: factor+broadcast the first panel; prefetch its RS2.
         let mut t = IterTiming {
@@ -602,7 +653,7 @@ impl<E: WireElem> Driver<'_, E> {
         };
         hpl_trace::set_iter(start);
         let mut cur = self.fact_and_bcast(start, &mut t)?;
-        let mut pending: Option<RsData<E>> = self.prefetch_rs2(&cur, split_lj, &mut t)?;
+        let mut pending = self.prefetch_rs2(&cur, split_lj, &mut t)?;
 
         for it in start..iters {
             hpl_trace::set_iter(it);
@@ -622,7 +673,8 @@ impl<E: WireElem> Driver<'_, E> {
                 _ => 0,
             };
 
-            if let Some(rs2) = pending.take() {
+            if pending {
+                pending = false;
                 // ---- Split-update iteration (Fig 6). ----
                 let right = ColRange {
                     start: split_lj,
@@ -639,7 +691,7 @@ impl<E: WireElem> Driver<'_, E> {
 
                 // 1. Scatter the pre-communicated right-section rows.
                 let tu = Instant::now();
-                apply_moves(&mut self.a.view_mut(), right, &rs2.my_moves);
+                apply_moves(&mut self.a.view_mut(), right, &self.rs_right);
                 t.update += tu.elapsed().as_secs_f64();
 
                 // 2. Row swap + update of the look-ahead columns only.
@@ -659,7 +711,7 @@ impl<E: WireElem> Driver<'_, E> {
 
                 // 5. UPDATE2 using the prefetched U2.
                 let tu = Instant::now();
-                self.apply_update(&cur, rs2.u, right);
+                self.apply_update(&cur, Section::Right, right);
                 t.update += tu.elapsed().as_secs_f64();
 
                 // 6. Prefetch RS2 for the next iteration (hidden by
@@ -721,17 +773,18 @@ impl<E: WireElem> Driver<'_, E> {
     }
 
     /// Communicates the right-section row swap for iteration `ip` ahead of
-    /// time (without scattering). Returns `None` when the left section is
-    /// exhausted (the pipeline then falls back to Fig 3 form).
+    /// time into `rs_right` (without scattering). Returns `false` when the
+    /// left section is exhausted (the pipeline then falls back to Fig 3
+    /// form).
     fn prefetch_rs2(
         &mut self,
         ip: &IterPanel<E>,
         split_lj: usize,
         t: &mut IterTiming,
-    ) -> Result<Option<RsData<E>>, HplError> {
+    ) -> Result<bool, HplError> {
         let tstart = self.a.cols.local_lower_bound(ip.geom.k0 + ip.geom.jb);
         if tstart >= split_lj || split_lj >= self.a.nloc {
-            return Ok(None);
+            return Ok(false);
         }
         let right = ColRange {
             start: split_lj,
@@ -740,7 +793,7 @@ impl<E: WireElem> Driver<'_, E> {
         let tr = Instant::now();
         let rows = self.a.rows;
         let av = self.a.view_mut();
-        let data = row_swap_comm(
+        row_swap_comm(
             self.grid.col(),
             rows,
             &ip.plan,
@@ -748,8 +801,9 @@ impl<E: WireElem> Driver<'_, E> {
             &av,
             right,
             self.cfg.swap,
+            &mut self.rs_right,
         )?;
         t.comm += tr.elapsed().as_secs_f64();
-        Ok(Some(data))
+        Ok(true)
     }
 }

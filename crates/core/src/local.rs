@@ -30,24 +30,45 @@ pub struct LocalMatrix<E: Element = f64> {
     data: Vec<E>,
 }
 
-impl<E: Element> LocalMatrix<E> {
-    /// Allocates and fills this rank's slice of the seeded random system.
-    pub fn generate(n: usize, nb: usize, grid: &Grid, seed: u64) -> Self {
-        let gen = MatGen::new(seed, n);
-        Self::generate_with(n, nb, grid, &|i, j| gen.entry(i, j))
+/// Where the entries of an `N x (N+1)` augmented system come from. The
+/// pipeline, the verifier and the refinement all regenerate the system, and
+/// each must do so the same way the solve did.
+#[derive(Clone, Copy)]
+pub enum System<'a> {
+    /// HPL's seeded random system ([`MatGen`]), generated by strips.
+    Seeded(u64),
+    /// A caller-supplied system: `fill(i, j)` is global entry `(i, j)`,
+    /// column `N` the right-hand side. Must be a pure function of its
+    /// arguments — every rank calls it for its own slice, one entry a call.
+    Fill(&'a (dyn Fn(usize, usize) -> f64 + Sync)),
+}
+
+impl System<'_> {
+    /// This rank's slice of the system.
+    pub fn local<E: Element>(&self, n: usize, nb: usize, grid: &Grid) -> LocalMatrix<E> {
+        match *self {
+            System::Seeded(seed) => LocalMatrix::generate(n, nb, grid, seed),
+            System::Fill(fill) => LocalMatrix::generate_with(n, nb, grid, fill),
+        }
     }
 
-    /// Allocates and fills this rank's slice of an arbitrary augmented
-    /// system: `fill(i, j)` supplies global entry `(i, j)` of the
-    /// `N x (N+1)` matrix (column `N` is the right-hand side). `fill` must
-    /// be a pure function of its arguments — every rank calls it for its
-    /// own slice, and verification regenerates entries on demand.
-    pub fn generate_with(
-        n: usize,
-        nb: usize,
-        grid: &Grid,
-        fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-    ) -> Self {
+    /// The whole right-hand side (global column `n`), which every rank can
+    /// produce without communication.
+    pub fn rhs(&self, n: usize) -> Vec<f64> {
+        match *self {
+            System::Seeded(seed) => {
+                let mut b = vec![0.0; n];
+                MatGen::new(seed, n).fill_strip(0, n, &mut b);
+                b
+            }
+            System::Fill(fill) => (0..n).map(|i| fill(i, n)).collect(),
+        }
+    }
+}
+
+impl<E: Element> LocalMatrix<E> {
+    /// This rank's slice of the `N x (N+1)` layout, zero-filled.
+    fn unfilled(n: usize, nb: usize, grid: &Grid) -> Self {
         let rows = Axis {
             n,
             nb,
@@ -62,22 +83,43 @@ impl<E: Element> LocalMatrix<E> {
         };
         let mloc = rows.local_len();
         let nloc = cols.local_len();
-        let mut data = vec![E::ZERO; mloc * nloc];
-        if mloc > 0 {
-            for lj in 0..nloc {
-                let j = cols.to_global(lj);
-                for li in 0..mloc {
-                    data[lj * mloc + li] = E::from_f64(fill(rows.to_global(li), j));
-                }
-            }
-        }
         Self {
             rows,
             cols,
             mloc,
             nloc,
-            data,
+            data: vec![E::ZERO; mloc * nloc],
         }
+    }
+
+    /// Allocates and fills this rank's slice of the seeded random system.
+    pub fn generate(n: usize, nb: usize, grid: &Grid, seed: u64) -> Self {
+        let mut m = Self::unfilled(n, nb, grid);
+        MatGen::new(seed, n).fill_local(&mut m.data, m.rows, m.cols);
+        m
+    }
+
+    /// Allocates and fills this rank's slice of an arbitrary augmented
+    /// system: `fill(i, j)` supplies global entry `(i, j)` of the
+    /// `N x (N+1)` matrix (column `N` is the right-hand side). `fill` must
+    /// be a pure function of its arguments — every rank calls it for its
+    /// own slice, and verification regenerates entries on demand.
+    pub fn generate_with(
+        n: usize,
+        nb: usize,
+        grid: &Grid,
+        fill: &(dyn Fn(usize, usize) -> f64 + Sync),
+    ) -> Self {
+        let mut m = Self::unfilled(n, nb, grid);
+        if m.mloc > 0 {
+            for (lj, col) in m.data.chunks_exact_mut(m.mloc).enumerate() {
+                let j = m.cols.to_global(lj);
+                for (li, v) in col.iter_mut().enumerate() {
+                    *v = E::from_f64(fill(m.rows.to_global(li), j));
+                }
+            }
+        }
+        m
     }
 
     /// Full local view.
@@ -154,6 +196,28 @@ mod tests {
             n * (n + 1),
             "every global entry generated exactly once"
         );
+    }
+
+    /// The strip generator and the per-entry `fill` path build the same
+    /// slice, in both precisions.
+    #[test]
+    fn seeded_and_fill_systems_agree_bitwise() {
+        let (n, nb, p, q) = (37usize, 5usize, 3usize, 2usize);
+        Universe::run(p * q, |comm| {
+            let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
+            let gen = MatGen::new(7, n);
+            let fill = |i: usize, j: usize| gen.entry(i, j);
+            let (seeded, filled) = (System::Seeded(7), System::Fill(&fill));
+            assert_eq!(
+                seeded.local::<f64>(n, nb, &grid).as_slice(),
+                filled.local::<f64>(n, nb, &grid).as_slice()
+            );
+            assert_eq!(
+                seeded.local::<f32>(n, nb, &grid).as_slice(),
+                filled.local::<f32>(n, nb, &grid).as_slice()
+            );
+            assert_eq!(seeded.rhs(n), filled.rhs(n));
+        });
     }
 
     #[test]

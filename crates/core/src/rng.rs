@@ -7,6 +7,10 @@
 //! entry on demand. We reproduce that scheme with a 64-bit LCG (the classic
 //! Knuth MMIX constants) whose `k`-step jump is computed by squaring.
 
+use hpl_blas::Element;
+
+use crate::dist::Axis;
+
 /// Multiplier of the underlying LCG.
 const LCG_A: u64 = 6364136223846793005;
 /// Increment of the underlying LCG.
@@ -49,47 +53,57 @@ impl MatGen {
         state
     }
 
-    /// The raw 64-bit stream value at flat position `pos`.
+    /// The matrix entry a generator state stands for, uniform in
+    /// `[-0.5, 0.5)`.
     #[inline]
-    fn raw(&self, pos: u64) -> u64 {
-        let s = Self::jump(self.seed, pos);
+    fn uniform(state: u64) -> f64 {
         // One tempering multiply-xor to decorrelate consecutive states'
         // low-entropy high bits (plain LCG streams have lattice structure).
-        let mut x = s;
+        let mut x = state;
         x ^= x >> 33;
         x = x.wrapping_mul(0xFF51AFD7ED558CCD);
         x ^= x >> 33;
-        x
+        (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    }
+
+    /// Flat stream position of entry `(i, j)`: column-major over the
+    /// `nrows`-row matrix.
+    #[inline]
+    fn pos(&self, i: usize, j: usize) -> u64 {
+        (j as u64).wrapping_mul(self.nrows).wrapping_add(i as u64)
     }
 
     /// Matrix entry `(i, j)`, uniform in `[-0.5, 0.5)`.
     #[inline]
     pub fn entry(&self, i: usize, j: usize) -> f64 {
-        let pos = (j as u64).wrapping_mul(self.nrows).wrapping_add(i as u64);
-        (self.raw(pos) >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        Self::uniform(Self::jump(self.seed, self.pos(i, j)))
     }
 
-    /// Fills a column-major local buffer: element `(li, lj)` of the buffer
-    /// receives global entry `(row_of(li), col_of(lj))`.
-    pub fn fill_local(
-        &self,
-        buf: &mut [f64],
-        mloc: usize,
-        nloc: usize,
-        lda: usize,
-        row_of: impl Fn(usize) -> usize,
-        col_of: impl Fn(usize) -> usize,
-    ) {
-        assert!(lda >= mloc.max(1));
-        if mloc == 0 || nloc == 0 {
+    /// Fills `out` with the strip of column `j` starting at global row
+    /// `i0` — `out[k]` is `entry(i0 + k, j)` bit for bit, demoted to `E` —
+    /// the way HPL's `pdmatgen` does: one `O(log pos)` jump to the strip's
+    /// first state, then one LCG step per entry.
+    pub fn fill_strip<E: Element>(&self, i0: usize, j: usize, out: &mut [E]) {
+        let mut state = Self::jump(self.seed, self.pos(i0, j));
+        for v in out {
+            *v = E::from_f64(Self::uniform(state));
+            state = LCG_A.wrapping_mul(state).wrapping_add(LCG_C);
+        }
+    }
+
+    /// Fills one rank's column-major `rows.local_len() x cols.local_len()`
+    /// slice of the block-cyclic matrix: a strip per (local column, local
+    /// row block), since a local row block is contiguous in global rows.
+    pub fn fill_local<E: Element>(&self, buf: &mut [E], rows: Axis, cols: Axis) {
+        let (mloc, nloc) = (rows.local_len(), cols.local_len());
+        assert_eq!(buf.len(), mloc * nloc);
+        if mloc == 0 {
             return;
         }
-        assert!(buf.len() >= lda * (nloc - 1) + mloc);
-        for lj in 0..nloc {
-            let j = col_of(lj);
-            let col = &mut buf[lj * lda..lj * lda + mloc];
-            for (li, v) in col.iter_mut().enumerate() {
-                *v = self.entry(row_of(li), j);
+        for (lj, col) in buf.chunks_exact_mut(mloc).enumerate() {
+            let j = cols.to_global(lj);
+            for (b, strip) in col.chunks_mut(rows.nb).enumerate() {
+                self.fill_strip(rows.to_global(b * rows.nb), j, strip);
             }
         }
     }
@@ -162,14 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn fill_local_matches_entry() {
+    fn strips_equal_entries_bit_for_bit() {
         let g = MatGen::new(5, 40);
-        let mut buf = vec![0.0; 6 * 3];
-        // Local rows map to globals 1,3,5,7 and cols to 0,2,4 (lda 6, mloc 4).
-        g.fill_local(&mut buf, 4, 3, 6, |li| 1 + 2 * li, |lj| 2 * lj);
-        for lj in 0..3 {
-            for li in 0..4 {
-                assert_eq!(buf[lj * 6 + li], g.entry(1 + 2 * li, 2 * lj));
+        for (i0, j, len) in [
+            (0usize, 0usize, 40usize),
+            (7, 3, 33),
+            (39, 40, 1),
+            (12, 9, 0),
+        ] {
+            let mut strip = vec![0.0f64; len];
+            g.fill_strip(i0, j, &mut strip);
+            for (k, &v) in strip.iter().enumerate() {
+                assert_eq!(v.to_bits(), g.entry(i0 + k, j).to_bits(), "({i0}+{k},{j})");
+            }
+            let mut demoted = vec![0.0f32; len];
+            g.fill_strip(i0, j, &mut demoted);
+            for (k, &v) in demoted.iter().enumerate() {
+                assert_eq!(v.to_bits(), (g.entry(i0 + k, j) as f32).to_bits());
             }
         }
     }

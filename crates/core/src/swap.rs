@@ -12,8 +12,17 @@
 //! gathered to the diagonal-owning process row, scattered to their
 //! destination rows (`MPI_Scatterv`), and the U sources are assembled on
 //! every process row with a ring `MPI_Allgatherv`.
-
-use std::collections::HashMap;
+//!
+//! Rows leave and enter the local matrix through one pair of **column-walk**
+//! kernels (`gather_cols` / `scatter_cols`, rocHPL's gather/scatter GPU
+//! kernels): the matrix is column-major, so they visit one local column at
+//! a time and pick the wanted rows out of it, touching each cache line and
+//! page of the section once. Everything they produce is column-major too —
+//! a block of `r` rows over `w` columns is `r x w` with leading dimension
+//! `r` — so a gathered block of all `jb` U sources *is* the `U` operand the
+//! update reads, and when the process column holds every row
+//! (`col_comm.size() == 1`) the kernels are the whole phase: no collective
+//! runs and nothing is copied twice.
 
 use hpl_blas::mat::{MatMut, Matrix};
 use hpl_blas::Element;
@@ -85,27 +94,36 @@ impl SwapPlan {
     /// Collapses the sequential swaps `k0+k <-> ipiv[k]` into a net plan.
     pub fn build(k0: usize, jb: usize, ipiv: &[usize]) -> Self {
         assert_eq!(ipiv.len(), jb);
-        let mut content: HashMap<usize, usize> = HashMap::new();
-        let get = |m: &HashMap<usize, usize>, p: usize| *m.get(&p).unwrap_or(&p);
+        // The swaps touch the diagonal block (dense: `diag[k]` is the
+        // content of position `k0 + k`) and the distinct pivot rows below
+        // it (`below`, sorted, with `below_src[i]` the content of position
+        // `below[i]`): a lookup is a binary search and the moves come out
+        // ordered by destination.
+        let mut below: Vec<usize> = ipiv.iter().copied().filter(|&p| p >= k0 + jb).collect();
+        below.sort_unstable();
+        below.dedup();
+        let mut below_src = below.clone();
+        let mut diag: Vec<usize> = (k0..k0 + jb).collect();
         for (k, &p) in ipiv.iter().enumerate() {
-            let a = k0 + k;
-            debug_assert!(p >= a, "pivot must come from the trailing rows");
-            let ca = get(&content, a);
-            let cb = get(&content, p);
-            content.insert(a, cb);
-            content.insert(p, ca);
+            debug_assert!(p >= k0 + k, "pivot must come from the trailing rows");
+            if p < k0 + jb {
+                diag.swap(k, p - k0);
+            } else {
+                let i = below
+                    .binary_search(&p)
+                    .expect("every pivot row below the block was collected");
+                std::mem::swap(&mut diag[k], &mut below_src[i]);
+            }
         }
-        let u_src: Vec<usize> = (0..jb).map(|k| get(&content, k0 + k)).collect();
-        let mut moves: Vec<(usize, usize)> = content
-            .iter()
-            .filter(|&(&pos, &src)| (pos >= k0 + jb) && pos != src)
-            .map(|(&pos, &src)| (pos, src))
+        let moves = below
+            .into_iter()
+            .zip(below_src)
+            .filter(|(dst, src)| dst != src)
             .collect();
-        moves.sort_unstable();
         Self {
             k0,
             jb,
-            u_src,
+            u_src: diag,
             moves,
         }
     }
@@ -128,37 +146,165 @@ impl ColRange {
     }
 }
 
-/// Copies local row `li` over `range` into `buf` (a "gather" GPU kernel in
-/// rocHPL).
-fn read_row<E: Element>(a: &MatMut<'_, E>, li: usize, range: ColRange, buf: &mut Vec<E>) {
-    for lj in range.start..range.end {
-        buf.push(a.get(li, lj));
+/// The "gather" kernel: walks the columns of `range` once and copies two
+/// sets of local rows out of each — `u_rows` into column `j` of `u_out` and
+/// `mv_rows` into column `j` of `mv_out`, both column-major with leading
+/// dimension equal to their row count.
+fn gather_cols<E: Element>(
+    a: &MatMut<'_, E>,
+    range: ColRange,
+    u_rows: &[usize],
+    u_out: &mut [E],
+    mv_rows: &[usize],
+    mv_out: &mut [E],
+) {
+    let (nu, nm) = (u_rows.len(), mv_rows.len());
+    debug_assert_eq!(u_out.len(), nu * range.width());
+    debug_assert_eq!(mv_out.len(), nm * range.width());
+    for (j, lj) in (range.start..range.end).enumerate() {
+        let col = a.col(lj);
+        for (o, &r) in u_out[j * nu..(j + 1) * nu].iter_mut().zip(u_rows) {
+            *o = col[r];
+        }
+        for (o, &r) in mv_out[j * nm..(j + 1) * nm].iter_mut().zip(mv_rows) {
+            *o = col[r];
+        }
     }
 }
 
-/// Writes `vals` into local row `li` over `range` (the "scatter" kernel).
-fn write_row<E: Element>(a: &mut MatMut<'_, E>, li: usize, range: ColRange, vals: &[E]) {
-    debug_assert_eq!(vals.len(), range.width());
-    for (off, lj) in (range.start..range.end).enumerate() {
-        a.set(li, lj, vals[off]);
+/// The "scatter" kernel, `gather_cols`'s inverse for one row set: writes
+/// column `j` of the column-major `rows.len() x width` block `vals` into
+/// local rows `rows` of column `range.start + j`.
+fn scatter_cols<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, rows: &[usize], vals: &[E]) {
+    let n = rows.len();
+    debug_assert_eq!(vals.len(), n * range.width());
+    if n == 0 {
+        return;
+    }
+    for (j, lj) in (range.start..range.end).enumerate() {
+        let col = a.col_mut(lj);
+        for (&r, &v) in rows.iter().zip(&vals[j * n..(j + 1) * n]) {
+            col[r] = v;
+        }
     }
 }
 
-/// The received side of one section's row-swap communication: the
+/// Sets `v`'s length to `n` without touching what is already there;
+/// allocation-free once `v` has held `n` elements.
+fn set_len<E: Element>(v: &mut Vec<E>, n: usize) {
+    if v.len() < n {
+        v.resize(n, E::ZERO);
+    } else {
+        v.truncate(n);
+    }
+}
+
+/// The received side of one section's row-swap communication — the
 /// assembled `U` block plus the move rows destined for this rank, not yet
-/// scattered into the local matrix.
+/// scattered into the local matrix — and the buffers the phase packs
+/// through. A value is reusable across calls and sections: every buffer
+/// only grows, so a driver that sizes one with [`RsData::for_sections`]
+/// at setup allocates nothing in the phase afterwards.
 pub struct RsData<E: Element = f64> {
     /// Replicated `U` block (`jb x width`), raw (pre-DTRSM).
     pub u: Matrix<E>,
-    /// `(local destination row, row content)` pairs, to be applied by
-    /// [`apply_moves`].
-    pub my_moves: Vec<(usize, Vec<E>)>,
+    /// Local destination row of each move row this rank receives, in move
+    /// order.
+    move_dst: Vec<usize>,
+    /// The received move rows, column-major `move_dst.len() x width`; what
+    /// [`apply_moves`] scatters.
+    move_vals: Vec<E>,
+    /// Local rows of the `U` sources this rank owns, in `k` order.
+    u_rows: Vec<usize>,
+    /// Local rows of the move sources this rank owns, in move order.
+    mv_rows: Vec<usize>,
+    /// Packed `U` sources of this rank (`P > 1` only; at `P = 1` the
+    /// kernel gathers straight into `u`).
+    u_chunk: Vec<E>,
+    /// Packed move sources of this rank (`P > 1` only; at `P = 1` the
+    /// kernel gathers straight into `move_vals`).
+    mv_chunk: Vec<E>,
+}
+
+impl<E: Element> RsData<E> {
+    /// Buffers for sections of up to `jb x width` on a process column of
+    /// `nprow` ranks (`0 x 0`: nothing is allocated until the first use).
+    pub fn for_sections(jb: usize, width: usize, nprow: usize) -> Self {
+        // The move rows are gathered in place at `P = 1` and arrive in the
+        // scatterv's own vector otherwise.
+        let (in_place, packed) = if nprow == 1 {
+            (jb * width, 0)
+        } else {
+            (0, jb * width)
+        };
+        Self {
+            u: Matrix::zeros(jb, width),
+            move_dst: Vec::with_capacity(jb),
+            move_vals: Vec::with_capacity(in_place),
+            u_rows: Vec::with_capacity(jb),
+            mv_rows: Vec::with_capacity(jb),
+            u_chunk: Vec::with_capacity(packed),
+            mv_chunk: Vec::with_capacity(packed),
+        }
+    }
+}
+
+/// Where the rows of a rank-major concatenation of per-rank column-major
+/// blocks live: item `i`, the `t`-th row owned by rank `r`, starts at
+/// `slots[i].0 = width * (rows owned by ranks < r) + t` and advances by
+/// `slots[i].1 = (rows owned by r)` per column. `counts` is each rank's
+/// block size in elements — the collectives' count vector.
+struct Blocks {
+    slots: Vec<(usize, usize)>,
+    counts: Vec<usize>,
+}
+
+impl Blocks {
+    fn layout(owners: impl Iterator<Item = usize> + Clone, nprow: usize, width: usize) -> Self {
+        let mut nrows = vec![0usize; nprow];
+        for r in owners.clone() {
+            nrows[r] += 1;
+        }
+        let mut base = vec![0usize; nprow];
+        for r in 1..nprow {
+            base[r] = base[r - 1] + nrows[r - 1] * width;
+        }
+        let mut seen = vec![0usize; nprow];
+        let slots = owners
+            .map(|r| {
+                let slot = (base[r] + seen[r], nrows[r]);
+                seen[r] += 1;
+                slot
+            })
+            .collect();
+        Self {
+            slots,
+            counts: nrows.iter().map(|&c| c * width).collect(),
+        }
+    }
+}
+
+/// Copies `width` columns of rows between two block layouts: row `i` goes
+/// from `src` slot `from[i]` to `dst` slot `to[i]`, column by column.
+fn repack<E: Element>(
+    width: usize,
+    from: &[(usize, usize)],
+    src: &[E],
+    to: &[(usize, usize)],
+    dst: &mut [E],
+) {
+    debug_assert_eq!(from.len(), to.len());
+    for j in 0..width {
+        for (&(s0, sld), &(d0, dld)) in from.iter().zip(to) {
+            dst[d0 + j * dld] = src[s0 + j * sld];
+        }
+    }
 }
 
 /// The communication half of the row-swap phase over one process column:
 /// gathers the source rows this rank owns, routes move rows via the
-/// diagonal-owning process row (gatherv + scatterv), ring-allgathers the
-/// `U` sources, and returns everything *without writing to `a`* — the
+/// diagonal-owning process row (gatherv + scatterv), allgathers the `U`
+/// sources, and leaves everything in `data` *without writing to `a`* — the
 /// split-update schedule scatters one iteration later.
 ///
 /// Collective over `col_comm`; all ranks of the process column must call it
@@ -171,125 +317,109 @@ pub fn row_swap_comm<E: WireElem>(
     a: &MatMut<'_, E>,
     range: ColRange,
     algo: RowSwapAlgo,
-) -> Result<RsData<E>, HplError> {
+    data: &mut RsData<E>,
+) -> Result<(), HplError> {
     let _span = hpl_trace::span(hpl_trace::Phase::RowSwap);
     let w = range.width();
     let jb = plan.jb;
     let me = col_comm.rank();
+    let nprow = col_comm.size();
 
-    // ---- Read phase: copy every source row we own out of A. ----
-    // U sources, ordered by k.
-    let mut u_chunk = Vec::new();
-    let mut u_count = 0usize;
-    for &src in &plan.u_src {
-        if rows.owner(src) == me {
-            read_row(a, rows.to_local(src), range, &mut u_chunk);
-            u_count += 1;
-        }
+    let local = |g: &usize| rows.to_local(*g);
+    let mine = |g: &&usize| rows.owner(**g) == me;
+    data.u_rows.clear();
+    data.u_rows
+        .extend(plan.u_src.iter().filter(mine).map(local));
+    data.mv_rows.clear();
+    data.mv_rows.extend(
+        plan.moves
+            .iter()
+            .map(|(_, src)| src)
+            .filter(mine)
+            .map(local),
+    );
+    data.move_dst.clear();
+    data.move_dst.extend(
+        plan.moves
+            .iter()
+            .map(|(dst, _)| dst)
+            .filter(mine)
+            .map(local),
+    );
+    data.u.reshape(jb, w);
+
+    if nprow == 1 {
+        // Every source and destination row is local: the gathered blocks
+        // are `U` and the move rows themselves.
+        set_len(&mut data.move_vals, plan.moves.len() * w);
+        gather_cols(
+            a,
+            range,
+            &data.u_rows,
+            data.u.as_mut_slice(),
+            &data.mv_rows,
+            &mut data.move_vals,
+        );
+        return Ok(());
     }
-    // Move sources, ordered by move index.
-    let mut mv_chunk = Vec::new();
-    for &(_, src) in &plan.moves {
-        if rows.owner(src) == me {
-            read_row(a, rows.to_local(src), range, &mut mv_chunk);
-        }
-    }
+
+    set_len(&mut data.u_chunk, data.u_rows.len() * w);
+    set_len(&mut data.mv_chunk, data.mv_rows.len() * w);
+    gather_cols(
+        a,
+        range,
+        &data.u_rows,
+        &mut data.u_chunk,
+        &data.mv_rows,
+        &mut data.mv_chunk,
+    );
 
     // ---- Move routing: gather sources to the current row, scatter to
     // destinations (paper: "scatter the NB source rows to their destination
     // processes ... via a Scatterv"). ----
-    let mut my_moves: Vec<(usize, Vec<E>)> = Vec::new();
+    data.move_vals.clear();
     if !plan.moves.is_empty() {
-        let gathered = gatherv(col_comm, prow_curr, &mv_chunk)?;
-        let scatter_buf = gathered.map(|flat| {
-            // `flat` concatenates each rank's chunk (moves it owns the
-            // *source* of, in move order). Rebuild per-move rows, then
-            // reorder by destination owner for the scatter.
-            let mut per_move: Vec<Vec<E>> = vec![Vec::new(); plan.moves.len()];
-            let mut offset_of_rank = vec![0usize; col_comm.size()];
-            // Prefix offsets: rank r's chunk starts after all lower ranks'.
-            let mut counts = vec![0usize; col_comm.size()];
-            for &(_, src) in &plan.moves {
-                counts[rows.owner(src)] += w;
-            }
-            for r in 1..col_comm.size() {
-                offset_of_rank[r] = offset_of_rank[r - 1] + counts[r - 1];
-            }
-            let mut cursor = offset_of_rank.clone();
-            for (mi, &(_, src)) in plan.moves.iter().enumerate() {
-                let r = rows.owner(src);
-                per_move[mi] = flat[cursor[r]..cursor[r] + w].to_vec();
-                cursor[r] += w;
-            }
-            // Scatter layout: ordered by destination owner, then move index.
-            let mut out = Vec::with_capacity(plan.moves.len() * w);
-            let mut dst_counts = vec![0usize; col_comm.size()];
-            for r in 0..col_comm.size() {
-                for (mi, &(dst, _)) in plan.moves.iter().enumerate() {
-                    if rows.owner(dst) == r {
-                        out.extend_from_slice(&per_move[mi]);
-                        dst_counts[r] += w;
-                    }
-                }
-            }
-            (out, dst_counts)
+        let gathered = gatherv(col_comm, prow_curr, &data.mv_chunk)?;
+        // On the root, `flat` concatenates each rank's block of the moves
+        // it owns the *source* of; the scatter wants them blocked by
+        // destination owner.
+        let routed = gathered.map(|flat| {
+            let by_src = Blocks::layout(plan.moves.iter().map(|&(_, s)| rows.owner(s)), nprow, w);
+            let by_dst = Blocks::layout(plan.moves.iter().map(|&(d, _)| rows.owner(d)), nprow, w);
+            let mut out = vec![E::ZERO; flat.len()];
+            repack(w, &by_src.slots, &flat, &by_dst.slots, &mut out);
+            (out, by_dst.counts)
         });
-        let mine: Vec<E> = match scatter_buf {
+        data.move_vals = match routed {
             Some((buf, counts)) => scatterv(col_comm, prow_curr, Some((&buf, &counts)))?,
             None => scatterv(col_comm, prow_curr, None)?,
         };
-        // Record received rows against our destination positions (in move
-        // order restricted to ours).
-        let mut off = 0;
-        for &(dst, _) in &plan.moves {
-            if rows.owner(dst) == me {
-                my_moves.push((rows.to_local(dst), mine[off..off + w].to_vec()));
-                off += w;
-            }
-        }
-        debug_assert_eq!(off, mine.len());
+        debug_assert_eq!(data.move_vals.len(), data.move_dst.len() * w);
     }
 
-    // ---- U assembly: ring allgatherv of the U source rows. ----
-    let mut counts = vec![0usize; col_comm.size()];
-    for &src in &plan.u_src {
-        counts[rows.owner(src)] += w;
-    }
-    debug_assert_eq!(u_chunk.len(), u_count * w);
+    // ---- U assembly: allgatherv of the U source rows, then rank-major
+    // blocks into k-order. ----
+    let by_owner = Blocks::layout(plan.u_src.iter().map(|&s| rows.owner(s)), nprow, w);
     let flat = match algo.resolve(w) {
-        RowSwapAlgo::Ring => allgatherv(col_comm, &u_chunk, &counts)?,
-        RowSwapAlgo::BinaryExchange => allgatherv_rd(col_comm, &u_chunk, &counts)?,
+        RowSwapAlgo::Ring => allgatherv(col_comm, &data.u_chunk, &by_owner.counts)?,
+        RowSwapAlgo::BinaryExchange => allgatherv_rd(col_comm, &data.u_chunk, &by_owner.counts)?,
         RowSwapAlgo::Mix { .. } => unreachable!("resolve() returns a fixed variant"),
     };
-    // Reorder rank-major chunks into k-order.
-    let mut offset_of_rank = vec![0usize; col_comm.size()];
-    for r in 1..col_comm.size() {
-        offset_of_rank[r] = offset_of_rank[r - 1] + counts[r - 1];
-    }
-    let mut cursor = offset_of_rank;
-    let mut u = Matrix::<E>::zeros(jb, w);
-    for (k, &src) in plan.u_src.iter().enumerate() {
-        let r = rows.owner(src);
-        let row = &flat[cursor[r]..cursor[r] + w];
-        cursor[r] += w;
-        for (j, &v) in row.iter().enumerate() {
-            u.set(k, j, v);
-        }
-    }
-    Ok(RsData { u, my_moves })
+    let in_u: Vec<(usize, usize)> = (0..jb).map(|k| (k, jb)).collect();
+    repack(w, &by_owner.slots, &flat, &in_u, data.u.as_mut_slice());
+    Ok(())
 }
 
 /// Scatters previously communicated move rows back into the local matrix
 /// (rocHPL's "scatter" GPU kernel).
-pub fn apply_moves<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, moves: &[(usize, Vec<E>)]) {
+pub fn apply_moves<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, data: &RsData<E>) {
     let _span = hpl_trace::span(hpl_trace::Phase::Scatter);
-    for (li, vals) in moves {
-        write_row(a, *li, range, vals);
-    }
+    scatter_cols(a, range, &data.move_dst, &data.move_vals);
 }
 
 /// The complete row-swap phase: communicate, scatter the moves, and return
-/// the assembled `U` block.
+/// the assembled `U` block. Owns its buffers; the driver, which runs the
+/// phase every iteration, keeps an [`RsData`] and calls the two halves.
 pub fn row_swap<E: WireElem>(
     col_comm: &Communicator,
     rows: Axis,
@@ -299,8 +429,9 @@ pub fn row_swap<E: WireElem>(
     range: ColRange,
     algo: RowSwapAlgo,
 ) -> Result<Matrix<E>, HplError> {
-    let data = row_swap_comm(col_comm, rows, plan, prow_curr, a, range, algo)?;
-    apply_moves(a, range, &data.my_moves);
+    let mut data = RsData::for_sections(plan.jb, range.width(), col_comm.size());
+    row_swap_comm(col_comm, rows, plan, prow_curr, a, range, algo, &mut data)?;
+    apply_moves(a, range, &data);
     Ok(data.u)
 }
 

@@ -7,8 +7,7 @@
 use hpl_comm::{Grid, Op};
 
 use crate::error::HplError;
-use crate::local::LocalMatrix;
-use crate::rng::MatGen;
+use crate::local::{LocalMatrix, System};
 use crate::solve::distributed_matvec;
 
 /// Verification report.
@@ -46,8 +45,7 @@ pub fn verify(
     seed: u64,
     x: &[f64],
 ) -> Result<Residuals, HplError> {
-    let gen = MatGen::new(seed, n);
-    verify_with(grid, n, nb, &|i, j| gen.entry(i, j), x)
+    verify_system(grid, n, nb, System::Seeded(seed), x, f64::EPSILON)
 }
 
 /// [`verify`] for a caller-supplied system (see
@@ -60,31 +58,30 @@ pub fn verify_with(
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
     x: &[f64],
 ) -> Result<Residuals, HplError> {
-    verify_with_eps(grid, n, nb, fill, x, f64::EPSILON)
+    verify_system(grid, n, nb, System::Fill(fill), x, f64::EPSILON)
 }
 
-/// [`verify_with`] with a caller-supplied unit roundoff: a pure `f32`
-/// factorization is judged against `f32` accuracy
+/// The verifier proper: regenerates `system` and scales the residual by
+/// `eps` — a pure `f32` factorization is judged against `f32` accuracy
 /// ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while mixed-precision
 /// refinement must recover `f64::EPSILON`-scaled accuracy to pass.
-pub fn verify_with_eps(
+/// Collective over the grid.
+pub fn verify_system(
     grid: &Grid,
     n: usize,
     nb: usize,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
+    system: System<'_>,
     x: &[f64],
     eps: f64,
 ) -> Result<Residuals, HplError> {
     assert_eq!(x.len(), n);
-    // Regenerate this rank's original slice.
-    let a = LocalMatrix::generate_with(n, nb, grid, fill);
+    // Regenerate this rank's original slice, and b (global column n),
+    // which every rank can generate whole.
+    let a: LocalMatrix<f64> = system.local(n, nb, grid);
     let ax = distributed_matvec(&a, grid, x)?;
-    // b is global column n; every rank can generate any entry, so compute
-    // norms redundantly where cheap and distributed where not.
     let mut err_inf = 0.0f64;
     let mut b_inf = 0.0f64;
-    for (i, &axi) in ax.iter().enumerate() {
-        let bi = fill(i, n);
+    for (&axi, bi) in ax.iter().zip(system.rhs(n)) {
         err_inf = err_inf.max((axi - bi).abs());
         b_inf = b_inf.max(bi.abs());
     }

@@ -234,7 +234,7 @@ fn nb_larger_than_n() {
 
 #[test]
 fn f32_pipeline_solves_to_f32_accuracy() {
-    use rhpl_core::{run_hpl_with_element, verify_with_eps};
+    use rhpl_core::{run_hpl_with_element, verify_system, System};
     let mut cfg = HplConfig::new(96, 16, 2, 2);
     cfg.seed = 47;
     let gen = MatGen::new(cfg.seed, cfg.n);
@@ -252,16 +252,8 @@ fn f32_pipeline_solves_to_f32_accuracy() {
     let x = results[0].clone();
     let res = Universe::run(cfg.ranks(), |comm| {
         let grid = Grid::new(comm, cfg.p, cfg.q, GridOrder::ColumnMajor);
-        let gen = MatGen::new(47, 96);
-        verify_with_eps(
-            &grid,
-            96,
-            16,
-            &|i, j| gen.entry(i, j),
-            &x,
-            f32::EPSILON as f64,
-        )
-        .expect("verification collectives")
+        verify_system(&grid, 96, 16, System::Seeded(47), &x, f32::EPSILON as f64)
+            .expect("verification collectives")
     });
     assert!(
         res[0].passed(),

@@ -26,8 +26,8 @@ use std::time::Instant;
 use hpl_comm::{Communicator, Grid, Op};
 use rhpl_core::solve::distributed_matvec;
 use rhpl_core::{
-    back_substitute, factorize, verify_with_eps, HplConfig, HplError, IterTiming, LocalMatrix,
-    MatGen, Residuals,
+    back_substitute, factorize_local, verify_system, HplConfig, HplError, IterTiming, LocalMatrix,
+    Residuals, System,
 };
 
 /// Refinement controls.
@@ -79,14 +79,16 @@ pub struct MxpOutput {
     pub element: &'static str,
     /// Timed-out receive polls this rank retried with backoff.
     pub retries: u64,
+    /// Digest of the answer: [`hpl_trace::report::x_hash`] over the refined
+    /// `x` and the factorization's pivot log.
+    pub x_hash: u64,
 }
 
 /// Runs the distributed HPL-MxP benchmark on the seeded generator system
 /// of `cfg` (the same matrix family the `f64` benchmark factors).
 /// Collective: call from every rank of `comm`.
 pub fn solve_mxp(comm: Communicator, cfg: &HplConfig) -> Result<MxpOutput, HplError> {
-    let gen = MatGen::new(cfg.seed, cfg.n);
-    solve_mxp_with(comm, cfg, MxpParams::default(), &|i, j| gen.entry(i, j))
+    solve_mxp_system(comm, cfg, MxpParams::default(), System::Seeded(cfg.seed))
 }
 
 /// [`solve_mxp`] for a caller-supplied system: `fill(i, j)` must be a pure
@@ -98,10 +100,19 @@ pub fn solve_mxp_with(
     params: MxpParams,
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
 ) -> Result<MxpOutput, HplError> {
+    solve_mxp_system(comm, cfg, params, System::Fill(fill))
+}
+
+fn solve_mxp_system(
+    comm: Communicator,
+    cfg: &HplConfig,
+    params: MxpParams,
+    system: System<'_>,
+) -> Result<MxpOutput, HplError> {
     cfg.validate();
     let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
     hpl_trace::install(cfg.trace);
-    let out = refine_pipeline(&grid, cfg, &params, fill);
+    let out = refine_pipeline(&grid, cfg, &params, system);
     let trace = hpl_trace::take();
     let mut out = out?;
     out.trace = trace;
@@ -114,18 +125,18 @@ fn refine_pipeline(
     grid: &Grid,
     cfg: &HplConfig,
     params: &MxpParams,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
+    system: System<'_>,
 ) -> Result<MxpOutput, HplError> {
     let n = cfg.n;
     let t0 = Instant::now();
-    let out = factorize::<f32>(grid, cfg, fill)?;
+    let out = factorize_local(grid, cfg, system.local::<f32>(n, cfg.nb, grid))?;
     let x0 = back_substitute(&out.a, grid, cfg.nb)?;
     let fact_seconds = t0.elapsed().as_secs_f64();
 
     // The factorization destroyed its demoted copy of the system in place;
     // residuals are evaluated against a full-precision regeneration.
-    let a64 = LocalMatrix::<f64>::generate_with(n, cfg.nb, grid, fill);
-    let b: Vec<f64> = (0..n).map(|i| fill(i, n)).collect();
+    let a64: LocalMatrix<f64> = system.local(n, cfg.nb, grid);
+    let b = system.rhs(n);
     let b_inf = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let a_inf = inf_norm(&a64, grid)?;
 
@@ -154,9 +165,10 @@ fn refine_pipeline(
         }
     }
 
-    let residuals = verify_with_eps(grid, n, cfg.nb, fill, &x, f64::EPSILON)?;
+    let residuals = verify_system(grid, n, cfg.nb, system, &x, f64::EPSILON)?;
     let wall = t0.elapsed().as_secs_f64();
     Ok(MxpOutput {
+        x_hash: hpl_trace::report::x_hash(&x, &out.pivot_log),
         x,
         sweeps: history.len().saturating_sub(1),
         history,
@@ -320,7 +332,7 @@ pub fn replay_solve(
 mod tests {
     use super::*;
     use hpl_comm::Universe;
-    use rhpl_core::Schedule;
+    use rhpl_core::{factorize, MatGen, Schedule};
 
     #[test]
     fn mxp_recovers_double_accuracy() {

@@ -91,12 +91,12 @@ mod imp {
         CLAIMS.lock().retain(|c| c.thread != me);
     }
 
-    pub fn live_claims() -> usize {
-        CLAIMS.lock().len()
+    pub fn live_claims_on(obj: usize) -> usize {
+        CLAIMS.lock().iter().filter(|c| c.obj == obj).count()
     }
 
-    pub fn reset() {
-        CLAIMS.lock().clear();
+    pub fn reset_object(obj: usize) {
+        CLAIMS.lock().retain(|c| c.obj != obj);
     }
 }
 
@@ -143,29 +143,34 @@ pub fn enabled() -> bool {
     cfg!(any(debug_assertions, feature = "race-check"))
 }
 
-/// Number of live claims across all threads (0 when the ledger is disabled).
-/// Test support.
+/// Number of live claims on the object whose base address is `obj`, across
+/// all threads (0 when the ledger is disabled). Test support; keyed by
+/// object because the ledger is process-global and tests run concurrently,
+/// each on objects of its own.
 #[inline]
 #[must_use]
-pub fn live_claims() -> usize {
+pub fn live_claims_on(obj: usize) -> usize {
     #[cfg(any(debug_assertions, feature = "race-check"))]
     {
-        imp::live_claims()
+        imp::live_claims_on(obj)
     }
     #[cfg(not(any(debug_assertions, feature = "race-check")))]
     {
+        let _ = obj;
         0
     }
 }
 
-/// Clears the whole ledger, including other threads' claims. Only for tests
+/// Drops every claim on `obj`, whichever thread holds it. Only for tests
 /// that deliberately trigger a ledger panic and must clean up the claims the
 /// panicking region left behind (a dead thread cannot release its own).
 #[doc(hidden)]
 #[inline]
-pub fn reset() {
+pub fn reset_object(obj: usize) {
     #[cfg(any(debug_assertions, feature = "race-check"))]
-    imp::reset();
+    imp::reset_object(obj);
+    #[cfg(not(any(debug_assertions, feature = "race-check")))]
+    let _ = obj;
 }
 
 #[cfg(test)]
@@ -174,14 +179,11 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    // The ledger is process-global, so tests that dirty it serialize on this
-    // lock and reset() on the way out.
-    static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    // The ledger is process-global and tests run concurrently: each test
+    // claims an object id of its own and looks only at that object.
 
     #[test]
     fn disjoint_excl_claims_from_two_threads_pass() {
-        let _g = TEST_LOCK.lock();
-        reset();
         let obj = 0x1000;
         claim_excl(obj, 0, 8);
         let t = std::thread::spawn(move || {
@@ -190,13 +192,11 @@ mod tests {
         });
         t.join().expect("disjoint claim must not panic");
         release_current_thread();
-        assert_eq!(live_claims(), 0);
+        assert_eq!(live_claims_on(obj), 0);
     }
 
     #[test]
     fn overlapping_excl_claims_panic_with_both_sites() {
-        let _g = TEST_LOCK.lock();
-        reset();
         let obj = 0x2000;
         let placed = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -204,7 +204,7 @@ mod tests {
                 claim_excl(obj, 0, 8);
                 placed.store(true, Ordering::Release);
                 // Hold the claim until the main thread has hit the overlap.
-                while live_claims() != 0 {
+                while live_claims_on(obj) != 0 {
                     std::thread::yield_now();
                 }
             });
@@ -220,14 +220,12 @@ mod tests {
             assert!(msg.contains("rows 4..12"), "missing second site: {msg}");
             assert!(msg.contains("rows 0..8"), "missing first site: {msg}");
             assert!(msg.contains("ledger.rs"), "missing claim locations: {msg}");
-            reset(); // releases the spawned thread's spin too
+            reset_object(obj); // releases the spawned thread's spin too
         });
     }
 
     #[test]
     fn shared_overlapping_shared_passes() {
-        let _g = TEST_LOCK.lock();
-        reset();
         let obj = 0x3000;
         claim_shared(obj, 0, 16);
         std::thread::spawn(move || {
@@ -241,8 +239,6 @@ mod tests {
 
     #[test]
     fn shared_overlapping_foreign_excl_panics() {
-        let _g = TEST_LOCK.lock();
-        reset();
         let obj = 0x4000;
         claim_excl(obj, 0, 16);
         let r = std::thread::spawn(move || {
@@ -251,24 +247,22 @@ mod tests {
         .join()
         .expect("probe thread itself must not die");
         assert!(r, "shared claim over a foreign mutable claim must panic");
-        reset();
+        release_current_thread();
+        assert_eq!(live_claims_on(obj), 0);
     }
 
     #[test]
     fn same_thread_overlap_is_allowed() {
-        let _g = TEST_LOCK.lock();
-        reset();
         let obj = 0x5000;
         claim_shared(obj, 0, 32);
         claim_excl(obj, 3, 5); // single-threaded re-borrow per the protocol
+        assert_eq!(live_claims_on(obj), 2);
         release_current_thread();
-        assert_eq!(live_claims(), 0);
+        assert_eq!(live_claims_on(obj), 0);
     }
 
     #[test]
     fn different_objects_never_conflict() {
-        let _g = TEST_LOCK.lock();
-        reset();
         claim_excl(0x6000, 0, 8);
         std::thread::spawn(|| {
             claim_excl(0x7000, 0, 8);

@@ -49,7 +49,7 @@ fn repeated_small_regions_with_randomized_tiles() {
             "tiles must cover all rows"
         );
         assert_eq!(
-            ledger::live_claims(),
+            ledger::live_claims_on(obj),
             0,
             "region end must release all claims"
         );
@@ -77,7 +77,7 @@ fn barrier_rotated_ownership_over_many_phases() {
             ctx.barrier();
         }
     });
-    assert_eq!(ledger::live_claims(), 0);
+    assert_eq!(ledger::live_claims_on(obj), 0);
 }
 
 /// The reductions are built on barriers, so they are release points too.
@@ -95,7 +95,7 @@ fn reductions_release_claims() {
         let left = (tid + 3) % 4;
         ledger::claim_excl(obj, left * 8, left * 8 + 8);
     });
-    assert_eq!(ledger::live_claims(), 0);
+    assert_eq!(ledger::live_claims_on(obj), 0);
 }
 
 /// The ledger must catch a deliberate ownership violation inside a pool
@@ -145,6 +145,7 @@ fn ledger_detects_deliberate_overlap_in_region() {
         msg.contains("race-ledger") || msg.contains("pool worker died"),
         "unexpected panic: {msg}"
     );
-    // The dead worker cannot release its claims; clean up for other tests.
-    ledger::reset();
+    // Thread 0's claim outlived the region it died in; drop it.
+    ledger::reset_object(obj);
+    assert_eq!(ledger::live_claims_on(obj), 0);
 }

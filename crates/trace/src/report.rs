@@ -197,6 +197,22 @@ pub fn seq_hash_from(traces: &[Trace], min_iter: usize) -> u64 {
     h
 }
 
+/// Deterministic FNV-1a digest of the *answer*: the solution vector's
+/// `f64` bit patterns, then the pivot log. [`seq_hash`] pins the schedule's
+/// shape (a classic and a mixed-precision run share one); this pins the
+/// numerics, so a rewrite of how rows move or entries are generated that
+/// changes a single bit of `x` or a single pivot choice is caught exactly.
+pub fn x_hash(x: &[f64], pivots: &[u64]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for v in x {
+        eat(&mut h, v.to_bits());
+    }
+    for &p in pivots {
+        eat(&mut h, p);
+    }
+    h
+}
+
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 fn eat(h: &mut u64, v: u64) {
@@ -430,6 +446,20 @@ mod tests {
         // Rank order matters: swapping two streams changes the hash.
         let swapped = vec![streams[1].clone(), streams[0].clone(), streams[2].clone()];
         assert_ne!(seq_hash_streams(&swapped), seq_hash(&traces));
+    }
+
+    #[test]
+    fn x_hash_sees_every_bit_of_the_answer() {
+        let x = [1.0f64, -0.5, 3.25];
+        let piv = [2u64, 1, 2];
+        let h = x_hash(&x, &piv);
+        assert_eq!(h, x_hash(&x, &piv));
+        // One ulp in the solution, a sign of zero, or one pivot choice.
+        let mut x1 = x;
+        x1[1] = f64::from_bits(x1[1].to_bits() + 1);
+        assert_ne!(x_hash(&x1, &piv), h);
+        assert_ne!(x_hash(&[0.0], &[]), x_hash(&[-0.0], &[]));
+        assert_ne!(x_hash(&x, &[2, 2, 2]), h);
     }
 
     #[test]

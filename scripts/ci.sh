@@ -20,8 +20,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== [test] cargo build --release"
 cargo build --release
 
-echo "== [test] cargo test -q"
-cargo test -q
+echo "== [test] cargo test -q --no-fail-fast"
+cargo test -q --no-fail-fast
 
 echo "== [kernel-matrix] cargo test -q under each pinned DGEMM kernel"
 RHPL_KERNEL=scalar cargo test -q

@@ -131,6 +131,29 @@ fn waived_fixtures_are_suppressed_and_not_stale() {
     }
 }
 
+/// The row-swap kernels joined the hot-path roots when the phase stopped
+/// allocating; their fixtures mount in `core`, where those roots resolve.
+#[test]
+fn row_swap_kernels_are_hot_path_roots() {
+    let dir = fixtures_dir().join("hot-path-alloc");
+    let rel = "crates/core/src/fixture.rs";
+    let report = run_one(rel, &read(&dir.join("swap_positive.rs")), FileKind::Library);
+    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`.collect()`") && m.contains("via gather_cols")),
+        "gather_cols must be a root: {msgs:?}"
+    );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`.to_vec()`") && m.contains("via apply_moves")),
+        "apply_moves must be a root: {msgs:?}"
+    );
+    let report = run_one(rel, &read(&dir.join("swap_negative.rs")), FileKind::Library);
+    let hits = unwaived(&report, Some("hot-path-alloc"));
+    assert!(hits.is_empty(), "swap_negative.rs fired: {hits:?}");
+}
+
 #[test]
 fn positive_fixture_details() {
     // Spot-check the messages carry the analysis, not just the verdict.

@@ -1,7 +1,8 @@
 //! `hot-path-alloc` — statically enforces the `PackArena` contract from
 //! PR 5: the steady-state DGEMM/update/factorization inner loops must not
 //! allocate. Roots are the per-element / per-column kernels (one call per
-//! matrix entry or per panel column); anything they reach transitively in
+//! matrix entry or per panel column) and the row swap's gather/scatter
+//! kernels (one call per section); anything they reach transitively in
 //! the compute crates is hot, and any `Vec::new` / `vec!` / `Box::new` /
 //! `format!` / `.collect()` / `.to_vec()` / `.to_string()` there is a
 //! violation. Per-panel setup (`panel_factor`, packing at panel grain) is
@@ -25,6 +26,9 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core", "base_factor"),
     ("core", "update_col"),
     ("core", "pivot_step"),
+    ("core", "gather_cols"),
+    ("core", "scatter_cols"),
+    ("core", "apply_moves"),
 ];
 
 /// Crates the traversal stays inside. Comm payload assembly allocates by

@@ -6,8 +6,9 @@
 //! measured metrics against the committed `bench/baseline.json`:
 //!
 //! - **exact** across machines: run count, `T/V` codes, schedule names,
-//!   iteration counts, the deterministic phase-sequence hash, and the
-//!   residual check passing;
+//!   iteration counts, the deterministic phase-sequence hash, the answer's
+//!   `x_hash` (between runs of the same DGEMM kernel), and the residual
+//!   check passing;
 //! - **banded** (machine-speed tolerant): GFLOP/s no lower than
 //!   `gflops_min_frac` of baseline, wall time and per-phase ns/iteration no
 //!   higher than `*_max_factor` times baseline (with an absolute per-phase
@@ -79,7 +80,7 @@ impl Default for Gate {
             max_faults_disabled_frac: 0.01,
             max_fault_guard_ns_per_call: 200.0,
             max_ckpt_guard_ns_per_call: 200.0,
-            max_ckpt_enabled_frac: 0.10,
+            max_ckpt_enabled_frac: 0.15,
         }
     }
 }
@@ -151,6 +152,12 @@ struct RunMetrics {
     mode: String,
     iterations: f64,
     seq_hash: String,
+    /// Digest of the answer (solution bits, then the pivot log). The DGEMM
+    /// microkernels round differently, so it is comparable only between
+    /// runs of the same `kernel`; both are empty in a baseline that
+    /// predates them.
+    x_hash: String,
+    kernel: String,
     passed: bool,
     gflops: f64,
     /// f32 factorization rate; 0 outside `--mxp` (band-gated only when set).
@@ -450,6 +457,8 @@ fn run_metrics(run: &Value) -> Result<RunMetrics, String> {
         mode: s("mode").unwrap_or_else(|_| "hpl".into()),
         iterations: iters,
         seq_hash: s("seq_hash")?,
+        x_hash: s("x_hash").unwrap_or_default(),
+        kernel: s("kernel").unwrap_or_default(),
         passed: run.get("passed").and_then(Value::bool).unwrap_or(false),
         gflops: n("gflops")?,
         fact_gflops: n("fact_gflops").unwrap_or(0.0),
@@ -553,6 +562,27 @@ fn compare(measured: &[RunMetrics], overhead: Option<Overhead>, baseline: &Value
                 m.seq_hash, b.seq_hash
             ));
         }
+        if b.x_hash.is_empty() || m.kernel != b.kernel {
+            println!(
+                "xtask bench: [{id}] x_hash {} not gated (baseline has {} under kernel `{}`, \
+                 this host resolved `{}`)",
+                m.x_hash,
+                if b.x_hash.is_empty() {
+                    "none"
+                } else {
+                    &b.x_hash
+                },
+                b.kernel,
+                m.kernel
+            );
+        } else if m.x_hash != b.x_hash {
+            fails.push(format!(
+                "[{id}] answer diverged: x_hash {} != baseline {} (a bit of the solution or a \
+                 pivot choice changed; rerun with --update-baseline only if the numerics were \
+                 meant to change)",
+                m.x_hash, b.x_hash
+            ));
+        }
         if !m.passed {
             fails.push(format!("[{id}] residual check FAILED"));
         }
@@ -639,7 +669,7 @@ fn compare(measured: &[RunMetrics], overhead: Option<Overhead>, baseline: &Value
 fn report(measured: &[RunMetrics], failures: &[String]) -> i32 {
     for m in measured {
         println!(
-            "xtask bench: [{}] {} mode={} gflops={:.3} fact={:.3} wall={:.4}s overlap={:.3} seq={}",
+            "xtask bench: [{}] {} mode={} gflops={:.3} fact={:.3} wall={:.4}s overlap={:.3} seq={} x={}",
             m.tv,
             m.schedule,
             m.mode,
@@ -647,7 +677,8 @@ fn report(measured: &[RunMetrics], failures: &[String]) -> i32 {
             m.fact_gflops,
             m.wall_seconds,
             m.overlap_efficiency,
-            m.seq_hash
+            m.seq_hash,
+            m.x_hash
         );
     }
     if failures.is_empty() {
@@ -712,8 +743,8 @@ fn baseline_json(measured: &[RunMetrics], o: Overhead) -> String {
             .join(", ");
         out.push_str(&format!(
             "    {{\"tv\": \"{}\", \"schedule\": \"{}\", \"mode\": \"{}\", \"iterations\": [{}],\n     \
-             \"seq_hash\": \"{}\", \"passed\": {}, \"gflops\": {}, \"fact_gflops\": {}, \
-             \"wall_seconds\": {},\n     \
+             \"seq_hash\": \"{}\", \"x_hash\": \"{}\", \"kernel\": \"{}\", \"passed\": {}, \
+             \"gflops\": {}, \"fact_gflops\": {}, \"wall_seconds\": {},\n     \
              \"overlap_efficiency\": {}, \"phase_totals\": {{{}}}}}{}\n",
             m.tv,
             m.schedule,
@@ -721,6 +752,8 @@ fn baseline_json(measured: &[RunMetrics], o: Overhead) -> String {
             // Placeholder rows: only the array length matters when read back.
             vec!["{}"; m.iterations as usize].join(", "),
             m.seq_hash,
+            m.x_hash,
+            m.kernel,
             m.passed,
             m.gflops,
             m.fact_gflops,
@@ -745,6 +778,8 @@ mod tests {
             mode: "hpl".into(),
             iterations: 6.0,
             seq_hash: seq.into(),
+            x_hash: "0x1".into(),
+            kernel: "simd".into(),
             passed: true,
             gflops,
             fact_gflops: 0.0,
@@ -792,6 +827,22 @@ mod tests {
     }
 
     #[test]
+    fn answer_change_fails_only_between_runs_of_one_kernel() {
+        let base = vec![metrics(1.0, 1e6, "0xaa")];
+        let b = baseline_of(&base);
+        let mut changed = base.clone();
+        changed[0].x_hash = "0x2".into();
+        let fails = compare(&changed, None, &b);
+        assert!(
+            fails.iter().any(|f| f.contains("answer diverged")),
+            "{fails:?}"
+        );
+        // Another microkernel rounds differently: not comparable, not a failure.
+        changed[0].kernel = "scalar".into();
+        assert!(compare(&changed, None, &b).is_empty());
+    }
+
+    #[test]
     fn gflops_floor_and_overhead_fail() {
         let base = vec![metrics(1.0, 1e6, "0xaa")];
         let b = baseline_of(&base);
@@ -801,7 +852,7 @@ mod tests {
             .any(|f| f.contains("gflops")));
         // All three guards over their ns/call caps, both disabled fractions
         // over their 1% caps, and the enabled-checkpoint fraction over its
-        // 10% cap: six overhead failures.
+        // 15% cap: six overhead failures.
         assert!(compare(&base, Some(overhead(500.0, 0.5)), &b).len() == 6);
     }
 
