@@ -1,9 +1,10 @@
 //! Criterion bench: the trailing-update GEMM kernel across the shapes HPL
 //! produces (tall C, k = NB), backing the §IV.A DGEMM-rate discussion.
-//! Each shape runs once per available microkernel (`scalar` always,
-//! `simd` when the CPU has one) and per element type (`f64` classic HPL,
-//! `f32` the HPL-MxP factorization precision) so both the per-kernel and
-//! the per-precision GFLOPS gaps are visible in the criterion report.
+//! Each shape runs once per kernel tier the CPU has (`scalar` always, then
+//! every SIMD tier — not only the widest, which is what `simd` resolves
+//! to) and per element type (`f64` classic HPL, `f32` the HPL-MxP
+//! factorization precision) so the per-tier and the per-precision GFLOPS
+//! gaps are visible in the criterion report.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpl_blas::mat::Matrix;
@@ -17,12 +18,8 @@ const SHAPES: &[(usize, usize, usize)] = &[
 ];
 
 fn bench_element<E: Element>(c: &mut Criterion) {
-    let kernels: Vec<Kernel> = [Kernel::scalar()]
-        .into_iter()
-        .chain(Kernel::simd())
-        .collect();
-    for kern in kernels {
-        let mut g = c.benchmark_group(format!("dgemm_update/{}/{}", E::NAME, kern.name()));
+    for kern in Kernel::available() {
+        let mut g = c.benchmark_group(format!("dgemm_update/{}/{}", E::NAME, kern.isa()));
         g.sample_size(10);
         g.measurement_time(std::time::Duration::from_secs(2));
         g.warm_up_time(std::time::Duration::from_millis(300));

@@ -25,13 +25,10 @@ struct Rate {
 #[derive(Serialize)]
 struct KernelRate {
     nb: usize,
-    scalar_gflops: f64,
-    simd_gflops: Option<f64>,
-    speedup: Option<f64>,
-    scalar_f32_gflops: f64,
-    simd_f32_gflops: Option<f64>,
-    /// f32 SIMD rate over f64 SIMD rate — the HPL-MxP throughput lever.
-    f32_over_f64: Option<f64>,
+    /// The tier's instruction set (`portable`, `avx2+fma`, `avx512f`, ...).
+    isa: &'static str,
+    f64_gflops: f64,
+    f32_gflops: f64,
 }
 
 fn main() {
@@ -102,60 +99,45 @@ fn time_kernel<E: Element>(
 }
 
 fn measured() {
-    println!("GEMM GFLOPS vs NB per kernel and element (measured on this host, m = n = 1024)");
+    println!("GEMM GFLOPS vs NB per kernel tier and element (measured on this host, m = n = 1024)");
     let (m, n) = (1024usize, 1024usize);
     let a_full = Matrix::from_fn(m, 1024, |i, j| ((i * 13 + j * 7) % 17) as f64 * 0.1 - 0.8);
     let b_full = Matrix::from_fn(1024, n, |i, j| ((i * 5 + j * 11) % 19) as f64 * 0.1 - 0.9);
     let a32 = Matrix::<f32>::from_fn(m, 1024, |i, j| ((i * 13 + j * 7) % 17) as f32 * 0.1 - 0.8);
     let b32 = Matrix::<f32>::from_fn(1024, n, |i, j| ((i * 5 + j * 11) % 19) as f32 * 0.1 - 0.9);
-    let simd = Kernel::simd();
-    let widths = [6usize, 10, 10, 9, 10, 10, 9];
-    println!(
-        "{}",
-        row(
-            &["NB", "f64-sc", "f64-simd", "f64-spd", "f32-sc", "f32-simd", "f32/f64"],
-            &widths
-        )
-    );
+    // One pair of columns per tier this CPU has; `simd` resolves to the
+    // last of them.
+    let tiers = Kernel::available();
+    for kern in &tiers {
+        println!("  {:<9} {}", kern.isa(), kern.describe());
+    }
+    let mut heads = vec!["NB".to_string()];
+    for kern in &tiers {
+        heads.push(format!("f64 {}", kern.isa()));
+        heads.push(format!("f32 {}", kern.isa()));
+    }
+    let widths: Vec<usize> = heads.iter().map(|h| h.len().max(6) + 2).collect();
+    println!("{}", row(&heads, &widths));
     let mut rates = Vec::new();
     for nb in [16usize, 32, 64, 128, 256, 512, 1024] {
         let a = a_full.view().submatrix(0, 0, m, nb);
         let b = b_full.view().submatrix(0, 0, nb, n);
-        let scalar_gflops = time_kernel(Kernel::scalar(), m, n, nb, a, b);
-        let simd_gflops = simd.map(|k| time_kernel(k, m, n, nb, a, b));
-        let speedup = simd_gflops.map(|s| s / scalar_gflops);
         let af = a32.view().submatrix(0, 0, m, nb);
         let bf = b32.view().submatrix(0, 0, nb, n);
-        let scalar_f32_gflops = time_kernel(Kernel::scalar(), m, n, nb, af, bf);
-        let simd_f32_gflops = simd.map(|k| time_kernel(k, m, n, nb, af, bf));
-        let f32_over_f64 = match (simd_f32_gflops, simd_gflops) {
-            (Some(s32), Some(s64)) => Some(s32 / s64),
-            _ => None,
-        };
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("{nb}"),
-                    format!("{scalar_gflops:.2}"),
-                    simd_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
-                    speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-                    format!("{scalar_f32_gflops:.2}"),
-                    simd_f32_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
-                    f32_over_f64.map_or("-".to_string(), |s| format!("{s:.2}x")),
-                ],
-                &widths
-            )
-        );
-        rates.push(KernelRate {
-            nb,
-            scalar_gflops,
-            simd_gflops,
-            speedup,
-            scalar_f32_gflops,
-            simd_f32_gflops,
-            f32_over_f64,
-        });
+        let mut cells = vec![format!("{nb}")];
+        for &kern in &tiers {
+            let f64_gflops = time_kernel(kern, m, n, nb, a, b);
+            let f32_gflops = time_kernel(kern, m, n, nb, af, bf);
+            cells.push(format!("{f64_gflops:.2}"));
+            cells.push(format!("{f32_gflops:.2}"));
+            rates.push(KernelRate {
+                nb,
+                isa: kern.isa(),
+                f64_gflops,
+                f32_gflops,
+            });
+        }
+        println!("{}", row(&cells, &widths));
     }
     emit_json("dgemm_measured", &rates);
 }

@@ -31,6 +31,19 @@ pub struct ArenaStats {
     pub capacity: usize,
 }
 
+/// Elements of `T` in one 64-byte cache line: the slack a packed-A buffer
+/// carries so that it can start on a line, and no full-width vector load
+/// of a packed strip straddles two.
+pub(crate) const fn line_len<T>() -> usize {
+    64 / core::mem::size_of::<T>()
+}
+
+/// Index of the first cache-line-aligned element of `buf` (at most
+/// [`line_len`]).
+pub(crate) fn line_offset<T>(buf: &[T]) -> usize {
+    buf.as_ptr().align_offset(64).min(line_len::<T>())
+}
+
 macro_rules! arena_for {
     ($modname:ident, $ty:ty) => {
         pub(crate) mod $modname {
@@ -63,6 +76,18 @@ macro_rules! arena_for {
                 static SCRATCH: RefCell<Vec<Vec<$ty>>> = const { RefCell::new(Vec::new()) };
             }
 
+            /// The slack that lets the A pack buffer start on a cache
+            /// line whatever the allocator returned. (The B strips are
+            /// read one scalar at a time; their alignment is immaterial.)
+            pub(crate) const LINE: usize = super::line_len::<$ty>();
+
+            /// The `len` elements of `buf` starting at its first
+            /// cache-line boundary (`buf` holds at least `len + LINE`).
+            fn line_aligned(buf: &mut [$ty], len: usize) -> &mut [$ty] {
+                let off = super::line_offset(buf);
+                &mut buf[off..off + len]
+            }
+
             /// Grows `buf` to at least `len` elements, reporting whether it
             /// grew.
             fn ensure(buf: &mut Vec<$ty>, len: usize) -> bool {
@@ -87,12 +112,12 @@ macro_rules! arena_for {
                     Ok(mut arena) => {
                         let arena = &mut *arena;
                         arena.calls += 1;
-                        let grew_a = ensure(&mut arena.a, alen);
+                        let grew_a = ensure(&mut arena.a, alen + LINE);
                         let grew_b = ensure(&mut arena.b, blen);
                         if grew_a || grew_b {
                             arena.grows += 1;
                         }
-                        f(&mut arena.a[..alen], &mut arena.b[..blen])
+                        f(line_aligned(&mut arena.a, alen), &mut arena.b[..blen])
                     }
                     Err(_) => {
                         // Reentrant fallback only; the steady state takes
@@ -217,8 +242,10 @@ mod tests {
                 a[99] = 1.0;
                 b[49] = 2.0;
             });
+            // The A buffer carries one cache line of alignment slack.
+            let slack = for_f64::LINE;
             let s1 = thread_stats();
-            assert_eq!((s1.calls, s1.grows, s1.capacity), (1, 1, 150));
+            assert_eq!((s1.calls, s1.grows, s1.capacity), (1, 1, 150 + slack));
             // Warm: same sizes, then smaller — zero further growth.
             with_pack_bufs::<f64, _>(100, 50, |a, b| {
                 assert_eq!((a[99], b[49]), (1.0, 2.0), "storage is reused");
@@ -227,11 +254,11 @@ mod tests {
                 assert_eq!((a.len(), b.len()), (10, 5));
             });
             let s2 = thread_stats();
-            assert_eq!((s2.calls, s2.grows, s2.capacity), (3, 1, 150));
+            assert_eq!((s2.calls, s2.grows, s2.capacity), (3, 1, 150 + slack));
             // Larger request grows again, once.
             with_pack_bufs::<f64, _>(200, 50, |_, _| {});
             let s3 = thread_stats();
-            assert_eq!((s3.calls, s3.grows, s3.capacity), (4, 2, 250));
+            assert_eq!((s3.calls, s3.grows, s3.capacity), (4, 2, 250 + slack));
         })
         .join()
         .expect("arena test thread panicked");
@@ -244,7 +271,7 @@ mod tests {
             with_pack_bufs::<f32, _>(32, 32, |a, _| a[0] = 2.0);
             let s = thread_stats();
             assert_eq!((s.calls, s.grows), (2, 2));
-            assert_eq!(s.capacity, 128 + 64);
+            assert_eq!(s.capacity, 128 + for_f64::LINE + 64 + for_f32::LINE);
             // The f32 arena growing did not disturb the warm f64 buffers.
             with_pack_bufs::<f64, _>(64, 64, |a, _| assert_eq!(a[0], 1.0));
             with_pack_bufs::<f32, _>(32, 32, |a, _| assert_eq!(a[0], 2.0));

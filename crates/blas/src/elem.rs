@@ -23,7 +23,8 @@
 //! the arena hooks delegate to one concrete arena per precision in
 //! [`crate::arena`].
 
-use crate::kernels::KernelKind;
+use crate::kernels::{KernelKind, Tier};
+use crate::mat::MatMut;
 use crate::{arena, kernels, l1simd};
 
 /// A user-facing element-precision request (`RHPL_ELEMENT`, `--element`),
@@ -127,12 +128,21 @@ pub trait Element:
     /// Reads one element from the front of `bytes`; `None` if short.
     fn wire_read(bytes: &[u8]) -> Option<Self>;
 
-    /// `(mr, nr)` microkernel tile shape for this precision and kernel.
-    fn micro_shape(kind: KernelKind) -> (usize, usize);
-    /// One `mr x nr` microkernel call: `acc += A-strip * B-strip` over
-    /// `kc` rank-1 terms. `astrip`/`bstrip` are the packed strips,
-    /// `acc` is column-major `mr * nr`.
-    fn micro(kind: KernelKind, kc: usize, astrip: &[Self], bstrip: &[Self], acc: &mut [Self]);
+    /// `(mr, nr)` microkernel tile shape for this precision and tier.
+    fn micro_shape(tier: Tier) -> (usize, usize);
+    /// One microkernel call: `c = beta*c + alpha * A-strip * B-strip` over
+    /// `kc` rank-1 terms. `astrip`/`bstrip` are the packed strips, `c` is
+    /// the tile of `C` the strips meet in — `mr x nr`, or smaller at the
+    /// matrix edge.
+    fn micro(
+        tier: Tier,
+        kc: usize,
+        astrip: &[Self],
+        bstrip: &[Self],
+        alpha: Self,
+        beta: Self,
+        c: &mut MatMut<'_, Self>,
+    );
 
     /// FACT pivot search (see [`crate::l1simd::argmax_abs`]).
     fn l1_argmax_abs(kind: KernelKind, x: &[Self]) -> (usize, Self);
@@ -215,12 +225,20 @@ impl Element for f64 {
     }
 
     #[inline]
-    fn micro_shape(kind: KernelKind) -> (usize, usize) {
-        kernels::shape_f64(kind)
+    fn micro_shape(tier: Tier) -> (usize, usize) {
+        kernels::shape_f64(tier)
     }
     #[inline]
-    fn micro(kind: KernelKind, kc: usize, astrip: &[Self], bstrip: &[Self], acc: &mut [Self]) {
-        kernels::micro_f64(kind, kc, astrip, bstrip, acc)
+    fn micro(
+        tier: Tier,
+        kc: usize,
+        astrip: &[Self],
+        bstrip: &[Self],
+        alpha: Self,
+        beta: Self,
+        c: &mut MatMut<'_, Self>,
+    ) {
+        kernels::micro_f64(tier, kc, astrip, bstrip, alpha, beta, c)
     }
 
     #[inline]
@@ -319,12 +337,20 @@ impl Element for f32 {
     }
 
     #[inline]
-    fn micro_shape(kind: KernelKind) -> (usize, usize) {
-        kernels::shape_f32(kind)
+    fn micro_shape(tier: Tier) -> (usize, usize) {
+        kernels::shape_f32(tier)
     }
     #[inline]
-    fn micro(kind: KernelKind, kc: usize, astrip: &[Self], bstrip: &[Self], acc: &mut [Self]) {
-        kernels::micro_f32(kind, kc, astrip, bstrip, acc)
+    fn micro(
+        tier: Tier,
+        kc: usize,
+        astrip: &[Self],
+        bstrip: &[Self],
+        alpha: Self,
+        beta: Self,
+        c: &mut MatMut<'_, Self>,
+    ) {
+        kernels::micro_f32(tier, kc, astrip, bstrip, alpha, beta, c)
     }
 
     #[inline]

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hpl_threads::Pool;
 
 use crate::l3::kernels::{self, Kernel};
-use crate::l3::{dgemm_packed, dgemm_with, round_up, PackedA, MC, NC};
+use crate::l3::{dgemm_packed, dgemm_with, mc_for, round_up, PackedA, NC};
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
 use crate::Trans;
@@ -158,12 +158,13 @@ pub fn dgemm_parallel_packed<E: Element>(
 
 /// The 2D macro-tile decomposition of an `m x n` C.
 ///
-/// Tiles start at the serial cache-block shape (`MC x NC`) and the larger
-/// dimension is halved (keeping register-tile alignment, so row tiles stay
-/// valid `PackedA` offsets) until the grid has enough tiles to keep every
-/// thread busy or the tiles reach a useful minimum. Register-tile shapes
-/// are per-precision, so the grid takes the `(mr, nr)` the caller resolved
-/// for its element type.
+/// Tiles start at the serial cache-block shape (`mc_for(mr) x NC`) and the
+/// larger dimension is halved (keeping register-tile alignment, so row
+/// tiles stay valid `PackedA` offsets) until the grid has enough tiles to
+/// keep every thread busy or the tiles reach the minimum of four register
+/// tiles a side. Register-tile shapes are per tier and per precision, so
+/// the grid takes the `(mr, nr)` the caller resolved for its kernel and
+/// element type.
 #[derive(Clone, Copy, Debug)]
 struct TileGrid {
     m: usize,
@@ -176,7 +177,7 @@ struct TileGrid {
 
 impl TileGrid {
     fn new(mr: usize, nr: usize, m: usize, n: usize, nthreads: usize) -> TileGrid {
-        let mut tm = MC.min(round_up(m.max(1), mr));
+        let mut tm = mc_for(mr).min(round_up(m.max(1), mr));
         let mut tn = NC.min(round_up(n.max(1), nr));
         let target = 3 * nthreads.max(1);
         loop {
@@ -287,11 +288,7 @@ mod tests {
     #[test]
     fn parallel_paths_match_serial_bitwise_per_kernel() {
         let pool = Pool::new(4);
-        let kerns: Vec<Kernel> = [Kernel::scalar()]
-            .into_iter()
-            .chain(Kernel::simd())
-            .collect();
-        for kern in kerns {
+        for kern in Kernel::available() {
             for &(m, n, k) in &[(70usize, 9usize, 33usize), (9, 70, 12), (64, 64, 64)] {
                 let a = filled(m, k, 4);
                 let b = filled(k, n, 5);
@@ -326,7 +323,7 @@ mod tests {
                     par.as_slice(),
                     serial.as_slice(),
                     "repack path, kernel {} m={m} n={n} k={k}",
-                    kern.name()
+                    kern.describe()
                 );
                 let packed = PackedA::pack(kern, Trans::No, a.view());
                 let mut ppar = c0.clone();
@@ -346,7 +343,7 @@ mod tests {
                     ppar.as_slice(),
                     serial.as_slice(),
                     "packed path, kernel {} m={m} n={n} k={k}",
-                    kern.name()
+                    kern.describe()
                 );
             }
         }
@@ -435,26 +432,34 @@ mod tests {
 
     #[test]
     fn tile_grid_covers_exactly_once() {
-        let kern = Kernel::scalar();
-        let (mr, nr) = (kern.mr(), kern.nr());
-        for &(m, n, t) in &[(1000usize, 7usize, 8usize), (7, 1000, 8), (513, 513, 4)] {
-            let grid = TileGrid::new(mr, nr, m, n, t);
-            let mut hits = vec![0u8; m * n];
-            for idx in 0..grid.tiles() {
-                let (ic, jc, mc, nc) = grid.tile(idx);
-                assert_eq!(ic % mr, 0, "row tiles stay mr-aligned");
-                for j in jc..jc + nc {
-                    for i in ic..ic + mc {
-                        hits[j * m + i] += 1;
+        // Every tier's tile shape, both precisions: row tiles must stay
+        // valid `PackedA` offsets whatever `mr` is.
+        let shapes = Kernel::available().into_iter().flat_map(|k| {
+            [
+                (k.mr_for::<f64>(), k.nr_for::<f64>()),
+                (k.mr_for::<f32>(), k.nr_for::<f32>()),
+            ]
+        });
+        for (mr, nr) in shapes {
+            for &(m, n, t) in &[(1000usize, 7usize, 8usize), (7, 1000, 8), (513, 513, 4)] {
+                let grid = TileGrid::new(mr, nr, m, n, t);
+                let mut hits = vec![0u8; m * n];
+                for idx in 0..grid.tiles() {
+                    let (ic, jc, mc, nc) = grid.tile(idx);
+                    assert_eq!(ic % mr, 0, "row tiles stay mr-aligned");
+                    for j in jc..jc + nc {
+                        for i in ic..ic + mc {
+                            hits[j * m + i] += 1;
+                        }
                     }
                 }
+                assert!(hits.iter().all(|&h| h == 1), "{mr}x{nr} m={m} n={n} t={t}");
+                assert!(
+                    grid.tiles() >= 3 * t || grid.tiles() >= (m * n) / (64 * mr * nr),
+                    "skinny shapes still split: {mr}x{nr} m={m} n={n} t={t} tiles={}",
+                    grid.tiles()
+                );
             }
-            assert!(hits.iter().all(|&h| h == 1), "m={m} n={n} t={t}");
-            assert!(
-                grid.tiles() >= 3 * t || grid.tiles() >= (m * n) / (32 * 24),
-                "skinny shapes still split: m={m} n={n} t={t} tiles={}",
-                grid.tiles()
-            );
         }
     }
 }

@@ -21,7 +21,8 @@
 //! * [`l1`] — vector kernels (`idamax` drives pivot selection).
 //! * [`l2`] — `dger` (rank-1 panel update), `dgemv`, `dtrsv`.
 //! * [`l3`] — blocked/packed [`l3::dgemm`] and recursive [`l3::dtrsm`].
-//! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / NEON)
+//! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F
+//!   / NEON, the widest detected tier answering to `simd`)
 //!   and the per-run kernel selection (`RHPL_KERNEL`, `--kernel`).
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
@@ -51,7 +52,7 @@ pub use l1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, dswap, idamax};
 pub use l1simd::{argmax_abs, axpy_add, axpy_sub, dscal_inv, dsub};
 pub use l2::{dgemv, dger, dtrsv};
 pub use l3::kernels::{self, Kernel, KernelKind, KernelSel};
-pub use l3::{dgemm, dgemm_naive, dgemm_packed, dgemm_with, dtrsm, PackedA};
+pub use l3::{dgemm, dgemm_naive, dgemm_packed, dgemm_with, dtrsm, dtrsm_with, PackedA};
 pub use l3par::{dgemm_parallel, dgemm_parallel_packed, dgemm_parallel_with};
 pub use lu::{getrf, getrf_unblocked, getrs, Singular};
 pub use mat::{MatMut, MatRef, Matrix};

@@ -5,18 +5,16 @@
 
 use hpl_blas::mat::Matrix;
 use hpl_blas::{
-    arena, dgemm_naive, dgemm_packed, dgemm_parallel_with, dgemm_with, Kernel, PackedA, Trans,
+    arena, dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_parallel_with, dgemm_with,
+    Element, Kernel, KernelKind, PackedA, Trans,
 };
 use hpl_threads::Pool;
 use proptest::prelude::*;
 
-/// Every kernel available on this machine (scalar always; simd when the
-/// CPU has one).
+/// Every kernel this machine can run: scalar, then each SIMD tier the CPU
+/// has — not only the widest one `simd` resolves to.
 fn all_kernels() -> Vec<Kernel> {
-    [Kernel::scalar()]
-        .into_iter()
-        .chain(Kernel::simd())
-        .collect()
+    Kernel::available()
 }
 
 fn filled(r: usize, c: usize, seed: usize) -> Matrix {
@@ -76,7 +74,7 @@ fn every_kernel_matches_naive_on_edge_shapes() {
                 assert!(
                     (x - y).abs() <= 1e-10 * (1.0 + y.abs()),
                     "kernel {} m={m} n={n} k={k}: {x} vs {y}",
-                    kern.name()
+                    kern.describe()
                 );
             }
         }
@@ -112,7 +110,7 @@ fn scalar_kernel_is_bit_identical_to_naive_order_free_cases() {
                 got.as_slice(),
                 want.as_slice(),
                 "kernel {} m={m} n={n} k=1",
-                kern.name()
+                kern.describe()
             );
         }
     }
@@ -193,10 +191,107 @@ fn packed_a_path_is_bit_identical_to_on_the_fly_packing() {
                 got.as_slice(),
                 want.as_slice(),
                 "kernel {} m={m} n={n} k={k}",
-                kern.name()
+                kern.describe()
             );
         }
     }
+}
+
+/// The property that lets every SIMD tier answer to the one name `simd`:
+/// a tile shape decides which elements are computed side by side, never
+/// how one element is computed, so all tiers give identical bits — serial,
+/// through a shared `PackedA`, and on the parallel tile grid. Shapes are
+/// the edge shapes plus `m`, `n` one short of and one past every tier's
+/// `mr`, `nr` (and a few tiles of them).
+fn simd_tiers_agree_bitwise<E: Element>() {
+    let tiers: Vec<Kernel> = all_kernels()
+        .into_iter()
+        .filter(|k| k.kind() == KernelKind::Simd)
+        .collect();
+    let Some((reference, others)) = tiers.split_first() else {
+        return;
+    };
+    let mut shapes = EDGE_SHAPES.to_vec();
+    for kern in &tiers {
+        let (mr, nr) = (kern.mr_for::<E>(), kern.nr_for::<E>());
+        for (m, n) in [(mr - 1, nr - 1), (mr + 1, nr + 1), (3 * mr + 1, 2 * nr - 1)] {
+            shapes.push((m, n, 19));
+        }
+    }
+    // Thirds and forty-firsts, not the dyadic `filled` values: every
+    // product and sum must round, or a fused writeback would go unnoticed.
+    let fill = |r: usize, c: usize, seed: usize| {
+        Matrix::<E>::from_fn(r, c, |i, j| {
+            E::from_f64(((i * 29 + j * 13 + seed * 7) % 41) as f64 / 41.0 - 1.0 / 3.0)
+        })
+    };
+    let pool = Pool::new(3);
+    for &(m, n, k) in &shapes {
+        let (a, b, c0) = (fill(m, k, 1), fill(k, n, 2), fill(m, n, 3));
+        // The last pair has an `alpha` that is no power of two, so that
+        // `alpha * acc` rounds and a fused `alpha*acc + c` would differ.
+        for (alpha, beta) in [(-1.0, 1.0), (-0.5, 0.75), (1.0, 0.0), (-0.3, 0.7)] {
+            let (alpha, beta) = (E::from_f64(alpha), E::from_f64(beta));
+            // The three entry points of one kernel, in a fixed order.
+            let run = |kern: Kernel| {
+                let packed = PackedA::pack(kern, Trans::No, a.view());
+                let (mut s, mut p, mut pp) = (c0.clone(), c0.clone(), c0.clone());
+                let (ta, tb) = (Trans::No, Trans::No);
+                dgemm_with(
+                    kern,
+                    ta,
+                    tb,
+                    alpha,
+                    a.view(),
+                    b.view(),
+                    beta,
+                    &mut s.view_mut(),
+                );
+                dgemm_packed(
+                    kern,
+                    alpha,
+                    &packed,
+                    0,
+                    tb,
+                    b.view(),
+                    beta,
+                    &mut p.view_mut(),
+                );
+                let mut ppv = pp.view_mut();
+                dgemm_parallel_packed(kern, &pool, 3, alpha, &packed, tb, b.view(), beta, &mut ppv);
+                [s, p, pp]
+            };
+            let bits = |m: &Matrix<E>| -> Vec<u64> {
+                m.as_slice().iter().map(|v| v.to_bits_u64()).collect()
+            };
+            let want = run(*reference);
+            assert_eq!(bits(&want[0]), bits(&want[1]), "serial vs packed");
+            assert_eq!(bits(&want[0]), bits(&want[2]), "serial vs parallel packed");
+            for other in others {
+                let got = run(*other);
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(
+                        bits(w),
+                        bits(g),
+                        "{} vs {} {} m={m} n={n} k={k} alpha={alpha} beta={beta}",
+                        reference.describe(),
+                        other.describe(),
+                        E::NAME
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn simd_tiers_agree_bitwise_f64() {
+    simd_tiers_agree_bitwise::<f64>();
+}
+
+#[test]
+fn simd_tiers_agree_bitwise_f32() {
+    simd_tiers_agree_bitwise::<f32>();
 }
 
 #[test]

@@ -11,13 +11,10 @@ use hpl_blas::{
 use hpl_threads::Pool;
 use proptest::prelude::*;
 
-/// Every kernel available on this machine (scalar always; simd when the
-/// CPU has one).
+/// Every kernel this machine can run: scalar, then each SIMD tier the CPU
+/// has — not only the widest one `simd` resolves to.
 fn all_kernels() -> Vec<Kernel> {
-    [Kernel::scalar()]
-        .into_iter()
-        .chain(Kernel::simd())
-        .collect()
+    Kernel::available()
 }
 
 fn filled(r: usize, c: usize, seed: usize) -> Matrix<f32> {
@@ -83,7 +80,7 @@ fn every_kernel_matches_naive_on_edge_shapes_f32() {
                 assert!(
                     close(*x, *y),
                     "kernel {} m={m} n={n} k={k}: {x} vs {y}",
-                    kern.name()
+                    kern.describe()
                 );
             }
         }
@@ -127,7 +124,7 @@ fn every_kernel_is_bit_identical_to_naive_order_free_cases_f32() {
                 got.as_slice(),
                 want.as_slice(),
                 "kernel {} m={m} n={n} k=1",
-                kern.name()
+                kern.describe()
             );
         }
     }
@@ -176,7 +173,7 @@ fn f32_serial_and_parallel_are_bit_identical_per_kernel() {
                     par.as_slice(),
                     serial.as_slice(),
                     "kernel {} m={m} n={n} k={k} threads={threads}",
-                    kern.name()
+                    kern.describe()
                 );
             }
         }
@@ -211,7 +208,7 @@ fn packed_a_path_is_bit_identical_to_on_the_fly_packing_f32() {
                 got.as_slice(),
                 want.as_slice(),
                 "kernel {} m={m} n={n} k={k}",
-                kern.name()
+                kern.describe()
             );
         }
     }

@@ -13,6 +13,10 @@ pub fn banner(ranks: usize) -> String {
     s.push_str("A reproduction of rocHPL (Chalmers et al., SC 2023) on a thread-backed\n");
     s.push_str("message-passing substrate.\n");
     s.push_str(&format!("Running on {ranks} rank(s)\n"));
+    // The tier `simd` resolved to on this host; results are keyed by the
+    // kernel's name alone, which is all their bits depend on.
+    let kernel = hpl_blas::kernels::active().describe();
+    s.push_str(&format!("DGEMM kernel: {kernel}\n"));
     s.push_str(&"=".repeat(80));
     s.push('\n');
     s

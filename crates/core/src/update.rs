@@ -40,10 +40,9 @@ pub fn store_u<E: Element>(g: &PanelGeom, u: &Matrix<E>, a: &mut MatMut<'_, E>, 
     let _span = hpl_trace::span(hpl_trace::Phase::Update);
     debug_assert!(g.in_curr_row);
     debug_assert_eq!(u.cols(), range.width());
+    let uv = u.view();
     for (off, lj) in (range.start..range.end).enumerate() {
-        for k in 0..g.jb {
-            a.set(g.lb + k, lj, u.get(k, off));
-        }
+        a.col_mut(lj)[g.lb..g.lb + g.jb].copy_from_slice(uv.col(off));
     }
 }
 

@@ -13,7 +13,12 @@
 //! The DGEMM microkernels round differently (the SIMD tiles fuse the
 //! multiply-add, the scalar oracle does not), so there is one table per
 //! `hpl_blas::kernels` choice; the `kernel-matrix` CI lane runs both. The
-//! `simd` table was captured with the x86-64 AVX2+FMA tile.
+//! `simd` table does not depend on which SIMD tier computed it: a tile
+//! shape only decides which elements are computed side by side, and each
+//! element is the same fused chain over `p` followed by the same unfused
+//! `beta*c + alpha*acc` on every tier (`hpl_blas::kernels`). The table was
+//! captured with the AVX2 tile; the last test below reruns it on every
+//! tier narrower than the one `simd` resolves to on this host.
 
 use hpl_comm::Universe;
 use rhpl_core::config::Schedule;
@@ -56,8 +61,11 @@ fn x_hash_of(p: usize, q: usize, schedule: Schedule, f32_pipeline: bool) -> u64 
 /// One constant per `(element, Q)`. The answer does not depend on `P` or on
 /// the schedule — row exchanges and the pivot reduction are exact, and the
 /// schedules reorder only independent column groups — so the fifteen
-/// configurations per element collapse to two values; `Q` changes the
-/// local column count and with it the DGEMM edge tiles.
+/// configurations per element collapse to two values. `Q` changes the
+/// answer through the back-substitution, which sums each block's `U x`
+/// contributions per process column before reducing them across the
+/// process row — a different association for a different `Q`. The DGEMM's
+/// tiling (edge tiles included) never changes an element.
 struct Golden {
     /// `[Q = 1, Q = 2]` for the `f64` pipeline.
     f64_by_q: [u64; 2],
@@ -111,4 +119,46 @@ fn f64_answers_match_the_parent_commit_bit_for_bit() {
 #[test]
 fn f32_answers_match_the_parent_commit_bit_for_bit() {
     check(true);
+}
+
+/// The kernel freezes per process, so a narrower tier needs a process of
+/// its own: this test is that process's body (run by name from the test
+/// below, never by a plain `cargo test`). Its argument is the index into
+/// `Kernel::available()` smuggled through the test filter, which libtest
+/// hands back in `std::env::args`.
+#[test]
+#[ignore = "child process of simd_answers_do_not_depend_on_the_tier"]
+fn narrower_tier_child() {
+    let narrower = hpl_blas::Kernel::available()
+        .into_iter()
+        .filter(|k| k.kind() == hpl_blas::KernelKind::Simd)
+        .filter(|k| Some(*k) != hpl_blas::Kernel::simd());
+    // Whichever narrower tier freezes first is the one this process
+    // checks; with one such tier on every host today that is all of them.
+    for kern in narrower {
+        if hpl_blas::kernels::freeze(kern) != kern {
+            continue;
+        }
+        eprintln!("x_hash goldens under {}", kern.describe());
+        check(false);
+        check(true);
+    }
+}
+
+/// Every SIMD tier narrower than the one `simd` resolves to here — the
+/// AVX2 tile on an AVX-512 host — reproduces the same `simd` table.
+#[test]
+fn simd_answers_do_not_depend_on_the_tier() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["--ignored", "--exact", "narrower_tier_child", "--nocapture"])
+        .env_remove("RHPL_KERNEL")
+        .output()
+        .expect("spawn the narrower-tier child");
+    assert!(
+        out.status.success(),
+        "narrower tier disagrees with the simd goldens:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -154,6 +154,54 @@ fn row_swap_kernels_are_hot_path_roots() {
     assert!(hits.is_empty(), "swap_negative.rs fired: {hits:?}");
 }
 
+/// The level-3 inner layer is rooted function by function, so an
+/// allocation in a microkernel, the writeback, the packer or the TRSM leaf
+/// is flagged whether or not the call chain from `dgemm` still resolves.
+#[test]
+fn level3_inner_layer_fns_are_hot_path_roots() {
+    let dir = fixtures_dir().join("hot-path-alloc");
+    let rel = "crates/blas/src/fixture.rs";
+    let report = run_one(rel, &read(&dir.join("l3_positive.rs")), FileKind::Library);
+    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
+    for (what, via) in [
+        ("`.collect()`", "via micro_avx512_f64"),
+        ("`.to_vec()`", "via store_tile"),
+        ("`vec!`", "via pack_strips"),
+        ("`Box::new`", "forward_full"),
+    ] {
+        assert!(
+            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
+            "{what} {via} must be flagged: {msgs:?}"
+        );
+    }
+    let report = run_one(rel, &read(&dir.join("l3_negative.rs")), FileKind::Library);
+    let hits = unwaived(&report, Some("hot-path-alloc"));
+    assert!(hits.is_empty(), "l3_negative.rs fired: {hits:?}");
+}
+
+/// An `unsafe` region with AVX-512 intrinsics must name avx512 itself:
+/// naming only the narrower feature the same function also detects would
+/// document the wrong check.
+#[test]
+fn avx512_blocks_must_name_avx512() {
+    let dir = fixtures_dir().join("legacy");
+    let rel = "crates/fixture/src/lib_simd_avx512.rs";
+    let ok = run_one(
+        rel,
+        &read(&dir.join("lib_simd_avx512_ok.rs")),
+        FileKind::Library,
+    );
+    let hits = unwaived(&ok, Some("simd-safety"));
+    assert!(hits.is_empty(), "lib_simd_avx512_ok.rs fired: {hits:?}");
+    let bad = run_one(
+        rel,
+        &read(&dir.join("lib_simd_avx512_wrong_feature.rs")),
+        FileKind::Library,
+    );
+    let hits = unwaived(&bad, Some("simd-safety"));
+    assert_eq!(hits.len(), 2, "block + fn must both fire: {hits:?}");
+}
+
 #[test]
 fn positive_fixture_details() {
     // Spot-check the messages carry the analysis, not just the verdict.

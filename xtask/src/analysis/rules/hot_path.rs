@@ -1,8 +1,12 @@
 //! `hot-path-alloc` — statically enforces the `PackArena` contract from
 //! PR 5: the steady-state DGEMM/update/factorization inner loops must not
 //! allocate. Roots are the per-element / per-column kernels (one call per
-//! matrix entry or per panel column) and the row swap's gather/scatter
-//! kernels (one call per section); anything they reach transitively in
+//! matrix entry or per panel column), the level-3 inner layer by name (the
+//! register microkernels, the tile writeback, the strip packer and the
+//! TRSM leaf — one call per register tile, pack block or leaf, so they
+//! stay covered even if a caller's name stops resolving) and the row
+//! swap's gather/scatter kernels (one call per section); anything they
+//! reach transitively in
 //! the compute crates is hot, and any `Vec::new` / `vec!` / `Box::new` /
 //! `format!` / `.collect()` / `.to_vec()` / `.to_string()` there is a
 //! violation. Per-panel setup (`panel_factor`, packing at panel grain) is
@@ -18,6 +22,16 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("blas", "dgemm_with"),
     ("blas", "dgemm_packed"),
     ("blas", "dtrsm"),
+    ("blas", "dtrsm_with"),
+    ("blas", "micro_avx512_f64"),
+    ("blas", "micro_avx512_f32"),
+    ("blas", "micro_8x6_avx2fma"),
+    ("blas", "micro_16x6_avx2fma_f32"),
+    ("blas", "micro_stack_tile"),
+    ("blas", "store_tile"),
+    ("blas", "pack_strips"),
+    ("blas", "trsm_base"),
+    ("blas", "forward_full"),
     ("core", "solve_u"),
     ("core", "store_u"),
     ("core", "gemm_update"),

@@ -14,7 +14,8 @@
 //! - `simd-safety` — an `unsafe` block or fn containing SIMD intrinsics
 //!   (`_mm*`, NEON `v..q_f*`) must carry a SAFETY comment (or `# Safety`
 //!   doc section) that **names the target feature** the surrounding code
-//!   detected (`avx2`, `avx512`, `fma`, `neon`, `sse`): the justification
+//!   detected (`avx2`, `avx512`, `fma`, `neon`, `sse` — `avx512` itself
+//!   when the region uses a 512-bit `_mm512*` intrinsic): the justification
 //!   of an intrinsic call is precisely which CPU feature check makes the
 //!   `#[target_feature]` contract hold.
 //!
@@ -302,7 +303,9 @@ fn comment_blob(lexed: &Lexed, line: u32) -> String {
     texts.join(" ")
 }
 
-/// Target-feature names the `simd-safety` rule accepts in a SAFETY comment.
+/// Target-feature names the `simd-safety` rule accepts in a SAFETY comment;
+/// `avx512` comes first because a region with `_mm512*` intrinsics accepts
+/// nothing else.
 const SIMD_FEATURES: &[&str] = &["avx512", "avx2", "avx", "fma", "neon", "sse"];
 
 /// True for identifiers that look like `std::arch` SIMD intrinsics: x86
@@ -339,6 +342,7 @@ pub(crate) fn check_simd_safety(file: &str, lexed: &Lexed, out: &mut Vec<Violati
         }
         let mut depth = 0;
         let mut has_intrinsic = false;
+        let mut has_avx512 = false;
         while j < toks.len() {
             match &toks[j].tok {
                 Tok::Punct('{') => depth += 1,
@@ -348,7 +352,10 @@ pub(crate) fn check_simd_safety(file: &str, lexed: &Lexed, out: &mut Vec<Violati
                         break;
                     }
                 }
-                Tok::Ident(s) if is_simd_intrinsic(s) => has_intrinsic = true,
+                Tok::Ident(s) if is_simd_intrinsic(s) => {
+                    has_intrinsic = true;
+                    has_avx512 |= s.starts_with("_mm512");
+                }
                 _ => {}
             }
             j += 1;
@@ -357,7 +364,14 @@ pub(crate) fn check_simd_safety(file: &str, lexed: &Lexed, out: &mut Vec<Violati
             continue;
         }
         let blob = comment_blob(lexed, st.line);
-        if !SIMD_FEATURES.iter().any(|f| blob.contains(f)) {
+        // A 512-bit intrinsic is only discharged by the avx512 check: a
+        // comment naming just avx2 documents the wrong detection.
+        let accepted = if has_avx512 {
+            &SIMD_FEATURES[..1]
+        } else {
+            SIMD_FEATURES
+        };
+        if !accepted.iter().any(|f| blob.contains(f)) {
             out.push(Violation {
                 file: file.to_string(),
                 line: st.line,
@@ -366,7 +380,7 @@ pub(crate) fn check_simd_safety(file: &str, lexed: &Lexed, out: &mut Vec<Violati
                     "`unsafe` {} contains SIMD intrinsics but its SAFETY comment names no \
                      target feature (expected one of: {})",
                     if is_fn { "fn" } else { "block" },
-                    SIMD_FEATURES.join(", ")
+                    accepted.join(", ")
                 ),
             });
         }
@@ -590,6 +604,14 @@ mod tests {
         assert_eq!(rules_of(&check(bad, FileKind::Library)), ["simd-safety"]);
         let ok = "/// Kernel.\n///\n/// # Safety\n/// CPU must support avx2 and fma (runtime-detected).\npub unsafe fn k(p: *const f64) { let v = _mm256_loadu_pd(p); }";
         assert!(check(ok, FileKind::Library).is_empty());
+    }
+
+    #[test]
+    fn avx512_intrinsics_accept_only_the_avx512_feature() {
+        let wrong = "fn f(p: *const f64) {\n    // SAFETY: avx2 verified by is_x86_feature_detected!; p has 8 lanes.\n    let v = unsafe { _mm512_loadu_pd(p) };\n}";
+        assert_eq!(rules_of(&check(wrong, FileKind::Library)), ["simd-safety"]);
+        let right = "fn f(p: *const f64) {\n    // SAFETY: avx512f verified by is_x86_feature_detected!; p has 8 lanes.\n    let v = unsafe { _mm512_loadu_pd(p) };\n}";
+        assert!(check(right, FileKind::Library).is_empty());
     }
 
     #[test]
