@@ -169,19 +169,25 @@ mod tests {
         let cfg = cfg_2x2();
         let a = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, 2, None);
         let b = run_one_supervised(&cfg, death_plan(&cfg, 1, 0.5), 16.0, 2, None);
-        assert!(a.ok(), "{}", a.block);
-        if hpl_comm::active_transport_name() == "inproc" {
-            assert_eq!(a.block, b.block);
-        } else {
-            // Byte-moving transports propagate the injected death with
-            // *physical* latency (socket hop, file-poll interval), so how
-            // many checkpoint generations the survivors complete before
-            // unwinding — and thus `restored_gen` — is honestly
-            // nondeterministic. The protocol shape and outcome still are.
-            let gens = |block: &str| block.replace(|c: char| c.is_ascii_digit(), "#");
-            assert_eq!(gens(&a.block), gens(&b.block));
-            assert!(a.block.contains("RECOVERY attempt=1"), "{}", a.block);
+        // How many checkpoint generations the survivors complete before the
+        // injected death unwinds them — and thus `restored_gen` — depends on
+        // thread scheduling on every transport (and on physical latency on
+        // the byte-moving ones), so the digits are masked. What does not
+        // depend on it: the protocol shape, one recovery, and the answer.
+        let masked = |block: &str| block.replace(|c: char| c.is_ascii_digit(), "#");
+        assert_eq!(masked(&a.block), masked(&b.block));
+        let residual = |block: &str| {
+            block
+                .lines()
+                .find(|l| l.starts_with("HPLOK residual="))
+                .map(str::to_string)
+        };
+        for out in [&a, &b] {
+            assert!(out.ok(), "{}", out.block);
+            assert!(out.block.contains("RECOVERY attempt=1"), "{}", out.block);
+            assert!(residual(&out.block).is_some(), "{}", out.block);
         }
+        assert_eq!(residual(&a.block), residual(&b.block));
     }
 
     #[test]

@@ -22,10 +22,12 @@ pub fn banner(ranks: usize) -> String {
     s
 }
 
-/// The result-table header.
+/// The result-table header. Its `T/V` line is classic HPL's byte for byte:
+/// result scrapers skip everything before it (hpcbench's
+/// `STDOUT_IGNORE_PRIOR`), so it is part of the external contract.
 pub fn table_header() -> String {
     format!(
-        "{}\n{:<12}{:>12}{:>6}{:>6}{:>6}{:>19}{:>19}\n{}\n",
+        "{}\n{:<8}{:>12}{:>6}{:>6}{:>6}{:>19}{:>23}\n{}\n",
         "=".repeat(80),
         "T/V",
         "N",
@@ -56,7 +58,7 @@ fn sci(v: f64) -> String {
 /// output riding under the first's table row.
 pub fn format_record(r: &RunRecord) -> String {
     let mut s = format!(
-        "{:<12}{:>12}{:>6}{:>6}{:>6}{:>19.2}{:>19}\n",
+        "{:<8}{:>12}{:>6}{:>6}{:>6}{:>19.2}{:>23}\n",
         r.tv,
         r.cfg.n,
         r.cfg.nb,
@@ -151,6 +153,23 @@ mod tests {
         assert_eq!(sci(0.0), "0.0000e+00");
         let row = format_record(&record());
         assert!(row.lines().next().unwrap().ends_with(" 2.5000e+00"));
+    }
+
+    #[test]
+    fn header_is_classic_hpl_byte_for_byte() {
+        let h = table_header();
+        assert_eq!(
+            h.lines().nth(1).unwrap(),
+            "T/V                N    NB     P     Q               Time                 Gflops"
+        );
+        // A netlib HPL 2.3 row, reproduced from its fields.
+        let mut r = record();
+        (r.tv, r.cfg.n, r.cfg.nb, r.time, r.gflops) =
+            ("WR11C2R4".into(), 29184, 192, 34.13, 485.59);
+        assert_eq!(
+            format_record(&r).lines().next().unwrap(),
+            "WR11C2R4       29184   192     2     2              34.13             4.8559e+02"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The external contract of `rhpl`'s stdout: result scrapers written for
 //! classic HPL must work on it unchanged. hpcbench's `HPLExtractor`
 //! (BlueBrain/hpcbench, `benchmark/hpl.py`; both revisions in SNIPPETS.md
-//! carry the same two expressions) pulls the score out with a `flops`
-//! regex and the residual with a `precision` regex. Both are run here,
-//! verbatim, against what the real binary prints for the classic and the
-//! `--mxp` benchmark.
+//! carry the same two expressions) skips stdout up to the classic `T/V`
+//! header line (`STDOUT_IGNORE_PRIOR`, matched after `strip()`), then pulls
+//! the score out with a `flops` regex and the residual with a `precision`
+//! regex. All three are run here, verbatim, against what the real binary
+//! prints for the classic and the `--mxp` benchmark.
 //!
 //! The workspace has no regex crate, so [`Regex`] is a backtracking matcher
 //! for the subset those two expressions use: literals and `\`-escapes,
@@ -13,6 +14,9 @@
 
 use std::process::Command;
 
+/// hpcbench's `STDOUT_IGNORE_PRIOR`: nothing before this line is read.
+const IGNORE_PRIOR: &str =
+    "T/V                N    NB     P     Q               Time                 Gflops";
 /// hpcbench's `flops` expression.
 const FLOPS: &str =
     r"^[\w]+[\s]+([\d]+)[\s]+([\d]+)[\s]+([\d]+)[\s]+([\d]+)[\s]+([\d.]+)[\s]+([\d.]+e[+-][\d]+)";
@@ -214,14 +218,20 @@ fn rhpl_stdout(extra: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8")
 }
 
-/// What hpcbench's `extract` loop does after the header: strip each line,
-/// try both expressions. Returns `(flops captures, precision captures)`
-/// per result.
+/// What hpcbench's `extract` does: skip lines until one strips to
+/// [`IGNORE_PRIOR`], then strip each following line and try both
+/// expressions. Returns `(flops captures, precision captures)` per result.
 fn extract(stdout: &str) -> (Vec<Vec<String>>, Vec<Vec<String>>) {
     let flops = Regex::new(FLOPS);
     let precision = Regex::literal_then(PRECISION_FORMULA, PRECISION_TAIL);
     let (mut f, mut p) = (Vec::new(), Vec::new());
-    for line in stdout.lines().map(str::trim) {
+    let mut lines = stdout.lines();
+    for line in lines.by_ref() {
+        if line.trim() == IGNORE_PRIOR {
+            break;
+        }
+    }
+    for line in lines.map(str::trim) {
         f.extend(flops.search(line));
         p.extend(precision.search(line));
     }
@@ -263,6 +273,11 @@ fn the_matcher_agrees_with_python_on_classic_hpl_output() {
         precision.search(res).expect("matches"),
         ["1.61e-03", "PASSED"]
     );
+    // Nothing before the header is read.
+    let out = format!("{row}\n{IGNORE_PRIOR}\n");
+    assert_eq!(extract(&out), (vec![], vec![]));
+    let out = format!("{IGNORE_PRIOR}\n{row}\n{res}\n");
+    assert_eq!(extract(&out).0.len(), 1);
     // Rust's bare `{:e}` exponent is what the contract rules out.
     assert!(Regex::new(FLOPS)
         .search(&row.replace("e+02", "e2"))

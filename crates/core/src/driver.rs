@@ -19,9 +19,7 @@ use crate::config::{HplConfig, Schedule};
 use crate::error::HplError;
 use crate::fact::{panel_factor, FactInput, FactOut};
 use crate::local::{LocalMatrix, System};
-use crate::panel::{
-    host_view, lbcast, pack_panel, panel_from_host, panel_to_host, PanelGeom, PanelL,
-};
+use crate::panel::{lbcast, pack_panel_in_place, PanelGeom, PanelL};
 use crate::solve::back_substitute;
 use crate::swap::{apply_moves, row_swap_comm, ColRange, RsData, SwapPlan};
 use crate::update::{gemm_update_parallel, solve_u, store_u};
@@ -40,7 +38,8 @@ pub struct IterTiming {
     pub fact: f64,
     /// MPI time: pivot collectives + LBCAST + row-swap communication.
     pub comm: f64,
-    /// Host<->device panel transfer time (the explicit copies).
+    /// Panel transfer time: installing the factored diagonal block and
+    /// packing the broadcast buffer (the panel is factored in place).
     pub transfer: f64,
     /// "GPU" compute: DTRSM + DGEMM + swap gather/scatter kernels.
     pub update: f64,
@@ -147,12 +146,30 @@ struct CkptState<E: Element> {
     /// This rank's world rank (the snapshot index in the store).
     rank: usize,
     id: hpl_ckpt::ConfigId,
-    /// Pre-factorization copy of one iteration's local panel columns as
-    /// `(iter, lj0, jb, values)`. Under look-ahead, panel `k` is factored
-    /// during iteration `k-1`, so the snapshot taken at the top of
-    /// iteration `k` overlays this stash to recover the pre-factorization
-    /// state a restore must hand back to `fact_and_bcast`.
-    prefact: Option<(usize, usize, usize, Vec<E>)>,
+    /// `(iter, [(flat index, value)])`: local-matrix entries as they were
+    /// before iteration `iter`'s own work overwrote them ahead of its
+    /// snapshot. Under look-ahead, panel `k` is factored during iteration
+    /// `k-1`, and at `P = 1` the split update's right section is swapped
+    /// by panel `k`'s pivots there too; the snapshot taken at the top of
+    /// iteration `k` overlays this stash to recover the state a restore
+    /// must hand back to `fact_and_bcast` and `prefetch_rs2`.
+    pre_image: Option<(usize, Vec<(usize, E)>)>,
+}
+
+impl<E: Element> CkptState<E> {
+    /// Adds the current values of `data` at `at` to iteration `it`'s
+    /// pre-image when `it` is a checkpoint boundary.
+    fn stash(&mut self, it: usize, data: &[E], at: impl Iterator<Item = usize>) {
+        if self.store.is_none() || !hpl_ckpt::due(self.every, it) {
+            return;
+        }
+        if !matches!(self.pre_image, Some((i, _)) if i == it) {
+            self.pre_image = Some((it, Vec::new()));
+        }
+        if let Some((_, vals)) = &mut self.pre_image {
+            vals.extend(at.map(|i| (i, data[i])));
+        }
+    }
 }
 
 struct Driver<'a, E: Element> {
@@ -316,7 +333,7 @@ pub fn factorize_local<E: WireElem>(
             store: cfg.ckpt.store.clone(),
             rank: grid.world().rank(),
             id: cfg.ckpt_id(),
-            prefact: None,
+            pre_image: None,
         },
         pivot_log: Vec::new(),
         rs,
@@ -359,24 +376,13 @@ impl<E: WireElem> Driver<'_, E> {
     /// and accumulates phase timings into `t`.
     fn fact_and_bcast(&mut self, it: usize, t: &mut IterTiming) -> Result<IterPanel<E>, HplError> {
         let geom = self.geom(it);
-        if self.ckpt.store.is_some() && hpl_ckpt::due(self.ckpt.every, it) && geom.in_panel_col {
-            // Iteration `it` is a checkpoint boundary: stash the panel
-            // columns before factoring destroys their pre-fact values (the
-            // snapshot at the top of iteration `it` needs them; see
-            // `CkptState::prefact`).
-            let lda = self.a.lda();
-            let mloc = self.a.mloc;
-            let mut cols = Vec::with_capacity(mloc * geom.jb);
-            for c in 0..geom.jb {
-                let off = (geom.lj0 + c) * lda;
-                cols.extend_from_slice(&self.a.as_slice()[off..off + mloc]);
-            }
-            self.ckpt.prefact = Some((it, geom.lj0, geom.jb, cols));
-        }
         let packed = if geom.in_panel_col {
-            let tx = Instant::now();
-            let mut host = panel_to_host(&self.a, &geom);
-            t.transfer += tx.elapsed().as_secs_f64();
+            // Factoring destroys the panel columns' pre-fact values, which
+            // the snapshot at the top of iteration `it` needs (see
+            // `CkptState::pre_image`).
+            let mloc = self.a.mloc;
+            let cols = geom.lj0 * mloc..(geom.lj0 + geom.jb) * mloc;
+            self.ckpt.stash(it, self.a.as_slice(), cols);
 
             let tf = Instant::now();
             let f0 = hpl_trace::now_ns();
@@ -391,8 +397,9 @@ impl<E: WireElem> Driver<'_, E> {
                     pool: &self.pool,
                     opts: self.cfg.fact,
                 };
-                let mut hv = host_view(&mut host, &geom);
-                panel_factor(&inp, &mut hv)?
+                let mut av = self.a.view_mut();
+                let mut panel = av.submatrix_mut(geom.lb, geom.lj0, geom.mp, geom.jb);
+                panel_factor(&inp, &mut panel)?
             };
             t.fact += tf.elapsed().as_secs_f64() - out.comm_seconds;
             t.comm += out.comm_seconds;
@@ -409,8 +416,8 @@ impl<E: WireElem> Driver<'_, E> {
             );
 
             let tx = Instant::now();
-            panel_from_host(&mut self.a, &geom, &host, &out.top);
-            let buf = pack_panel(&geom, &out.top, &out.ipiv, &host);
+            let mut buf = Vec::with_capacity(geom.bcast_len());
+            pack_panel_in_place(&mut self.a, &geom, &out.top, &out.ipiv, &mut buf);
             t.transfer += tx.elapsed().as_secs_f64();
             Some(buf)
         } else {
@@ -462,23 +469,17 @@ impl<E: WireElem> Driver<'_, E> {
         };
         let _sp = hpl_trace::span(hpl_trace::Phase::Ckpt);
         let mloc = self.a.mloc;
-        let lda = self.a.lda();
         // Snapshots are stored widened to `f64` regardless of the pipeline
         // element (one on-disk format); widening is exact, so an `f32` run
         // restores bitwise.
         let mut data: Vec<f64> = self.a.as_slice().iter().map(|v| v.to_f64()).collect();
-        if let Some((siter, lj0, jb, cols)) = &self.ckpt.prefact {
+        if let Some((siter, vals)) = &self.ckpt.pre_image {
             if *siter == it {
-                // Under look-ahead this panel was already factored (during
-                // iteration `it - 1`); snapshot its pre-fact values.
-                for c in 0..*jb {
-                    let off = (lj0 + c) * lda;
-                    for (d, v) in data[off..off + mloc]
-                        .iter_mut()
-                        .zip(&cols[c * mloc..(c + 1) * mloc])
-                    {
-                        *d = v.to_f64();
-                    }
+                // Under look-ahead, iteration `it`'s work began in
+                // iteration `it - 1`; snapshot what it overwrote. Reversed,
+                // so the earliest stash of an entry wins.
+                for &(i, v) in vals.iter().rev() {
+                    data[i] = v.to_f64();
                 }
             }
         }
@@ -558,7 +559,7 @@ impl<E: WireElem> Driver<'_, E> {
             rows,
             &ip.plan,
             ip.geom.prow,
-            &av,
+            &mut av,
             range,
             self.cfg.swap,
             &mut self.rs,
@@ -772,10 +773,10 @@ impl<E: WireElem> Driver<'_, E> {
         Ok(())
     }
 
-    /// Communicates the right-section row swap for iteration `ip` ahead of
-    /// time into `rs_right` (without scattering). Returns `false` when the
-    /// left section is exhausted (the pipeline then falls back to Fig 3
-    /// form).
+    /// Runs the right-section row swap for iteration `ip` ahead of time
+    /// into `rs_right`: communicated without scattering at `P > 1`,
+    /// complete at `P = 1`. Returns `false` when the left section is
+    /// exhausted (the pipeline then falls back to Fig 3 form).
     fn prefetch_rs2(
         &mut self,
         ip: &IterPanel<E>,
@@ -790,15 +791,27 @@ impl<E: WireElem> Driver<'_, E> {
             start: split_lj,
             end: self.a.nloc,
         };
-        let tr = Instant::now();
+        // The snapshot at the top of iteration `ip` must not see the moves
+        // a `P = 1` swap writes now (see `CkptState::pre_image`).
         let rows = self.a.rows;
-        let av = self.a.view_mut();
+        let mloc = self.a.mloc;
+        let moves = &ip.plan.moves;
+        let at = (right.start..right.end).flat_map(|lj| {
+            (moves.iter())
+                .filter(move |&&(d, _)| rows.is_mine(d))
+                .map(move |&(d, _)| lj * mloc + rows.to_local(d))
+        });
+        self.ckpt
+            .stash(ip.geom.k0 / self.cfg.nb, self.a.as_slice(), at);
+
+        let tr = Instant::now();
+        let mut av = self.a.view_mut();
         row_swap_comm(
             self.grid.col(),
             rows,
             &ip.plan,
             ip.geom.prow,
-            &av,
+            &mut av,
             right,
             self.cfg.swap,
             &mut self.rs_right,

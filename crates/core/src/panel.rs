@@ -1,10 +1,15 @@
-//! Panel geometry, the host panel copy ("device-to-host transfer"), and the
-//! LBCAST buffer packing.
+//! Panel geometry, the LBCAST buffer packing, and the host panel copy
+//! ("device-to-host transfer").
 //!
 //! In rocHPL the panel columns are copied from the GPU's HBM to host DDR
-//! for factorization and back afterwards; here both sides are CPU memory
-//! but the copies are kept explicit (and timed by the driver) because they
-//! are part of the schedule the paper overlaps.
+//! for factorization and back afterwards. Here both sides are CPU memory,
+//! so the driver factors the panel in place in the local matrix; what is
+//! left of the transfer is [`pack_panel_in_place`] — install the factored
+//! diagonal block and pack the broadcast buffer from the matrix columns —
+//! and the driver times it as the `Transfer` phase so Fig 7's column
+//! exists. The host round trip ([`panel_to_host`], [`host_view`],
+//! [`panel_from_host`], [`pack_panel`]) stays for `benchmark/`'s layer
+//! replay.
 
 use std::sync::OnceLock;
 
@@ -73,10 +78,18 @@ impl PanelGeom {
             l2_rows,
         }
     }
+
+    /// Length of the LBCAST buffer `[top | L2 | ipiv]`.
+    pub fn bcast_len(&self) -> usize {
+        self.jb * (self.jb + self.l2_rows + 1)
+    }
 }
 
 /// Copies this rank's panel columns out of the local matrix into a
 /// contiguous host buffer (`mp x jb`, lda = mp). The H2D/D2H analogue.
+///
+/// The driver factors in place and does not call this; it stays for
+/// `benchmark/`'s layer replay (its removal waits for a `benchmark` PR).
 pub fn panel_to_host<E: Element>(a: &LocalMatrix<E>, g: &PanelGeom) -> Vec<E> {
     let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
     debug_assert!(g.in_panel_col);
@@ -93,6 +106,9 @@ pub fn panel_to_host<E: Element>(a: &LocalMatrix<E>, g: &PanelGeom) -> Vec<E> {
 /// diagonal-owning row the first `jb` rows are taken from the replicated
 /// `top` (the factored diagonal block) instead of the possibly stale local
 /// rows.
+///
+/// The driver factors in place and does not call this; it stays for
+/// `benchmark/`'s layer replay (its removal waits for a `benchmark` PR).
 pub fn panel_from_host<E: Element>(
     a: &mut LocalMatrix<E>,
     g: &PanelGeom,
@@ -116,14 +132,16 @@ pub fn panel_from_host<E: Element>(
 
 /// The panel payload every rank holds after LBCAST: the replicated factored
 /// diagonal block, this process row's slice of `L2`, and the pivot vector.
+/// `L2` is read in place from the broadcast buffer the panel arrived in.
 pub struct PanelL<E: Element = f64> {
     /// `jb x jb` factored diagonal block (unit-lower `L1` + `U11`).
     pub top: Matrix<E>,
-    /// Local `L2` (`l2_rows x jb`, column-major, lda = l2_rows).
-    pub l2: Vec<E>,
+    /// The LBCAST buffer `[top | L2 | ipiv]`; local `L2` is its
+    /// `l2_rows x jb` column-major block at offset `jb * jb`.
+    buf: Vec<E>,
     /// Global pivot row per panel column.
     pub ipiv: Vec<usize>,
-    /// Rows of `l2`.
+    /// Rows of `L2`.
     pub l2_rows: usize,
     /// Panel width.
     pub jb: usize,
@@ -133,9 +151,30 @@ pub struct PanelL<E: Element = f64> {
 }
 
 impl<E: Element> PanelL<E> {
+    /// Takes ownership of the LBCAST buffer of panel `g`.
+    fn from_buf(g: &PanelGeom, buf: Vec<E>) -> Self {
+        assert_eq!(buf.len(), g.bcast_len(), "panel buffer size mismatch");
+        let (jb, l2_rows) = (g.jb, g.l2_rows);
+        let top = Matrix::from_vec(jb, jb, buf[..jb * jb].to_vec());
+        let ipiv = buf[jb * (jb + l2_rows)..]
+            .iter()
+            .map(|&v| v.to_f64() as usize)
+            .collect();
+        Self {
+            top,
+            buf,
+            ipiv,
+            l2_rows,
+            jb,
+            l2_packed: OnceLock::new(),
+        }
+    }
+
     /// View of `L2`.
     pub fn l2_view(&self) -> MatRef<'_, E> {
-        MatRef::from_slice(&self.l2, self.l2_rows, self.jb, self.l2_rows.max(1))
+        let (jb, l2_rows) = (self.jb, self.l2_rows);
+        let l2 = &self.buf[jb * jb..jb * (jb + l2_rows)];
+        MatRef::from_slice(l2, l2_rows, jb, l2_rows.max(1))
     }
 
     /// `L2` in packed DGEMM layout for kernel `kern`, packed on first call
@@ -148,28 +187,17 @@ impl<E: Element> PanelL<E> {
     }
 }
 
-/// Packs `[top | L2 | ipiv]` into one flat broadcast buffer.
-///
-/// `host` is the factored host panel (`mp x jb`); on the current row its
-/// leading `jb` rows (the stale diagonal block) are skipped — `top` carries
-/// that data in factored form.
-pub fn pack_panel<E: Element>(
-    g: &PanelGeom,
+/// Appends `[top | L2 | ipiv]` to `buf`, with column `j` of `L2` read from
+/// `l2_col(j)`.
+fn pack_into<'s, E: Element>(
     top: &Matrix<E>,
+    l2_col: impl Fn(usize) -> &'s [E],
     ipiv: &[usize],
-    host: &[E],
-) -> Vec<E> {
-    let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
-    let jb = g.jb;
-    let skip = if g.in_curr_row { jb } else { 0 };
-    let mut buf = Vec::with_capacity(jb * jb + g.l2_rows * jb + jb);
-    for j in 0..jb {
-        for i in 0..jb {
-            buf.push(top.get(i, j));
-        }
-    }
-    for j in 0..jb {
-        buf.extend_from_slice(&host[j * g.mp + skip..j * g.mp + g.mp]);
+    buf: &mut Vec<E>,
+) {
+    buf.extend_from_slice(top.as_slice());
+    for j in 0..ipiv.len() {
+        buf.extend_from_slice(l2_col(j));
     }
     // Pivot indices ride the panel buffer as elements; an f32 mantissa
     // represents every integer up to 2^24 exactly, far beyond any global
@@ -184,36 +212,66 @@ pub fn pack_panel<E: Element>(
         );
         e
     }));
+}
+
+/// The transfer of a panel factored in place in the local matrix: writes
+/// the replicated factored diagonal block `top` over the (partly stale)
+/// diagonal rows on the current row, then fills `buf` with the broadcast
+/// buffer `[top | L2 | ipiv]`, `L2` read straight from the matrix columns.
+/// `buf` should hold [`PanelGeom::bcast_len`] elements of capacity; the
+/// caller sizes it, so this allocates nothing.
+pub fn pack_panel_in_place<E: Element>(
+    a: &mut LocalMatrix<E>,
+    g: &PanelGeom,
+    top: &Matrix<E>,
+    ipiv: &[usize],
+    buf: &mut Vec<E>,
+) {
+    let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
+    debug_assert!(g.in_panel_col);
+    let (lb, mp, jb, lj0) = (g.lb, g.mp, g.jb, g.lj0);
+    let skip = if g.in_curr_row {
+        let mut av = a.view_mut();
+        let tv = top.view();
+        for j in 0..jb {
+            av.col_mut(lj0 + j)[lb..lb + jb].copy_from_slice(tv.col(j));
+        }
+        jb
+    } else {
+        0
+    };
+    let av = a.view();
+    buf.clear();
+    pack_into(top, |j| &av.col(lj0 + j)[lb + skip..lb + mp], ipiv, buf);
+}
+
+/// Packs `[top | L2 | ipiv]` into one flat broadcast buffer.
+///
+/// `host` is the factored host panel (`mp x jb`); on the current row its
+/// leading `jb` rows (the stale diagonal block) are skipped — `top` carries
+/// that data in factored form. The driver uses [`pack_panel_in_place`].
+pub fn pack_panel<E: Element>(
+    g: &PanelGeom,
+    top: &Matrix<E>,
+    ipiv: &[usize],
+    host: &[E],
+) -> Vec<E> {
+    let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
+    let (mp, skip) = (g.mp, if g.in_curr_row { g.jb } else { 0 });
+    let mut buf = Vec::with_capacity(g.bcast_len());
+    pack_into(top, |j| &host[j * mp + skip..(j + 1) * mp], ipiv, &mut buf);
     buf
 }
 
-/// Inverse of [`pack_panel`].
+/// Inverse of [`pack_panel`] (a copy of `buf`; [`lbcast`] keeps the buffer
+/// it broadcast into instead).
 pub fn unpack_panel<E: Element>(g: &PanelGeom, buf: &[E]) -> PanelL<E> {
-    let jb = g.jb;
-    let l2_rows = g.l2_rows;
-    assert_eq!(
-        buf.len(),
-        jb * jb + l2_rows * jb + jb,
-        "panel buffer size mismatch"
-    );
-    let top = Matrix::from_vec(jb, jb, buf[..jb * jb].to_vec());
-    let l2 = buf[jb * jb..jb * jb + l2_rows * jb].to_vec();
-    let ipiv = buf[jb * jb + l2_rows * jb..]
-        .iter()
-        .map(|&v| v.to_f64() as usize)
-        .collect();
-    PanelL {
-        top,
-        l2,
-        ipiv,
-        l2_rows,
-        jb,
-        l2_packed: OnceLock::new(),
-    }
+    PanelL::from_buf(g, buf.to_vec())
 }
 
 /// Broadcasts the packed panel along the process row from the panel-owning
-/// column; every rank returns the unpacked [`PanelL`].
+/// column; every rank returns the [`PanelL`] built around the buffer the
+/// panel arrived in.
 ///
 /// On fault-armed runs (an injector is attached to the fabric) the
 /// checksummed [`panel_bcast_checked`] variant is used, so an in-flight
@@ -231,18 +289,22 @@ pub fn lbcast<E: WireElem>(
             debug_assert!(g.in_panel_col);
             b
         }
-        None => vec![E::ZERO; g.jb * g.jb + g.l2_rows * g.jb + g.jb],
+        None => vec![E::ZERO; g.bcast_len()],
     };
     if row_comm.fault_injector().is_some() {
         panel_bcast_checked(row_comm, algo, g.pcol, &mut buf)?;
     } else {
         panel_bcast(row_comm, algo, g.pcol, &mut buf)?;
     }
-    Ok(unpack_panel(g, &buf))
+    Ok(PanelL::from_buf(g, buf))
 }
 
 /// Convenience: extracts the trailing-rows view of the panel columns as a
 /// mutable matrix view (used by the factorization).
+///
+/// The driver factors in place on a view of the local matrix and does not
+/// call this; it stays for `benchmark/`'s layer replay (its removal waits
+/// for a `benchmark` PR).
 pub fn host_view<'a, E: Element>(host: &'a mut [E], g: &PanelGeom) -> MatMut<'a, E> {
     MatMut::from_slice(host, g.mp, g.jb, g.mp.max(1))
 }

@@ -13,16 +13,21 @@
 //! destination rows (`MPI_Scatterv`), and the U sources are assembled on
 //! every process row with a ring `MPI_Allgatherv`.
 //!
-//! Rows leave and enter the local matrix through one pair of **column-walk**
-//! kernels (`gather_cols` / `scatter_cols`, rocHPL's gather/scatter GPU
-//! kernels): the matrix is column-major, so they visit one local column at
-//! a time and pick the wanted rows out of it, touching each cache line and
-//! page of the section once. Everything they produce is column-major too —
-//! a block of `r` rows over `w` columns is `r x w` with leading dimension
-//! `r` — so a gathered block of all `jb` U sources *is* the `U` operand the
-//! update reads, and when the process column holds every row
-//! (`col_comm.size() == 1`) the kernels are the whole phase: no collective
-//! runs and nothing is copied twice.
+//! Rows leave and enter the local matrix through **column-walk** kernels
+//! (rocHPL's gather/scatter GPU kernels): the matrix is column-major, so
+//! they visit one local column at a time and pick the wanted rows out of
+//! it, touching each cache line and page of the section once. Everything
+//! they produce is column-major too — a block of `r` rows over `w` columns
+//! is `r x w` with leading dimension `r` — so a gathered block of all `jb`
+//! U sources *is* the `U` operand the update reads.
+//!
+//! When the process column holds every row (`col_comm.size() == 1`) one
+//! kernel, `swap_cols`, is the whole phase: per column it reads `U` and the
+//! move sources and writes the moves back while the column is hot, so no
+//! collective runs, nothing is left for [`apply_moves`] and the section is
+//! walked once. Otherwise `gather_cols` packs this rank's sources, the
+//! collectives route them, and `scatter_cols` ([`apply_moves`]) writes the
+//! received moves — possibly one iteration later (the split update).
 
 use hpl_blas::mat::{MatMut, Matrix};
 use hpl_blas::Element;
@@ -189,6 +194,39 @@ fn scatter_cols<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, rows: &[usiz
     }
 }
 
+/// The whole swap of a process column that holds every row, in one walk:
+/// per column `j` of `range`, the `u_rows` go into column `j` of `u_out`
+/// and the `mv_src` rows into `col_buf`, then `col_buf` is written to the
+/// `mv_dst` rows while the column is hot. Every read of a column comes
+/// before its first write: a pivot row below the diagonal block is both a
+/// `U` source and a move destination, and `U` must get its pre-swap value.
+fn swap_cols<E: Element>(
+    a: &mut MatMut<'_, E>,
+    range: ColRange,
+    u_rows: &[usize],
+    u_out: &mut [E],
+    mv_src: &[usize],
+    mv_dst: &[usize],
+    col_buf: &mut [E],
+) {
+    let nu = u_rows.len();
+    debug_assert_eq!(u_out.len(), nu * range.width());
+    debug_assert_eq!(col_buf.len(), mv_src.len());
+    debug_assert_eq!(mv_dst.len(), mv_src.len());
+    for (j, lj) in (range.start..range.end).enumerate() {
+        let col = a.col_mut(lj);
+        for (o, &r) in u_out[j * nu..(j + 1) * nu].iter_mut().zip(u_rows) {
+            *o = col[r];
+        }
+        for (o, &r) in col_buf.iter_mut().zip(mv_src) {
+            *o = col[r];
+        }
+        for (&r, &v) in mv_dst.iter().zip(col_buf.iter()) {
+            col[r] = v;
+        }
+    }
+}
+
 /// Sets `v`'s length to `n` without touching what is already there;
 /// allocation-free once `v` has held `n` elements.
 fn set_len<E: Element>(v: &mut Vec<E>, n: usize) {
@@ -199,12 +237,13 @@ fn set_len<E: Element>(v: &mut Vec<E>, n: usize) {
     }
 }
 
-/// The received side of one section's row-swap communication — the
-/// assembled `U` block plus the move rows destined for this rank, not yet
-/// scattered into the local matrix — and the buffers the phase packs
-/// through. A value is reusable across calls and sections: every buffer
-/// only grows, so a driver that sizes one with [`RsData::for_sections`]
-/// at setup allocates nothing in the phase afterwards.
+/// What one section's row swap leaves behind — the assembled `U` block
+/// and, after a communicated swap (`P > 1`), the move rows destined for
+/// this rank, not yet scattered into the local matrix — and the buffers
+/// the phase packs through. A value is reusable across calls and sections:
+/// every buffer only grows, so a driver that sizes one with
+/// [`RsData::for_sections`] at setup allocates nothing in the phase
+/// afterwards.
 pub struct RsData<E: Element = f64> {
     /// Replicated `U` block (`jb x width`), raw (pre-DTRSM).
     pub u: Matrix<E>,
@@ -212,17 +251,20 @@ pub struct RsData<E: Element = f64> {
     /// order.
     move_dst: Vec<usize>,
     /// The received move rows, column-major `move_dst.len() x width`; what
-    /// [`apply_moves`] scatters.
+    /// [`apply_moves`] scatters. At `P = 1`, the one column `swap_cols`
+    /// stages the move sources through.
     move_vals: Vec<E>,
+    /// Whether `move_vals` still has to be scattered: `false` after a
+    /// `P = 1` swap, which wrote the moves itself.
+    moves_pending: bool,
     /// Local rows of the `U` sources this rank owns, in `k` order.
     u_rows: Vec<usize>,
     /// Local rows of the move sources this rank owns, in move order.
     mv_rows: Vec<usize>,
     /// Packed `U` sources of this rank (`P > 1` only; at `P = 1` the
-    /// kernel gathers straight into `u`).
+    /// kernel reads straight into `u`).
     u_chunk: Vec<E>,
-    /// Packed move sources of this rank (`P > 1` only; at `P = 1` the
-    /// kernel gathers straight into `move_vals`).
+    /// Packed move sources of this rank (`P > 1` only).
     mv_chunk: Vec<E>,
 }
 
@@ -230,17 +272,14 @@ impl<E: Element> RsData<E> {
     /// Buffers for sections of up to `jb x width` on a process column of
     /// `nprow` ranks (`0 x 0`: nothing is allocated until the first use).
     pub fn for_sections(jb: usize, width: usize, nprow: usize) -> Self {
-        // The move rows are gathered in place at `P = 1` and arrive in the
-        // scatterv's own vector otherwise.
-        let (in_place, packed) = if nprow == 1 {
-            (jb * width, 0)
-        } else {
-            (0, jb * width)
-        };
+        // At `P = 1` the move rows pass through one column; otherwise they
+        // arrive in the scatterv's own vector.
+        let (column, packed) = if nprow == 1 { (jb, 0) } else { (0, jb * width) };
         Self {
             u: Matrix::zeros(jb, width),
             move_dst: Vec::with_capacity(jb),
-            move_vals: Vec::with_capacity(in_place),
+            move_vals: Vec::with_capacity(column),
+            moves_pending: false,
             u_rows: Vec::with_capacity(jb),
             mv_rows: Vec::with_capacity(jb),
             u_chunk: Vec::with_capacity(packed),
@@ -301,11 +340,14 @@ fn repack<E: Element>(
     }
 }
 
-/// The communication half of the row-swap phase over one process column:
-/// gathers the source rows this rank owns, routes move rows via the
-/// diagonal-owning process row (gatherv + scatterv), allgathers the `U`
-/// sources, and leaves everything in `data` *without writing to `a`* — the
-/// split-update schedule scatters one iteration later.
+/// The row-swap phase up to the scatter, over one process column. At
+/// `P = 1` that is the whole phase: one `swap_cols` walk assembles `U` in
+/// `data` and writes the moves into `a`, leaving [`apply_moves`] nothing to
+/// do. At `P > 1` it gathers the source rows this rank owns, routes move
+/// rows via the diagonal-owning process row (gatherv + scatterv),
+/// allgathers the `U` sources, and leaves everything in `data` *without
+/// writing to `a`* — the split-update schedule scatters one iteration
+/// later.
 ///
 /// Collective over `col_comm`; all ranks of the process column must call it
 /// with the same `plan`.
@@ -314,7 +356,7 @@ pub fn row_swap_comm<E: WireElem>(
     rows: Axis,
     plan: &SwapPlan,
     prow_curr: usize,
-    a: &MatMut<'_, E>,
+    a: &mut MatMut<'_, E>,
     range: ColRange,
     algo: RowSwapAlgo,
     data: &mut RsData<E>,
@@ -347,17 +389,18 @@ pub fn row_swap_comm<E: WireElem>(
             .map(local),
     );
     data.u.reshape(jb, w);
+    data.moves_pending = nprow > 1;
 
     if nprow == 1 {
-        // Every source and destination row is local: the gathered blocks
-        // are `U` and the move rows themselves.
-        set_len(&mut data.move_vals, plan.moves.len() * w);
-        gather_cols(
+        // Every source and destination row is local: swap in one walk.
+        set_len(&mut data.move_vals, data.mv_rows.len());
+        swap_cols(
             a,
             range,
             &data.u_rows,
             data.u.as_mut_slice(),
             &data.mv_rows,
+            &data.move_dst,
             &mut data.move_vals,
         );
         return Ok(());
@@ -411,15 +454,20 @@ pub fn row_swap_comm<E: WireElem>(
 }
 
 /// Scatters previously communicated move rows back into the local matrix
-/// (rocHPL's "scatter" GPU kernel).
+/// (rocHPL's "scatter" GPU kernel). A no-op, with no `Scatter` span, after
+/// a `P = 1` swap: [`row_swap_comm`] wrote the moves itself.
 pub fn apply_moves<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, data: &RsData<E>) {
+    if !data.moves_pending {
+        return;
+    }
     let _span = hpl_trace::span(hpl_trace::Phase::Scatter);
     scatter_cols(a, range, &data.move_dst, &data.move_vals);
 }
 
-/// The complete row-swap phase: communicate, scatter the moves, and return
-/// the assembled `U` block. Owns its buffers; the driver, which runs the
-/// phase every iteration, keeps an [`RsData`] and calls the two halves.
+/// The complete row-swap phase: swap (communicating at `P > 1`), scatter
+/// the moves, and return the assembled `U` block. Owns its buffers; the
+/// driver, which runs the phase every iteration, keeps an [`RsData`] and
+/// calls the two halves.
 pub fn row_swap<E: WireElem>(
     col_comm: &Communicator,
     rows: Axis,

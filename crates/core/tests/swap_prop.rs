@@ -9,7 +9,9 @@
 //! gives — for pivots that repeat, stay inside the diagonal block or do not
 //! move at all, sections that do not start at column 0 and widths of 0, 1
 //! and not a multiple of the SIMD width, on process columns of 1, 2 and 3
-//! ranks, in both pipeline elements.
+//! ranks, in both pipeline elements. At `P = 1` the phase is one walk:
+//! `row_swap_comm` alone must leave the definition's matrix, and the
+//! `apply_moves` after it must write nothing and record no `Scatter` span.
 
 use hpl_comm::{Grid, GridOrder, Universe, WireElem};
 use proptest::prelude::*;
@@ -129,6 +131,7 @@ fn run<E: WireElem>(case: &Case) {
         let grid = Grid::new(comm, case.p, 1, GridOrder::ColumnMajor);
         let fresh = || LocalMatrix::<E>::generate_with(case.n, case.nb, &grid, &entry);
         let prow = (case.k0 / case.nb) % case.p;
+        hpl_trace::install(hpl_trace::TraceOpts::on());
 
         // The whole phase at once.
         let mut a = fresh();
@@ -148,7 +151,8 @@ fn run<E: WireElem>(case: &Case) {
         assert_eq!((u.rows(), u.cols()), (case.jb(), range.width()));
 
         // The split-update deferral, in a workspace that held a wider
-        // section first: communicate, scatter later.
+        // section first: communicate, scatter later. At `P = 1` the first
+        // half is the whole swap and the scatter must write nothing.
         let mut b = fresh();
         let mut rs = RsData::for_sections(0, 0, case.p);
         let whole = ColRange {
@@ -163,15 +167,28 @@ fn run<E: WireElem>(case: &Case) {
                 rows,
                 &plan,
                 prow,
-                &b.view_mut(),
+                &mut b.view_mut(),
                 r,
                 case.algo,
                 &mut rs,
             )
             .expect("fault-free fabric");
-            assert_eq!(section(&b, r), unswapped, "comm half must not write");
+            let swapped = section(&b, r);
+            if case.p > 1 {
+                assert_eq!(swapped, unswapped, "comm half must not write");
+            }
             apply_moves(&mut b.view_mut(), r, &rs);
+            if case.p == 1 {
+                assert_eq!(section(&b, r), swapped, "P = 1 scatter wrote");
+            }
         }
+        // One `Scatter` span per `apply_moves` after a communicated swap,
+        // none after a one-walk swap.
+        let trace = hpl_trace::take().expect("tracing was installed");
+        let scatters = (trace.spans.iter())
+            .filter(|s| s.phase == hpl_trace::Phase::Scatter)
+            .count();
+        assert_eq!(scatters, if case.p > 1 { 3 } else { 0 }, "Scatter spans");
         assert_eq!(rs.u, u, "deferred U differs from the one-shot phase");
         assert_eq!(
             b.as_slice(),

@@ -10,7 +10,7 @@
 use hpl_comm::{Grid, GridOrder, Universe};
 use rhpl_core::dist::Axis;
 use rhpl_core::fact::{panel_factor, FactInput};
-use rhpl_core::panel::{host_view, lbcast, pack_panel, panel_from_host, panel_to_host, PanelGeom};
+use rhpl_core::panel::{lbcast, pack_panel_in_place, PanelGeom};
 use rhpl_core::swap::{row_swap, ColRange, SwapPlan};
 use rhpl_core::update::full_update;
 use rhpl_core::{HplConfig, LocalMatrix};
@@ -29,11 +29,11 @@ fn main() {
         let me = (grid.myrow(), grid.mycol());
         let snap = |c: &hpl_comm::Communicator| c.stats().snapshot();
 
-        // Phase a: FACT — only the panel-owning process column works.
+        // Phase a: FACT — only the panel-owning process column works,
+        // factoring its panel rows in place in the local matrix.
         let g = PanelGeom::new(&a, &grid, 0, cfg.nb);
         let before = snap(grid.col());
         let packed = if g.in_panel_col {
-            let mut host = panel_to_host(&a, &g);
             let rows: Axis = a.rows;
             let out = {
                 let inp = FactInput {
@@ -46,11 +46,13 @@ fn main() {
                     pool: &pool,
                     opts: cfg.fact,
                 };
-                let mut hv = host_view(&mut host, &g);
-                panel_factor(&inp, &mut hv).expect("nonsingular")
+                let mut av = a.view_mut();
+                let mut panel = av.submatrix_mut(g.lb, g.lj0, g.mp, g.jb);
+                panel_factor(&inp, &mut panel).expect("nonsingular")
             };
-            panel_from_host(&mut a, &g, &host, &out.top);
-            Some((pack_panel(&g, &out.top, &out.ipiv, &host), out.ipiv))
+            let mut buf = Vec::with_capacity(g.bcast_len());
+            pack_panel_in_place(&mut a, &g, &out.top, &out.ipiv, &mut buf);
+            Some(buf)
         } else {
             None
         };
@@ -67,13 +69,7 @@ fn main() {
 
         // Phase b: LBCAST — panel column broadcasts along process rows.
         let before = snap(grid.row());
-        let panel = lbcast(
-            grid.row(),
-            cfg.bcast,
-            &g,
-            packed.as_ref().map(|(b, _)| b.clone()),
-        )
-        .expect("panel broadcast");
+        let panel = lbcast(grid.row(), cfg.bcast, &g, packed).expect("panel broadcast");
         let after = snap(grid.row());
         log.push(format!(
             "LBCAST rank {me:?}: {} row messages sent, ipiv = {:?}",

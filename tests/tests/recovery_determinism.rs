@@ -134,6 +134,20 @@ fn recovery_is_bitwise_deterministic_split_update() {
     check_schedule(Schedule::SplitUpdate { frac: 0.5 });
 }
 
+/// At P = 1 the split update swaps its right section completely when it
+/// prefetches it, one iteration ahead of its update; the snapshot taken at
+/// the boundary in between must still hold the unswapped section, which
+/// the resumed run swaps again. N = 64, NB = 8 and a quarter of the columns
+/// on the right keep the split active through the one boundary (4).
+#[test]
+fn p1_split_update_resumes_from_a_boundary_inside_the_split() {
+    let cfg = ckpt_cfg(64, 8, 1, 1, Schedule::SplitUpdate { frac: 0.25 }, 4);
+    let clean = run_clean(&cfg);
+    let resumed = run_clean(&cfg);
+    assert_eq!(resumed[0].resumed_from, Some(4));
+    assert_eq!(clean[0].x, resumed[0].x, "resume at 4 drifted");
+}
+
 /// Snapshot round-trip at the pipeline level: an uninterrupted run with
 /// checkpointing on resumes from its own final store into a *shorter* run
 /// that still matches — i.e. a cold process can pick up a warm store.

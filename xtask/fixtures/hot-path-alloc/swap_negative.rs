@@ -18,6 +18,17 @@ fn scatter_cols(rows: &[usize], vals: &[f64]) {
     }
 }
 
+fn swap_cols(src: &[usize], dst: &[usize], w: usize, col_buf: &mut [f64]) {
+    for j in 0..w {
+        for (o, &r) in col_buf.iter_mut().zip(src) {
+            *o = load(r, j);
+        }
+        for (&r, &v) in dst.iter().zip(col_buf.iter()) {
+            store(r, v);
+        }
+    }
+}
+
 pub fn for_sections(jb: usize, width: usize) -> Vec<f64> {
     // Setup: not reachable from a kernel.
     vec![0.0f64; jb * width]

@@ -149,9 +149,45 @@ fn row_swap_kernels_are_hot_path_roots() {
             .any(|m| m.contains("`.to_vec()`") && m.contains("via apply_moves")),
         "apply_moves must be a root: {msgs:?}"
     );
+    assert!(
+        msgs.iter()
+            .any(|m| m.contains("`vec!`") && m.contains("via swap_cols")),
+        "swap_cols must be a root: {msgs:?}"
+    );
     let report = run_one(rel, &read(&dir.join("swap_negative.rs")), FileKind::Library);
     let hits = unwaived(&report, Some("hot-path-alloc"));
     assert!(hits.is_empty(), "swap_negative.rs fired: {hits:?}");
+}
+
+/// The in-place panel pack is a root: it fills the broadcast buffer its
+/// caller sized, so neither it nor the packer it shares with `pack_panel`
+/// may allocate.
+#[test]
+fn in_place_panel_pack_is_a_hot_path_root() {
+    let dir = fixtures_dir().join("hot-path-alloc");
+    let rel = "crates/core/src/fixture.rs";
+    let report = run_one(
+        rel,
+        &read(&dir.join("panel_positive.rs")),
+        FileKind::Library,
+    );
+    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
+    for (what, via) in [
+        ("`Vec::with_capacity`", "via pack_panel_in_place"),
+        ("`.to_vec()`", "pack_panel_in_place -> pack_into"),
+    ] {
+        assert!(
+            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
+            "{what} {via} must be flagged: {msgs:?}"
+        );
+    }
+    let report = run_one(
+        rel,
+        &read(&dir.join("panel_negative.rs")),
+        FileKind::Library,
+    );
+    let hits = unwaived(&report, Some("hot-path-alloc"));
+    assert!(hits.is_empty(), "panel_negative.rs fired: {hits:?}");
 }
 
 /// The level-3 inner layer is rooted function by function, so an

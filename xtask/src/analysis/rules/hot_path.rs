@@ -4,12 +4,14 @@
 //! matrix entry or per panel column), the level-3 inner layer by name (the
 //! register microkernels, the tile writeback, the strip packer and the
 //! TRSM leaf — one call per register tile, pack block or leaf, so they
-//! stay covered even if a caller's name stops resolving) and the row
-//! swap's gather/scatter kernels (one call per section); anything they
-//! reach transitively in
-//! the compute crates is hot, and any `Vec::new` / `vec!` / `Box::new` /
-//! `format!` / `.collect()` / `.to_vec()` / `.to_string()` there is a
-//! violation. Per-panel setup (`panel_factor`, packing at panel grain) is
+//! stay covered even if a caller's name stops resolving), the row swap's
+//! column-walk kernels (`gather_cols` / `scatter_cols` and the `P = 1`
+//! one-walk `swap_cols`, one call per section) and the in-place panel pack
+//! (`pack_panel_in_place`, which fills a caller-sized broadcast buffer);
+//! anything they reach transitively in the compute crates is hot, and any
+//! `Vec::new` / `vec!` / `Box::new` / `format!` / `.collect()` /
+//! `.to_vec()` / `.to_string()` there is a violation. Per-panel setup
+//! (`panel_factor`, sizing the broadcast buffer, `L2`'s `PackedA`) is
 //! deliberately *not* a root: the contract is per-inner-iteration, and
 //! panel-grain allocations are amortized by O(nb³) work.
 
@@ -42,7 +44,9 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core", "pivot_step"),
     ("core", "gather_cols"),
     ("core", "scatter_cols"),
+    ("core", "swap_cols"),
     ("core", "apply_moves"),
+    ("core", "pack_panel_in_place"),
 ];
 
 /// Crates the traversal stays inside. Comm payload assembly allocates by
