@@ -79,9 +79,6 @@ pub struct RunReport {
     pub sweeps: u64,
     /// DGEMM microkernel the process resolved to (`scalar` / `simd`).
     pub kernel: String,
-    /// Mailbox implementation the fabric resolved to (`lockfree` / `mutex`,
-    /// from `RHPL_MAILBOX`).
-    pub mailbox: String,
     /// Transport the universe resolved to (`inproc` / `shm` / `tcp`, from
     /// `RHPL_TRANSPORT`).
     pub transport: String,
@@ -154,7 +151,6 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
         fact_gflops: rec.mxp.as_ref().map_or(0.0, |m| m.fact_gflops),
         sweeps: rec.mxp.as_ref().map_or(0, |m| m.sweeps as u64),
         kernel: hpl_blas::kernels::active().name().to_string(),
-        mailbox: hpl_comm::active_mailbox_name().to_string(),
         transport: hpl_comm::active_transport_name().to_string(),
         links: hpl_comm::last_run_link_stats()
             .iter()

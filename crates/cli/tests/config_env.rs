@@ -1,6 +1,6 @@
 //! End-to-end checks that garbage in the fabric and kernel environment
-//! knobs (`RHPL_MAILBOX`, `RHPL_MAILBOX_CAP`, `RHPL_TRANSPORT`,
-//! `RHPL_KERNEL`, `RHPL_ELEMENT`) is rejected by the `rhpl` binary *up
+//! knobs (`RHPL_TRANSPORT`, `RHPL_KERNEL`, `RHPL_ELEMENT`,
+//! `RHPL_COMM_TIMEOUT`) is rejected by the `rhpl` binary *up
 //! front* with the typed configuration message and exit code 2 — not deep
 //! inside a universe as a panic. Each case spawns the real binary so the
 //! whole path (env → `validate_env` → stderr → exit code) is exercised.
@@ -26,23 +26,15 @@ fn run_with_env(var: &str, value: &str) -> (i32, String) {
 }
 
 #[test]
-fn bad_mailbox_is_a_typed_config_error() {
-    let (code, stderr) = run_with_env("RHPL_MAILBOX", "quantum");
+fn bad_comm_timeout_is_a_typed_config_error() {
+    let (code, stderr) = run_with_env("RHPL_COMM_TIMEOUT", "abc");
     assert_eq!(code, 2, "config errors exit 2, stderr: {stderr}");
     assert!(stderr.contains("configuration error"), "stderr: {stderr}");
-    assert!(stderr.contains("RHPL_MAILBOX"), "stderr: {stderr}");
+    assert!(stderr.contains("RHPL_COMM_TIMEOUT"), "stderr: {stderr}");
     assert!(
-        stderr.contains("quantum"),
+        stderr.contains("abc"),
         "the offending value must be echoed back, stderr: {stderr}"
     );
-}
-
-#[test]
-fn bad_mailbox_cap_is_a_typed_config_error() {
-    let (code, stderr) = run_with_env("RHPL_MAILBOX_CAP", "-3");
-    assert_eq!(code, 2, "config errors exit 2, stderr: {stderr}");
-    assert!(stderr.contains("RHPL_MAILBOX_CAP"), "stderr: {stderr}");
-    assert!(stderr.contains("-3"), "stderr: {stderr}");
 }
 
 #[test]
@@ -104,9 +96,6 @@ fn bad_element_flag_is_a_usage_error() {
 #[test]
 fn valid_env_values_are_accepted() {
     for (var, value) in [
-        ("RHPL_MAILBOX", "lockfree"),
-        ("RHPL_MAILBOX", "mutex"),
-        ("RHPL_MAILBOX_CAP", "256"),
         ("RHPL_TRANSPORT", "inproc"),
         ("RHPL_TRANSPORT", "shm"),
         ("RHPL_TRANSPORT", "tcp"),
@@ -115,6 +104,7 @@ fn valid_env_values_are_accepted() {
         ("RHPL_KERNEL", "simd"),
         ("RHPL_ELEMENT", "f64"),
         ("RHPL_ELEMENT", "f32"),
+        ("RHPL_COMM_TIMEOUT", "30"),
     ] {
         let (code, stderr) = run_with_env(var, value);
         assert_eq!(code, 0, "{var}={value} must be accepted, stderr: {stderr}");

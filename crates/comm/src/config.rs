@@ -1,18 +1,17 @@
 //! Checked environment/config parsing for the fabric boundary.
 //!
-//! Every knob the runtime reads from the environment (`RHPL_MAILBOX`,
-//! `RHPL_MAILBOX_CAP`, `RHPL_TRANSPORT`, `RHPL_KERNEL`, `RHPL_ELEMENT`)
-//! parses through this module, so an invalid value surfaces as a typed
-//! [`ConfigError`] carrying the offending text and what was expected —
+//! Every knob the runtime reads from the environment (`RHPL_TRANSPORT`,
+//! `RHPL_KERNEL`, `RHPL_ELEMENT`, `RHPL_COMM_TIMEOUT`) parses through this
+//! module, so an invalid value surfaces as a typed [`ConfigError`]
+//! carrying the offending text and what was expected —
 //! never a silent fallback to a default that would make a benchmark
 //! unattributable, and never a bare parse panic.
 //!
 //! The CLI calls [`validate_env`] before doing any work and turns an error
 //! into a clean exit; library entry points that cannot return an error
-//! (fabric construction, kernel resolution) fail fast with the same
+//! (transport, timeout and kernel resolution) fail fast with the same
 //! message.
 
-use crate::fabric::MailboxSel;
 use crate::transport::TransportSel;
 use hpl_blas::{ElementSel, KernelSel};
 
@@ -39,28 +38,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parses a `RHPL_MAILBOX` value (`auto` | `mutex` | `lockfree`).
-pub fn parse_mailbox(value: &str) -> Result<MailboxSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_MAILBOX",
-        value: value.to_owned(),
-        expected: "one of auto, mutex, lockfree",
-    })
-}
-
-/// Parses a `RHPL_MAILBOX_CAP` value (a positive ring capacity).
-pub fn parse_mailbox_cap(value: &str) -> Result<usize, ConfigError> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&c| c > 0)
-        .ok_or_else(|| ConfigError {
-            var: "RHPL_MAILBOX_CAP",
-            value: value.to_owned(),
-            expected: "a positive integer ring capacity",
-        })
-}
-
 /// Parses a `RHPL_TRANSPORT` value (`inproc` | `shm` | `tcp`).
 pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
     value.parse().map_err(|()| ConfigError {
@@ -79,6 +56,16 @@ pub fn parse_kernel(value: &str) -> Result<KernelSel, ConfigError> {
     })
 }
 
+/// Parses a `RHPL_COMM_TIMEOUT` value (whole seconds; the fabric clamps
+/// it to at least 1 s).
+pub fn parse_comm_timeout(value: &str) -> Result<u64, ConfigError> {
+    value.parse().map_err(|_| ConfigError {
+        var: "RHPL_COMM_TIMEOUT",
+        value: value.to_owned(),
+        expected: "a whole number of seconds",
+    })
+}
+
 /// Parses a `RHPL_ELEMENT` value (`f64` | `f32`).
 pub fn parse_element(value: &str) -> Result<ElementSel, ConfigError> {
     value.parse().map_err(|()| ConfigError {
@@ -86,23 +73,6 @@ pub fn parse_element(value: &str) -> Result<ElementSel, ConfigError> {
         value: value.to_owned(),
         expected: "one of f64, f32",
     })
-}
-
-/// `RHPL_MAILBOX` from the environment; unset means [`MailboxSel::Auto`].
-pub fn env_mailbox() -> Result<MailboxSel, ConfigError> {
-    match std::env::var("RHPL_MAILBOX") {
-        Ok(v) => parse_mailbox(&v),
-        Err(_) => Ok(MailboxSel::Auto),
-    }
-}
-
-/// `RHPL_MAILBOX_CAP` from the environment; unset means the built-in
-/// default capacity.
-pub fn env_mailbox_cap() -> Result<Option<usize>, ConfigError> {
-    match std::env::var("RHPL_MAILBOX_CAP") {
-        Ok(v) => parse_mailbox_cap(&v).map(Some),
-        Err(_) => Ok(None),
-    }
 }
 
 /// `RHPL_TRANSPORT` from the environment; unset means
@@ -130,14 +100,22 @@ pub fn env_element() -> Result<ElementSel, ConfigError> {
     }
 }
 
+/// `RHPL_COMM_TIMEOUT` from the environment; unset means the built-in
+/// default receive timeout.
+pub fn env_comm_timeout() -> Result<Option<u64>, ConfigError> {
+    match std::env::var("RHPL_COMM_TIMEOUT") {
+        Ok(v) => parse_comm_timeout(&v).map(Some),
+        Err(_) => Ok(None),
+    }
+}
+
 /// Validates every runtime environment knob at once — the CLI's pre-flight
 /// check, so a typo'd variable fails the run before any process spawns.
 pub fn validate_env() -> Result<(), ConfigError> {
-    env_mailbox()?;
-    env_mailbox_cap()?;
     env_transport()?;
     env_kernel()?;
     env_element()?;
+    env_comm_timeout()?;
     Ok(())
 }
 
@@ -146,32 +124,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mailbox_values_parse_and_bad_ones_carry_the_offender() {
-        assert_eq!(parse_mailbox("mutex"), Ok(MailboxSel::Mutex));
-        assert_eq!(parse_mailbox("Lockfree"), Ok(MailboxSel::Lockfree));
-        let err = parse_mailbox("spinlock").unwrap_err();
-        assert_eq!(err.var, "RHPL_MAILBOX");
-        assert_eq!(err.value, "spinlock");
-        let shown = err.to_string();
-        assert!(
-            shown.contains("RHPL_MAILBOX"),
-            "names the variable: {shown}"
-        );
-        assert!(shown.contains("spinlock"), "names the value: {shown}");
-        assert!(
-            shown.contains("lockfree"),
-            "names the accepted set: {shown}"
-        );
-    }
-
-    #[test]
-    fn mailbox_cap_rejects_zero_negative_and_garbage() {
-        assert_eq!(parse_mailbox_cap("64"), Ok(64));
-        assert_eq!(parse_mailbox_cap("1"), Ok(1));
-        for bad in ["0", "-3", "lots", "", "4.5"] {
-            let err = parse_mailbox_cap(bad).unwrap_err();
-            assert_eq!(err.var, "RHPL_MAILBOX_CAP");
+    fn comm_timeout_rejects_negative_fractional_and_garbage() {
+        assert_eq!(parse_comm_timeout("120"), Ok(120));
+        assert_eq!(parse_comm_timeout("0"), Ok(0));
+        for bad in ["-3", "abc", "", "4.5", "1s"] {
+            let err = parse_comm_timeout(bad).unwrap_err();
+            assert_eq!(err.var, "RHPL_COMM_TIMEOUT");
             assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("seconds"));
         }
     }
 

@@ -6,6 +6,7 @@
 //! receives block until a matching message arrives. Message order between a
 //! fixed `(source, tag)` pair is FIFO, which is what MPI guarantees per
 //! (source, tag, communicator) and what the collective algorithms rely on.
+//! Each rank's mailbox is the lock-free SPSC inbox of [`crate::spsc`].
 //!
 //! Two robustness layers live at this choke point, mirroring where
 //! `hpl-trace` attributes payload bytes:
@@ -21,7 +22,6 @@
 //!   of wedging until the deadlock detector fires.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,172 +68,18 @@ impl Tag {
 
 type Boxed = Box<dyn Any + Send>;
 
-/// Which mailbox implementation a fabric uses, before resolution.
-///
-/// `Lockfree` is the default fast path (SPSC rings, see [`crate::spsc`]);
-/// `Mutex` keeps the original mutex+condvar mailbox as the determinism
-/// oracle — both must produce bitwise-identical runs (CI pins this with
-/// the `mailbox-matrix` job and `tests/mailbox_determinism.rs`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MailboxSel {
-    /// Resolve from `RHPL_MAILBOX` (`lockfree` | `mutex` | `auto`; unset
-    /// or unrecognized means `lockfree`).
-    #[default]
-    Auto,
-    /// The original mutex+condvar mailbox (determinism oracle).
-    Mutex,
-    /// The bounded lock-free SPSC ring mailbox.
-    Lockfree,
-}
-
-impl std::str::FromStr for MailboxSel {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(MailboxSel::Auto),
-            "mutex" => Ok(MailboxSel::Mutex),
-            "lockfree" => Ok(MailboxSel::Lockfree),
-            _ => Err(()),
-        }
-    }
-}
-
-impl MailboxSel {
-    /// Resolves `Auto` against the environment (read once per process).
-    fn resolve(self) -> MailboxSel {
-        match self {
-            MailboxSel::Auto => *env_mailbox(),
-            other => other,
-        }
-    }
-}
-
-/// Name of the mailbox implementation env-constructed fabrics resolve to
-/// ("mutex" / "lockfree") — what a plain [`Universe::run`] will use. Run
-/// reports record it next to the kernel name so a `BENCH_hpl.json` is
-/// attributable to the implementation that produced it.
-///
-/// [`Universe::run`]: crate::universe::Universe::run
-pub fn active_mailbox_name() -> &'static str {
-    match env_mailbox() {
-        MailboxSel::Mutex => "mutex",
-        _ => "lockfree",
-    }
-}
-
-fn env_mailbox() -> &'static MailboxSel {
-    static SEL: std::sync::OnceLock<MailboxSel> = std::sync::OnceLock::new();
-    SEL.get_or_init(|| {
-        let sel = crate::config::env_mailbox().unwrap_or_else(|e| {
-            // Fail fast on an invalid value rather than silently falling
-            // back: the CLI pre-validates the environment and reports this
-            // as a typed config error before any fabric is constructed.
-            // xtask-allow: no-panic, error-taxonomy — config fail-fast
-            panic!("{e}")
-        });
-        match sel {
-            MailboxSel::Mutex => MailboxSel::Mutex,
-            _ => MailboxSel::Lockfree,
-        }
-    })
-}
-
-/// Default SPSC ring capacity per `(src, dst)` pair; deep enough that the
+/// SPSC ring capacity per `(src, dst)` pair; deep enough that the
 /// collectives and look-ahead panel traffic never spill in practice,
-/// small enough to stay cache-resident. `RHPL_MAILBOX_CAP` (or
-/// [`FabricOpts::mailbox_cap`]) overrides it — the spill lane makes any
-/// capacity correct, so tiny values are used by tests to force the
-/// overflow path.
+/// small enough to stay cache-resident. [`FabricOpts::mailbox_cap`]
+/// overrides it — the spill lane makes any capacity correct, so tests pass
+/// tiny values to force the overflow path.
 const DEFAULT_RING_CAP: usize = 64;
-
-fn env_ring_cap() -> usize {
-    crate::config::env_mailbox_cap()
-        .unwrap_or_else(|e| {
-            // Same fail-fast contract as `env_mailbox` above.
-            // xtask-allow: no-panic, error-taxonomy — config fail-fast
-            panic!("{e}")
-        })
-        .unwrap_or(DEFAULT_RING_CAP)
-}
-
-#[derive(Default)]
-struct MailboxInner {
-    queues: HashMap<(usize, Tag), VecDeque<Boxed>>,
-}
-
-impl MailboxInner {
-    /// The `(src, tag)` keys that currently hold undelivered messages —
-    /// dumped into timeout diagnostics so a mismatched collective ordering
-    /// shows *what* arrived instead of the expected message.
-    fn pending_keys(&self) -> Vec<(usize, Tag)> {
-        let mut keys: Vec<(usize, Tag)> = self
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
-        keys.sort();
-        keys
-    }
-}
-
-/// One destination rank's inbox, mutex+condvar variant (the determinism
-/// oracle behind `RHPL_MAILBOX=mutex`).
-struct MutexMailbox {
-    inner: Mutex<MailboxInner>,
-    arrived: Condvar,
-}
-
-impl MutexMailbox {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(MailboxInner::default()),
-            arrived: Condvar::new(),
-        }
-    }
-
-    fn deposit(&self, src: usize, tag: Tag, msg: Boxed) {
-        let mut g = self.inner.lock();
-        g.queues.entry((src, tag)).or_default().push_back(msg);
-        self.arrived.notify_all();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().queues.values().all(|q| q.is_empty())
-    }
-}
-
-/// One destination rank's inbox, dispatching between the two
-/// implementations. Both sit behind the same [`Fabric::try_send`] /
-/// [`Fabric::try_recv`] choke points, so fault injection, byte
-/// attribution, retry/backoff and poisoning are implementation-agnostic.
-enum MailboxImpl {
-    Mutex(MutexMailbox),
-    Lockfree(LockfreeMailbox),
-}
-
-impl MailboxImpl {
-    fn deposit(&self, src: usize, tag: Tag, msg: Boxed) {
-        match self {
-            MailboxImpl::Mutex(m) => m.deposit(src, tag, msg),
-            MailboxImpl::Lockfree(m) => m.deposit(src, tag, msg),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            MailboxImpl::Mutex(m) => m.is_empty(),
-            MailboxImpl::Lockfree(m) => m.is_empty(),
-        }
-    }
-}
 
 /// Process-wide timeout override installed by [`set_comm_timeout`].
 static TIMEOUT_OVERRIDE: std::sync::OnceLock<std::time::Duration> = std::sync::OnceLock::new();
 
 /// Installs a process-wide receive timeout (the CLI's `--comm-timeout`
-/// flag). Takes precedence over both environment variables; first call
+/// flag). Takes precedence over `RHPL_COMM_TIMEOUT`; first call
 /// wins, later calls are ignored (returns whether this call installed it).
 pub fn set_comm_timeout(timeout: std::time::Duration) -> bool {
     TIMEOUT_OVERRIDE.set(timeout.max(MIN_TIMEOUT)).is_ok()
@@ -245,8 +91,9 @@ const MIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
 
 /// How long a `recv` waits before declaring the run deadlocked. Resolution
 /// order: [`set_comm_timeout`] override, then `RHPL_COMM_TIMEOUT` (seconds),
-/// then the legacy `HPL_COMM_TIMEOUT_SECS`, then the 120 s default. The
-/// environment is read once per process.
+/// then the 120 s default. The environment is read once per process; an
+/// unparseable value fails fast (the CLI reports it first as a typed
+/// [`crate::config::ConfigError`]).
 pub fn recv_timeout() -> std::time::Duration {
     use std::sync::OnceLock;
     if let Some(t) = TIMEOUT_OVERRIDE.get() {
@@ -254,10 +101,8 @@ pub fn recv_timeout() -> std::time::Duration {
     }
     static T: OnceLock<std::time::Duration> = OnceLock::new();
     *T.get_or_init(|| {
-        let secs = std::env::var("RHPL_COMM_TIMEOUT")
-            .ok()
-            .or_else(|| std::env::var("HPL_COMM_TIMEOUT_SECS").ok())
-            .and_then(|v| v.parse::<u64>().ok())
+        let secs = crate::config::env_comm_timeout()
+            .expect("RHPL_COMM_TIMEOUT must be whole seconds")
             .unwrap_or(120);
         std::time::Duration::from_secs(secs).max(MIN_TIMEOUT)
     })
@@ -446,7 +291,7 @@ impl CommStats {
 /// bookkeeping, per-rank stats, the job's poison token, and the (optional)
 /// armed fault injector.
 pub struct Fabric {
-    boxes: Vec<MailboxImpl>,
+    boxes: Vec<LockfreeMailbox>,
     stats: Vec<CommStats>,
     barrier_state: Mutex<BarrierGen>,
     barrier_cv: Condvar,
@@ -456,10 +301,7 @@ pub struct Fabric {
     timeout: Option<std::time::Duration>,
     retry: RetryPolicy,
     counters: Arc<RecoveryCounters>,
-    /// Resolved mailbox implementation (never `Auto` after `build`),
-    /// inherited by split sub-fabrics.
-    mailbox: MailboxSel,
-    /// SPSC ring capacity in force (also inherited by sub-fabrics).
+    /// SPSC ring capacity in force (inherited by split sub-fabrics).
     ring_cap: usize,
     /// Remote endpoint state when this fabric is one rank of a
     /// transport-backed universe (`None` for the in-process oracle).
@@ -542,12 +384,8 @@ pub struct FabricOpts {
     pub timeout: Option<std::time::Duration>,
     /// Backoff schedule for blocked receives and drop-retransmit recovery.
     pub retry: RetryPolicy,
-    /// Mailbox implementation (`Auto` resolves from `RHPL_MAILBOX`). An
-    /// explicit value lets one process host both implementations — the
-    /// determinism tests compare them side by side.
-    pub mailbox: MailboxSel,
-    /// SPSC ring capacity override; `None` uses `RHPL_MAILBOX_CAP` or the
-    /// built-in default. Tests pass tiny values to force the spill lane.
+    /// SPSC ring capacity override; `None` uses the built-in default.
+    /// Tests pass tiny values to force the spill lane.
     pub mailbox_cap: Option<usize>,
 }
 
@@ -683,7 +521,6 @@ impl Fabric {
                 faults: self.faults.clone(),
                 timeout: self.timeout,
                 retry: self.retry,
-                mailbox: self.mailbox,
                 mailbox_cap: Some(self.ring_cap),
             },
             Arc::clone(&self.poison),
@@ -699,16 +536,10 @@ impl Fabric {
         counters: Arc<RecoveryCounters>,
         remote: Option<RemoteCtx>,
     ) -> Arc<Self> {
-        let mailbox = opts.mailbox.resolve();
-        let ring_cap = opts.mailbox_cap.unwrap_or_else(env_ring_cap);
+        let ring_cap = opts.mailbox_cap.unwrap_or(DEFAULT_RING_CAP);
         Arc::new(Self {
             boxes: (0..size)
-                .map(|_| match mailbox {
-                    MailboxSel::Lockfree | MailboxSel::Auto => {
-                        MailboxImpl::Lockfree(LockfreeMailbox::new(size, ring_cap))
-                    }
-                    MailboxSel::Mutex => MailboxImpl::Mutex(MutexMailbox::new()),
-                })
+                .map(|_| LockfreeMailbox::new(size, ring_cap))
                 .collect(),
             stats: (0..size).map(|_| CommStats::default()).collect(),
             barrier_state: Mutex::new(BarrierGen::default()),
@@ -718,7 +549,6 @@ impl Fabric {
             timeout: opts.timeout,
             retry: opts.retry,
             counters,
-            mailbox,
             ring_cap,
             remote,
         })
@@ -788,16 +618,10 @@ impl Fabric {
     pub fn poison_observed(&self, rank: usize, phase: &str) {
         self.poison.set(rank, phase);
         for b in &self.boxes {
-            // Touch each mailbox's wait lock before notifying so sleepers
+            // Touch each mailbox's park lock before notifying so sleepers
             // can't miss the wakeup between their flag check and their
-            // wait (the loom-pinned discipline, both implementations).
-            match b {
-                MailboxImpl::Mutex(m) => {
-                    let _g = m.inner.lock();
-                    m.arrived.notify_all();
-                }
-                MailboxImpl::Lockfree(m) => m.wake_for_control(),
-            }
+            // wait (the loom-pinned discipline).
+            b.wake_for_control();
         }
         let _g = self.barrier_state.lock();
         self.barrier_cv.notify_all();
@@ -995,10 +819,7 @@ impl Fabric {
             "ctrl recv from rank {src} of {}",
             self.boxes.len()
         );
-        match &self.boxes[dst] {
-            MailboxImpl::Mutex(m) => self.recv_mutex(m, dst, src, tag),
-            MailboxImpl::Lockfree(m) => self.recv_lockfree(m, dst, src, tag),
-        }
+        self.wait_recv(dst, src, tag)
     }
 
     /// Infallible [`Fabric::try_send`] for call sites outside the fallible
@@ -1022,7 +843,7 @@ impl Fabric {
     /// the mailbox's pending `(src, tag)` keys — once the [`RetryPolicy`]
     /// backoff ladder has cumulatively waited past the receive timeout
     /// ([`recv_timeout`]: default 120 s, `--comm-timeout` /
-    /// `RHPL_COMM_TIMEOUT` / legacy `HPL_COMM_TIMEOUT_SECS` to override).
+    /// `RHPL_COMM_TIMEOUT` to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
     pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
@@ -1044,72 +865,18 @@ impl Fabric {
                 return Err(CommError::RankFailed { rank, phase });
             }
         }
-        match &self.boxes[dst] {
-            MailboxImpl::Mutex(m) => self.recv_mutex(m, dst, src, tag),
-            MailboxImpl::Lockfree(m) => self.recv_lockfree(m, dst, src, tag),
-        }
+        self.wait_recv(dst, src, tag)
     }
 
-    /// Blocking wait on the mutex+condvar mailbox: the queue check, the
-    /// poison check and the wait are atomic under the mailbox lock (the
-    /// protocol model-checked in `tests/loom_mailbox.rs`).
-    fn recv_mutex(
-        &self,
-        mbox: &MutexMailbox,
-        dst: usize,
-        src: usize,
-        tag: Tag,
-    ) -> Result<Boxed, CommError> {
-        let mut g = mbox.inner.lock();
-        let mut waited = std::time::Duration::ZERO;
-        let mut attempt = 0u32;
-        let timeout = self.effective_timeout();
-        loop {
-            if let Some(q) = g.queues.get_mut(&(src, tag)) {
-                if let Some(m) = q.pop_front() {
-                    return Ok(m);
-                }
-            }
-            // Delivered-before-death messages win over the poison check (the
-            // queue is consulted first), so data flow stays deterministic;
-            // only receives that can never be satisfied unwind.
-            if let Some(e) = self.poison_err() {
-                return Err(e);
-            }
-            // Exponential-backoff poll rounds, each capped at the 100 ms
-            // poison-poll step so a peer's death still unwinds us promptly.
-            // A real MPI would hang here forever on a mismatched schedule;
-            // we turn that into a diagnosable failure after a (generous,
-            // overridable) timeout so broken collective orderings fail
-            // loudly in tests instead of wedging the whole run.
-            let step = self.retry.backoff(dst as u64, attempt).min(WAIT_STEP);
-            if mbox.arrived.wait_for(&mut g, step).timed_out() {
-                waited += step;
-                attempt = attempt.saturating_add(1);
-                self.counters.note_retry();
-                if waited >= timeout {
-                    return Err(CommError::Timeout {
-                        dst,
-                        src,
-                        tag,
-                        waited_ms: waited.as_millis() as u64,
-                        pending: g.pending_keys(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Blocking wait on the lock-free mailbox: bounded spin, then the
-    /// park/poison protocol of [`crate::spsc`]. Timeout, backoff and
-    /// retry accounting match `recv_mutex` exactly.
-    fn recv_lockfree(
-        &self,
-        mbox: &LockfreeMailbox,
-        dst: usize,
-        src: usize,
-        tag: Tag,
-    ) -> Result<Boxed, CommError> {
+    /// Blocking wait on `dst`'s mailbox: bounded spin, then the park/poison
+    /// protocol of [`crate::spsc`] under exponential-backoff poll rounds,
+    /// each capped at the 100 ms poison-poll step so a peer's death still
+    /// unwinds us promptly. A real MPI would hang here forever on a
+    /// mismatched schedule; we turn that into a diagnosable failure after a
+    /// (generous, overridable) timeout so broken collective orderings fail
+    /// loudly in tests instead of wedging the whole run.
+    fn wait_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
+        let mbox = &self.boxes[dst];
         if let Some(m) = mbox.spin_take(src, tag) {
             return Ok(m);
         }
@@ -1125,7 +892,7 @@ impl Fabric {
                 // became visible *after* any deposit the dying rank
                 // published first (it stores the flag after the ring
                 // publish), so one final sweep keeps delivered-before-
-                // death messages winning, as in the mutex protocol.
+                // death messages winning and data flow deterministic.
                 mbox.ingest_all();
                 if let Some(m) = mbox.try_take(src, tag) {
                     return Ok(m);
@@ -1176,16 +943,7 @@ impl Fabric {
     /// True if no undelivered messages remain anywhere (used by tests to
     /// assert collectives are self-contained).
     pub fn quiescent(&self) -> bool {
-        self.boxes.iter().all(MailboxImpl::is_empty)
-    }
-
-    /// Which mailbox implementation this fabric resolved to ("mutex" or
-    /// "lockfree") — surfaced in run reports next to the kernel name.
-    pub fn mailbox_name(&self) -> &'static str {
-        match self.mailbox {
-            MailboxSel::Mutex => "mutex",
-            _ => "lockfree",
-        }
+        self.boxes.iter().all(LockfreeMailbox::is_empty)
     }
 
     /// Centralized generation-counting barrier over all ranks of this
@@ -1314,12 +1072,28 @@ mod tests {
         let _ = Tag::user(Tag::RESERVED_BASE + 5);
     }
 
+    /// A fabric that gives up on a silent peer after the 1 s floor.
+    fn one_second_fabric(size: usize, cap: Option<usize>) -> Arc<Fabric> {
+        Fabric::new_with_opts(
+            size,
+            FabricOpts {
+                timeout: Some(std::time::Duration::from_secs(1)),
+                mailbox_cap: cap,
+                ..FabricOpts::default()
+            },
+        )
+    }
+
+    fn with_cap(cap: usize) -> FabricOpts {
+        FabricOpts {
+            mailbox_cap: Some(cap),
+            ..FabricOpts::default()
+        }
+    }
+
     #[test]
     fn recv_timeout_panics_with_diagnostic() {
-        // Shrink the timeout for this test only (env is read once per
-        // process, so set it before any recv path runs in this test bin).
-        std::env::set_var("HPL_COMM_TIMEOUT_SECS", "1");
-        let f = Fabric::new(2);
+        let f = one_second_fabric(2, None);
         f.send(1, 1, Tag::user(11), Box::new(5u8), 1); // unrelated pending msg
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = f.recv(1, 0, Tag::user(9));
@@ -1333,8 +1107,7 @@ mod tests {
 
     #[test]
     fn try_recv_reports_pending_keys_on_timeout() {
-        std::env::set_var("HPL_COMM_TIMEOUT_SECS", "1");
-        let f = Fabric::new(3);
+        let f = one_second_fabric(3, None);
         f.send(2, 1, Tag::user(4), Box::new(1u8), 1);
         let e = f.try_recv(1, 0, Tag::user(9)).unwrap_err();
         match e {
@@ -1424,13 +1197,7 @@ mod tests {
 
     #[test]
     fn per_fabric_timeout_overrides_the_global_default() {
-        let f = Fabric::new_with_opts(
-            2,
-            FabricOpts {
-                timeout: Some(std::time::Duration::from_secs(1)),
-                ..FabricOpts::default()
-            },
-        );
+        let f = one_second_fabric(2, None);
         let t0 = std::time::Instant::now();
         let e = f.try_recv(1, 0, Tag::user(9)).unwrap_err();
         assert!(matches!(e, CommError::Timeout { .. }), "{e:?}");
@@ -1442,13 +1209,7 @@ mod tests {
 
     #[test]
     fn timed_out_poll_rounds_are_counted() {
-        let f = Fabric::new_with_opts(
-            2,
-            FabricOpts {
-                timeout: Some(std::time::Duration::from_secs(1)),
-                ..FabricOpts::default()
-            },
-        );
+        let f = one_second_fabric(2, None);
         hpl_faults::set_world_rank(1);
         let _ = f.try_recv(1, 0, Tag::user(3)).unwrap_err();
         assert!(
@@ -1478,48 +1239,26 @@ mod tests {
         assert!(f.quiescent());
     }
 
-    fn opts_for(sel: MailboxSel, cap: Option<usize>) -> FabricOpts {
-        FabricOpts {
-            mailbox: sel,
-            mailbox_cap: cap,
-            ..FabricOpts::default()
-        }
-    }
-
     #[test]
-    fn mailbox_selector_parses_and_names() {
-        assert!(matches!("mutex".parse(), Ok(MailboxSel::Mutex)));
-        assert!(matches!("LOCKFREE".parse(), Ok(MailboxSel::Lockfree)));
-        assert!(matches!("auto".parse(), Ok(MailboxSel::Auto)));
-        assert!("ring0".parse::<MailboxSel>().is_err());
-        let f = Fabric::new_with_opts(1, opts_for(MailboxSel::Mutex, None));
-        assert_eq!(f.mailbox_name(), "mutex");
-        let f = Fabric::new_with_opts(1, opts_for(MailboxSel::Lockfree, None));
-        assert_eq!(f.mailbox_name(), "lockfree");
-    }
-
-    #[test]
-    fn both_mailboxes_round_trip_and_quiesce() {
-        for sel in [MailboxSel::Mutex, MailboxSel::Lockfree] {
-            let f = Fabric::new_with_opts(2, opts_for(sel, None));
-            f.send(0, 1, Tag::user(4), Box::new(41u32), 4);
-            f.send(0, 1, Tag::user(4), Box::new(42u32), 4);
-            for want in [41u32, 42] {
-                let got = *f
-                    .recv(1, 0, Tag::user(4))
-                    .downcast::<u32>()
-                    .expect("payload type");
-                assert_eq!(got, want, "FIFO broken under {sel:?}");
-            }
-            assert!(f.quiescent(), "{sel:?} left undelivered messages");
+    fn lockfree_round_trips_fifo_and_quiesces() {
+        let f = Fabric::new(2);
+        f.send(0, 1, Tag::user(4), Box::new(41u32), 4);
+        f.send(0, 1, Tag::user(4), Box::new(42u32), 4);
+        for want in [41u32, 42] {
+            let got = *f
+                .recv(1, 0, Tag::user(4))
+                .downcast::<u32>()
+                .expect("payload type");
+            assert_eq!(got, want, "FIFO broken");
         }
+        assert!(f.quiescent(), "undelivered messages left behind");
     }
 
     #[test]
     fn lockfree_spill_preserves_fifo_past_a_tiny_ring() {
         // cap 1 forces nearly every deposit through the spill lane; order
         // must survive the ring→spill handoff and back.
-        let f = Fabric::new_with_opts(2, opts_for(MailboxSel::Lockfree, Some(1)));
+        let f = Fabric::new_with_opts(2, with_cap(1));
         for i in 0..64u32 {
             f.send(0, 1, Tag::user(7), Box::new(i), 4);
         }
@@ -1535,7 +1274,7 @@ mod tests {
 
     #[test]
     fn lockfree_interleaved_tags_from_many_senders() {
-        let f = Fabric::new_with_opts(4, opts_for(MailboxSel::Lockfree, Some(2)));
+        let f = Fabric::new_with_opts(4, with_cap(2));
         for src in [0usize, 1, 2] {
             for i in 0..8u32 {
                 f.send(src, 3, Tag::user(src as u64), Box::new(i), 4);
@@ -1556,13 +1295,7 @@ mod tests {
 
     #[test]
     fn lockfree_timeout_reports_pending_keys() {
-        let f = Fabric::new_with_opts(
-            2,
-            FabricOpts {
-                timeout: Some(std::time::Duration::from_secs(1)),
-                ..opts_for(MailboxSel::Lockfree, Some(1))
-            },
-        );
+        let f = one_second_fabric(2, Some(1));
         f.send(0, 1, Tag::user(5), Box::new(1u8), 1);
         f.send(0, 1, Tag::user(5), Box::new(2u8), 1); // spills
         let e = f.try_recv(1, 0, Tag::user(6)).unwrap_err();
@@ -1576,7 +1309,7 @@ mod tests {
 
     #[test]
     fn lockfree_poison_unblocks_parked_receiver() {
-        let f = Fabric::new_with_opts(2, opts_for(MailboxSel::Lockfree, None));
+        let f = Fabric::new(2);
         let f2 = Arc::clone(&f);
         let h = thread::spawn(move || f2.try_recv(1, 0, Tag::user(0)));
         thread::sleep(std::time::Duration::from_millis(30));
@@ -1587,7 +1320,7 @@ mod tests {
 
     #[test]
     fn lockfree_deposit_before_poison_still_delivers() {
-        let f = Fabric::new_with_opts(2, opts_for(MailboxSel::Lockfree, None));
+        let f = Fabric::new(2);
         f.send(0, 1, Tag::user(2), Box::new(9u32), 4);
         f.poison(0, "fact");
         let v = *f

@@ -61,8 +61,8 @@ pub use comm::Communicator;
 pub use config::ConfigError;
 pub use error::CommError;
 pub use fabric::{
-    active_mailbox_name, recv_timeout, set_comm_timeout, CommStats, Fabric, FabricOpts, MailboxSel,
-    RecoveryCounters, RetryPolicy, Tag,
+    recv_timeout, set_comm_timeout, CommStats, Fabric, FabricOpts, RecoveryCounters, RetryPolicy,
+    Tag,
 };
 pub use grid::{Grid, GridOrder};
 pub use ring::{panel_bcast, BcastAlgo};

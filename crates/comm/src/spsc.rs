@@ -1,12 +1,12 @@
-//! Lock-free fast path for the mailbox: a bounded SPSC ring per
-//! `(sender, receiver)` pair, plus the park/poison protocol that lets a
-//! receiver sleep without losing wakeups.
+//! The fabric's mailbox: a bounded SPSC ring per `(sender, receiver)`
+//! pair, plus the park/poison protocol that lets a receiver sleep without
+//! losing wakeups.
 //!
 //! The rank model makes every `(src, dst)` channel naturally
 //! single-producer/single-consumer — rank `src`'s thread is the only
 //! sender carrying that source id, and rank `dst`'s thread is the only
 //! receiver draining its inbox — so a Lamport ring with one atomic cursor
-//! per side replaces the mutex+condvar+HashMap mailbox on the hot path.
+//! per side carries every message without a shared lock on the hot path.
 //! The blocking edges keep the exact protocol the loom suite verifies
 //! (see `tests/loom_mailbox.rs` and DESIGN.md §13):
 //!
@@ -208,7 +208,7 @@ const SPIN_HINT_ROUNDS: u32 = 16;
 ///
 /// The stash exists because the rings deliver in *send* order while
 /// `recv` matches on `(src, tag)`: a mismatched head entry is moved into
-/// the stash (keyed like the old mutex mailbox's queues) and found there
+/// the stash (keyed by `(src, tag)`) and found there
 /// first by a later receive. Only the consumer touches the stash, so its
 /// mutex is uncontended; the `stashed` counter lets the fast path skip it
 /// entirely.

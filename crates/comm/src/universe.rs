@@ -60,7 +60,7 @@ pub fn env_transport_sel() -> TransportSel {
 }
 
 /// Name of the transport env-constructed universes resolve to — recorded
-/// in run reports next to the kernel and mailbox names.
+/// in run reports next to the kernel name.
 pub fn active_transport_name() -> &'static str {
     env_transport_sel().name()
 }
@@ -83,8 +83,7 @@ impl Universe {
     }
 
     /// Like [`Universe::run`] but with explicit fabric options, so tests can
-    /// pin a mailbox implementation (or ring capacity) per run instead of
-    /// inheriting the process-wide `RHPL_MAILBOX` resolution.
+    /// pin a ring capacity (or timeout) per run.
     pub fn run_with_opts<T, F>(nranks: usize, opts: FabricOpts, f: F) -> Vec<T>
     where
         T: Send,

@@ -1,109 +1,36 @@
-//! Exhaustive model check of the mailbox send/recv/poison protocol — for
-//! **both** mailbox implementations behind `Fabric::try_recv`.
+//! Exhaustive model check of the mailbox send/recv/poison protocol behind
+//! `Fabric::try_recv`.
 //!
-//! The synchronization skeletons mirrored here, with payloads and timeout
-//! polling stripped away:
+//! [`LockfreeModel`] mirrors the synchronization skeleton of the SPSC
+//! mailbox in `crates/comm/src/spsc.rs`, with payloads and timeout polling
+//! stripped away: a bounded ring (atomic head/tail), a `parked` flag
+//! published before a locked re-check, and a park lock that `wake`/`poison`
+//! must take before notifying. The shim serializes execution, so the
+//! `SeqCst` fences of the real code are represented by the shim's
+//! (SeqCst-only) atomics.
 //!
-//! * [`MutexModel`] — the classic mailbox (`Mutex<VecDeque>` + `Condvar`),
-//!   the determinism oracle selected by `RHPL_MAILBOX=mutex`;
-//! * [`LockfreeModel`] — the SPSC fast path of `crates/comm/src/spsc.rs`:
-//!   a bounded ring (atomic head/tail), a `parked` flag published before a
-//!   locked re-check, and a park lock that `wake`/`poison` must take before
-//!   notifying. The shim serializes execution, so the `SeqCst` fences of
-//!   the real code are represented by the shim's (SeqCst-only) atomics.
-//!
-//! Every model is driven through the same four-property contract — the one
-//! PR 7 pinned down for exactly this replacement:
+//! The contract it is checked against:
 //!
 //! 1. a deposited message is always delivered (no lost wakeup);
 //! 2. delivery is FIFO;
 //! 3. poisoning always unblocks a parked receiver;
 //! 4. a message deposited before a death beats the poison check.
 //!
-//! The contract is generated from a single macro invocation per model, and
-//! `both_models_run_the_full_contract` fails if either implementation's
-//! list ever diverges — a model can't silently skip a property.
-//!
-//! Each model also proves the checker *catches* its own lost-wakeup bug
-//! when `poison` skips the lock round-trip: the real implementations may
-//! not "optimize away" that lock (their timeout polling would mask the bug
+//! The model also proves the checker *catches* its own lost-wakeup bug
+//! when `poison` skips the lock round-trip: the real implementation may
+//! not "optimize away" that lock (its timeout polling would mask the bug
 //! at a latency cost instead of failing loudly).
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 
-/// The protocol surface both mailbox models expose to the contract tests.
-trait MailboxModel: Send + Sync + 'static {
-    fn new() -> Arc<Self>;
-    /// Producer side of `Fabric::send`.
-    fn deposit(&self, msg: u32);
-    /// `Fabric::poison`: raise the flag, then touch the park/mailbox lock
-    /// before notifying so a sleeper can't miss the wakeup between its
-    /// check and its wait.
-    fn poison(&self);
-    /// The broken variant: same store and notify but without the lock.
-    fn broken_poison(&self);
-    /// Consumer side of `Fabric::try_recv`'s wait loop.
-    fn recv(&self) -> Result<u32, &'static str>;
-}
-
-/// One rank's inbox plus the job poison flag, as in the mutex mailbox.
-struct MutexModel {
-    queue: Mutex<VecDeque<u32>>,
-    arrived: Condvar,
-    poison: AtomicBool,
-}
-
-impl MailboxModel for MutexModel {
-    fn new() -> Arc<Self> {
-        Arc::new(MutexModel {
-            queue: Mutex::new(VecDeque::new()),
-            arrived: Condvar::new(),
-            poison: AtomicBool::new(false),
-        })
-    }
-
-    fn deposit(&self, msg: u32) {
-        let mut q = self.queue.lock();
-        q.push_back(msg);
-        self.arrived.notify_all();
-    }
-
-    fn poison(&self) {
-        self.poison.store(true, Ordering::SeqCst);
-        let _q = self.queue.lock();
-        self.arrived.notify_all();
-    }
-
-    fn broken_poison(&self) {
-        self.poison.store(true, Ordering::SeqCst);
-        self.arrived.notify_all();
-    }
-
-    /// Queue first (delivered-before-death wins), then the poison flag,
-    /// then park — all atomic under the mailbox lock.
-    fn recv(&self) -> Result<u32, &'static str> {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(m) = q.pop_front() {
-                return Ok(m);
-            }
-            if self.poison.load(Ordering::SeqCst) {
-                return Err("rank failed");
-            }
-            q = self.arrived.wait(q);
-        }
-    }
-}
-
-/// The SPSC fast path: one bounded ring (capacity 2 — enough for every
-/// contract scenario, small enough for exhaustive DFS) and the park
-/// protocol of `LockfreeMailbox`: publish `parked`, re-check under the
-/// park lock, wait.
+/// One rank's inbox plus the job poison flag: one bounded ring (capacity
+/// 2 — enough for every contract scenario, small enough for exhaustive
+/// DFS) and the park protocol of `LockfreeMailbox`: publish `parked`,
+/// re-check under the park lock, wait.
 ///
 /// Only the *control* state is modeled with (decision-point-generating)
 /// shim atomics: `tail`, `parked` and `poison`. Slot payloads and the
@@ -133,6 +60,19 @@ struct LockfreeModel {
 unsafe impl Sync for LockfreeModel {}
 
 impl LockfreeModel {
+    fn new() -> Arc<Self> {
+        Arc::new(LockfreeModel {
+            slots: [std::cell::Cell::new(0), std::cell::Cell::new(0)],
+            head: std::cell::Cell::new(0),
+            ptail: std::cell::Cell::new(0),
+            tail: AtomicUsize::new(0),
+            parked: AtomicBool::new(false),
+            park_lock: Mutex::new(()),
+            arrived: Condvar::new(),
+            poison: AtomicBool::new(false),
+        })
+    }
+
     /// Consumer-only ring pop (head is consumer-private).
     fn try_pop(&self) -> Option<u32> {
         let h = self.head.get();
@@ -146,21 +86,6 @@ impl LockfreeModel {
 
     fn has_arrivals(&self) -> bool {
         self.tail.load(Ordering::SeqCst) != self.head.get()
-    }
-}
-
-impl MailboxModel for LockfreeModel {
-    fn new() -> Arc<Self> {
-        Arc::new(LockfreeModel {
-            slots: [std::cell::Cell::new(0), std::cell::Cell::new(0)],
-            head: std::cell::Cell::new(0),
-            ptail: std::cell::Cell::new(0),
-            tail: AtomicUsize::new(0),
-            parked: AtomicBool::new(false),
-            park_lock: Mutex::new(()),
-            arrived: Condvar::new(),
-            poison: AtomicBool::new(false),
-        })
     }
 
     /// Producer-only ring push, then the wake half of the Dekker pair:
@@ -178,18 +103,22 @@ impl MailboxModel for LockfreeModel {
         }
     }
 
+    /// `Fabric::poison`: raise the flag, then touch the park lock before
+    /// notifying so a sleeper can't miss the wakeup between its check and
+    /// its wait.
     fn poison(&self) {
         self.poison.store(true, Ordering::SeqCst);
         let _g = self.park_lock.lock();
         self.arrived.notify_all();
     }
 
+    /// The broken variant: same store and notify but without the lock.
     fn broken_poison(&self) {
         self.poison.store(true, Ordering::SeqCst);
         self.arrived.notify_all();
     }
 
-    /// `recv_lockfree`: non-blocking take, poison check with one final
+    /// `Fabric::wait_recv`: non-blocking take, poison check with one final
     /// sweep (deposit-before-death precedence without a shared lock), then
     /// the park protocol. The model waits untimed where the real code uses
     /// a timed park, so a lost wakeup is a *deadlock* here instead of a
@@ -223,126 +152,83 @@ impl MailboxModel for LockfreeModel {
     }
 }
 
-/// Generates the shared contract suite for one model. Adding a property
-/// here adds it to *both* implementations; the manifest test below keeps
-/// the lists in lockstep.
-macro_rules! mailbox_contract {
-    ($modname:ident, $model:ty) => {
-        mod $modname {
-            use super::*;
+/// The contract properties, one plain test each over [`LockfreeModel`].
+mod lockfree_mailbox {
+    use super::*;
 
-            /// The properties this module proves, used by the manifest test.
-            pub(crate) const CONTRACT: &[&str] = &[
-                "message_is_delivered_in_every_interleaving",
-                "delivery_is_fifo",
-                "poison_always_unblocks_a_parked_receiver",
-                "message_deposited_before_death_beats_the_poison",
-                "checker_catches_poison_without_the_park_lock",
-            ];
+    #[test]
+    fn message_is_delivered_in_every_interleaving() {
+        loom::model(|| {
+            let m = LockfreeModel::new();
+            let tx = Arc::clone(&m);
+            let sender = thread::spawn(move || tx.deposit(7));
+            assert_eq!(m.recv(), Ok(7));
+            sender.join().expect("sender");
+        });
+    }
 
-            #[test]
-            fn message_is_delivered_in_every_interleaving() {
-                loom::model(|| {
-                    let m = <$model>::new();
-                    let tx = Arc::clone(&m);
-                    let sender = thread::spawn(move || tx.deposit(7));
-                    assert_eq!(m.recv(), Ok(7));
-                    sender.join().expect("sender");
-                });
-            }
+    #[test]
+    fn delivery_is_fifo() {
+        loom::model(|| {
+            let m = LockfreeModel::new();
+            let tx = Arc::clone(&m);
+            let sender = thread::spawn(move || {
+                tx.deposit(1);
+                tx.deposit(2);
+            });
+            assert_eq!(m.recv(), Ok(1));
+            assert_eq!(m.recv(), Ok(2));
+            sender.join().expect("sender");
+        });
+    }
 
-            #[test]
-            fn delivery_is_fifo() {
-                loom::model(|| {
-                    let m = <$model>::new();
-                    let tx = Arc::clone(&m);
-                    let sender = thread::spawn(move || {
-                        tx.deposit(1);
-                        tx.deposit(2);
-                    });
-                    assert_eq!(m.recv(), Ok(1));
-                    assert_eq!(m.recv(), Ok(2));
-                    sender.join().expect("sender");
-                });
-            }
+    #[test]
+    fn poison_always_unblocks_a_parked_receiver() {
+        loom::model(|| {
+            let m = LockfreeModel::new();
+            let killer = Arc::clone(&m);
+            let t = thread::spawn(move || killer.poison());
+            // Empty mailbox: the only way out is the poison flag.
+            // Every interleaving must terminate (a lost wakeup
+            // would deadlock).
+            assert_eq!(m.recv(), Err("rank failed"));
+            t.join().expect("poisoner");
+        });
+    }
 
-            #[test]
-            fn poison_always_unblocks_a_parked_receiver() {
-                loom::model(|| {
-                    let m = <$model>::new();
-                    let killer = Arc::clone(&m);
-                    let t = thread::spawn(move || killer.poison());
-                    // Empty mailbox: the only way out is the poison flag.
-                    // Every interleaving must terminate (a lost wakeup
-                    // would deadlock).
-                    assert_eq!(m.recv(), Err("rank failed"));
-                    t.join().expect("poisoner");
-                });
-            }
+    #[test]
+    fn message_deposited_before_death_beats_the_poison() {
+        loom::model(|| {
+            let m = LockfreeModel::new();
+            let tx = Arc::clone(&m);
+            let t = thread::spawn(move || {
+                tx.deposit(9);
+                tx.poison();
+            });
+            assert_eq!(m.recv(), Ok(9), "queued message wins over the poison");
+            t.join().expect("dying sender");
+        });
+    }
 
-            #[test]
-            fn message_deposited_before_death_beats_the_poison() {
-                loom::model(|| {
-                    let m = <$model>::new();
-                    let tx = Arc::clone(&m);
-                    let t = thread::spawn(move || {
-                        tx.deposit(9);
-                        tx.poison();
-                    });
-                    assert_eq!(m.recv(), Ok(9), "queued message wins over the poison");
-                    t.join().expect("dying sender");
-                });
-            }
-
-            #[test]
-            fn checker_catches_poison_without_the_park_lock() {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    loom::model(|| {
-                        let m = <$model>::new();
-                        let killer = Arc::clone(&m);
-                        let t = thread::spawn(move || killer.broken_poison());
-                        let _ = m.recv();
-                        t.join().expect("poisoner");
-                    });
-                }));
-                let msg = match r {
-                    Ok(()) => panic!("the lock-free poison's lost wakeup went undetected"),
-                    Err(e) => *e.downcast::<String>().expect("panic message"),
-                };
-                assert!(msg.contains("deadlock"), "unexpected diagnosis: {msg}");
-                assert!(
-                    msg.contains("condvar"),
-                    "should blame the parked receiver: {msg}"
-                );
-            }
-        }
-    };
-}
-
-mailbox_contract!(mutex_mailbox, MutexModel);
-mailbox_contract!(lockfree_mailbox, LockfreeModel);
-
-/// The manifest: both implementations must run the exact same contract.
-/// If a property is added to (or removed from) one module's suite without
-/// the other — or a test is renamed away from the shared macro — this
-/// fails before CI can go green on a partial model check.
-#[test]
-fn both_models_run_the_full_contract() {
-    assert_eq!(
-        mutex_mailbox::CONTRACT,
-        lockfree_mailbox::CONTRACT,
-        "mailbox models diverged on the verified contract"
-    );
-    let expected = [
-        "message_is_delivered_in_every_interleaving",
-        "delivery_is_fifo",
-        "poison_always_unblocks_a_parked_receiver",
-        "message_deposited_before_death_beats_the_poison",
-        "checker_catches_poison_without_the_park_lock",
-    ];
-    assert_eq!(
-        mutex_mailbox::CONTRACT,
-        &expected,
-        "a contract property was dropped from the suite"
-    );
+    #[test]
+    fn checker_catches_poison_without_the_park_lock() {
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            loom::model(|| {
+                let m = LockfreeModel::new();
+                let killer = Arc::clone(&m);
+                let t = thread::spawn(move || killer.broken_poison());
+                let _ = m.recv();
+                t.join().expect("poisoner");
+            });
+        }));
+        let msg = match r {
+            Ok(()) => panic!("the lock-free poison's lost wakeup went undetected"),
+            Err(e) => *e.downcast::<String>().expect("panic message"),
+        };
+        assert!(msg.contains("deadlock"), "unexpected diagnosis: {msg}");
+        assert!(
+            msg.contains("condvar"),
+            "should blame the parked receiver: {msg}"
+        );
+    }
 }

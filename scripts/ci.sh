@@ -36,10 +36,6 @@ cargo build --release -p rhpl-cli
 ./target/release/rhpl --sample > target/HPL-mxp.dat
 RHPL_KERNEL=simd ./target/release/rhpl launch target/HPL-mxp.dat --ranks 4 --transport tcp --mxp
 
-echo "== [mailbox-matrix] cargo test -q under each mailbox implementation"
-RHPL_MAILBOX=lockfree cargo test -q
-RHPL_MAILBOX=mutex cargo test -q
-
 echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
@@ -73,7 +69,7 @@ else
   echo "miri: nightly toolchain with miri is not installed; skipping (hosted CI runs it)"
 fi
 
-echo "== [loom] model-check both mailbox implementations' send/recv/poison protocol"
+echo "== [loom] model-check the SPSC mailbox's send/recv/poison protocol"
 cargo test -q -p loom
 cargo test -q -p hpl-comm --test loom_mailbox
 

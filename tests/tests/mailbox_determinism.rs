@@ -1,24 +1,21 @@
-//! The lock-free mailbox is a *fast path*, not a semantic change: for the
-//! same seed and config, a run over the SPSC rings must be **bitwise
-//! identical** to a run over the mutex+condvar oracle — same solution
-//! vector, same span sequence, same `seq_hash`. This is the determinism
-//! half of the `RHPL_MAILBOX` switch: the oracle stays selectable so any
-//! future divergence is attributable in one A/B run.
+//! The SPSC mailbox's spill lane is a capacity escape hatch, not a semantic
+//! change: a run whose rings hold one message each (so nearly every
+//! deposit overflows) must be **bitwise identical** to an uncontended run —
+//! same solution vector, same span sequence, same `seq_hash`.
 //!
-//! Selection goes through `FabricOpts.mailbox` (via `Universe::run_with_opts`)
-//! rather than the env var, so one process can construct both fabrics.
+//! The capacity goes through `FabricOpts::mailbox_cap` (via
+//! `Universe::run_with_opts`), so one process can construct both fabrics.
 
-use hpl_comm::{FabricOpts, MailboxSel, Universe};
+use hpl_comm::{FabricOpts, Universe};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 
-/// One traced run on the given mailbox; returns each rank's trace and the
-/// root rank's solution vector.
-fn traced_run(cfg: &HplConfig, mailbox: MailboxSel, cap: Option<usize>) -> RunOut {
+/// One traced run at the given ring capacity; returns each rank's trace
+/// and the root rank's solution vector.
+fn traced_run(cfg: &HplConfig, cap: Option<usize>) -> RunOut {
     let mut cfg = cfg.clone();
     cfg.trace = hpl_trace::TraceOpts::on();
     let opts = FabricOpts {
-        mailbox,
         mailbox_cap: cap,
         ..FabricOpts::default()
     };
@@ -36,67 +33,20 @@ struct RunOut {
     x: Vec<f64>,
 }
 
-fn base_config() -> HplConfig {
+#[test]
+fn spill_pressure_does_not_change_the_answer() {
     let mut cfg = HplConfig::new(160, 32, 2, 2);
     cfg.schedule = Schedule::SplitUpdate { frac: 0.5 };
     cfg.fact.threads = 2;
     cfg.seed = 77;
-    cfg
-}
-
-#[test]
-fn lockfree_and_mutex_mailboxes_are_bitwise_identical() {
-    let cfg = base_config();
-    let lf = traced_run(&cfg, MailboxSel::Lockfree, None);
-    let mx = traced_run(&cfg, MailboxSel::Mutex, None);
-
-    assert_eq!(
-        lf.x.len(),
-        mx.x.len(),
-        "solution length diverged across mailboxes"
-    );
-    for (i, (a, b)) in lf.x.iter().zip(&mx.x).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "x[{i}] diverged between lockfree and mutex mailboxes"
-        );
-    }
-    assert_eq!(
-        hpl_trace::report::seq_hash(&lf.traces),
-        hpl_trace::report::seq_hash(&mx.traces),
-        "span sequence (seq_hash) diverged between mailboxes"
-    );
-}
-
-#[test]
-fn spill_pressure_does_not_change_the_answer() {
-    // A capacity-1 ring forces nearly every deposit through the spill lane;
-    // the run must still match the uncontended lockfree run bit for bit.
-    let cfg = base_config();
-    let tiny = traced_run(&cfg, MailboxSel::Lockfree, Some(1));
-    let wide = traced_run(&cfg, MailboxSel::Lockfree, None);
+    let tiny = traced_run(&cfg, Some(1));
+    let wide = traced_run(&cfg, None);
+    assert_eq!(tiny.x.len(), wide.x.len());
     for (i, (a, b)) in tiny.x.iter().zip(&wide.x).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "x[{i}] diverged under spill");
     }
     assert_eq!(
         hpl_trace::report::seq_hash(&tiny.traces),
         hpl_trace::report::seq_hash(&wide.traces)
-    );
-}
-
-#[test]
-fn both_mailboxes_survive_the_simple_schedule_too() {
-    let mut cfg = base_config();
-    cfg.schedule = Schedule::Simple;
-    cfg.fact.threads = 1;
-    let lf = traced_run(&cfg, MailboxSel::Lockfree, None);
-    let mx = traced_run(&cfg, MailboxSel::Mutex, None);
-    for (a, b) in lf.x.iter().zip(&mx.x) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-    assert_eq!(
-        hpl_trace::report::seq_hash(&lf.traces),
-        hpl_trace::report::seq_hash(&mx.traces)
     );
 }

@@ -199,7 +199,7 @@ fn matrix() -> Vec<Scenario> {
             name: "stall-timeout",
             dat: 0,
             args: &["--fault", "stall:2500@1:recv:3:sticky"],
-            env: &[("HPL_COMM_TIMEOUT_SECS", "1")],
+            env: &[("RHPL_COMM_TIMEOUT", "1")],
             expect: Expect::Error("HPLERROR kind=comm_timeout src=1 dst=0"),
             require: &[],
             deadline: DEADLINE,
