@@ -53,8 +53,9 @@ fn sci(v: f64) -> String {
 }
 
 /// One result row plus its residual line. An `--mxp` record additionally
-/// gets the HPL-MxP summary block: the f32 factorization rate, the sweep
-/// count, and the mixed-precision score — the second benchmark's classic
+/// gets the HPL-MxP summary block: the rate of the clock up to the first
+/// sweep (generation, f32 factorization, initial solve), the sweep count,
+/// and the mixed-precision score — the second benchmark's classic
 /// output riding under the first's table row.
 pub fn format_record(r: &RunRecord) -> String {
     let mut s = format!(

@@ -58,9 +58,10 @@ impl RunRecord {
 pub struct MxpStats {
     /// Refinement sweeps performed after the initial f32 solve.
     pub sweeps: usize,
-    /// Wall time of the f32 factorization + initial solve (seconds).
+    /// Wall time of generating the system, the f32 factorization and the
+    /// initial solve (seconds): the MxP clock up to its first sweep.
     pub fact_seconds: f64,
-    /// GFLOPS over the f32 factorization alone (HPL flop formula).
+    /// HPL flop count over [`MxpStats::fact_seconds`] (GFLOPS).
     pub fact_gflops: f64,
     /// Scaled residual after each sweep, starting with the pure-f32 solve.
     pub history: Vec<f64>,
@@ -205,8 +206,10 @@ pub fn run_one_element(
 
 /// Runs one configuration as the HPL-MxP benchmark: f32 factorization via
 /// the full distributed pipeline, f64 refinement sweeps to double accuracy,
-/// judged by HPL's residual gate at `f64::EPSILON` (already computed inside
-/// [`hpl_mxp::solve_mxp`] — no separate verify pass needed).
+/// judged by HPL's residual gate at `f64::EPSILON`. The MxP clock
+/// ([`hpl_mxp::MxpOutput::wall`]) holds generation, factorization, initial
+/// solve and every sweep; the last sweep's residual is the verification,
+/// so there is no separate verify pass outside it.
 pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunRecord, HplError> {
     let results = Universe::run(cfg.ranks(), |comm| hpl_mxp::solve_mxp(comm, cfg));
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;

@@ -62,4 +62,4 @@ pub use local::{LocalMatrix, System};
 pub use rng::MatGen;
 pub use solve::back_substitute;
 pub use swap::RowSwapAlgo;
-pub use verify::{verify, verify_system, verify_with, Residuals};
+pub use verify::{residual, verify, verify_system, verify_with, Residuals};

@@ -31,8 +31,8 @@ pub struct LocalMatrix<E: Element = f64> {
 }
 
 /// Where the entries of an `N x (N+1)` augmented system come from. The
-/// pipeline, the verifier and the refinement all regenerate the system, and
-/// each must do so the same way the solve did.
+/// pipeline, the verifier and HPL-MxP all generate the system through it,
+/// and each must do so the same way the solve did.
 #[derive(Clone, Copy)]
 pub enum System<'a> {
     /// HPL's seeded random system ([`MatGen`]), generated by strips.
@@ -162,6 +162,21 @@ impl<E: Element> LocalMatrix<E> {
     }
 }
 
+impl LocalMatrix<f64> {
+    /// This slice with every entry rounded to `E` — bitwise the slice
+    /// [`System::local::<E>`] generates, since generation computes each
+    /// entry in `f64` and rounds it on store the same way.
+    pub fn demoted<E: Element>(&self) -> LocalMatrix<E> {
+        LocalMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            mloc: self.mloc,
+            nloc: self.nloc,
+            data: self.data.iter().map(|&v| E::from_f64(v)).collect(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +214,8 @@ mod tests {
     }
 
     /// The strip generator and the per-entry `fill` path build the same
-    /// slice, in both precisions.
+    /// slice, in both precisions, and demoting the `f64` slice is
+    /// generating in `f32`.
     #[test]
     fn seeded_and_fill_systems_agree_bitwise() {
         let (n, nb, p, q) = (37usize, 5usize, 3usize, 2usize);
@@ -208,14 +224,15 @@ mod tests {
             let gen = MatGen::new(7, n);
             let fill = |i: usize, j: usize| gen.entry(i, j);
             let (seeded, filled) = (System::Seeded(7), System::Fill(&fill));
-            assert_eq!(
-                seeded.local::<f64>(n, nb, &grid).as_slice(),
-                filled.local::<f64>(n, nb, &grid).as_slice()
-            );
-            assert_eq!(
-                seeded.local::<f32>(n, nb, &grid).as_slice(),
-                filled.local::<f32>(n, nb, &grid).as_slice()
-            );
+            let a64 = seeded.local::<f64>(n, nb, &grid);
+            assert_eq!(a64.as_slice(), filled.local::<f64>(n, nb, &grid).as_slice());
+            let a32 = seeded.local::<f32>(n, nb, &grid);
+            assert_eq!(a32.as_slice(), filled.local::<f32>(n, nb, &grid).as_slice());
+            let demoted = a64.demoted::<f32>();
+            assert_eq!((demoted.mloc, demoted.nloc), (a32.mloc, a32.nloc));
+            let bits =
+                |m: &LocalMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&demoted), bits(&a32));
             assert_eq!(seeded.rhs(n), filled.rhs(n));
         });
     }

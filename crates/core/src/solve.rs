@@ -124,45 +124,6 @@ fn assemble_solution<E: WireElem>(
     Ok(bcast_vec(grid.col(), 0, full)?)
 }
 
-/// Reference serial check helper: multiplies the *original* generated
-/// matrix by `x` and returns `A x` (length `n`), computed distributed and
-/// reduced to every rank. Deliberately `f64`-only: verification and the
-/// mixed-precision residual both evaluate `A x` against the full-precision
-/// regenerated system regardless of the factorization element.
-pub fn distributed_matvec(
-    a_orig: &LocalMatrix,
-    grid: &Grid,
-    x: &[f64],
-) -> Result<Vec<f64>, HplError> {
-    let n = a_orig.rows.n;
-    assert_eq!(x.len(), n);
-    let av = a_orig.view();
-    // Partial y over my local columns (excluding the b column).
-    let mut y_local = vec![0.0f64; a_orig.mloc];
-    for lj in 0..a_orig.nloc {
-        let g = a_orig.cols.to_global(lj);
-        if g >= n {
-            continue;
-        }
-        let xv = x[g];
-        if xv != 0.0 {
-            let col = av.col(lj);
-            for (yi, &aij) in y_local.iter_mut().zip(col) {
-                *yi += aij * xv;
-            }
-        }
-    }
-    // Sum across process rows' columns: allreduce over the row comm, then
-    // scatter into global positions and allreduce over the column comm.
-    hpl_comm::allreduce(grid.row(), Op::Sum, &mut y_local)?;
-    let mut y = vec![0.0f64; n];
-    for (li, &v) in y_local.iter().enumerate() {
-        y[a_orig.rows.to_global(li)] = v;
-    }
-    hpl_comm::allreduce(grid.col(), Op::Sum, &mut y)?;
-    Ok(y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,31 +175,6 @@ mod tests {
                         "n={n} p={p} q={q}: {got} vs {want}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_matvec_matches_serial() {
-        let (n, nb, p, q) = (20usize, 4usize, 2usize, 2usize);
-        let outs = Universe::run(p * q, |comm| {
-            let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
-            let a = LocalMatrix::generate(n, nb, &grid, 9);
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-            distributed_matvec(&a, &grid, &x).unwrap()
-        });
-        // Serial reference from the generator.
-        let gen = crate::rng::MatGen::new(9, n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut want = vec![0.0f64; n];
-        for (i, w) in want.iter_mut().enumerate() {
-            for (j, &xj) in x.iter().enumerate() {
-                *w += gen.entry(i, j) * xj;
-            }
-        }
-        for y in outs {
-            for (got, wantv) in y.iter().zip(&want) {
-                assert!((got - wantv).abs() < 1e-10);
             }
         }
     }

@@ -7,10 +7,10 @@
 //! over `f32` via [`rhpl_core::factorize`], takes the `f32`-accurate
 //! initial solution from the distributed back-substitution, and then
 //! recovers `f64::EPSILON`-scaled accuracy with O(n^2) refinement sweeps:
-//! the residual `b - A x` is evaluated in `f64` against a full-precision
-//! regeneration of the system, and each correction is solved in `f32`
-//! against the factors the elimination left resident
-//! ([`rhpl_core::PipelineOut`]).
+//! the residual `b - A x` is evaluated in `f64` against the full-precision
+//! system — generated once, before its demoted copy was factored — and
+//! each correction is solved in `f32` against the factors the elimination
+//! left resident ([`rhpl_core::PipelineOut`]).
 //!
 //! The correction solve is the subtle part. HPL pivoting is
 //! *trailing-only*: at panel `k` the row exchanges touch the panel and the
@@ -24,9 +24,8 @@
 use std::time::Instant;
 
 use hpl_comm::{Communicator, Grid, Op};
-use rhpl_core::solve::distributed_matvec;
 use rhpl_core::{
-    back_substitute, factorize_local, verify_system, HplConfig, HplError, IterTiming, LocalMatrix,
+    back_substitute, factorize_local, residual, HplConfig, HplError, IterTiming, LocalMatrix,
     Residuals, System,
 };
 
@@ -57,17 +56,24 @@ pub struct MxpOutput {
     /// Whether the final residual beat HPL's threshold (16.0) — i.e. the
     /// mixed-precision solve reached double accuracy.
     pub converged: bool,
-    /// The final residual gate, recomputed against a fresh regeneration of
-    /// the system with `f64::EPSILON` scaling.
+    /// The final residual gate at `f64::EPSILON` scaling: the last
+    /// sweep's residual of the returned `x`, evaluated against the `f64`
+    /// system that was generated before the factorization and never
+    /// written (bitwise what [`rhpl_core::verify_system`] computes on a
+    /// fresh regeneration).
     pub residuals: Residuals,
-    /// Wall time of the `f32` factorization + initial solve (seconds).
+    /// Wall time of generating the system (in `f64`, plus its demoted
+    /// `f32` operand), the `f32` factorization and the initial solve
+    /// (seconds).
     pub fact_seconds: f64,
-    /// Total wall time including the refinement sweeps (seconds).
+    /// Total wall time: the [`MxpOutput::fact_seconds`] window plus the
+    /// refinement sweeps, the last of which is the verification (seconds).
     pub wall: f64,
     /// Mixed-precision GFLOPS: the HPL flop count over the *total* time to
     /// a double-accurate solution (what HPL-MxP reports).
     pub gflops: f64,
-    /// GFLOPS of the `f32` factorization + initial solve alone.
+    /// The HPL flop count over [`MxpOutput::fact_seconds`]: generation,
+    /// `f32` factorization and initial solve, without the refinement.
     pub fact_gflops: f64,
     /// Per-iteration timings of the elimination recorded by this rank.
     pub timings: Vec<IterTiming>,
@@ -121,6 +127,11 @@ fn solve_mxp_system(
 }
 
 /// The factor-then-refine pipeline body (tracing owned by the caller).
+///
+/// The system is generated once, in `f64`; the factorization gets a
+/// demoted copy (bitwise what generating in `f32` gives) and destroys it,
+/// while the `f64` slice is never written again and serves `||A||_inf`,
+/// every sweep's residual and the final verification.
 fn refine_pipeline(
     grid: &Grid,
     cfg: &HplConfig,
@@ -129,50 +140,39 @@ fn refine_pipeline(
 ) -> Result<MxpOutput, HplError> {
     let n = cfg.n;
     let t0 = Instant::now();
-    let out = factorize_local(grid, cfg, system.local::<f32>(n, cfg.nb, grid))?;
+    let a64: LocalMatrix<f64> = system.local(n, cfg.nb, grid);
+    let out = factorize_local(grid, cfg, a64.demoted::<f32>())?;
     let x0 = back_substitute(&out.a, grid, cfg.nb)?;
     let fact_seconds = t0.elapsed().as_secs_f64();
 
-    // The factorization destroyed its demoted copy of the system in place;
-    // residuals are evaluated against a full-precision regeneration.
-    let a64: LocalMatrix<f64> = system.local(n, cfg.nb, grid);
     let b = system.rhs(n);
-    let b_inf = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let a_inf = inf_norm(&a64, grid)?;
-
     let mut x: Vec<f64> = x0.iter().map(|&v| f64::from(v)).collect();
+    let mut d = vec![0.0f32; n];
     let mut history = Vec::new();
-    let mut converged = false;
-    for sweep in 0..=params.max_sweeps {
-        let ax = distributed_matvec(&a64, grid, &x)?;
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let err_inf = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let x_inf = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let scaled = err_inf / (f64::EPSILON * (a_inf * x_inf + b_inf) * n as f64);
-        history.push(scaled);
-        if scaled < Residuals::THRESHOLD {
-            converged = true;
-            break;
+    // Each sweep's residual is HPL's check of the current `x`; the sweep
+    // that stops the loop is therefore the verification of the answer.
+    let residuals = loop {
+        let (r, res) = residual(grid, &a64, &b, &x, f64::EPSILON)?;
+        history.push(res.scaled);
+        if res.passed() || history.len() > params.max_sweeps {
+            break res;
         }
-        if sweep == params.max_sweeps {
-            break;
+        // Correction solve on the resident f32 factors; x += d in f64.
+        for (di, &ri) in d.iter_mut().zip(&r) {
+            *di = ri as f32;
         }
-        // Correction solve on the resident f32 factors; x += delta in f64.
-        let mut d: Vec<f32> = r.iter().map(|&v| v as f32).collect();
         replay_solve(&out.a, &out.pivot_log, grid, cfg.nb, &mut d)?;
         for (xi, &di) in x.iter_mut().zip(&d) {
             *xi += f64::from(di);
         }
-    }
-
-    let residuals = verify_system(grid, n, cfg.nb, system, &x, f64::EPSILON)?;
+    };
     let wall = t0.elapsed().as_secs_f64();
     Ok(MxpOutput {
         x_hash: hpl_trace::report::x_hash(&x, &out.pivot_log),
         x,
-        sweeps: history.len().saturating_sub(1),
+        sweeps: history.len() - 1,
         history,
-        converged,
+        converged: residuals.passed(),
         residuals,
         fact_seconds,
         wall,
@@ -184,26 +184,6 @@ fn refine_pipeline(
         element: "f32",
         retries: 0,
     })
-}
-
-/// `||A||_inf` of the distributed original system (excluding the appended
-/// `b` column), replicated on every rank.
-fn inf_norm(a: &LocalMatrix<f64>, grid: &Grid) -> Result<f64, HplError> {
-    let n = a.rows.n;
-    let av = a.view();
-    let mut row_sums = vec![0.0f64; a.mloc];
-    for lj in 0..a.nloc {
-        if a.cols.to_global(lj) >= n {
-            continue;
-        }
-        for (s, &v) in row_sums.iter_mut().zip(av.col(lj)) {
-            *s += v.abs();
-        }
-    }
-    hpl_comm::allreduce(grid.row(), Op::Sum, &mut row_sums)?;
-    let mut m = [row_sums.into_iter().fold(0.0f64, f64::max)];
-    hpl_comm::allreduce(grid.col(), Op::Max, &mut m)?;
-    Ok(m[0])
 }
 
 /// Solves `L U d = P r` against the resident `f32` factors of
@@ -219,7 +199,11 @@ fn inf_norm(a: &LocalMatrix<f64>, grid: &Grid) -> Result<f64, HplError> {
 /// exchanges to replay.
 ///
 /// All arithmetic runs in `f32` (this is the preconditioner application of
-/// the refinement scheme). Replication uses disjoint-support sum
+/// the refinement scheme). The off-diagonal updates accumulate each
+/// block's columns into this rank's local rows with
+/// [`hpl_blas::axpy_add`] — mul-then-add, columns in order, so every
+/// entry is the same sum a scalar loop forms — and scatter the sums to
+/// global rows once per block. Replication uses disjoint-support sum
 /// allreduces — every entry has exactly one rank contributing a nonzero,
 /// so the reduction is order-exact and the result bitwise identical on
 /// every rank and transport.
@@ -235,6 +219,11 @@ pub fn replay_solve(
     assert_eq!(pivot_log.len(), n, "pivot log must cover every column");
     let av = a.view();
     let nblocks = n.div_ceil(nb);
+    // Workspaces shared by every block: the solved diagonal block, the
+    // local-row accumulator and the global-row scatter of the update.
+    let mut blk = vec![0.0f32; nb.min(n)];
+    let mut acc = vec![0.0f32; a.mloc];
+    let mut delta = vec![0.0f32; n];
 
     // Forward: d = L^{-1} P r, replaying exchanges panel by panel.
     for kblk in 0..nblocks {
@@ -246,7 +235,8 @@ pub fn replay_solve(
         let prow = a.rows.owner(k0);
         let pcol = a.cols.owner(k0);
         // Unit-lower solve of the jb x jb diagonal block at its owner.
-        let mut y = vec![0.0f32; jb];
+        let y = &mut blk[..jb];
+        y.fill(0.0);
         if grid.myrow() == prow && grid.mycol() == pcol {
             let li = a.rows.to_local(k0);
             let lj = a.cols.to_local(k0);
@@ -258,26 +248,29 @@ pub fn replay_solve(
                 y[i] = s;
             }
         }
-        hpl_comm::allreduce(grid.world(), Op::Sum, &mut y)?;
-        r[k0..k0 + jb].copy_from_slice(&y);
+        hpl_comm::allreduce(grid.world(), Op::Sum, y)?;
+        r[k0..k0 + jb].copy_from_slice(y);
         // Trailing entries: r[base..] -= L21 * y; column pcol owns L21.
         let base = k0 + jb;
         if base < n {
-            let mut delta = vec![0.0f32; n - base];
+            let delta = &mut delta[..n - base];
+            delta.fill(0.0);
             if grid.mycol() == pcol {
                 let lj = a.cols.to_local(k0);
                 let lb = a.rows.local_lower_bound(base);
+                let acc = &mut acc[lb..];
+                acc.fill(0.0);
                 for (j, &yj) in y.iter().enumerate() {
                     if yj != 0.0 {
-                        let col = av.col(lj + j);
-                        for li in lb..a.mloc {
-                            delta[a.rows.to_global(li) - base] += col[li] * yj;
-                        }
+                        hpl_blas::axpy_add(yj, &av.col(lj + j)[lb..], acc);
                     }
                 }
+                for (li, &v) in (lb..).zip(acc.iter()) {
+                    delta[a.rows.to_global(li) - base] = v;
+                }
             }
-            hpl_comm::allreduce(grid.world(), Op::Sum, &mut delta)?;
-            for (ri, &di) in r[base..].iter_mut().zip(&delta) {
+            hpl_comm::allreduce(grid.world(), Op::Sum, delta)?;
+            for (ri, &di) in r[base..].iter_mut().zip(delta.iter()) {
                 *ri -= di;
             }
         }
@@ -290,7 +283,8 @@ pub fn replay_solve(
         let prow = a.rows.owner(k0);
         let pcol = a.cols.owner(k0);
         // Upper (non-unit) solve of the diagonal block at its owner.
-        let mut xk = vec![0.0f32; jb];
+        let xk = &mut blk[..jb];
+        xk.fill(0.0);
         if grid.myrow() == prow && grid.mycol() == pcol {
             let li = a.rows.to_local(k0);
             let lj = a.cols.to_local(k0);
@@ -302,25 +296,28 @@ pub fn replay_solve(
                 xk[i] = s / av.col(lj + i)[li + i];
             }
         }
-        hpl_comm::allreduce(grid.world(), Op::Sum, &mut xk)?;
-        r[k0..k0 + jb].copy_from_slice(&xk);
+        hpl_comm::allreduce(grid.world(), Op::Sum, xk)?;
+        r[k0..k0 + jb].copy_from_slice(xk);
         // Entries above the block: r[..k0] -= U01 * xk.
         if k0 > 0 {
-            let mut delta = vec![0.0f32; k0];
+            let delta = &mut delta[..k0];
+            delta.fill(0.0);
             if grid.mycol() == pcol {
                 let lj = a.cols.to_local(k0);
                 let above = a.rows.local_lower_bound(k0);
+                let acc = &mut acc[..above];
+                acc.fill(0.0);
                 for (j, &xj) in xk.iter().enumerate() {
                     if xj != 0.0 {
-                        let col = av.col(lj + j);
-                        for li in 0..above {
-                            delta[a.rows.to_global(li)] += col[li] * xj;
-                        }
+                        hpl_blas::axpy_add(xj, &av.col(lj + j)[..above], acc);
                     }
                 }
+                for (li, &v) in acc.iter().enumerate() {
+                    delta[a.rows.to_global(li)] = v;
+                }
             }
-            hpl_comm::allreduce(grid.world(), Op::Sum, &mut delta)?;
-            for (ri, &di) in r[..k0].iter_mut().zip(&delta) {
+            hpl_comm::allreduce(grid.world(), Op::Sum, delta)?;
+            for (ri, &di) in r[..k0].iter_mut().zip(delta.iter()) {
                 *ri -= di;
             }
         }
@@ -332,7 +329,7 @@ pub fn replay_solve(
 mod tests {
     use super::*;
     use hpl_comm::Universe;
-    use rhpl_core::{factorize, MatGen, Schedule};
+    use rhpl_core::{factorize, verify_system, MatGen, Schedule};
 
     #[test]
     fn mxp_recovers_double_accuracy() {
@@ -375,6 +372,46 @@ mod tests {
             match &base {
                 None => base = Some(outs[0].x.clone()),
                 Some(want) => assert_eq!(&outs[0].x, want, "schedule {schedule:?} diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn final_sweep_is_verify_system_bit_for_bit() {
+        // The last sweep's residual stands in for a verification pass: it
+        // must be the number verify_system computes from a fresh
+        // regeneration, in all five fields — for the seeded system, a
+        // caller-supplied one, and a run stopped before it converged.
+        let bits =
+            |r: &Residuals| [r.err_inf, r.a_inf, r.x_inf, r.b_inf, r.scaled].map(f64::to_bits);
+        let gen = MatGen::new(5, 100);
+        let fill = |i: usize, j: usize| gen.entry(i, j);
+        let no_sweeps = MxpParams { max_sweeps: 0 };
+        for (p, q) in [(1, 1), (2, 1), (1, 2), (2, 3)] {
+            let cfg = HplConfig::new(100, 16, p, q);
+            for (system, params) in [
+                (System::Seeded(cfg.seed), MxpParams::default()),
+                (System::Fill(&fill), MxpParams::default()),
+                (System::Seeded(cfg.seed), no_sweeps),
+            ] {
+                let outs = Universe::run(cfg.ranks(), |comm| {
+                    solve_mxp_system(comm, &cfg, params, system).expect("nonsingular")
+                });
+                let o = &outs[0];
+                assert_eq!(
+                    o.converged,
+                    params.max_sweeps > 0,
+                    "{p}x{q}: {:?}",
+                    o.history
+                );
+                let fresh = Universe::run(cfg.ranks(), |comm| {
+                    let grid = Grid::new(comm, p, q, cfg.order);
+                    verify_system(&grid, cfg.n, cfg.nb, system, &o.x, f64::EPSILON).expect("verify")
+                });
+                for (out, want) in outs.iter().zip(&fresh) {
+                    assert_eq!(bits(&out.residuals), bits(want), "{p}x{q}");
+                    assert_eq!(out.history.last(), Some(&want.scaled));
+                }
             }
         }
     }

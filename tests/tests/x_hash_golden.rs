@@ -19,6 +19,13 @@
 //! `beta*c + alpha*acc` on every tier (`hpl_blas::kernels`). The table was
 //! captured with the AVX2 tile; the last test below reruns it on every
 //! tier narrower than the one `simd` resolves to on this host.
+//!
+//! The `mxp` rows pin HPL-MxP (`hpl_mxp::solve_mxp`) over the same grids,
+//! schedules and input: the refined solution's `x_hash`, the final scaled
+//! residual's bits and the sweep count, captured at commit 0c796d0 —
+//! before the refinement stopped regenerating the system and the
+//! correction solve moved onto `axpy_add`. Both changes reorder no
+//! arithmetic, so neither may move a value.
 
 use hpl_comm::Universe;
 use rhpl_core::config::Schedule;
@@ -71,16 +78,32 @@ struct Golden {
     f64_by_q: [u64; 2],
     /// `[Q = 1, Q = 2]` for the `f32` pipeline.
     f32_by_q: [u64; 2],
+    /// `[Q = 1, Q = 2]` for HPL-MxP. `Q` also enters through the residual
+    /// matvec and `||A||_inf`, whose row sums are reduced across the
+    /// process row.
+    mxp_by_q: [MxpPin; 2],
 }
+
+/// What pins an HPL-MxP answer: `x_hash`, `residuals.scaled.to_bits()`
+/// and `sweeps`.
+type MxpPin = (u64, u64, usize);
 
 const SIMD: Golden = Golden {
     f64_by_q: [0x6264f47b6698ede8, 0xfbe0f432c7fcecbd],
     f32_by_q: [0xe7363f9d12558c90, 0x2264224f6c0d956d],
+    mxp_by_q: [
+        (0x06257c967b48753a, 0x401dc6454a0e61e4, 1),
+        (0x89e23ac700d73b87, 0x401bcaed8b899c6f, 1),
+    ],
 };
 
 const SCALAR: Golden = Golden {
     f64_by_q: [0x9a33081d56a5dc38, 0xb913d8927baf2e84],
     f32_by_q: [0xcd5b292c782777e7, 0xf7db3372339b5023],
+    mxp_by_q: [
+        (0x12021b15e7811efe, 0x3f52c6f96e5dbdbe, 2),
+        (0xeb752fb3b121bc6a, 0x3f578f1c5468e48a, 2),
+    ],
 };
 
 fn golden() -> Option<&'static Golden> {
@@ -111,6 +134,35 @@ fn check(f32_pipeline: bool) {
     }
 }
 
+fn mxp_pin_of(p: usize, q: usize, schedule: Schedule) -> MxpPin {
+    let mut cfg = HplConfig::new(N, NB, p, q);
+    cfg.schedule = schedule;
+    cfg.seed = 2023;
+    let pins = Universe::run(cfg.ranks(), |comm| {
+        let o = hpl_mxp::solve_mxp(comm, &cfg).expect("nonsingular");
+        (o.x_hash, o.residuals.scaled.to_bits(), o.sweeps)
+    });
+    assert!(
+        pins.iter().all(|&pin| pin == pins[0]),
+        "the MxP answer must be replicated: {pins:x?}"
+    );
+    pins[0]
+}
+
+fn check_mxp() {
+    let Some(g) = golden() else { return };
+    for (p, q) in GRIDS {
+        for (name, schedule) in SCHEDULES {
+            let got = mxp_pin_of(p, q, schedule);
+            let want = g.mxp_by_q[q - 1];
+            assert_eq!(
+                got, want,
+                "{p}x{q} {name} mxp: (x_hash, scaled bits, sweeps)"
+            );
+        }
+    }
+}
+
 #[test]
 fn f64_answers_match_the_parent_commit_bit_for_bit() {
     check(false);
@@ -119,6 +171,11 @@ fn f64_answers_match_the_parent_commit_bit_for_bit() {
 #[test]
 fn f32_answers_match_the_parent_commit_bit_for_bit() {
     check(true);
+}
+
+#[test]
+fn mxp_answers_match_the_parent_commit_bit_for_bit() {
+    check_mxp();
 }
 
 /// The kernel freezes per process, so a narrower tier needs a process of
@@ -142,6 +199,7 @@ fn narrower_tier_child() {
         eprintln!("x_hash goldens under {}", kern.describe());
         check(false);
         check(true);
+        check_mxp();
     }
 }
 
