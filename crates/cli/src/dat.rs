@@ -141,6 +141,20 @@ impl<'a> Lines<'a> {
         }
         self.values(count, what)
     }
+
+    /// Rejects, at the line just read, the first of `vals` that is `bad`;
+    /// `rule` says what a good one is.
+    fn reject_if(
+        &self,
+        vals: &[usize],
+        bad: impl Fn(usize) -> bool,
+        rule: &str,
+    ) -> Result<(), ParseError> {
+        match vals.iter().find(|&&v| bad(v)) {
+            Some(v) => Err(self.err(format!("{rule}, got {v}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 fn fact_variant(code: u32, line: usize) -> Result<FactVariant, ParseError> {
@@ -181,7 +195,9 @@ pub fn parse(text: &str) -> Result<JobSpec, ParseError> {
     l.next_line()?;
     l.next_line()?;
     let ns: Vec<usize> = l.counted("problem sizes (Ns)")?;
+    l.reject_if(&ns, |n| n == 0, "N must be positive")?;
     let nbs: Vec<usize> = l.counted("block sizes (NBs)")?;
+    l.reject_if(&nbs, |nb| nb == 0, "NB must be positive")?;
     let pmap: u32 = l.value("PMAP process mapping")?;
     let order = match pmap {
         0 => GridOrder::RowMajor,
@@ -195,8 +211,13 @@ pub fn parse(text: &str) -> Result<JobSpec, ParseError> {
         )));
     }
     let ps: Vec<usize> = l.values(ngrids, "Ps")?;
+    l.reject_if(&ps, |p| p == 0, "P must be positive")?;
     let qs: Vec<usize> = l.values(ngrids, "Qs")?;
+    l.reject_if(&qs, |q| q == 0, "Q must be positive")?;
     let threshold: f64 = l.value("threshold")?;
+    if !threshold.is_finite() {
+        return Err(l.err(format!("threshold must be finite, got {threshold}")));
+    }
     let pfact_line = l.pos + 2;
     let pfacts = l
         .counted::<u32>("panel facts (PFACTs)")?
@@ -204,7 +225,9 @@ pub fn parse(text: &str) -> Result<JobSpec, ParseError> {
         .map(|c| fact_variant(c, pfact_line))
         .collect::<Result<Vec<_>, _>>()?;
     let nbmins: Vec<usize> = l.counted("recursive stopping criteria (NBMINs)")?;
+    l.reject_if(&nbmins, |nbmin| nbmin == 0, "NBMIN must be positive")?;
     let ndivs: Vec<usize> = l.counted("panels in recursion (NDIVs)")?;
+    l.reject_if(&ndivs, |ndiv| ndiv < 2, "NDIV must be at least 2")?;
     let rfact_line = l.pos + 2;
     let rfacts = l
         .counted::<u32>("recursive panel facts (RFACTs)")?
@@ -218,6 +241,7 @@ pub fn parse(text: &str) -> Result<JobSpec, ParseError> {
         .map(|c| bcast_algo(c, bcast_line))
         .collect::<Result<Vec<_>, _>>()?;
     let depths: Vec<usize> = l.counted("lookahead depths (DEPTHs)")?;
+    l.reject_if(&depths, |d| d > 1, "lookahead depth must be 0 or 1")?;
     let swap_code: u32 = l.value("SWAP algorithm")?;
     let swap_threshold: Option<usize> = l.value("swapping threshold").ok();
     let swap = match swap_code {
@@ -230,22 +254,6 @@ pub fn parse(text: &str) -> Result<JobSpec, ParseError> {
     };
     // Remaining classic lines (L1/U forms, equilibration, alignment) are
     // accepted and ignored if present.
-    for (p, &q) in ps.iter().zip(&qs) {
-        if *p == 0 || q == 0 {
-            return Err(ParseError {
-                line: 0,
-                message: format!("grid {p}x{q} is empty"),
-            });
-        }
-    }
-    for &d in &depths {
-        if d > 1 {
-            return Err(ParseError {
-                line: 0,
-                message: format!("lookahead depth {d} unsupported (use 0 or 1)"),
-            });
-        }
-    }
     Ok(JobSpec {
         ns,
         nbs,
@@ -377,6 +385,62 @@ mod tests {
             "0            # of problems sizes (Ns)",
         );
         assert!(parse(&text).is_err());
+    }
+
+    /// Every knob the core would reject is a line-numbered parse error.
+    #[test]
+    fn invalid_knobs_are_typed_rejects() {
+        for (line, value, what) in [
+            (6, "0", "N must be positive"),
+            (8, "0", "NB must be positive"),
+            (11, "0", "P must be positive"),
+            (12, "0", "Q must be positive"),
+            (13, "nan", "threshold must be finite"),
+            (13, "inf", "threshold must be finite"),
+            (17, "0", "NBMIN must be positive"),
+            (19, "1", "NDIV must be at least 2"),
+            (19, "0", "NDIV must be at least 2"),
+            (25, "2", "lookahead depth must be 0 or 1"),
+        ] {
+            let mut lines: Vec<String> = SAMPLE.lines().map(str::to_owned).collect();
+            lines[line - 1] = format!("{value}            edited");
+            let e = parse(&lines.join("\n")).unwrap_err();
+            assert_eq!(e.line, line, "{value}: {e}");
+            assert!(e.message.contains(what), "{value}: {e}");
+        }
+    }
+
+    /// Each token of [`SAMPLE`] replaced by each of a set of hostile values,
+    /// and [`SAMPLE`] cut after every line: the parser either rejects the
+    /// text or yields a sweep whose every configuration the core accepts.
+    /// Nothing panics.
+    #[test]
+    fn hostile_inputs_parse_to_valid_configs_or_errors() {
+        let lines: Vec<&str> = SAMPLE.lines().collect();
+        let mut cases: Vec<String> = (0..lines.len()).map(|k| lines[..k].join("\n")).collect();
+        for (li, line) in lines.iter().enumerate() {
+            let toks: Vec<&str> = line.split_whitespace().collect();
+            for ti in 0..toks.len() {
+                for rep in ["0", "1", "-1", "18446744073709551616", "nan", "abc", ""] {
+                    let mut t = toks.clone();
+                    t[ti] = rep;
+                    let mut l = lines.clone();
+                    let edited = t.join(" ");
+                    l[li] = &edited;
+                    cases.push(l.join("\n"));
+                }
+            }
+        }
+        for text in &cases {
+            let checked = std::panic::catch_unwind(|| {
+                if let Ok(spec) = parse(text) {
+                    for (cfg, _depth) in crate::runner::expand(&spec, 42, 0.5, 1) {
+                        cfg.validate();
+                    }
+                }
+            });
+            assert!(checked.is_ok(), "panicked on:\n{text}");
+        }
     }
 
     #[test]

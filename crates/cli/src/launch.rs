@@ -61,8 +61,8 @@ use hpl_trace::report::{seq_hash, seq_hash_streams, seq_words};
 use rhpl_core::{run_hpl, verify, CkptOpts, HplConfig};
 
 use crate::dat;
+use crate::flags::{any, flag, text, Flags};
 use crate::recover::MAX_ATTEMPTS;
-use crate::runner;
 
 /// Child heartbeat period.
 const HB_PERIOD: Duration = Duration::from_millis(250);
@@ -77,13 +77,6 @@ const RENDEZVOUS_DEADLINE: Duration = Duration::from_secs(60);
 /// before the supervisor kills the stragglers.
 const UNWIND_DEADLINE: Duration = Duration::from_secs(15);
 
-fn arg_value<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
 /// The launch invocation, parsed: supervisor-only knobs plus the argument
 /// list forwarded verbatim to every `_rank` child.
 struct LaunchSpec {
@@ -95,9 +88,14 @@ struct LaunchSpec {
     cfg: HplConfig,
 }
 
-fn parse_launch(args: &[String]) -> Result<LaunchSpec, String> {
-    let ranks: usize = arg_value(args, "--ranks").ok_or("launch needs --ranks N")?;
-    let sel = match arg_value::<String>(args, "--transport") {
+fn parse_launch(
+    args: &[String],
+    ranks: Option<usize>,
+    transport: Option<String>,
+    flags: &Flags,
+) -> Result<LaunchSpec, String> {
+    let ranks = ranks.ok_or("launch needs --ranks N")?;
+    let sel = match transport {
         Some(t) => t
             .parse::<TransportSel>()
             .map_err(|()| format!("--transport must be inproc, shm or tcp (got {t})"))?,
@@ -128,27 +126,25 @@ fn parse_launch(args: &[String]) -> Result<LaunchSpec, String> {
         .unwrap_or_else(|| "HPL.dat".to_string());
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let spec = dat::parse(&text).map_err(|e| e.to_string())?;
-    let split_frac: f64 = arg_value(args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(args, "--seed").unwrap_or(42);
-    let combos = runner::expand(&spec, seed, split_frac, threads);
-    let (cfg, _depth) = combos.into_iter().next().ok_or("empty sweep")?;
+    let (cfg, _depth) = flags
+        .expand(&spec)
+        .into_iter()
+        .next()
+        .ok_or("empty sweep")?;
     if cfg.ranks() != ranks {
         return Err(format!(
             "--ranks {ranks} does not match the {}x{} grid of the input file",
             cfg.p, cfg.q
         ));
     }
-    let ckpt_every: usize = arg_value(args, "--ckpt-every").unwrap_or(0);
-    let ckpt_dir = arg_value::<String>(args, "--ckpt-dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("rhpl-launch-ckpt-{}", std::process::id()))
-        });
+    let ckpt_dir = flags.ckpt_dir.as_ref().map_or_else(
+        || std::env::temp_dir().join(format!("rhpl-launch-ckpt-{}", std::process::id())),
+        PathBuf::from,
+    );
     Ok(LaunchSpec {
         ranks,
         sel,
-        ckpt_every,
+        ckpt_every: flags.ckpt_every,
         ckpt_dir,
         child_args,
         cfg,
@@ -169,9 +165,20 @@ enum Attempt {
     Fatal(String),
 }
 
-/// Runs `rhpl launch ...`: the supervisor entry point.
-pub fn run_launch(args: &[String]) -> ExitCode {
-    let spec = match parse_launch(args) {
+/// Runs `rhpl launch ...`: the supervisor entry point. `flags` are the
+/// shared flags, already checked; the launch-only ones are checked here,
+/// before any rank is spawned.
+pub fn run_launch(args: &[String], flags: &Flags) -> ExitCode {
+    let launch_flags = flag(args, "--ranks", "a whole number of ranks", any)
+        .and_then(|ranks| Ok((ranks, text(args, "--transport")?)));
+    let (ranks, transport) = match launch_flags {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("rhpl: configuration error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let spec = match parse_launch(args, ranks, transport, flags) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rhpl: {e}");
@@ -622,6 +629,7 @@ fn read_rank_env() -> Result<RankEnv, String> {
 /// fault fired on dead hardware that has since been replaced.
 fn build_injector(
     args: &[String],
+    fault_seed: Option<u64>,
     ranks: usize,
     disarm: bool,
 ) -> Result<Option<Arc<Injector>>, String> {
@@ -631,11 +639,11 @@ fn build_injector(
         .filter(|(_, a)| *a == "--fault")
         .filter_map(|(i, _)| args.get(i + 1).cloned())
         .collect();
-    let has_seed = args.iter().any(|a| a == "--fault-seed");
+    let has_seed = fault_seed.is_some();
     if specs.is_empty() && !has_seed {
         return Ok(None);
     }
-    let seed: u64 = arg_value(args, "--fault-seed").unwrap_or(1);
+    let seed = fault_seed.unwrap_or(1);
     if disarm {
         // The spec grammar puts `sticky` only in the trailing flag position.
         specs.retain(|s| s.ends_with(":sticky"));
@@ -652,8 +660,9 @@ fn build_injector(
     Ok(Some(Injector::new(plan, ranks)))
 }
 
-/// Runs `rhpl _rank ...`: one rank of a launched job.
-pub fn run_rank(args: &[String]) -> ExitCode {
+/// Runs `rhpl _rank ...`: one rank of a launched job, under the shared
+/// `flags` its supervisor already checked.
+pub fn run_rank(args: &[String], flags: &Flags) -> ExitCode {
     // Like fault-soak mode: outcomes travel on the control plane, not as
     // panic backtraces.
     std::panic::set_hook(Box::new(|_| {}));
@@ -664,7 +673,7 @@ pub fn run_rank(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let spec = match parse_launch_child(args, &env) {
+    let spec = match parse_launch_child(args, flags, &env) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("rhpl (_rank): {msg}");
@@ -689,7 +698,7 @@ struct ChildSpec {
     mxp: bool,
 }
 
-fn parse_launch_child(args: &[String], env: &RankEnv) -> Result<ChildSpec, String> {
+fn parse_launch_child(args: &[String], flags: &Flags, env: &RankEnv) -> Result<ChildSpec, String> {
     let path = args
         .iter()
         .enumerate()
@@ -698,11 +707,11 @@ fn parse_launch_child(args: &[String], env: &RankEnv) -> Result<ChildSpec, Strin
         .unwrap_or_else(|| "HPL.dat".to_string());
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let spec = dat::parse(&text).map_err(|e| e.to_string())?;
-    let split_frac: f64 = arg_value(args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(args, "--seed").unwrap_or(42);
-    let combos = runner::expand(&spec, seed, split_frac, threads);
-    let (mut cfg, _depth) = combos.into_iter().next().ok_or("empty sweep")?;
+    let (mut cfg, _depth) = flags
+        .expand(&spec)
+        .into_iter()
+        .next()
+        .ok_or("empty sweep")?;
     if cfg.ranks() != env.ranks {
         return Err(format!(
             "grid {}x{} does not match RHPL_LAUNCH_RANKS={}",
@@ -710,7 +719,7 @@ fn parse_launch_child(args: &[String], env: &RankEnv) -> Result<ChildSpec, Strin
         ));
     }
     cfg.trace = hpl_trace::TraceOpts::on();
-    let ckpt_every: usize = arg_value(args, "--ckpt-every").unwrap_or(0);
+    let ckpt_every = flags.ckpt_every;
     if ckpt_every > 0 {
         let dir = env
             .ckpt_dir
@@ -723,7 +732,7 @@ fn parse_launch_child(args: &[String], env: &RankEnv) -> Result<ChildSpec, Strin
             resume: true,
         };
     }
-    let injector = build_injector(args, env.ranks, env.disarm)?;
+    let injector = build_injector(args, flags.fault_seed, env.ranks, env.disarm)?;
     let mxp = args.iter().any(|a| a == "--mxp");
     if mxp && injector.is_some() {
         return Err(

@@ -7,6 +7,7 @@
 //! reproduction.
 //!
 //! * [`dat`] — the `HPL.dat` parser.
+//! * [`flags`] — the command line's valued flags, checked.
 //! * [`runner`] — sweep expansion and execution.
 //! * [`report`] — classic output formatting.
 //! * [`bench`] — the `BENCH_hpl.json` phase-trace emitter (`--trace-json`).
@@ -27,6 +28,7 @@
 pub mod bench;
 pub mod dat;
 pub mod faults;
+pub mod flags;
 pub mod launch;
 pub mod recover;
 pub mod report;

@@ -44,23 +44,21 @@
 
 use std::process::ExitCode;
 
+use rhpl_cli::flags::Flags;
 use rhpl_cli::{bench, dat, faults, launch, recover, report, runner};
-
-fn arg_value<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Fabric knobs are read from the environment deep inside library code;
-    // reject garbage here with the typed message instead of a late panic.
-    if let Err(e) = hpl_comm::config::validate_env() {
-        eprintln!("rhpl: configuration error: {e}");
-        return ExitCode::from(2);
-    }
+    // Fabric knobs are read from the environment deep inside library code,
+    // flag values deep inside the ranks; reject garbage in either here with
+    // the typed message instead of a late panic or a silent default.
+    let flags = match hpl_comm::config::validate_env().and_then(|()| Flags::parse(&args)) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("rhpl: configuration error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if args.iter().any(|a| a == "--sample") {
         print!("{}", dat::SAMPLE);
         return ExitCode::SUCCESS;
@@ -82,13 +80,13 @@ fn main() -> ExitCode {
     }
     // The timeout freezes per fabric at construction, so apply the override
     // before any universe spins up.
-    if let Some(secs) = arg_value::<u64>(&args, "--comm-timeout") {
+    if let Some(secs) = flags.comm_timeout {
         hpl_comm::set_comm_timeout(std::time::Duration::from_secs(secs));
     }
     // The DGEMM kernel freezes at first use, so resolve the flag before any
     // linear algebra runs. Without the flag the RHPL_KERNEL env (or auto
     // detection) decides.
-    if let Some(kernel) = arg_value::<String>(&args, "--kernel") {
+    if let Some(kernel) = &flags.kernel {
         match kernel.parse::<hpl_blas::KernelSel>() {
             Ok(sel) => {
                 hpl_blas::kernels::select(sel);
@@ -101,7 +99,7 @@ fn main() -> ExitCode {
     }
     // Element precision: the flag wins over RHPL_ELEMENT (whose value
     // validate_env vetted above), default f64.
-    let element = match arg_value::<String>(&args, "--element") {
+    let element = match &flags.element {
         Some(elem) => match elem.parse::<hpl_blas::ElementSel>() {
             Ok(sel) => sel,
             Err(()) => {
@@ -117,8 +115,8 @@ fn main() -> ExitCode {
     // the global knob handling above so --comm-timeout and --kernel apply
     // to children too.
     match args.first().map(String::as_str) {
-        Some("launch") => return launch::run_launch(&args[1..]),
-        Some("_rank") => return launch::run_rank(&args[1..]),
+        Some("launch") => return launch::run_launch(&args[1..], &flags),
+        Some("_rank") => return launch::run_rank(&args[1..], &flags),
         _ => {}
     }
     let path = args
@@ -126,12 +124,6 @@ fn main() -> ExitCode {
         .find(|a| !a.starts_with("--") && arg_is_positional(&args, a))
         .cloned()
         .unwrap_or_else(|| "HPL.dat".to_string());
-    let split_frac: f64 = arg_value(&args, "--split-frac").unwrap_or(0.5);
-    let threads: usize = arg_value(&args, "--threads").unwrap_or(1);
-    let seed: u64 = arg_value(&args, "--seed").unwrap_or(42);
-    let trace_json: Option<String> = arg_value(&args, "--trace-json");
-    let ckpt_every: usize = arg_value(&args, "--ckpt-every").unwrap_or(0);
-    let ckpt_dir: Option<String> = arg_value(&args, "--ckpt-dir");
 
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -149,28 +141,27 @@ fn main() -> ExitCode {
         }
     };
 
-    let combos = runner::expand(&spec, seed, split_frac, threads);
+    let combos = flags.expand(&spec);
     let fault_specs: Vec<String> = args
         .iter()
         .enumerate()
         .filter(|(_, a)| *a == "--fault")
         .filter_map(|(i, _)| args.get(i + 1).cloned())
         .collect();
-    if !fault_specs.is_empty() || args.iter().any(|a| a == "--fault-seed") {
+    if !fault_specs.is_empty() || flags.fault_seed.is_some() {
         if mxp {
             eprintln!(
                 "rhpl: --mxp does not combine with --fault (fault soak runs the f64 pipeline)"
             );
             return ExitCode::FAILURE;
         }
-        let fault_seed: u64 = arg_value(&args, "--fault-seed").unwrap_or(1);
         return run_faulted(
             &combos,
-            fault_seed,
+            flags.fault_seed.unwrap_or(1),
             &fault_specs,
             spec.threshold,
-            ckpt_every,
-            ckpt_dir.as_deref(),
+            flags.ckpt_every,
+            flags.ckpt_dir.as_deref(),
         );
     }
     let max_ranks = combos.iter().map(|(c, _)| c.ranks()).max().unwrap_or(1);
@@ -180,14 +171,14 @@ fn main() -> ExitCode {
     let total = combos.len();
     let mut records = Vec::with_capacity(total);
     for (mut cfg, depth) in combos {
-        if trace_json.is_some() {
+        if flags.trace_json.is_some() {
             cfg.trace = hpl_trace::TraceOpts::on();
         }
-        if ckpt_every > 0 {
+        if flags.ckpt_every > 0 {
             // Disk stores are re-opened (not wiped): a repeated invocation
             // after an interruption resumes from what the previous process
             // deposited. Each combination gets its own subdirectory.
-            let store = match &ckpt_dir {
+            let store = match &flags.ckpt_dir {
                 Some(dir) => {
                     let sub = std::path::Path::new(dir).join(format!(
                         "{}-n{}-nb{}-{}x{}",
@@ -208,7 +199,7 @@ fn main() -> ExitCode {
                 None => hpl_ckpt::CkptStore::mem(cfg.ranks()),
             };
             cfg.ckpt = rhpl_core::CkptOpts {
-                every: ckpt_every,
+                every: flags.ckpt_every,
                 store: Some(store),
                 resume: true,
             };
@@ -232,7 +223,7 @@ fn main() -> ExitCode {
         records.push(rec);
     }
     print!("{}", report::footer(total, failed));
-    if let Some(path) = &trace_json {
+    if let Some(path) = &flags.trace_json {
         if let Err(e) = bench::write_bench_json(&records, path) {
             eprintln!("rhpl: cannot write {path}: {e}");
             return ExitCode::FAILURE;

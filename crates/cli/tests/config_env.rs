@@ -1,9 +1,10 @@
 //! End-to-end checks that garbage in the fabric and kernel environment
 //! knobs (`RHPL_TRANSPORT`, `RHPL_KERNEL`, `RHPL_ELEMENT`,
-//! `RHPL_COMM_TIMEOUT`) is rejected by the `rhpl` binary *up
-//! front* with the typed configuration message and exit code 2 — not deep
-//! inside a universe as a panic. Each case spawns the real binary so the
-//! whole path (env → `validate_env` → stderr → exit code) is exercised.
+//! `RHPL_COMM_TIMEOUT`) and in the valued command-line flags is rejected
+//! by the `rhpl` binary *up front* with the typed configuration message and
+//! exit code 2 — not deep inside a universe as a panic. Each case spawns
+//! the real binary so the whole path (env or flag → check → stderr → exit
+//! code) is exercised.
 
 use std::process::Command;
 
@@ -111,9 +112,68 @@ fn valid_env_values_are_accepted() {
     }
 }
 
+/// Runs `rhpl` with `args` and returns (exit code, stdout, stderr).
+fn run_with_args(args: &[&str]) -> (i32, String, String) {
+    let out = rhpl().args(args).output().expect("spawn rhpl");
+    (
+        out.status.code().expect("no signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A flag value that does not parse, or that the core would reject, is a
+/// configuration error naming the flag and the value (exit 2) — not a
+/// silent default (`--seed -1` once ran seed 42) and not a panic inside a
+/// rank (`--threads 0`, `--split-frac 1.5`). The flags are checked before
+/// the input file is read, so none is needed here.
+#[test]
+fn bad_flag_values_are_typed_config_errors() {
+    for (flag, value) in [
+        ("--seed", "-1"),
+        ("--seed", "forty-two"),
+        ("--threads", "0"),
+        ("--threads", "-2"),
+        ("--split-frac", "1.5"),
+        ("--split-frac", "nan"),
+        ("--ckpt-every", "often"),
+        ("--fault-seed", "x"),
+        ("--comm-timeout", "-5"),
+    ] {
+        let (code, _, stderr) = run_with_args(&[flag, value]);
+        assert_eq!(code, 2, "{flag} {value}: stderr: {stderr}");
+        assert!(stderr.contains("configuration error"), "stderr: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "the flag and its value must be named, stderr: {stderr}"
+        );
+    }
+}
+
+/// The supervisor checks every flag it forwards before it spawns a rank:
+/// a bad value ends `rhpl launch` with exit 2 and no `LAUNCH` or `RANKPID`
+/// line.
+#[test]
+fn launch_rejects_bad_flag_values_before_spawning() {
+    for args in [
+        ["launch", "--ranks", "1", "--threads", "0"],
+        ["launch", "--ranks", "1", "--split-frac", "nan"],
+        ["launch", "--ranks", "1", "--seed", "-1"],
+    ] {
+        let (code, stdout, stderr) = run_with_args(&args);
+        assert_eq!(code, 2, "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains("configuration error"), "stderr: {stderr}");
+        assert!(
+            !stdout.contains("LAUNCH") && !stdout.contains("RANKPID"),
+            "{args:?} spawned ranks: {stdout}"
+        );
+    }
+}
+
 /// `rhpl launch` validates its own arguments with the same discipline:
-/// unknown transports and malformed rank counts are usage errors (exit 1),
-/// not panics — and a bad fabric env still beats them to exit 2.
+/// unknown transports are usage errors (exit 1), a malformed rank count is
+/// a configuration error naming the flag (exit 2), neither is a panic — and
+/// a bad fabric env still beats them to exit 2.
 #[test]
 fn launch_rejects_bad_arguments_cleanly() {
     let out = rhpl()
@@ -124,11 +184,12 @@ fn launch_rejects_bad_arguments_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("telepathy"), "stderr: {stderr}");
 
-    let out = rhpl()
-        .args(["launch", "--ranks", "zero"])
-        .output()
-        .expect("spawn rhpl");
-    assert_eq!(out.status.code(), Some(1));
+    let (code, _, stderr) = run_with_args(&["launch", "--ranks", "zero"]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(
+        stderr.contains("--ranks") && stderr.contains("zero"),
+        "stderr: {stderr}"
+    );
 
     // Env validation still runs first: a launch invocation inherits the
     // same typed config gate as every other mode.

@@ -88,7 +88,7 @@ impl<E: Element> LocalMatrix<E> {
             cols,
             mloc,
             nloc,
-            data: vec![E::ZERO; mloc * nloc],
+            data: fresh_storage(mloc * nloc),
         }
     }
 
@@ -167,15 +167,70 @@ impl LocalMatrix<f64> {
     /// [`System::local::<E>`] generates, since generation computes each
     /// entry in `f64` and rounds it on store the same way.
     pub fn demoted<E: Element>(&self) -> LocalMatrix<E> {
+        let mut data = fresh_storage(self.data.len());
+        for (d, &v) in data.iter_mut().zip(&self.data) {
+            *d = E::from_f64(v);
+        }
         LocalMatrix {
             rows: self.rows,
             cols: self.cols,
             mloc: self.mloc,
             nloc: self.nloc,
-            data: self.data.iter().map(|&v| E::from_f64(v)).collect(),
+            data,
         }
     }
 }
+
+/// Storage for a slice of `len` entries, all zero and none written yet.
+/// `vec![E::ZERO; len]` is a `calloc`, which at slice sizes returns fresh
+/// anonymous pages the kernel has not faulted in; advising them onto
+/// transparent huge pages before the first write lets that write fault
+/// 2 MiB at a time instead of 4 KiB. Every value is the same either way.
+fn fresh_storage<E: Element>(len: usize) -> Vec<E> {
+    let data = vec![E::ZERO; len];
+    advise_huge_pages(&data);
+    data
+}
+
+/// Asks the kernel to back the 2 MiB-aligned interior of `data` with
+/// transparent huge pages (`madvise(MADV_HUGEPAGE)`). Best effort: a
+/// failure, a slice too small to hold an aligned 2 MiB range, or THP set to
+/// `never` leaves the pages as they were. Linux on x86-64 and aarch64
+/// only; elsewhere a no-op.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages<E>(data: &[E]) {
+    use std::ffi::{c_int, c_void};
+    /// Huge-page size and alignment on x86-64 and 4 KiB-page aarch64; a
+    /// multiple of every base page size, so the range is page-aligned.
+    const HUGE: usize = 2 << 20;
+    /// `MADV_HUGEPAGE` from the generic `<asm-generic/mman-common.h>`,
+    /// which both architectures use.
+    const MADV_HUGEPAGE: c_int = 14;
+    // SAFETY: this is the C declaration of `madvise` from `<sys/mman.h>`,
+    // which the C library every Linux target links provides.
+    unsafe extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    let start = data.as_ptr() as usize;
+    let end = start + std::mem::size_of_val(data);
+    let (lo, hi) = (start.next_multiple_of(HUGE), end / HUGE * HUGE);
+    if lo < hi {
+        // SAFETY: `[lo, hi)` is page-aligned and lies inside `data`'s
+        // allocation, which this process owns; `MADV_HUGEPAGE` changes how
+        // the range's pages are backed, never what they hold, so no Rust
+        // reference to them is affected. The result is ignored on purpose.
+        unsafe { madvise(lo as *mut c_void, hi - lo, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages<E>(_data: &[E]) {}
 
 #[cfg(test)]
 mod tests {
@@ -234,6 +289,102 @@ mod tests {
                 |m: &LocalMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&demoted), bits(&a32));
             assert_eq!(seeded.rhs(n), filled.rhs(n));
+        });
+    }
+
+    /// The seeded right-hand side is global column `n`, entry by entry.
+    #[test]
+    fn seeded_rhs_is_column_n() {
+        for n in [0usize, 1, 7, 8, 9, 17, 40] {
+            let gen = MatGen::new(11, n);
+            let b = System::Seeded(11).rhs(n);
+            assert_eq!(b.len(), n);
+            for (i, v) in b.iter().enumerate() {
+                assert_eq!(v.to_bits(), gen.entry(i, n).to_bits(), "n={n} i={i}");
+            }
+        }
+    }
+
+    /// Slices with no storage at all (`mloc == 0` on a process row past the
+    /// last block) and single entries build, generate and demote.
+    #[test]
+    fn tiny_and_empty_slices_build() {
+        let shapes = Universe::run(2, |comm| {
+            let grid = Grid::new(comm, 2, 1, GridOrder::ColumnMajor);
+            let a = LocalMatrix::<f64>::generate(1, 4, &grid, 3);
+            let d = a.demoted::<f32>();
+            assert_eq!(a.as_slice().len(), d.as_slice().len());
+            (a.mloc, a.nloc, d.as_slice().len())
+        });
+        assert_eq!(shapes, vec![(1, 2, 2), (0, 2, 0)]);
+    }
+
+    /// Sums `AnonHugePages` over the mappings of `/proc/self/smaps` that
+    /// overlap `data`, in KiB.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    fn anon_huge_kib<E>(data: &[E]) -> u64 {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let lo = data.as_ptr() as u64;
+        let hi = lo + std::mem::size_of_val(data) as u64;
+        let mut overlaps = false;
+        let mut kib = 0;
+        for line in smaps.lines() {
+            let head = line.split_whitespace().next().unwrap_or("");
+            if let Some((a, b)) = head.split_once('-') {
+                if let (Ok(a), Ok(b)) = (u64::from_str_radix(a, 16), u64::from_str_radix(b, 16)) {
+                    overlaps = a < hi && lo < b;
+                    continue;
+                }
+            }
+            if let Some(v) = line.strip_prefix("AnonHugePages:") {
+                if overlaps {
+                    kib += v
+                        .trim()
+                        .trim_end_matches("kB")
+                        .trim()
+                        .parse::<u64>()
+                        .unwrap();
+                }
+            }
+        }
+        kib
+    }
+
+    /// Where THP is on (`[always]` or `[madvise]`), a slice well past the
+    /// allocator's mmap threshold, and its demoted copy, end up on huge pages.
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn large_slices_sit_on_huge_pages() {
+        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        if !mode.contains("[always]") && !mode.contains("[madvise]") {
+            eprintln!(
+                "skipped: transparent huge pages are off ({:?})",
+                mode.trim()
+            );
+            return;
+        }
+        // N = 2900: the f64 slice is 64 MiB and its f32 copy 32 MiB.
+        let n = 2900;
+        Universe::run(1, |comm| {
+            let grid = Grid::new(comm, 1, 1, GridOrder::ColumnMajor);
+            let a = LocalMatrix::<f64>::generate(n, 64, &grid, 5);
+            let d = a.demoted::<f32>();
+            assert!(std::mem::size_of_val(d.as_slice()) >= 32 << 20);
+            assert!(
+                anon_huge_kib(a.as_slice()) > 0,
+                "f64 slice has no huge pages"
+            );
+            assert!(
+                anon_huge_kib(d.as_slice()) > 0,
+                "f32 slice has no huge pages"
+            );
         });
     }
 

@@ -16,6 +16,25 @@ const LCG_A: u64 = 6364136223846793005;
 /// Increment of the underlying LCG.
 const LCG_C: u64 = 1442695040888963407;
 
+/// Independent LCG states [`MatGen::fill_strip`] advances side by side.
+const LANES: usize = 8;
+
+/// The LCG step composed `k` times, `x -> a^k x + c_k`, as `(a^k, c_k)`.
+const fn compose(k: usize) -> (u64, u64) {
+    let (mut a, mut c) = (1u64, 0u64);
+    let mut i = 0;
+    while i < k {
+        a = a.wrapping_mul(LCG_A);
+        c = LCG_A.wrapping_mul(c).wrapping_add(LCG_C);
+        i += 1;
+    }
+    (a, c)
+}
+
+/// One step of a lane: `LANES` LCG steps, from an entry's state to the
+/// state of the entry `LANES` rows further down the strip.
+const STRIDE: (u64, u64) = compose(LANES);
+
 /// Generator of the entries of one global random matrix.
 ///
 /// Entry `(i, j)` of the `N x (N+1)` augmented HPL matrix is a pure
@@ -79,15 +98,38 @@ impl MatGen {
         Self::uniform(Self::jump(self.seed, self.pos(i, j)))
     }
 
+    /// One LCG step.
+    #[inline]
+    fn step(state: u64) -> u64 {
+        LCG_A.wrapping_mul(state).wrapping_add(LCG_C)
+    }
+
     /// Fills `out` with the strip of column `j` starting at global row
     /// `i0` — `out[k]` is `entry(i0 + k, j)` bit for bit, demoted to `E` —
     /// the way HPL's `pdmatgen` does: one `O(log pos)` jump to the strip's
-    /// first state, then one LCG step per entry.
+    /// first state, then stepping. The steps run in `LANES` independent
+    /// chains: lane `l` holds the state of `out[LANES * c + l]` for chunk
+    /// `c` and advances by the composed map `STRIDE`, so no entry waits on
+    /// the previous entry's multiply; the tail past the last full chunk
+    /// steps one state at a time from where lane 0 stopped.
     pub fn fill_strip<E: Element>(&self, i0: usize, j: usize, out: &mut [E]) {
         let mut state = Self::jump(self.seed, self.pos(i0, j));
-        for v in out {
+        let mut lanes = [0u64; LANES];
+        for lane in &mut lanes {
+            *lane = state;
+            state = Self::step(state);
+        }
+        let mut chunks = out.chunks_exact_mut(LANES);
+        for chunk in &mut chunks {
+            for (v, lane) in chunk.iter_mut().zip(&mut lanes) {
+                *v = E::from_f64(Self::uniform(*lane));
+                *lane = STRIDE.0.wrapping_mul(*lane).wrapping_add(STRIDE.1);
+            }
+        }
+        let mut state = lanes[0];
+        for v in chunks.into_remainder() {
             *v = E::from_f64(Self::uniform(state));
-            state = LCG_A.wrapping_mul(state).wrapping_add(LCG_C);
+            state = Self::step(state);
         }
     }
 
@@ -138,8 +180,12 @@ mod tests {
         let mut s = 12345u64;
         for k in 0..100u64 {
             assert_eq!(MatGen::jump(12345, k), s, "k={k}");
-            s = LCG_A.wrapping_mul(s).wrapping_add(LCG_C);
+            s = MatGen::step(s);
         }
+        assert_eq!(
+            STRIDE.0.wrapping_mul(99).wrapping_add(STRIDE.1),
+            MatGen::jump(99, LANES as u64)
+        );
         // Large jumps compose: jump(jump(x, a), b) == jump(x, a+b).
         let a = 1_000_000_007u64;
         let b = 999_999_937u64;
@@ -175,24 +221,25 @@ mod tests {
         assert_ne!(b, c);
     }
 
+    /// Every strip length from empty through two full lane chunks plus a
+    /// tail, at even and odd first rows: each entry is `entry` bit for bit.
     #[test]
     fn strips_equal_entries_bit_for_bit() {
         let g = MatGen::new(5, 40);
-        for (i0, j, len) in [
-            (0usize, 0usize, 40usize),
-            (7, 3, 33),
-            (39, 40, 1),
-            (12, 9, 0),
-        ] {
-            let mut strip = vec![0.0f64; len];
-            g.fill_strip(i0, j, &mut strip);
-            for (k, &v) in strip.iter().enumerate() {
-                assert_eq!(v.to_bits(), g.entry(i0 + k, j).to_bits(), "({i0}+{k},{j})");
-            }
-            let mut demoted = vec![0.0f32; len];
-            g.fill_strip(i0, j, &mut demoted);
-            for (k, &v) in demoted.iter().enumerate() {
-                assert_eq!(v.to_bits(), (g.entry(i0 + k, j) as f32).to_bits());
+        for (i0, j) in [(0usize, 0usize), (7, 3), (12, 9), (21, 40), (38, 1)] {
+            for len in 0..=2 * LANES + 1 {
+                let mut strip = vec![0.0f64; len];
+                g.fill_strip(i0, j, &mut strip);
+                for (k, &v) in strip.iter().enumerate() {
+                    let want = g.entry(i0 + k, j);
+                    assert_eq!(v.to_bits(), want.to_bits(), "({i0}+{k},{j}) len {len}");
+                }
+                let mut demoted = vec![0.0f32; len];
+                g.fill_strip(i0, j, &mut demoted);
+                for (k, &v) in demoted.iter().enumerate() {
+                    let want = g.entry(i0 + k, j) as f32;
+                    assert_eq!(v.to_bits(), want.to_bits(), "({i0}+{k},{j}) len {len}");
+                }
             }
         }
     }

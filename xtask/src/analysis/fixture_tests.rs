@@ -190,6 +190,28 @@ fn in_place_panel_pack_is_a_hot_path_root() {
     assert!(hits.is_empty(), "panel_negative.rs fired: {hits:?}");
 }
 
+/// The matrix generator is a root: its lane states stay on the stack and it
+/// writes into the slice its caller allocated.
+#[test]
+fn strip_generator_is_a_hot_path_root() {
+    let dir = fixtures_dir().join("hot-path-alloc");
+    let rel = "crates/core/src/fixture.rs";
+    let report = run_one(rel, &read(&dir.join("gen_positive.rs")), FileKind::Library);
+    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
+    for (what, via) in [
+        ("`vec!`", "via fill_strip"),
+        ("`.collect()`", "via fill_local"),
+    ] {
+        assert!(
+            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
+            "{what} {via} must be flagged: {msgs:?}"
+        );
+    }
+    let report = run_one(rel, &read(&dir.join("gen_negative.rs")), FileKind::Library);
+    let hits = unwaived(&report, Some("hot-path-alloc"));
+    assert!(hits.is_empty(), "gen_negative.rs fired: {hits:?}");
+}
+
 /// The level-3 inner layer is rooted function by function, so an
 /// allocation in a microkernel, the writeback, the packer or the TRSM leaf
 /// is flagged whether or not the call chain from `dgemm` still resolves.

@@ -6,8 +6,10 @@
 //! TRSM leaf — one call per register tile, pack block or leaf, so they
 //! stay covered even if a caller's name stops resolving), the row swap's
 //! column-walk kernels (`gather_cols` / `scatter_cols` and the `P = 1`
-//! one-walk `swap_cols`, one call per section) and the in-place panel pack
-//! (`pack_panel_in_place`, which fills a caller-sized broadcast buffer);
+//! one-walk `swap_cols`, one call per section), the in-place panel pack
+//! (`pack_panel_in_place`, which fills a caller-sized broadcast buffer) and
+//! the matrix generator (`fill_local` and its per-strip `fill_strip`, one
+//! call per column block, whose lane states live on the stack);
 //! anything they reach transitively in the compute crates is hot, and any
 //! `Vec::new` / `vec!` / `Box::new` / `format!` / `.collect()` /
 //! `.to_vec()` / `.to_string()` there is a violation. Per-panel setup
@@ -47,6 +49,8 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core", "swap_cols"),
     ("core", "apply_moves"),
     ("core", "pack_panel_in_place"),
+    ("core", "fill_strip"),
+    ("core", "fill_local"),
 ];
 
 /// Crates the traversal stays inside. Comm payload assembly allocates by
