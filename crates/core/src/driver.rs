@@ -417,7 +417,7 @@ impl<E: WireElem> Driver<'_, E> {
 
             let tx = Instant::now();
             let mut buf = Vec::with_capacity(geom.bcast_len());
-            pack_panel_in_place(&mut self.a, &geom, &out.top, &out.ipiv, &mut buf);
+            pack_panel_in_place(&self.a, &geom, &out.top, &out.ipiv, &mut buf);
             t.transfer += tx.elapsed().as_secs_f64();
             Some(buf)
         } else {

@@ -15,6 +15,14 @@
 //! rows of the diagonal block, which live on the "current" process row)
 //! stay local and are updated in place.
 //!
+//! Where `top` lives: on the rank owning the diagonal block it *is* the
+//! panel's leading `jb` rows — row `k` of the block is factored row `k`
+//! once step `k` has run — so installing a pivot row writes one row, not a
+//! separate copy plus the local one. Only the other ranks of the process
+//! column keep `top` in a buffer of its own. With a process column of one
+//! rank the pivot step exchanges nothing: thread 0 swaps rows `k` and the
+//! winner in one walk.
+//!
 //! Multi-threading (paper §III.A, Fig 4): the tall-skinny local panel is cut
 //! into `jb`-row tiles round-robined over `T` pool threads. Each tile is
 //! touched only by its owner between barriers (Parallel Cache Assignment);
@@ -22,7 +30,11 @@
 //! [`hpl_threads::Ctx::reduce_maxloc`], then the process-column collective
 //! executed by thread 0, which is the only thread that talks to the
 //! "network"). Serial execution is the `T = 1` special case of the same
-//! code path.
+//! code path. With the default right-looking variant a column costs three
+//! barriers at `T >= 2`: the argmax reduction, the close of the pivot step
+//! (row `k` is final from there on), and the close of the rank-1 update;
+//! the multiplier scale and the rank-1 update both touch only the thread's
+//! own tiles, so nothing separates them.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -63,7 +75,9 @@ pub struct FactInput<'a> {
 pub struct FactOut<E: Element = f64> {
     /// Replicated factored diagonal block: row `k` holds the final content
     /// of global row `k0 + k` (unit-lower `L1` below the diagonal, `U11`
-    /// on and above it), full panel width.
+    /// on and above it), full panel width. On the diagonal owner it is a
+    /// copy, taken once after the factorization, of the panel's leading
+    /// `jb` rows, which hold the same block bit for bit.
     pub top: Matrix<E>,
     /// Global pivot row chosen at each of the `jb` steps.
     pub ipiv: Vec<usize>,
@@ -220,18 +234,24 @@ impl<E: Element> SharedMat<E> {
         unsafe { MatMut::from_raw_parts(p, r1 - r0, self.cols, self.lda) }
     }
 
-    /// Immutable view of the whole matrix.
+    /// Immutable view of rows `r0..r1` (all columns). Readers claim only
+    /// the rows they read: on the diagonal owner `top` is the panel's
+    /// leading rows, whose unfactored part other threads' tiles hold
+    /// mutably in the same phase.
     ///
     /// # Safety
-    /// No thread may be mutating any region this reader dereferences
-    /// (guaranteed between barriers when readers only touch rows the
-    /// protocol froze).
+    /// No thread may be mutating those rows (guaranteed between barriers
+    /// when readers only touch rows the protocol froze).
     #[track_caller]
-    unsafe fn view(&self) -> MatRef<'_, E> {
-        ledger::claim_shared(self.ptr as usize, 0, self.rows);
+    unsafe fn rows(&self, r0: usize, r1: usize) -> MatRef<'_, E> {
+        debug_assert!(r0 <= r1 && r1 <= self.rows);
+        ledger::claim_shared(self.ptr as usize, r0, r1);
+        // SAFETY: `r0` is in-bounds by the assert, so the offset stays
+        // within the allocation.
+        let p = unsafe { self.ptr.add(r0) };
         // SAFETY: the caller promises no concurrent writer (ledger-checked:
         // a shared claim conflicts with any other thread's mutable claim).
-        unsafe { MatRef::from_raw_parts(self.ptr, self.rows, self.cols, self.lda) }
+        unsafe { MatRef::from_raw_parts(p, r1 - r0, self.cols, self.lda) }
     }
 }
 
@@ -270,6 +290,9 @@ impl<T> RacyCell<T> {
 struct FactState<'a, E: Element> {
     inp: &'a FactInput<'a>,
     a: SharedMat<E>,
+    /// The factored diagonal block: `a`'s leading `jb` rows (same base
+    /// pointer, so the ledger sees both names as one object) on the
+    /// diagonal owner, a buffer of its own elsewhere.
     top: SharedMat<E>,
     ipiv: RacyCell<Vec<usize>>,
     /// Nanoseconds thread 0 spent in the pivot collectives.
@@ -349,14 +372,19 @@ pub fn panel_factor<E: Element>(
             "diagonal owner must hold the full diagonal block"
         );
     }
-    let mut top = Matrix::<E>::zeros(jb, jb);
-    let mut top_view = top.view_mut();
+    // Ranks without the diagonal block keep `top` in a buffer of their own;
+    // the diagonal owner factors it where it lives.
+    let mut own_top = (!inp.is_curr).then(|| Matrix::<E>::zeros(jb, jb));
+    let top = match own_top.as_mut() {
+        Some(t) => SharedMat::new(&mut t.view_mut()),
+        None => SharedMat::new(&mut a.submatrix_mut(0, 0, jb, jb)),
+    };
     let st = FactState {
         inp,
         m: a.rows(),
         jb,
         a: SharedMat::new(a),
-        top: SharedMat::new(&mut top_view),
+        top,
         ipiv: RacyCell::new(vec![0usize; jb]),
         comm_ns: AtomicU64::new(0),
         err: AtomicUsize::new(ERR_NONE),
@@ -367,7 +395,6 @@ pub fn panel_factor<E: Element>(
         rec_factor(&st, ctx, 0, jb);
     });
     let err = st.err.load(Ordering::Relaxed);
-    let _ = top_view;
     if err == ERR_COMM {
         // A pivot collective failed (dead peer, timeout, ...). All pool
         // threads left the region through the normal error path above, so
@@ -383,6 +410,8 @@ pub fn panel_factor<E: Element>(
     if err != ERR_NONE {
         return Err(HplError::Singular { col: err });
     }
+    let top = own_top
+        .unwrap_or_else(|| Matrix::from_vec(jb, jb, a.as_ref().submatrix(0, 0, jb, jb).to_vec()));
     Ok(FactOut {
         top,
         ipiv: st.ipiv.into_inner(),
@@ -420,10 +449,10 @@ fn rec_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: u
                 // Replicated DTRSM on the factored top rows:
                 // top[plo..phi, phi..hi] <- L(plo..phi)^{-1} * same.
                 // SAFETY: exclusive phase (between barriers).
-                let mut t = unsafe { st.top.rows_mut(0, st.jb) };
-                let (l_part, mut rest) = t.submatrix_mut(0, 0, st.jb, hi).split_at_col(phi);
-                let l11 = l_part.as_ref().submatrix(plo, plo, phi - plo, phi - plo);
-                let mut tgt = rest.submatrix_mut(plo, 0, phi - plo, hi - phi);
+                let mut t = unsafe { st.top.rows_mut(plo, phi) };
+                let (l_part, mut rest) = t.submatrix_mut(0, 0, phi - plo, hi).split_at_col(phi);
+                let l11 = l_part.as_ref().submatrix(0, plo, phi - plo, phi - plo);
+                let mut tgt = rest.submatrix_mut(0, 0, phi - plo, hi - phi);
                 dtrsm(
                     Side::Left,
                     hpl_blas::Uplo::Lower,
@@ -436,10 +465,10 @@ fn rec_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: u
             }
             ctx.barrier();
             // Local trailing GEMM on candidate rows, tile-parallel.
-            // SAFETY: `top` is frozen during this parallel phase; each
-            // thread mutates only rows of its own tiles.
-            let topv = unsafe { st.top.view() };
-            let u = topv.submatrix(plo, phi, phi - plo, hi - phi);
+            // SAFETY: rows `plo..phi` of `top` are frozen during this
+            // parallel phase; each thread mutates only rows of its own
+            // tiles, which start at `phi` on the diagonal owner.
+            let u = unsafe { st.top.rows(plo, phi) }.submatrix(0, phi, phi - plo, hi - phi);
             st.for_own_tiles(ctx, st.cand_start(phi), |r0, r1| {
                 // SAFETY: `r0..r1` is a tile this thread owns (Fig 4
                 // round-robin); no other thread touches it this phase.
@@ -465,10 +494,10 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                     if ctx.thread_id() == 0 {
                         // U(lo..k, k) = unit_lower(top[lo..k, lo..k])^{-1} top[lo..k, k].
                         // SAFETY: exclusive phase.
-                        let mut t = unsafe { st.top.rows_mut(0, st.jb) };
-                        let (l_part, mut ck) = t.submatrix_mut(0, 0, st.jb, k + 1).split_at_col(k);
-                        let l11 = l_part.as_ref().submatrix(lo, lo, k - lo, k - lo);
-                        let mut tgt = ck.submatrix_mut(lo, 0, k - lo, 1);
+                        let mut t = unsafe { st.top.rows_mut(lo, k) };
+                        let (l_part, mut ck) = t.submatrix_mut(0, 0, k - lo, k + 1).split_at_col(k);
+                        let l11 = l_part.as_ref().submatrix(0, lo, k - lo, k - lo);
+                        let mut tgt = ck.submatrix_mut(0, 0, k - lo, 1);
                         dtrsm(
                             Side::Left,
                             hpl_blas::Uplo::Lower,
@@ -498,8 +527,9 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
         }
 
         // Scale the multipliers in column k below the pivot.
-        // SAFETY: `top` frozen; each thread touches only its tiles.
-        let pivot = unsafe { st.top.view() }.get(k, k);
+        // SAFETY: row k of `top` is frozen from the pivot step's closing
+        // barrier on; each thread touches only its tiles, below row k.
+        let pivot = unsafe { st.top.rows(k, k + 1) }.get(0, k);
         st.for_own_tiles(ctx, st.below_start(k), |r0, r1| {
             // SAFETY: own tile, parallel phase (disjoint across threads).
             let mut rows = unsafe { st.a.rows_mut(r0, r1) };
@@ -508,13 +538,12 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
 
         match st.inp.opts.variant {
             FactVariant::Right => {
-                // Eager rank-1 trailing update within the sub-panel.
+                // Eager rank-1 trailing update within the sub-panel. No
+                // barrier after the scale: a thread's update reads only the
+                // multipliers of its own tiles, and row k stays frozen.
                 if k + 1 < hi {
-                    ctx.barrier();
-                    // SAFETY: `top` is frozen during this parallel phase
-                    // (row k was installed before the last barrier).
-                    let topv = unsafe { st.top.view() };
-                    let yrow = topv.submatrix(k, k + 1, 1, hi - k - 1);
+                    // SAFETY: as for the pivot read above.
+                    let yrow = unsafe { st.top.rows(k, k + 1) }.submatrix(0, k + 1, 1, hi - k - 1);
                     st.for_own_tiles(ctx, st.below_start(k), |r0, r1| {
                         // SAFETY: own tile, parallel phase.
                         let mut rows = unsafe { st.a.rows_mut(r0, r1) };
@@ -540,7 +569,7 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                 if ctx.thread_id() == 0 && k + 1 < hi && k > lo {
                     // SAFETY: thread-0-exclusive phase — every other thread
                     // is parked at the loop's closing barrier.
-                    let topv = unsafe { st.top.view() };
+                    let topv = unsafe { st.top.rows(lo, k + 1) };
                     // This runs once per panel column: scratch comes from
                     // the arena pool so the steady state stays
                     // allocation-free (hot-path-alloc contract).
@@ -548,15 +577,15 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                         for (jj, c) in contrib.iter_mut().enumerate() {
                             let mut s = E::ZERO;
                             for p in lo..k {
-                                s += topv.get(k, p) * topv.get(p, k + 1 + jj);
+                                s += topv.get(k - lo, p) * topv.get(p - lo, k + 1 + jj);
                             }
                             *c = s;
                         }
                         // SAFETY: same thread-0-exclusive phase as above.
-                        let mut t = unsafe { st.top.rows_mut(0, st.jb) };
+                        let mut t = unsafe { st.top.rows_mut(k, k + 1) };
                         for (jj, &c) in contrib.iter().enumerate() {
-                            let v = t.get(k, k + 1 + jj) - c;
-                            t.set(k, k + 1 + jj, v);
+                            let v = t.get(0, k + 1 + jj) - c;
+                            t.set(0, k + 1 + jj, v);
                         }
                     });
                 }
@@ -570,14 +599,15 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
 /// Lazy column-k update used by the Left and Crout variants:
 /// `a[cand.., k] -= a[cand.., lo..k] * top[lo..k, k]`, tile-parallel.
 fn update_col<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, k: usize) {
-    // SAFETY: `top` frozen during this parallel phase.
-    let topv = unsafe { st.top.view() };
+    // SAFETY: rows `lo..k` of `top` are frozen during this parallel phase;
+    // the candidate tiles start at row k.
+    let topv = unsafe { st.top.rows(lo, k) };
     // Per-column workspaces come from the arena pool (nested regions check
     // out separate buffers), keeping the lazy column update allocation-free
     // in the steady state — this is the innermost FACT loop.
     E::with_scratch(k - lo, |u| {
         for (p, up) in u.iter_mut().enumerate() {
-            *up = topv.get(lo + p, k);
+            *up = topv.get(p, k);
         }
         st.for_own_tiles(ctx, st.cand_start(k), |r0, r1| {
             // SAFETY: own tile, parallel phase.
@@ -595,8 +625,10 @@ fn update_col<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, k: us
 }
 
 /// One pivot selection + swap at column `k`: thread-level argmax reduction,
-/// then the process-column collective on thread 0, then installation of the
-/// winning row. Returns `false` if a zero pivot was found (error flag set).
+/// then, on thread 0, the process-column collective and installation of the
+/// winning row — or, with a process column of one rank, the swap of rows
+/// `k` and the winner in place. Returns `false` if a zero pivot was found
+/// or the collective failed (error flag set).
 fn pivot_step<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, k: usize) -> bool {
     // Thread-level argmax over this thread's tiles.
     let mut best_v = f64::NEG_INFINITY;
@@ -616,93 +648,128 @@ fn pivot_step<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, k: usize) -> boo
     });
     let (lv, li) = ctx.reduce_maxloc(best_v, best_i);
 
+    // Thread 0 alone from here to the barrier below: every other thread has
+    // left its tiles (their claims died at the reduction's barrier).
     if ctx.thread_id() == 0 {
-        // Build this rank's contribution.
-        // SAFETY: exclusive phase (all threads are waiting to re-sync at
-        // the barrier below).
-        let av = unsafe { st.a.view() };
-        let mine = if li != usize::MAX && lv > f64::NEG_INFINITY {
-            // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
-            let mut row = Vec::with_capacity(st.jb);
-            for j in 0..st.jb {
-                row.push(av.get(li, j));
-            }
-            PivotMsg {
-                val: lv,
-                grow: st.global_row(li) as u64,
-                row,
-                currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
-            }
+        if st.inp.col_comm.size() == 1 {
+            swap_in_place(st, k, lv, li);
         } else {
-            PivotMsg {
-                val: f64::NEG_INFINITY,
-                grow: u64::MAX,
-                row: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
-                currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
-            }
-        };
-        let mine = if st.inp.is_curr {
-            // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
-            let mut currow = Vec::with_capacity(st.jb);
-            for j in 0..st.jb {
-                currow.push(av.get(k, j));
-            }
-            PivotMsg { currow, ..mine }
-        } else {
-            mine
-        };
-        let t0 = std::time::Instant::now();
-        let win = allreduce_with(st.inp.col_comm, mine, PivotMsg::combine);
-        st.comm_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let win = match win {
-            Ok(w) => w,
-            Err(e) => {
-                // A peer died or the collective wedged. Record the cause and
-                // raise the shared abort flag; every thread (this one
-                // included) exits the region at the barrier below and
-                // `panel_factor` surfaces the error — no panic crosses the
-                // pool boundary.
-                *st.comm_err.lock().expect("comm error slot poisoned") = Some(e);
-                st.err.store(ERR_COMM, Ordering::Relaxed);
-                ctx.barrier();
-                return false;
-            }
-        };
-        if win.val == 0.0 || !win.val.is_finite() {
-            st.err.store(st.inp.k0 + k, Ordering::Relaxed);
-        } else {
-            let grow = win.grow as usize;
-            // SAFETY: exclusive thread-0 phase.
-            let ipiv = unsafe { st.ipiv.get_mut() };
-            ipiv[k] = grow;
-            // Install the pivot row as factored row k (replicated).
-            // SAFETY: still the thread-0-exclusive phase.
-            let mut t = unsafe { st.top.rows_mut(k, k + 1) };
-            for (j, &v) in win.row.iter().enumerate() {
-                t.set(0, j, v);
-            }
-            // Keep the diagonal owner's local copy consistent.
-            if st.inp.is_curr {
-                // SAFETY: still the thread-0-exclusive phase.
-                let mut arow = unsafe { st.a.rows_mut(k, k + 1) };
-                for (j, &v) in win.row.iter().enumerate() {
-                    arow.set(0, j, v);
-                }
-            }
-            // Move the old top row into the pivot position if we own it.
-            if st.inp.rows.is_mine(grow) {
-                let pli = st.inp.rows.to_local(grow) - st.inp.lb;
-                // SAFETY: still the thread-0-exclusive phase.
-                let mut arow = unsafe { st.a.rows_mut(pli, pli + 1) };
-                for (j, &v) in win.currow.iter().enumerate() {
-                    arow.set(0, j, v);
-                }
-            }
+            pivot_exchange(st, k, lv, li);
         }
     }
     ctx.barrier();
     st.err.load(Ordering::Relaxed) == ERR_NONE
+}
+
+/// The pivot step's data motion when this rank is the whole process column
+/// (so it owns the diagonal block and every candidate): rows `k` and `li`
+/// trade places in one walk, which is what the collective's install would
+/// write — no message, no copy. The zero-pivot test is the collective
+/// path's on the payload that path would have built, so both report the
+/// same [`HplError::Singular`]. Thread 0 only, between barriers.
+fn swap_in_place<E: Element>(st: &FactState<'_, E>, k: usize, lv: f64, li: usize) {
+    debug_assert!(
+        st.inp.is_curr,
+        "a one-rank process column owns the diagonal"
+    );
+    if li == usize::MAX || lv == 0.0 || !lv.is_finite() {
+        st.err.store(st.inp.k0 + k, Ordering::Relaxed);
+        return;
+    }
+    // SAFETY: thread-0-exclusive phase.
+    let ipiv = unsafe { st.ipiv.get_mut() };
+    ipiv[k] = st.global_row(li);
+    if li != k {
+        // Candidates start at row k, so `li > k`.
+        // SAFETY: still the thread-0-exclusive phase.
+        let mut rows = unsafe { st.a.rows_mut(k, li + 1) };
+        for j in 0..st.jb {
+            rows.col_mut(j).swap(0, li - k);
+        }
+    }
+}
+
+/// The pivot step across a process column of several ranks: one combined
+/// collective (the winning candidate row and the diagonal owner's row `k`)
+/// decides the pivot and carries both rows; the winner becomes row `k` of
+/// `top` — on the diagonal owner that is the panel's own row `k` — and the
+/// old row `k` moves to the winner's slot on the rank that owns it.
+/// Thread 0 only, between barriers.
+fn pivot_exchange<E: Element>(st: &FactState<'_, E>, k: usize, lv: f64, li: usize) {
+    // Build this rank's contribution.
+    let mine = if li != usize::MAX && lv > f64::NEG_INFINITY {
+        // SAFETY: thread-0-exclusive phase.
+        let cand = unsafe { st.a.rows(li, li + 1) };
+        // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
+        let mut row = Vec::with_capacity(st.jb);
+        for j in 0..st.jb {
+            row.push(cand.get(0, j));
+        }
+        PivotMsg {
+            val: lv,
+            grow: st.global_row(li) as u64,
+            row,
+            currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
+        }
+    } else {
+        PivotMsg {
+            val: f64::NEG_INFINITY,
+            grow: u64::MAX,
+            row: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
+            currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
+        }
+    };
+    let mine = if st.inp.is_curr {
+        // SAFETY: thread-0-exclusive phase.
+        let cur = unsafe { st.a.rows(k, k + 1) };
+        // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
+        let mut currow = Vec::with_capacity(st.jb);
+        for j in 0..st.jb {
+            currow.push(cur.get(0, j));
+        }
+        PivotMsg { currow, ..mine }
+    } else {
+        mine
+    };
+    let t0 = std::time::Instant::now();
+    let win = allreduce_with(st.inp.col_comm, mine, PivotMsg::combine);
+    st.comm_ns
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let win = match win {
+        Ok(w) => w,
+        Err(e) => {
+            // A peer died or the collective wedged. Record the cause and
+            // raise the shared abort flag; every thread exits the region at
+            // the pivot step's barrier and `panel_factor` surfaces the error
+            // — no panic crosses the pool boundary.
+            *st.comm_err.lock().expect("comm error slot poisoned") = Some(e);
+            st.err.store(ERR_COMM, Ordering::Relaxed);
+            return;
+        }
+    };
+    if win.val == 0.0 || !win.val.is_finite() {
+        st.err.store(st.inp.k0 + k, Ordering::Relaxed);
+        return;
+    }
+    let grow = win.grow as usize;
+    // SAFETY: thread-0-exclusive phase.
+    let ipiv = unsafe { st.ipiv.get_mut() };
+    ipiv[k] = grow;
+    // Install the pivot row as factored row k (replicated).
+    // SAFETY: still the thread-0-exclusive phase.
+    let mut t = unsafe { st.top.rows_mut(k, k + 1) };
+    for (j, &v) in win.row.iter().enumerate() {
+        t.set(0, j, v);
+    }
+    // Move the old top row into the pivot position if we own it.
+    if st.inp.rows.is_mine(grow) {
+        let pli = st.inp.rows.to_local(grow) - st.inp.lb;
+        // SAFETY: still the thread-0-exclusive phase.
+        let mut arow = unsafe { st.a.rows_mut(pli, pli + 1) };
+        for (j, &v) in win.currow.iter().enumerate() {
+            arow.set(0, j, v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -781,7 +848,7 @@ mod tests {
             }
             ctx.barrier();
             // SAFETY: read-only phase, nobody mutates after the barrier.
-            let v = unsafe { shared.view() };
+            let v = unsafe { shared.rows(0, 64) };
             assert_eq!(v.get(tid * 16, 0), tid as f64);
         });
     }

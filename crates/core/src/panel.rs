@@ -4,12 +4,11 @@
 //! In rocHPL the panel columns are copied from the GPU's HBM to host DDR
 //! for factorization and back afterwards. Here both sides are CPU memory,
 //! so the driver factors the panel in place in the local matrix; what is
-//! left of the transfer is [`pack_panel_in_place`] — install the factored
-//! diagonal block and pack the broadcast buffer from the matrix columns —
-//! and the driver times it as the `Transfer` phase so Fig 7's column
-//! exists. The host round trip ([`panel_to_host`], [`host_view`],
-//! [`panel_from_host`], [`pack_panel`]) stays for `benchmark/`'s layer
-//! replay.
+//! left of the transfer is [`pack_panel_in_place`] — pack the broadcast
+//! buffer from the matrix columns — and the driver times it as the
+//! `Transfer` phase so Fig 7's column exists. The host round trip
+//! ([`panel_to_host`], [`host_view`], [`panel_from_host`], [`pack_panel`])
+//! stays for `benchmark/`'s layer replay.
 
 use std::sync::OnceLock;
 
@@ -104,8 +103,8 @@ pub fn panel_to_host<E: Element>(a: &LocalMatrix<E>, g: &PanelGeom) -> Vec<E> {
 
 /// Copies the factored host panel back into the local matrix; on the
 /// diagonal-owning row the first `jb` rows are taken from the replicated
-/// `top` (the factored diagonal block) instead of the possibly stale local
-/// rows.
+/// `top` (the factored diagonal block, which the host panel's leading rows
+/// already equal).
 ///
 /// The driver factors in place and does not call this; it stays for
 /// `benchmark/`'s layer replay (its removal waits for a `benchmark` PR).
@@ -214,14 +213,15 @@ fn pack_into<'s, E: Element>(
     }));
 }
 
-/// The transfer of a panel factored in place in the local matrix: writes
-/// the replicated factored diagonal block `top` over the (partly stale)
-/// diagonal rows on the current row, then fills `buf` with the broadcast
-/// buffer `[top | L2 | ipiv]`, `L2` read straight from the matrix columns.
+/// The transfer of a panel factored in place in the local matrix: fills
+/// `buf` with the broadcast buffer `[top | L2 | ipiv]`, `L2` read straight
+/// from the matrix columns. On the current row the factored diagonal block
+/// is already in place — `panel_factor` factors it where it lives, and
+/// `top` is a copy of it — so only the rows below it are read as `L2`.
 /// `buf` should hold [`PanelGeom::bcast_len`] elements of capacity; the
 /// caller sizes it, so this allocates nothing.
 pub fn pack_panel_in_place<E: Element>(
-    a: &mut LocalMatrix<E>,
+    a: &LocalMatrix<E>,
     g: &PanelGeom,
     top: &Matrix<E>,
     ipiv: &[usize],
@@ -229,17 +229,8 @@ pub fn pack_panel_in_place<E: Element>(
 ) {
     let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
     debug_assert!(g.in_panel_col);
-    let (lb, mp, jb, lj0) = (g.lb, g.mp, g.jb, g.lj0);
-    let skip = if g.in_curr_row {
-        let mut av = a.view_mut();
-        let tv = top.view();
-        for j in 0..jb {
-            av.col_mut(lj0 + j)[lb..lb + jb].copy_from_slice(tv.col(j));
-        }
-        jb
-    } else {
-        0
-    };
+    let (lb, mp, lj0) = (g.lb, g.mp, g.lj0);
+    let skip = if g.in_curr_row { g.jb } else { 0 };
     let av = a.view();
     buf.clear();
     pack_into(top, |j| &av.col(lj0 + j)[lb + skip..lb + mp], ipiv, buf);
@@ -248,8 +239,8 @@ pub fn pack_panel_in_place<E: Element>(
 /// Packs `[top | L2 | ipiv]` into one flat broadcast buffer.
 ///
 /// `host` is the factored host panel (`mp x jb`); on the current row its
-/// leading `jb` rows (the stale diagonal block) are skipped — `top` carries
-/// that data in factored form. The driver uses [`pack_panel_in_place`].
+/// leading `jb` rows (the factored diagonal block) are skipped — `top`
+/// carries them. The driver uses [`pack_panel_in_place`].
 pub fn pack_panel<E: Element>(
     g: &PanelGeom,
     top: &Matrix<E>,

@@ -111,9 +111,25 @@ impl SpinBarrier {
 /// Per-region shared state.
 struct Region {
     barrier: SpinBarrier,
-    /// One `(value, index)` slot per participant for maxloc reductions.
-    slots: Vec<CachePadded<Slot>>,
+    /// Two banks of one `(value, index)` slot per participant; reductions
+    /// alternate between them (see [`Ctx::reduce_maxloc`]).
+    slots: [Vec<CachePadded<Slot>>; 2],
     nthreads: usize,
+}
+
+impl Region {
+    fn new(nthreads: usize) -> Self {
+        let bank = || {
+            (0..nthreads)
+                .map(|_| CachePadded::new(Slot::default()))
+                .collect()
+        };
+        Self {
+            barrier: SpinBarrier::new(nthreads),
+            slots: [bank(), bank()],
+            nthreads,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -125,8 +141,10 @@ struct Slot {
 // SAFETY: each slot's `Cell`s are written only by the owning thread (slot
 // index == thread id) strictly before a barrier, and read by other threads
 // strictly after it; the barrier's Release/Acquire pair orders the plain
-// writes before the reads, so no two threads ever access a slot
-// concurrently. `f64`/`usize` payloads carry no thread affinity.
+// writes before the reads. A bank is written again only two reductions
+// later, after a barrier every reader of its previous use has passed, so
+// no two threads ever access a slot concurrently. `f64`/`usize` payloads
+// carry no thread affinity.
 unsafe impl Sync for Slot {}
 
 /// Handle passed to the region closure: thread identity plus synchronization
@@ -135,6 +153,20 @@ pub struct Ctx<'a> {
     tid: usize,
     region: &'a Region,
     local_sense: core::cell::Cell<bool>,
+    /// Slot bank the next reduction uses. Every participant runs the same
+    /// sequence of reductions, so the per-thread counters agree.
+    bank: core::cell::Cell<usize>,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(tid: usize, region: &'a Region) -> Self {
+        Self {
+            tid,
+            region,
+            local_sense: core::cell::Cell::new(false),
+            bank: core::cell::Cell::new(0),
+        }
+    }
 }
 
 impl Ctx<'_> {
@@ -169,14 +201,18 @@ impl Ctx<'_> {
     ///
     /// Every participant must call this exactly once per reduction; all
     /// receive the same result.
+    ///
+    /// One barrier per reduction: consecutive reductions (of either kind)
+    /// alternate between two slot banks. A thread that writes a bank again
+    /// two reductions later has passed the barrier of the reduction in
+    /// between, which no thread reaches before it has finished reading that
+    /// bank. Like any barrier, the reduction is a ledger release point; it
+    /// is *not* a phase boundary after the read, so code that needs every
+    /// thread past the reduction must add its own [`Ctx::barrier`].
     pub fn reduce_maxloc(&self, value: f64, index: usize) -> (f64, usize) {
-        let slot = &self.region.slots[self.tid];
-        slot.value.set(value);
-        slot.index.set(index);
-        self.barrier();
         let mut best_v = f64::NEG_INFINITY;
         let mut best_i = usize::MAX;
-        for s in &self.region.slots[..self.region.nthreads] {
+        for s in self.publish(value, index) {
             let v = s.value.get();
             let i = s.index.get();
             if v > best_v || (v == best_v && i < best_i) {
@@ -184,22 +220,29 @@ impl Ctx<'_> {
                 best_i = i;
             }
         }
-        // Second barrier so slots can be reused by the next reduction.
-        self.barrier();
         (best_v, best_i)
     }
 
     /// All-reduce sum of one `f64` per participant (deterministic order).
+    /// Same protocol and cost as [`Ctx::reduce_maxloc`]: one barrier, the
+    /// bank shared with it in alternation.
     pub fn reduce_sum(&self, value: f64) -> f64 {
-        let slot = &self.region.slots[self.tid];
-        slot.value.set(value);
-        self.barrier();
         let mut s = 0.0;
-        for sl in &self.region.slots[..self.region.nthreads] {
+        for sl in self.publish(value, 0) {
             s += sl.value.get();
         }
-        self.barrier();
         s
+    }
+
+    /// Writes this thread's slot in the next bank, waits for every
+    /// participant, and returns that bank's slots for reading.
+    fn publish(&self, value: f64, index: usize) -> &[CachePadded<Slot>] {
+        let bank = &self.region.slots[self.bank.get()];
+        self.bank.set(self.bank.get() ^ 1);
+        bank[self.tid].value.set(value);
+        bank[self.tid].index.set(index);
+        self.barrier();
+        &bank[..self.region.nthreads]
     }
 }
 
@@ -297,28 +340,13 @@ impl Pool {
         let nthreads = nthreads.clamp(1, self.size);
         let arm = self.faults.get();
         if nthreads == 1 {
-            let region = Region {
-                barrier: SpinBarrier::new(1),
-                slots: (0..1).map(|_| CachePadded::new(Slot::default())).collect(),
-                nthreads: 1,
-            };
-            let ctx = Ctx {
-                tid: 0,
-                region: &region,
-                local_sense: core::cell::Cell::new(false),
-            };
+            let region = Region::new(1);
             enter_region(arm, 0);
-            f(&ctx);
+            f(&Ctx::new(0, &region));
             crate::ledger::release_current_thread();
             return;
         }
-        let region = Arc::new(Region {
-            barrier: SpinBarrier::new(nthreads),
-            slots: (0..nthreads)
-                .map(|_| CachePadded::new(Slot::default()))
-                .collect(),
-            nthreads,
-        });
+        let region = Arc::new(Region::new(nthreads));
         /// # Safety
         /// `data` must point to a live `F`; `Pool::run` guarantees this by
         /// blocking until every worker's `done` signal arrives.
@@ -349,13 +377,8 @@ impl Pool {
         // region closure), `recv` below reports it instead of hanging.
         drop(done_tx);
         // Participate as thread 0.
-        let ctx = Ctx {
-            tid: 0,
-            region: &region,
-            local_sense: core::cell::Cell::new(false),
-        };
         enter_region(arm, 0);
-        f(&ctx);
+        f(&Ctx::new(0, &region));
         crate::ledger::release_current_thread();
         // Wait for all workers before returning: this keeps the borrow of
         // `f` (captured by raw pointer) alive for the region's duration.
@@ -382,11 +405,7 @@ fn worker_loop(rx: Receiver<Msg>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Run(p) => {
-                let ctx = Ctx {
-                    tid: p.tid,
-                    region: &p.region,
-                    local_sense: core::cell::Cell::new(false),
-                };
+                let ctx = Ctx::new(p.tid, &p.region);
                 enter_region(p.arm.as_ref(), p.tid);
                 // SAFETY: `Pool::run` blocks until we signal `done`, so the
                 // closure behind `job.data` outlives this call.

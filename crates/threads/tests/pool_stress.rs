@@ -91,11 +91,53 @@ fn reductions_release_claims() {
         let (v, i) = ctx.reduce_maxloc(tid as f64, tid);
         assert_eq!((v, i), (3.0, 3));
         // Post-reduction phase: claim the tile to the "left" — only sound
-        // because reduce_maxloc's internal barriers released phase 1.
+        // because reduce_maxloc's barrier released phase 1.
         let left = (tid + 3) % 4;
         ledger::claim_excl(obj, left * 8, left * 8 + 8);
     });
     assert_eq!(ledger::live_claims_on(obj), 0);
+}
+
+/// A reduction is one barrier over two alternating slot banks. Ten thousand
+/// back-to-back reductions of both kinds at T = 4, with the winner rotating
+/// every round and a plain barrier now and then: each round's slots hold
+/// values no other round writes, so a thread that reads a bank a faster
+/// thread has already refilled for a later round gets a wrong answer.
+/// Mismatches are counted, not asserted in the region, so a failure cannot
+/// strand the other threads at a barrier.
+#[test]
+fn back_to_back_reductions_never_read_a_refilled_bank() {
+    const ROUNDS: usize = 10_000;
+    let pool = Pool::new(4);
+    let wrong = AtomicUsize::new(0);
+    pool.run(4, |ctx| {
+        let (n, tid) = (ctx.num_threads(), ctx.thread_id());
+        for r in 0..ROUNDS {
+            let ok = if r % 3 == 2 {
+                let s = ctx.reduce_sum((r * n + tid) as f64);
+                s == (r * n * n + n * (n - 1) / 2) as f64
+            } else {
+                let winner = r % n;
+                let v = if tid == winner {
+                    (ROUNDS + r) as f64
+                } else {
+                    r as f64
+                };
+                ctx.reduce_maxloc(v, r * n + tid) == ((ROUNDS + r) as f64, r * n + winner)
+            };
+            if !ok {
+                wrong.fetch_add(1, Ordering::Relaxed);
+            }
+            if r % 5 == 4 {
+                ctx.barrier();
+            }
+        }
+    });
+    assert_eq!(
+        wrong.load(Ordering::Relaxed),
+        0,
+        "reductions read a reused slot"
+    );
 }
 
 /// The ledger must catch a deliberate ownership violation inside a pool

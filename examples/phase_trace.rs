@@ -51,7 +51,7 @@ fn main() {
                 panel_factor(&inp, &mut panel).expect("nonsingular")
             };
             let mut buf = Vec::with_capacity(g.bcast_len());
-            pack_panel_in_place(&mut a, &g, &out.top, &out.ipiv, &mut buf);
+            pack_panel_in_place(&a, &g, &out.top, &out.ipiv, &mut buf);
             Some(buf)
         } else {
             None

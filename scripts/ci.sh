@@ -39,6 +39,8 @@ RHPL_KERNEL=simd ./target/release/rhpl launch target/HPL-mxp.dat --ranks 4 --tra
 echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
+cargo test -q --release -p hpl-integration-tests --features hpl-threads/race-check \
+  --test failure_injection --test x_hash_golden
 
 echo "== [bench] cargo xtask bench"
 cargo xtask bench

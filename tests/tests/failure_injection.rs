@@ -6,31 +6,27 @@ use hpl_comm::Universe;
 use hpl_threads::Pool;
 use rhpl_core::dist::Axis;
 use rhpl_core::fact::{panel_factor, FactInput};
-use rhpl_core::{FactOpts, HplConfig, HplError};
+use rhpl_core::{FactOpts, HplConfig, HplError, MatGen};
 
-/// A panel with an all-zero column is singular: every rank of the process
-/// column must return the same `Singular { col }` error (no rank may hang
-/// or succeed).
-#[test]
-fn singular_panel_detected_consistently_across_ranks() {
-    let (p, nb, n) = (3usize, 8usize, 48usize);
-    let errs = Universe::run(p, |comm| {
+/// Factors the `n x nb` panel whose global entry `(i, j)` is `f(i, j)` over
+/// a process column of `p` ranks with `threads` FACT threads; returns every
+/// rank's error.
+fn panel_errors(
+    p: usize,
+    threads: usize,
+    n: usize,
+    nb: usize,
+    f: &(dyn Fn(usize, usize) -> f64 + Sync),
+) -> Vec<HplError> {
+    Universe::run(p, |comm| {
         let rows = Axis {
             n,
             nb,
             iproc: comm.rank(),
             nprocs: p,
         };
-        let mloc = rows.local_len();
-        let pool = Pool::new(1);
-        // Column 5 of the panel is zero on every rank.
-        let mut panel = Matrix::from_fn(mloc, nb, |i, j| {
-            if j == 5 {
-                0.0
-            } else {
-                ((i * 31 + j * 17) % 23) as f64 - 11.0
-            }
-        });
+        let pool = Pool::new(threads);
+        let mut panel = Matrix::from_fn(rows.local_len(), nb, |i, j| f(rows.to_global(i), j));
         let inp = FactInput {
             col_comm: &comm,
             rows,
@@ -39,12 +35,29 @@ fn singular_panel_detected_consistently_across_ranks() {
             lb: 0,
             is_curr: comm.rank() == 0,
             pool: &pool,
-            opts: FactOpts::default(),
+            opts: FactOpts {
+                threads,
+                ..FactOpts::default()
+            },
         };
-        let mut v = panel.view_mut();
-        panel_factor(&inp, &mut v).unwrap_err()
-    });
-    for e in &errs {
+        panel_factor(&inp, &mut panel.view_mut()).unwrap_err()
+    })
+}
+
+/// A panel with an all-zero column is singular: every rank of the process
+/// column must return the same `Singular { col }` error (no rank may hang
+/// or succeed).
+#[test]
+fn singular_panel_detected_consistently_across_ranks() {
+    // Column 5 of the panel is zero on every rank.
+    let f = |i: usize, j: usize| {
+        if j == 5 {
+            0.0
+        } else {
+            ((i * 31 + j * 17) % 23) as f64 - 11.0
+        }
+    };
+    for e in &panel_errors(3, 1, 48, 8, &f) {
         assert_eq!(
             *e,
             HplError::Singular { col: 5 },
@@ -57,35 +70,38 @@ fn singular_panel_detected_consistently_across_ranks() {
 /// must cross the barrier protocol cleanly).
 #[test]
 fn singular_panel_with_threads() {
-    let errs = Universe::run(2, |comm| {
-        let nb = 16usize;
-        let n = 64usize;
-        let rows = Axis {
-            n,
-            nb,
-            iproc: comm.rank(),
-            nprocs: 2,
-        };
-        let mloc = rows.local_len();
-        let pool = Pool::new(4);
-        let mut panel = Matrix::from_fn(mloc, nb, |i, j| if j == 0 { 0.0 } else { (i + j) as f64 });
-        let inp = FactInput {
-            col_comm: &comm,
-            rows,
-            k0: 0,
-            jb: nb,
-            lb: 0,
-            is_curr: comm.rank() == 0,
-            pool: &pool,
-            opts: FactOpts {
-                threads: 4,
-                ..FactOpts::default()
-            },
-        };
-        let mut v = panel.view_mut();
-        panel_factor(&inp, &mut v).unwrap_err()
-    });
+    let f = |i: usize, j: usize| if j == 0 { 0.0 } else { (i + j) as f64 };
+    let errs = panel_errors(2, 4, 64, 16, &f);
     assert!(errs.iter().all(|e| *e == HplError::Singular { col: 0 }));
+}
+
+/// A process column of one rank swaps pivot rows in place instead of
+/// running the pivot collective; a singular panel must still end in the
+/// `Singular { col }` the collective path reports, at one FACT thread and
+/// at four, without hanging. A zero column stays zero under elimination
+/// and a NaN column stays NaN (the argmax rejects NaN), so each fails at
+/// its own column.
+#[test]
+fn one_rank_singular_panels_match_the_collective_path() {
+    let (n, nb) = (48usize, 8usize);
+    let gen = MatGen::new(7, n);
+    for (col, poison) in [(0, 0.0), (5, 0.0), (nb - 1, 0.0), (3, f64::NAN)] {
+        let f = |i: usize, j: usize| if j == col { poison } else { gen.entry(i, j) };
+        let want = HplError::Singular { col };
+        let collective = panel_errors(2, 1, n, nb, &f);
+        assert!(
+            collective.iter().all(|e| *e == want),
+            "P=2, column {col} = {poison}: {collective:?}"
+        );
+        for threads in [1, 4] {
+            let got = panel_errors(1, threads, n, nb, &f);
+            assert_eq!(
+                got,
+                std::slice::from_ref(&want),
+                "P=1 T={threads}, column {col} = {poison}"
+            );
+        }
+    }
 }
 
 #[test]

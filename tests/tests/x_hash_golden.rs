@@ -44,10 +44,11 @@ const GRIDS: [(usize, usize); 5] = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)];
 const N: usize = 150;
 const NB: usize = 16;
 
-fn x_hash_of(p: usize, q: usize, schedule: Schedule, f32_pipeline: bool) -> u64 {
+fn x_hash_of(p: usize, q: usize, schedule: Schedule, f32_pipeline: bool, threads: usize) -> u64 {
     let mut cfg = HplConfig::new(N, NB, p, q);
     cfg.schedule = schedule;
     cfg.seed = 2023;
+    cfg.fact.threads = threads;
     let gen = MatGen::new(cfg.seed, cfg.n);
     let fill = |i: usize, j: usize| gen.entry(i, j);
     let hashes = Universe::run(cfg.ranks(), |comm| {
@@ -116,28 +117,35 @@ fn golden() -> Option<&'static Golden> {
 }
 
 fn check(f32_pipeline: bool) {
+    check_grids(f32_pipeline, &GRIDS, 1);
+}
+
+/// Checks the HPL table on `grids` with `threads` FACT threads.
+fn check_grids(f32_pipeline: bool, grids: &[(usize, usize)], threads: usize) {
     let Some(g) = golden() else { return };
     let by_q = if f32_pipeline {
         &g.f32_by_q
     } else {
         &g.f64_by_q
     };
-    for (p, q) in GRIDS {
+    for &(p, q) in grids {
         for (name, schedule) in SCHEDULES {
-            let got = x_hash_of(p, q, schedule, f32_pipeline);
+            let got = x_hash_of(p, q, schedule, f32_pipeline, threads);
             let want = by_q[q - 1];
             assert_eq!(
                 got, want,
-                "{p}x{q} {name} f32={f32_pipeline}: x_hash {got:#018x} != golden {want:#018x}"
+                "{p}x{q} {name} f32={f32_pipeline} T={threads}: x_hash {got:#018x} != golden \
+                 {want:#018x}"
             );
         }
     }
 }
 
-fn mxp_pin_of(p: usize, q: usize, schedule: Schedule) -> MxpPin {
+fn mxp_pin_of(p: usize, q: usize, schedule: Schedule, threads: usize) -> MxpPin {
     let mut cfg = HplConfig::new(N, NB, p, q);
     cfg.schedule = schedule;
     cfg.seed = 2023;
+    cfg.fact.threads = threads;
     let pins = Universe::run(cfg.ranks(), |comm| {
         let o = hpl_mxp::solve_mxp(comm, &cfg).expect("nonsingular");
         (o.x_hash, o.residuals.scaled.to_bits(), o.sweeps)
@@ -150,14 +158,19 @@ fn mxp_pin_of(p: usize, q: usize, schedule: Schedule) -> MxpPin {
 }
 
 fn check_mxp() {
+    check_mxp_grids(&GRIDS, 1);
+}
+
+/// Checks the HPL-MxP table on `grids` with `threads` FACT threads.
+fn check_mxp_grids(grids: &[(usize, usize)], threads: usize) {
     let Some(g) = golden() else { return };
-    for (p, q) in GRIDS {
+    for &(p, q) in grids {
         for (name, schedule) in SCHEDULES {
-            let got = mxp_pin_of(p, q, schedule);
+            let got = mxp_pin_of(p, q, schedule, threads);
             let want = g.mxp_by_q[q - 1];
             assert_eq!(
                 got, want,
-                "{p}x{q} {name} mxp: (x_hash, scaled bits, sweeps)"
+                "{p}x{q} {name} T={threads} mxp: (x_hash, scaled bits, sweeps)"
             );
         }
     }
@@ -176,6 +189,18 @@ fn f32_answers_match_the_parent_commit_bit_for_bit() {
 #[test]
 fn mxp_answers_match_the_parent_commit_bit_for_bit() {
     check_mxp();
+}
+
+/// The tables were captured with one FACT thread. A second thread splits
+/// the panel's tiles and the pivot search between threads but reorders no
+/// arithmetic, so the same constants hold — on a process column of one
+/// rank (the in-place pivot swap) and of two (the pivot collective).
+#[test]
+fn answers_do_not_depend_on_fact_threads() {
+    let grids = [(1, 1), (2, 1)];
+    check_grids(false, &grids, 2);
+    check_grids(true, &grids, 2);
+    check_mxp_grids(&[(1, 1)], 2);
 }
 
 /// The kernel freezes per process, so a narrower tier needs a process of
