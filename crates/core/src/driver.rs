@@ -208,27 +208,6 @@ pub fn run_hpl(comm: Communicator, cfg: &HplConfig) -> Result<HplResult, HplErro
     run_hpl_system::<f64>(comm, cfg, System::Seeded(cfg.seed))
 }
 
-/// Runs the benchmark pipeline as a *solver* for a caller-supplied dense
-/// augmented system: `fill(i, j)` returns global entry `(i, j)` of the
-/// `N x (N+1)` matrix, with column `N` holding the right-hand side. The
-/// returned solution solves `A x = b` to HPL accuracy. Collective.
-pub fn run_hpl_with(
-    comm: Communicator,
-    cfg: &HplConfig,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-) -> Result<HplResult, HplError> {
-    run_hpl_system::<f64>(comm, cfg, System::Fill(fill))
-}
-
-/// [`run_hpl_with`] monomorphized over the pipeline [`Element`].
-pub fn run_hpl_with_element<E: WireElem>(
-    comm: Communicator,
-    cfg: &HplConfig,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-) -> Result<HplResult, HplError> {
-    run_hpl_system::<E>(comm, cfg, System::Fill(fill))
-}
-
 /// The benchmark on `system`, monomorphized over the pipeline [`Element`]:
 /// the whole elimination — panel factorization, LBCAST, row swaps, split
 /// update and the distributed back-substitution — runs in `E`, and the
@@ -297,11 +276,7 @@ pub fn factorize<E: WireElem>(
     cfg: &HplConfig,
     fill: &(dyn Fn(usize, usize) -> f64 + Sync),
 ) -> Result<PipelineOut<E>, HplError> {
-    factorize_local(
-        grid,
-        cfg,
-        LocalMatrix::generate_with(cfg.n, cfg.nb, grid, fill),
-    )
+    factorize_local(grid, cfg, System::Fill(fill).local(cfg.n, cfg.nb, grid))
 }
 
 /// Runs the distributed elimination (everything up to but excluding the

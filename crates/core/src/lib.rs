@@ -53,8 +53,8 @@ pub mod verify;
 
 pub use config::{CkptOpts, FactOpts, FactVariant, HplConfig, Schedule};
 pub use driver::{
-    factorize, factorize_local, run_hpl, run_hpl_system, run_hpl_with, run_hpl_with_element,
-    HplResult, IterTiming, PipelineOut, ProgressSample,
+    factorize, factorize_local, run_hpl, run_hpl_system, HplResult, IterTiming, PipelineOut,
+    ProgressSample,
 };
 pub use error::HplError;
 pub use fact::{panel_factor, FactInput, FactOut};
@@ -62,4 +62,4 @@ pub use local::{LocalMatrix, System};
 pub use rng::MatGen;
 pub use solve::back_substitute;
 pub use swap::RowSwapAlgo;
-pub use verify::{residual, verify, verify_system, verify_with, Residuals};
+pub use verify::{residual, verify, verify_system, Residuals};

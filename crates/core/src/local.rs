@@ -99,12 +99,9 @@ impl<E: Element> LocalMatrix<E> {
         m
     }
 
-    /// Allocates and fills this rank's slice of an arbitrary augmented
-    /// system: `fill(i, j)` supplies global entry `(i, j)` of the
-    /// `N x (N+1)` matrix (column `N` is the right-hand side). `fill` must
-    /// be a pure function of its arguments — every rank calls it for its
-    /// own slice, and verification regenerates entries on demand.
-    pub fn generate_with(
+    /// Allocates and fills this rank's slice of the caller-supplied system
+    /// `fill` ([`System::Fill`]).
+    fn generate_with(
         n: usize,
         nb: usize,
         grid: &Grid,

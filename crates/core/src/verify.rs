@@ -47,19 +47,6 @@ pub fn verify(
     verify_system(grid, n, nb, System::Seeded(seed), x, f64::EPSILON)
 }
 
-/// [`verify`] for a caller-supplied system (see
-/// [`crate::driver::run_hpl_with`]): `fill` must be the same pure function
-/// the solve used. Collective over the grid.
-pub fn verify_with(
-    grid: &Grid,
-    n: usize,
-    nb: usize,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-    x: &[f64],
-) -> Result<Residuals, HplError> {
-    verify_system(grid, n, nb, System::Fill(fill), x, f64::EPSILON)
-}
-
 /// The verifier proper: regenerates `system` and scales the residual by
 /// `eps` — a pure `f32` factorization is judged against `f32` accuracy
 /// ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while mixed-precision

@@ -234,13 +234,13 @@ fn nb_larger_than_n() {
 
 #[test]
 fn f32_pipeline_solves_to_f32_accuracy() {
-    use rhpl_core::{run_hpl_with_element, verify_system, System};
+    use rhpl_core::{run_hpl_system, verify_system, System};
     let mut cfg = HplConfig::new(96, 16, 2, 2);
     cfg.seed = 47;
     let gen = MatGen::new(cfg.seed, cfg.n);
     let results = Universe::run(cfg.ranks(), |comm| {
-        let r =
-            run_hpl_with_element::<f32>(comm, &cfg, &|i, j| gen.entry(i, j)).expect("nonsingular");
+        let r = run_hpl_system::<f32>(comm, &cfg, System::Fill(&|i, j| gen.entry(i, j)))
+            .expect("nonsingular");
         assert_eq!(r.element, "f32");
         r.x
     });
@@ -264,7 +264,7 @@ fn f32_pipeline_solves_to_f32_accuracy() {
 
 #[test]
 fn f32_schedules_bitwise_identical() {
-    use rhpl_core::run_hpl_with_element;
+    use rhpl_core::{run_hpl_system, System};
     let mut base = HplConfig::new(120, 12, 2, 2);
     base.seed = 53;
     let mut sols = Vec::new();
@@ -277,7 +277,7 @@ fn f32_schedules_bitwise_identical() {
         cfg.schedule = schedule;
         let gen = MatGen::new(cfg.seed, cfg.n);
         let results = Universe::run(cfg.ranks(), |comm| {
-            run_hpl_with_element::<f32>(comm, &cfg, &|i, j| gen.entry(i, j))
+            run_hpl_system::<f32>(comm, &cfg, System::Fill(&|i, j| gen.entry(i, j)))
                 .expect("nonsingular")
                 .x
         });

@@ -16,7 +16,7 @@
 use hpl_comm::{Grid, GridOrder, Universe, WireElem};
 use proptest::prelude::*;
 use rhpl_core::swap::{apply_moves, row_swap, row_swap_comm, ColRange, RsData, SwapPlan};
-use rhpl_core::{LocalMatrix, RowSwapAlgo};
+use rhpl_core::{LocalMatrix, RowSwapAlgo, System};
 
 /// Distinct, exactly representable in `f32` (indices stay below 200).
 fn entry(i: usize, j: usize) -> f64 {
@@ -129,7 +129,7 @@ fn run<E: WireElem>(case: &Case) {
     let range = case.range;
     let outs = Universe::run(case.p, |comm| {
         let grid = Grid::new(comm, case.p, 1, GridOrder::ColumnMajor);
-        let fresh = || LocalMatrix::<E>::generate_with(case.n, case.nb, &grid, &entry);
+        let fresh = || System::Fill(&entry).local::<E>(case.n, case.nb, &grid);
         let prow = (case.k0 / case.nb) % case.p;
         hpl_trace::install(hpl_trace::TraceOpts::on());
 

@@ -29,20 +29,10 @@ use rhpl_core::{
     Residuals, System,
 };
 
-/// Refinement controls.
-#[derive(Clone, Copy, Debug)]
-pub struct MxpParams {
-    /// Maximum refinement sweeps after the initial `f32` solve. Classic
-    /// refinement gains roughly a factor `1 / (eps_f32 * kappa(A))` per
-    /// sweep, so HPL-grade random systems converge in a handful.
-    pub max_sweeps: usize,
-}
-
-impl Default for MxpParams {
-    fn default() -> Self {
-        Self { max_sweeps: 12 }
-    }
-}
+/// Refinement sweeps allowed after the initial `f32` solve. Classic
+/// refinement gains roughly a factor `1 / (eps_f32 * kappa(A))` per sweep,
+/// so HPL-grade random systems converge in a handful.
+const MAX_SWEEPS: usize = 12;
 
 /// Result of a distributed mixed-precision run on one rank.
 pub struct MxpOutput {
@@ -94,31 +84,21 @@ pub struct MxpOutput {
 /// of `cfg` (the same matrix family the `f64` benchmark factors).
 /// Collective: call from every rank of `comm`.
 pub fn solve_mxp(comm: Communicator, cfg: &HplConfig) -> Result<MxpOutput, HplError> {
-    solve_mxp_system(comm, cfg, MxpParams::default(), System::Seeded(cfg.seed))
+    solve_mxp_system(comm, cfg, MAX_SWEEPS, System::Seeded(cfg.seed))
 }
 
-/// [`solve_mxp`] for a caller-supplied system: `fill(i, j)` must be a pure
-/// function of the global indices (column `n` is the right-hand side), the
-/// same contract as [`rhpl_core::run_hpl_with`].
-pub fn solve_mxp_with(
-    comm: Communicator,
-    cfg: &HplConfig,
-    params: MxpParams,
-    fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-) -> Result<MxpOutput, HplError> {
-    solve_mxp_system(comm, cfg, params, System::Fill(fill))
-}
-
+/// [`solve_mxp`] on `system`, stopping after at most `max_sweeps`
+/// refinement sweeps.
 fn solve_mxp_system(
     comm: Communicator,
     cfg: &HplConfig,
-    params: MxpParams,
+    max_sweeps: usize,
     system: System<'_>,
 ) -> Result<MxpOutput, HplError> {
     cfg.validate();
     let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
     hpl_trace::install(cfg.trace);
-    let out = refine_pipeline(&grid, cfg, &params, system);
+    let out = refine_pipeline(&grid, cfg, max_sweeps, system);
     let trace = hpl_trace::take();
     let mut out = out?;
     out.trace = trace;
@@ -135,7 +115,7 @@ fn solve_mxp_system(
 fn refine_pipeline(
     grid: &Grid,
     cfg: &HplConfig,
-    params: &MxpParams,
+    max_sweeps: usize,
     system: System<'_>,
 ) -> Result<MxpOutput, HplError> {
     let n = cfg.n;
@@ -154,7 +134,7 @@ fn refine_pipeline(
     let residuals = loop {
         let (r, res) = residual(grid, &a64, &b, &x, f64::EPSILON)?;
         history.push(res.scaled);
-        if res.passed() || history.len() > params.max_sweeps {
+        if res.passed() || history.len() > max_sweeps {
             break res;
         }
         // Correction solve on the resident f32 factors; x += d in f64.
@@ -333,25 +313,29 @@ mod tests {
 
     #[test]
     fn mxp_recovers_double_accuracy() {
-        let cfg = HplConfig::new(120, 16, 2, 2);
-        let outs = Universe::run(4, |comm| solve_mxp(comm, &cfg).expect("nonsingular"));
-        for o in &outs {
-            assert!(o.converged, "history {:?}", o.history);
-            assert!(o.residuals.passed(), "scaled {:.3e}", o.residuals.scaled);
-            // The pure f32 solve must FAIL the f64-eps gate at this size,
-            // otherwise the refinement demonstrates nothing.
-            assert!(
-                o.history[0] > Residuals::THRESHOLD,
-                "f32 solve alone must not pass the f64 gate: {:?}",
-                o.history
-            );
-            assert!(o.sweeps >= 1, "refinement applied no correction");
-            assert_eq!(o.element, "f32");
-        }
-        // Solution and history bitwise replicated across ranks.
-        for o in &outs[1..] {
-            assert_eq!(o.x, outs[0].x);
-            assert_eq!(o.history, outs[0].history);
+        for (p, q) in [(1, 1), (2, 2)] {
+            let cfg = HplConfig::new(120, 16, p, q);
+            let outs = Universe::run(cfg.ranks(), |comm| {
+                solve_mxp(comm, &cfg).expect("nonsingular")
+            });
+            for o in &outs {
+                assert!(o.converged, "{p}x{q}: history {:?}", o.history);
+                assert!(o.residuals.passed(), "scaled {:.3e}", o.residuals.scaled);
+                // The pure f32 solve must FAIL the f64-eps gate at this
+                // size, otherwise the refinement demonstrates nothing.
+                assert!(
+                    o.history[0] > Residuals::THRESHOLD,
+                    "{p}x{q}: f32 solve alone must not pass the f64 gate: {:?}",
+                    o.history
+                );
+                assert!(o.sweeps >= 1, "refinement applied no correction");
+                assert_eq!(o.element, "f32");
+            }
+            // Solution and history bitwise replicated across ranks.
+            for o in &outs[1..] {
+                assert_eq!(o.x, outs[0].x);
+                assert_eq!(o.history, outs[0].history);
+            }
         }
     }
 
@@ -386,24 +370,18 @@ mod tests {
             |r: &Residuals| [r.err_inf, r.a_inf, r.x_inf, r.b_inf, r.scaled].map(f64::to_bits);
         let gen = MatGen::new(5, 100);
         let fill = |i: usize, j: usize| gen.entry(i, j);
-        let no_sweeps = MxpParams { max_sweeps: 0 };
         for (p, q) in [(1, 1), (2, 1), (1, 2), (2, 3)] {
             let cfg = HplConfig::new(100, 16, p, q);
-            for (system, params) in [
-                (System::Seeded(cfg.seed), MxpParams::default()),
-                (System::Fill(&fill), MxpParams::default()),
-                (System::Seeded(cfg.seed), no_sweeps),
+            for (system, max_sweeps) in [
+                (System::Seeded(cfg.seed), MAX_SWEEPS),
+                (System::Fill(&fill), MAX_SWEEPS),
+                (System::Seeded(cfg.seed), 0),
             ] {
                 let outs = Universe::run(cfg.ranks(), |comm| {
-                    solve_mxp_system(comm, &cfg, params, system).expect("nonsingular")
+                    solve_mxp_system(comm, &cfg, max_sweeps, system).expect("nonsingular")
                 });
                 let o = &outs[0];
-                assert_eq!(
-                    o.converged,
-                    params.max_sweeps > 0,
-                    "{p}x{q}: {:?}",
-                    o.history
-                );
+                assert_eq!(o.converged, max_sweeps > 0, "{p}x{q}: {:?}", o.history);
                 let fresh = Universe::run(cfg.ranks(), |comm| {
                     let grid = Grid::new(comm, p, q, cfg.order);
                     verify_system(&grid, cfg.n, cfg.nb, system, &o.x, f64::EPSILON).expect("verify")
@@ -451,7 +429,7 @@ mod tests {
     fn singular_matrix_surfaces_typed_error() {
         let cfg = HplConfig::new(16, 4, 1, 1);
         let outs = Universe::run(1, |comm| {
-            solve_mxp_with(comm, &cfg, MxpParams::default(), &|_, _| 0.0).map(|o| o.x)
+            solve_mxp_system(comm, &cfg, MAX_SWEEPS, System::Fill(&|_, _| 0.0)).map(|o| o.x)
         });
         assert_eq!(outs[0], Err(HplError::Singular { col: 0 }));
     }

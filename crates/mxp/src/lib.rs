@@ -9,78 +9,16 @@
 //!
 //! Scope note (see DESIGN.md): the paper's *contribution* is the FP64 HPL
 //! pipeline reproduced in `rhpl-core`; this crate implements the sibling
-//! benchmark on top of it:
-//!
-//! * [`dist`] — the distributed benchmark: the *full* `rhpl-core`
-//!   pipeline (look-ahead, split update, LBCAST, threaded FACT) runs in
-//!   `f32` via [`rhpl_core::factorize`], then replicated `f64` refinement
-//!   sweeps replay the pivot log against the resident factors until the
-//!   solution passes HPL's residual gate at double accuracy.
-//! * [`low`] — single-process `f32` blocked LU (SGETRF) and triangular
-//!   solves: the O(n^3) work at low precision, kept as the shared-memory
-//!   oracle for the distributed path.
-//! * [`ir`] — classic iterative refinement: `x += M^{-1}(b - A x)` with
-//!   `f64` residuals, reaching double accuracy in a handful of O(n^2)
-//!   sweeps.
-//! * [`gmres`] — LU-preconditioned restarted GMRES in `f64`, the
-//!   refinement method of the HPL-MxP reference implementation, which
-//!   also handles systems where classic refinement stalls.
+//! benchmark on top of it. [`dist`] runs the *full* `rhpl-core` pipeline
+//! (look-ahead, split update, LBCAST, threaded FACT) in `f32` via
+//! [`rhpl_core::factorize_local`], then replicated `f64` refinement sweeps
+//! replay the pivot log against the resident factors until the solution
+//! passes HPL's residual gate at double accuracy.
 
-// Lint policy: indexed loops are used deliberately where they mirror the
-// reference BLAS/HPL loop structure, and several kernels take the full
-// argument list their BLAS counterparts do.
+// Lint policy: the triangular solves index their loops the way the
+// reference BLAS/HPL loops do.
 #![allow(clippy::needless_range_loop)]
-#![allow(clippy::too_many_arguments)]
 
 pub mod dist;
-pub mod gmres;
-pub mod ir;
-pub mod low;
 
-pub use dist::{replay_solve, solve_mxp, solve_mxp_with, MxpOutput, MxpParams};
-pub use gmres::{solve_gmres, GmresParams};
-pub use ir::{scaled_residual, solve_ir, DenseOp, LowLu, MxpReport};
-pub use low::{sgetrf, slu_solve, SMatrix};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The headline MxP property: an HPL-grade random system solved with
-    /// O(n^3) f32 flops + O(n^2) f64 refinement passes HPL's own residual
-    /// test.
-    #[test]
-    fn hpl_random_system_via_mixed_precision() {
-        let n = 256;
-        // The same generator family rhpl-core uses.
-        let mut s = 99u64 | 1;
-        let mut vals = Vec::with_capacity(n * (n + 1));
-        for _ in 0..n * (n + 1) {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            vals.push(((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5);
-        }
-        let op = DenseOp::new(n, |i, j| vals[j * n + i]);
-        let b: Vec<f64> = (0..n).map(|i| vals[n * n + i]).collect();
-        let lu = LowLu::factor(&op, 32).expect("nonsingular");
-        let rep = solve_ir(&op, &lu, &b, 20);
-        assert!(
-            rep.converged,
-            "mixed precision must pass the HPL test: {:?}",
-            rep.history
-        );
-        // And the initial f32-only solve alone must NOT pass at this size
-        // (otherwise the refinement demonstrates nothing).
-        assert!(
-            rep.history[0]
-                > rep
-                    .history
-                    .last()
-                    .expect("history is seeded with the initial residual")
-                    * 10.0,
-            "refinement must improve the residual materially: {:?}",
-            rep.history
-        );
-    }
-}
+pub use dist::{replay_solve, solve_mxp, MxpOutput};

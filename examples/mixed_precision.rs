@@ -1,96 +1,75 @@
-//! HPL-MxP scenario: solve an HPL-style random dense system with the
+//! HPL-MxP scenario: solve an HPL random dense system with the
 //! mixed-precision scheme — O(n^3) factorization in `f32`, O(n^2)
 //! refinement in `f64` — and compare cost and accuracy against the pure
-//! double-precision factorization.
+//! double-precision benchmark on the same system. Both runs go through the
+//! shipped pipeline (`rhpl_core::run_hpl`, `hpl_mxp::solve_mxp`) on a 1x1
+//! grid.
 //!
 //! ```text
 //! cargo run --release -p hpl-examples --bin mixed_precision [N]
 //! ```
 
-use std::time::Instant;
+use hpl_comm::{Grid, Universe};
+use rhpl_core::{run_hpl, verify, HplConfig, Residuals};
 
-use hpl_blas::mat::Matrix;
-use hpl_blas::{getrf, getrs};
-use hpl_mxp::{scaled_residual, solve_gmres, solve_ir, DenseOp, GmresParams, LowLu};
-use rhpl_core::MatGen;
+fn verdict(scaled: f64) -> &'static str {
+    if scaled < Residuals::THRESHOLD {
+        "PASSED"
+    } else {
+        "FAILED"
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(512);
-    let nb = 64usize;
-    println!("HPL-MxP demonstration, N = {n} (random HPL-style system)\n");
-
-    let gen = MatGen::new(4242, n);
-    let op = DenseOp::new(n, |i, j| gen.entry(i, j));
-    let b: Vec<f64> = (0..n).map(|i| gen.entry(i, n)).collect();
+    let mut cfg = HplConfig::new(n, 64, 1, 1);
+    cfg.seed = 4242;
+    println!(
+        "HPL-MxP demonstration, N = {n}, NB = {}, 1x1 grid\n",
+        cfg.nb
+    );
 
     // Pure double-precision reference.
-    let t0 = Instant::now();
-    let mut a64 = Matrix::from_fn(n, n, |i, j| gen.entry(i, j));
-    let mut piv = vec![0usize; n];
-    let mut av = a64.view_mut();
-    getrf(&mut av, &mut piv, nb).expect("nonsingular");
-    let mut x64 = b.clone();
-    getrs(&av, &piv, &mut x64);
-    let t_fp64 = t0.elapsed().as_secs_f64();
+    let (r64, res64) = Universe::run(1, |comm| {
+        let r = run_hpl(comm.clone(), &cfg).expect("nonsingular");
+        let grid = Grid::new(comm, 1, 1, cfg.order);
+        let res = verify(&grid, n, cfg.nb, cfg.seed, &r.x).expect("verification collectives");
+        (r, res)
+    })
+    .remove(0);
     println!(
-        "FP64 LU:            {:.3} s, scaled residual {:.4}",
-        t_fp64,
-        scaled_residual(&op, &b, &x64)
+        "FP64 HPL:           {:.3} s, scaled residual {:.4} ({})",
+        r64.wall,
+        res64.scaled,
+        verdict(res64.scaled)
     );
 
-    // Mixed precision: f32 factorization...
-    let t0 = Instant::now();
-    let lu = LowLu::factor(&op, nb).expect("nonsingular");
-    let t_factor32 = t0.elapsed().as_secs_f64();
-    let x32 = lu.apply(&b);
+    // Mixed precision: f32 factorization plus f64 refinement.
+    let mxp = Universe::run(1, |comm| {
+        hpl_mxp::solve_mxp(comm, &cfg).expect("nonsingular")
+    })
+    .remove(0);
     println!(
         "FP32 LU alone:      {:.3} s, scaled residual {:.4} ({})",
-        t_factor32,
-        scaled_residual(&op, &b, &x32),
-        if scaled_residual(&op, &b, &x32) < 16.0 {
-            "passes — refine anyway"
-        } else {
-            "FAILS HPL"
-        }
+        mxp.fact_seconds,
+        mxp.history[0],
+        verdict(mxp.history[0])
     );
-
-    // ... plus classic iterative refinement ...
-    let t0 = Instant::now();
-    let ir = solve_ir(&op, &lu, &b, 20);
-    let t_ir = t0.elapsed().as_secs_f64();
     println!(
         "  + refinement:     {:.3} s, {} sweep(s), residual {:.4} ({})",
-        t_ir,
-        ir.history.len() - 1,
-        ir.history.last().unwrap(),
-        if ir.converged { "PASSED" } else { "FAILED" }
-    );
-
-    // ... or GMRES (the HPL-MxP reference scheme).
-    let t0 = Instant::now();
-    let g = solve_gmres(
-        &op,
-        &lu,
-        &b,
-        GmresParams {
-            restart: 30,
-            ..Default::default()
-        },
-    );
-    let t_g = t0.elapsed().as_secs_f64();
-    println!(
-        "  + GMRES:          {:.3} s, residual {:.4} ({})",
-        t_g,
-        g.history.last().unwrap(),
-        if g.converged { "PASSED" } else { "FAILED" }
+        mxp.wall - mxp.fact_seconds,
+        mxp.sweeps,
+        mxp.residuals.scaled,
+        verdict(mxp.residuals.scaled)
     );
 
     println!(
         "\nfactorization speed ratio (fp64 / fp32): {:.2}x",
-        t_fp64 / t_factor32
+        r64.wall / mxp.fact_seconds
     );
-    println!("(on MI250X-class hardware the matrix engines make this ~4x, which is");
-    println!("why HPL-MxP scores land several times above HPL on the same machine)");
-    assert!(ir.converged && g.converged);
+    println!("(the FP32 time also covers generating the system, which the FP64 HPL clock");
+    println!("excludes; on MI250X-class hardware the matrix engines make the ratio ~4x,");
+    println!("which is why HPL-MxP scores land several times above HPL on the same machine)");
+    assert!(res64.passed() && mxp.converged);
 }

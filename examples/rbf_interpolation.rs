@@ -4,7 +4,7 @@
 //! kind of large dense linear system the paper's introduction motivates:
 //! `A[i][j] = exp(-|x_i - x_j|^2 / (2 sigma^2))` over interpolation nodes,
 //! solved against samples of a target function. We build the system through
-//! the `run_hpl_with` fill-function API (no materialized global matrix),
+//! a `System::Fill` function (no materialized global matrix),
 //! solve it on a 2x2 thread grid with the full rocHPL pipeline, and check
 //! the interpolant reproduces the target at the nodes and between them.
 //!
@@ -14,7 +14,7 @@
 
 use hpl_comm::{Grid, GridOrder, Universe};
 use rhpl_core::config::Schedule;
-use rhpl_core::{run_hpl_with, verify_with, HplConfig};
+use rhpl_core::{run_hpl_system, verify_system, HplConfig, System};
 
 /// Interpolation nodes: a jittered 1D grid on [0, 1].
 fn node(i: usize, n: usize) -> f64 {
@@ -58,7 +58,7 @@ fn main() {
     cfg.fact.threads = 2;
 
     let results = Universe::run(cfg.ranks(), |comm| {
-        run_hpl_with(comm, &cfg, &fill).expect("nonsingular")
+        run_hpl_system::<f64>(comm, &cfg, System::Fill(&fill)).expect("nonsingular")
     });
     let weights = results[0].x.clone();
     println!(
@@ -70,7 +70,8 @@ fn main() {
     let w = weights.clone();
     let res = Universe::run(cfg.ranks(), |comm| {
         let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
-        verify_with(&grid, n, nb, &fill, &w).expect("verification collectives")
+        verify_system(&grid, n, nb, System::Fill(&fill), &w, f64::EPSILON)
+            .expect("verification collectives")
     })[0];
     println!(
         "scaled residual {:.4} -> {}",

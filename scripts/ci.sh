@@ -27,15 +27,6 @@ echo "== [kernel-matrix] cargo test -q under each pinned DGEMM kernel"
 RHPL_KERNEL=scalar cargo test -q
 RHPL_KERNEL=simd cargo test -q
 
-echo "== [mxp-matrix] HPL-MxP suites under each pinned DGEMM kernel"
-RHPL_KERNEL=scalar cargo test -q -p hpl-mxp -p hpl-blas -p rhpl-cli
-RHPL_KERNEL=simd cargo test -q -p hpl-mxp -p hpl-blas -p rhpl-cli
-
-echo "== [mxp-matrix] process-per-rank --mxp launch over localhost TCP"
-cargo build --release -p rhpl-cli
-./target/release/rhpl --sample > target/HPL-mxp.dat
-RHPL_KERNEL=simd ./target/release/rhpl launch target/HPL-mxp.dat --ranks 4 --transport tcp --mxp
-
 echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
@@ -63,6 +54,11 @@ RHPL_TRANSPORT=tcp cargo test -q
 
 echo "== [transport-matrix] cargo xtask faults --kill"
 cargo xtask faults --kill
+
+echo "== [transport-matrix] process-per-rank --mxp launch over localhost TCP"
+cargo build --release -p rhpl-cli
+./target/release/rhpl --sample > target/HPL-mxp.dat
+./target/release/rhpl launch target/HPL-mxp.dat --ranks 4 --transport tcp --mxp
 
 echo "== [miri] cargo +nightly miri test -p hpl-ckpt -p hpl-faults"
 if cargo +nightly miri --version >/dev/null 2>&1; then

@@ -136,7 +136,7 @@ fn mix_swap_algorithm_matches_fixed_variants() {
 
 #[test]
 fn custom_system_through_solver_api() {
-    use rhpl_core::{run_hpl_with, verify_with};
+    use rhpl_core::{run_hpl_system, verify_system, System};
     let n = 160usize;
     // A diagonally dominant Toeplitz-ish system with a known solution.
     let xtrue: Vec<f64> = (0..n).map(|i| ((i % 9) as f64) - 4.0).collect();
@@ -159,7 +159,7 @@ fn custom_system_through_solver_api() {
     };
     let cfg = HplConfig::new(n, 16, 2, 2);
     let results = Universe::run(cfg.ranks(), |comm| {
-        run_hpl_with(comm, &cfg, &fill).expect("nonsingular")
+        run_hpl_system::<f64>(comm, &cfg, System::Fill(&fill)).expect("nonsingular")
     });
     let x = results[0].x.clone();
     for (got, want) in x.iter().zip(&xtrue) {
@@ -167,7 +167,8 @@ fn custom_system_through_solver_api() {
     }
     let res = Universe::run(cfg.ranks(), |comm| {
         let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-        verify_with(&grid, n, cfg.nb, &fill, &x).expect("verification collectives")
+        verify_system(&grid, n, cfg.nb, System::Fill(&fill), &x, f64::EPSILON)
+            .expect("verification collectives")
     })[0];
     assert!(res.passed());
 }

@@ -29,7 +29,7 @@
 
 use hpl_comm::Universe;
 use rhpl_core::config::Schedule;
-use rhpl_core::{run_hpl_with_element, HplConfig, MatGen};
+use rhpl_core::{run_hpl_system, HplConfig, MatGen, System};
 
 const SCHEDULES: [(&str, Schedule); 3] = [
     ("simple", Schedule::Simple),
@@ -53,9 +53,9 @@ fn x_hash_of(p: usize, q: usize, schedule: Schedule, f32_pipeline: bool, threads
     let fill = |i: usize, j: usize| gen.entry(i, j);
     let hashes = Universe::run(cfg.ranks(), |comm| {
         let r = if f32_pipeline {
-            run_hpl_with_element::<f32>(comm, &cfg, &fill)
+            run_hpl_system::<f32>(comm, &cfg, System::Fill(&fill))
         } else {
-            run_hpl_with_element::<f64>(comm, &cfg, &fill)
+            run_hpl_system::<f64>(comm, &cfg, System::Fill(&fill))
         };
         r.expect("nonsingular").x_hash
     });
