@@ -7,7 +7,7 @@
 
 use hpl_bench::{arg_value, emit_json, has_flag, row};
 use hpl_comm::Universe;
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 use serde::Serialize;
@@ -43,7 +43,7 @@ fn model() {
         ("look-ahead (Fig 3)", Pipeline::LookAhead),
         ("split update (Fig 6)", Pipeline::SplitUpdate),
     ] {
-        let r = Simulator::new(node, params).run(pl);
+        let r = simulate_des(&Simulator::new(node, params), pl);
         if base == 0.0 {
             base = r.tflops;
         }

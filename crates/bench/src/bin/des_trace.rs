@@ -1,15 +1,18 @@
-//! Discrete-event cross-check of Figs 3/6/7: runs the full benchmark as a
-//! task graph on {GPU, CPU, XFER, NET} resources and reports the emergent
-//! score next to the closed-form model, plus a rendered multi-iteration
-//! Gantt window — the schedule the paper draws, derived from dependencies
-//! rather than composed by formula.
+//! The simulated paper single-node run as a discrete-event trace: the
+//! whole benchmark as a task graph on {GPU, CPU, XFER, NET} resources,
+//! its score, each resource's utilization, and a rendered multi-iteration
+//! Gantt window — the schedule the paper draws (Figs 3/6), derived from
+//! dependencies rather than composed by formula.
 //!
 //! `--pipeline serial|lookahead|split` (default split), `--window N`
 //! (iterations to render, default 3), `--start I` (first rendered
 //! iteration, default 50).
 
-use hpl_bench::{arg_value, emit_json, row};
-use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator, Span};
+use hpl_bench::{arg_value, emit_json};
+use hpl_sim::{
+    iteration_spans, render, simulate_des, NodeModel, Pipeline, ResourceId, RunParams, Simulator,
+    RESOURCES,
+};
 
 fn main() {
     let pipeline = match arg_value::<String>("--pipeline").as_deref() {
@@ -17,81 +20,29 @@ fn main() {
         Some("lookahead") => Pipeline::LookAhead,
         _ => Pipeline::SplitUpdate,
     };
-    let start: usize = arg_value("--start").unwrap_or(50);
-    let window: usize = arg_value("--window").unwrap_or(3);
-
     let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
-    let analytic = sim.run(pipeline);
-    let des = simulate_des(&sim, pipeline);
-    println!("Discrete-event vs closed-form model, paper single-node run, {pipeline:?}\n");
-    let widths = [22usize, 12, 12];
-    println!("{}", row(&["", "analytic", "DES"], &widths));
-    println!(
-        "{}",
-        row(
-            &[
-                "score (TFLOPS)".to_string(),
-                format!("{:.1}", analytic.tflops),
-                format!("{:.1}", des.tflops),
-            ],
-            &widths
-        )
-    );
-    println!(
-        "{}",
-        row(
-            &[
-                "total time (s)".to_string(),
-                format!("{:.1}", analytic.total_time),
-                format!("{:.1}", des.trace.makespan),
-            ],
-            &widths
-        )
-    );
-    println!(
-        "\nDES resource utilization: GPU {:.1}%, CPU {:.1}%, XFER {:.1}%, NET {:.1}%",
-        des.trace.utilization(hpl_sim::ResourceId(0)) * 100.0,
-        des.trace.utilization(hpl_sim::ResourceId(1)) * 100.0,
-        des.trace.utilization(hpl_sim::ResourceId(2)) * 100.0,
-        des.trace.utilization(hpl_sim::ResourceId(3)) * 100.0,
-    );
+    let r = simulate_des(&sim, pipeline);
+    let iters = r.iters.len();
+    let start: usize = arg_value::<usize>("--start").unwrap_or(50).min(iters - 1);
+    let end = (start + arg_value::<usize>("--window").unwrap_or(3).max(1)).min(iters);
 
-    // Render a window of the emergent schedule.
-    let t0 = if start == 0 {
-        0.0
-    } else {
-        des.iter_done[start - 1]
-    };
-    let t1 = des.iter_done[(start + window - 1).min(des.iter_done.len() - 1)];
-    let rows = ["GPU", "CPU", "XFER", "MPI"];
-    let spans: Vec<Span> = des
-        .trace
-        .spans
-        .iter()
-        .filter(|s| s.end > t0 && s.start < t1)
-        .map(|s| Span {
-            row: rows[s.resource.0.min(3)],
-            label: "", // labels listed separately below
-            start: (s.start.max(t0) - t0),
-            len: s.end.min(t1) - s.start.max(t0),
-        })
-        .collect();
+    println!("Discrete-event model, paper single-node run, {pipeline:?}\n");
+    println!("score:       {:.1} TFLOPS", r.tflops);
     println!(
-        "\nemergent schedule, iterations {start}..{} :",
-        start + window
+        "total time:  {:.1} s ({} tasks)",
+        r.total_time,
+        r.trace.spans.len()
     );
-    print!("{}", hpl_sim::render(&spans, 100));
-    // Task inventory of the window, per resource.
-    for (ri, name) in rows.iter().enumerate() {
-        let labels: Vec<&str> = des
-            .trace
-            .spans
-            .iter()
-            .filter(|s| s.resource.0 == ri && s.end > t0 && s.start < t1)
-            .map(|s| s.label.as_str())
-            .collect();
-        println!("{name:>5}: {}", labels.join(" "));
-    }
-    let head: Vec<f64> = des.iter_done[..(start + window).min(des.iter_done.len())].to_vec();
-    emit_json("des_trace", &head);
+    let util: Vec<String> = RESOURCES
+        .iter()
+        .enumerate()
+        .map(|(i, name)| format!("{name} {:.1}%", r.trace.utilization(ResourceId(i)) * 100.0))
+        .collect();
+    println!("utilization: {}", util.join(", "));
+
+    let spans = iteration_spans(&r, start..end);
+    println!("\nemergent schedule, iterations {start}..{end} :");
+    print!("{}", render(&spans, 100));
+    let done: Vec<f64> = r.iters[..end].iter().map(|x| x.start + x.time).collect();
+    emit_json("des_trace", &done);
 }

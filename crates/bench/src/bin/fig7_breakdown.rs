@@ -13,7 +13,7 @@
 
 use hpl_bench::{arg_value, emit_json, has_flag, row};
 use hpl_comm::Universe;
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 
@@ -27,7 +27,7 @@ fn main() {
 
 fn model() {
     let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
-    let r = sim.run(Pipeline::SplitUpdate);
+    let r = simulate_des(&sim, Pipeline::SplitUpdate);
     println!("Fig 7 (model): per-iteration breakdown, N=256000 NB=512 4x2, split 50%");
     println!("paper anchors: 153 TFLOPS overall, regime change near iteration 250,");
     println!("iteration time == GPU time in the first regime\n");
@@ -74,7 +74,7 @@ fn model() {
         "hidden-time frac:       {:.2} (paper: ~0.75)",
         r.hidden_time_fraction
     );
-    emit_json("fig7_model", &r);
+    emit_json("fig7_model", &r.iters);
 }
 
 fn functional() {

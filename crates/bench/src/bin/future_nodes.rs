@@ -8,10 +8,11 @@
 //! where GPU compute doubles `G` times per generation while network
 //! bandwidth doubles only `W <= G` times, and report the achieved fraction
 //! of the node's DGEMM limit plus the communication-hidden fraction — both
-//! must decay as the compute/network gap widens.
+//! decay as the compute/network gap widens (asserted by a `hpl-sim::node`
+//! unit test).
 
 use hpl_bench::{emit_json, row};
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -46,8 +47,7 @@ fn main() {
         let node = NodeModel::future(compute_gen, net_gen);
         let mut params = RunParams::paper_single_node();
         params.n = node.fill_hbm_n(1);
-        let sim = Simulator::new(node, params);
-        let r = sim.run(Pipeline::SplitUpdate);
+        let r = simulate_des(&Simulator::new(node, params), Pipeline::SplitUpdate);
         // Node DGEMM limit at NB=512 (the paper's 196 TF figure for
         // Frontier).
         let limit = node.gcds as f64
@@ -80,14 +80,5 @@ fn main() {
     println!("\npaper SV: widening the compute/network gap pushes the benchmark into the");
     println!("latency- and communication-dominated regime and lowers the achieved");
     println!("fraction of peak — the motivation for its future-work discussion.");
-    // The headline monotonicity, asserted so the binary doubles as a check.
-    let base = out[0].efficiency;
-    let balanced = out[1].efficiency;
-    let skewed = out[4].efficiency;
-    assert!(
-        skewed < balanced && skewed < base,
-        "efficiency must degrade when compute outpaces the network: \
-         base {base:.3}, balanced {balanced:.3}, skewed {skewed:.3}"
-    );
     emit_json("future_nodes", &out);
 }

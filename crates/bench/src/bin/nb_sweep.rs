@@ -10,7 +10,7 @@
 
 use hpl_bench::{arg_value, emit_json, has_flag, row};
 use hpl_comm::Universe;
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 use serde::Serialize;
@@ -40,7 +40,7 @@ fn model() {
     for nb in [64usize, 128, 256, 384, 512, 768, 1024, 2048] {
         let mut params = RunParams::paper_single_node();
         params.nb = nb;
-        let r = Simulator::new(node, params).run(Pipeline::SplitUpdate);
+        let r = simulate_des(&Simulator::new(node, params), Pipeline::SplitUpdate);
         println!(
             "{}",
             row(&[format!("{nb}"), format!("{:.1}", r.tflops)], &widths)

@@ -8,7 +8,7 @@
 
 use hpl_bench::{arg_value, emit_json, has_flag, row};
 use hpl_comm::Universe;
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 use serde::Serialize;
@@ -44,7 +44,7 @@ fn model(fracs: &[f64]) {
         } else {
             Pipeline::SplitUpdate
         };
-        let r = Simulator::new(node, params).run(pipeline);
+        let r = simulate_des(&Simulator::new(node, params), pipeline);
         println!(
             "{}",
             row(&[format!("{frac:.3}"), format!("{:.1}", r.tflops)], &widths)

@@ -25,13 +25,13 @@ fn main() {
         Pipeline::LookAhead,
         Pipeline::SplitUpdate,
     ] {
-        let r = sim.run(pl);
+        let r = simulate_des(&sim, pl);
         println!(
             "{:?}: {:.1} TF, hidden iters {:.2}, hidden time {:.2}, total {:.1}s",
             pl, r.tflops, r.hidden_iter_fraction, r.hidden_time_fraction, r.total_time
         );
     }
-    let r = sim.run(Pipeline::SplitUpdate);
+    let r = simulate_des(&sim, Pipeline::SplitUpdate);
     for it in [0usize, 50, 150, 249, 250, 260, 300, 400, 480, 499] {
         let x = &r.iters[it];
         println!(

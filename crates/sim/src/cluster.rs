@@ -1,8 +1,10 @@
-//! Multi-node weak scaling (paper Fig 8): runs the schedule model at the
-//! paper's node counts and reports scores against perfect scaling.
+//! Multi-node weak scaling (paper Fig 8): simulates the split-update
+//! schedule at the paper's node counts and reports scores against perfect
+//! scaling.
 
 use serde::Serialize;
 
+use crate::des_hpl::simulate_des;
 use crate::node::{NodeModel, RunParams};
 use crate::schedule::{Pipeline, Simulator};
 
@@ -27,23 +29,22 @@ pub struct ScalePoint {
 
 /// Simulates the Fig 8 sweep over `node_counts` (powers of two).
 pub fn weak_scaling(node: &NodeModel, node_counts: &[usize]) -> Vec<ScalePoint> {
-    let base = Simulator::new(*node, RunParams::paper_multi_node(node, 1))
-        .run(Pipeline::SplitUpdate)
-        .tflops;
+    let score = |params| simulate_des(&Simulator::new(*node, params), Pipeline::SplitUpdate).tflops;
+    let base = score(RunParams::paper_multi_node(node, 1));
     node_counts
         .iter()
         .map(|&nodes| {
             let params = RunParams::paper_multi_node(node, nodes);
-            let r = Simulator::new(*node, params).run(Pipeline::SplitUpdate);
+            let tflops = score(params);
             let ideal = base * nodes as f64;
             ScalePoint {
                 nodes,
                 n: params.n,
                 p: params.p,
                 q: params.q,
-                tflops: r.tflops,
+                tflops,
                 ideal_tflops: ideal,
-                efficiency: r.tflops / ideal,
+                efficiency: tflops / ideal,
             }
         })
         .collect()

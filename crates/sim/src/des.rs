@@ -2,13 +2,12 @@
 //! and dependencies execute on exclusive resources (GPU queue, CPU, copy
 //! engine, NIC), exactly the machine abstraction rocHPL schedules against.
 //!
-//! The analytic model in [`crate::schedule`] composes closed-form `max()`
-//! expressions per iteration; this engine instead *derives* the overlap
-//! from the dependency graph (see [`crate::des_hpl`]), which lets the tests
-//! check that the paper's hiding claims emerge from the schedule structure
-//! rather than being baked into a formula — and exposes effects the
-//! closed form cannot, like contention between LBCAST and row-swap traffic
-//! on a shared NIC (the paper's concern about Tan et al.'s approach).
+//! The engine knows nothing about HPL; [`crate::des_hpl`] builds the
+//! benchmark's task graph on it, so overlap *emerges* from the dependency
+//! edges rather than being composed by formula — including effects a
+//! closed form cannot express, like contention between LBCAST and
+//! row-swap traffic on a shared NIC (the paper's concern about Tan et
+//! al.'s approach).
 
 use std::collections::BinaryHeap;
 
@@ -48,7 +47,7 @@ pub struct TraceSpan {
 /// Result of a simulation run.
 #[derive(Clone, Debug, Serialize)]
 pub struct Trace {
-    /// Executed spans, ordered by start time (ties by task id).
+    /// Executed spans, indexed by task id.
     pub spans: Vec<TraceSpan>,
     /// Completion time of the last task.
     pub makespan: f64,
@@ -59,10 +58,7 @@ pub struct Trace {
 impl Trace {
     /// The span of a task by id.
     pub fn span(&self, t: TaskId) -> &TraceSpan {
-        self.spans
-            .iter()
-            .find(|s| s.task == t)
-            .expect("task executed")
+        &self.spans[t.0]
     }
 
     /// Busy fraction of a resource over the makespan.
@@ -114,11 +110,6 @@ impl Des {
     pub fn resource(&mut self, name: impl Into<String>) -> ResourceId {
         self.resources.push(name.into());
         ResourceId(self.resources.len() - 1)
-    }
-
-    /// Resource name.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        &self.resources[r.0]
     }
 
     /// Adds a task; `deps` must already exist (ids are creation-ordered,
@@ -205,7 +196,7 @@ impl Des {
             }
         }
         assert_eq!(done, n, "dependency graph has unreachable tasks");
-        let mut spans: Vec<TraceSpan> = (0..n)
+        let spans: Vec<TraceSpan> = (0..n)
             .map(|i| TraceSpan {
                 task: TaskId(i),
                 label: self.tasks[i].label.clone(),
@@ -214,13 +205,6 @@ impl Des {
                 end: end[i],
             })
             .collect();
-        spans.sort_by(|a, b| {
-            let ord = a
-                .start
-                .partial_cmp(&b.start)
-                .expect("span times are finite");
-            ord.then(a.task.0.cmp(&b.task.0))
-        });
         let makespan = spans.iter().map(|s| s.end).fold(0.0, f64::max);
         let mut busy = vec![0.0; self.resources.len()];
         for s in &spans {

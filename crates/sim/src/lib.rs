@@ -1,6 +1,6 @@
 //! # hpl-sim
 //!
-//! A calibrated analytic performance model of HPL on GPU-accelerated
+//! A calibrated performance model of HPL on GPU-accelerated
 //! exascale nodes — the substitution this reproduction makes for the
 //! MI250X GPUs, Infinity Fabric, and Slingshot network the paper measures
 //! on Crusher/Frontier (see DESIGN.md §2).
@@ -19,15 +19,14 @@
 //! * [`link`] — alpha-beta links and collective cost models.
 //! * [`node`] — the Frontier node, HBM-filling problem sizes, §III.B
 //!   thread counts.
-//! * [`schedule`] — per-iteration pipeline composition (Figs 3/6/7).
+//! * [`schedule`] — the pricing function: one iteration's phase durations.
+//! * [`des`] — a deterministic discrete-event engine over exclusive
+//!   resources.
+//! * [`des_hpl`] — the pipeline (Figs 3/6) as a task graph on that engine:
+//!   [`simulate_des`] is the one entry point, and every figure (7, 8, the
+//!   ablations) reads its [`SimResult`].
 //! * [`cluster`] — weak scaling (Fig 8).
-//! * [`timeline`] — ASCII Gantt rendering of one iteration.
-
-// Lint policy: indexed loops are used deliberately where they mirror the
-// reference BLAS/HPL loop structure, and several kernels take the full
-// argument list their BLAS counterparts do.
-#![allow(clippy::needless_range_loop)]
-#![allow(clippy::too_many_arguments)]
+//! * [`timeline`] — ASCII Gantt rendering of iterations cut from a trace.
 
 pub mod cluster;
 pub mod cpu;
@@ -42,9 +41,9 @@ pub mod timeline;
 pub use cluster::{weak_scaling, ScalePoint};
 pub use cpu::FactModel;
 pub use des::{Des, ResourceId, TaskId, Trace, TraceSpan};
-pub use des_hpl::{simulate_des, DesResult};
+pub use des_hpl::{simulate_des, IterRecord, SimResult, RESOURCES};
 pub use gpu::{DgemmModel, HbmModel};
 pub use link::{CollectiveModel, LinkModel};
 pub use node::{NodeModel, RunParams};
-pub use schedule::{IterRecord, Phases, Pipeline, SimResult, Simulator};
+pub use schedule::{Phases, Pipeline, Simulator};
 pub use timeline::{iteration_spans, render, Span};

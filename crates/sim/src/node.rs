@@ -103,9 +103,6 @@ pub struct RunParams {
     /// Fraction of local columns in the split update's right section
     /// (0 disables the split).
     pub split_frac: f64,
-    /// Whether look-ahead is enabled (it always is in rocHPL; the ablation
-    /// benches turn it off).
-    pub lookahead: bool,
 }
 
 impl RunParams {
@@ -121,7 +118,6 @@ impl RunParams {
             local_q: 2,
             nodes: 1,
             split_frac: 0.5,
-            lookahead: true,
         }
     }
 
@@ -150,7 +146,6 @@ impl RunParams {
             local_q,
             nodes,
             split_frac: 0.5,
-            lookahead: true,
         }
     }
 
@@ -215,6 +210,30 @@ mod tests {
                 assert_eq!((p.local_p, p.local_q), (1, 8), "nodes={nodes}");
             }
         }
+    }
+
+    #[test]
+    fn efficiency_degrades_when_compute_outpaces_the_network() {
+        // Paper §V: the fraction of the DGEMM limit achieved falls when GPU
+        // compute doubles faster than network bandwidth.
+        use crate::des_hpl::simulate_des;
+        use crate::schedule::{Pipeline, Simulator};
+        let efficiency = |compute_gen, net_gen| {
+            let node = NodeModel::future(compute_gen, net_gen);
+            let mut params = RunParams::paper_single_node();
+            params.n = node.fill_hbm_n(1);
+            let r = simulate_des(&Simulator::new(node, params), Pipeline::SplitUpdate);
+            let n = params.n as f64;
+            let limit = node.gcds as f64 * node.dgemm.flops_rate(n / 4.0, n / 2.0, 512.0) / 1e12;
+            r.tflops / limit
+        };
+        let base = efficiency(0, 0);
+        let balanced = efficiency(1, 1);
+        let skewed = efficiency(2, 0);
+        assert!(
+            skewed < balanced && skewed < base,
+            "base {base:.3}, balanced {balanced:.3}, skewed {skewed:.3}"
+        );
     }
 
     #[test]

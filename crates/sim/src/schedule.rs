@@ -1,50 +1,15 @@
-//! Per-iteration schedule model: prices one HPL iteration under the
-//! baseline look-ahead pipeline (paper Fig 3) or the split-update pipeline
-//! (Fig 6), and accumulates the full-run breakdown that Fig 7 plots.
+//! The pricing model: the durations of one HPL iteration's phases on the
+//! critical-path rank (the diagonal owner), from the calibrated hardware
+//! models in [`crate::gpu`], [`crate::cpu`] and [`crate::link`].
 //!
-//! The model tracks the *critical-path* rank (the diagonal owner): phase
-//! durations come from the calibrated hardware models in [`crate::gpu`],
-//! [`crate::cpu`] and [`crate::link`], and the pipeline structure decides
-//! which of them overlap.
+//! How the phases overlap is not decided here: [`crate::des_hpl`] turns
+//! them into the look-ahead (Fig 3) or split-update (Fig 6) task graph and
+//! reads every figure's numbers off the executed trace.
 
 use serde::Serialize;
 
 use crate::link::CollectiveModel;
 use crate::node::{NodeModel, RunParams};
-
-/// One iteration's simulated timing record (the Fig 7 series).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct IterRecord {
-    /// Iteration index.
-    pub iter: usize,
-    /// Iteration wall time on the critical rank (seconds).
-    pub time: f64,
-    /// Time the GPU was actively computing during the iteration.
-    pub gpu_active: f64,
-    /// CPU panel-factorization time.
-    pub fact: f64,
-    /// MPI time (pivot collectives + LBCAST + row-swap communication).
-    pub mpi: f64,
-    /// Host<->device transfer time.
-    pub transfer: f64,
-}
-
-/// Aggregate result of a simulated run.
-#[derive(Clone, Debug, Serialize)]
-pub struct SimResult {
-    /// Per-iteration records.
-    pub iters: Vec<IterRecord>,
-    /// Total run time (seconds).
-    pub total_time: f64,
-    /// Benchmark score in TFLOPS.
-    pub tflops: f64,
-    /// Fraction of *iterations* where communication + CPU work is fully
-    /// hidden by GPU activity (paper: ~50% of iterations single-node).
-    pub hidden_iter_fraction: f64,
-    /// Fraction of *execution time* spent in fully-hidden iterations
-    /// (paper: ~75% single-node with the split update).
-    pub hidden_time_fraction: f64,
-}
 
 /// Which pipeline the model prices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -177,11 +142,7 @@ impl Simulator {
             _ => 0.0,
         };
         let w_left_total = w - w2; // includes the look-ahead columns
-        let la = if self.params.lookahead {
-            nb.min(w_left_total.max(w))
-        } else {
-            0.0
-        };
+        let la = nb.min(w);
         let up_la = self.up_time(m, la);
         let (up_left, up_right) = match pipeline {
             Pipeline::SplitUpdate => (
@@ -232,100 +193,40 @@ impl Simulator {
         }
     }
 
-    /// Composes one iteration's phases into wall time under the pipeline.
-    pub fn iter_record(&self, it: usize, pipeline: Pipeline) -> IterRecord {
-        let nb = self.params.nb as f64;
-        let k0 = (it * self.params.nb) as f64;
-        let n = self.params.n as f64;
-        // Does the split still have a left section at this iteration?
-        let split_active = matches!(pipeline, Pipeline::SplitUpdate)
-            && (n - k0 - nb) / self.params.q as f64 > self.right_width();
-        let ph = if split_active {
-            self.phases(it, Pipeline::SplitUpdate)
-        } else {
-            self.phases(it, Pipeline::LookAhead)
-        };
-        let chain_cpu = ph.transfer + ph.fact_cpu + ph.fact_comm + ph.lbcast;
-        let gpu_active = ph.up_la + ph.up_left + ph.up_right + ph.rs_kernels;
-        let time = match (pipeline, split_active) {
-            (Pipeline::NoOverlap, _) => {
-                chain_cpu + ph.rs1_comm + ph.rs_kernels + ph.up_la + ph.up_left
-            }
-            (Pipeline::LookAhead, _) | (Pipeline::SplitUpdate, false) => {
-                // Fig 3: RS exposed, FACT/LBCAST hidden by the trailing
-                // update when it is long enough.
-                ph.rs1_comm + ph.rs_kernels + ph.up_la + (ph.up_left + ph.up_right).max(chain_cpu)
-            }
-            (Pipeline::SplitUpdate, true) => {
-                // Fig 6: RS1 hidden under UPDATE2 together with the CPU
-                // chain; RS2 (next iteration's prefetch) hidden under
-                // UPDATE1.
-                ph.rs_kernels
-                    + ph.up_la
-                    + ph.up_right.max(chain_cpu + ph.rs1_comm)
-                    + ph.up_left.max(ph.rs2_comm)
-            }
-        };
-        IterRecord {
-            iter: it,
-            time,
-            gpu_active,
-            fact: ph.fact_cpu,
-            mpi: ph.fact_comm + ph.lbcast + ph.rs1_comm + ph.rs2_comm,
-            transfer: ph.transfer,
-        }
+    /// Whether the split pipeline still has a left section at iteration
+    /// `it` (afterwards the right section is the whole trailing matrix and
+    /// the iteration runs as plain look-ahead).
+    pub(crate) fn split_active(&self, it: usize) -> bool {
+        self.geometry(it).2 > self.right_width()
     }
 
-    /// Simulates the full run.
-    pub fn run(&self, pipeline: Pipeline) -> SimResult {
-        let iters: Vec<IterRecord> = (0..self.params.iterations())
-            .map(|it| self.iter_record(it, pipeline))
-            .collect();
-        let mut total: f64 = iters.iter().map(|r| r.time).sum();
-        // Backsolve epilogue: N^2 flops at memory-bound rates, plus one
-        // collective pair per block row — small but not free.
+    /// The backsolve epilogue: N^2 flops at memory-bound rates, plus one
+    /// collective pair per block row — small but not free.
+    pub(crate) fn backsolve(&self) -> f64 {
         let n = self.params.n as f64;
-        let solve = 2.0 * n * n * 8.0 / self.node.hbm.bandwidth / self.params.q as f64
+        2.0 * n * n * 8.0 / self.node.hbm.bandwidth / self.params.q as f64
             + self.params.iterations() as f64
                 * self
                     .col_coll()
-                    .allreduce(self.params.p, self.params.nb as f64 * 8.0);
-        total += solve;
-        let hidden: Vec<bool> = iters
-            .iter()
-            .map(|r| r.time <= r.gpu_active * 1.02)
-            .collect();
-        let hidden_iters = hidden.iter().filter(|&&h| h).count();
-        let hidden_time: f64 = iters
-            .iter()
-            .zip(&hidden)
-            .filter(|(_, &h)| h)
-            .map(|(r, _)| r.time)
-            .sum();
-        SimResult {
-            tflops: self.params.flops() / total / 1e12,
-            hidden_iter_fraction: hidden_iters as f64 / iters.len().max(1) as f64,
-            hidden_time_fraction: hidden_time / total,
-            iters,
-            total_time: total,
-        }
+                    .allreduce(self.params.p, self.params.nb as f64 * 8.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des_hpl::{simulate_des, SimResult};
 
-    fn paper_sim() -> Simulator {
-        Simulator::new(NodeModel::frontier(), RunParams::paper_single_node())
+    fn paper_run(pipeline: Pipeline) -> SimResult {
+        let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
+        simulate_des(&sim, pipeline)
     }
 
     #[test]
     fn single_node_score_matches_paper_band() {
         // Paper §IV.A: 153 TFLOPS average on one Crusher node, i.e. 78% of
         // the 196 TF NB=512 DGEMM limit.
-        let r = paper_sim().run(Pipeline::SplitUpdate);
-        let per_node = r.tflops;
+        let per_node = paper_run(Pipeline::SplitUpdate).tflops;
         assert!(
             (145.0..162.0).contains(&per_node),
             "single node score {per_node:.1} TF outside paper band"
@@ -336,7 +237,7 @@ mod tests {
     fn two_regimes_with_transition_near_half() {
         // Paper Fig 7: iteration time == GPU time early; transition around
         // iteration 250 of 500 (the 50-50 split point).
-        let r = paper_sim().run(Pipeline::SplitUpdate);
+        let r = paper_run(Pipeline::SplitUpdate);
         let first_exposed = r
             .iters
             .iter()
@@ -355,10 +256,9 @@ mod tests {
 
     #[test]
     fn split_update_hides_more_than_lookahead_alone() {
-        let s = paper_sim();
-        let with = s.run(Pipeline::SplitUpdate);
-        let without = s.run(Pipeline::LookAhead);
-        let serial = s.run(Pipeline::NoOverlap);
+        let with = paper_run(Pipeline::SplitUpdate);
+        let without = paper_run(Pipeline::LookAhead);
+        let serial = paper_run(Pipeline::NoOverlap);
         assert!(
             with.tflops > without.tflops,
             "{} vs {}",
@@ -379,12 +279,12 @@ mod tests {
     fn first_regime_throughput_near_90pct_of_dgemm_limit() {
         // Paper: running throughput ~175 TF = 90% of the 196 TF limit in
         // the compute-bound regime.
-        let s = paper_sim();
-        let r = s.run(Pipeline::SplitUpdate);
+        let params = RunParams::paper_single_node();
+        let r = paper_run(Pipeline::SplitUpdate);
         // Flops of iteration `it`: 2*Nt^2*NB across the whole machine.
         let it = 50usize;
-        let n = s.params.n as f64;
-        let nb = s.params.nb as f64;
+        let n = params.n as f64;
+        let nb = params.nb as f64;
         let nt = n - (it as f64) * nb - nb;
         let fl = 2.0 * nt * nt * nb + 2.0 * nt * nb * nb;
         let rate = fl / r.iters[it].time / 1e12;
@@ -393,7 +293,7 @@ mod tests {
 
     #[test]
     fn gpu_active_decreases_monotonically_overall() {
-        let r = paper_sim().run(Pipeline::SplitUpdate);
+        let r = paper_run(Pipeline::SplitUpdate);
         // Compare decade averages to smooth the split-phase transition.
         let avg = |lo: usize, hi: usize| -> f64 {
             r.iters[lo..hi].iter().map(|x| x.gpu_active).sum::<f64>() / (hi - lo) as f64

@@ -1,168 +1,42 @@
-//! ASCII Gantt rendering of one iteration's schedule — regenerates the
-//! *structure* of the paper's Fig 3 (look-ahead) and Fig 6 (split update)
-//! timeline diagrams from the priced phase model.
+//! ASCII Gantt rendering of a simulated run — regenerates the *structure*
+//! of the paper's Fig 3 (look-ahead) and Fig 6 (split update) timeline
+//! diagrams by cutting iterations out of the executed trace.
 
-use crate::schedule::{Phases, Pipeline, Simulator};
+use std::ops::Range;
+
+use crate::des_hpl::{SimResult, RESOURCES};
 
 /// A labelled span on one of the timeline's resource rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
-    /// Resource row: "GPU", "CPU", "MPI" or "XFER".
+    /// Resource row: one of [`RESOURCES`].
     pub row: &'static str,
-    /// Phase label.
-    pub label: &'static str,
-    /// Start offset within the iteration (seconds).
+    /// Task label.
+    pub label: String,
+    /// Start offset within the cut (seconds).
     pub start: f64,
-    /// Duration (seconds).
+    /// Duration within the cut (seconds).
     pub len: f64,
 }
 
-/// Builds the span list of one iteration under `pipeline`.
-pub fn iteration_spans(sim: &Simulator, it: usize, pipeline: Pipeline) -> Vec<Span> {
-    let ph = sim.phases(it, pipeline);
-    match pipeline {
-        Pipeline::SplitUpdate => split_spans(&ph),
-        _ => lookahead_spans(&ph),
-    }
-}
-
-fn lookahead_spans(ph: &Phases) -> Vec<Span> {
-    // Fig 3: RS (exposed), then UPDATE_LA; CPU chain under UPDATE_REST.
-    let mut v = Vec::new();
-    let mut t = 0.0;
-    v.push(Span {
-        row: "MPI",
-        label: "RS",
-        start: t,
-        len: ph.rs1_comm,
-    });
-    t += ph.rs1_comm;
-    v.push(Span {
-        row: "GPU",
-        label: "RS kernels",
-        start: t,
-        len: ph.rs_kernels,
-    });
-    t += ph.rs_kernels;
-    v.push(Span {
-        row: "GPU",
-        label: "UPDATE_LA",
-        start: t,
-        len: ph.up_la,
-    });
-    t += ph.up_la;
-    let rest = ph.up_left + ph.up_right;
-    v.push(Span {
-        row: "GPU",
-        label: "UPDATE",
-        start: t,
-        len: rest,
-    });
-    let mut c = t;
-    v.push(Span {
-        row: "XFER",
-        label: "D2H",
-        start: c,
-        len: ph.transfer / 2.0,
-    });
-    c += ph.transfer / 2.0;
-    v.push(Span {
-        row: "CPU",
-        label: "FACT",
-        start: c,
-        len: ph.fact_cpu + ph.fact_comm,
-    });
-    c += ph.fact_cpu + ph.fact_comm;
-    v.push(Span {
-        row: "XFER",
-        label: "H2D",
-        start: c,
-        len: ph.transfer / 2.0,
-    });
-    c += ph.transfer / 2.0;
-    v.push(Span {
-        row: "MPI",
-        label: "LBCAST",
-        start: c,
-        len: ph.lbcast,
-    });
-    v
-}
-
-fn split_spans(ph: &Phases) -> Vec<Span> {
-    // Fig 6: scatter RS2, update LA, then UPDATE2 over {chain + RS1},
-    // then UPDATE1 over RS2'.
-    let mut v = Vec::new();
-    let mut t = 0.0;
-    v.push(Span {
-        row: "GPU",
-        label: "RS kernels",
-        start: t,
-        len: ph.rs_kernels,
-    });
-    t += ph.rs_kernels;
-    v.push(Span {
-        row: "GPU",
-        label: "UPDATE_LA",
-        start: t,
-        len: ph.up_la,
-    });
-    t += ph.up_la;
-    v.push(Span {
-        row: "GPU",
-        label: "UPDATE2",
-        start: t,
-        len: ph.up_right,
-    });
-    let mut c = t;
-    v.push(Span {
-        row: "XFER",
-        label: "D2H",
-        start: c,
-        len: ph.transfer / 2.0,
-    });
-    c += ph.transfer / 2.0;
-    v.push(Span {
-        row: "CPU",
-        label: "FACT",
-        start: c,
-        len: ph.fact_cpu + ph.fact_comm,
-    });
-    c += ph.fact_cpu + ph.fact_comm;
-    v.push(Span {
-        row: "XFER",
-        label: "H2D",
-        start: c,
-        len: ph.transfer / 2.0,
-    });
-    c += ph.transfer / 2.0;
-    v.push(Span {
-        row: "MPI",
-        label: "LBCAST",
-        start: c,
-        len: ph.lbcast,
-    });
-    c += ph.lbcast;
-    v.push(Span {
-        row: "MPI",
-        label: "RS1",
-        start: c,
-        len: ph.rs1_comm,
-    });
-    let t2 = t + ph.up_right.max(c + ph.rs1_comm - t);
-    v.push(Span {
-        row: "GPU",
-        label: "UPDATE1",
-        start: t2,
-        len: ph.up_left,
-    });
-    v.push(Span {
-        row: "MPI",
-        label: "RS2'",
-        start: t2,
-        len: ph.rs2_comm,
-    });
-    v
+/// The spans of iterations `iters` of a run: every task that runs inside
+/// their windows, clipped to them, with start offsets from the first
+/// window's start.
+pub fn iteration_spans(r: &SimResult, iters: Range<usize>) -> Vec<Span> {
+    let t0 = r.iters[iters.start].start;
+    let last = &r.iters[iters.end - 1];
+    let t1 = last.start + last.time;
+    r.trace
+        .spans
+        .iter()
+        .filter(|s| s.end > t0 && s.start < t1)
+        .map(|s| Span {
+            row: RESOURCES[s.resource.0],
+            label: s.label.clone(),
+            start: s.start.max(t0) - t0,
+            len: s.end.min(t1) - s.start.max(t0),
+        })
+        .collect()
 }
 
 /// Renders spans as a fixed-width ASCII Gantt chart.
@@ -171,10 +45,9 @@ pub fn render(spans: &[Span], width: usize) -> String {
     if end <= 0.0 {
         return String::new();
     }
-    let rows = ["GPU", "CPU", "XFER", "MPI"];
     let mut out = String::new();
     out.push_str(&format!("iteration span: {:.3} ms\n", end * 1e3));
-    for row in rows {
+    for row in RESOURCES {
         let mut line = vec![b' '; width];
         let mut labels: Vec<(usize, &str)> = Vec::new();
         for s in spans.iter().filter(|s| s.row == row && s.len > 0.0) {
@@ -183,7 +56,7 @@ pub fn render(spans: &[Span], width: usize) -> String {
             for c in line.iter_mut().take(b.min(width)).skip(a.min(width)) {
                 *c = b'#';
             }
-            labels.push((a, s.label));
+            labels.push((a, &s.label));
         }
         out.push_str(&format!("{row:>5} |{}|", String::from_utf8_lossy(&line)));
         out.push_str("  ");
@@ -198,44 +71,82 @@ pub fn render(spans: &[Span], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des_hpl::simulate_des;
     use crate::node::{NodeModel, RunParams};
+    use crate::schedule::{Pipeline, Simulator};
 
-    fn sim() -> Simulator {
-        Simulator::new(NodeModel::frontier(), RunParams::paper_single_node())
+    fn spans(pipeline: Pipeline, it: usize) -> Vec<Span> {
+        let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
+        iteration_spans(&simulate_des(&sim, pipeline), it..it + 1)
+    }
+
+    fn find<'a>(spans: &'a [Span], label: &str) -> &'a Span {
+        spans
+            .iter()
+            .find(|s| s.label == label)
+            .unwrap_or_else(|| panic!("no {label} span"))
+    }
+
+    fn end(s: &Span) -> f64 {
+        s.start + s.len
     }
 
     #[test]
     fn lookahead_exposes_rs_before_update() {
-        let spans = iteration_spans(&sim(), 50, Pipeline::LookAhead);
-        let rs = spans.iter().find(|s| s.label == "RS").unwrap();
-        let up = spans.iter().find(|s| s.label == "UPDATE").unwrap();
-        assert!(rs.start < up.start, "Fig 3: RS precedes UPDATE");
-        // FACT runs concurrently with UPDATE (overlapping spans).
-        let fact = spans.iter().find(|s| s.label == "FACT").unwrap();
-        assert!(fact.start >= up.start && fact.start < up.start + up.len);
+        let spans = spans(Pipeline::LookAhead, 50);
+        let rs = find(&spans, "rs-comm:50");
+        let up = find(&spans, "update:50");
+        assert!(end(rs) <= up.start, "Fig 3: RS precedes UPDATE");
+        // The next panel's FACT runs concurrently with UPDATE.
+        let fact = find(&spans, "fact:51");
+        assert!(fact.start >= up.start && end(fact) < end(up));
     }
 
     #[test]
     fn split_hides_rs_under_updates() {
-        let spans = iteration_spans(&sim(), 50, Pipeline::SplitUpdate);
-        let up2 = spans.iter().find(|s| s.label == "UPDATE2").unwrap();
-        let rs1 = spans.iter().find(|s| s.label == "RS1").unwrap();
-        // RS1 lies inside UPDATE2's span early in the run (Fig 6).
-        assert!(rs1.start >= up2.start);
-        assert!(rs1.start + rs1.len <= up2.start + up2.len + 1e-9);
-        let up1 = spans.iter().find(|s| s.label == "UPDATE1").unwrap();
-        let rs2 = spans.iter().find(|s| s.label == "RS2'").unwrap();
-        assert!(rs2.start >= up1.start - 1e-12);
-        assert!(rs2.len <= up1.len + 1e-9, "RS2 hidden by UPDATE1 early on");
+        let spans = spans(Pipeline::SplitUpdate, 50);
+        // Fig 6: RS1 finishes under UPDATE2, the next iteration's RS2
+        // prefetch runs under UPDATE1 — no communication is exposed early
+        // in the run.
+        let up2 = find(&spans, "up2:50");
+        let rs1 = find(&spans, "rs1-comm:50");
+        assert!(end(rs1) <= end(up2));
+        let up1 = find(&spans, "up1:50");
+        let rs2 = find(&spans, "rs2-comm:51");
+        assert!(rs2.start >= up1.start && end(rs2) <= end(up1));
+        // The GPU is never idle inside the window.
+        let gpu: f64 = spans.iter().filter(|s| s.row == "GPU").map(|s| s.len).sum();
+        assert!(
+            (gpu - end(up1)).abs() < 1e-9,
+            "GPU busy {gpu} of {}",
+            end(up1)
+        );
+    }
+
+    #[test]
+    fn no_overlap_never_factors_under_an_update() {
+        let spans = spans(Pipeline::NoOverlap, 50);
+        let updates: Vec<&Span> = spans.iter().filter(|s| s.label.starts_with("up")).collect();
+        assert!(!updates.is_empty());
+        for fact in spans.iter().filter(|s| s.label.starts_with("fact:")) {
+            for up in &updates {
+                assert!(
+                    end(fact) <= up.start || fact.start >= end(up),
+                    "{} overlaps {}",
+                    fact.label,
+                    up.label
+                );
+            }
+        }
+        assert!(spans.iter().any(|s| s.label == "fact:50"));
     }
 
     #[test]
     fn render_produces_all_rows() {
-        let spans = iteration_spans(&sim(), 50, Pipeline::SplitUpdate);
-        let text = render(&spans, 80);
-        for row in ["GPU", "CPU", "XFER", "MPI"] {
+        let text = render(&spans(Pipeline::SplitUpdate, 50), 80);
+        for row in RESOURCES {
             assert!(text.contains(row), "missing row {row} in:\n{text}");
         }
-        assert!(text.contains("UPDATE2"));
+        assert!(text.contains("up2:50"));
     }
 }

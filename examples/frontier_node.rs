@@ -7,7 +7,7 @@
 //! ```
 
 use hpl_comm::Universe;
-use hpl_sim::{iteration_spans, render, NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{iteration_spans, render, simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 
@@ -15,8 +15,7 @@ fn main() {
     // ---- Full-scale model (the paper's machine). ----
     let node = NodeModel::frontier();
     let params = RunParams::paper_single_node();
-    let sim = Simulator::new(node, params);
-    let r = sim.run(Pipeline::SplitUpdate);
+    let r = simulate_des(&Simulator::new(node, params), Pipeline::SplitUpdate);
     println!("== Crusher single node, modeled (N=256000, NB=512, 4x2, split 50%) ==");
     println!("score:            {:.1} TFLOPS   (paper: 153)", r.tflops);
     println!("run time:         {:.1} s", r.total_time);
@@ -33,10 +32,7 @@ fn main() {
         r.hidden_time_fraction * 100.0
     );
     println!("iteration 50 timeline (cf. paper Fig 6):");
-    print!(
-        "{}",
-        render(&iteration_spans(&sim, 50, Pipeline::SplitUpdate), 90)
-    );
+    print!("{}", render(&iteration_spans(&r, 50..51), 90));
     println!("\niteration 400 (latency-bound tail, cf. Fig 7's right side):");
     let tail = &r.iters[400];
     println!(

@@ -3,7 +3,7 @@
 //! their structural facts must agree.
 
 use hpl_comm::Universe;
-use hpl_sim::{NodeModel, Pipeline, RunParams, Simulator};
+use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
 use hpl_threads::time_shared_bindings;
 use rhpl_core::{run_hpl, HplConfig};
 
@@ -56,7 +56,7 @@ fn functional_iteration_times_decay_like_model() {
     );
     // The model shows the same decay at paper scale.
     let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
-    let r = sim.run(Pipeline::SplitUpdate);
+    let r = simulate_des(&sim, Pipeline::SplitUpdate);
     assert!(r.iters[0].time > 2.0 * r.iters[450].time);
 }
 
@@ -74,14 +74,14 @@ fn iteration_counts_agree() {
 #[test]
 fn calibration_regression_guard() {
     let sim = Simulator::new(NodeModel::frontier(), RunParams::paper_single_node());
-    let split = sim.run(Pipeline::SplitUpdate);
+    let split = simulate_des(&sim, Pipeline::SplitUpdate);
     assert!(
         (145.0..165.0).contains(&split.tflops),
         "single node {:.1} TF",
         split.tflops
     );
-    let la = sim.run(Pipeline::LookAhead);
-    let serial = sim.run(Pipeline::NoOverlap);
+    let la = simulate_des(&sim, Pipeline::LookAhead);
+    let serial = simulate_des(&sim, Pipeline::NoOverlap);
     assert!(split.tflops > la.tflops && la.tflops > serial.tflops);
     // Paper: look-ahead+split worth tens of TFLOPS over no overlap.
     assert!(split.tflops / serial.tflops > 1.3);
