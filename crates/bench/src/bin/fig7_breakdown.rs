@@ -8,12 +8,16 @@
 //! hidden-communication fractions).
 //!
 //! Pass `--functional` to instead *execute* the real distributed benchmark
-//! at a scaled-down size (`--n`, `--nb`, `--p`, `--q`) and print the
-//! measured per-iteration phases from the diagonal-owner rank.
+//! at a scaled-down size (`--n`, `--nb`, `--p`, `--q`) with tracing on and
+//! print its per-iteration phase table
+//! (`hpl_trace::report::iteration_table`: each phase summed per rank, then
+//! the maximum across ranks).
 
 use hpl_bench::{arg_value, emit_json, has_flag, row};
 use hpl_comm::Universe;
 use hpl_sim::{simulate_des, NodeModel, Pipeline, RunParams, Simulator};
+use hpl_trace::report::iteration_table;
+use hpl_trace::TraceOpts;
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 
@@ -85,29 +89,14 @@ fn functional() {
     let mut cfg = HplConfig::new(n, nb, p, q);
     cfg.schedule = Schedule::SplitUpdate { frac: 0.5 };
     cfg.fact.threads = 2;
+    cfg.trace = TraceOpts::on();
     println!("Fig 7 (functional): measured per-iteration phases, N={n} NB={nb} {p}x{q}");
     let results = Universe::run(cfg.ranks(), |comm| {
         run_hpl(comm, &cfg).expect("nonsingular")
     });
-    // Merge: per-phase maximum across ranks — the critical-path view. (With
-    // look-ahead, the FACT of panel i+1 runs during iteration i on the next
-    // panel's column, so no single rank's record holds every phase.)
-    let mut merged = Vec::new();
-    for it in 0..cfg.iterations() {
-        let mut rec = rhpl_core::IterTiming {
-            iter: it,
-            ..Default::default()
-        };
-        for r in &results {
-            let t = r.timings[it];
-            rec.total = rec.total.max(t.total);
-            rec.fact = rec.fact.max(t.fact);
-            rec.comm = rec.comm.max(t.comm);
-            rec.transfer = rec.transfer.max(t.transfer);
-            rec.update = rec.update.max(t.update);
-        }
-        merged.push(rec);
-    }
+    let traces: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
+    let table = iteration_table(&traces, cfg.iterations());
+    let ms = |ns: u64| format!("{:.3}", ns as f64 * 1e-6);
     let widths = [6usize, 10, 10, 10, 10];
     println!(
         "{}",
@@ -116,16 +105,18 @@ fn functional() {
             &widths
         )
     );
-    for t in &merged {
+    for r in &table {
+        let t = &r.phases;
         println!(
             "{}",
             row(
                 &[
-                    format!("{}", t.iter),
-                    format!("{:.3}", t.total * 1e3),
-                    format!("{:.3}", t.fact * 1e3),
-                    format!("{:.3}", t.comm * 1e3),
-                    format!("{:.3}", t.transfer * 1e3),
+                    format!("{}", r.iter),
+                    ms(t.total_ns()),
+                    // FACT's CPU share: its pivot collectives are in comm.
+                    ms(t.fact_ns.saturating_sub(t.fact_comm_ns)),
+                    ms(t.comm_ns()),
+                    ms(t.transfer_ns),
                 ],
                 &widths
             )
@@ -135,11 +126,5 @@ fn functional() {
         "\nwall: {:.3} s, {:.2} GFLOPS",
         results[0].wall, results[0].gflops
     );
-    emit_json(
-        "fig7_functional",
-        &merged
-            .iter()
-            .map(|t| (t.iter, t.total, t.fact, t.comm, t.transfer))
-            .collect::<Vec<_>>(),
-    );
+    emit_json("fig7_functional", &table);
 }

@@ -1,11 +1,32 @@
-//! The benchmark driver: orchestrates FACT, LBCAST, RS and UPDATE across
-//! iterations under one of three schedules — the reference order, the
-//! look-ahead pipeline (paper Fig 3), and the split-update pipeline
-//! (paper Fig 6) — and finishes with the distributed back-substitution.
+//! The benchmark driver: one schedule loop runs FACT, LBCAST, RS and UPDATE
+//! over the panel iterations, then the distributed back-substitution.
 //!
-//! All three schedules perform the same arithmetic on the same operands in
-//! a different order *between* independent column groups, so their results
-//! are bitwise identical; the integration tests rely on this.
+//! Iteration `it` of the loop:
+//! 1. takes the panel carried from iteration `it - 1`, or factors and
+//!    broadcasts panel `it` when none is carried;
+//! 2. scatters the right section's prefetched rows if the split is live;
+//! 3. swaps and updates the look-ahead columns (the local columns of panel
+//!    `it + 1`);
+//! 4. factors and broadcasts panel `it + 1` in a `hidden` slot, *before*
+//!    the rest of the update when this rank holds look-ahead columns or the
+//!    split is live, and otherwise *after* it, not hidden;
+//! 5. swaps and updates the rest: up to the split point, `hidden`, when the
+//!    split is live; to the last local column otherwise;
+//! 6. if the split is live, runs UPDATE2 on the right section, then
+//!    prefetches its RS2 for iteration `it + 1` (`hidden`).
+//!
+//! The three schedules are this loop with look-ahead off (the reference
+//! order: nothing is carried, so step 4 never runs), on (paper Fig 3), and
+//! on with a right section (Fig 6: the split is live until the shrinking
+//! left section reaches the split point). The `hidden` slots are those a
+//! GPU timeline overlaps with an update. All three perform the same
+//! arithmetic on the same operands in a different order *between*
+//! independent column groups, so their results are bitwise identical; the
+//! integration tests rely on this.
+//!
+//! The phase trace (`hpl_trace`) is the driver's only timing record;
+//! `hpl_trace::report::iteration_table` turns it into the per-iteration
+//! breakdown of Fig 7.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,41 +45,14 @@ use crate::solve::back_substitute;
 use crate::swap::{apply_moves, row_swap_comm, ColRange, RsData, SwapPlan};
 use crate::update::{gemm_update_parallel, solve_u, store_u};
 
-/// Per-iteration phase timings recorded by each rank (seconds). The paper's
-/// Fig 7 plots the diagonal-owner's record of each iteration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IterTiming {
-    /// Iteration index.
-    pub iter: usize,
-    /// Whether this rank owned the iteration's diagonal block.
-    pub diag_owner: bool,
-    /// Total wall time of the iteration on this rank.
-    pub total: f64,
-    /// CPU time in the panel factorization (minus its collectives).
-    pub fact: f64,
-    /// MPI time: pivot collectives + LBCAST + row-swap communication.
-    pub comm: f64,
-    /// Panel transfer time: installing the factored diagonal block and
-    /// packing the broadcast buffer (the panel is factored in place).
-    pub transfer: f64,
-    /// "GPU" compute: DTRSM + DGEMM + swap gather/scatter kernels.
-    pub update: f64,
-}
-
 /// Result of a benchmark run on one rank.
 pub struct HplResult {
     /// The solution vector, replicated on every rank.
     pub x: Vec<f64>,
-    /// Per-iteration timings recorded by this rank.
-    pub timings: Vec<IterTiming>,
     /// Total factorization+solve wall time on this rank (seconds).
     pub wall: f64,
     /// Benchmark GFLOPS (HPL formula over the wall time).
     pub gflops: f64,
-    /// Problem size, kept for the progress accounting below.
-    pub n: usize,
-    /// Blocking factor.
-    pub nb: usize,
     /// Phase trace of this rank (when `cfg.trace.enabled`).
     pub trace: Option<hpl_trace::Trace>,
     /// Name of the DGEMM microkernel the run resolved to
@@ -76,51 +70,6 @@ pub struct HplResult {
     /// Digest of the answer: [`hpl_trace::report::x_hash`] over `x` and
     /// the pivot log. Identical on every rank.
     pub x_hash: u64,
-}
-
-/// One running-throughput sample, the metric rocHPL prints during
-/// execution ("we typically see the running throughput in this regime
-/// achieve 90% of this limit", paper SIV.A).
-#[derive(Clone, Copy, Debug)]
-pub struct ProgressSample {
-    /// Iteration index.
-    pub iter: usize,
-    /// Fraction of the benchmark's FLOPs completed after this iteration.
-    pub fraction: f64,
-    /// Running throughput over the elapsed iterations (GFLOPS).
-    pub running_gflops: f64,
-}
-
-impl HplResult {
-    /// Per-iteration running throughput: cumulative HPL-accounted FLOPs
-    /// over cumulative iteration time. Early samples reflect the
-    /// compute-bound regime; the final sample approaches
-    /// [`HplResult::gflops`] (minus the back-substitution epilogue).
-    pub fn progress(&self) -> Vec<ProgressSample> {
-        let n = self.n as f64;
-        let total_flops = 2.0 / 3.0 * n * n * n + 1.5 * n * n;
-        let mut out = Vec::with_capacity(self.timings.len());
-        let mut elapsed = 0.0f64;
-        for t in &self.timings {
-            elapsed += t.total;
-            // FLOPs completed through iteration `iter`: eliminating the
-            // leading k columns costs total - (2/3 r^3 + 3/2 r^2) with
-            // r = n - k rows remaining.
-            let k = (((t.iter + 1) * self.nb) as f64).min(n);
-            let r = n - k;
-            let done = total_flops - (2.0 / 3.0 * r * r * r + 1.5 * r * r);
-            out.push(ProgressSample {
-                iter: t.iter,
-                fraction: done / total_flops,
-                running_gflops: if elapsed > 0.0 {
-                    done / elapsed / 1e9
-                } else {
-                    0.0
-                },
-            });
-        }
-        out
-    }
 }
 
 /// One iteration's panel, after factorization and broadcast.
@@ -177,7 +126,6 @@ struct Driver<'a, E: Element> {
     cfg: &'a HplConfig,
     pool: Pool,
     a: LocalMatrix<E>,
-    timings: Vec<IterTiming>,
     ckpt: CkptState<E>,
     /// Global pivot row per factored global column, grown panel by panel.
     /// Maintained unconditionally (not just on checkpointed runs): the
@@ -238,11 +186,8 @@ pub fn run_hpl_system<E: WireElem>(
     Ok(HplResult {
         x_hash: hpl_trace::report::x_hash(&x, &out.pivot_log),
         x,
-        timings: out.timings,
         wall,
         gflops: cfg.flops() / wall / 1e9,
-        n: cfg.n,
-        nb: cfg.nb,
         trace,
         kernel: hpl_blas::kernels::active().name(),
         element: E::NAME,
@@ -262,8 +207,6 @@ pub struct PipelineOut<E: Element = f64> {
     pub a: LocalMatrix<E>,
     /// Global pivot row chosen for every factored global column.
     pub pivot_log: Vec<u64>,
-    /// Per-iteration timings recorded by this rank.
-    pub timings: Vec<IterTiming>,
     /// Iteration this run restored to from a checkpoint (`None` for a
     /// from-scratch run).
     pub resumed_from: Option<usize>,
@@ -302,7 +245,6 @@ pub fn factorize_local<E: WireElem>(
         cfg,
         pool,
         a,
-        timings: Vec::new(),
         ckpt: CkptState {
             every: cfg.ckpt.every,
             store: cfg.ckpt.store.clone(),
@@ -312,19 +254,15 @@ pub fn factorize_local<E: WireElem>(
         },
         pivot_log: Vec::new(),
         rs,
+        // Sized for the schedule's right section by `run`.
         rs_right: RsData::for_sections(0, 0, 1),
     };
     let resumed_from = d.restore_if_due()?;
     let start = resumed_from.unwrap_or(0);
-    match cfg.schedule {
-        Schedule::Simple => d.run_simple(start)?,
-        Schedule::LookAhead => d.run_lookahead(0.0, start)?,
-        Schedule::SplitUpdate { frac } => d.run_lookahead(frac, start)?,
-    }
+    d.run(start)?;
     Ok(PipelineOut {
         a: d.a,
         pivot_log: d.pivot_log,
-        timings: d.timings,
         resumed_from,
     })
 }
@@ -337,19 +275,15 @@ impl<E: WireElem> Driver<'_, E> {
         PanelGeom::new(&self.a, self.grid, k0, jb)
     }
 
-    /// Local trailing-column range after iteration `it`'s panel.
-    fn trailing(&self, it: usize) -> ColRange {
+    /// First local trailing column after iteration `it`'s panel.
+    fn trailing(&self, it: usize) -> usize {
         let k0 = it * self.cfg.nb;
         let jb = self.cfg.nb.min(self.cfg.n - k0);
-        ColRange {
-            start: self.a.cols.local_lower_bound(k0 + jb),
-            end: self.a.nloc,
-        }
+        self.a.cols.local_lower_bound(k0 + jb)
     }
 
-    /// Factors panel `it` and broadcasts it; returns the iteration panel
-    /// and accumulates phase timings into `t`.
-    fn fact_and_bcast(&mut self, it: usize, t: &mut IterTiming) -> Result<IterPanel<E>, HplError> {
+    /// Factors panel `it` and broadcasts it.
+    fn fact_and_bcast(&mut self, it: usize) -> Result<IterPanel<E>, HplError> {
         let geom = self.geom(it);
         let packed = if geom.in_panel_col {
             // Factoring destroys the panel columns' pre-fact values, which
@@ -359,7 +293,6 @@ impl<E: WireElem> Driver<'_, E> {
             let cols = geom.lj0 * mloc..(geom.lj0 + geom.jb) * mloc;
             self.ckpt.stash(it, self.a.as_slice(), cols);
 
-            let tf = Instant::now();
             let f0 = hpl_trace::now_ns();
             let out: FactOut<E> = {
                 let inp = FactInput {
@@ -376,8 +309,6 @@ impl<E: WireElem> Driver<'_, E> {
                 let mut panel = av.submatrix_mut(geom.lb, geom.lj0, geom.mp, geom.jb);
                 panel_factor(&inp, &mut panel)?
             };
-            t.fact += tf.elapsed().as_secs_f64() - out.comm_seconds;
-            t.comm += out.comm_seconds;
             // The pivot collectives run inside `panel_factor` — possibly on
             // pool worker threads where the rank's tracer is invisible — so
             // their time is re-exported here as one aggregate span nested in
@@ -390,17 +321,13 @@ impl<E: WireElem> Driver<'_, E> {
                 0,
             );
 
-            let tx = Instant::now();
             let mut buf = Vec::with_capacity(geom.bcast_len());
             pack_panel_in_place(&self.a, &geom, &out.top, &out.ipiv, &mut buf);
-            t.transfer += tx.elapsed().as_secs_f64();
             Some(buf)
         } else {
             None
         };
-        let tb = Instant::now();
         let panel = lbcast(self.grid.row(), self.cfg.bcast, &geom, packed)?;
-        t.comm += tb.elapsed().as_secs_f64();
         let plan = SwapPlan::build(geom.k0, geom.jb, &panel.ipiv);
         // Every rank holds the broadcast pivots; extend the history
         // unconditionally (idempotent on a resumed re-factor) — snapshots
@@ -514,19 +441,13 @@ impl<E: WireElem> Driver<'_, E> {
     }
 
     /// Row swap + full update over `range` using iteration panel `ip`.
-    fn swap_and_update(
-        &mut self,
-        ip: &IterPanel<E>,
-        range: ColRange,
-        t: &mut IterTiming,
-    ) -> Result<(), HplError> {
+    fn swap_and_update(&mut self, ip: &IterPanel<E>, range: ColRange) -> Result<(), HplError> {
         if range.width() == 0 {
             // Still participate in the column collectives: peers in this
             // process column have the same width (identical column
             // distribution), so zero width is column-wide and nobody calls.
             return Ok(());
         }
-        let tr = Instant::now();
         let rows = self.a.rows;
         let mut av = self.a.view_mut();
         row_swap_comm(
@@ -540,11 +461,7 @@ impl<E: WireElem> Driver<'_, E> {
             &mut self.rs,
         )?;
         apply_moves(&mut av, range, &self.rs);
-        t.comm += tr.elapsed().as_secs_f64();
-
-        let tu = Instant::now();
         self.apply_update(ip, Section::Immediate, range);
-        t.update += tu.elapsed().as_secs_f64();
         Ok(())
     }
 
@@ -571,179 +488,114 @@ impl<E: WireElem> Driver<'_, E> {
         );
     }
 
-    /// Reference schedule: factor, broadcast, swap, update, per iteration.
-    /// `start` is 0 on a cold start, the restored boundary on a resume.
-    fn run_simple(&mut self, start: usize) -> Result<(), HplError> {
-        let iters = self.cfg.iterations();
-        for it in start..iters {
-            let mut t = IterTiming {
-                iter: it,
-                ..Default::default()
-            };
-            hpl_trace::set_iter(it);
-            self.maybe_checkpoint(it)?;
-            let ti = Instant::now();
-            let ip = self.fact_and_bcast(it, &mut t)?;
-            let range = self.trailing(it);
-            self.swap_and_update(&ip, range, &mut t)?;
-            t.total = ti.elapsed().as_secs_f64();
-            t.diag_owner = ip.geom.in_curr_row && ip.geom.in_panel_col;
-            self.timings.push(t);
-        }
-        Ok(())
-    }
-
-    /// Look-ahead pipeline, optionally with the split update. `frac` is the
-    /// initial share of local trailing columns in the right section
-    /// (`0.0` disables the split and gives the plain Fig 3 pipeline).
+    /// The schedule loop. `cfg.schedule` maps onto it as look-ahead on or
+    /// off plus the split's right-section share (see the module doc).
     /// `start` is 0 on a cold start, the restored boundary on a resume —
-    /// the prologue then re-factors panel `start` from its snapshotted
-    /// pre-fact state, which is bitwise the factorization the interrupted
-    /// run performed.
-    fn run_lookahead(&mut self, frac: f64, start: usize) -> Result<(), HplError> {
+    /// the look-ahead prologue then re-factors panel `start` from its
+    /// snapshotted pre-fact state, which is bitwise the factorization the
+    /// interrupted run performed.
+    fn run(&mut self, start: usize) -> Result<(), HplError> {
+        let (lookahead, frac) = match self.cfg.schedule {
+            Schedule::Simple => (false, 0.0),
+            Schedule::LookAhead => (true, 0.0),
+            Schedule::SplitUpdate { frac } => (true, frac),
+        };
         let iters = self.cfg.iterations();
+        let nloc = self.a.nloc;
         // Fixed split point: local column where the right section starts,
         // aligned down to a local block boundary so the shrinking left
-        // section eventually hits it exactly.
+        // section hits it exactly (`nloc`: no split).
         let split_lj = if frac > 0.0 {
-            let t0 = self.trailing(0).start;
-            let width = self.a.nloc - t0;
-            let right_target = (width as f64 * frac).round() as usize;
-            let s = self.a.nloc.saturating_sub(right_target).max(t0);
-            // Align down to a local block boundary so the shrinking left
-            // section hits the split point exactly.
+            let t0 = self.trailing(0);
+            let right_target = ((nloc - t0) as f64 * frac).round() as usize;
+            let s = nloc.saturating_sub(right_target).max(t0);
             t0 + ((s - t0) / self.cfg.nb) * self.cfg.nb
         } else {
-            self.a.nloc
+            nloc
         };
         self.rs_right = RsData::for_sections(
             self.cfg.nb.min(self.cfg.n),
-            self.a.nloc - split_lj,
+            nloc - split_lj,
             self.grid.nprow(),
         );
-
-        // Prologue: factor+broadcast the first panel; prefetch its RS2.
-        let mut t = IterTiming {
-            iter: start,
-            ..Default::default()
+        let right = ColRange {
+            start: split_lj,
+            end: nloc,
         };
-        hpl_trace::set_iter(start);
-        let mut cur = self.fact_and_bcast(start, &mut t)?;
-        let mut pending = self.prefetch_rs2(&cur, split_lj, &mut t)?;
+
+        // Look-ahead prologue: factor+broadcast panel `start` and prefetch
+        // its RS2, so every iteration finds its panel carried.
+        let mut carried = None;
+        let mut split = false;
+        if lookahead {
+            hpl_trace::set_iter(start);
+            let cur = self.fact_and_bcast(start)?;
+            split = self.prefetch_rs2(&cur, split_lj)?;
+            carried = Some(cur);
+        }
 
         for it in start..iters {
             hpl_trace::set_iter(it);
             self.maybe_checkpoint(it)?;
-            let ti = Instant::now();
-            let tstart = self.trailing(it).start;
-            t.diag_owner = cur.geom.in_curr_row && cur.geom.in_panel_col;
-
-            // Next panel's local columns (the look-ahead section).
-            let next_geom = if it + 1 < iters {
-                Some(self.geom(it + 1))
-            } else {
-                None
+            let cur = match carried.take() {
+                Some(cur) => cur,
+                None => self.fact_and_bcast(it)?,
             };
-            let la_width = match &next_geom {
-                Some(g) if g.in_panel_col => g.jb.min(self.a.nloc - tstart),
+            let tstart = self.trailing(it);
+            let has_next = lookahead && it + 1 < iters;
+            // The look-ahead section: the next panel's local columns.
+            let la_width = match has_next.then(|| self.geom(it + 1)) {
+                Some(g) if g.in_panel_col => g.jb.min(nloc - tstart),
                 _ => 0,
             };
+            let la_end = tstart + la_width;
+            // FACT(it+1) sits in the slot a GPU timeline overlaps with the
+            // rest of the update (Fig 3) or with UPDATE2 (Fig 6) — unless
+            // this rank holds none of the next panel and no right section
+            // waits, when it follows the update.
+            let hide_fact = la_width > 0 || split;
 
-            if pending {
-                pending = false;
-                // ---- Split-update iteration (Fig 6). ----
-                let right = ColRange {
-                    start: split_lj,
-                    end: self.a.nloc,
-                };
-                let la = ColRange {
-                    start: tstart,
-                    end: tstart + la_width,
-                };
-                let left_rest = ColRange {
-                    start: tstart + la_width,
-                    end: split_lj,
-                };
-
-                // 1. Scatter the pre-communicated right-section rows.
-                let tu = Instant::now();
+            // Scatter the rows RS2 prefetched for the right section.
+            if split {
                 apply_moves(&mut self.a.view_mut(), right, &self.rs_right);
-                t.update += tu.elapsed().as_secs_f64();
-
-                // 2. Row swap + update of the look-ahead columns only.
-                self.swap_and_update(&cur, la, &mut t)?;
-
-                // 3. Factor + broadcast the next panel (in rocHPL this is
-                // the CPU/host work hidden by UPDATE2 on the GPU).
-                hpl_trace::set_hidden(true);
-                let next = match next_geom {
-                    Some(_) => Some(self.fact_and_bcast(it + 1, &mut t)?),
-                    None => None,
-                };
-
-                // 4. RS1 (hidden by UPDATE2 on the GPU timeline).
-                self.swap_and_update(&cur, left_rest, &mut t)?;
-                hpl_trace::set_hidden(false);
-
-                // 5. UPDATE2 using the prefetched U2.
-                let tu = Instant::now();
-                self.apply_update(&cur, Section::Right, right);
-                t.update += tu.elapsed().as_secs_f64();
-
-                // 6. Prefetch RS2 for the next iteration (hidden by
-                // UPDATE1 on the GPU timeline).
-                if let Some(nx) = &next {
-                    hpl_trace::set_hidden(true);
-                    pending = self.prefetch_rs2(nx, split_lj, &mut t)?;
-                    hpl_trace::set_hidden(false);
-                }
-
-                if let Some(nx) = next {
-                    cur = nx;
-                }
-            } else {
-                // ---- Plain look-ahead iteration (Fig 3). ----
-                let range = ColRange {
+            }
+            self.swap_and_update(
+                &cur,
+                ColRange {
                     start: tstart,
-                    end: self.a.nloc,
-                };
-                if la_width > 0 {
-                    let la = ColRange {
-                        start: tstart,
-                        end: tstart + la_width,
-                    };
-                    let rest = ColRange {
-                        start: tstart + la_width,
-                        end: self.a.nloc,
-                    };
-                    // Swap both sections now (one collective per section to
-                    // keep column groups in lockstep), update LA first.
-                    self.swap_and_update(&cur, la, &mut t)?;
-                    // The next panel's FACT/LBCAST sits in the slot a GPU
-                    // timeline overlaps with the rest-update (Fig 3).
-                    hpl_trace::set_hidden(true);
-                    let nx = self.fact_and_bcast(it + 1, &mut t)?;
-                    hpl_trace::set_hidden(false);
-                    self.swap_and_update(&cur, rest, &mut t)?;
-                    cur = nx;
-                } else if next_geom.is_some() {
-                    // Not the look-ahead owner: swap/update trailing, then
-                    // join the next panel's factorization/broadcast.
-                    self.swap_and_update(&cur, range, &mut t)?;
-                    let nx = self.fact_and_bcast(it + 1, &mut t)?;
-                    cur = nx;
-                } else {
-                    self.swap_and_update(&cur, range, &mut t)?;
-                }
+                    end: la_end,
+                },
+            )?;
+            let mut next = None;
+            if has_next && hide_fact {
+                hpl_trace::set_hidden(true);
+                next = Some(self.fact_and_bcast(it + 1)?);
+            }
+            // RS1 + UPDATE1, hidden by UPDATE2 when the split is live.
+            hpl_trace::set_hidden(split);
+            self.swap_and_update(
+                &cur,
+                ColRange {
+                    start: la_end,
+                    end: if split { split_lj } else { nloc },
+                },
+            )?;
+            hpl_trace::set_hidden(false);
+            if has_next && !hide_fact {
+                next = Some(self.fact_and_bcast(it + 1)?);
             }
 
-            t.total = ti.elapsed().as_secs_f64();
-            t.iter = it;
-            self.timings.push(t);
-            t = IterTiming {
-                iter: it + 1,
-                ..Default::default()
-            };
+            if std::mem::take(&mut split) {
+                // UPDATE2 with the prefetched U2, then RS2 of the next
+                // iteration (hidden by UPDATE1 on the GPU timeline).
+                self.apply_update(&cur, Section::Right, right);
+                if let Some(nx) = &next {
+                    hpl_trace::set_hidden(true);
+                    split = self.prefetch_rs2(nx, split_lj)?;
+                    hpl_trace::set_hidden(false);
+                }
+            }
+            carried = next;
         }
         Ok(())
     }
@@ -752,12 +604,7 @@ impl<E: WireElem> Driver<'_, E> {
     /// into `rs_right`: communicated without scattering at `P > 1`,
     /// complete at `P = 1`. Returns `false` when the left section is
     /// exhausted (the pipeline then falls back to Fig 3 form).
-    fn prefetch_rs2(
-        &mut self,
-        ip: &IterPanel<E>,
-        split_lj: usize,
-        t: &mut IterTiming,
-    ) -> Result<bool, HplError> {
+    fn prefetch_rs2(&mut self, ip: &IterPanel<E>, split_lj: usize) -> Result<bool, HplError> {
         let tstart = self.a.cols.local_lower_bound(ip.geom.k0 + ip.geom.jb);
         if tstart >= split_lj || split_lj >= self.a.nloc {
             return Ok(false);
@@ -779,7 +626,6 @@ impl<E: WireElem> Driver<'_, E> {
         self.ckpt
             .stash(ip.geom.k0 / self.cfg.nb, self.a.as_slice(), at);
 
-        let tr = Instant::now();
         let mut av = self.a.view_mut();
         row_swap_comm(
             self.grid.col(),
@@ -791,7 +637,6 @@ impl<E: WireElem> Driver<'_, E> {
             self.cfg.swap,
             &mut self.rs_right,
         )?;
-        t.comm += tr.elapsed().as_secs_f64();
         Ok(true)
     }
 }

@@ -52,10 +52,7 @@ pub mod update;
 pub mod verify;
 
 pub use config::{CkptOpts, FactOpts, FactVariant, HplConfig, Schedule};
-pub use driver::{
-    factorize, factorize_local, run_hpl, run_hpl_system, HplResult, IterTiming, PipelineOut,
-    ProgressSample,
-};
+pub use driver::{factorize, factorize_local, run_hpl, run_hpl_system, HplResult, PipelineOut};
 pub use error::HplError;
 pub use fact::{panel_factor, FactInput, FactOut};
 pub use local::{LocalMatrix, System};

@@ -25,8 +25,7 @@ use std::time::Instant;
 
 use hpl_comm::{Communicator, Grid, Op};
 use rhpl_core::{
-    back_substitute, factorize_local, residual, HplConfig, HplError, IterTiming, LocalMatrix,
-    Residuals, System,
+    back_substitute, factorize_local, residual, HplConfig, HplError, LocalMatrix, Residuals, System,
 };
 
 /// Refinement sweeps allowed after the initial `f32` solve. Classic
@@ -65,8 +64,6 @@ pub struct MxpOutput {
     /// The HPL flop count over [`MxpOutput::fact_seconds`]: generation,
     /// `f32` factorization and initial solve, without the refinement.
     pub fact_gflops: f64,
-    /// Per-iteration timings of the elimination recorded by this rank.
-    pub timings: Vec<IterTiming>,
     /// Phase trace of this rank (when `cfg.trace.enabled`).
     pub trace: Option<hpl_trace::Trace>,
     /// Name of the DGEMM microkernel the run resolved to.
@@ -158,7 +155,6 @@ fn refine_pipeline(
         wall,
         gflops: cfg.flops() / wall / 1e9,
         fact_gflops: cfg.flops() / fact_seconds / 1e9,
-        timings: out.timings,
         trace: None,
         kernel: hpl_blas::kernels::active().name(),
         element: "f32",

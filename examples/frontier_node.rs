@@ -8,6 +8,8 @@
 
 use hpl_comm::Universe;
 use hpl_sim::{iteration_spans, render, simulate_des, NodeModel, Pipeline, RunParams, Simulator};
+use hpl_trace::report::{iteration_table, IterRow};
+use hpl_trace::TraceOpts;
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, HplConfig};
 
@@ -48,6 +50,7 @@ fn main() {
     let mut cfg = HplConfig::new(768, 32, 4, 2);
     cfg.schedule = Schedule::SplitUpdate { frac: 0.5 };
     cfg.fact.threads = 2;
+    cfg.trace = TraceOpts::on();
     println!("\n== Same pipeline executed for real (N=768, NB=32, 4x2 on threads) ==");
     let results = Universe::run(cfg.ranks(), |comm| {
         run_hpl(comm, &cfg).expect("nonsingular")
@@ -56,21 +59,15 @@ fn main() {
         "wall {:.3} s -> {:.2} GFLOPS over 8 rank-threads",
         results[0].wall, results[0].gflops
     );
-    let owners: Vec<&rhpl_core::IterTiming> = (0..cfg.iterations())
-        .map(|it| {
-            results
-                .iter()
-                .map(|r| &r.timings[it])
-                .find(|t| t.diag_owner)
-                .expect("diag owner")
-        })
-        .collect();
-    let head: f64 = owners[..5].iter().map(|t| t.total).sum::<f64>() / 5.0;
-    let tail: f64 = owners[owners.len() - 5..]
-        .iter()
-        .map(|t| t.total)
-        .sum::<f64>()
-        / 5.0;
+    // Iteration time: the sum of its phase spans, each phase the maximum
+    // across ranks.
+    let traces: Vec<_> = results.iter().filter_map(|r| r.trace.clone()).collect();
+    let table = iteration_table(&traces, cfg.iterations());
+    let avg = |rows: &[IterRow]| {
+        rows.iter().map(|r| r.phases.total_ns() as f64).sum::<f64>() * 1e-9 / rows.len() as f64
+    };
+    let head = avg(&table[..5]);
+    let tail = avg(&table[table.len() - 5..]);
     println!(
         "avg iteration: {:.3} ms early vs {:.3} ms late (work shrinks)",
         head * 1e3,

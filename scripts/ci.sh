@@ -31,7 +31,7 @@ echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
 cargo test -q --release -p hpl-integration-tests --features hpl-threads/race-check \
-  --test failure_injection --test x_hash_golden
+  --test failure_injection --test x_hash_golden --test trace_determinism
 
 echo "== [bench] cargo xtask bench"
 cargo xtask bench

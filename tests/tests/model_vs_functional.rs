@@ -24,8 +24,9 @@ fn fact_thread_counts_agree_between_crates() {
     }
 }
 
-/// Functional per-iteration wall times must decay over the run (the
-/// trailing matrix shrinks), matching the model's monotone GPU series.
+/// Functional per-iteration times (the trace's phase spans summed, each
+/// phase the maximum across ranks) must decay over the run (the trailing
+/// matrix shrinks), matching the model's monotone GPU series.
 /// Pinned to the in-process fabric: the claim is about O(k³) compute
 /// decay, and at this tiny N a byte-moving transport's fixed per-message
 /// latency (file polling, socket hops) legitimately flattens the curve.
@@ -33,23 +34,18 @@ fn fact_thread_counts_agree_between_crates() {
 fn functional_iteration_times_decay_like_model() {
     let mut cfg = HplConfig::new(512, 32, 2, 2);
     cfg.schedule = rhpl_core::Schedule::SplitUpdate { frac: 0.5 };
-    let results = Universe::run_with_transport(
+    cfg.trace = hpl_trace::TraceOpts::on();
+    let traces = Universe::run_with_transport(
         cfg.ranks(),
         hpl_comm::TransportSel::Inproc,
         hpl_comm::FabricOpts::default(),
-        |comm| run_hpl(comm, &cfg).expect("nonsingular"),
+        |comm| run_hpl(comm, &cfg).expect("nonsingular").trace.unwrap(),
     );
     let iters = cfg.iterations();
-    let owner_time = |it: usize| -> f64 {
-        results
-            .iter()
-            .map(|r| r.timings[it])
-            .find(|t| t.diag_owner)
-            .unwrap()
-            .total
-    };
-    let head: f64 = (0..4).map(owner_time).sum();
-    let tail: f64 = (iters - 4..iters).map(owner_time).sum();
+    let table = hpl_trace::report::iteration_table(&traces, iters);
+    let time = |it: usize| table[it].phases.total_ns() as f64 * 1e-9;
+    let head: f64 = (0..4).map(time).sum();
+    let tail: f64 = (iters - 4..iters).map(time).sum();
     assert!(
         head > 2.0 * tail,
         "early iterations ({head:.5}s) must dominate late ones ({tail:.5}s)"

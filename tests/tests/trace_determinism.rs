@@ -6,10 +6,13 @@
 //!    `seq_hash` values in `bench/baseline.json`.
 //! 2. **Near-zero disabled cost** — with tracing off, a run carries no
 //!    trace and the compiled-in guards cost well under 1% of wall time.
+//! 3. **A pinned order** — every schedule's span sequence is a golden
+//!    `seq_hash` per grid and problem shape (see [`GOLDEN`]).
 
+use hpl_ckpt::CkptStore;
 use hpl_comm::Universe;
 use rhpl_core::config::Schedule;
-use rhpl_core::{run_hpl, HplConfig};
+use rhpl_core::{run_hpl, CkptOpts, HplConfig};
 
 /// One traced run; returns each rank's trace (rank-indexed).
 fn traced_run(cfg: &HplConfig) -> Vec<hpl_trace::Trace> {
@@ -114,4 +117,129 @@ fn disabled_tracing_carries_no_trace_and_costs_under_one_percent() {
         "disabled tracing overhead {frac:.5} (= {ns_per_call:.1} ns/guard x {spans} spans \
          over {wall:.4} s) exceeds 1% of wall"
     );
+}
+
+/// `(p, q)` grids: a process column of one, two and three ranks, and a
+/// process row of one and two — including ranks that never own the
+/// look-ahead panel's columns.
+const GRIDS: [(usize, usize); 5] = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)];
+
+/// `(N, NB)`: six even panels, and nine full panels plus a ragged tenth.
+const SHAPES: [(usize, usize); 2] = [(192, 32), (150, 16)];
+
+/// Golden `seq_hash` of one schedule: `by_grid[g][s]` for `GRIDS[g]` and
+/// `SHAPES[s]`, then `ckpt` for the 2x2 `N = 192` run checkpointed every
+/// second iteration into an in-memory store, which pins where the `Ckpt`
+/// span falls relative to the look-ahead prologue.
+struct Golden {
+    name: &'static str,
+    schedule: Schedule,
+    by_grid: [[u64; 2]; 5],
+    ckpt: u64,
+}
+
+/// Captured at commit 810e257, before the driver's three schedule bodies
+/// (the reference loop and the look-ahead loop's split and plain branches)
+/// were folded into one loop. The order of phases is the schedule; a
+/// refactor of how the driver is written must leave every value alone.
+const GOLDEN: [Golden; 4] = [
+    Golden {
+        name: "simple",
+        schedule: Schedule::Simple,
+        by_grid: [
+            [0x7a9563265ebdf524, 0x34742b6bfefc7f28],
+            [0xd5d3437890fa7ae9, 0x90bf6ad858e8d1ce],
+            [0x914480ad9d89dc97, 0xb13f0d2fe5547877],
+            [0x14c3366c86b44da8, 0xc7f393d1a600c0a6],
+            [0x23be99d7bdc1d1ae, 0x606c9de8bfe280a5],
+        ],
+        ckpt: 0xa09a9018d45cf254,
+    },
+    Golden {
+        name: "lookahead",
+        schedule: Schedule::LookAhead,
+        by_grid: [
+            [0xcde467a9f35df7c6, 0x0ca4c96f512d0946],
+            [0xe967302288e30187, 0x72a8101903b6b6ac],
+            [0xc469edd0ed2645be, 0xfc16a5b416b4cd32],
+            [0x67cae0cf1c174bb0, 0x327c006a6b964f5b],
+            [0xb25876f869f0930b, 0xa27db2ab95dd93ae],
+        ],
+        ckpt: 0x73f1d2211b6c51fc,
+    },
+    Golden {
+        name: "split-update:0.5",
+        schedule: Schedule::SplitUpdate { frac: 0.5 },
+        by_grid: [
+            [0xacc3de721a2f5060, 0xaf5e31d1a29d8f22],
+            [0xaf317f7d9bbdac07, 0xe915a27958197101],
+            [0xd50e3c9193950dcd, 0x81094a25965faa8d],
+            [0x37c12d4ea2a5a128, 0xa06fca9d92f86822],
+            [0x75f9b1db38c1b66b, 0xdd831628721f9e5a],
+        ],
+        ckpt: 0x147dde7faedc93a4,
+    },
+    Golden {
+        name: "split-update:0.3",
+        schedule: Schedule::SplitUpdate { frac: 0.3 },
+        by_grid: [
+            [0xd38e91ab6df3fd44, 0x9006d9a9431756c2],
+            [0xdd6e784e5d86662e, 0x9fef7175785f9a70],
+            [0x665a807544cc99da, 0x1538ac8ecad10396],
+            [0x238e312564b8c45b, 0xee4130b9a0e1e090],
+            [0xd0757747d7e2713f, 0xbc11bcfca882565f],
+        ],
+        ckpt: 0xd57ab7f0e904ea4b,
+    },
+];
+
+fn golden_cfg(n: usize, nb: usize, p: usize, q: usize, schedule: Schedule) -> HplConfig {
+    let mut cfg = HplConfig::new(n, nb, p, q);
+    cfg.schedule = schedule;
+    cfg.seed = 2023;
+    cfg
+}
+
+fn check_golden(g: &Golden) {
+    let mut by_grid = [[0u64; 2]; 5];
+    for (row, &(p, q)) in by_grid.iter_mut().zip(&GRIDS) {
+        for (h, &(n, nb)) in row.iter_mut().zip(&SHAPES) {
+            let cfg = golden_cfg(n, nb, p, q, g.schedule);
+            *h = hpl_trace::report::seq_hash(&traced_run(&cfg));
+        }
+    }
+    let mut cfg = golden_cfg(192, 32, 2, 2, g.schedule);
+    cfg.ckpt = CkptOpts {
+        every: 2,
+        store: Some(CkptStore::mem(cfg.ranks())),
+        resume: false,
+    };
+    let ckpt = hpl_trace::report::seq_hash(&traced_run(&cfg));
+    assert_eq!(
+        (by_grid, ckpt),
+        (g.by_grid, g.ckpt),
+        "{}: seq_hash table (rows {GRIDS:?}, columns {SHAPES:?}) then the checkpointed run \
+         drifted from the golden:\n{by_grid:#018x?}\n{ckpt:#018x}",
+        g.name
+    );
+}
+
+#[test]
+fn simple_order_matches_the_golden() {
+    check_golden(&GOLDEN[0]);
+}
+
+#[test]
+fn lookahead_order_matches_the_golden() {
+    check_golden(&GOLDEN[1]);
+}
+
+#[test]
+fn half_split_order_matches_the_golden() {
+    check_golden(&GOLDEN[2]);
+}
+
+#[test]
+fn thirty_percent_split_order_matches_the_golden() {
+    check_golden(&GOLDEN[3]);
 }
