@@ -27,7 +27,7 @@ use crate::kernels::{KernelKind, Tier};
 use crate::mat::MatMut;
 use crate::{arena, kernels, l1simd};
 
-/// A user-facing element-precision request (`RHPL_ELEMENT`, `--element`),
+/// A user-facing element-precision request (`rhpl --element`),
 /// before the run is monomorphized: the enum form that config parsing and
 /// the CLI carry around where a type parameter cannot flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]

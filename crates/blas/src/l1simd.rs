@@ -16,7 +16,7 @@
 //!   (mul-then-add, **no FMA**), which is elementwise the scalar sequence.
 //!
 //! Dispatch goes through the same per-process [`crate::kernels::active`]
-//! selection as GEMM, so `RHPL_KERNEL` / `--kernel` govern both, and through
+//! selection as GEMM, so `RHPL_KERNEL` governs both, and through
 //! the [`Element`] hooks so generic FACT code never names a precision. The
 //! `*_f64` / `*_f32` pairs are the monomorphic backing entry points those
 //! hooks call.

@@ -41,16 +41,14 @@
 //!
 //! Because the two semantics round differently, the kernel is a **per-run
 //! choice**, resolved once per process from the `RHPL_KERNEL` environment
-//! variable (`scalar` | `simd` | `auto`, default `auto`) or the `rhpl
-//! --kernel` flag, and then frozen: mixing kernels inside one factorization
-//! would break the bitwise schedule-equivalence and replay guarantees the
-//! test suite leans on. `auto` picks simd when the CPU supports it and
-//! falls back to scalar otherwise (as does an explicit `simd` request on
-//! unsupported hardware, keeping `RHPL_KERNEL=simd` portable in CI). An
-//! *unparseable* value is a configuration error, not a fallback: the CLI
-//! validates `RHPL_KERNEL` pre-flight, and a library-only entry fails fast
-//! with the same message rather than silently running a different kernel
-//! than the one requested.
+//! variable (`scalar` | `simd`, default `simd`) and then frozen: mixing
+//! kernels inside one factorization would break the bitwise
+//! schedule-equivalence and replay guarantees the test suite leans on.
+//! `simd` falls back to scalar on a CPU without a SIMD tier, keeping
+//! `RHPL_KERNEL=simd` portable in CI. An *unparseable* value is a
+//! configuration error, not a fallback: the CLI validates `RHPL_KERNEL`
+//! pre-flight, and a library-only entry fails fast with the same message
+//! rather than silently running a different kernel than the one requested.
 //!
 //! The per-precision shapes and entry points are reached through
 //! [`crate::Element::micro_shape`] / [`crate::Element::micro`]; the
@@ -89,12 +87,11 @@ pub enum Tier {
 /// A user-facing kernel request, before hardware resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelSel {
-    /// Use simd when the hardware supports it, scalar otherwise.
-    #[default]
-    Auto,
     /// Force the portable scalar kernel.
     Scalar,
-    /// Request the simd kernel (resolves to scalar on unsupported CPUs).
+    /// The widest SIMD tier the CPU has (resolves to scalar on CPUs
+    /// without one).
+    #[default]
     Simd,
 }
 
@@ -103,7 +100,6 @@ impl std::str::FromStr for KernelSel {
 
     fn from_str(s: &str) -> Result<Self, ()> {
         match s {
-            "auto" => Ok(KernelSel::Auto),
             "scalar" => Ok(KernelSel::Scalar),
             "simd" => Ok(KernelSel::Simd),
             _ => Err(()),
@@ -193,7 +189,7 @@ impl Kernel {
     pub fn resolve(sel: KernelSel) -> Kernel {
         match sel {
             KernelSel::Scalar => Kernel::scalar(),
-            KernelSel::Auto | KernelSel::Simd => Kernel::simd().unwrap_or_else(Kernel::scalar),
+            KernelSel::Simd => Kernel::simd().unwrap_or_else(Kernel::scalar),
         }
     }
 
@@ -869,21 +865,13 @@ mod aarch64 {
 static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
 /// The process-wide kernel, resolved on first use from `RHPL_KERNEL`
-/// (`scalar` | `simd` | `auto`; unset means `auto`). An unrecognized value
-/// is a configuration error: the process fails fast with the offending
-/// value rather than silently benchmarking a kernel nobody asked for (the
-/// CLI validates `RHPL_KERNEL` pre-flight and turns the same message into
-/// a clean exit).
+/// (`scalar` | `simd`; unset means `simd`). An unrecognized value is a
+/// configuration error: the process fails fast with the offending value
+/// rather than silently benchmarking a kernel nobody asked for (the CLI
+/// validates `RHPL_KERNEL` pre-flight and turns the same message into a
+/// clean exit).
 pub fn active() -> Kernel {
     *ACTIVE.get_or_init(|| Kernel::resolve(sel_from_env()))
-}
-
-/// Overrides the process-wide kernel (e.g. from `rhpl --kernel`). Must run
-/// before the first [`active`] call to take effect — the kernel freezes at
-/// first use so one run never mixes accumulation semantics. Returns the
-/// kernel actually in effect.
-pub fn select(sel: KernelSel) -> Kernel {
-    *ACTIVE.get_or_init(|| Kernel::resolve(sel))
 }
 
 /// Freezes the process-wide kernel to `kern` — one of
@@ -900,9 +888,9 @@ fn sel_from_env() -> KernelSel {
         Ok(v) => match v.parse() {
             Ok(sel) => sel,
             // xtask-allow: no-panic — config fail-fast (the CLI validates pre-flight; a library entry must not silently fall back to a different kernel)
-            Err(()) => panic!("invalid RHPL_KERNEL={v:?}: expected one of auto, scalar, simd"),
+            Err(()) => panic!("invalid RHPL_KERNEL={v:?}: expected one of scalar, simd"),
         },
-        Err(_) => KernelSel::Auto,
+        Err(_) => KernelSel::default(),
     }
 }
 
@@ -915,7 +903,7 @@ mod tests {
     fn sel_parses_known_names_only() {
         assert_eq!("scalar".parse(), Ok(KernelSel::Scalar));
         assert_eq!("simd".parse(), Ok(KernelSel::Simd));
-        assert_eq!("auto".parse(), Ok(KernelSel::Auto));
+        assert_eq!("auto".parse::<KernelSel>(), Err(()));
         assert_eq!("AVX".parse::<KernelSel>(), Err(()));
         assert_eq!("avx512".parse::<KernelSel>(), Err(()));
         assert_eq!("".parse::<KernelSel>(), Err(()));

@@ -23,7 +23,7 @@
 //! * [`l3`] — blocked/packed [`l3::dgemm`] and recursive [`l3::dtrsm`].
 //! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F
 //!   / NEON, the widest detected tier answering to `simd`)
-//!   and the per-run kernel selection (`RHPL_KERNEL`, `--kernel`).
+//!   and the per-run kernel selection (`RHPL_KERNEL`).
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
 //! * [`aux`] — `dlacpy`, `dlange`, `dlaswp` row interchanges.

@@ -200,7 +200,8 @@ pub fn write_bench_json(records: &[RunRecord], path: &str) -> std::io::Result<()
 mod tests {
     use super::*;
     use crate::dat::{parse, SAMPLE};
-    use crate::runner::{expand, run_one_traced};
+    use crate::runner::{expand, run_one};
+    use hpl_blas::ElementSel;
 
     #[test]
     fn traced_run_produces_well_formed_report() {
@@ -209,7 +210,7 @@ mod tests {
         spec.nbs = vec![16];
         let (mut cfg, depth) = expand(&spec, 42, 0.5, 1).remove(0);
         cfg.trace = hpl_trace::TraceOpts::on();
-        let rec = run_one_traced(&cfg, depth, spec.threshold).expect("clean run");
+        let rec = run_one(&cfg, depth, spec.threshold, ElementSel::F64).expect("clean run");
         assert!(rec.passed);
         assert_eq!(rec.traces.len(), cfg.ranks());
         let report = run_report(&rec);
@@ -241,7 +242,7 @@ mod tests {
         spec.ns = vec![64];
         spec.nbs = vec![16];
         let (cfg, depth) = expand(&spec, 42, 0.0, 1).remove(0);
-        let rec = run_one_traced(&cfg, depth, spec.threshold).expect("clean run");
+        let rec = run_one(&cfg, depth, spec.threshold, ElementSel::F64).expect("clean run");
         assert!(rec.traces.is_empty());
         let report = run_report(&rec);
         assert_eq!(report.overlap_efficiency, 0.0);

@@ -6,6 +6,7 @@
 
 use std::str::FromStr;
 
+use hpl_blas::ElementSel;
 use hpl_comm::config::ConfigError;
 use rhpl_core::HplConfig;
 
@@ -73,10 +74,8 @@ pub struct Flags {
     pub fault_seed: Option<u64>,
     /// `--comm-timeout`: per-receive timeout in whole seconds.
     pub comm_timeout: Option<u64>,
-    /// `--kernel`, unparsed (resolved against the kernel table later).
-    pub kernel: Option<String>,
-    /// `--element`, unparsed (resolved against the element table later).
-    pub element: Option<String>,
+    /// `--element`: the pipeline element type (default f64).
+    pub element: ElementSel,
     /// `--trace-json`: where to write the phase trace.
     pub trace_json: Option<String>,
 }
@@ -97,8 +96,7 @@ impl Flags {
             ckpt_dir: text(args, "--ckpt-dir")?,
             fault_seed: flag(args, "--fault-seed", u64_, any)?,
             comm_timeout: flag(args, "--comm-timeout", "a whole number of seconds", any)?,
-            kernel: text(args, "--kernel")?,
-            element: text(args, "--element")?,
+            element: flag(args, "--element", "one of f64, f32", any)?.unwrap_or_default(),
             trace_json: text(args, "--trace-json")?,
         })
     }
@@ -125,14 +123,17 @@ mod tests {
             (f.ckpt_every, f.fault_seed, f.comm_timeout),
             (0, None, None)
         );
+        assert_eq!(f.element, ElementSel::F64);
     }
 
     #[test]
     fn values_parse() {
         let f = Flags::parse(&args(
-            "x --split-frac 0 --threads 3 --seed 7 --fault-seed 9 --trace-json t.json",
+            "x --split-frac 0 --threads 3 --seed 7 --fault-seed 9 --trace-json t.json \
+             --element f32",
         ))
         .unwrap();
+        assert_eq!(f.element, ElementSel::F32);
         assert_eq!((f.split_frac, f.threads, f.seed), (0.0, 3, 7));
         assert_eq!(f.fault_seed, Some(9));
         assert_eq!(f.trace_json.as_deref(), Some("t.json"));
@@ -154,6 +155,7 @@ mod tests {
             ("--split-frac -0.1", "--split-frac", "-0.1"),
             ("--ckpt-every x", "--ckpt-every", "x"),
             ("--comm-timeout 1s", "--comm-timeout", "1s"),
+            ("--element f16", "--element", "f16"),
             ("--trace-json", "--trace-json", ""),
         ] {
             let e = Flags::parse(&args(line)).unwrap_err();

@@ -35,6 +35,4 @@ pub mod report;
 pub mod runner;
 
 pub use dat::{parse, JobSpec, ParseError, SAMPLE};
-pub use runner::{
-    encode_tv, expand, run_one, run_one_element, run_one_mxp, run_one_traced, MxpStats, RunRecord,
-};
+pub use runner::{encode_tv, expand, run_one, run_one_mxp, MxpStats, RunRecord};

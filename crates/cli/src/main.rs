@@ -10,16 +10,13 @@
 //! rhpl --sample               print a ready-to-edit sample HPL.dat
 //! rhpl ... --split-frac 0.5   split-update fraction (0 = look-ahead only)
 //! rhpl ... --threads 4        FACT threads per rank (SIII.A)
-//! rhpl ... --kernel simd      DGEMM microkernel: auto|scalar|simd
-//!                             (also settable via RHPL_KERNEL; the flag wins)
 //! rhpl ... --mxp              run the HPL-MxP benchmark: f32 factorization
 //!                             through the full pipeline, f64 refinement
 //!                             sweeps to double accuracy (classic HPL table
 //!                             plus the HPL-MxP summary block)
-//! rhpl ... --element f32      pipeline element type: f64|f32 (also settable
-//!                             via RHPL_ELEMENT; the flag wins). An f32 run
-//!                             is gated at f32 accuracy; --mxp is how f32
-//!                             factors earn the f64 gate
+//! rhpl ... --element f32      pipeline element type: f64|f32 (default
+//!                             f64). An f32 run is gated at f32 accuracy;
+//!                             --mxp is how f32 factors earn the f64 gate
 //! rhpl ... --seed 42          matrix generator seed
 //! rhpl ... --trace-json BENCH_hpl.json   emit the per-iteration phase trace
 //! rhpl ... --fault SPEC       arm a fault (repeatable); SPEC grammar is
@@ -31,8 +28,7 @@
 //!                             enables the restart supervisor
 //! rhpl ... --ckpt-dir PATH    keep checkpoints on disk under PATH instead
 //!                             of in memory
-//! rhpl ... --comm-timeout S   per-receive timeout in seconds (also
-//!                             settable via RHPL_COMM_TIMEOUT; the flag wins)
+//! rhpl ... --comm-timeout S   per-receive timeout in seconds (default 120)
 //! ```
 //!
 //! With any fault flag present the classic table is replaced by the
@@ -66,7 +62,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: rhpl [HPL.dat] [--split-frac F] [--threads T] [--seed S] \
-             [--kernel auto|scalar|simd] [--mxp] [--element f64|f32] \
+             [--mxp] [--element f64|f32] \
              [--trace-json PATH] [--fault SPEC]... \
              [--fault-seed S] [--ckpt-every K] [--ckpt-dir PATH] \
              [--comm-timeout SECS] [--sample]\n\
@@ -83,37 +79,11 @@ fn main() -> ExitCode {
     if let Some(secs) = flags.comm_timeout {
         hpl_comm::set_comm_timeout(std::time::Duration::from_secs(secs));
     }
-    // The DGEMM kernel freezes at first use, so resolve the flag before any
-    // linear algebra runs. Without the flag the RHPL_KERNEL env (or auto
-    // detection) decides.
-    if let Some(kernel) = &flags.kernel {
-        match kernel.parse::<hpl_blas::KernelSel>() {
-            Ok(sel) => {
-                hpl_blas::kernels::select(sel);
-            }
-            Err(()) => {
-                eprintln!("rhpl: --kernel must be auto, scalar or simd (got {kernel})");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Element precision: the flag wins over RHPL_ELEMENT (whose value
-    // validate_env vetted above), default f64.
-    let element = match &flags.element {
-        Some(elem) => match elem.parse::<hpl_blas::ElementSel>() {
-            Ok(sel) => sel,
-            Err(()) => {
-                eprintln!("rhpl: --element must be f64 or f32 (got {elem})");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => hpl_comm::config::env_element().expect("validated above"),
-    };
     let mxp = args.iter().any(|a| a == "--mxp");
     // Multi-process modes: `launch` supervises one OS process per rank;
     // `_rank` is the (internal) child entry point it spawns. Both sit after
-    // the global knob handling above so --comm-timeout and --kernel apply
-    // to children too.
+    // the global knob handling above so --comm-timeout applies to children
+    // too.
     match args.first().map(String::as_str) {
         Some("launch") => return launch::run_launch(&args[1..], &flags),
         Some("_rank") => return launch::run_rank(&args[1..], &flags),
@@ -207,7 +177,7 @@ fn main() -> ExitCode {
         let run = if mxp {
             runner::run_one_mxp(&cfg, depth, spec.threshold)
         } else {
-            runner::run_one_element(&cfg, depth, spec.threshold, element)
+            runner::run_one(&cfg, depth, spec.threshold, flags.element)
         };
         let rec = match run {
             Ok(rec) => rec,

@@ -141,31 +141,19 @@ pub fn expand(
     out
 }
 
-/// Runs one configuration and verifies it. Any rank's solve or
-/// verification failure propagates as the typed [`HplError`] so the
-/// caller (CLI driver, bench gate) keeps its recovery and reporting
-/// options instead of aborting the whole sweep.
-pub fn run_one(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunRecord, HplError> {
-    run_one_traced(cfg, depth, threshold)
-}
-
-/// [`run_one`], keeping each rank's phase trace in the record (traces are
-/// present only when `cfg.trace.enabled`; index = rank, the order
-/// `Universe::run` returns).
-pub fn run_one_traced(
-    cfg: &HplConfig,
-    depth: usize,
-    threshold: f64,
-) -> Result<RunRecord, HplError> {
-    run_one_element(cfg, depth, threshold, ElementSel::F64)
-}
-
-/// [`run_one_traced`] with an explicit pipeline element. Under
-/// [`ElementSel::F32`] the whole elimination runs in single precision and
-/// the residual gate scales by `f32::EPSILON` — the precision the answer
-/// actually carries (the classic `f64` gate would reject every f32 run;
-/// recovering double accuracy from f32 factors is [`run_one_mxp`]'s job).
-pub fn run_one_element(
+/// Runs one configuration at pipeline element `elem` and verifies it. Any
+/// rank's solve or verification failure propagates as the typed
+/// [`HplError`] so the caller (CLI driver, bench gate) keeps its recovery
+/// and reporting options instead of aborting the whole sweep. Each rank's
+/// phase trace is kept in the record (present only when
+/// `cfg.trace.enabled`; index = rank, the order `Universe::run` returns).
+///
+/// Under [`ElementSel::F32`] the whole elimination runs in single precision
+/// and the residual gate scales by `f32::EPSILON` — the precision the
+/// answer actually carries (the classic `f64` gate would reject every f32
+/// run; recovering double accuracy from f32 factors is [`run_one_mxp`]'s
+/// job).
+pub fn run_one(
     cfg: &HplConfig,
     depth: usize,
     threshold: f64,
@@ -264,7 +252,7 @@ mod tests {
         spec.ns = vec![96];
         spec.nbs = vec![16];
         let (cfg, depth) = expand(&spec, 42, 0.5, 1).remove(0);
-        let rec = run_one(&cfg, depth, spec.threshold).expect("clean run");
+        let rec = run_one(&cfg, depth, spec.threshold, ElementSel::F64).expect("clean run");
         assert!(rec.passed, "residual {}", rec.residual);
         assert!(rec.gflops > 0.0);
     }

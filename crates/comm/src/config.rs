@@ -1,7 +1,7 @@
 //! Checked environment/config parsing for the fabric boundary.
 //!
 //! Every knob the runtime reads from the environment (`RHPL_TRANSPORT`,
-//! `RHPL_KERNEL`, `RHPL_ELEMENT`, `RHPL_COMM_TIMEOUT`) parses through this
+//! `RHPL_KERNEL`, `RHPL_TRACE_SLOW_PHASE` / `_NS`) is checked through this
 //! module, so an invalid value surfaces as a typed [`ConfigError`]
 //! carrying the offending text and what was expected —
 //! never a silent fallback to a default that would make a benchmark
@@ -9,34 +9,13 @@
 //!
 //! The CLI calls [`validate_env`] before doing any work and turns an error
 //! into a clean exit; library entry points that cannot return an error
-//! (transport, timeout and kernel resolution) fail fast with the same
+//! (transport, kernel and slow-phase resolution) fail fast with the same
 //! message.
 
 use crate::transport::TransportSel;
-use hpl_blas::{ElementSel, KernelSel};
+use hpl_blas::KernelSel;
 
-/// An environment/config value that does not parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The variable (or flag) that held the bad value.
-    pub var: &'static str,
-    /// The offending value, verbatim.
-    pub value: String,
-    /// What would have been accepted.
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected {}",
-            self.var, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for ConfigError {}
+pub use hpl_trace::ConfigError;
 
 /// Parses a `RHPL_TRANSPORT` value (`inproc` | `shm` | `tcp`).
 pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
@@ -47,31 +26,12 @@ pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
     })
 }
 
-/// Parses a `RHPL_KERNEL` value (`auto` | `scalar` | `simd`).
+/// Parses a `RHPL_KERNEL` value (`scalar` | `simd`).
 pub fn parse_kernel(value: &str) -> Result<KernelSel, ConfigError> {
     value.parse().map_err(|()| ConfigError {
         var: "RHPL_KERNEL",
         value: value.to_owned(),
-        expected: "one of auto, scalar, simd",
-    })
-}
-
-/// Parses a `RHPL_COMM_TIMEOUT` value (whole seconds; the fabric clamps
-/// it to at least 1 s).
-pub fn parse_comm_timeout(value: &str) -> Result<u64, ConfigError> {
-    value.parse().map_err(|_| ConfigError {
-        var: "RHPL_COMM_TIMEOUT",
-        value: value.to_owned(),
-        expected: "a whole number of seconds",
-    })
-}
-
-/// Parses a `RHPL_ELEMENT` value (`f64` | `f32`).
-pub fn parse_element(value: &str) -> Result<ElementSel, ConfigError> {
-    value.parse().map_err(|()| ConfigError {
-        var: "RHPL_ELEMENT",
-        value: value.to_owned(),
-        expected: "one of f64, f32",
+        expected: "one of scalar, simd",
     })
 }
 
@@ -84,28 +44,11 @@ pub fn env_transport() -> Result<TransportSel, ConfigError> {
     }
 }
 
-/// `RHPL_KERNEL` from the environment; unset means [`KernelSel::Auto`].
+/// `RHPL_KERNEL` from the environment; unset means [`KernelSel::Simd`].
 pub fn env_kernel() -> Result<KernelSel, ConfigError> {
     match std::env::var("RHPL_KERNEL") {
         Ok(v) => parse_kernel(&v),
-        Err(_) => Ok(KernelSel::Auto),
-    }
-}
-
-/// `RHPL_ELEMENT` from the environment; unset means [`ElementSel::F64`].
-pub fn env_element() -> Result<ElementSel, ConfigError> {
-    match std::env::var("RHPL_ELEMENT") {
-        Ok(v) => parse_element(&v),
-        Err(_) => Ok(ElementSel::F64),
-    }
-}
-
-/// `RHPL_COMM_TIMEOUT` from the environment; unset means the built-in
-/// default receive timeout.
-pub fn env_comm_timeout() -> Result<Option<u64>, ConfigError> {
-    match std::env::var("RHPL_COMM_TIMEOUT") {
-        Ok(v) => parse_comm_timeout(&v).map(Some),
-        Err(_) => Ok(None),
+        Err(_) => Ok(KernelSel::default()),
     }
 }
 
@@ -114,8 +57,7 @@ pub fn env_comm_timeout() -> Result<Option<u64>, ConfigError> {
 pub fn validate_env() -> Result<(), ConfigError> {
     env_transport()?;
     env_kernel()?;
-    env_element()?;
-    env_comm_timeout()?;
+    hpl_trace::slow_from_env()?;
     Ok(())
 }
 
@@ -124,39 +66,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn comm_timeout_rejects_negative_fractional_and_garbage() {
-        assert_eq!(parse_comm_timeout("120"), Ok(120));
-        assert_eq!(parse_comm_timeout("0"), Ok(0));
-        for bad in ["-3", "abc", "", "4.5", "1s"] {
-            let err = parse_comm_timeout(bad).unwrap_err();
-            assert_eq!(err.var, "RHPL_COMM_TIMEOUT");
-            assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("seconds"));
-        }
-    }
-
-    #[test]
     fn kernel_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_kernel("auto"), Ok(KernelSel::Auto));
         assert_eq!(parse_kernel("scalar"), Ok(KernelSel::Scalar));
         assert_eq!(parse_kernel("simd"), Ok(KernelSel::Simd));
-        let err = parse_kernel("avx512").unwrap_err();
-        assert_eq!(err.var, "RHPL_KERNEL");
-        assert_eq!(err.value, "avx512");
-        let shown = err.to_string();
-        assert!(shown.contains("avx512"), "names the value: {shown}");
-        assert!(shown.contains("auto, scalar, simd"));
-    }
-
-    #[test]
-    fn element_values_parse_and_bad_ones_are_typed() {
-        assert_eq!(parse_element("f64"), Ok(ElementSel::F64));
-        assert_eq!(parse_element("f32"), Ok(ElementSel::F32));
-        for bad in ["f16", "double", "single", ""] {
-            let err = parse_element(bad).unwrap_err();
-            assert_eq!(err.var, "RHPL_ELEMENT");
+        for bad in ["avx512", "auto"] {
+            let err = parse_kernel(bad).unwrap_err();
+            assert_eq!(err.var, "RHPL_KERNEL");
             assert_eq!(err.value, bad);
-            assert!(err.to_string().contains("f64, f32"));
+            let shown = err.to_string();
+            assert!(shown.contains(bad), "names the value: {shown}");
+            assert!(shown.contains("one of scalar, simd"));
         }
     }
 

@@ -15,8 +15,7 @@ use crate::fabric::Tag;
 #[derive(Clone, Debug, PartialEq)]
 pub enum CommError {
     /// No matching message arrived within the deadlock-detection window
-    /// (`--comm-timeout` / `RHPL_COMM_TIMEOUT`). Carries the pending queue
-    /// keys — the
+    /// (`--comm-timeout`). Carries the pending queue keys — the
     /// `(src, tag)` pairs that *are* waiting in the mailbox — so a
     /// mismatched collective ordering is diagnosable from the error alone.
     Timeout {
@@ -81,7 +80,7 @@ impl fmt::Display for CommError {
                     f,
                     "rank {dst}: no message from rank {src} with tag {tag:?} after \
                      {waited_ms} ms — mismatched send/recv or collective ordering \
-                     (set RHPL_COMM_TIMEOUT to lengthen); pending queues: "
+                     (pass --comm-timeout to lengthen); pending queues: "
                 )?;
                 if pending.is_empty() {
                     write!(f, "none")
@@ -133,7 +132,7 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("no message from rank 0"), "{s}");
-        assert!(s.contains("set RHPL_COMM_TIMEOUT to lengthen"), "{s}");
+        assert!(s.contains("pass --comm-timeout to lengthen"), "{s}");
         assert!(s.contains("src=2"), "{s}");
     }
 

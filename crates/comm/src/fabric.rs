@@ -79,8 +79,8 @@ const DEFAULT_RING_CAP: usize = 64;
 static TIMEOUT_OVERRIDE: std::sync::OnceLock<std::time::Duration> = std::sync::OnceLock::new();
 
 /// Installs a process-wide receive timeout (the CLI's `--comm-timeout`
-/// flag). Takes precedence over `RHPL_COMM_TIMEOUT`; first call
-/// wins, later calls are ignored (returns whether this call installed it).
+/// flag). First call wins, later calls are ignored (returns whether this
+/// call installed it).
 pub fn set_comm_timeout(timeout: std::time::Duration) -> bool {
     TIMEOUT_OVERRIDE.set(timeout.max(MIN_TIMEOUT)).is_ok()
 }
@@ -89,23 +89,13 @@ pub fn set_comm_timeout(timeout: std::time::Duration) -> bool {
 /// the 100 ms poison-poll step.
 const MIN_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(1);
 
-/// How long a `recv` waits before declaring the run deadlocked. Resolution
-/// order: [`set_comm_timeout`] override, then `RHPL_COMM_TIMEOUT` (seconds),
-/// then the 120 s default. The environment is read once per process; an
-/// unparseable value fails fast (the CLI reports it first as a typed
-/// [`crate::config::ConfigError`]).
+/// How long a `recv` waits before declaring the run deadlocked: the
+/// [`set_comm_timeout`] override, or 120 s when there is none.
 pub fn recv_timeout() -> std::time::Duration {
-    use std::sync::OnceLock;
-    if let Some(t) = TIMEOUT_OVERRIDE.get() {
-        return *t;
-    }
-    static T: OnceLock<std::time::Duration> = OnceLock::new();
-    *T.get_or_init(|| {
-        let secs = crate::config::env_comm_timeout()
-            .expect("RHPL_COMM_TIMEOUT must be whole seconds")
-            .unwrap_or(120);
-        std::time::Duration::from_secs(secs).max(MIN_TIMEOUT)
-    })
+    TIMEOUT_OVERRIDE
+        .get()
+        .copied()
+        .unwrap_or(std::time::Duration::from_secs(120))
 }
 
 /// Bounded-exponential-backoff schedule for blocked receives and
@@ -842,8 +832,7 @@ impl Fabric {
     /// matching message shows up, and with [`CommError::Timeout`] — carrying
     /// the mailbox's pending `(src, tag)` keys — once the [`RetryPolicy`]
     /// backoff ladder has cumulatively waited past the receive timeout
-    /// ([`recv_timeout`]: default 120 s, `--comm-timeout` /
-    /// `RHPL_COMM_TIMEOUT` to override).
+    /// ([`recv_timeout`]: default 120 s, `--comm-timeout` to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
     pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {

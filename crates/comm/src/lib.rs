@@ -29,8 +29,8 @@
 //! Recovery (PR 6): timed-out receive polls back off under a configurable
 //! [`RetryPolicy`] (bounded exponential with deterministic jitter) and are
 //! counted per rank in [`RecoveryCounters`]; the receive deadline is
-//! settable per process ([`set_comm_timeout`], `RHPL_COMM_TIMEOUT`) or per
-//! fabric ([`FabricOpts`]); and [`Universe::run_with_injector`] restarts a
+//! settable per process ([`set_comm_timeout`], the CLI's `--comm-timeout`)
+//! or per fabric ([`FabricOpts`]); and [`Universe::run_with_injector`] restarts a
 //! job on a fresh fabric while keeping the armed injector's fault cursors —
 //! the supervisor primitive behind checkpoint/restart.
 

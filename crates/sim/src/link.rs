@@ -57,38 +57,6 @@ pub struct CollectiveModel {
 }
 
 impl CollectiveModel {
-    /// One-ring broadcast of `bytes` among `p` ranks: the last rank
-    /// receives after `p - 1` store-and-forward hops.
-    pub fn bcast_1ring(&self, p: usize, bytes: f64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (p - 1) as f64 * self.link.time(bytes)
-    }
-
-    /// Modified one-ring: critical path to the *next panel owner* is one
-    /// hop; the full broadcast completes after `p - 1` hops but the pipeline
-    /// only waits on the root's two sends plus the tail ring. We report the
-    /// completion of the slowest rank.
-    pub fn bcast_1ring_m(&self, p: usize, bytes: f64) -> f64 {
-        match p {
-            0 | 1 => 0.0,
-            2 => self.link.time(bytes),
-            // root sends twice (serialized), then p-3 forwards.
-            _ => 2.0 * self.link.time(bytes) + (p - 3) as f64 * self.link.time(bytes),
-        }
-    }
-
-    /// Scatter+ring-allgather ("long") broadcast: `2 (p-1)/p` of the volume
-    /// at full bandwidth plus `p` latencies.
-    pub fn bcast_long(&self, p: usize, bytes: f64) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        2.0 * (pf - 1.0) / pf * bytes / self.link.bandwidth + pf * self.link.latency
-    }
-
     /// Per-iteration critical-path cost of a *pipelined* modified ring
     /// broadcast: across HPL iterations the forwarding of earlier panels
     /// overlaps later factorizations, and the root's sends are DMA-driven,
@@ -150,38 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn long_beats_ring_for_large_messages() {
-        let c = CollectiveModel {
-            link: LinkModel::infinity_fabric(),
-        };
-        let big = 100e6;
-        assert!(c.bcast_long(8, big) < c.bcast_1ring(8, big));
-        // And loses for tiny messages (latency-dominated).
-        let tiny = 64.0;
-        assert!(c.bcast_long(8, tiny) > c.binomial(8, tiny));
-    }
-
-    #[test]
-    fn modified_ring_serializes_root_sends() {
-        let c = CollectiveModel {
-            link: LinkModel::infinity_fabric(),
-        };
-        let b = 1e6;
-        // Same asymptotic hop count as the plain ring.
-        let plain = c.bcast_1ring(8, b);
-        let modif = c.bcast_1ring_m(8, b);
-        assert!((plain - modif).abs() / plain < 0.01);
-    }
-
-    #[test]
     fn collectives_are_free_on_one_rank() {
         let c = CollectiveModel {
             link: LinkModel::infinity_fabric(),
         };
         for f in [
-            CollectiveModel::bcast_1ring,
-            CollectiveModel::bcast_1ring_m,
-            CollectiveModel::bcast_long,
+            CollectiveModel::bcast_ring_pipelined,
             CollectiveModel::binomial,
             CollectiveModel::scatterv,
             CollectiveModel::allgatherv,

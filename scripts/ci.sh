@@ -23,9 +23,8 @@ cargo build --release
 echo "== [test] cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
 
-echo "== [kernel-matrix] cargo test -q under each pinned DGEMM kernel"
+echo "== [kernel-matrix] cargo test -q under the pinned scalar DGEMM kernel"
 RHPL_KERNEL=scalar cargo test -q
-RHPL_KERNEL=simd cargo test -q
 
 echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check

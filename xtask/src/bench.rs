@@ -25,11 +25,11 @@
 //!
 //! - `cargo xtask bench --update-baseline` re-measures and rewrites
 //!   `bench/baseline.json` (run on a quiet machine, commit the result);
-//! - `cargo xtask bench --self-test` injects artificial slowdowns — first
-//!   into the UPDATE phase (`RHPL_TRACE_SLOW_PHASE`/`_NS`), then into the
-//!   FACT path (`RHPL_TRACE_SLOW_FACT`) — and succeeds only if the gate
-//!   *fails on the injected phase* both times, proving the bands can trip
-//!   on the dominant phase and on the threaded factorization alike.
+//! - `cargo xtask bench --self-test` injects artificial slowdowns through
+//!   `RHPL_TRACE_SLOW_PHASE`/`_NS` — first into the UPDATE phase, then
+//!   into the FACT path — and succeeds only if the gate *fails on the
+//!   injected phase* both times, proving the bands can trip on the
+//!   dominant phase and on the threaded factorization alike.
 //!
 //! A normal gate run also prints a per-phase delta table (FACT, LBCAST,
 //! UPDATE ns/iteration vs baseline) and appends it to the GitHub job
@@ -229,14 +229,14 @@ pub fn run_bench(root: &Path, args: &[String]) -> i32 {
 }
 
 /// Self-test: two injected-slowdown passes, each of which must make the
-/// gate fail *on the injected phase* (exit 0 when both do). UPDATE goes
-/// through the generic `RHPL_TRACE_SLOW_PHASE`/`_NS` pair; FACT through
-/// its dedicated `RHPL_TRACE_SLOW_FACT` knob, so a regression in the
-/// threaded factorization path is provably catchable, not just one in the
-/// dominant phase. (The FACT sleep is 100 ms: FACT's sub-millisecond
-/// baseline puts its factor-50 cap around 30–40 ms/iteration — well above
-/// the 10 ms absolute floor UPDATE sits on — and under the look-ahead
-/// schedules the last iteration factors no panel, diluting the average.)
+/// gate fail *on the injected phase* (exit 0 when both do). Both go
+/// through the `RHPL_TRACE_SLOW_PHASE`/`_NS` pair: UPDATE, then FACT, so a
+/// regression in the threaded factorization path is provably catchable,
+/// not just one in the dominant phase. (The FACT sleep is 100 ms: FACT's
+/// sub-millisecond baseline puts its factor-50 cap around 30–40
+/// ms/iteration — well above the 10 ms absolute floor UPDATE sits on —
+/// and under the look-ahead schedules the last iteration factors no
+/// panel, diluting the average.)
 fn run_self_test(root: &Path) -> i32 {
     let baseline_path = root.join("bench/baseline.json");
     let baseline = match std::fs::read_to_string(&baseline_path)
@@ -257,7 +257,13 @@ fn run_self_test(root: &Path) -> i32 {
                 ("RHPL_TRACE_SLOW_NS", "10000000"),
             ],
         ),
-        ("fact_ns", &[("RHPL_TRACE_SLOW_FACT", "100000000")]),
+        (
+            "fact_ns",
+            &[
+                ("RHPL_TRACE_SLOW_PHASE", "fact"),
+                ("RHPL_TRACE_SLOW_NS", "100000000"),
+            ],
+        ),
     ];
     for (phase, slow) in passes {
         println!("xtask bench: self-test (artificially slowed {phase}; the gate must trip)");

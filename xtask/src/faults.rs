@@ -69,8 +69,6 @@ struct Scenario {
     dat: usize,
     /// Extra `rhpl` arguments (`--fault ...`, `--threads ...`).
     args: &'static [&'static str],
-    /// Extra environment for the run.
-    env: &'static [(&'static str, &'static str)],
     expect: Expect,
     /// Substrings that must appear somewhere in stdout (beyond the outcome
     /// line) — e.g. the `RECOVERY` protocol line for supervised scenarios.
@@ -97,7 +95,6 @@ fn recovery_matrix() -> Vec<Scenario> {
             name: "death-recovered-1x2",
             dat: 0,
             args: &["--fault", "death@1:send:4", "--ckpt-every", "2"],
-            env: &[],
             expect: Expect::Clean,
             require: &["RECOVERY attempt=1 kind=rank_failed restored_gen="],
             deadline: RECOVERY_DEADLINE,
@@ -106,7 +103,6 @@ fn recovery_matrix() -> Vec<Scenario> {
             name: "death-recovered-2x2",
             dat: 1,
             args: &["--fault", "death@2:recv:6", "--ckpt-every", "2"],
-            env: &[],
             expect: Expect::Clean,
             require: &["RECOVERY attempt=1 kind=rank_failed restored_gen="],
             deadline: RECOVERY_DEADLINE,
@@ -122,7 +118,6 @@ fn recovery_matrix() -> Vec<Scenario> {
                 "--ckpt-dir",
                 "ckpt-recovery",
             ],
-            env: &[],
             expect: Expect::Clean,
             require: &["RECOVERY attempt=1 kind=rank_failed restored_gen="],
             deadline: RECOVERY_DEADLINE,
@@ -136,7 +131,6 @@ fn matrix() -> Vec<Scenario> {
             name: "delay-sticky",
             dat: 0,
             args: &["--fault", "delay:500@0:send:0:sticky"],
-            env: &[],
             expect: Expect::Clean,
             require: &[],
             deadline: DEADLINE,
@@ -145,7 +139,6 @@ fn matrix() -> Vec<Scenario> {
             name: "drop-retransmit",
             dat: 0,
             args: &["--fault", "drop@0:send:0:sticky"],
-            env: &[],
             expect: Expect::Clean,
             require: &[],
             deadline: DEADLINE,
@@ -154,7 +147,6 @@ fn matrix() -> Vec<Scenario> {
             name: "bitflip-repaired",
             dat: 0,
             args: &["--fault", "bitflip:17@0:send:2"],
-            env: &[],
             expect: Expect::Clean,
             require: &[],
             deadline: DEADLINE,
@@ -163,7 +155,6 @@ fn matrix() -> Vec<Scenario> {
             name: "bitflip-sticky",
             dat: 0,
             args: &["--fault", "bitflip:7@0:send:0:sticky"],
-            env: &[],
             expect: Expect::Error("HPLERROR kind=corrupt_payload root=0"),
             require: &[],
             deadline: DEADLINE,
@@ -172,7 +163,6 @@ fn matrix() -> Vec<Scenario> {
             name: "death-at-send",
             dat: 0,
             args: &["--fault", "death@1:send:4"],
-            env: &[],
             expect: Expect::Error("HPLERROR kind=rank_failed rank=1"),
             require: &[],
             deadline: DEADLINE,
@@ -181,7 +171,6 @@ fn matrix() -> Vec<Scenario> {
             name: "death-in-fact",
             dat: 1,
             args: &["--fault", "death@2:recv:6"],
-            env: &[],
             expect: Expect::Error("HPLERROR kind=rank_failed rank=2 phase=fact"),
             require: &[],
             deadline: DEADLINE,
@@ -190,7 +179,6 @@ fn matrix() -> Vec<Scenario> {
             name: "stall-recovered",
             dat: 0,
             args: &["--fault", "stall:80@1:recv:1"],
-            env: &[],
             expect: Expect::Clean,
             require: &[],
             deadline: DEADLINE,
@@ -198,8 +186,12 @@ fn matrix() -> Vec<Scenario> {
         Scenario {
             name: "stall-timeout",
             dat: 0,
-            args: &["--fault", "stall:2500@1:recv:3:sticky"],
-            env: &[("RHPL_COMM_TIMEOUT", "1")],
+            args: &[
+                "--fault",
+                "stall:2500@1:recv:3:sticky",
+                "--comm-timeout",
+                "1",
+            ],
             expect: Expect::Error("HPLERROR kind=comm_timeout src=1 dst=0"),
             require: &[],
             deadline: DEADLINE,
@@ -208,7 +200,6 @@ fn matrix() -> Vec<Scenario> {
             name: "slow-worker",
             dat: 0,
             args: &["--fault", "slowworker:20@0:region:0", "--threads", "2"],
-            env: &[],
             expect: Expect::Clean,
             require: &[],
             deadline: DEADLINE,
@@ -217,7 +208,6 @@ fn matrix() -> Vec<Scenario> {
             name: "seeded-random-plan",
             dat: 0,
             args: &["--fault-seed", "12345"],
-            env: &[],
             expect: Expect::AnyOutcome,
             require: &[],
             deadline: DEADLINE,
@@ -292,7 +282,6 @@ fn run_self_test(root: &Path, work: &Path) -> i32 {
         name: "self-test-death-as-clean",
         dat: 0,
         args: &["--fault", "death@1:send:4"],
-        env: &[],
         expect: Expect::Clean,
         require: &[],
         deadline: DEADLINE,
@@ -632,16 +621,14 @@ struct RunOutput {
 /// safe.
 fn run_rhpl(root: &Path, work: &Path, sc: &Scenario) -> Result<RunOutput, String> {
     let (dat_name, _) = DATS[sc.dat];
-    let mut cmd = Command::new(root.join("target/release/rhpl"));
-    cmd.arg(dat_name)
+    let mut child = Command::new(root.join("target/release/rhpl"))
+        .arg(dat_name)
         .args(sc.args)
         .current_dir(work)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    for (k, v) in sc.env {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().map_err(|e| format!("cannot spawn rhpl: {e}"))?;
+        .stderr(Stdio::null())
+        .spawn()
+        .map_err(|e| format!("cannot spawn rhpl: {e}"))?;
     let start = Instant::now();
     let status = loop {
         match child.try_wait() {
