@@ -1,10 +1,10 @@
 //! # hpl-bench
 //!
 //! The benchmark harness of the rhpl workspace: one binary per figure of
-//! the paper (see DESIGN.md's experiment index) plus Criterion
-//! micro-benchmarks for the kernels. Each binary prints a human-readable
-//! table; pass `--json` to also emit the series as JSON on stdout for
-//! post-processing.
+//! the paper (see DESIGN.md's experiment index). Each binary prints a
+//! human-readable table; pass `--json` to also emit the series as JSON on
+//! stdout for post-processing. Per-kernel rates are measured by the
+//! separate `benchmark/` crate.
 
 use std::fmt::Display;
 use std::str::FromStr;

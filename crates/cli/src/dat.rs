@@ -177,11 +177,9 @@ fn bcast_algo(code: u32, line: usize) -> Result<BcastAlgo, ParseError> {
         3 => Ok(BcastAlgo::TwoRingM),
         4 => Ok(BcastAlgo::Long),
         5 => Ok(BcastAlgo::LongM),
-        6 => Ok(BcastAlgo::Binomial),
-        7 => Ok(BcastAlgo::Auto),
         _ => Err(ParseError {
             line,
-            message: format!("BCAST code must be 0..=7, got {code}"),
+            message: format!("BCAST code must be 0..=5, got {code}"),
         }),
     }
 }
@@ -294,7 +292,7 @@ HPL.out      output file name (if any)
 1            # of recursive panel fact.
 2            RFACTs (0=left, 1=Crout, 2=Right)
 1            # of broadcast
-1            BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM,6=binomial)
+1            BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM)
 1            # of lookahead depth
 1            DEPTHs (>=0)
 1            SWAP (0=bin-exch,1=long,2=mix)
@@ -334,13 +332,13 @@ mod tests {
             )
             .replace(
                 "1            # of broadcast\n1            BCASTs",
-                "3            # of broadcast\n0 4 6        BCASTs",
+                "3            # of broadcast\n0 4 5        BCASTs",
             );
         let j = parse(&text).unwrap();
         assert_eq!(j.ns, vec![512, 1024]);
         assert_eq!(
             j.bcasts,
-            vec![BcastAlgo::OneRing, BcastAlgo::Long, BcastAlgo::Binomial]
+            vec![BcastAlgo::OneRing, BcastAlgo::Long, BcastAlgo::LongM]
         );
     }
 
@@ -363,12 +361,22 @@ mod tests {
 
     #[test]
     fn bad_bcast_code_rejected() {
-        let text = SAMPLE.replace(
-            "1            BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM,6=binomial)",
-            "9            BCASTs",
-        );
-        let e = parse(&text).unwrap_err();
-        assert!(e.message.contains("BCAST code"), "{e}");
+        // HPL.dat defines broadcast codes 0..=5 only.
+        for code in [6, 7, 9] {
+            let text = SAMPLE.replace(
+                "1            BCASTs (0=1rg,1=1rM,2=2rg,3=2rM,4=Lng,5=LnM)",
+                &format!("{code}            BCASTs"),
+            );
+            let line = 1 + text.lines().position(|l| l.contains("BCASTs")).unwrap();
+            let e = parse(&text).unwrap_err();
+            assert_eq!(
+                e,
+                ParseError {
+                    line,
+                    message: format!("BCAST code must be 0..=5, got {code}"),
+                }
+            );
+        }
     }
 
     #[test]

@@ -81,8 +81,6 @@ pub fn encode_tv(cfg: &HplConfig, depth: usize) -> String {
         hpl_comm::BcastAlgo::TwoRingM => '3',
         hpl_comm::BcastAlgo::Long => '4',
         hpl_comm::BcastAlgo::LongM => '5',
-        hpl_comm::BcastAlgo::Binomial => '6',
-        hpl_comm::BcastAlgo::Auto => '7',
     };
     let pf = match cfg.fact.variant {
         rhpl_core::FactVariant::Left => 'L',

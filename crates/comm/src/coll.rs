@@ -202,24 +202,7 @@ impl MaxLoc {
 /// Allreduce of a single `(value, loc)` pair under max-value ordering.
 /// This is the collective behind every pivot-row selection in FACT.
 pub fn allreduce_maxloc(comm: &Communicator, mine: MaxLoc) -> Result<MaxLoc, CommError> {
-    let size = comm.size();
-    let me = comm.rank();
-    // Binomial reduce to 0.
-    let mut acc = mine;
-    let mut mask = 1usize;
-    while mask < size {
-        if me & mask != 0 {
-            comm.try_send(me - mask, Tag::REDUCE, acc)?;
-            break;
-        }
-        let partner = me + mask;
-        if partner < size {
-            let other: MaxLoc = comm.try_recv(partner, Tag::REDUCE)?;
-            acc = acc.better(other);
-        }
-        mask <<= 1;
-    }
-    bcast(comm, 0, if me == 0 { Some(acc) } else { None })
+    allreduce_with(comm, mine, MaxLoc::better)
 }
 
 /// Generic allreduce with a user combiner: binomial reduce to rank 0 under

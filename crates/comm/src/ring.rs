@@ -12,7 +12,6 @@
 //! volume, which the structural tests assert and the `hpl-sim` performance
 //! model consumes.
 
-use crate::coll;
 use crate::comm::Communicator;
 use crate::error::CommError;
 use crate::fabric::Tag;
@@ -36,33 +35,17 @@ pub enum BcastAlgo {
     /// Modified long: next rank served with the full panel directly, the
     /// long algorithm runs over the remaining ranks.
     LongM,
-    /// Binomial tree (not in classic HPL; included as a latency-optimal
-    /// baseline for the benchmarks).
-    Binomial,
-    /// Size-based selection per panel: the latency-optimal modified
-    /// one-ring for small panels, the bandwidth-reducing modified long for
-    /// large ones (see [`BcastAlgo::resolve`]). The decision depends only
-    /// on `(row size, panel length)`, which every rank of the row agrees
-    /// on, so all ranks resolve to the same topology.
-    Auto,
 }
 
-/// Per-rank chunk length (f64 elements) above which the long algorithm's
-/// bandwidth saving (~2·len/size sent per rank instead of the ring's full
-/// panel forward) outweighs its extra message latency (~2x the ring's
-/// message count): 2048 doubles = 16 KiB per chunk.
-const AUTO_LONG_CHUNK: usize = 2048;
-
 impl BcastAlgo {
-    /// All concrete variants, for sweeps (`Auto` resolves to one of these).
-    pub const ALL: [BcastAlgo; 7] = [
+    /// All variants, in HPL.dat code order (`0..=5`), for sweeps.
+    pub const ALL: [BcastAlgo; 6] = [
         BcastAlgo::OneRing,
         BcastAlgo::OneRingM,
         BcastAlgo::TwoRing,
         BcastAlgo::TwoRingM,
         BcastAlgo::Long,
         BcastAlgo::LongM,
-        BcastAlgo::Binomial,
     ];
 
     /// Short ASCII name (matches HPL's naming).
@@ -74,25 +57,6 @@ impl BcastAlgo {
             BcastAlgo::TwoRingM => "2ringM",
             BcastAlgo::Long => "blong",
             BcastAlgo::LongM => "blongM",
-            BcastAlgo::Binomial => "binomial",
-            BcastAlgo::Auto => "auto",
-        }
-    }
-
-    /// Resolves `Auto` to a concrete topology for one broadcast of `len`
-    /// doubles over a `size`-rank row; concrete variants pass through.
-    /// Both arms are "modified" variants — the paper's point that the next
-    /// panel owner must be released into FACT first holds at every size.
-    pub fn resolve(self, size: usize, len: usize) -> BcastAlgo {
-        match self {
-            BcastAlgo::Auto => {
-                if size > 3 && len / size >= AUTO_LONG_CHUNK {
-                    BcastAlgo::LongM
-                } else {
-                    BcastAlgo::OneRingM
-                }
-            }
-            other => other,
         }
     }
 }
@@ -120,7 +84,6 @@ pub fn panel_bcast<E: WireElem>(
     if size <= 1 || buf.is_empty() {
         return Ok(());
     }
-    let algo = algo.resolve(size, buf.len());
     let _span = hpl_trace::span(hpl_trace::Phase::Bcast);
     match algo {
         BcastAlgo::OneRing => one_ring(comm, root, buf, false),
@@ -129,12 +92,6 @@ pub fn panel_bcast<E: WireElem>(
         BcastAlgo::TwoRingM => two_ring(comm, root, buf, true),
         BcastAlgo::Long => long(comm, root, buf, false),
         BcastAlgo::LongM => long(comm, root, buf, true),
-        BcastAlgo::Binomial => {
-            let v = coll::bcast_vec(comm, root, (comm.rank() == root).then(|| buf.to_vec()))?;
-            buf.copy_from_slice(&v);
-            Ok(())
-        }
-        BcastAlgo::Auto => unreachable!("Auto was resolved above"),
     }
 }
 
@@ -383,56 +340,6 @@ mod tests {
         assert!(
             max_vol < 2 * len as u64,
             "long variant should cap per-rank volume (got {max_vol})"
-        );
-        // Binomial: root sends ceil(log2(size)) panels.
-        let s = count_sends(BcastAlgo::Binomial);
-        assert_eq!(s[0].0, (size as f64).log2().ceil() as u64);
-    }
-
-    #[test]
-    fn auto_resolves_by_panel_size() {
-        // Small panel or tiny row: latency-optimal modified one-ring.
-        assert_eq!(BcastAlgo::Auto.resolve(6, 100), BcastAlgo::OneRingM);
-        assert_eq!(BcastAlgo::Auto.resolve(2, 1 << 20), BcastAlgo::OneRingM);
-        // Large per-rank chunks: bandwidth-reducing modified long.
-        assert_eq!(
-            BcastAlgo::Auto.resolve(6, 6 * AUTO_LONG_CHUNK),
-            BcastAlgo::LongM
-        );
-        // Concrete variants pass through untouched.
-        for algo in BcastAlgo::ALL {
-            assert_eq!(algo.resolve(6, 6 * AUTO_LONG_CHUNK), algo);
-        }
-    }
-
-    #[test]
-    fn auto_broadcasts_correctly_on_both_sides_of_the_threshold() {
-        for len in [64, 4 * AUTO_LONG_CHUNK] {
-            for size in [2usize, 4, 5] {
-                check(BcastAlgo::Auto, size, size / 2, len);
-            }
-        }
-        // The resolved topology is observable in the message structure: a
-        // ring rank sends at most two whole-panel messages, while the long
-        // body scatters and ring-allgathers many chunks per rank.
-        let count_sends = |len: usize| -> Vec<(u64, u64)> {
-            Universe::run(6, |comm| {
-                let mut buf = vec![1.0f64; len];
-                panel_bcast(&comm, BcastAlgo::Auto, 0, &mut buf).unwrap();
-                comm.stats().snapshot()
-            })
-        };
-        let small = count_sends(600);
-        assert_eq!(small[1], (0, 0), "small panels: 1ringM, no forward at v1");
-        assert!(
-            small.iter().all(|&(msgs, _)| msgs <= 2),
-            "small panels: ring topology sends whole panels, not chunks"
-        );
-        let big = count_sends(6 * AUTO_LONG_CHUNK);
-        let max_msgs = big.iter().map(|x| x.0).max().unwrap();
-        assert!(
-            max_msgs >= 3,
-            "large panels: the long body scatters chunks (max {max_msgs} sends/rank)"
         );
     }
 

@@ -28,7 +28,7 @@ proptest! {
         nb in 4usize..40,
         grid_idx in 0usize..5,
         variant_idx in 0usize..3,
-        bcast_idx in 0usize..7,
+        bcast_idx in 0..BcastAlgo::ALL.len(),
         swap_idx in 0usize..3,
         threads in 1usize..4,
         schedule in schedule_strategy(),

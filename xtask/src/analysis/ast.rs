@@ -9,7 +9,7 @@
 //! signatures, and per-function **facts** — call sites, allocation
 //! expressions, panic macros, `unwrap`/`expect` chains, `hpl-trace` span
 //! guards and fabric send/recv sites with their tags — which is exactly the
-//! vocabulary the rules in [`crate::analysis::rules`] are written in.
+//! vocabulary the rules in [`crate::rules`] are written in.
 
 use crate::lexer::{Lexed, SpannedTok, Tok};
 

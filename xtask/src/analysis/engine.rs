@@ -8,13 +8,13 @@
 //! 2. **Resolve** — the files are indexed into a [`Workspace`] with a
 //!    name-resolved call graph and the tag-constant table
 //!    ([`super::model`]).
-//! 3. **Per-file rules** — the legacy five plus `span-balance`.
+//! 3. **Per-file rules** — the five base rules plus `span-balance`.
 //! 4. **Workspace rules** — `hot-path-alloc`, `comm-protocol`,
 //!    `error-taxonomy` (these need call edges across files).
 //! 5. **Waivers** — every violation is checked against the
 //!    `// xtask-allow: <rules> — <justification>` annotation on its line
-//!    or the line above (the legacy grammar, unchanged). Each annotation
-//!    records whether it suppressed anything.
+//!    or the line above. Each annotation records whether it suppressed
+//!    anything.
 //! 6. **Staleness** — an annotation that suppressed nothing, or that
 //!    names a rule the catalog doesn't know, becomes a `stale-waiver`
 //!    violation at the annotation's own line.
@@ -23,9 +23,10 @@ use std::collections::BTreeMap;
 
 use super::ast::{parse_file, ParsedFile};
 use super::model::Workspace;
-use super::rules::{comm_protocol, error_taxonomy, hot_path, legacy, span_balance, NEW_RULES};
 use crate::json::Value;
-use crate::rules::{FileKind, Violation, RULES as LEGACY_RULES};
+use crate::rules::{
+    base, comm_protocol, error_taxonomy, hot_path, span_balance, FileKind, Violation, RULES,
+};
 
 /// One diagnostic after waiver resolution.
 #[derive(Clone, Debug)]
@@ -60,18 +61,10 @@ struct Waiver {
     used: bool,
 }
 
-/// Every rule id the engine knows (legacy + new).
-pub fn known_rules() -> Vec<(&'static str, &'static str)> {
-    LEGACY_RULES
-        .iter()
-        .chain(NEW_RULES.iter())
-        .copied()
-        .collect()
-}
-
-/// Parses the `xtask-allow` annotations out of one file's comments,
-/// using the legacy grammar: everything after `xtask-allow:` up to an
-/// em-dash is a rule list split on commas/spaces.
+/// Parses the `xtask-allow` annotations out of one file's comments:
+/// everything after `xtask-allow:` up to an em-dash is a rule list split
+/// on commas/spaces (only the em-dash separates the justification, since
+/// rule names themselves contain `-`).
 fn collect_waivers(pf: &ParsedFile) -> Vec<Waiver> {
     let mut out = Vec::new();
     for c in &pf.lexed.comments {
@@ -106,7 +99,7 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
     // consumes the parsed files; violations only borrow them.
     let mut violations: Vec<Violation> = Vec::new();
     for (pf, (_, _, kind)) in parsed.iter().zip(inputs) {
-        legacy::check(pf, *kind, &mut violations);
+        base::check(pf, *kind, &mut violations);
         span_balance::check(pf, &mut violations);
     }
     let mut waivers: BTreeMap<String, Vec<Waiver>> = parsed
@@ -137,12 +130,12 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
     }
 
     // Pass 6: staleness.
-    let known = known_rules();
+    let known = |r: &String| RULES.iter().any(|(id, _)| id == r);
     let mut stale: Vec<Violation> = Vec::new();
     for (file, ws) in &waivers {
         for w in ws {
             for r in &w.rules {
-                if !known.iter().any(|(id, _)| id == r) {
+                if !known(r) {
                     stale.push(Violation {
                         file: file.clone(),
                         line: w.line,
@@ -154,7 +147,7 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
                     });
                 }
             }
-            if !w.used && w.rules.iter().all(|r| known.iter().any(|(id, _)| id == r)) {
+            if !w.used && w.rules.iter().all(known) {
                 stale.push(Violation {
                     file: file.clone(),
                     line: w.line,

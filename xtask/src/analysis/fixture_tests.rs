@@ -1,21 +1,15 @@
-//! Fixture tests for the AST engine.
+//! Fixture tests for the AST engine, over the corpus in `xtask/fixtures/`.
 //!
-//! Two corpora under `xtask/fixtures/`:
-//!
-//! - `legacy/` — sources distilled from `rules.rs`'s own inline tests.
-//!   The regression test runs **both** engines over every file and holds
-//!   them to identical `(line, rule)` verdicts, which is the contract that
-//!   let the AST engine take over `cargo xtask check` without changing
-//!   what the workspace gate means.
-//! - `<rule>/{positive,negative,waived}.rs` — one directory per new rule.
-//!   Positive must fire unwaived, negative must stay silent, waived must
-//!   fire but be suppressed by its annotation (and the annotation must
-//!   not be reported stale).
+//! `<rule>/{positive,negative,waived}.rs` holds one directory per rule
+//! beyond the five base rules. Positive must fire unwaived, negative must stay
+//! silent, waived must fire but be suppressed by its annotation (and the
+//! annotation must not be reported stale). The five base rules are
+//! covered case by case in `rules::tests`.
 
 use std::path::{Path, PathBuf};
 
 use super::engine::{run, Report};
-use crate::rules::{analyze, FileKind, RULES as LEGACY_RULES};
+use crate::rules::FileKind;
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -40,48 +34,9 @@ fn unwaived(report: &Report, rule: Option<&str>) -> Vec<(u32, String)> {
         .collect()
 }
 
-#[test]
-fn legacy_fixtures_reproduce_lexer_verdicts() {
-    let dir = fixtures_dir().join("legacy");
-    let mut checked = 0usize;
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing {}: {e}", dir.display()))
-        .map(|e| e.expect("fixture dir entry").path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let kind = if name.starts_with("bin_") {
-            FileKind::Binary
-        } else {
-            FileKind::Library
-        };
-        let src = read(&path);
-        let rel = format!("crates/fixture/src/{name}");
-
-        let mut want: Vec<(u32, String)> = analyze(&rel, &src, kind)
-            .into_iter()
-            .map(|v| (v.line, v.rule.to_string()))
-            .collect();
-        want.sort();
-
-        let report = run_one(&rel, &src, kind);
-        let mut got: Vec<(u32, String)> = report
-            .unwaived()
-            .filter(|d| LEGACY_RULES.iter().any(|(id, _)| *id == d.v.rule))
-            .map(|d| (d.v.line, d.v.rule.to_string()))
-            .collect();
-        got.sort();
-
-        assert_eq!(got, want, "verdict divergence on {name}");
-        checked += 1;
-    }
-    assert!(checked >= 15, "legacy corpus unexpectedly small: {checked}");
-}
-
-/// `(rule, mount path)` for each new-rule fixture directory. The mount
+/// `(rule, mount path)` for each `<rule>/` fixture directory. The mount
 /// path puts the fixture in a crate where the rule is armed.
-const NEW_RULE_MOUNTS: &[(&str, &str)] = &[
+const RULE_MOUNTS: &[(&str, &str)] = &[
     ("hot-path-alloc", "crates/blas/src/fixture.rs"),
     ("comm-protocol", "crates/comm/src/fixture.rs"),
     ("error-taxonomy", "crates/core/src/fixture.rs"),
@@ -91,7 +46,7 @@ const NEW_RULE_MOUNTS: &[(&str, &str)] = &[
 
 #[test]
 fn positive_fixtures_fire() {
-    for (rule, rel) in NEW_RULE_MOUNTS {
+    for (rule, rel) in RULE_MOUNTS {
         let src = read(&fixtures_dir().join(rule).join("positive.rs"));
         let report = run_one(rel, &src, FileKind::Library);
         let hits = unwaived(&report, Some(rule));
@@ -101,7 +56,7 @@ fn positive_fixtures_fire() {
 
 #[test]
 fn negative_fixtures_stay_silent() {
-    for (rule, rel) in NEW_RULE_MOUNTS {
+    for (rule, rel) in RULE_MOUNTS {
         let src = read(&fixtures_dir().join(rule).join("negative.rs"));
         let report = run_one(rel, &src, FileKind::Library);
         let hits = unwaived(&report, Some(rule));
@@ -111,7 +66,7 @@ fn negative_fixtures_stay_silent() {
 
 #[test]
 fn waived_fixtures_are_suppressed_and_not_stale() {
-    for (rule, rel) in NEW_RULE_MOUNTS {
+    for (rule, rel) in RULE_MOUNTS {
         if *rule == "stale-waiver" {
             continue; // covered by its own positive/negative pair
         }
@@ -242,18 +197,14 @@ fn level3_inner_layer_fns_are_hot_path_roots() {
 /// document the wrong check.
 #[test]
 fn avx512_blocks_must_name_avx512() {
-    let dir = fixtures_dir().join("legacy");
+    let dir = fixtures_dir().join("simd-safety");
     let rel = "crates/fixture/src/lib_simd_avx512.rs";
-    let ok = run_one(
-        rel,
-        &read(&dir.join("lib_simd_avx512_ok.rs")),
-        FileKind::Library,
-    );
+    let ok = run_one(rel, &read(&dir.join("avx512_ok.rs")), FileKind::Library);
     let hits = unwaived(&ok, Some("simd-safety"));
-    assert!(hits.is_empty(), "lib_simd_avx512_ok.rs fired: {hits:?}");
+    assert!(hits.is_empty(), "avx512_ok.rs fired: {hits:?}");
     let bad = run_one(
         rel,
-        &read(&dir.join("lib_simd_avx512_wrong_feature.rs")),
+        &read(&dir.join("avx512_wrong_feature.rs")),
         FileKind::Library,
     );
     let hits = unwaived(&bad, Some("simd-safety"));

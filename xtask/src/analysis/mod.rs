@@ -1,4 +1,5 @@
-//! The AST-based analysis engine behind `cargo xtask check`.
+//! The AST-based analysis engine behind `cargo xtask check`; the rules it
+//! runs live in [`crate::rules`].
 //!
 //! Layering, bottom to top:
 //!
@@ -7,8 +8,6 @@
 //!   `syn` would dwarf the analyzer, so this is the purpose-built subset).
 //! - [`model`] — the workspace index: function table, lightweight call
 //!   graph, reachability queries, declared tag constants.
-//! - [`rules`] — the rule implementations (legacy five re-hosted, plus
-//!   `hot-path-alloc`, `comm-protocol`, `error-taxonomy`, `span-balance`).
 //! - [`engine`] — orchestration, waiver accounting, `stale-waiver`
 //!   detection, text/JSON reporting.
 
@@ -17,4 +16,3 @@ pub mod engine;
 #[cfg(test)]
 mod fixture_tests;
 pub mod model;
-pub mod rules;

@@ -3,8 +3,8 @@
 //! Produces a flat significant-token stream (identifiers, punctuation,
 //! literals) annotated with line numbers, plus per-line comment records, so
 //! the rules never false-positive on the contents of strings or comments.
-//! It does not parse: brace matching and attribute recognition are done by
-//! the rules over this token stream.
+//! It does not parse: `analysis::ast` builds token trees over this stream,
+//! and the comment-association rules in `rules::base` read it directly.
 
 /// One significant (non-comment, non-whitespace) token.
 #[derive(Clone, Debug, PartialEq)]

@@ -3,9 +3,10 @@
 //!
 //! Commands:
 //!
-//! - `check` — source-level safety analyzer over the workspace (see
-//!   [`rules`]). Exits non-zero with `file:line: [rule] message` diagnostics
-//!   when any rule is violated.
+//! - `check` — source-level safety analyzer over `crates/`, `examples/`,
+//!   `tests/` and `shims/`: the [`analysis`] engine running the [`rules`].
+//!   Exits non-zero with `file:line: [rule] message` diagnostics when any
+//!   rule is violated; `--json` prints the full report.
 //! - `bench` — performance regression gate: runs a pinned deterministic
 //!   sweep with phase tracing and compares against `bench/baseline.json`
 //!   (see [`bench`]). `--update-baseline` rewrites the baseline;
@@ -19,8 +20,9 @@
 //!   mid-factorization), `--self-test` verifies the gate can trip.
 //! - `list-rules` — print the rule identifiers and one-line descriptions.
 //!
-//! The analyzer is std-only and runs fully offline: it lexes each `.rs` file
-//! itself (no rustc, no network) so it works in the sandboxed CI image.
+//! The analyzer is std-only and runs fully offline: it lexes and parses
+//! each `.rs` file itself (no rustc, no network) so it works in the
+//! sandboxed CI image.
 
 mod analysis;
 mod bench;
@@ -32,8 +34,9 @@ mod rules;
 use rules::FileKind;
 use std::path::{Path, PathBuf};
 
-/// Library crates subject to the full rule set. Bins, benches, examples and
-/// test trees only get the safety rules (`safety-comment`, `no-static-mut`).
+/// Library crates subject to the full rule set. Bins, benches, examples,
+/// test trees and shims only get the safety rules (`safety-comment`,
+/// `simd-safety`, `no-static-mut`).
 const LIB_CRATES: &[&str] = &[
     "blas", "threads", "ckpt", "comm", "core", "faults", "mxp", "sim", "trace",
 ];
@@ -60,7 +63,7 @@ fn main() {
             std::process::exit(faults::run_faults(&root, &args[1..]));
         }
         "list-rules" => {
-            for (name, desc) in analysis::engine::known_rules() {
+            for (name, desc) in rules::RULES {
                 println!("{name:16} {desc}");
             }
         }
@@ -90,7 +93,9 @@ fn workspace_root() -> PathBuf {
 /// `rhpl-check-v1` document (waived diagnostics included) on stdout.
 fn run_check_mode(root: &Path, json: bool) -> i32 {
     let mut files = Vec::new();
-    for dir in ["crates", "examples", "tests"] {
+    // Not `benchmark/` (its own workspace) nor `xtask/fixtures/`, whose
+    // files break the rules on purpose.
+    for dir in ["crates", "examples", "tests", "shims"] {
         collect_rs_files(&root.join(dir), &mut files);
     }
     files.sort();
@@ -132,7 +137,8 @@ fn run_check_mode(root: &Path, json: bool) -> i32 {
 }
 
 /// Classifies a repo-relative path: `crates/<lib>/src/**` (excluding
-/// `src/bin/`) gets the full rule set; everything else is binary/test code.
+/// `src/bin/`) gets the full rule set; everything else, `shims/**`
+/// included, is binary/test code.
 fn classify(rel: &str) -> FileKind {
     for lib in LIB_CRATES {
         let src = format!("crates/{lib}/src/");
@@ -182,6 +188,7 @@ mod tests {
         assert_eq!(classify("tests/tests/prop_e2e.rs"), FileKind::Binary);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Binary);
         assert_eq!(classify("crates/cli/src/main.rs"), FileKind::Binary);
+        assert_eq!(classify("shims/loom/src/sync.rs"), FileKind::Binary);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!    recoverable pipeline error into a process abort. Flagged in the
 //!    driver crates (`core`, `comm`, `cli`) even when the `.expect`
 //!    carries a message — a message doesn't restore recoverability — and
-//!    even in bin targets, which the legacy `no-unwrap` rule exempts.
+//!    even in bin targets, which the base `no-unwrap` rule exempts.
 //! 2. **Reachability**: a `panic!`/`todo!`/`unimplemented!` or bare
 //!    `.unwrap()` reachable through the call graph from a function that
 //!    itself returns `Result<_, HplError|CommError>` means a typed error
