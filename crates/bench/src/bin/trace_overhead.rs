@@ -12,7 +12,7 @@
 //!    `spans_per_run` over all ranks).
 //! 4. `fault_guard_ns_per_call` — cost of one *disabled* fault-injection
 //!    guard (`hpl_faults::on_send` with no injector armed), the branch
-//!    every `Fabric::send`/`recv` takes on a fault-free run.
+//!    every fabric send/receive takes on a fault-free run.
 //! 5. `ckpt_guard_ns_per_call` — cost of the *disabled* checkpoint cadence
 //!    check (`hpl_ckpt::due` with `--ckpt-every 0`), the only thing a run
 //!    without checkpointing pays per panel iteration.
@@ -71,7 +71,7 @@ fn run_once(trace: bool) -> (f64, u64) {
 
 /// Counts fault-guard invocations (send + recv + region) across all ranks
 /// for one benchmark run, by arming an *empty* fault plan: the injector's
-/// per-site counters tick on every guard, world and split sub-fabrics
+/// per-site counters tick on every guard, world and split communicators
 /// alike. Slight overcount vs the unarmed path — an armed injector routes
 /// panel broadcasts through the checksummed variant, which adds a few typed
 /// control messages per panel — so the derived fraction is conservative.

@@ -1,6 +1,5 @@
-//! LAPACK-style auxiliary routines used throughout HPL: matrix copy,
-//! norms, and row interchanges (DLASWP) — generic over the pipeline
-//! [`Element`].
+//! LAPACK-style auxiliary routines used throughout HPL: norms (DLANGE)
+//! and row interchanges (DLASWP) — generic over the pipeline [`Element`].
 
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
@@ -14,30 +13,6 @@ pub enum Norm {
     One,
     /// Maximum absolute row sum (the infinity norm).
     Inf,
-}
-
-/// Copies `a` into `b` element-wise. Panics on shape mismatch.
-pub fn dlacpy<E: Element>(a: MatRef<'_, E>, b: &mut MatMut<'_, E>) {
-    assert_eq!(a.rows(), b.rows(), "dlacpy: row mismatch");
-    assert_eq!(a.cols(), b.cols(), "dlacpy: col mismatch");
-    for j in 0..a.cols() {
-        b.col_mut(j).copy_from_slice(a.col(j));
-    }
-}
-
-/// Copies `a` transposed into `b` (`b[j][i] = a[i][j]`).
-///
-/// Used when assembling the broadcast `L` panel in transposed layout so the
-/// trailing DGEMM reads it with stride-1 access.
-pub fn dlatcpy<E: Element>(a: MatRef<'_, E>, b: &mut MatMut<'_, E>) {
-    assert_eq!(a.rows(), b.cols(), "dlatcpy: shape mismatch");
-    assert_eq!(a.cols(), b.rows(), "dlatcpy: shape mismatch");
-    for j in 0..a.cols() {
-        let col = a.col(j);
-        for (i, &v) in col.iter().enumerate() {
-            b.set(j, i, v);
-        }
-    }
 }
 
 /// Computes a norm of `a` (LAPACK DLANGE).
@@ -115,28 +90,6 @@ pub fn swap_rows<E: Element>(a: &mut MatMut<'_, E>, r1: usize, r2: usize) {
 mod tests {
     use super::*;
     use crate::mat::Matrix;
-
-    #[test]
-    fn dlacpy_copies() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i + j * 10) as f64);
-        let mut b = Matrix::zeros(3, 2);
-        let mut bv = b.view_mut();
-        dlacpy(a.view(), &mut bv);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dlatcpy_transposes() {
-        let a = Matrix::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
-        let mut b = Matrix::zeros(2, 3);
-        let mut bv = b.view_mut();
-        dlatcpy(a.view(), &mut bv);
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(b.get(j, i), a.get(i, j));
-            }
-        }
-    }
 
     #[test]
     fn dlange_norms() {

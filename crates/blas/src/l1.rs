@@ -1,63 +1,6 @@
-//! Level-1 BLAS kernels on contiguous (unit-stride) vectors.
-//!
-//! HPL only ever applies level-1 operations to matrix *columns*, which are
-//! contiguous in column-major storage, so the strided variants of the
-//! reference BLAS are unnecessary here.
-
-/// `x <- alpha * x`.
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    if alpha == 1.0 {
-        return;
-    }
-    for v in x {
-        *v *= alpha;
-    }
-}
-
-/// `y <- alpha * x + y`. Panics if lengths differ.
-pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "daxpy length mismatch");
-    if alpha == 0.0 {
-        return;
-    }
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y <- x`. Panics if lengths differ.
-pub fn dcopy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dcopy length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Swaps `x` and `y` element-wise. Panics if lengths differ.
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dswap length mismatch");
-    for (xi, yi) in x.iter_mut().zip(y.iter_mut()) {
-        core::mem::swap(xi, yi);
-    }
-}
-
-/// Dot product `x . y`. Panics if lengths differ.
-pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "ddot length mismatch");
-    // Four partial accumulators let LLVM vectorize without changing the
-    // result deterministically between runs (fixed association order).
-    let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let b = c * 4;
-        for l in 0..4 {
-            acc[l] += x[b + l] * y[b + l];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in chunks * 4..x.len() {
-        s += x[i] * y[i];
-    }
-    s
-}
+//! The serial level-1 BLAS the correctness oracle needs: `idamax` on a
+//! contiguous (unit-stride) column. The pipeline's own vectorised level-1
+//! kernels are in [`crate::l1simd`].
 
 /// Index of the element with largest absolute value (first on ties),
 /// or `None` for an empty slice. This is BLAS `idamax` (0-based).
@@ -77,73 +20,9 @@ pub fn idamax(x: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Sum of absolute values (BLAS `dasum`).
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Euclidean norm, computed with scaling to avoid overflow.
-pub fn dnrm2(x: &[f64]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for &v in x {
-        if v != 0.0 {
-            let a = v.abs();
-            if scale < a {
-                let r = scale / a;
-                ssq = 1.0 + ssq * r * r;
-                scale = a;
-            } else {
-                let r = a / scale;
-                ssq += r * r;
-            }
-        }
-    }
-    scale * ssq.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dscal_scales() {
-        let mut x = vec![1.0, -2.0, 3.0];
-        dscal(2.0, &mut x);
-        assert_eq!(x, vec![2.0, -4.0, 6.0]);
-    }
-
-    #[test]
-    fn dscal_alpha_one_is_noop() {
-        let mut x = vec![1.5, 2.5];
-        dscal(1.0, &mut x);
-        assert_eq!(x, vec![1.5, 2.5]);
-    }
-
-    #[test]
-    fn daxpy_accumulates() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        daxpy(-2.0, &x, &mut y);
-        assert_eq!(y, vec![8.0, 16.0, 24.0]);
-    }
-
-    #[test]
-    fn dswap_swaps() {
-        let mut x = vec![1.0, 2.0];
-        let mut y = vec![3.0, 4.0];
-        dswap(&mut x, &mut y);
-        assert_eq!(x, vec![3.0, 4.0]);
-        assert_eq!(y, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn ddot_matches_naive() {
-        let x: Vec<f64> = (0..23).map(|i| i as f64 * 0.5).collect();
-        let y: Vec<f64> = (0..23).map(|i| (i as f64 - 11.0) * 0.25).collect();
-        let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((ddot(&x, &y) - naive).abs() < 1e-12 * naive.abs().max(1.0));
-    }
 
     #[test]
     fn idamax_finds_largest_magnitude() {
@@ -151,18 +30,5 @@ mod tests {
         assert_eq!(idamax(&[]), None);
         // First index wins on ties, matching reference BLAS.
         assert_eq!(idamax(&[2.0, -2.0]), Some(0));
-    }
-
-    #[test]
-    fn dnrm2_avoids_overflow() {
-        let big = f64::MAX / 4.0;
-        let n = dnrm2(&[big, big]);
-        assert!(n.is_finite());
-        assert!((n / big - 2.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dasum_sums_abs() {
-        assert_eq!(dasum(&[1.0, -2.0, 3.0]), 6.0);
     }
 }

@@ -18,7 +18,7 @@
 //!   wire codec, tolerance model) that the rest of the crate is generic
 //!   over.
 //! * [`mat`] — `MatRef` / `MatMut` column-major views, owned [`mat::Matrix`].
-//! * [`l1`] — vector kernels (`idamax` drives pivot selection).
+//! * [`l1`] — `idamax`, the pivot search of the serial [`lu`] oracle.
 //! * [`l2`] — `dger` (rank-1 panel update), `dgemv`, `dtrsv`.
 //! * [`l3`] — blocked/packed [`l3::dgemm`] and recursive [`l3::dtrsm`].
 //! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F
@@ -26,7 +26,7 @@
 //!   and the per-run kernel selection (`RHPL_KERNEL`).
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
-//! * [`aux`] — `dlacpy`, `dlange`, `dlaswp` row interchanges.
+//! * [`aux`] — `dlange` norms, `dlaswp` row interchanges.
 //! * [`lu`] — serial DGETRF/DGETRS used as the correctness oracle.
 
 // Lint policy: indexed loops are used deliberately where they mirror the
@@ -46,9 +46,9 @@ pub mod l3par;
 pub mod lu;
 pub mod mat;
 
-pub use aux::{dlacpy, dlange, dlaswp, dlaswp_inv, dlatcpy, swap_rows, Norm};
+pub use aux::{dlange, dlaswp, dlaswp_inv, swap_rows, Norm};
 pub use elem::{Element, ElementSel};
-pub use l1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, dswap, idamax};
+pub use l1::idamax;
 pub use l1simd::{argmax_abs, axpy_add, axpy_sub, dscal_inv, dsub};
 pub use l2::{dgemv, dger, dtrsv};
 pub use l3::kernels::{self, Kernel, KernelKind, KernelSel};

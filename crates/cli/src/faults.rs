@@ -21,7 +21,7 @@
 
 use std::fmt::Write as _;
 
-use hpl_comm::{FaultedRun, Grid, GridOrder, Universe};
+use hpl_comm::{FaultedRun, Grid, GridOrder, Tag, Universe};
 use hpl_faults::FaultPlan;
 use rhpl_core::{run_hpl, verify, HplConfig, HplError, HplResult};
 
@@ -158,7 +158,10 @@ pub(crate) fn error_line(e: &HplError) -> String {
             format!("HPLERROR kind=rank_failed rank={rank} phase={phase}")
         }
         HplError::CommTimeout { src, dst, tag, .. } => {
-            format!("HPLERROR kind=comm_timeout src={src} dst={dst} tag={tag}")
+            format!(
+                "HPLERROR kind=comm_timeout src={src} dst={dst} {}",
+                Tag(*tag)
+            )
         }
         HplError::CorruptPayload {
             root,

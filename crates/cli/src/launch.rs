@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use hpl_ckpt::CkptStore;
 use hpl_comm::transport::shm::ShmTransport;
 use hpl_comm::transport::tcp::TcpBootstrap;
-use hpl_comm::{Communicator, Fabric, FabricOpts, Grid, TransportSel, Universe};
+use hpl_comm::{Communicator, Fabric, FabricOpts, Grid, RecoveryCounters, TransportSel, Universe};
 use hpl_faults::{FaultPlan, Injector, RankDeath};
 use hpl_trace::report::{seq_hash, seq_hash_streams, seq_words};
 use rhpl_core::{run_hpl, verify, CkptOpts, HplConfig};
@@ -824,14 +824,17 @@ fn rank_main(env: &RankEnv, spec: ChildSpec) -> Result<ExitCode, String> {
 /// the oracle the multi-process transports are measured against, behind the
 /// same supervisor protocol (so `kill -9` + restart works here too).
 fn rank_body_inproc(env: &RankEnv, spec: &ChildSpec, ctrl: &CtrlLine) -> Result<ExitCode, String> {
-    if spec.mxp {
-        return rank_body_inproc_mxp(env, spec, ctrl);
-    }
+    let cfg = &spec.cfg;
+    let solve = |comm| {
+        if spec.mxp {
+            hpl_mxp::solve_mxp(comm, cfg).map(RankOutcome::Mxp)
+        } else {
+            run_hpl(comm, cfg).map(RankOutcome::Hpl)
+        }
+    };
     let run = match &spec.injector {
         Some(inj) => {
-            let run = Universe::run_with_injector(env.ranks, Arc::clone(inj), |comm| {
-                run_hpl(comm, &spec.cfg)
-            });
+            let run = Universe::run_with_injector(env.ranks, Arc::clone(inj), solve);
             if let Some((rank, _phase)) = &run.poison {
                 ctrl.send(&format!("err rank={rank} kind=rank_failed"));
                 return Ok(ExitCode::from(3));
@@ -841,9 +844,7 @@ fn rank_body_inproc(env: &RankEnv, spec: &ChildSpec, ctrl: &CtrlLine) -> Result<
         None => {
             let opts = FabricOpts::default();
             let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Universe::run_with_transport(env.ranks, TransportSel::Inproc, opts, |comm| {
-                    run_hpl(comm, &spec.cfg)
-                })
+                Universe::run_with_transport(env.ranks, TransportSel::Inproc, opts, solve)
             }));
             match results {
                 Ok(r) => r.into_iter().map(Some).collect(),
@@ -868,82 +869,42 @@ fn rank_body_inproc(env: &RankEnv, spec: &ChildSpec, ctrl: &CtrlLine) -> Result<
             }
         }
     }
-    let x = results[0].x.clone();
-    let cfg = &spec.cfg;
-    let res = Universe::run_with_transport(
-        env.ranks,
-        TransportSel::Inproc,
-        FabricOpts::default(),
-        |comm| {
-            let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-            verify(&grid, cfg.n, cfg.nb, cfg.seed, &x)
-        },
-    );
-    let res = match res.into_iter().next().expect("rank 0 result") {
-        Ok(r) => r,
-        Err(e) => {
-            ctrl.send(&format!("err rank=0 kind={}", e.kind()));
-            return Ok(ExitCode::from(3));
-        }
-    };
-    let traces: Vec<hpl_trace::Trace> = results
-        .iter_mut()
-        .map(|r| r.trace.take().expect("launch runs trace-enabled"))
-        .collect();
-    let seq = seq_hash(&traces);
-    let passed = res.scaled < spec.threshold;
-    ctrl.send(&format!(
-        "ok residual={:.6e} seq_hash={seq:#018x} passed={}",
-        res.scaled,
-        u8::from(passed)
-    ));
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `--transport inproc --mxp`: the whole HPL-MxP job as threads of this
-/// child. The residual gate is computed inside the solve (at `f64`
-/// accuracy), so no separate verify pass runs.
-fn rank_body_inproc_mxp(
-    env: &RankEnv,
-    spec: &ChildSpec,
-    ctrl: &CtrlLine,
-) -> Result<ExitCode, String> {
-    let cfg = &spec.cfg;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Universe::run_with_transport(
-            env.ranks,
-            TransportSel::Inproc,
-            FabricOpts::default(),
-            |comm| hpl_mxp::solve_mxp(comm, cfg),
-        )
-    }));
-    let run = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            ctrl.send(&format!("err rank={} kind=rank_failed", env.rank));
-            return Ok(ExitCode::from(3));
-        }
-    };
-    let mut results = Vec::with_capacity(env.ranks);
-    for (rank, r) in run.into_iter().enumerate() {
-        match r {
-            Ok(res) => results.push(res),
-            Err(e) => {
-                ctrl.send(&format!("err rank={rank} kind={}", e.kind()));
-                return Ok(ExitCode::from(3));
+    // MxP computes its residual inside the solve (at f64 accuracy); only
+    // the classic path verifies in a post-run collective.
+    let scaled = match &results[0] {
+        RankOutcome::Hpl(r) => {
+            let x = &r.x;
+            let res = Universe::run_with_transport(
+                env.ranks,
+                TransportSel::Inproc,
+                FabricOpts::default(),
+                |comm| {
+                    let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
+                    verify(&grid, cfg.n, cfg.nb, cfg.seed, x)
+                },
+            );
+            match res.into_iter().next().expect("rank 0 result") {
+                Ok(r) => r.scaled,
+                Err(e) => {
+                    ctrl.send(&format!("err rank=0 kind={}", e.kind()));
+                    return Ok(ExitCode::from(3));
+                }
             }
         }
-    }
+        RankOutcome::Mxp(o) => o.residuals.scaled,
+    };
     let traces: Vec<hpl_trace::Trace> = results
         .iter_mut()
-        .map(|r| r.trace.take().expect("launch runs trace-enabled"))
+        .map(|r| match r {
+            RankOutcome::Hpl(r) => r.trace.take(),
+            RankOutcome::Mxp(o) => o.trace.take(),
+        })
+        .map(|t| t.expect("launch runs trace-enabled"))
         .collect();
     let seq = seq_hash(&traces);
-    let scaled = results[0].residuals.scaled;
-    let passed = scaled < spec.threshold;
     ctrl.send(&format!(
         "ok residual={scaled:.6e} seq_hash={seq:#018x} passed={}",
-        u8::from(passed)
+        u8::from(scaled < spec.threshold)
     ));
     Ok(ExitCode::SUCCESS)
 }
@@ -962,7 +923,8 @@ fn rank_body_transport(
         faults: spec.injector.clone(),
         ..FabricOpts::default()
     };
-    let fabric = Fabric::remote(env.ranks, env.rank, opts);
+    let counters = Arc::new(RecoveryCounters::new(env.ranks));
+    let fabric = Fabric::remote(env.ranks, env.rank, opts, counters);
     let transport: Arc<dyn hpl_comm::transport::Transport> = match env.sel {
         TransportSel::Tcp => {
             let peers: Vec<SocketAddr> = addrs

@@ -770,7 +770,6 @@ mod tests {
             allreduce(&comm, Op::Sum, &mut b).unwrap();
             let c = bcast(&comm, 2, (comm.rank() == 2).then_some(7u8)).unwrap();
             let d = allgatherv(&comm, &[comm.rank() as f64], &[1, 1, 1, 1]).unwrap();
-            comm.barrier();
             assert!(comm.stats().snapshot().0 > 0);
             (a, b[0], c, d)
         });

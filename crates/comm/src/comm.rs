@@ -1,20 +1,19 @@
 //! The [`Communicator`]: a rank's handle to one communication context,
-//! offering MPI-style typed point-to-point operations, barrier, and
-//! `split` for building row/column sub-communicators.
+//! offering MPI-style typed point-to-point operations and `split` for
+//! building row/column sub-communicators.
 //!
-//! Transport awareness: on the in-process oracle a communicator is exactly
-//! what it was before the transport layer existed — a `(fabric, rank)`
-//! pair, with `split` building isolated child fabrics. On a
-//! transport-backed endpoint (one OS process per rank, or the thread-mode
-//! harness), a single world-sized fabric exists per rank; sub-communicators
-//! are *views* over it ([`CommView`]): a member list mapping local ranks to
-//! world ranks plus a context id folded into the tag bits above
-//! [`Tag::RESERVED_BASE`]'s collective range, so traffic of sibling
-//! communicators can never cross-match. Every typed payload crossing a
-//! process boundary is encoded through [`Wire`] into a [`Packet`] *before*
-//! the fabric choke point, so fault injection, stats and traced bytes see
-//! the identical send either way — the invariant behind transport-invariant
-//! `seq_hash`.
+//! Every communicator is a *view* ([`CommView`]) over its job's one
+//! world-sized fabric: a member list mapping local ranks to world ranks,
+//! plus a context id folded into the tag bits from [`Tag::CTX_SHIFT`] up,
+//! above the collective range, so traffic of sibling communicators can
+//! never cross-match. The world communicator is the identity view with
+//! context 0. The same views run on every transport — the in-process
+//! fabric shared by all rank threads, and a transport-backed endpoint (one
+//! OS process per rank, or the thread-mode harness) whose only receiving
+//! mailbox is its own. Every typed payload crossing a process boundary is
+//! encoded through [`Wire`] into a [`Packet`] *before* the fabric choke
+//! point, so fault injection, stats and traced bytes see the identical
+//! send either way — the invariant behind transport-invariant `seq_hash`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,55 +22,58 @@ use crate::error::CommError;
 use crate::fabric::{CommStats, Fabric, Tag};
 use crate::transport::wire::{Packet, SplitInfo, Wire, WireElem};
 
-/// Context ids occupy the tag bits above this shift; reserved collective
-/// tags stay below it (`RESERVED_BASE = 1 << 48`, offsets < 64).
-const CTX_SHIFT: u32 = 50;
-
-/// A sub-communicator view over a transport-backed world fabric: the
-/// in-process path expresses `split` as a fresh child fabric, but a remote
-/// endpoint cannot share mailboxes with its peers, so a split there is
-/// pure bookkeeping — member mapping, a tag-context, and an isolated
-/// stats ledger (matching the child fabric's isolated stats).
+/// One communicator as seen by one of its members: which world ranks it
+/// spans, the context its tags carry, and this member's own traffic ledger.
 struct CommView {
-    /// Folded into bits `CTX_SHIFT..` of every tag on this communicator.
+    /// Folded into bits `Tag::CTX_SHIFT..` of every tag on this
+    /// communicator; 0 for the world.
     ctx: u64,
     /// World rank of each member, indexed by local rank.
     members: Vec<usize>,
-    /// Ordered split counter for deriving child contexts.
+    /// Ordered split counter for deriving child contexts (the world
+    /// communicator counts on its fabric instead; see [`Communicator::split`]).
     split_seq: AtomicU64,
-    /// Per-local-rank traffic ledger (only this rank's slot is used in
-    /// process-per-rank mode, but sizing it like a fabric keeps the
-    /// accounting shape identical).
-    stats: Vec<CommStats>,
+    /// This member's sends on this communicator.
+    stats: CommStats,
 }
 
 /// A rank's endpoint in one communicator (the analogue of an `MPI_Comm`
 /// plus the caller's rank in it).
 ///
-/// `Clone` produces another handle to the *same* context (same mailboxes,
-/// same rank) — useful for inspecting [`Communicator::stats`] after a call
-/// that consumed the original handle. For a fresh isolated context use
-/// [`Communicator::duplicate`] instead.
+/// `Clone` produces another handle to the *same* context (same context id,
+/// same rank, same stats) — useful for inspecting [`Communicator::stats`]
+/// after a call that consumed the original handle. For a fresh isolated
+/// context, call [`Communicator::split`] with one color.
 #[derive(Clone)]
 pub struct Communicator {
     fabric: Arc<Fabric>,
     rank: usize,
-    view: Option<Arc<CommView>>,
+    view: Arc<CommView>,
 }
 
 impl Communicator {
+    /// World rank `rank`'s world communicator on `fabric`: the identity
+    /// view with context 0.
     pub(crate) fn new(fabric: Arc<Fabric>, rank: usize) -> Self {
+        let members = (0..fabric.size()).collect();
         Self {
             fabric,
             rank,
-            view: None,
+            view: Arc::new(CommView {
+                ctx: 0,
+                members,
+                split_seq: AtomicU64::new(0),
+                stats: CommStats::default(),
+            }),
         }
     }
 
     /// Wraps a [`Fabric::remote`] endpoint as that rank's world
     /// communicator — the entry point for process-per-rank launchers that
     /// wire their own transport instead of going through
-    /// [`crate::universe::Universe`].
+    /// [`crate::universe::Universe`]. Each call is a fresh handle with its
+    /// own stats; splits of it continue the fabric's context sequence, so
+    /// they never reuse an earlier endpoint's contexts.
     pub fn endpoint(fabric: Arc<Fabric>) -> Self {
         let rank = fabric
             .remote_rank()
@@ -88,44 +90,25 @@ impl Communicator {
     /// Number of ranks in the communicator.
     #[inline]
     pub fn size(&self) -> usize {
-        match &self.view {
-            Some(v) => v.members.len(),
-            None => self.fabric.size(),
-        }
+        self.view.members.len()
     }
 
     /// World (fabric) rank of local rank `r` on this communicator.
     #[inline]
     fn world_of(&self, r: usize) -> usize {
-        match &self.view {
-            Some(v) => v.members[r],
-            None => r,
-        }
+        self.view.members[r]
     }
 
     /// This communicator's context folded into `tag`.
     #[inline]
     fn fold(&self, tag: Tag) -> Tag {
-        match &self.view {
-            Some(v) => Tag(tag.0 | (v.ctx << CTX_SHIFT)),
-            None => tag,
-        }
-    }
-
-    /// The stats ledger this communicator's sends are counted in: the view's
-    /// own ledger when present (split isolation), else the fabric's.
-    #[inline]
-    fn ledger(&self) -> Option<&CommStats> {
-        self.view.as_ref().map(|v| &v.stats[self.rank])
+        Tag(tag.0 | (self.view.ctx << Tag::CTX_SHIFT))
     }
 
     /// True when payloads must cross a process boundary to reach `dst`.
     #[inline]
     fn crosses_process(&self, world_dst: usize) -> bool {
-        match self.fabric.remote_rank() {
-            Some(me) => world_dst != me,
-            None => false,
-        }
+        self.fabric.remote_rank().is_some_and(|me| world_dst != me)
     }
 
     /// Sends `value` to `dst` with `tag`. Asynchronous: never blocks.
@@ -187,7 +170,7 @@ impl Communicator {
             Box::new(value)
         };
         self.fabric
-            .try_send_counted(self.ledger(), world_src, world_dst, tag, boxed, elems)
+            .try_send_counted(&self.view.stats, world_src, world_dst, tag, boxed, elems)
     }
 
     /// Receives a `T` from `(src, tag)`, blocking. Panics if the matching
@@ -284,56 +267,9 @@ impl Communicator {
         })
     }
 
-    /// Barrier across all ranks of this communicator.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| {
-            // Same rationale as `recv`: a barrier that can never complete
-            // must fail loudly, not wedge.
-            // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
-            panic!("{e}")
-        });
-    }
-
-    /// Fallible barrier: fails with [`CommError::RankFailed`] when the job
-    /// is poisoned while waiting (a dead rank can never arrive). In-process
-    /// this is the fabric's generation-counting barrier; transport-backed
-    /// endpoints use a gather-then-release message barrier on the control
-    /// plane (invisible to stats, faults and trace, like the shared-memory
-    /// barrier it replaces).
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        if self.fabric.remote_rank().is_none() {
-            return self.fabric.try_barrier();
-        }
-        let n = self.size();
-        if n <= 1 {
-            return Ok(());
-        }
-        let tag = self.fold(Tag::BARRIER);
-        let me = self.world_of(self.rank);
-        if self.rank == 0 {
-            for src in 1..n {
-                let from = self.world_of(src);
-                self.fabric.ctrl_recv(me, from, tag)?;
-            }
-            for dst in 1..n {
-                let to = self.world_of(dst);
-                self.fabric.ctrl_send(me, to, tag, Packet::pack(&1u8))?;
-            }
-            Ok(())
-        } else {
-            let root = self.world_of(0);
-            self.fabric.ctrl_send(me, root, tag, Packet::pack(&1u8))?;
-            self.fabric.ctrl_recv(me, root, tag)?;
-            Ok(())
-        }
-    }
-
     /// Traffic statistics for this rank on this communicator.
     pub fn stats(&self) -> &CommStats {
-        match &self.view {
-            Some(v) => &v.stats[self.rank],
-            None => self.fabric.stats(self.rank),
-        }
+        &self.view.stats
     }
 
     /// The fault injector armed on this job, if any (`None` in production
@@ -361,7 +297,7 @@ impl Communicator {
     }
 
     /// Timed-out receive polls retried with backoff on the calling world
-    /// rank so far, across this fabric and every child split from it.
+    /// rank so far, across every communicator of this job.
     /// Zero when called off a rank thread (no world rank registered).
     pub fn comm_retries(&self) -> u64 {
         hpl_faults::world_rank()
@@ -372,83 +308,26 @@ impl Communicator {
     /// Splits the communicator: ranks passing the same `color` form a new
     /// communicator, ordered by `(key, parent rank)`. Collective — every
     /// rank of the parent must call it.
+    ///
+    /// Rank 0 gathers every `(color, key)` and sends each member its
+    /// [`SplitInfo`]; the result is a view over the same world fabric with
+    /// a context id every member derives identically from the parent's
+    /// ordered split count — no coordination traffic beyond the handshake.
     pub fn split(&self, color: usize, key: usize) -> Communicator {
-        if self.fabric.remote_rank().is_some() {
-            return self.split_view(color, key);
-        }
         let n = self.size();
-        // Gather (color, key) at rank 0.
-        if self.rank == 0 {
-            let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
-            entries.push((color, key, 0));
-            for src in 1..n {
-                let (c, k): (usize, usize) = self.recv(src, Tag::SPLIT);
-                entries.push((c, k, src));
-            }
-            // Group by color.
-            let mut colors: Vec<usize> = entries.iter().map(|e| e.0).collect();
-            colors.sort_unstable();
-            colors.dedup();
-            let mut my_comm = None;
-            for c in colors {
-                let mut members: Vec<(usize, usize, usize)> =
-                    entries.iter().copied().filter(|e| e.0 == c).collect();
-                members.sort_by_key(|&(_, k, r)| (k, r));
-                // Sub-fabrics inherit the job's poison token and injector so
-                // a death anywhere unwinds row/column collectives too.
-                let fabric = self.fabric.child(members.len());
-                for (new_rank, &(_, _, parent_rank)) in members.iter().enumerate() {
-                    if parent_rank == 0 {
-                        my_comm = Some(Communicator::new(Arc::clone(&fabric), new_rank));
-                    } else {
-                        // The handle payload is process-local by nature, so
-                        // this bypasses the Wire-typed surface (it can never
-                        // cross a process boundary: this is the in-process
-                        // branch).
-                        self.fabric.send(
-                            0,
-                            parent_rank,
-                            Tag::SPLIT,
-                            Box::new((Arc::clone(&fabric), new_rank)),
-                            1,
-                        );
-                    }
-                }
-            }
-            my_comm.expect("rank 0 belongs to some color group")
+        let parent = &self.view;
+        // The world communicator counts on the fabric, per world rank, so
+        // endpoints opened later on the same fabric keep advancing it.
+        let seq = if parent.ctx == 0 {
+            self.fabric.next_split_seq(self.world_of(self.rank))
         } else {
-            self.send(0, Tag::SPLIT, (color, key));
-            let any = self
-                .fabric
-                .try_recv(self.rank, 0, Tag::SPLIT)
-                .unwrap_or_else(|e| {
-                    // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
-                    panic!("{e}")
-                });
-            let (fabric, new_rank) = *any.downcast::<(Arc<Fabric>, usize)>().unwrap_or_else(|_| {
-                // xtask-allow: no-panic, error-taxonomy — programming-error contract
-                panic!("split handshake payload mismatch")
-            });
-            Communicator::new(fabric, new_rank)
-        }
-    }
-
-    /// `split` for transport-backed endpoints: the same gather-at-root
-    /// message pattern (identical message counts, so traced bytes and stats
-    /// match the oracle), but the result is a [`CommView`] over the world
-    /// fabric instead of a child fabric, with a context id derived
-    /// identically on every member from the parent's ordered split count.
-    fn split_view(&self, color: usize, key: usize) -> Communicator {
-        let n = self.size();
-        let seq = match &self.view {
-            Some(v) => v.split_seq.fetch_add(1, Ordering::SeqCst),
-            None => self.fabric.next_split_seq(),
+            parent.split_seq.fetch_add(1, Ordering::SeqCst)
         };
-        let parent_ctx = self.view.as_ref().map_or(0, |v| v.ctx);
         // 64 split contexts per communicator before the (debug-checked)
-        // fold budget above CTX_SHIFT is exhausted — HPL performs two.
-        let ctx = parent_ctx * 64 + seq + 1;
-        debug_assert!(ctx < (1 << (64 - CTX_SHIFT)), "split context overflow");
+        // fold budget above Tag::CTX_SHIFT is exhausted — HPL performs two.
+        debug_assert!(seq < 64, "more than 64 splits of one communicator");
+        let ctx = parent.ctx * 64 + seq + 1;
+        debug_assert!(ctx < (1 << (64 - Tag::CTX_SHIFT)), "split context overflow");
         let info: SplitInfo = if self.rank == 0 {
             let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
             entries.push((color, key, 0));
@@ -483,23 +362,16 @@ impl Communicator {
             self.send(0, Tag::SPLIT, (color, key));
             self.recv(0, Tag::SPLIT)
         };
-        let size = info.members.len();
         Communicator {
             fabric: Arc::clone(&self.fabric),
             rank: info.new_rank,
-            view: Some(Arc::new(CommView {
+            view: Arc::new(CommView {
                 ctx,
                 members: info.members,
                 split_seq: AtomicU64::new(0),
-                stats: (0..size).map(|_| CommStats::default()).collect(),
-            })),
+                stats: CommStats::default(),
+            }),
         }
-    }
-
-    /// Duplicates the communicator with a fresh context (fresh mailboxes and
-    /// stats), like `MPI_Comm_dup`. Collective.
-    pub fn duplicate(&self) -> Communicator {
-        self.split(0, self.rank)
     }
 
     /// Control-plane gather of one `u64` stream per rank to rank 0 (which
@@ -540,6 +412,8 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::FabricOpts;
+    use crate::transport::TransportSel;
     use crate::universe::Universe;
 
     #[test]
@@ -576,7 +450,7 @@ mod tests {
             assert_eq!(sub.size(), 3);
             // Ranks within a row are ordered by parent rank.
             assert_eq!(sub.rank(), comm.rank() % 3);
-            // Sub-communicators are isolated: a barrier + exchange inside.
+            // Sub-communicators are isolated: an exchange inside.
             let got = sub.sendrecv(
                 (sub.rank() + 1) % 3,
                 (sub.rank() + 2) % 3,
@@ -601,11 +475,13 @@ mod tests {
     #[test]
     fn duplicate_is_isolated() {
         Universe::run(3, |comm| {
-            let dup = comm.duplicate();
+            // One color keyed by parent rank: a duplicate, like
+            // `MPI_Comm_dup`, with a fresh context.
+            let dup = comm.split(0, comm.rank());
             assert_eq!(dup.rank(), comm.rank());
             assert_eq!(dup.size(), 3);
-            // Message sent on dup must not be receivable on comm's fabric
-            // (different mailboxes) — exchange on both and check values.
+            // Message sent on dup must not be receivable on comm (different
+            // context, same tag) — exchange on both and check values.
             let a = dup.sendrecv(
                 (dup.rank() + 1) % 3,
                 (dup.rank() + 2) % 3,
@@ -621,6 +497,82 @@ mod tests {
             assert_eq!(a[0], ((comm.rank() + 2) % 3) as f64 * 10.0);
             assert_eq!(b[0], ((comm.rank() + 2) % 3) as f64);
         });
+    }
+
+    #[test]
+    fn sub_communicators_match_on_every_transport() {
+        // 6 ranks as 2 rows x 3 columns, and each row split again into its
+        // first member and the rest. Every communicator rotates the world
+        // rank one step on the *same* user tag, so a context leak between
+        // them would deliver a wrong value.
+        let run = |sel| {
+            Universe::run_with_transport(6, sel, FabricOpts::default(), |world| {
+                let r = world.rank();
+                let row = world.split(r / 3, r);
+                let col = world.split(r % 3, r);
+                let head = row.split(usize::from(row.rank() > 0), row.rank());
+                let comms = [&world, &row, &col, &head];
+                let got = comms.map(|c| {
+                    let (me, n) = (c.rank(), c.size());
+                    let v = c.sendrecv((me + 1) % n, (me + n - 1) % n, Tag::user(1), &[r as f64]);
+                    v[0] as usize
+                });
+                (got, comms.map(|c| c.stats().snapshot()))
+            })
+        };
+        let inproc = run(TransportSel::Inproc);
+        let got: Vec<[usize; 4]> = inproc.iter().map(|o| o.0).collect();
+        assert_eq!(
+            got,
+            vec![
+                [5, 2, 3, 0],
+                [0, 0, 4, 2],
+                [1, 1, 5, 1],
+                [2, 5, 0, 3],
+                [3, 3, 1, 5],
+                [4, 4, 2, 4]
+            ]
+        );
+        for sel in [TransportSel::Tcp, TransportSel::Shm] {
+            assert_eq!(run(sel), inproc, "{sel:?} diverged from inproc");
+        }
+    }
+
+    #[test]
+    fn death_unblocks_a_column_receive_on_every_transport() {
+        for sel in [TransportSel::Inproc, TransportSel::Tcp, TransportSel::Shm] {
+            let seen = std::sync::Mutex::new(None);
+            let t0 = std::time::Instant::now();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Universe::run_with_transport(6, sel, FabricOpts::default(), |world| {
+                    let r = world.rank();
+                    let col = world.split(r % 3, r);
+                    match r {
+                        // Column peer 1 (world rank 3) never sends.
+                        0 => *seen.lock().unwrap() = Some(col.try_recv::<u32>(1, Tag::user(2))),
+                        1 => {
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            panic!("rank 1 killed");
+                        }
+                        _ => {}
+                    }
+                })
+            }));
+            assert!(
+                run.is_err(),
+                "{sel:?}: the killed rank's panic must re-raise"
+            );
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                matches!(seen, Some(Err(CommError::RankFailed { rank: 1, .. }))),
+                "{sel:?}: {seen:?}"
+            );
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(5),
+                "{sel:?}: took {:?}",
+                t0.elapsed()
+            );
+        }
     }
 
     #[test]

@@ -19,15 +19,18 @@ pub enum CommError {
     /// `(src, tag)` pairs that *are* waiting in the mailbox — so a
     /// mismatched collective ordering is diagnosable from the error alone.
     Timeout {
-        /// Receiving rank.
+        /// Receiving rank, as a world rank (whatever communicator the
+        /// receive was posted on).
         dst: usize,
-        /// Expected source rank.
+        /// Expected source rank, as a world rank.
         src: usize,
-        /// Expected tag.
+        /// Expected tag, with the communicator's context folded in (see
+        /// [`Tag::base`] and [`Tag::ctx`]).
         tag: Tag,
         /// How long the receive waited, in milliseconds.
         waited_ms: u64,
-        /// Queue keys with undelivered messages in `dst`'s mailbox.
+        /// Queue keys with undelivered messages in `dst`'s mailbox (world
+        /// source rank, folded tag).
         pending: Vec<(usize, Tag)>,
     },
     /// A rank died (injected death or a panic on its thread); the fabric
@@ -78,7 +81,7 @@ impl fmt::Display for CommError {
             } => {
                 write!(
                     f,
-                    "rank {dst}: no message from rank {src} with tag {tag:?} after \
+                    "rank {dst}: no message from rank {src} with {tag} after \
                      {waited_ms} ms — mismatched send/recv or collective ordering \
                      (pass --comm-timeout to lengthen); pending queues: "
                 )?;
@@ -87,7 +90,7 @@ impl fmt::Display for CommError {
                 } else {
                     let keys: Vec<String> = pending
                         .iter()
-                        .map(|(s, t)| format!("(src={s}, {t:?})"))
+                        .map(|(s, t)| format!("(src={s}, {t})"))
                         .collect();
                     write!(f, "[{}]", keys.join(", "))
                 }
@@ -126,14 +129,15 @@ mod tests {
         let e = CommError::Timeout {
             dst: 1,
             src: 0,
-            tag: Tag::user(9),
+            tag: Tag(Tag::RESERVED_BASE + 9 + (1 << Tag::CTX_SHIFT)),
             waited_ms: 1500,
             pending: vec![(2, Tag::user(7))],
         };
         let s = e.to_string();
         assert!(s.contains("no message from rank 0"), "{s}");
         assert!(s.contains("pass --comm-timeout to lengthen"), "{s}");
-        assert!(s.contains("src=2"), "{s}");
+        assert!(s.contains("with tag=281474976710665 ctx=1 after"), "{s}");
+        assert!(s.contains("(src=2, tag=7 ctx=0)"), "{s}");
     }
 
     #[test]

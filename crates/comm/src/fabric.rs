@@ -17,15 +17,16 @@
 //!   check, gated by the same bench budget as a disabled trace span.
 //! * **Poisoning** — when a rank dies (injected death or a panic on its
 //!   thread), the fabric is poisoned with the rank's identity. Every blocked
-//!   and future receive/barrier on the *same job* (split sub-fabrics share
-//!   the poison token) fails promptly with [`CommError::RankFailed`] instead
-//!   of wedging until the deadlock detector fires.
+//!   and future receive on the job — on the world communicator and every
+//!   split of it alike, since a split is only a view over the one world
+//!   fabric — fails promptly with [`CommError::RankFailed`] instead of
+//!   wedging until the deadlock detector fires.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::error::CommError;
 use crate::spsc::LockfreeMailbox;
@@ -35,13 +36,19 @@ use crate::transport::{FrameSink, LinkStat, Transport};
 
 /// Message tag. User tags live below [`Tag::RESERVED_BASE`]; the collective
 /// implementations use reserved tags above it so user point-to-point traffic
-/// can never match a collective's internal messages.
+/// can never match a collective's internal messages. A communicator folds
+/// its context id into the bits from [`Tag::CTX_SHIFT`] up, so traffic of
+/// sibling communicators can never cross-match either.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag(pub u64);
 
 impl Tag {
     /// First reserved tag value; see type docs.
     pub const RESERVED_BASE: u64 = 1 << 48;
+
+    /// Context ids occupy the tag bits from here up; reserved collective
+    /// tags stay below it (`RESERVED_BASE` plus offsets < 64).
+    pub const CTX_SHIFT: u32 = 50;
 
     pub(crate) const BCAST: Tag = Tag(Self::RESERVED_BASE + 1);
     pub(crate) const REDUCE: Tag = Tag(Self::RESERVED_BASE + 2);
@@ -53,7 +60,6 @@ impl Tag {
     pub(crate) const ABFT_SUM: Tag = Tag(Self::RESERVED_BASE + 8);
     pub(crate) const ABFT_ACK: Tag = Tag(Self::RESERVED_BASE + 9);
     pub(crate) const ABFT_CTRL: Tag = Tag(Self::RESERVED_BASE + 10);
-    pub(crate) const BARRIER: Tag = Tag(Self::RESERVED_BASE + 11);
     pub(crate) const TRACE: Tag = Tag(Self::RESERVED_BASE + 12);
 
     /// Creates a user tag; panics on collision with the reserved range.
@@ -63,6 +69,24 @@ impl Tag {
             "tag {t} collides with reserved range"
         );
         Tag(t)
+    }
+
+    /// The tag with its communicator context stripped: the value the
+    /// sender passed.
+    pub fn base(self) -> u64 {
+        self.0 & ((1 << Self::CTX_SHIFT) - 1)
+    }
+
+    /// The context id of the communicator the tag was sent on (0 for the
+    /// world communicator).
+    pub fn ctx(self) -> u64 {
+        self.0 >> Self::CTX_SHIFT
+    }
+}
+
+impl std::fmt::Display for Tag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "tag={} ctx={}", self.base(), self.ctx())
     }
 }
 
@@ -148,13 +172,14 @@ impl RetryPolicy {
     }
 }
 
-/// Per-world-rank recovery observability counters, shared — like the poison
-/// token — across a job's split sub-fabrics so sub-communicator traffic
-/// lands in the same ledger. `retries` counts timed-out receive poll rounds
-/// (the backoff ladder absorbing delay/stall faults); `abft_repairs` counts
-/// checksummed-broadcast retransmissions applied (see `abft`). Indexed by
-/// the thread's world rank; threads outside the rank universe (pool
-/// workers) skip counting.
+/// Per-world-rank recovery observability counters. Every communicator of a
+/// job, world or split, counts into its fabric's ledger; the thread-mode
+/// transport harness hands all rank endpoints one shared ledger so a run
+/// report aggregates like the in-process fabric. `retries` counts timed-out
+/// receive poll rounds (the backoff ladder absorbing delay/stall faults);
+/// `abft_repairs` counts checksummed-broadcast retransmissions applied
+/// (see `abft`). Indexed by the thread's world rank; threads outside the
+/// rank universe (pool workers) skip counting.
 #[derive(Debug)]
 pub struct RecoveryCounters {
     retries: Vec<AtomicU64>,
@@ -162,7 +187,8 @@ pub struct RecoveryCounters {
 }
 
 impl RecoveryCounters {
-    pub(crate) fn new(size: usize) -> Self {
+    /// Zeroed counters for a `size`-rank world.
+    pub fn new(size: usize) -> Self {
         Self {
             retries: (0..size).map(|_| AtomicU64::new(0)).collect(),
             abft_repairs: (0..size).map(|_| AtomicU64::new(0)).collect(),
@@ -218,10 +244,10 @@ impl RecoveryCounters {
     }
 }
 
-/// Shared death token for one job. Split sub-fabrics clone the `Arc`, so a
-/// rank dying anywhere poisons every communicator the job owns; blocked
-/// receives and barriers poll the flag (≤100 ms step) and unwind with the
-/// recorded identity.
+/// Death token for one job. Every communicator of the job is a view over
+/// the same fabric, so a rank dying anywhere poisons all of them; blocked
+/// receives observe the flag (woken, or at the next ≤100 ms poll step) and
+/// unwind with the recorded identity.
 #[derive(Default)]
 pub(crate) struct Poison {
     flag: AtomicBool,
@@ -277,22 +303,23 @@ impl CommStats {
     }
 }
 
-/// The shared state of one communicator: `size` mailboxes plus barrier
-/// bookkeeping, per-rank stats, the job's poison token, and the (optional)
-/// armed fault injector.
+/// The shared state of one job's world: `size` mailboxes, the job's poison
+/// token, and the (optional) armed fault injector. Every communicator —
+/// the world and each split of it — is a view over this one fabric.
 pub struct Fabric {
     boxes: Vec<LockfreeMailbox>,
-    stats: Vec<CommStats>,
-    barrier_state: Mutex<BarrierGen>,
-    barrier_cv: Condvar,
-    poison: Arc<Poison>,
+    poison: Poison,
     faults: Option<Arc<hpl_faults::Injector>>,
     /// Per-fabric receive-timeout override; falls back to [`recv_timeout`].
     timeout: Option<std::time::Duration>,
     retry: RetryPolicy,
     counters: Arc<RecoveryCounters>,
-    /// SPSC ring capacity in force (inherited by split sub-fabrics).
-    ring_cap: usize,
+    /// Per-world-rank count of splits of the world communicator: every
+    /// rank performs the same ordered sequence of collective `split` calls,
+    /// so this yields identical context ids without coordination traffic.
+    /// Kept on the fabric, not the world communicator, so endpoints opened
+    /// later on the same fabric never reuse a context.
+    split_seq: Vec<AtomicU64>,
     /// Remote endpoint state when this fabric is one rank of a
     /// transport-backed universe (`None` for the in-process oracle).
     remote: Option<RemoteCtx>,
@@ -307,10 +334,6 @@ pub(crate) struct RemoteCtx {
     transport: std::sync::OnceLock<Arc<dyn Transport>>,
     /// Guards the one-shot Death broadcast in [`Fabric::poison`].
     death_sent: AtomicBool,
-    /// Per-process split counter: every rank performs the same ordered
-    /// sequence of collective `split` calls, so this yields identical
-    /// context ids without any coordination traffic.
-    split_seq: AtomicU64,
 }
 
 /// The fabric side of frame delivery: reader threads hold this (weakly)
@@ -352,19 +375,13 @@ impl FrameSink for FabricSink {
     }
 }
 
-#[derive(Default)]
-struct BarrierGen {
-    arrived: usize,
-    generation: u64,
-}
-
-/// Polling step for blocked waits: short enough that poisoning propagates to
-/// sub-fabrics (which share the token but not the condvars) well inside the
-/// <5 s unwind budget, long enough to stay invisible on the happy path
-/// (waits are normally satisfied by a notify, not the poll).
+/// Longest single park of a blocked receive: each expiry advances the
+/// timeout ladder and re-checks the poison flag, so even a missed wakeup
+/// unwinds well inside the <5 s budget, while staying invisible on the
+/// happy path (waits are normally satisfied by a notify, not the poll).
 const WAIT_STEP: std::time::Duration = std::time::Duration::from_millis(100);
 
-/// Robustness configuration for [`Fabric::new_with_opts`].
+/// Robustness configuration for [`Fabric::new`] and [`Fabric::remote`].
 #[derive(Clone, Default)]
 pub struct FabricOpts {
     /// Armed fault injector, if any.
@@ -380,47 +397,21 @@ pub struct FabricOpts {
 }
 
 impl Fabric {
-    /// Creates a fabric connecting `size` ranks.
-    pub fn new(size: usize) -> Arc<Self> {
-        Self::new_with_faults(size, None)
-    }
-
-    /// Creates a fabric with an armed fault injector (see [`hpl_faults`]).
-    pub fn new_with_faults(size: usize, faults: Option<Arc<hpl_faults::Injector>>) -> Arc<Self> {
-        Self::new_with_opts(
-            size,
-            FabricOpts {
-                faults,
-                ..FabricOpts::default()
-            },
-        )
-    }
-
-    /// Creates a fabric with explicit robustness options (timeout, retry
-    /// policy, fault injector).
-    pub fn new_with_opts(size: usize, opts: FabricOpts) -> Arc<Self> {
-        Self::build(
-            size,
-            opts,
-            Arc::new(Poison::default()),
-            Arc::new(RecoveryCounters::new(size)),
-            None,
-        )
+    /// Creates an in-process fabric connecting `size` ranks, with the
+    /// robustness options (timeout, retry policy, fault injector, ring
+    /// capacity) of `opts`.
+    pub fn new(size: usize, opts: FabricOpts) -> Arc<Self> {
+        Self::build(size, opts, Arc::new(RecoveryCounters::new(size)), None)
     }
 
     /// Creates *one rank's endpoint* of a `size`-rank transport-backed
     /// universe: only `boxes[my_rank]` receives (fed by the transport's
     /// reader threads); sends to any other rank are framed and pushed
-    /// through the transport wired by [`Fabric::attach_transport`].
-    pub fn remote(size: usize, my_rank: usize, opts: FabricOpts) -> Arc<Self> {
-        let counters = Arc::new(RecoveryCounters::new(size));
-        Self::remote_shared(size, my_rank, opts, counters)
-    }
-
-    /// [`Fabric::remote`] with shared recovery counters — the thread-mode
-    /// harness gives every rank endpoint the same ledger so a run report
-    /// aggregates like the in-process oracle.
-    pub(crate) fn remote_shared(
+    /// through the transport wired by [`Fabric::attach_transport`]. The
+    /// thread-mode harness passes every endpoint the same `counters` so a
+    /// run report aggregates like the in-process fabric; a process-per-rank
+    /// launcher passes fresh ones.
+    pub fn remote(
         size: usize,
         my_rank: usize,
         opts: FabricOpts,
@@ -430,13 +421,11 @@ impl Fabric {
         Self::build(
             size,
             opts,
-            Arc::new(Poison::default()),
             counters,
             Some(RemoteCtx {
                 my_rank,
                 transport: std::sync::OnceLock::new(),
                 death_sent: AtomicBool::new(false),
-                split_seq: AtomicU64::new(0),
             }),
         )
     }
@@ -468,14 +457,6 @@ impl Fabric {
         self.remote.as_ref().map(|r| r.my_rank)
     }
 
-    /// Name of the byte-moving backend ("inproc" when none is attached).
-    pub fn transport_name(&self) -> &'static str {
-        self.remote
-            .as_ref()
-            .and_then(|r| r.transport.get())
-            .map_or("inproc", |t| t.name())
-    }
-
     /// Per-destination link traffic of this endpoint (empty in-process).
     pub fn link_stats(&self) -> Vec<LinkStat> {
         self.remote
@@ -492,37 +473,15 @@ impl Fabric {
         }
     }
 
-    /// Next world-level split sequence number (remote endpoints only).
-    pub(crate) fn next_split_seq(&self) -> u64 {
-        self.remote
-            .as_ref()
-            .expect("split_seq on an in-process fabric")
-            .split_seq
-            .fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// A sub-fabric for `size` ranks sharing this fabric's poison token,
-    /// injector, recovery counters and retry/timeout configuration (used by
-    /// `Communicator::split`).
-    pub(crate) fn child(&self, size: usize) -> Arc<Self> {
-        Self::build(
-            size,
-            FabricOpts {
-                faults: self.faults.clone(),
-                timeout: self.timeout,
-                retry: self.retry,
-                mailbox_cap: Some(self.ring_cap),
-            },
-            Arc::clone(&self.poison),
-            Arc::clone(&self.counters),
-            None,
-        )
+    /// Next split sequence number of world rank `rank`'s world
+    /// communicator.
+    pub(crate) fn next_split_seq(&self, rank: usize) -> u64 {
+        self.split_seq[rank].fetch_add(1, Ordering::SeqCst)
     }
 
     fn build(
         size: usize,
         opts: FabricOpts,
-        poison: Arc<Poison>,
         counters: Arc<RecoveryCounters>,
         remote: Option<RemoteCtx>,
     ) -> Arc<Self> {
@@ -531,15 +490,12 @@ impl Fabric {
             boxes: (0..size)
                 .map(|_| LockfreeMailbox::new(size, ring_cap))
                 .collect(),
-            stats: (0..size).map(|_| CommStats::default()).collect(),
-            barrier_state: Mutex::new(BarrierGen::default()),
-            barrier_cv: Condvar::new(),
-            poison,
+            poison: Poison::default(),
             faults: opts.faults,
             timeout: opts.timeout,
             retry: opts.retry,
             counters,
-            ring_cap,
+            split_seq: (0..size).map(|_| AtomicU64::new(0)).collect(),
             remote,
         })
     }
@@ -559,19 +515,13 @@ impl Fabric {
         self.retry
     }
 
-    /// This job's recovery observability counters (shared with sub-fabrics).
+    /// This job's recovery observability counters.
     pub fn counters(&self) -> &RecoveryCounters {
         &self.counters
     }
 
-    /// The receive timeout in force on this fabric.
-    pub fn effective_timeout(&self) -> std::time::Duration {
-        self.timeout.unwrap_or_else(recv_timeout)
-    }
-
     /// Marks the job as having lost `rank` during `phase` and wakes every
-    /// waiter on *this* fabric; waiters on sibling fabrics observe the shared
-    /// token at their next poll step. Idempotent — the first recorded death
+    /// waiter on this fabric. Idempotent — the first recorded death
     /// wins, so every peer reports the same root cause. On a transport-backed
     /// endpoint the first call also broadcasts a Death frame to every peer,
     /// so remote survivors learn the root cause within one delivery latency
@@ -613,8 +563,6 @@ impl Fabric {
             // wait (the loom-pinned discipline).
             b.wake_for_control();
         }
-        let _g = self.barrier_state.lock();
-        self.barrier_cv.notify_all();
     }
 
     /// `(rank, phase)` of the first death recorded on this job, if any.
@@ -636,27 +584,14 @@ impl Fabric {
             .unwrap_or_else(|| site.to_string())
     }
 
-    /// Deposits a message for `dst`, applying any matched send-site fault.
-    /// The only error is the sending rank's own injected death (after
-    /// poisoning the job); fault-free sends cannot fail.
-    pub fn try_send(
-        &self,
-        src: usize,
-        dst: usize,
-        tag: Tag,
-        msg: Boxed,
-        elems: u64,
-    ) -> Result<(), CommError> {
-        self.try_send_counted(None, src, dst, tag, msg, elems)
-    }
-
-    /// [`Fabric::try_send`] with an optional stats ledger override: a split
-    /// sub-communicator on a transport-backed endpoint shares the world
-    /// fabric but must account its traffic separately, matching the
-    /// per-child-fabric isolation of the in-process path.
+    /// Deposits a message for `dst` (or frames it to a remote peer),
+    /// applying any matched send-site fault and counting it in `ledger`,
+    /// the sending communicator's stats. The only errors are deaths: the
+    /// sending rank's own injected one (after poisoning the job), or a
+    /// remote destination whose link is gone; fault-free sends cannot fail.
     pub(crate) fn try_send_counted(
         &self,
-        stats: Option<&CommStats>,
+        ledger: &CommStats,
         src: usize,
         dst: usize,
         tag: Tag,
@@ -668,7 +603,6 @@ impl Fabric {
             "send to rank {dst} of {}",
             self.boxes.len()
         );
-        let ledger = stats.unwrap_or(&self.stats[src]);
         let mut msg = msg;
         match hpl_faults::on_send(&self.faults) {
             hpl_faults::SendAction::Deliver => {}
@@ -767,8 +701,7 @@ impl Fabric {
     }
 
     /// Control-plane send: no fault hooks, no stats, no traced bytes. Used
-    /// for transport-internal coordination (message barriers, post-run trace
-    /// gathers) that the in-process oracle performs without messages at all —
+    /// for the post-run trace gather, which sits outside the measured run —
     /// keeping it invisible is what keeps `seq_hash` transport-invariant.
     pub(crate) fn ctrl_send(
         &self,
@@ -810,20 +743,6 @@ impl Fabric {
             self.boxes.len()
         );
         self.wait_recv(dst, src, tag)
-    }
-
-    /// Infallible [`Fabric::try_send`] for call sites outside the fallible
-    /// pipeline (tests, split bootstrap). An injected death here unwinds the
-    /// rank thread with a [`hpl_faults::RankDeath`] payload; the job is
-    /// already poisoned, so peers still fail with the rank's identity.
-    pub fn send(&self, src: usize, dst: usize, tag: Tag, msg: Boxed, elems: u64) {
-        if let Err(e) = self.try_send(src, dst, tag, msg, elems) {
-            let CommError::RankFailed { rank, phase } = e else {
-                // try_send's only error is the sender's own death.
-                unreachable!("unexpected send error: {e}");
-            };
-            std::panic::panic_any(hpl_faults::RankDeath { rank, phase });
-        }
     }
 
     /// Blocks until a message from `(src, tag)` addressed to `dst` arrives.
@@ -871,7 +790,7 @@ impl Fabric {
         }
         let mut waited = std::time::Duration::ZERO;
         let mut attempt = 0u32;
-        let timeout = self.effective_timeout();
+        let timeout = self.timeout.unwrap_or_else(recv_timeout);
         loop {
             if let Some(m) = mbox.try_take(src, tag) {
                 return Ok(m);
@@ -924,51 +843,10 @@ impl Fabric {
         })
     }
 
-    /// Per-rank statistics.
-    pub fn stats(&self, rank: usize) -> &CommStats {
-        &self.stats[rank]
-    }
-
     /// True if no undelivered messages remain anywhere (used by tests to
     /// assert collectives are self-contained).
     pub fn quiescent(&self) -> bool {
         self.boxes.iter().all(LockfreeMailbox::is_empty)
-    }
-
-    /// Centralized generation-counting barrier over all ranks of this
-    /// fabric. Fails with [`CommError::RankFailed`] if the job is poisoned
-    /// while waiting (a dead rank can never arrive).
-    pub fn try_barrier(&self) -> Result<(), CommError> {
-        let n = self.boxes.len();
-        let mut g = self.barrier_state.lock();
-        let gen = g.generation;
-        g.arrived += 1;
-        if g.arrived == n {
-            g.arrived = 0;
-            g.generation = g.generation.wrapping_add(1);
-            self.barrier_cv.notify_all();
-        } else {
-            while g.generation == gen {
-                if let Some(e) = self.poison_err() {
-                    // Withdraw so a (hypothetical) later barrier isn't
-                    // satisfied by our abandoned arrival.
-                    g.arrived = g.arrived.saturating_sub(1);
-                    return Err(e);
-                }
-                self.barrier_cv.wait_for(&mut g, WAIT_STEP);
-            }
-        }
-        Ok(())
-    }
-
-    /// Infallible [`Fabric::try_barrier`]; panics if the job is poisoned.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| {
-            // Same rationale as `recv`: a barrier that can never complete
-            // must fail loudly, not wedge.
-            // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
-            panic!("{e}")
-        });
     }
 }
 
@@ -1005,11 +883,21 @@ mod tests {
     use super::*;
     use std::thread;
 
+    fn fabric(size: usize) -> Arc<Fabric> {
+        Fabric::new(size, FabricOpts::default())
+    }
+
+    /// Sends `msg` from `src` to `dst`, counted in a throwaway ledger.
+    fn put<T: Any + Send>(f: &Fabric, src: usize, dst: usize, tag: Tag, msg: T) {
+        f.try_send_counted(&CommStats::default(), src, dst, tag, Box::new(msg), 1)
+            .unwrap();
+    }
+
     #[test]
     fn fifo_per_source_tag() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(7), Box::new(1u32), 1);
-        f.send(0, 1, Tag::user(7), Box::new(2u32), 1);
+        let f = fabric(2);
+        put(&f, 0, 1, Tag::user(7), 1u32);
+        put(&f, 0, 1, Tag::user(7), 2u32);
         let a = *f.recv(1, 0, Tag::user(7)).downcast::<u32>().unwrap();
         let b = *f.recv(1, 0, Tag::user(7)).downcast::<u32>().unwrap();
         assert_eq!((a, b), (1, 2));
@@ -1017,9 +905,9 @@ mod tests {
 
     #[test]
     fn tags_do_not_cross_match() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(1), Box::new("one"), 1);
-        f.send(0, 1, Tag::user(2), Box::new("two"), 1);
+        let f = fabric(2);
+        put(&f, 0, 1, Tag::user(1), "one");
+        put(&f, 0, 1, Tag::user(2), "two");
         let t2 = *f.recv(1, 0, Tag::user(2)).downcast::<&str>().unwrap();
         let t1 = *f.recv(1, 0, Tag::user(1)).downcast::<&str>().unwrap();
         assert_eq!((t1, t2), ("one", "two"));
@@ -1027,32 +915,12 @@ mod tests {
 
     #[test]
     fn recv_blocks_until_send() {
-        let f = Fabric::new(2);
+        let f = fabric(2);
         let f2 = Arc::clone(&f);
         let h = thread::spawn(move || *f2.recv(1, 0, Tag::user(3)).downcast::<u64>().unwrap());
         thread::sleep(std::time::Duration::from_millis(20));
-        f.send(0, 1, Tag::user(3), Box::new(99u64), 1);
+        put(&f, 0, 1, Tag::user(3), 99u64);
         assert_eq!(h.join().unwrap(), 99);
-    }
-
-    #[test]
-    fn barrier_synchronizes_all() {
-        let f = Fabric::new(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        thread::scope(|s| {
-            for _ in 0..4 {
-                let f = Arc::clone(&f);
-                let c = Arc::clone(&counter);
-                s.spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    f.barrier();
-                    assert_eq!(c.load(Ordering::SeqCst), 4);
-                    f.barrier();
-                    c.fetch_add(10, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 44);
     }
 
     #[test]
@@ -1063,7 +931,7 @@ mod tests {
 
     /// A fabric that gives up on a silent peer after the 1 s floor.
     fn one_second_fabric(size: usize, cap: Option<usize>) -> Arc<Fabric> {
-        Fabric::new_with_opts(
+        Fabric::new(
             size,
             FabricOpts {
                 timeout: Some(std::time::Duration::from_secs(1)),
@@ -1083,7 +951,7 @@ mod tests {
     #[test]
     fn recv_timeout_panics_with_diagnostic() {
         let f = one_second_fabric(2, None);
-        f.send(1, 1, Tag::user(11), Box::new(5u8), 1); // unrelated pending msg
+        put(&f, 1, 1, Tag::user(11), 5u8); // unrelated pending msg
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = f.recv(1, 0, Tag::user(9));
         }))
@@ -1097,7 +965,7 @@ mod tests {
     #[test]
     fn try_recv_reports_pending_keys_on_timeout() {
         let f = one_second_fabric(3, None);
-        f.send(2, 1, Tag::user(4), Box::new(1u8), 1);
+        put(&f, 2, 1, Tag::user(4), 1u8);
         let e = f.try_recv(1, 0, Tag::user(9)).unwrap_err();
         match e {
             CommError::Timeout {
@@ -1112,7 +980,7 @@ mod tests {
 
     #[test]
     fn poison_unblocks_receivers_promptly() {
-        let f = Fabric::new(2);
+        let f = fabric(2);
         let f2 = Arc::clone(&f);
         let t0 = std::time::Instant::now();
         let h = thread::spawn(move || f2.try_recv(1, 0, Tag::user(3)));
@@ -1131,8 +999,8 @@ mod tests {
 
     #[test]
     fn poisoned_fabric_still_delivers_queued_messages() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(1), Box::new(7u32), 1);
+        let f = fabric(2);
+        put(&f, 0, 1, Tag::user(1), 7u32);
         f.poison(0, "update");
         // The delivered-before-death message wins; the next recv fails.
         let v = *f
@@ -1145,19 +1013,8 @@ mod tests {
     }
 
     #[test]
-    fn poison_unblocks_barrier() {
-        let f = Fabric::new(2);
-        let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || f2.try_barrier());
-        thread::sleep(std::time::Duration::from_millis(30));
-        f.poison(1, "bcast");
-        let e = h.join().unwrap().unwrap_err();
-        assert!(matches!(e, CommError::RankFailed { rank: 1, .. }));
-    }
-
-    #[test]
     fn first_poison_wins() {
-        let f = Fabric::new(2);
+        let f = fabric(2);
         f.poison(1, "fact");
         f.poison(0, "update");
         assert_eq!(f.poison_info(), Some((1, "fact".to_string())));
@@ -1209,30 +1066,21 @@ mod tests {
     }
 
     #[test]
-    fn child_fabrics_share_the_counter_ledger() {
-        let f = Fabric::new(2);
-        let c = f.child(1);
-        hpl_faults::set_world_rank(0);
-        c.counters().note_abft_repair();
-        assert_eq!(f.counters().abft_repairs(0), 1);
-        assert_eq!(f.counters().abft_repairs_snapshot(), vec![1, 0]);
-    }
-
-    #[test]
     fn stats_count_sends() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(0), Box::new(0u8), 128);
-        let (m, e) = f.stats(0).snapshot();
-        assert_eq!((m, e), (1, 128));
+        let f = fabric(2);
+        let ledger = CommStats::default();
+        f.try_send_counted(&ledger, 0, 1, Tag::user(0), Box::new(0u8), 128)
+            .unwrap();
+        assert_eq!(ledger.snapshot(), (1, 128));
         let _ = f.recv(1, 0, Tag::user(0));
         assert!(f.quiescent());
     }
 
     #[test]
     fn lockfree_round_trips_fifo_and_quiesces() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(4), Box::new(41u32), 4);
-        f.send(0, 1, Tag::user(4), Box::new(42u32), 4);
+        let f = fabric(2);
+        put(&f, 0, 1, Tag::user(4), 41u32);
+        put(&f, 0, 1, Tag::user(4), 42u32);
         for want in [41u32, 42] {
             let got = *f
                 .recv(1, 0, Tag::user(4))
@@ -1247,9 +1095,9 @@ mod tests {
     fn lockfree_spill_preserves_fifo_past_a_tiny_ring() {
         // cap 1 forces nearly every deposit through the spill lane; order
         // must survive the ring→spill handoff and back.
-        let f = Fabric::new_with_opts(2, with_cap(1));
+        let f = Fabric::new(2, with_cap(1));
         for i in 0..64u32 {
-            f.send(0, 1, Tag::user(7), Box::new(i), 4);
+            put(&f, 0, 1, Tag::user(7), i);
         }
         for want in 0..64u32 {
             let got = *f
@@ -1263,10 +1111,10 @@ mod tests {
 
     #[test]
     fn lockfree_interleaved_tags_from_many_senders() {
-        let f = Fabric::new_with_opts(4, with_cap(2));
+        let f = Fabric::new(4, with_cap(2));
         for src in [0usize, 1, 2] {
             for i in 0..8u32 {
-                f.send(src, 3, Tag::user(src as u64), Box::new(i), 4);
+                put(&f, src, 3, Tag::user(src as u64), i);
             }
         }
         // Receive in an order that forces stash traffic: highest src first.
@@ -1285,8 +1133,8 @@ mod tests {
     #[test]
     fn lockfree_timeout_reports_pending_keys() {
         let f = one_second_fabric(2, Some(1));
-        f.send(0, 1, Tag::user(5), Box::new(1u8), 1);
-        f.send(0, 1, Tag::user(5), Box::new(2u8), 1); // spills
+        put(&f, 0, 1, Tag::user(5), 1u8);
+        put(&f, 0, 1, Tag::user(5), 2u8); // spills
         let e = f.try_recv(1, 0, Tag::user(6)).unwrap_err();
         match e {
             CommError::Timeout { pending, .. } => {
@@ -1298,7 +1146,7 @@ mod tests {
 
     #[test]
     fn lockfree_poison_unblocks_parked_receiver() {
-        let f = Fabric::new(2);
+        let f = fabric(2);
         let f2 = Arc::clone(&f);
         let h = thread::spawn(move || f2.try_recv(1, 0, Tag::user(0)));
         thread::sleep(std::time::Duration::from_millis(30));
@@ -1309,8 +1157,8 @@ mod tests {
 
     #[test]
     fn lockfree_deposit_before_poison_still_delivers() {
-        let f = Fabric::new(2);
-        f.send(0, 1, Tag::user(2), Box::new(9u32), 4);
+        let f = fabric(2);
+        put(&f, 0, 1, Tag::user(2), 9u32);
         f.poison(0, "fact");
         let v = *f
             .recv(1, 0, Tag::user(2))

@@ -12,8 +12,9 @@
 //!
 //! Quick map:
 //! * [`Universe::run`] — `mpirun -np N` analogue (one thread per rank).
-//! * [`Communicator`] — typed `send`/`recv`, `sendrecv`, `barrier`,
-//!   [`Communicator::split`].
+//! * [`Communicator`] — typed `send`/`recv`, `sendrecv`,
+//!   [`Communicator::split`] (every split a view over the one world
+//!   fabric).
 //! * [`coll`] — `bcast`, `reduce`/`allreduce` (+[`coll::allreduce_maxloc`]
 //!   for pivot search), `gatherv`, `scatterv`, ring `allgatherv`.
 //! * [`ring`] — the six HPL panel-broadcast variants ([`BcastAlgo`]).

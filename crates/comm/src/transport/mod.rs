@@ -3,7 +3,7 @@
 //!
 //! The in-process mailbox path (threads, `Box<dyn Any>` hand-off) stays the
 //! determinism oracle; this module adds a [`Transport`] seam at the
-//! `Fabric::try_send`/`try_recv` choke point with two remote backends:
+//! `Fabric::try_send_counted`/`try_recv` choke point with two remote backends:
 //!
 //! * [`tcp`] — length-prefixed frames over loopback/LAN TCP sockets, one
 //!   full-duplex link per rank pair, wired lower-rank-dials-higher.
@@ -124,9 +124,6 @@ pub struct LinkStat {
 /// A remote byte-moving backend: owns this rank's outbound links and the
 /// receiver threads feeding the mailbox through a [`FrameSink`].
 pub trait Transport: Send + Sync {
-    /// Backend name ("tcp" / "shm").
-    fn name(&self) -> &'static str;
-
     /// Queues one frame to world rank `dst`. An error means the link is
     /// down (the process died or the stream is torn); the caller poisons
     /// the job with that rank's identity.

@@ -88,10 +88,6 @@ impl ShmTransport {
 }
 
 impl Transport for ShmTransport {
-    fn name(&self) -> &'static str {
-        "shm"
-    }
-
     fn send(&self, dst: usize, frame: &Frame) -> Result<(), LinkError> {
         let slot = self.writers.get(dst).ok_or_else(|| LinkError {
             dst,

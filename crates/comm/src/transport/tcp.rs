@@ -134,10 +134,6 @@ pub struct TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn send(&self, dst: usize, frame: &Frame) -> Result<(), LinkError> {
         let slot = self.writers.get(dst).ok_or_else(|| LinkError {
             dst,

@@ -71,11 +71,8 @@ impl Packet {
     }
 }
 
-/// Membership a remote split sends each member: the new communicator's
+/// Membership a split's root sends each member: the new communicator's
 /// world-rank roster (ordered by new rank) and the receiver's rank in it.
-/// The in-process split ships an `Arc<Fabric>` instead; both sides of the
-/// protocol exchange the same number of messages so traffic statistics and
-/// the trace byte stream stay transport-invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SplitInfo {
     /// World ranks of the new communicator, indexed by new rank.

@@ -1,12 +1,14 @@
 //! Launching a "job": one rank per OS thread, all connected by a world
-//! [`Communicator`] — over shared mailboxes (the in-process oracle) or a
-//! real byte-moving transport resolved from `RHPL_TRANSPORT`.
+//! [`Communicator`] — over one shared in-process fabric or a real
+//! byte-moving transport resolved from `RHPL_TRANSPORT`.
 //!
 //! Under `RHPL_TRANSPORT=tcp|shm` every rank thread owns a *remote* fabric
 //! endpoint wired to its peers through frames, exactly the architecture
 //! `rhpl launch` runs with one OS process per rank — so the whole test
 //! suite exercises the transport stack without process management, and
 //! determinism across all three paths is a plain `cargo test` matter.
+//! Either way the world is one fabric per job and every sub-communicator a
+//! view over it, so splits behave identically on all three.
 
 use std::any::Any;
 use std::net::SocketAddr;
@@ -105,21 +107,11 @@ impl Universe {
         T: Send,
         F: Fn(Communicator) -> T + Sync,
     {
-        let (results, panics, poison) = match sel {
-            TransportSel::Inproc => {
-                let fabric = Fabric::new_with_opts(nranks, opts);
-                let (results, panics) = Self::run_on(&fabric, f);
-                (results, panics, fabric.poison_info())
-            }
-            sel => {
-                let run = Self::transport_run(nranks, sel, opts, f);
-                (run.results, run.panics, run.poison)
-            }
-        };
-        if panics.iter().any(Option::is_some) {
-            std::panic::resume_unwind(root_cause(panics, poison));
+        let run = Self::run_job(nranks, sel, opts, f);
+        if run.panics.iter().any(Option::is_some) {
+            std::panic::resume_unwind(root_cause(run.panics, run.poison));
         }
-        results
+        run.results
             .into_iter()
             .map(|r| r.expect("rank produced a result"))
             .collect()
@@ -148,32 +140,39 @@ impl Universe {
         T: Send,
         F: Fn(Communicator) -> T + Sync,
     {
-        match env_transport_sel() {
-            TransportSel::Inproc => {
-                let fabric = Fabric::new_with_faults(nranks, Some(Arc::clone(&injector)));
-                let (results, _panics) = Self::run_on(&fabric, f);
-                FaultedRun {
-                    results,
-                    injector,
-                    poison: fabric.poison_info(),
-                    retries: fabric.counters().retries_snapshot(),
-                    abft_repairs: fabric.counters().abft_repairs_snapshot(),
-                }
-            }
-            sel => {
-                let opts = FabricOpts {
-                    faults: Some(Arc::clone(&injector)),
-                    ..FabricOpts::default()
-                };
-                let run = Self::transport_run(nranks, sel, opts, f);
-                FaultedRun {
-                    results: run.results,
-                    injector,
-                    poison: run.poison,
-                    retries: run.retries,
-                    abft_repairs: run.abft_repairs,
-                }
-            }
+        let opts = FabricOpts {
+            faults: Some(Arc::clone(&injector)),
+            ..FabricOpts::default()
+        };
+        let run = Self::run_job(nranks, env_transport_sel(), opts, f);
+        FaultedRun {
+            results: run.results,
+            injector,
+            poison: run.poison,
+            retries: run.retries,
+            abft_repairs: run.abft_repairs,
+        }
+    }
+
+    /// Runs one job on `sel` and collects everything either calling
+    /// convention reports: per-rank results and panics, the root-cause
+    /// death, and the recovery counters.
+    fn run_job<T, F>(nranks: usize, sel: TransportSel, opts: FabricOpts, f: F) -> JobRun<T>
+    where
+        T: Send,
+        F: Fn(Communicator) -> T + Sync,
+    {
+        if sel != TransportSel::Inproc {
+            return Self::transport_run(nranks, sel, opts, f);
+        }
+        let fabric = Fabric::new(nranks, opts);
+        let (results, panics) = Self::run_on(&fabric, f);
+        JobRun {
+            results,
+            panics,
+            poison: fabric.poison_info(),
+            retries: fabric.counters().retries_snapshot(),
+            abft_repairs: fabric.counters().abft_repairs_snapshot(),
         }
     }
 
@@ -220,13 +219,8 @@ impl Universe {
     /// receiving) wired to its peers through real frames — the same
     /// architecture as one-process-per-rank, minus process management.
     /// Recovery counters are shared across endpoints so run reports
-    /// aggregate like the oracle's single ledger.
-    fn transport_run<T, F>(
-        nranks: usize,
-        sel: TransportSel,
-        opts: FabricOpts,
-        f: F,
-    ) -> TransportRun<T>
+    /// aggregate like the in-process fabric's single ledger.
+    fn transport_run<T, F>(nranks: usize, sel: TransportSel, opts: FabricOpts, f: F) -> JobRun<T>
     where
         T: Send,
         F: Fn(Communicator) -> T + Sync,
@@ -251,7 +245,7 @@ impl Universe {
                     Arc::new(Vec::new()),
                 )
             }
-            TransportSel::Inproc => unreachable!("inproc handled by run_on"),
+            TransportSel::Inproc => unreachable!("inproc handled by run_job"),
         };
         let mut results: Vec<Option<T>> = Vec::with_capacity(nranks);
         results.resize_with(nranks, || None);
@@ -275,7 +269,7 @@ impl Universe {
                     .name(format!("rank-{rank}"))
                     .spawn_scoped(s, move || {
                         hpl_faults::set_world_rank(rank);
-                        let fabric = Fabric::remote_shared(nranks, rank, opts, counters);
+                        let fabric = Fabric::remote(nranks, rank, opts, counters);
                         let transport: Arc<dyn Transport> = match boot {
                             RankBoot::Tcp(b) => b
                                 .connect(rank, &addrs, fabric.frame_sink())
@@ -315,7 +309,7 @@ impl Universe {
         if let Some(dir) = shm_dir {
             let _ = std::fs::remove_dir_all(dir);
         }
-        TransportRun {
+        JobRun {
             results,
             panics,
             poison,
@@ -331,7 +325,7 @@ enum RankBoot {
     Shm(PathBuf),
 }
 
-struct TransportRun<T> {
+struct JobRun<T> {
     results: Vec<Option<T>>,
     panics: Vec<Option<Payload>>,
     poison: Option<(usize, String)>,

@@ -27,11 +27,12 @@ pub enum HplError {
     /// A receive exceeded the communication timeout (mismatched collective
     /// ordering, or a peer wedged without dying).
     CommTimeout {
-        /// Expected source rank.
+        /// Expected source rank (world rank).
         src: usize,
-        /// The rank that timed out waiting.
+        /// The rank that timed out waiting (world rank).
         dst: usize,
-        /// Raw tag value of the expected message.
+        /// Raw tag value of the expected message, with the communicator's
+        /// context folded in (`hpl_comm::Tag::{base, ctx}` split it).
         tag: u64,
         /// How long the receiver waited, in milliseconds.
         waited_ms: u64,

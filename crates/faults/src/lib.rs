@@ -133,9 +133,10 @@ impl fmt::Display for FaultKind {
 /// Where in the stack a fault is injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Site {
-    /// `Fabric::send` — the one choke point every outgoing payload crosses.
+    /// `Fabric::try_send_counted` — the one choke point every outgoing
+    /// payload crosses.
     Send,
-    /// `Fabric::recv` — before the receive is posted.
+    /// `Fabric::try_recv` — before the receive is posted.
     Recv,
     /// `hpl-threads::Pool` region entry on a worker thread.
     Region,
@@ -349,7 +350,7 @@ fn parse_spec(s: &str) -> Result<FaultSpec, String> {
     Ok(spec)
 }
 
-/// What `Fabric::send` must do with the outgoing message.
+/// What `Fabric::try_send_counted` must do with the outgoing message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SendAction {
     /// No fault: deliver normally.
@@ -370,7 +371,7 @@ pub enum SendAction {
     Death,
 }
 
-/// What `Fabric::recv` must do before posting the receive.
+/// What `Fabric::try_recv` must do before posting the receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecvAction {
     /// No fault: receive normally.
@@ -477,7 +478,7 @@ impl Injector {
     /// How many times `rank`'s guard fired at `site` — i.e. the number of
     /// sends/recvs/regions that passed through the injection choke point.
     /// The overhead harness uses this to price the disabled-guard cost
-    /// against real per-run traffic (world and split sub-fabrics alike).
+    /// against real per-run traffic (world and split communicators alike).
     pub fn site_count(&self, rank: usize, site: Site) -> u64 {
         self.counters[rank][site.index()].load(Ordering::Relaxed)
     }
@@ -547,8 +548,8 @@ impl Injector {
     }
 }
 
-/// Send-side hook, called by `Fabric::send` for every outgoing message. The
-/// unarmed (`None`) path is one discriminant check.
+/// Send-side hook, called by `Fabric::try_send_counted` for every outgoing
+/// message. The unarmed (`None`) path is one discriminant check.
 #[inline]
 pub fn on_send(inj: &Option<Arc<Injector>>) -> SendAction {
     match inj {
@@ -557,23 +558,12 @@ pub fn on_send(inj: &Option<Arc<Injector>>) -> SendAction {
     }
 }
 
-/// Recv-side hook, called by `Fabric::recv` before the receive is posted.
+/// Recv-side hook, called by `Fabric::try_recv` before the receive is posted.
 #[inline]
 pub fn on_recv(inj: &Option<Arc<Injector>>) -> RecvAction {
     match inj {
         None => RecvAction::Proceed,
         Some(inj) => inj.recv_action(),
-    }
-}
-
-/// Worker-region hook, called by the pool at region entry on worker `tid`.
-/// Sleeps inline when a slow-worker fault matches.
-#[inline]
-pub fn on_region(inj: &Option<Arc<Injector>>, tid: usize) {
-    if let Some(inj) = inj {
-        if let Some(millis) = inj.region_sleep(tid) {
-            std::thread::sleep(std::time::Duration::from_millis(millis));
-        }
     }
 }
 

@@ -192,7 +192,9 @@ fn matrix() -> Vec<Scenario> {
                 "--comm-timeout",
                 "1",
             ],
-            expect: Expect::Error("HPLERROR kind=comm_timeout src=1 dst=0"),
+            expect: Expect::Error(
+                "HPLERROR kind=comm_timeout src=1 dst=0 tag=281474976710665 ctx=1",
+            ),
             require: &[],
             deadline: DEADLINE,
         },

@@ -8,8 +8,8 @@
 //! values) are invisible to static matching and are skipped — the
 //! collectives' forwarding helpers stay out of the rule's way.
 //!
-//! The transport control plane (`ctrl_send`/`ctrl_recv` — the barrier and
-//! trace-gather frames that bypass fault hooks and stats) is matched under
+//! The transport control plane (`ctrl_send`/`ctrl_recv` — the trace-gather
+//! frames that bypass fault hooks and stats) is matched under
 //! the same contract: an orphan ctrl side wedges a multi-process launch at
 //! rendezvous exactly like an orphan data send does mid-run.
 
