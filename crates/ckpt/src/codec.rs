@@ -4,36 +4,30 @@
 //!
 //! ```text
 //! magic   u32  = 0x52434B50 ("RCKP")
-//! version u32  = 1
+//! version u32  = 2
 //! id      7 x u64  (n, nb, p, q, seed, schedule, frac_bits)
 //! rank, next_iter, mloc, nloc   4 x u64
 //! data    u64 count, then count x f64 (IEEE-754 bit patterns)
 //! pivots  u64 count, then count x u64
 //! cursors u64 count, then count x u64
-//! trailer u64  FNV-1a over every preceding byte
+//! trailer u64  crate::checksum over every preceding byte
 //! ```
 //!
-//! The trailer makes a torn or bit-flipped snapshot detectable on restore;
-//! together with the store's atomic-rename deposits it guarantees a crash
-//! mid-write never yields a silently corrupt "last good" checkpoint.
+//! Version 1 had the same layout with a byte-serial FNV-1a trailer; its
+//! snapshots are rejected as [`CkptError::BadVersion`]. The trailer makes
+//! a torn or bit-flipped snapshot detectable on restore; together with the
+//! store's atomic-rename deposits it guarantees a crash mid-write never
+//! yields a silently corrupt "last good" checkpoint.
 
-use crate::{CkptError, ConfigId, Snapshot};
+use crate::words::{le_word, put_words};
+use crate::{checksum, CkptError, ConfigId, Snapshot};
 
 const MAGIC: u32 = 0x5243_4B50; // "RCKP"
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice (same constants as the trace `seq_hash`).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// Magic and version, the part of the stream read before the trailer.
+const PREAMBLE: usize = 8;
+const TRAILER: usize = 8;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -45,8 +39,8 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Serializes a snapshot to its checksummed wire form.
 pub fn encode(snap: &Snapshot) -> Vec<u8> {
-    let words = 4 + 7 + snap.data.len() + snap.pivots.len() + snap.cursors.len() + 4;
-    let mut out = Vec::with_capacity(8 + words * 8 + 8);
+    let words = 4 + 7 + snap.data.len() + snap.pivots.len() + snap.cursors.len() + 3;
+    let mut out = Vec::with_capacity(PREAMBLE + words * 8 + TRAILER);
     put_u32(&mut out, MAGIC);
     put_u32(&mut out, VERSION);
     for v in [
@@ -64,19 +58,10 @@ pub fn encode(snap: &Snapshot) -> Vec<u8> {
     ] {
         put_u64(&mut out, v);
     }
-    put_u64(&mut out, snap.data.len() as u64);
-    for &x in &snap.data {
-        put_u64(&mut out, x.to_bits());
-    }
-    put_u64(&mut out, snap.pivots.len() as u64);
-    for &p in &snap.pivots {
-        put_u64(&mut out, p);
-    }
-    put_u64(&mut out, snap.cursors.len() as u64);
-    for &c in &snap.cursors {
-        put_u64(&mut out, c);
-    }
-    let sum = fnv1a(&out);
+    put_words(&mut out, snap.data.iter().map(|x| x.to_bits()));
+    put_words(&mut out, snap.pivots.iter().copied());
+    put_words(&mut out, snap.cursors.iter().copied());
+    let sum = checksum(&out);
     put_u64(&mut out, sum);
     out
 }
@@ -104,73 +89,53 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
     fn u64(&mut self) -> Result<u64, CkptError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+        Ok(le_word(self.take(8)?))
     }
 
-    /// Reads a count-prefixed `u64` vector. The count is sanity-bounded by
-    /// the bytes remaining so a corrupt length cannot trigger a huge
-    /// allocation before the checksum is even checked.
+    /// Reads a count-prefixed `u64` vector. The count is bounded by the
+    /// bytes remaining before anything is allocated for it.
     fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
         let count = self.u64()? as usize;
         let need = count.checked_mul(8).ok_or(CkptError::Truncated {
             need: usize::MAX,
             have: self.bytes.len(),
         })?;
-        if self.bytes.len() - self.pos < need {
-            return Err(CkptError::Truncated {
-                need: self.pos + need,
-                have: self.bytes.len(),
-            });
-        }
-        let mut v = Vec::with_capacity(count);
-        for _ in 0..count {
-            v.push(self.u64()?);
-        }
-        Ok(v)
+        Ok(self.take(need)?.chunks_exact(8).map(le_word).collect())
     }
 }
 
-/// Deserializes and validates a snapshot: magic, version, field lengths and
-/// the FNV-1a trailer must all check out.
+/// Deserializes and validates a snapshot: magic and version first (so a
+/// generation written by another format version is reported as
+/// [`CkptError::BadVersion`], not as damage), then the trailer over every
+/// preceding byte, then the field lengths. Nothing is allocated before the
+/// trailer has been checked.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
-    if bytes.len() < 8 + 8 {
+    if bytes.len() < PREAMBLE + TRAILER {
         return Err(CkptError::Truncated {
-            need: 16,
+            need: PREAMBLE + TRAILER,
             have: bytes.len(),
         });
     }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut tb = [0u8; 8];
-    tb.copy_from_slice(trailer);
-    let expected = u64::from_le_bytes(tb);
-    let got = fnv1a(payload);
+    let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    if magic != MAGIC {
+        return Err(CkptError::BadMagic(magic));
+    }
+    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != VERSION {
+        return Err(CkptError::BadVersion(version));
+    }
+    let (payload, trailer) = bytes.split_at(bytes.len() - TRAILER);
+    let expected = le_word(trailer);
+    let got = checksum(payload);
     if expected != got {
         return Err(CkptError::Checksum { expected, got });
     }
 
     let mut r = Reader {
         bytes: payload,
-        pos: 0,
+        pos: PREAMBLE,
     };
-    let magic = r.u32()?;
-    if magic != MAGIC {
-        return Err(CkptError::BadMagic(magic));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(CkptError::BadVersion(version));
-    }
     let id = ConfigId {
         n: r.u64()?,
         nb: r.u64()?,
@@ -184,7 +149,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, CkptError> {
     let next_iter = r.u64()?;
     let mloc = r.u64()?;
     let nloc = r.u64()?;
-    let data: Vec<f64> = r.u64_vec()?.into_iter().map(f64::from_bits).collect();
+    let data = r.u64_vec()?.into_iter().map(f64::from_bits).collect();
     let pivots = r.u64_vec()?;
     let cursors = r.u64_vec()?;
     if r.pos != payload.len() {
@@ -256,6 +221,19 @@ mod tests {
         for cut in [0, 7, 15, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    /// A generation left on disk by a `VERSION` 1 build: the same layout
+    /// closed by an FNV-1a trailer (pinned as that build wrote it for
+    /// `sample()`). It is reported as a version the reader does not speak,
+    /// not as damage.
+    #[test]
+    fn version_1_generation_is_reported_as_bad_version() {
+        let mut v1 = encode(&sample());
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let n = v1.len();
+        v1[n - TRAILER..].copy_from_slice(&0x4094_5079_CFB2_4664u64.to_le_bytes());
+        assert_eq!(decode(&v1), Err(CkptError::BadVersion(1)));
     }
 
     #[test]

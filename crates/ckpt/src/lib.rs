@@ -8,6 +8,8 @@
 //! pivot history of the completed panels, the iteration counter, and the
 //! fault-injection cursors — into a self-describing binary [`Snapshot`]
 //! ([`codec`]) and deposits it into a shared [`CkptStore`] ([`store`]).
+//! The snapshot's trailer is the word-wide [`checksum()`], which the
+//! transport frame codec in `hpl-comm` shares.
 //!
 //! The store is **double-buffered**: a checkpoint *generation* (one deposit
 //! per rank) only becomes restorable once every rank has deposited, and the
@@ -25,9 +27,12 @@
 //! rank exactly where an uninterrupted run stood when iteration `k` began,
 //! and the deterministic pipeline replays identically from there.
 
+pub mod checksum;
 pub mod codec;
 pub mod store;
+pub mod words;
 
+pub use checksum::{checksum, Checksum};
 pub use codec::{decode, encode};
 pub use store::CkptStore;
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use crate::error::CommError;
 use crate::fabric::{CommStats, Fabric, Tag};
-use crate::transport::wire::{Packet, SplitInfo, Wire, WireElem};
+use crate::transport::wire::{read_elems, Packet, SplitInfo, Wire, WireElem};
 
 /// One communicator as seen by one of its members: which world ranks it
 /// spans, the context its tags carry, and this member's own traffic ledger.
@@ -49,6 +49,14 @@ pub struct Communicator {
     fabric: Arc<Fabric>,
     rank: usize,
     view: Arc<CommView>,
+}
+
+/// A matched message's payload, as [`Communicator::recv_payload`] finds it.
+enum Payload<T> {
+    /// The sender's own value, handed over in process.
+    Local(T),
+    /// The encoding of a value sent from another process.
+    Remote(Box<Packet>),
 }
 
 impl Communicator {
@@ -143,13 +151,20 @@ impl Communicator {
     }
 
     /// Fallible [`Communicator::send_slice`]; see [`Communicator::try_send`].
+    /// A remote send encodes straight from `data`; an in-process one hands
+    /// over a copy.
     pub fn try_send_slice<E: WireElem>(
         &self,
         dst: usize,
         tag: Tag,
         data: &[E],
     ) -> Result<(), CommError> {
-        E::vec_send(self, dst, tag, data.to_vec(), data.len() as u64)
+        let elems = data.len() as u64;
+        if self.crosses_process(self.world_of(dst)) {
+            self.send_boxed(dst, tag, Box::new(Packet::elems(data)), elems)
+        } else {
+            E::vec_send(self, dst, tag, data.to_vec(), elems)
+        }
     }
 
     pub(crate) fn try_send_counted<T: Wire>(
@@ -159,18 +174,68 @@ impl Communicator {
         value: T,
         elems: u64,
     ) -> Result<(), CommError> {
-        let world_dst = self.world_of(dst);
-        let world_src = self.world_of(self.rank);
-        let tag = self.fold(tag);
         // Encode *before* the choke point so the fault hooks (which fire
-        // inside `try_send_counted`) mutate the bytes that actually travel.
-        let boxed: Box<dyn std::any::Any + Send> = if self.crosses_process(world_dst) {
+        // inside `Fabric::try_send_counted`) mutate the bytes that
+        // actually travel.
+        let boxed: Box<dyn std::any::Any + Send> = if self.crosses_process(self.world_of(dst)) {
             Box::new(Packet::pack(&value))
         } else {
             Box::new(value)
         };
+        self.send_boxed(dst, tag, boxed, elems)
+    }
+
+    fn send_boxed(
+        &self,
+        dst: usize,
+        tag: Tag,
+        boxed: Box<dyn std::any::Any + Send>,
+        elems: u64,
+    ) -> Result<(), CommError> {
+        let world_dst = self.world_of(dst);
+        let world_src = self.world_of(self.rank);
+        let tag = self.fold(tag);
         self.fabric
             .try_send_counted(&self.view.stats, world_src, world_dst, tag, boxed, elems)
+    }
+
+    /// Waits for the message from `(src, tag)`: the sender's own `T` when
+    /// it ran in this process, else the [`Packet`] it was encoded into. A
+    /// payload of any other type panics — that is a bug in the matched
+    /// send, not a runtime condition (documented on [`Communicator::try_recv`]).
+    fn recv_payload<T: std::any::Any>(
+        &self,
+        src: usize,
+        tag: Tag,
+    ) -> Result<Payload<T>, CommError> {
+        let world_src = self.world_of(src);
+        let world_dst = self.world_of(self.rank);
+        let any = self.fabric.try_recv(world_dst, world_src, self.fold(tag))?;
+        let any = match any.downcast::<T>() {
+            Ok(v) => return Ok(Payload::Local(*v)),
+            Err(original) => original,
+        };
+        match any.downcast::<Packet>() {
+            Ok(pkt) => Ok(Payload::Remote(pkt)),
+            Err(_) => {
+                // xtask-allow: no-panic, error-taxonomy — programming-error contract
+                panic!(
+                    "rank {}: recv type mismatch from rank {src} tag {tag:?} (expected {})",
+                    self.rank,
+                    std::any::type_name::<T>()
+                )
+            }
+        }
+    }
+
+    /// The error a transport-delivered payload from `src` that failed its
+    /// checksum or its decode is reported as.
+    fn corrupt(&self, src: usize) -> CommError {
+        CommError::Corrupt {
+            root: src,
+            rank: self.rank,
+            attempts: 1,
+        }
     }
 
     /// Receives a `T` from `(src, tag)`, blocking. Panics if the matching
@@ -193,64 +258,53 @@ impl Communicator {
     /// decoded as `T`. A payload-type mismatch on the in-process path still
     /// panics — that is a bug in the matched send, not a runtime condition.
     pub fn try_recv<T: Wire>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
-        let world_src = self.world_of(src);
-        let world_dst = self.world_of(self.rank);
-        let tag = self.fold(tag);
-        let any = self.fabric.try_recv(world_dst, world_src, tag)?;
-        let any = match any.downcast::<T>() {
-            Ok(v) => return Ok(*v),
-            Err(original) => original,
-        };
-        match any.downcast::<Packet>() {
-            Ok(pkt) => pkt.unpack::<T>().ok_or(CommError::Corrupt {
-                root: src,
-                rank: self.rank,
-                attempts: 1,
-            }),
-            Err(_) => {
-                // A payload-type mismatch is a bug in the matched send, not
-                // a runtime error (documented on the method).
-                // xtask-allow: no-panic, error-taxonomy — programming-error contract
-                panic!(
-                    "rank {}: recv type mismatch from rank {src} tag {tag:?} (expected {})",
-                    self.rank,
-                    std::any::type_name::<T>()
-                )
-            }
+        match self.recv_payload::<T>(src, tag)? {
+            Payload::Local(v) => Ok(v),
+            Payload::Remote(pkt) => pkt.unpack::<T>().ok_or_else(|| self.corrupt(src)),
         }
     }
 
     /// Receives a `Vec<E>` from `(src, tag)` into `buf` (lengths must
     /// match). The vector-copy variant of [`Communicator::recv`].
     pub fn recv_into<E: WireElem>(&self, src: usize, tag: Tag, buf: &mut [E]) {
-        let v: Vec<E> = E::vec_recv(self, src, tag).unwrap_or_else(|e| {
+        self.try_recv_into(src, tag, buf).unwrap_or_else(|e| {
             // Same rationale as `recv`: diagnostics must fail loudly on the
             // infallible path.
             // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
             panic!("{e}")
-        });
-        assert_eq!(v.len(), buf.len(), "recv_into length mismatch");
-        buf.copy_from_slice(&v);
+        })
     }
 
     /// Fallible [`Communicator::recv_into`]: a length mismatch (which an
     /// injected corruption cannot cause, but a protocol bug can) comes back
-    /// as [`CommError::CountMismatch`] instead of a panic.
+    /// as [`CommError::CountMismatch`] instead of a panic. A remote payload
+    /// is decoded straight into `buf`.
     pub fn try_recv_into<E: WireElem>(
         &self,
         src: usize,
         tag: Tag,
         buf: &mut [E],
     ) -> Result<(), CommError> {
-        let v: Vec<E> = E::vec_recv(self, src, tag)?;
-        if v.len() != buf.len() {
-            return Err(CommError::CountMismatch {
-                what: "recv_into",
-                expected: buf.len(),
-                got: v.len(),
-            });
+        let expected = buf.len();
+        let mismatch = |got: usize| CommError::CountMismatch {
+            what: "recv_into",
+            expected,
+            got,
+        };
+        let pkt = match self.recv_payload::<Vec<E>>(src, tag)? {
+            Payload::Local(v) if v.len() == expected => {
+                buf.copy_from_slice(&v);
+                return Ok(());
+            }
+            Payload::Local(v) => return Err(mismatch(v.len())),
+            Payload::Remote(pkt) => pkt,
+        };
+        let run = pkt.elem_bytes::<E>().ok_or_else(|| self.corrupt(src))?;
+        let got = run.len() / E::WIRE_BYTES;
+        if got != expected {
+            return Err(mismatch(got));
         }
-        buf.copy_from_slice(&v);
+        read_elems(run, buf);
         Ok(())
     }
 

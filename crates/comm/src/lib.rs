@@ -68,6 +68,6 @@ pub use fabric::{
 pub use grid::{Grid, GridOrder};
 pub use ring::{panel_bcast, BcastAlgo};
 pub use spsc::SpscRing;
-pub use transport::wire::{Wire, WireElem};
+pub use transport::wire::{put_elems, take_elems, Wire, WireElem};
 pub use transport::{last_run_link_stats, LinkStat, TransportSel};
 pub use universe::{active_transport_name, FaultedRun, Universe};

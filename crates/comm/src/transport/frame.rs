@@ -2,14 +2,16 @@
 //!
 //! A frame is the unit both the TCP and shared-memory backends move between
 //! rank processes: a fixed 32-byte little-endian header, a length-prefixed
-//! payload, and an FNV-1a trailer over everything before it (the same hash
-//! family `hpl-trace` and `hpl-ckpt` use, so corruption anywhere in the
-//! stack is caught by the same arithmetic).
+//! payload, and a trailer holding the word-wide checksum of everything
+//! before it ([`hpl_ckpt::checksum()`], the one checkpoint snapshots end
+//! with, so corruption anywhere in the stack is caught by the same
+//! arithmetic; every single-bit flip and every change confined to one
+//! 8-byte word of header or payload is caught with certainty).
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic  0x52485046 ("RHPF")
-//!      4     2  version (currently 1)
+//!      4     2  version (currently 2)
 //!      6     1  kind    (0 = Data, 1 = Death, 2 = Goodbye)
 //!      7     1  reserved (must be 0)
 //!      8     4  src     (sending world rank)
@@ -18,21 +20,33 @@
 //!     24     4  wire_id (payload schema id, see `wire`)
 //!     28     4  payload_len
 //!     32     n  payload
-//!   32+n     8  checksum (FNV-1a 64 over bytes [0, 32+n))
+//!   32+n     8  checksum (hpl_ckpt::checksum of bytes [0, 32+n))
 //! ```
 //!
-//! Decoding is stream-oriented: [`Frame::total_len`] sizes a frame from its
-//! header alone so a reader can wait for exactly the bytes it needs, and
-//! [`Frame::decode_tolerant`] separates *framing* damage (unrecoverable —
+//! Version 1 had the same layout with a byte-serial FNV-1a trailer; its
+//! frames are framing damage ([`FrameError::BadVersion`]).
+//!
+//! The payload is moved once per side: [`Frame::write_to`] writes header,
+//! payload and trailer with vectored writes (the payload is never copied
+//! into a frame buffer), and [`Frame::read_from`] reads the header into a
+//! stack array and the payload straight into the `Vec` the frame owns,
+//! summing both as they arrive; it is the one decoder, which
+//! [`Frame::decode_tolerant`] and [`Frame::decode`] run over a buffer.
+//! [`Frame::total_len`] sizes a frame from its header alone, and the
+//! decoder separates *framing* damage (unrecoverable —
 //! the link is torn down) from *payload* damage (recoverable — the frame is
 //! delivered marked corrupt, and the typed receive surfaces
 //! [`crate::error::CommError::Corrupt`] instead of hanging).
 
+use std::io::{IoSlice, Read, Write};
+
+use hpl_ckpt::Checksum;
+
 /// Frame magic: "RHPF" little-endian.
 pub const MAGIC: u32 = 0x5248_5046;
 
-/// Codec version; bumped on any layout change.
-pub const VERSION: u16 = 1;
+/// Codec version; bumped on any layout or checksum change.
+pub const VERSION: u16 = 2;
 
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -141,28 +155,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// FNV-1a 64 over `bytes` (the ckpt/trace hash family).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn get_u16(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([b[at], b[at + 1]])
 }
@@ -178,21 +170,58 @@ fn get_u64(b: &[u8], at: usize) -> u64 {
 }
 
 impl Frame {
-    /// Encodes the frame (header + payload + checksum trailer).
+    /// The fixed header describing this frame.
+    fn header(&self) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        h[4..6].copy_from_slice(&VERSION.to_le_bytes());
+        h[6] = self.kind.to_u8();
+        // h[7] is the reserved byte, always 0.
+        h[8..12].copy_from_slice(&self.src.to_le_bytes());
+        h[12..16].copy_from_slice(&self.dst.to_le_bytes());
+        h[16..24].copy_from_slice(&self.tag.to_le_bytes());
+        h[24..28].copy_from_slice(&self.wire_id.to_le_bytes());
+        h[28..32].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        h
+    }
+
+    /// The checksum a frame with `header` and `payload` carries.
+    fn sum(header: &[u8], payload: &[u8]) -> u64 {
+        let mut sum = Checksum::new();
+        sum.update(header);
+        sum.update(payload);
+        sum.finish()
+    }
+
+    /// Writes the frame (header + payload + checksum trailer) to `w` with
+    /// vectored writes, so the payload goes from its own buffer to the
+    /// writer without an intermediate copy. Returns the bytes written.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<usize> {
+        let header = self.header();
+        let trailer = Self::sum(&header, &self.payload).to_le_bytes();
+        let mut parts = [
+            IoSlice::new(&header),
+            IoSlice::new(&self.payload),
+            IoSlice::new(&trailer),
+        ];
+        let mut left = &mut parts[..];
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(HEADER_LEN + self.payload.len() + TRAILER_LEN)
+    }
+
+    /// Encodes the frame (header + payload + checksum trailer) into one
+    /// buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
-        put_u32(&mut out, MAGIC);
-        put_u16(&mut out, VERSION);
-        out.push(self.kind.to_u8());
-        out.push(0); // reserved
-        put_u32(&mut out, self.src);
-        put_u32(&mut out, self.dst);
-        put_u64(&mut out, self.tag);
-        put_u32(&mut out, self.wire_id);
-        put_u32(&mut out, self.payload.len() as u32);
-        out.extend_from_slice(&self.payload);
-        let sum = fnv1a(&out);
-        put_u64(&mut out, sum);
+        self.write_to(&mut out)
+            .expect("writing into a Vec cannot fail");
         out
     }
 
@@ -225,47 +254,77 @@ impl Frame {
         Ok(HEADER_LEN + payload_len as usize + TRAILER_LEN)
     }
 
+    /// The frame a header validated by [`Frame::total_len`] describes,
+    /// carrying `payload`.
+    fn from_header(header: &[u8], payload: Vec<u8>) -> Frame {
+        Frame {
+            kind: FrameKind::from_u8(header[6]).expect("validated by total_len"),
+            src: get_u32(header, 8),
+            dst: get_u32(header, 12),
+            tag: get_u64(header, 16),
+            wire_id: get_u32(header, 24),
+            payload,
+        }
+    }
+
     /// Strict decode: any damage — framing or checksum — is an error.
     /// Returns the frame and the bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
         let (frame, used, sum_ok) = Self::decode_tolerant(buf)?;
         if !sum_ok {
             // Recompute for the diagnostic (decode_tolerant discards it).
-            let body = &buf[..used - TRAILER_LEN];
             return Err(FrameError::Checksum {
-                expected: fnv1a(body),
+                expected: Self::sum(&buf[..HEADER_LEN], &frame.payload),
                 got: get_u64(buf, used - TRAILER_LEN),
             });
         }
         Ok((frame, used))
     }
 
-    /// Tolerant decode: framing damage (bad magic/version/kind, oversized
-    /// or truncated) is still an error, but a checksum mismatch over an
-    /// intact header comes back as `sum_ok == false` with the frame — the
-    /// receiver can deliver it marked corrupt so the typed receive fails
-    /// with a payload error instead of tearing down the link.
+    /// Tolerant decode of the frame at the front of `buf`: framing damage
+    /// (bad magic/version/kind, oversized or truncated) is still an error,
+    /// but a checksum mismatch over an intact header comes back as
+    /// `sum_ok == false` with the frame — the receiver can deliver it
+    /// marked corrupt so the typed receive fails with a payload error
+    /// instead of tearing down the link. Returns the frame, the bytes
+    /// consumed and `sum_ok`. The frame is sized from its header and read
+    /// by [`Frame::read_from`], the transports' own read path, only once
+    /// `buf` holds all of it, so nothing larger than `buf` is allocated.
     pub fn decode_tolerant(buf: &[u8]) -> Result<(Frame, usize, bool), FrameError> {
         let total = Self::total_len(buf)?;
-        if buf.len() < total {
-            return Err(FrameError::Truncated {
-                need: total,
-                have: buf.len(),
-            });
-        }
-        let kind = FrameKind::from_u8(buf[6]).expect("validated by total_len");
-        let payload_len = total - HEADER_LEN - TRAILER_LEN;
-        let payload = buf[HEADER_LEN..HEADER_LEN + payload_len].to_vec();
-        let frame = Frame {
-            kind,
-            src: get_u32(buf, 8),
-            dst: get_u32(buf, 12),
-            tag: get_u64(buf, 16),
-            wire_id: get_u32(buf, 24),
-            payload,
+        let truncated = FrameError::Truncated {
+            need: total,
+            have: buf.len(),
         };
-        let sum_ok = fnv1a(&buf[..total - TRAILER_LEN]) == get_u64(buf, total - TRAILER_LEN);
-        Ok((frame, total, sum_ok))
+        let Some(mut whole) = buf.get(..total) else {
+            return Err(truncated);
+        };
+        match Self::read_from(&mut whole) {
+            Ok(read) => read.map(|(frame, sum_ok)| (frame, total, sum_ok)),
+            // Unreachable: `whole` holds the `total` bytes the header asks for.
+            Err(_) => Err(truncated),
+        }
+    }
+
+    /// Reads one frame from a byte stream: the header into a stack array,
+    /// then the payload straight into the `Vec` the frame owns, summed as
+    /// it arrives. The outer error is the stream's (EOF, reset, or a frame
+    /// not yet complete); the inner one is framing damage in the header.
+    /// A checksum mismatch comes back as `sum_ok == false` with the frame,
+    /// as from [`Frame::decode_tolerant`].
+    pub fn read_from(r: &mut impl Read) -> std::io::Result<Result<(Frame, bool), FrameError>> {
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        let total = match Self::total_len(&header) {
+            Ok(n) => n,
+            Err(e) => return Ok(Err(e)),
+        };
+        let mut payload = vec![0u8; total - HEADER_LEN - TRAILER_LEN];
+        r.read_exact(&mut payload)?;
+        let mut trailer = [0u8; TRAILER_LEN];
+        r.read_exact(&mut trailer)?;
+        let sum_ok = Self::sum(&header, &payload) == u64::from_le_bytes(trailer);
+        Ok(Ok((Self::from_header(&header, payload), sum_ok)))
     }
 }
 
@@ -339,6 +398,54 @@ mod tests {
             Frame::decode(&bytes),
             Err(FrameError::BadKind(200))
         ));
+    }
+
+    /// A frame from a `VERSION` 1 peer: the same header and payload closed
+    /// by an FNV-1a trailer (pinned as that codec wrote it). It is framing
+    /// damage, reported by version, whether decoded or read from a stream.
+    #[test]
+    fn version_1_frame_is_rejected_by_version() {
+        let mut v1 = sample(vec![1, 2, 3]).encode();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let n = v1.len();
+        v1[n - TRAILER_LEN..].copy_from_slice(&0x5420_4167_30DB_792Bu64.to_le_bytes());
+        assert_eq!(Frame::decode(&v1), Err(FrameError::BadVersion(1)));
+        assert_eq!(Frame::decode_tolerant(&v1), Err(FrameError::BadVersion(1)));
+        let read = Frame::read_from(&mut &v1[..]).expect("the whole frame is there");
+        assert_eq!(read, Err(FrameError::BadVersion(1)));
+    }
+
+    #[test]
+    fn stream_read_matches_buffer_decode() {
+        let frames = [
+            sample(vec![]),
+            sample(vec![7; 5]),
+            sample((0..=255u8).collect()),
+        ];
+        let mut stream = Vec::new();
+        for f in &frames {
+            let n = f.write_to(&mut stream).expect("Vec write");
+            assert_eq!(n, HEADER_LEN + f.payload.len() + TRAILER_LEN);
+        }
+        let mut r = &stream[..];
+        for f in &frames {
+            let (back, sum_ok) = Frame::read_from(&mut r).expect("complete").expect("intact");
+            assert!(sum_ok);
+            assert_eq!(&back, f);
+        }
+        assert!(Frame::read_from(&mut r).is_err(), "EOF is a stream error");
+
+        let mut bad = frames[1].encode();
+        bad[HEADER_LEN + 2] ^= 0x10;
+        let (back, sum_ok) = Frame::read_from(&mut &bad[..])
+            .expect("complete")
+            .expect("header intact");
+        assert!(!sum_ok, "payload damage is delivered marked corrupt");
+        assert_eq!(back.payload.len(), 5);
+        assert!(
+            Frame::read_from(&mut &bad[..bad.len() - 1]).is_err(),
+            "short read"
+        );
     }
 
     #[test]

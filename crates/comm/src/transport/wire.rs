@@ -12,6 +12,14 @@
 //! A decode failure (schema mismatch or damaged bytes) surfaces as
 //! [`crate::error::CommError::Corrupt`] at the receive — never a hang, and
 //! never a torn-down link.
+//!
+//! Bulk payloads (element vectors, the `(origin, chunk)` lists, and any
+//! outside payload built on [`put_elems`] / [`take_elems`]) size their
+//! buffer once and move their elements in one pass each way; a decoder
+//! checks a run's count against the bytes present before allocating.
+
+use hpl_blas::Element;
+use hpl_ckpt::words::{le_word, put_words};
 
 use crate::comm::Communicator;
 use crate::error::CommError;
@@ -50,6 +58,29 @@ pub struct Packet {
 }
 
 impl Packet {
+    /// Encodes an element slice as the `Vec<E>` payload it would be sent
+    /// as, without first copying it into a `Vec`.
+    pub(crate) fn elems<E: WireElem>(data: &[E]) -> Packet {
+        let mut bytes = Vec::new();
+        put_elems(&mut bytes, data);
+        Packet {
+            wire_id: E::VEC_WIRE_ID,
+            bytes,
+            corrupt: false,
+        }
+    }
+
+    /// The encoded elements of a `Vec<E>` packet (after the count word,
+    /// `WIRE_BYTES` each); `None` on corruption, schema mismatch or
+    /// damaged bytes.
+    pub(crate) fn elem_bytes<E: WireElem>(&self) -> Option<&[u8]> {
+        if self.corrupt || self.wire_id != E::VEC_WIRE_ID {
+            return None;
+        }
+        let (run, rest) = elem_run::<E>(&self.bytes)?;
+        rest.is_empty().then_some(run)
+    }
+
     /// Encodes `value` into a packet ready to frame.
     pub fn pack<T: Wire>(value: &T) -> Packet {
         let mut bytes = Vec::new();
@@ -91,6 +122,66 @@ pub(crate) fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
     let mut a = [0u8; 8];
     a.copy_from_slice(s);
     Some(u64::from_le_bytes(a))
+}
+
+/// Appends `src` as a count-prefixed run: a `u64` count, then each
+/// element's little-endian bit pattern (`E::WIRE_BYTES` bytes), written in
+/// one pass into `out`, which grows once.
+pub fn put_elems<E: Element>(out: &mut Vec<u8>, src: &[E]) {
+    let w = E::WIRE_BYTES;
+    out.reserve(8 + src.len() * w);
+    put_u64(out, src.len() as u64);
+    let start = out.len();
+    out.resize(start + src.len() * w, 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(w).zip(src) {
+        dst.copy_from_slice(&v.to_bits_u64().to_le_bytes()[..w]);
+    }
+}
+
+/// Splits the count-prefixed run at the front of `bytes` into its encoded
+/// elements and the bytes after it; `None` if the run is cut short.
+fn elem_run<E: Element>(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let n = usize::try_from(get_u64(bytes, 0)?).ok()?;
+    let len = n.checked_mul(E::WIRE_BYTES)?;
+    let body = bytes.get(8..)?;
+    (len <= body.len()).then(|| body.split_at(len))
+}
+
+/// Decodes encoded elements (`E::WIRE_BYTES` each) into `dst`, which holds
+/// exactly as many.
+pub(crate) fn read_elems<E: Element>(run: &[u8], dst: &mut [E]) {
+    debug_assert_eq!(run.len(), dst.len() * E::WIRE_BYTES);
+    for (d, c) in dst.iter_mut().zip(run.chunks_exact(E::WIRE_BYTES)) {
+        *d = E::from_bits_u64(le_word(c));
+    }
+}
+
+/// Reads the count-prefixed run [`put_elems`] wrote at the front of
+/// `bytes`: the elements and the bytes after the run. `None` if the run is
+/// cut short; the count is checked against the bytes present before
+/// anything is allocated.
+pub fn take_elems<E: Element>(bytes: &[u8]) -> Option<(Vec<E>, &[u8])> {
+    let (run, rest) = elem_run::<E>(bytes)?;
+    let v = run
+        .chunks_exact(E::WIRE_BYTES)
+        .map(|c| E::from_bits_u64(le_word(c)))
+        .collect();
+    Some((v, rest))
+}
+
+/// The words of a payload that is exactly one count-prefixed run of them.
+fn word_run(bytes: &[u8]) -> Option<impl ExactSizeIterator<Item = u64> + '_> {
+    let n = usize::try_from(get_u64(bytes, 0)?).ok()?;
+    let body = bytes.get(8..)?;
+    if body.len() != n.checked_mul(8)? {
+        return None;
+    }
+    Some(
+        body.as_chunks::<8>()
+            .0
+            .iter()
+            .map(|w| u64::from_le_bytes(*w)),
+    )
 }
 
 macro_rules! wire_uint {
@@ -158,22 +249,12 @@ impl Wire for Vec<f64> {
     const WIRE_ID: u32 = VEC_F64_WIRE_ID;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for v in self {
-            put_u64(out, v.to_bits());
-        }
+        put_elems(out, self);
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        if bytes.len() != 8 + n.checked_mul(8)? {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            v.push(f64::from_bits(get_u64(bytes, 8 + i * 8)?));
-        }
-        Some(v)
+        let (v, rest) = take_elems(bytes)?;
+        rest.is_empty().then_some(v)
     }
 }
 
@@ -181,20 +262,14 @@ impl Wire for Vec<usize> {
     const WIRE_ID: u32 = 8;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for &v in self {
-            put_u64(out, v as u64);
-        }
+        put_words(out, self.iter().map(|&v| v as u64));
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        if bytes.len() != 8 + n.checked_mul(8)? {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            v.push(usize::try_from(get_u64(bytes, 8 + i * 8)?).ok()?);
+        let words = word_run(bytes)?;
+        let mut v = Vec::with_capacity(words.len());
+        for w in words {
+            v.push(usize::try_from(w).ok()?);
         }
         Some(v)
     }
@@ -204,22 +279,11 @@ impl Wire for Vec<u64> {
     const WIRE_ID: u32 = 9;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for &v in self {
-            put_u64(out, v);
-        }
+        put_words(out, self.iter().copied());
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        if bytes.len() != 8 + n.checked_mul(8)? {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            v.push(get_u64(bytes, 8 + i * 8)?);
-        }
-        Some(v)
+        Some(word_run(bytes)?.collect())
     }
 }
 
@@ -261,40 +325,45 @@ impl Wire for crate::coll::MaxLoc {
     }
 }
 
+/// Encodes a recursive-doubling `(origin, chunk)` list: a count, then per
+/// entry the origin word and the chunk's run, into a buffer sized once.
+fn put_pairs<E: Element>(out: &mut Vec<u8>, pairs: &[(usize, Vec<E>)]) {
+    let len: usize = pairs
+        .iter()
+        .map(|(_, chunk)| 16 + chunk.len() * E::WIRE_BYTES)
+        .sum();
+    out.reserve(8 + len);
+    put_u64(out, pairs.len() as u64);
+    for (origin, chunk) in pairs {
+        put_u64(out, *origin as u64);
+        put_elems(out, chunk);
+    }
+}
+
+fn take_pairs<E: Element>(bytes: &[u8]) -> Option<Vec<(usize, Vec<E>)>> {
+    let n = usize::try_from(get_u64(bytes, 0)?).ok()?;
+    // Every entry takes at least its two words.
+    let mut v = Vec::with_capacity(n.min(bytes.len() / 16));
+    let mut rest = bytes.get(8..)?;
+    for _ in 0..n {
+        let origin = usize::try_from(get_u64(rest, 0)?).ok()?;
+        let (chunk, tail) = take_elems(rest.get(8..)?)?;
+        v.push((origin, chunk));
+        rest = tail;
+    }
+    rest.is_empty().then_some(v)
+}
+
 // The recursive-doubling allgather exchanges (origin, chunk) lists.
 impl Wire for Vec<(usize, Vec<f64>)> {
     const WIRE_ID: u32 = 12;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for (origin, chunk) in self {
-            put_u64(out, *origin as u64);
-            put_u64(out, chunk.len() as u64);
-            for v in chunk {
-                put_u64(out, v.to_bits());
-            }
-        }
+        put_pairs(out, self);
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        let mut at = 8;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let origin = usize::try_from(get_u64(bytes, at)?).ok()?;
-            let m = get_u64(bytes, at + 8)? as usize;
-            at += 16;
-            let mut chunk = Vec::with_capacity(m.min(1 << 24));
-            for _ in 0..m {
-                chunk.push(f64::from_bits(get_u64(bytes, at)?));
-                at += 8;
-            }
-            v.push((origin, chunk));
-        }
-        if at != bytes.len() {
-            return None;
-        }
-        Some(v)
+        take_pairs(bytes)
     }
 }
 
@@ -331,34 +400,16 @@ impl Wire for f32 {
 /// does for [`VEC_F64_WIRE_ID`].
 pub const VEC_F32_WIRE_ID: u32 = 16;
 
-fn get_u32(bytes: &[u8], at: usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    let s = bytes.get(at..end)?;
-    let mut a = [0u8; 4];
-    a.copy_from_slice(s);
-    Some(u32::from_le_bytes(a))
-}
-
 impl Wire for Vec<f32> {
     const WIRE_ID: u32 = VEC_F32_WIRE_ID;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for v in self {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        put_elems(out, self);
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        if bytes.len() != 8 + n.checked_mul(4)? {
-            return None;
-        }
-        let mut v = Vec::with_capacity(n);
-        for i in 0..n {
-            v.push(f32::from_bits(get_u32(bytes, 8 + i * 4)?));
-        }
-        Some(v)
+        let (v, rest) = take_elems(bytes)?;
+        rest.is_empty().then_some(v)
     }
 }
 
@@ -367,35 +418,11 @@ impl Wire for Vec<(usize, Vec<f32>)> {
     const WIRE_ID: u32 = 17;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for (origin, chunk) in self {
-            put_u64(out, *origin as u64);
-            put_u64(out, chunk.len() as u64);
-            for v in chunk {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
+        put_pairs(out, self);
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let n = get_u64(bytes, 0)? as usize;
-        let mut at = 8;
-        let mut v = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let origin = usize::try_from(get_u64(bytes, at)?).ok()?;
-            let m = get_u64(bytes, at + 8)? as usize;
-            at += 16;
-            let mut chunk = Vec::with_capacity(m.min(1 << 24));
-            for _ in 0..m {
-                chunk.push(f32::from_bits(get_u32(bytes, at)?));
-                at += 4;
-            }
-            v.push((origin, chunk));
-        }
-        if at != bytes.len() {
-            return None;
-        }
-        Some(v)
+        take_pairs(bytes)
     }
 }
 
@@ -570,6 +597,67 @@ mod tests {
         // f32 and f64 vectors are distinct schemas.
         let p = Packet::pack(&vec![1.0f32]);
         assert!(p.unpack::<Vec<f64>>().is_none(), "schema mismatch");
+    }
+
+    #[test]
+    fn bulk_layout_is_a_count_then_little_endian_bit_patterns() {
+        let v = vec![1.5f64, -0.0, f64::from_bits(0x7FF8_DEAD_BEEF_0001)];
+        let mut want = 3u64.to_le_bytes().to_vec();
+        for x in &v {
+            want.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        assert_eq!(Packet::pack(&v).bytes, want);
+        let w = vec![1.5f32, -0.0];
+        let mut want = 2u64.to_le_bytes().to_vec();
+        for x in &w {
+            want.extend_from_slice(&x.to_bits().to_le_bytes());
+        }
+        assert_eq!(Packet::pack(&w).bytes, want);
+        let ids = vec![7usize, 0, usize::MAX];
+        let mut want = 3u64.to_le_bytes().to_vec();
+        for x in &ids {
+            want.extend_from_slice(&(*x as u64).to_le_bytes());
+        }
+        assert_eq!(Packet::pack(&ids).bytes, want);
+    }
+
+    #[test]
+    fn slice_packets_decode_straight_into_a_slice() {
+        let v = vec![1.5f64, -2.25, f64::MIN_POSITIVE, -0.0];
+        let p = Packet::elems(&v[..]);
+        let q = Packet::pack(&v);
+        assert_eq!((p.wire_id, &p.bytes), (q.wire_id, &q.bytes));
+        let run = p.elem_bytes::<f64>().expect("intact");
+        let mut back = vec![0.0f64; v.len()];
+        read_elems(run, &mut back);
+        assert_eq!(
+            back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        let w = vec![3.5f32, -0.0, f32::MIN_POSITIVE];
+        let p = Packet::elems(&w[..]);
+        let mut back = vec![0.0f32; w.len()];
+        read_elems(p.elem_bytes::<f32>().expect("intact"), &mut back);
+        assert_eq!(back, w);
+        assert!(p.elem_bytes::<f64>().is_none(), "schema mismatch");
+    }
+
+    #[test]
+    fn bulk_decoders_reject_damage_before_allocating() {
+        let mut p = Packet::elems(&[1.0f64, 2.0][..]);
+        p.bytes.push(0);
+        assert!(p.elem_bytes::<f64>().is_none(), "trailing byte");
+        p.bytes.truncate(20);
+        assert!(p.elem_bytes::<f64>().is_none(), "cut short");
+        // A count no buffer could hold is refused, not allocated for.
+        let mut huge = u64::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0; 16]);
+        assert!(take_elems::<f64>(&huge).is_none());
+        assert!(Vec::<u64>::wire_decode(&huge).is_none());
+        assert!(Vec::<(usize, Vec<f32>)>::wire_decode(&huge).is_none());
+        let mut p = Packet::elems(&[1.0f64][..]);
+        p.corrupt = true;
+        assert!(p.elem_bytes::<f64>().is_none(), "corrupt flag");
     }
 
     #[test]

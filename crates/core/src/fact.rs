@@ -137,36 +137,20 @@ impl<E: Element> hpl_comm::Wire for PivotMsg<E> {
     const WIRE_ID: u32 = 0x4000_0001 + E::ELEM_CODE;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
+        out.reserve(32 + (self.row.len() + self.currow.len()) * E::WIRE_BYTES);
         out.extend_from_slice(&self.val.to_bits().to_le_bytes());
         out.extend_from_slice(&self.grow.to_le_bytes());
-        for vec in [&self.row, &self.currow] {
-            out.extend_from_slice(&(vec.len() as u64).to_le_bytes());
-            for v in vec {
-                v.wire_write(out);
-            }
-        }
+        hpl_comm::put_elems(out, &self.row);
+        hpl_comm::put_elems(out, &self.currow);
     }
 
     fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        fn word(bytes: &[u8], at: usize) -> Option<u64> {
-            Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
-        }
-        fn floats<E: Element>(bytes: &[u8], at: &mut usize) -> Option<Vec<E>> {
-            let n = word(bytes, *at)? as usize;
-            *at += 8;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(E::wire_read(bytes.get(*at..)?)?);
-                *at += E::WIRE_BYTES;
-            }
-            Some(v)
-        }
-        let val = f64::from_bits(word(bytes, 0)?);
-        let grow = word(bytes, 8)?;
-        let mut at = 16;
-        let row = floats::<E>(bytes, &mut at)?;
-        let currow = floats::<E>(bytes, &mut at)?;
-        if at != bytes.len() {
+        let word = |at: usize| Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?));
+        let val = f64::from_bits(word(0)?);
+        let grow = word(8)?;
+        let (row, rest) = hpl_comm::take_elems(bytes.get(16..)?)?;
+        let (currow, rest) = hpl_comm::take_elems(rest)?;
+        if !rest.is_empty() {
             return None;
         }
         Some(PivotMsg {

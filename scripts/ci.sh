@@ -59,9 +59,10 @@ cargo build --release -p rhpl-cli
 ./target/release/rhpl --sample > target/HPL-mxp.dat
 ./target/release/rhpl launch target/HPL-mxp.dat --ranks 4 --transport tcp --mxp
 
-echo "== [miri] cargo +nightly miri test -p hpl-ckpt -p hpl-faults"
+echo "== [miri] cargo +nightly miri test -p hpl-ckpt -p hpl-faults; -p hpl-comm --lib transport::"
 if cargo +nightly miri --version >/dev/null 2>&1; then
   MIRIFLAGS=-Zmiri-disable-isolation cargo +nightly miri test -p hpl-ckpt -p hpl-faults
+  cargo +nightly miri test -p hpl-comm --lib transport::
 else
   echo "miri: nightly toolchain with miri is not installed; skipping (hosted CI runs it)"
 fi
