@@ -48,7 +48,29 @@ impl System<'_> {
     pub fn local<E: Element>(&self, n: usize, nb: usize, grid: &Grid) -> LocalMatrix<E> {
         match *self {
             System::Seeded(seed) => LocalMatrix::generate(n, nb, grid, seed),
-            System::Fill(fill) => LocalMatrix::generate_with(n, nb, grid, fill),
+            System::Fill(_) => {
+                let mut m = LocalMatrix::unfilled(n, nb, grid);
+                if m.mloc > 0 {
+                    for (lj, col) in m.data.chunks_exact_mut(m.mloc).enumerate() {
+                        self.fill_column(n, m.rows, m.cols.to_global(lj), col);
+                    }
+                }
+                m
+            }
+        }
+    }
+
+    /// Fills `col` with this rank's rows (`rows`) of global column `j` of
+    /// the `n`-row system — the column [`System::local`] stores, bit for
+    /// bit, so the verifier can regenerate one column at a time.
+    pub(crate) fn fill_column<E: Element>(&self, n: usize, rows: Axis, j: usize, col: &mut [E]) {
+        match *self {
+            System::Seeded(seed) => MatGen::new(seed, n).fill_column(rows, j, col),
+            System::Fill(fill) => {
+                for (li, v) in col.iter_mut().enumerate() {
+                    *v = E::from_f64(fill(rows.to_global(li), j));
+                }
+            }
         }
     }
 
@@ -66,21 +88,28 @@ impl System<'_> {
     }
 }
 
+/// The row and column distributions of the `N x (N+1)` augmented system
+/// over `grid`, blocked by `nb`.
+pub(crate) fn axes(n: usize, nb: usize, grid: &Grid) -> (Axis, Axis) {
+    let rows = Axis {
+        n,
+        nb,
+        iproc: grid.myrow(),
+        nprocs: grid.nprow(),
+    };
+    let cols = Axis {
+        n: n + 1,
+        nb,
+        iproc: grid.mycol(),
+        nprocs: grid.npcol(),
+    };
+    (rows, cols)
+}
+
 impl<E: Element> LocalMatrix<E> {
     /// This rank's slice of the `N x (N+1)` layout, zero-filled.
     fn unfilled(n: usize, nb: usize, grid: &Grid) -> Self {
-        let rows = Axis {
-            n,
-            nb,
-            iproc: grid.myrow(),
-            nprocs: grid.nprow(),
-        };
-        let cols = Axis {
-            n: n + 1,
-            nb,
-            iproc: grid.mycol(),
-            nprocs: grid.npcol(),
-        };
+        let (rows, cols) = axes(n, nb, grid);
         let mloc = rows.local_len();
         let nloc = cols.local_len();
         Self {
@@ -96,26 +125,6 @@ impl<E: Element> LocalMatrix<E> {
     pub fn generate(n: usize, nb: usize, grid: &Grid, seed: u64) -> Self {
         let mut m = Self::unfilled(n, nb, grid);
         MatGen::new(seed, n).fill_local(&mut m.data, m.rows, m.cols);
-        m
-    }
-
-    /// Allocates and fills this rank's slice of the caller-supplied system
-    /// `fill` ([`System::Fill`]).
-    fn generate_with(
-        n: usize,
-        nb: usize,
-        grid: &Grid,
-        fill: &(dyn Fn(usize, usize) -> f64 + Sync),
-    ) -> Self {
-        let mut m = Self::unfilled(n, nb, grid);
-        if m.mloc > 0 {
-            for (lj, col) in m.data.chunks_exact_mut(m.mloc).enumerate() {
-                let j = m.cols.to_global(lj);
-                for (li, v) in col.iter_mut().enumerate() {
-                    *v = E::from_f64(fill(m.rows.to_global(li), j));
-                }
-            }
-        }
         m
     }
 

@@ -1,13 +1,15 @@
 //! HPL's solution verification: the scaled residual
 //! `r = ||A x - b||_inf / (eps * (||A||_inf * ||x||_inf + ||b||_inf) * N)`
-//! must be below 16.0 for the run to pass, computed against a *freshly
-//! regenerated* copy of the original system (the factorization destroyed
-//! the one in place).
+//! must be below 16.0 for the run to pass, computed against the original
+//! system regenerated one column at a time (the factorization destroyed the
+//! one in place).
 
+use hpl_blas::mat::MatRef;
 use hpl_comm::{Grid, Op};
 
+use crate::dist::Axis;
 use crate::error::HplError;
-use crate::local::{LocalMatrix, System};
+use crate::local::{axes, LocalMatrix, System};
 
 /// Verification report.
 #[derive(Clone, Copy, Debug)]
@@ -47,11 +49,14 @@ pub fn verify(
     verify_system(grid, n, nb, System::Seeded(seed), x, f64::EPSILON)
 }
 
-/// The verifier proper: regenerates `system` and scales the residual by
-/// `eps` — a pure `f32` factorization is judged against `f32` accuracy
-/// ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while mixed-precision
-/// refinement must recover `f64::EPSILON`-scaled accuracy to pass.
-/// Collective over the grid.
+/// The verifier proper: regenerates `system` column by column and scales
+/// the residual by `eps` — a pure `f32` factorization is judged against
+/// `f32` accuracy ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while
+/// mixed-precision refinement must recover `f64::EPSILON`-scaled accuracy
+/// to pass. It streams: each local column is generated into one buffer and
+/// consumed before the next, so it holds `O(mloc + n)` entries, never the
+/// local slice, and its result is [`residual`]'s on that slice bit for bit
+/// (the same walk reads both). Collective over the grid.
 pub fn verify_system(
     grid: &Grid,
     n: usize,
@@ -60,16 +65,20 @@ pub fn verify_system(
     x: &[f64],
     eps: f64,
 ) -> Result<Residuals, HplError> {
-    let a: LocalMatrix<f64> = system.local(n, nb, grid);
-    let (_, res) = residual(grid, &a, &system.rhs(n), x, eps)?;
+    let (rows, cols) = axes(n, nb, grid);
+    let mut streamed = Streamed {
+        system,
+        rows,
+        col: vec![0.0; rows.local_len()],
+    };
+    let (_, res) = residual_walk(grid, rows, cols, &mut streamed, &system.rhs(n), x, eps)?;
     Ok(res)
 }
 
 /// The residual `b - A x` of `x` against an original system that is
 /// already in memory — this rank's unfactored slice `a` and the whole
 /// right-hand side `b` — replicated on every rank, with its HPL scaling
-/// by `eps`. One walk over `a` yields both the partial `A x` and the
-/// partial `|A|` row sums of `||A||_inf`. Collective over the grid.
+/// by `eps`. Collective over the grid.
 pub fn residual(
     grid: &Grid,
     a: &LocalMatrix<f64>,
@@ -77,19 +86,62 @@ pub fn residual(
     x: &[f64],
     eps: f64,
 ) -> Result<(Vec<f64>, Residuals), HplError> {
-    let n = a.rows.n;
+    residual_walk(grid, a.rows, a.cols, &mut a.view(), b, x, eps)
+}
+
+/// Where [`residual_walk`] reads the original system's local columns.
+trait Columns {
+    /// Local column `lj`, which is global column `g`.
+    fn column(&mut self, lj: usize, g: usize) -> &[f64];
+}
+
+/// A slice already in memory.
+impl Columns for MatRef<'_, f64> {
+    fn column(&mut self, lj: usize, _g: usize) -> &[f64] {
+        self.col(lj)
+    }
+}
+
+/// A system regenerated into one column buffer per call.
+struct Streamed<'s> {
+    system: System<'s>,
+    rows: Axis,
+    col: Vec<f64>,
+}
+
+impl Columns for Streamed<'_> {
+    fn column(&mut self, _lj: usize, g: usize) -> &[f64] {
+        self.system
+            .fill_column(self.rows.n, self.rows, g, &mut self.col);
+        &self.col
+    }
+}
+
+/// The one residual walk behind [`residual`] and [`verify_system`]: one
+/// pass over the local columns of `A` (not the appended `b` column) yields
+/// both the partial `A x` and the partial `|A|` row sums of `||A||_inf`,
+/// then the partials are summed across the grid and scaled.
+fn residual_walk(
+    grid: &Grid,
+    rows: Axis,
+    cols: Axis,
+    a: &mut impl Columns,
+    b: &[f64],
+    x: &[f64],
+    eps: f64,
+) -> Result<(Vec<f64>, Residuals), HplError> {
+    let n = rows.n;
     assert_eq!(x.len(), n);
     assert_eq!(b.len(), n);
-    let av = a.view();
-    let mut ax_local = vec![0.0f64; a.mloc];
-    let mut row_sums = vec![0.0f64; a.mloc];
-    // Local columns only, excluding the appended b column.
-    for lj in 0..a.nloc {
-        let g = a.cols.to_global(lj);
+    let mloc = rows.local_len();
+    let mut ax_local = vec![0.0f64; mloc];
+    let mut row_sums = vec![0.0f64; mloc];
+    for lj in 0..cols.local_len() {
+        let g = cols.to_global(lj);
         if g >= n {
             continue;
         }
-        let col = av.col(lj);
+        let col = a.column(lj, g);
         let xv = x[g];
         if xv != 0.0 {
             for ((yi, si), &aij) in ax_local.iter_mut().zip(&mut row_sums).zip(col) {
@@ -107,7 +159,7 @@ pub fn residual(
     hpl_comm::allreduce(grid.row(), Op::Sum, &mut ax_local)?;
     let mut r = vec![0.0f64; n];
     for (li, &v) in ax_local.iter().enumerate() {
-        r[a.rows.to_global(li)] = v;
+        r[rows.to_global(li)] = v;
     }
     hpl_comm::allreduce(grid.col(), Op::Sum, &mut r)?;
     // ||A||_inf: global row sums across the process row, maxed down the
@@ -172,6 +224,33 @@ mod tests {
                 assert!((got - wantv).abs() < 1e-10);
             }
             assert!((res.a_inf - a_inf).abs() < 1e-10);
+        }
+    }
+
+    /// The streaming verifier reads the same columns through the same walk
+    /// as [`residual`] over the materialized slice, so every field of its
+    /// report is the same bits — on grids where some ranks own a partial
+    /// block (NB does not divide N), for both kinds of system.
+    #[test]
+    fn streaming_verify_is_residual_bit_for_bit() {
+        let (n, nb) = (37usize, 5usize);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let fill = |i: usize, j: usize| ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5;
+        let bits =
+            |r: &Residuals| [r.err_inf, r.a_inf, r.x_inf, r.b_inf, r.scaled].map(f64::to_bits);
+        for (p, q) in [(1usize, 1usize), (2, 1), (3, 2)] {
+            for system in [System::Seeded(13), System::Fill(&fill)] {
+                let outs = Universe::run(p * q, |comm| {
+                    let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
+                    let a = system.local(n, nb, &grid);
+                    let (_, held) = residual(&grid, &a, &system.rhs(n), &x, f64::EPSILON).unwrap();
+                    let streamed = verify_system(&grid, n, nb, system, &x, f64::EPSILON).unwrap();
+                    (bits(&held), bits(&streamed))
+                });
+                for (held, streamed) in outs {
+                    assert_eq!(held, streamed, "{p}x{q}");
+                }
+            }
         }
     }
 }

@@ -30,22 +30,31 @@ fn fact_thread_counts_agree_between_crates() {
 /// Pinned to the in-process fabric: the claim is about O(k³) compute
 /// decay, and at this tiny N a byte-moving transport's fixed per-message
 /// latency (file polling, socket hops) legitimately flattens the curve.
+/// Each iteration's time is the minimum over `RUNS` runs of the same input:
+/// a run that lost its processor to another process can only inflate an
+/// iteration, so the minimum is the compute the claim is about.
 #[test]
 fn functional_iteration_times_decay_like_model() {
+    const RUNS: usize = 5;
     let mut cfg = HplConfig::new(512, 32, 2, 2);
     cfg.schedule = rhpl_core::Schedule::SplitUpdate { frac: 0.5 };
     cfg.trace = hpl_trace::TraceOpts::on();
-    let traces = Universe::run_with_transport(
-        cfg.ranks(),
-        hpl_comm::TransportSel::Inproc,
-        hpl_comm::FabricOpts::default(),
-        |comm| run_hpl(comm, &cfg).expect("nonsingular").trace.unwrap(),
-    );
     let iters = cfg.iterations();
-    let table = hpl_trace::report::iteration_table(&traces, iters);
-    let time = |it: usize| table[it].phases.total_ns() as f64 * 1e-9;
-    let head: f64 = (0..4).map(time).sum();
-    let tail: f64 = (iters - 4..iters).map(time).sum();
+    let mut best = vec![f64::INFINITY; iters];
+    for _ in 0..RUNS {
+        let traces = Universe::run_with_transport(
+            cfg.ranks(),
+            hpl_comm::TransportSel::Inproc,
+            hpl_comm::FabricOpts::default(),
+            |comm| run_hpl(comm, &cfg).expect("nonsingular").trace.unwrap(),
+        );
+        let table = hpl_trace::report::iteration_table(&traces, iters);
+        for (b, row) in best.iter_mut().zip(&table) {
+            *b = b.min(row.phases.total_ns() as f64 * 1e-9);
+        }
+    }
+    let head: f64 = best[..4].iter().sum();
+    let tail: f64 = best[iters - 4..].iter().sum();
     assert!(
         head > 2.0 * tail,
         "early iterations ({head:.5}s) must dominate late ones ({tail:.5}s)"
