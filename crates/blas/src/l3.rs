@@ -170,17 +170,46 @@ pub struct PackedA<E: Element = f64> {
 }
 
 impl<E: Element> PackedA<E> {
-    /// Packs all of the `m x k` operand `op(A)` for kernel `kern`.
+    /// An operand holding no storage, for [`PackedA::refill`] to fill.
+    pub fn empty() -> PackedA<E> {
+        PackedA {
+            buf: Vec::new(),
+            off: 0,
+            mr: 1,
+            m: 0,
+            k: 0,
+            mup: 0,
+        }
+    }
+
+    /// Packs all of the `m x k` operand `op(A)` for kernel `kern` into
+    /// fresh storage ([`PackedA::refill`] on an empty operand).
     pub fn pack(kern: Kernel, transa: Trans, a: MatRef<'_, E>) -> PackedA<E> {
+        let mut packed = PackedA::empty();
+        packed.refill(kern, transa, a);
+        packed
+    }
+
+    /// Packs all of the `m x k` operand `op(A)` for kernel `kern` into this
+    /// operand's storage, replacing what it held. The storage only grows:
+    /// an operand no larger than the largest packed before lands where
+    /// that one did, so a caller that keeps one `PackedA` across a run's
+    /// shrinking panels touches no fresh page after the first. The result
+    /// is bit for bit what [`PackedA::pack`] gives.
+    pub fn refill(&mut self, kern: Kernel, transa: Trans, a: MatRef<'_, E>) {
         let (m, k) = match transa {
             Trans::No => (a.rows(), a.cols()),
             Trans::Yes => (a.cols(), a.rows()),
         };
         let mr = kern.mr_for::<E>();
         let mup = round_up(m, mr);
-        // xtask-allow: hot-path-alloc — panel-grain cache: packed once per panel (amortized over O(nb^3) work) and owned by the returned PackedA, so arena scratch cannot back it
-        let mut buf = vec![E::ZERO; mup * k + arena::line_len::<E>()];
-        let off = arena::line_offset(&buf);
+        let need = mup * k + arena::line_len::<E>();
+        if self.buf.len() < need {
+            // xtask-allow: hot-path-alloc — the grow step: taken only when an operand outgrows every one packed before, so a run's shrinking panels take it once
+            self.buf = vec![E::ZERO; need];
+            self.off = arena::line_offset(&self.buf);
+        }
+        let (buf, off) = (&mut self.buf, self.off);
         let mc_blk = mc_for(mr);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
@@ -194,14 +223,7 @@ impl<E: Element> PackedA<E> {
                 pack_a(transa, a, ic, pc, mc, kc, mr, out);
             }
         }
-        PackedA {
-            buf,
-            off,
-            mr,
-            m,
-            k,
-            mup,
-        }
+        (self.mr, self.m, self.k, self.mup) = (mr, m, k, mup);
     }
 
     /// Row count of the packed operand.
@@ -924,6 +946,94 @@ mod tests {
     #[test]
     fn packed_blocks_are_strip_aligned_f32() {
         packed_blocks_are_strip_aligned::<f32>();
+    }
+
+    /// The packed strips of `p`, the region `dgemm_packed` reads.
+    fn strips<E: Element>(p: &PackedA<E>) -> Vec<u64> {
+        p.buf[p.off..p.off + p.mup * p.k]
+            .iter()
+            .map(|v| v.to_bits_u64())
+            .collect()
+    }
+
+    /// Refilling one `PackedA` gives what a fresh `pack` does, bit for bit:
+    /// after a larger operand, after a smaller one, transposed or not, on
+    /// every tier this host runs. A smaller operand lands in the storage
+    /// the larger one left; only outgrowing it takes new storage.
+    fn refill_is_a_fresh_pack<E: Element>() {
+        let val = |i: usize, j: usize, s: usize| {
+            E::from_f64(((i * 31 + j * 17 + s) % 43) as f64 / 43.0 - 0.45)
+        };
+        for kern in Kernel::available() {
+            let mr = kern.mr_for::<E>();
+            let mut packed = PackedA::empty();
+            // Large, smaller, ragged, transposed, then larger than all.
+            let shapes = [
+                (2 * mc_for(mr) + 5, KC + 3, Trans::No),
+                (mc_for(mr) + mr - 1, 40, Trans::No),
+                (7, 3, Trans::No),
+                (mr + 2, KC + 1, Trans::Yes),
+                (3 * mc_for(mr), KC + 9, Trans::No),
+            ];
+            let mut cap = 0;
+            for (s, &(m, k, tr)) in shapes.iter().enumerate() {
+                let a = match tr {
+                    Trans::No => Matrix::<E>::from_fn(m, k, |i, j| val(i, j, s)),
+                    Trans::Yes => Matrix::<E>::from_fn(k, m, |i, j| val(i, j, s)),
+                };
+                let before = packed.buf.as_ptr();
+                packed.refill(kern, tr, a.view());
+                let fresh = PackedA::pack(kern, tr, a.view());
+                let what = format!("{} {} shape {s}", kern.describe(), E::NAME);
+                assert_eq!((packed.m, packed.k, packed.mr), (m, k, mr), "{what}");
+                assert_eq!(strips(&packed), strips(&fresh), "{what}");
+                let need = round_up(m, mr) * k + arena::line_len::<E>();
+                if need <= cap {
+                    assert_eq!(packed.buf.as_ptr(), before, "{what}: shrinking moved");
+                }
+                cap = cap.max(need);
+                // And the product through it is the fresh pack's.
+                let n = 5;
+                let b = Matrix::<E>::from_fn(k, n, |i, j| val(i, j, 7));
+                let c0 = Matrix::<E>::from_fn(m, n, |i, j| val(i, j, 9));
+                let (mut got, mut want) = (c0.clone(), c0);
+                let one = E::ONE;
+                dgemm_packed(
+                    kern,
+                    -one,
+                    &packed,
+                    0,
+                    Trans::No,
+                    b.view(),
+                    one,
+                    &mut got.view_mut(),
+                );
+                dgemm_packed(
+                    kern,
+                    -one,
+                    &fresh,
+                    0,
+                    Trans::No,
+                    b.view(),
+                    one,
+                    &mut want.view_mut(),
+                );
+                let bits = |c: &Matrix<E>| -> Vec<u64> {
+                    c.as_slice().iter().map(|v| v.to_bits_u64()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn refill_is_a_fresh_pack_f64() {
+        refill_is_a_fresh_pack::<f64>();
+    }
+
+    #[test]
+    fn refill_is_a_fresh_pack_f32() {
+        refill_is_a_fresh_pack::<f32>();
     }
 
     #[test]

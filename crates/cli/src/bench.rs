@@ -12,7 +12,8 @@
 //!     "schedule": "split-update:0.5",
 //!     "mode": "hpl", "element": "f64",
 //!     "fact_seconds": 0.0, "fact_gflops": 0.0, "sweeps": 0,
-//!     "wall_seconds": 0.01, "gflops": 1.2, "residual": 0.003, "passed": true,
+//!     "wall_seconds": 0.01, "minor_faults": 120, "gflops": 1.2,
+//!     "residual": 0.003, "passed": true,
 //!     "overlap_efficiency": 0.4, "seq_hash": "0x1234abcd...",
 //!     "x_hash": "0x5678ef01...",
 //!     "dropped_spans": 0,
@@ -87,6 +88,12 @@ pub struct RunReport {
     pub links: Vec<LinkReport>,
     /// Wall time of factorization + solve (seconds).
     pub wall_seconds: f64,
+    /// Minor page faults over the `wall_seconds` clock
+    /// (`getrusage(RUSAGE_SELF)`, taken at the same two instants). The
+    /// count is process-wide, so it covers every rank of the run (ranks
+    /// are threads of this process) and their pool workers. Not part of
+    /// `seq_hash`.
+    pub minor_faults: u64,
     /// HPL score.
     pub gflops: f64,
     /// Scaled residual.
@@ -163,6 +170,7 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
             })
             .collect(),
         wall_seconds: rec.time,
+        minor_faults: rec.minor_faults,
         gflops: rec.gflops,
         residual: rec.residual,
         passed: rec.passed,

@@ -123,6 +123,7 @@ mod tests {
             tv: "WC112R16".into(),
             time: 1.23,
             gflops: 2.5,
+            minor_faults: 0,
             residual: 0.0051561,
             passed: true,
             retries: 0,

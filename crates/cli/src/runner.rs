@@ -19,6 +19,9 @@ pub struct RunRecord {
     pub time: f64,
     /// Score in GFLOPS.
     pub gflops: f64,
+    /// Minor page faults the process took over the `time` clock (rank 0's
+    /// count, which is process-wide: it covers every in-process rank).
+    pub minor_faults: u64,
     /// HPL scaled residual.
     pub residual: f64,
     /// Whether the residual beat the threshold.
@@ -179,6 +182,7 @@ pub fn run_one(
         tv: encode_tv(cfg, depth),
         time: results[0].wall,
         gflops: results[0].gflops,
+        minor_faults: results[0].minor_faults,
         residual: res.scaled,
         passed: res.scaled < threshold,
         retries: results.iter().map(|r| r.retries).sum(),
@@ -206,6 +210,7 @@ pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunR
         tv: encode_tv(cfg, depth),
         time: r0.wall,
         gflops: r0.gflops,
+        minor_faults: r0.minor_faults,
         residual: r0.residuals.scaled,
         passed: r0.converged && r0.residuals.scaled < threshold,
         retries: results.iter().map(|r| r.retries).sum(),

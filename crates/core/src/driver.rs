@@ -38,9 +38,9 @@ use hpl_threads::Pool;
 
 use crate::config::{HplConfig, Schedule};
 use crate::error::HplError;
-use crate::fact::{panel_factor, FactInput, FactOut};
+use crate::fact::{panel_factor_into, FactInput, FactOut};
 use crate::local::{LocalMatrix, System};
-use crate::panel::{lbcast, pack_panel_in_place, PanelGeom, PanelL};
+use crate::panel::{lbcast_store, pack_panel_in_place, PanelGeom, PanelL, PanelStore};
 use crate::solve::back_substitute;
 use crate::swap::{apply_moves, row_swap_comm, ColRange, RsData, SwapPlan};
 use crate::update::{gemm_update_parallel, solve_u, store_u};
@@ -53,6 +53,9 @@ pub struct HplResult {
     pub wall: f64,
     /// Benchmark GFLOPS (HPL formula over the wall time).
     pub gflops: f64,
+    /// Minor page faults the whole process took over the same clock as
+    /// `wall` ([`hpl_trace::minor_faults`]; every in-process rank counts).
+    pub minor_faults: u64,
     /// Phase trace of this rank (when `cfg.trace.enabled`).
     pub trace: Option<hpl_trace::Trace>,
     /// Name of the DGEMM microkernel the run resolved to
@@ -140,6 +143,11 @@ struct Driver<'a, E: Element> {
     /// update — it must outlive the immediate sections in between. Empty
     /// outside the split-update schedule.
     rs_right: RsData<E>,
+    /// The storage of the last retired panel, which the next
+    /// `fact_and_bcast` refills. At most two panels are live at once (the
+    /// current one and the look-ahead one), so one spare keeps the loop off
+    /// fresh pages after its first two panels.
+    spare: Option<PanelStore<E>>,
 }
 
 /// Maps a checkpoint-layer failure into the pipeline taxonomy.
@@ -176,10 +184,11 @@ pub fn run_hpl_system<E: WireElem>(
     // signature in the pipeline changes whether tracing is on or off.
     hpl_trace::install(cfg.trace);
     let a = system.local::<E>(cfg.n, cfg.nb, &grid);
-    let t0 = Instant::now();
+    let (t0, faults0) = (Instant::now(), hpl_trace::minor_faults());
     let solved = factorize_local(&grid, cfg, a)
         .and_then(|out| Ok((back_substitute(&out.a, &grid, cfg.nb)?, out)));
     let wall = t0.elapsed().as_secs_f64();
+    let minor_faults = hpl_trace::minor_faults().saturating_sub(faults0);
     let trace = hpl_trace::take();
     let (x, out) = solved?;
     let x: Vec<f64> = x.iter().map(|v| v.to_f64()).collect();
@@ -188,6 +197,7 @@ pub fn run_hpl_system<E: WireElem>(
         x,
         wall,
         gflops: cfg.flops() / wall / 1e9,
+        minor_faults,
         trace,
         kernel: hpl_blas::kernels::active().name(),
         element: E::NAME,
@@ -256,6 +266,7 @@ pub fn factorize_local<E: WireElem>(
         rs,
         // Sized for the schedule's right section by `run`.
         rs_right: RsData::for_sections(0, 0, 1),
+        spare: None,
     };
     let resumed_from = d.restore_if_due()?;
     let start = resumed_from.unwrap_or(0);
@@ -282,10 +293,14 @@ impl<E: WireElem> Driver<'_, E> {
         self.a.cols.local_lower_bound(k0 + jb)
     }
 
-    /// Factors panel `it` and broadcasts it.
+    /// Factors panel `it` and broadcasts it, into the storage of the last
+    /// retired panel. With one process column there is nothing to
+    /// broadcast, and the panel is built where it lies.
     fn fact_and_bcast(&mut self, it: usize) -> Result<IterPanel<E>, HplError> {
         let geom = self.geom(it);
-        let packed = if geom.in_panel_col {
+        let mut store = self.spare.take().unwrap_or_else(PanelStore::empty);
+        let row = self.grid.row();
+        let panel = if geom.in_panel_col {
             // Factoring destroys the panel columns' pre-fact values, which
             // the snapshot at the top of iteration `it` needs (see
             // `CkptState::pre_image`).
@@ -307,7 +322,7 @@ impl<E: WireElem> Driver<'_, E> {
                 };
                 let mut av = self.a.view_mut();
                 let mut panel = av.submatrix_mut(geom.lb, geom.lj0, geom.mp, geom.jb);
-                panel_factor(&inp, &mut panel)?
+                panel_factor_into(&inp, &mut panel, store.top, store.ipiv)?
             };
             // The pivot collectives run inside `panel_factor` — possibly on
             // pool worker threads where the rank's tracer is invisible — so
@@ -321,13 +336,18 @@ impl<E: WireElem> Driver<'_, E> {
                 0,
             );
 
-            let mut buf = Vec::with_capacity(geom.bcast_len());
-            pack_panel_in_place(&self.a, &geom, &out.top, &out.ipiv, &mut buf);
-            Some(buf)
+            (store.top, store.ipiv) = (out.top, out.ipiv);
+            if row.size() == 1 {
+                PanelL::in_place(&self.a, &geom, store, hpl_blas::kernels::active())
+            } else {
+                store.buf.clear();
+                store.buf.reserve_exact(geom.bcast_len());
+                pack_panel_in_place(&self.a, &geom, &store.top, &store.ipiv, &mut store.buf);
+                lbcast_store(row, self.cfg.bcast, &geom, store)?
+            }
         } else {
-            None
+            lbcast_store(row, self.cfg.bcast, &geom, store)?
         };
-        let panel = lbcast(self.grid.row(), self.cfg.bcast, &geom, packed)?;
         let plan = SwapPlan::build(geom.k0, geom.jb, &panel.ipiv);
         // Every rank holds the broadcast pivots; extend the history
         // unconditionally (idempotent on a resumed re-factor) — snapshots
@@ -595,6 +615,7 @@ impl<E: WireElem> Driver<'_, E> {
                     hpl_trace::set_hidden(false);
                 }
             }
+            self.spare = Some(cur.panel.into_store());
             carried = next;
         }
         Ok(())

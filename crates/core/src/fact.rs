@@ -342,6 +342,19 @@ pub fn panel_factor<E: Element>(
     inp: &FactInput<'_>,
     a: &mut MatMut<'_, E>,
 ) -> Result<FactOut<E>, HplError> {
+    panel_factor_into(inp, a, Matrix::zeros(0, 0), Vec::new())
+}
+
+/// [`panel_factor`] writing `top` and the pivots into the storage of `top`
+/// and `ipiv`, whatever their shapes: the driver hands in a retired
+/// panel's, so factoring a panel takes no fresh pages once the first
+/// panels have sized them.
+pub(crate) fn panel_factor_into<E: Element>(
+    inp: &FactInput<'_>,
+    a: &mut MatMut<'_, E>,
+    mut top: Matrix<E>,
+    mut ipiv: Vec<usize>,
+) -> Result<FactOut<E>, HplError> {
     // The span covers the whole factorization wall, pivot collectives
     // included; the driver records those separately as a `FactComm` span
     // from `FactOut::comm_seconds` (they may run on pool worker threads,
@@ -356,20 +369,24 @@ pub fn panel_factor<E: Element>(
             "diagonal owner must hold the full diagonal block"
         );
     }
-    // Ranks without the diagonal block keep `top` in a buffer of their own;
-    // the diagonal owner factors it where it lives.
-    let mut own_top = (!inp.is_curr).then(|| Matrix::<E>::zeros(jb, jb));
-    let top = match own_top.as_mut() {
-        Some(t) => SharedMat::new(&mut t.view_mut()),
-        None => SharedMat::new(&mut a.submatrix_mut(0, 0, jb, jb)),
+    top.reshape(jb, jb);
+    ipiv.clear();
+    ipiv.resize(jb, 0);
+    // Ranks without the diagonal block keep `top` in a buffer of their own,
+    // whose rows the pivot steps install before anything reads them; the
+    // diagonal owner factors it where it lives.
+    let shared_top = if inp.is_curr {
+        SharedMat::new(&mut a.submatrix_mut(0, 0, jb, jb))
+    } else {
+        SharedMat::new(&mut top.view_mut())
     };
     let st = FactState {
         inp,
         m: a.rows(),
         jb,
         a: SharedMat::new(a),
-        top,
-        ipiv: RacyCell::new(vec![0usize; jb]),
+        top: shared_top,
+        ipiv: RacyCell::new(ipiv),
         comm_ns: AtomicU64::new(0),
         err: AtomicUsize::new(ERR_NONE),
         comm_err: Mutex::new(None),
@@ -394,8 +411,13 @@ pub fn panel_factor<E: Element>(
     if err != ERR_NONE {
         return Err(HplError::Singular { col: err });
     }
-    let top = own_top
-        .unwrap_or_else(|| Matrix::from_vec(jb, jb, a.as_ref().submatrix(0, 0, jb, jb).to_vec()));
+    if inp.is_curr {
+        let block = a.as_ref().submatrix(0, 0, jb, jb);
+        let mut tv = top.view_mut();
+        for j in 0..jb {
+            tv.col_mut(j).copy_from_slice(block.col(j));
+        }
+    }
     Ok(FactOut {
         top,
         ipiv: st.ipiv.into_inner(),

@@ -1,16 +1,26 @@
-//! Panel geometry, the LBCAST buffer packing, and the host panel copy
-//! ("device-to-host transfer").
+//! Panel geometry, the panel every rank updates with ([`PanelL`]), the
+//! LBCAST buffer packing, and the host panel copy ("device-to-host
+//! transfer").
 //!
 //! In rocHPL the panel columns are copied from the GPU's HBM to host DDR
 //! for factorization and back afterwards. Here both sides are CPU memory,
-//! so the driver factors the panel in place in the local matrix; what is
-//! left of the transfer is [`pack_panel_in_place`] — pack the broadcast
-//! buffer from the matrix columns — and the driver times it as the
-//! `Transfer` phase so Fig 7's column exists. The host round trip
-//! ([`panel_to_host`], [`host_view`], [`panel_from_host`], [`pack_panel`])
-//! stays for `benchmark/`'s layer replay.
+//! so the driver factors the panel in place in the local matrix, and what
+//! is left of the transfer is the one copy of `L2` the update needs. With
+//! one process column (as netlib HPL's `HPL_pdpanel_init` does for
+//! `Q = 1`) there is no broadcast: `PanelL::in_place` packs `L2` straight
+//! from the matrix columns into DGEMM strip layout. With several,
+//! [`pack_panel_in_place`] packs the broadcast buffer `[top | L2 | ipiv]`
+//! from the matrix columns and every rank packs `L2` from the buffer it
+//! received on first use. Either copy is timed as the `Transfer` phase, so
+//! Fig 7's column exists.
+//!
+//! A panel's storage lives as long as the run: the driver takes a retired
+//! panel's back (`PanelL::into_store`) and the next panel refills it, so
+//! the loop takes no fresh pages for panels after the first two. The host
+//! round trip ([`panel_to_host`], [`host_view`], [`panel_from_host`],
+//! [`pack_panel`]) stays for `benchmark/`'s layer replay.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use hpl_blas::mat::{MatMut, MatRef, Matrix};
 use hpl_blas::{Element, Kernel, PackedA, Trans};
@@ -131,12 +141,14 @@ pub fn panel_from_host<E: Element>(
 
 /// The panel payload every rank holds after LBCAST: the replicated factored
 /// diagonal block, this process row's slice of `L2`, and the pivot vector.
-/// `L2` is read in place from the broadcast buffer the panel arrived in.
+/// `L2` is held packed in DGEMM strip layout, shared by every update
+/// section and worker thread of the iteration.
 pub struct PanelL<E: Element = f64> {
     /// `jb x jb` factored diagonal block (unit-lower `L1` + `U11`).
     pub top: Matrix<E>,
     /// The LBCAST buffer `[top | L2 | ipiv]`; local `L2` is its
-    /// `l2_rows x jb` column-major block at offset `jb * jb`.
+    /// `l2_rows x jb` column-major block at offset `jb * jb`. Empty for a
+    /// panel built in place (`PanelL::in_place`), which has none.
     buf: Vec<E>,
     /// Global pivot row per panel column.
     pub ipiv: Vec<usize>,
@@ -144,21 +156,87 @@ pub struct PanelL<E: Element = f64> {
     pub l2_rows: usize,
     /// Panel width.
     pub jb: usize,
-    /// `L2` packed once into DGEMM strip layout on first use, then shared
-    /// by every update section and worker thread of the iteration.
+    /// `L2` in packed DGEMM layout: packed at construction in place, else
+    /// from `buf` on first use into `l2_spare`'s storage.
     l2_packed: OnceLock<PackedA<E>>,
+    /// The retired storage the first-use pack refills (taken once).
+    l2_spare: Mutex<Option<PackedA<E>>>,
+}
+
+/// The storage of a retired panel, for the next panel to refill (see
+/// [`PanelL::into_store`]). Every part only grows, and panels only shrink
+/// over a run, so refilling takes no fresh pages.
+pub(crate) struct PanelStore<E: Element> {
+    /// FACT's `top` (the factored diagonal block once FACT has run).
+    pub(crate) top: Matrix<E>,
+    /// FACT's pivots (likewise).
+    pub(crate) ipiv: Vec<usize>,
+    /// The LBCAST buffer (unused with one process column).
+    pub(crate) buf: Vec<E>,
+    /// Packed `L2`.
+    pub(crate) l2: PackedA<E>,
+}
+
+impl<E: Element> PanelStore<E> {
+    /// Storage for a first panel: nothing yet.
+    pub(crate) fn empty() -> Self {
+        Self {
+            top: Matrix::zeros(0, 0),
+            ipiv: Vec::new(),
+            buf: Vec::new(),
+            l2: PackedA::empty(),
+        }
+    }
 }
 
 impl<E: Element> PanelL<E> {
-    /// Takes ownership of the LBCAST buffer of panel `g`.
-    fn from_buf(g: &PanelGeom, buf: Vec<E>) -> Self {
+    /// Builds panel `g`, factored in place in `a`, where it lies — for a
+    /// row communicator of one rank, where LBCAST sends nothing. FACT's
+    /// `top` and `ipiv` move in from `store`, and `L2` (the rows below the
+    /// diagonal block on the current row) is packed once, straight from
+    /// the matrix columns, into `store`'s packed storage for kernel `kern`.
+    /// That pack is the panel's transfer, timed as `Transfer`.
+    pub(crate) fn in_place(
+        a: &LocalMatrix<E>,
+        g: &PanelGeom,
+        mut store: PanelStore<E>,
+        kern: Kernel,
+    ) -> Self {
+        let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
+        debug_assert!(g.in_panel_col);
+        let skip = if g.in_curr_row { g.jb } else { 0 };
+        let l2 = a.view().submatrix(g.lb + skip, g.lj0, g.l2_rows, g.jb);
+        PackedA::refill(&mut store.l2, kern, Trans::No, l2);
+        Self {
+            top: store.top,
+            buf: store.buf,
+            ipiv: store.ipiv,
+            l2_rows: g.l2_rows,
+            jb: g.jb,
+            l2_packed: store.l2.into(),
+            l2_spare: Mutex::new(None),
+        }
+    }
+
+    /// Builds panel `g` around its LBCAST buffer `store.buf`, refilling
+    /// `store`'s `top` and `ipiv` from it.
+    fn from_store(g: &PanelGeom, store: PanelStore<E>) -> Self {
+        let PanelStore {
+            mut top,
+            mut ipiv,
+            buf,
+            l2,
+        } = store;
         assert_eq!(buf.len(), g.bcast_len(), "panel buffer size mismatch");
         let (jb, l2_rows) = (g.jb, g.l2_rows);
-        let top = Matrix::from_vec(jb, jb, buf[..jb * jb].to_vec());
-        let ipiv = buf[jb * (jb + l2_rows)..]
-            .iter()
-            .map(|&v| v.to_f64() as usize)
-            .collect();
+        top.reshape(jb, jb);
+        top.as_mut_slice().copy_from_slice(&buf[..jb * jb]);
+        ipiv.clear();
+        ipiv.extend(
+            buf[jb * (jb + l2_rows)..]
+                .iter()
+                .map(|&v| v.to_f64() as usize),
+        );
         Self {
             top,
             buf,
@@ -166,11 +244,31 @@ impl<E: Element> PanelL<E> {
             l2_rows,
             jb,
             l2_packed: OnceLock::new(),
+            l2_spare: Mutex::new(Some(l2)),
         }
     }
 
-    /// View of `L2`.
-    pub fn l2_view(&self) -> MatRef<'_, E> {
+    /// Gives the panel's storage back, for the next panel to refill.
+    pub(crate) fn into_store(self) -> PanelStore<E> {
+        let spare = self
+            .l2_spare
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        PanelStore {
+            top: self.top,
+            ipiv: self.ipiv,
+            buf: self.buf,
+            l2: self
+                .l2_packed
+                .into_inner()
+                .or(spare)
+                .unwrap_or_else(PackedA::empty),
+        }
+    }
+
+    /// View of `L2` in the broadcast buffer (a panel built in place has
+    /// none, and never asks: its `L2` is packed at construction).
+    fn l2_view(&self) -> MatRef<'_, E> {
         let (jb, l2_rows) = (self.jb, self.l2_rows);
         let l2 = &self.buf[jb * jb..jb * (jb + l2_rows)];
         MatRef::from_slice(l2, l2_rows, jb, l2_rows.max(1))
@@ -181,8 +279,24 @@ impl<E: Element> PanelL<E> {
     /// and across `gemm_update_parallel` workers. The kernel is frozen
     /// per process, so one panel only ever sees one `kern`.
     pub fn l2_packed(&self, kern: Kernel) -> &PackedA<E> {
-        self.l2_packed
-            .get_or_init(|| PackedA::pack(kern, Trans::No, self.l2_view()))
+        let packed = self.l2_packed.get_or_init(|| {
+            // A poisoned lock still holds a whole `Option`: `take` is the
+            // only update.
+            let spare = self
+                .l2_spare
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let mut packed = spare.unwrap_or_else(PackedA::empty);
+            PackedA::refill(&mut packed, kern, Trans::No, self.l2_view());
+            packed
+        });
+        debug_assert_eq!(
+            packed.mr(),
+            kern.mr_for::<E>(),
+            "L2 packed for another kernel"
+        );
+        packed
     }
 }
 
@@ -257,7 +371,11 @@ pub fn pack_panel<E: Element>(
 /// Inverse of [`pack_panel`] (a copy of `buf`; [`lbcast`] keeps the buffer
 /// it broadcast into instead).
 pub fn unpack_panel<E: Element>(g: &PanelGeom, buf: &[E]) -> PanelL<E> {
-    PanelL::from_buf(g, buf.to_vec())
+    let store = PanelStore {
+        buf: buf.to_vec(),
+        ..PanelStore::empty()
+    };
+    PanelL::from_store(g, store)
 }
 
 /// Broadcasts the packed panel along the process row from the panel-owning
@@ -275,19 +393,29 @@ pub fn lbcast<E: WireElem>(
     g: &PanelGeom,
     packed: Option<Vec<E>>,
 ) -> Result<PanelL<E>, HplError> {
-    let mut buf = match packed {
-        Some(b) => {
-            debug_assert!(g.in_panel_col);
-            b
-        }
-        None => vec![E::ZERO; g.bcast_len()],
+    let store = PanelStore {
+        buf: packed.unwrap_or_default(),
+        ..PanelStore::empty()
     };
+    lbcast_store(row_comm, algo, g, store)
+}
+
+/// [`lbcast`] into a retired panel's storage. On the panel-owning column
+/// `store.buf` holds the packed panel; elsewhere it is resized to receive
+/// it, and the broadcast overwrites every element.
+pub(crate) fn lbcast_store<E: WireElem>(
+    row_comm: &Communicator,
+    algo: BcastAlgo,
+    g: &PanelGeom,
+    mut store: PanelStore<E>,
+) -> Result<PanelL<E>, HplError> {
+    store.buf.resize(g.bcast_len(), E::ZERO);
     if row_comm.fault_injector().is_some() {
-        panel_bcast_checked(row_comm, algo, g.pcol, &mut buf)?;
+        panel_bcast_checked(row_comm, algo, g.pcol, &mut store.buf)?;
     } else {
-        panel_bcast(row_comm, algo, g.pcol, &mut buf)?;
+        panel_bcast(row_comm, algo, g.pcol, &mut store.buf)?;
     }
-    Ok(PanelL::from_buf(g, buf))
+    Ok(PanelL::from_store(g, store))
 }
 
 /// Convenience: extracts the trailing-rows view of the panel columns as a
@@ -298,4 +426,120 @@ pub fn lbcast<E: WireElem>(
 /// for a `benchmark` PR).
 pub fn host_view<'a, E: Element>(host: &'a mut [E], g: &PanelGeom) -> MatMut<'a, E> {
     MatMut::from_slice(host, g.mp, g.jb, g.mp.max(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FactOpts;
+    use crate::fact::{panel_factor, panel_factor_into, FactInput};
+    use crate::local::System;
+    use hpl_blas::{dgemm_packed, kernels};
+    use hpl_comm::{GridOrder, Universe};
+    use hpl_threads::Pool;
+
+    /// The bits of every entry of `m`, column by column.
+    fn bits<E: Element>(m: MatRef<'_, E>) -> Vec<u64> {
+        (0..m.cols())
+            .flat_map(|j| m.col(j).iter().map(|v| v.to_bits_u64()))
+            .collect()
+    }
+
+    /// Every panel of an `n x n` system on a `p x 1` grid, built both ways
+    /// on each rank: in place into the storage the previous panel retired,
+    /// and through `pack_panel_in_place` and `lbcast` into fresh storage.
+    /// `top`, the pivots and the product of the packed `L2` with a fixed
+    /// `B` must agree bit for bit. Each side factors its own copy of the
+    /// system, so FACT's recycled `top` is under test too.
+    fn in_place_equals_broadcast<E: WireElem>(p: usize, threads: usize) {
+        let (n, nb, seed) = (100usize, 24usize, 11u64);
+        assert_ne!(n % nb, 0, "the last panel must be narrower");
+        Universe::run(p, |comm| {
+            let grid = Grid::new(comm, p, 1, GridOrder::ColumnMajor);
+            let system = System::Seeded(seed);
+            let mut a_in = system.local::<E>(n, nb, &grid);
+            let mut a_bc = system.local::<E>(n, nb, &grid);
+            let pool = Pool::new(threads);
+            let kern = kernels::active();
+            let mut store = PanelStore::empty();
+            for k0 in (0..n).step_by(nb) {
+                let g = PanelGeom::new(&a_in, &grid, k0, nb.min(n - k0));
+                let what = format!("{} p={p} t={threads} k0={k0}", E::NAME);
+                let inp = FactInput {
+                    col_comm: grid.col(),
+                    rows: a_in.rows,
+                    k0,
+                    jb: g.jb,
+                    lb: g.lb,
+                    is_curr: g.in_curr_row,
+                    pool: &pool,
+                    opts: FactOpts {
+                        threads,
+                        ..FactOpts::default()
+                    },
+                };
+                let (top, ipiv) = (store.top, store.ipiv);
+                let out = {
+                    let mut av = a_in.view_mut();
+                    let mut panel = av.submatrix_mut(g.lb, g.lj0, g.mp, g.jb);
+                    panel_factor_into(&inp, &mut panel, top, ipiv).expect("nonsingular")
+                };
+                (store.top, store.ipiv) = (out.top, out.ipiv);
+                let in_place = PanelL::in_place(&a_in, &g, store, kern);
+
+                let out = {
+                    let mut av = a_bc.view_mut();
+                    let mut panel = av.submatrix_mut(g.lb, g.lj0, g.mp, g.jb);
+                    panel_factor(&inp, &mut panel).expect("nonsingular")
+                };
+                let mut buf = Vec::with_capacity(g.bcast_len());
+                pack_panel_in_place(&a_bc, &g, &out.top, &out.ipiv, &mut buf);
+                let bcast = lbcast(grid.row(), BcastAlgo::OneRingM, &g, Some(buf))
+                    .expect("a one-rank row sends nothing");
+
+                assert_eq!(bits(in_place.top.view()), bits(bcast.top.view()), "{what}");
+                assert_eq!(in_place.ipiv, bcast.ipiv, "{what}");
+                assert_eq!(in_place.l2_rows, bcast.l2_rows, "{what}");
+                let w = 7;
+                let b = Matrix::<E>::from_fn(g.jb, w, |i, j| {
+                    E::from_f64(((i * 7 + j * 3) % 11) as f64 / 11.0 - 0.5)
+                });
+                let product = |panel: &PanelL<E>| {
+                    let mut c = Matrix::<E>::from_fn(g.l2_rows, w, |i, j| {
+                        E::from_f64(((i + 5 * j) % 13) as f64 / 13.0)
+                    });
+                    let l2 = panel.l2_packed(kern);
+                    dgemm_packed(
+                        kern,
+                        -E::ONE,
+                        l2,
+                        0,
+                        Trans::No,
+                        b.view(),
+                        E::ONE,
+                        &mut c.view_mut(),
+                    );
+                    bits(c.view())
+                };
+                assert_eq!(product(&in_place), product(&bcast), "{what}");
+                store = in_place.into_store();
+            }
+        });
+    }
+
+    #[test]
+    fn in_place_equals_broadcast_1x1() {
+        for threads in [1, 2] {
+            in_place_equals_broadcast::<f64>(1, threads);
+            in_place_equals_broadcast::<f32>(1, threads);
+        }
+    }
+
+    #[test]
+    fn in_place_equals_broadcast_2x1() {
+        for threads in [1, 2] {
+            in_place_equals_broadcast::<f64>(2, threads);
+            in_place_equals_broadcast::<f32>(2, threads);
+        }
+    }
 }

@@ -61,6 +61,9 @@ pub struct MxpOutput {
     /// Mixed-precision GFLOPS: the HPL flop count over the *total* time to
     /// a double-accurate solution (what HPL-MxP reports).
     pub gflops: f64,
+    /// Minor page faults the whole process took over the same clock as
+    /// [`MxpOutput::wall`] ([`hpl_trace::minor_faults`]).
+    pub minor_faults: u64,
     /// The HPL flop count over [`MxpOutput::fact_seconds`]: generation,
     /// `f32` factorization and initial solve, without the refinement.
     pub fact_gflops: f64,
@@ -116,7 +119,7 @@ fn refine_pipeline(
     system: System<'_>,
 ) -> Result<MxpOutput, HplError> {
     let n = cfg.n;
-    let t0 = Instant::now();
+    let (t0, faults0) = (Instant::now(), hpl_trace::minor_faults());
     let a64: LocalMatrix<f64> = system.local(n, cfg.nb, grid);
     let out = factorize_local(grid, cfg, a64.demoted::<f32>())?;
     let x0 = back_substitute(&out.a, grid, cfg.nb)?;
@@ -144,6 +147,7 @@ fn refine_pipeline(
         }
     };
     let wall = t0.elapsed().as_secs_f64();
+    let minor_faults = hpl_trace::minor_faults().saturating_sub(faults0);
     Ok(MxpOutput {
         x_hash: hpl_trace::report::x_hash(&x, &out.pivot_log),
         x,
@@ -154,6 +158,7 @@ fn refine_pipeline(
         fact_seconds,
         wall,
         gflops: cfg.flops() / wall / 1e9,
+        minor_faults,
         fact_gflops: cfg.flops() / fact_seconds / 1e9,
         trace: None,
         kernel: hpl_blas::kernels::active().name(),

@@ -401,6 +401,53 @@ pub fn now_ns() -> u64 {
     with(|tr| tr.now_ns())
 }
 
+/// Minor page faults this process has taken so far
+/// (`getrusage(RUSAGE_SELF)`'s `ru_minflt`): process-wide, so the count
+/// covers every rank and pool thread of an in-process run, not this thread
+/// alone. A run record takes the difference over its clock. Linux on
+/// x86-64 and aarch64 only; elsewhere, or if the call fails, 0.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub fn minor_faults() -> u64 {
+    use std::ffi::{c_int, c_long};
+    /// `struct rusage` on LP64 Linux: two `timeval`s, then fourteen
+    /// `long`s, of which `ru_minflt` is the fifth.
+    #[repr(C)]
+    struct Rusage {
+        times: [c_long; 4],
+        counts: [c_long; 14],
+    }
+    const RUSAGE_SELF: c_int = 0;
+    // SAFETY: this is the C declaration of `getrusage` from
+    // `<sys/resource.h>`, which the C library every Linux target links
+    // provides.
+    unsafe extern "C" {
+        fn getrusage(who: c_int, usage: *mut Rusage) -> c_int;
+    }
+    let mut ru = Rusage {
+        times: [0; 4],
+        counts: [0; 14],
+    };
+    // SAFETY: `ru` is a live, writable `struct rusage` of the layout
+    // `getrusage` fills on LP64 Linux.
+    if unsafe { getrusage(RUSAGE_SELF, &mut ru) } != 0 {
+        return 0;
+    }
+    ru.counts[4] as u64
+}
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+/// Minor page faults this process has taken so far: not counted on this
+/// target, so 0.
+pub fn minor_faults() -> u64 {
+    0
+}
+
 fn with<R>(f: impl FnOnce(&mut Tracer) -> R) -> R {
     TRACER.with(|t| {
         let mut t = t.borrow_mut();

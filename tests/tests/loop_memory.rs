@@ -1,0 +1,171 @@
+//! The HPL loop's memory: a panel's storage outlives the panel. The driver
+//! hands a retired panel's `top`, pivots, broadcast buffer and packed `L2`
+//! to the next panel, so after the first panels have sized them the loop
+//! asks the allocator for no more panel-sized blocks.
+//!
+//! A counting global allocator tracks the bytes live across every thread
+//! (the ranks of `Universe::run` are threads of their own, and so are
+//! their pool workers), the peak they reach, and the running total of
+//! every large allocation. Storage that lives as long as the run is
+//! counted once and is part of the peak; a block allocated afresh for
+//! every panel is counted once per panel while only two panels are ever
+//! live, so it drives the total far past the peak. This binary holds one
+//! test, so nothing else allocates beside it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
+
+use hpl_comm::{FabricOpts, Grid, GridOrder, TransportSel, Universe};
+use rhpl_core::{factorize_local, HplConfig, Schedule};
+
+/// An allocation at least this large counts towards [`BIG`].
+const LARGE: usize = 64 << 10;
+
+/// Bytes currently allocated, across threads.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The most `LIVE` has been since the window opened.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of [`LARGE`] or larger allocations since the window opened.
+static BIG: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+    if bytes >= LARGE {
+        BIG.fetch_add(bytes, Ordering::SeqCst);
+    }
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+}
+
+/// The system allocator, counting live bytes, their peak, and the large
+/// blocks handed out.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `Counting` upholds exactly the guarantees `System` does; the counters are
+// atomics that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, passed on.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        // SAFETY: same layout the caller gave us, valid per its contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grow(layout.size());
+        // SAFETY: same layout the caller gave us, valid per its contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        grow(new_size);
+        shrink(layout.size());
+        // SAFETY: `ptr`/`layout` came from `System` through this allocator
+        // and `new_size` is valid, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `factorize_local` on every rank of a `p x q` grid at once and
+/// returns, over the window in which the ranks run it, the bytes of large
+/// allocations made and the most bytes live beyond those live when it
+/// opened. The systems are generated before the window opens, and the
+/// ranks talk through the in-process fabric.
+fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> (usize, usize) {
+    let mut cfg = HplConfig::new(n, nb, p, q);
+    cfg.schedule = Schedule::LookAhead;
+    let (generated, started, finished) = (
+        Barrier::new(p * q),
+        Barrier::new(p * q),
+        Barrier::new(p * q),
+    );
+    let base = AtomicUsize::new(0);
+    // The in-process fabric whatever `RHPL_TRANSPORT` says: a byte-moving
+    // transport's frame buffers are its own, not the loop's.
+    let out =
+        Universe::run_with_transport(p * q, TransportSel::Inproc, FabricOpts::default(), |comm| {
+            let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
+            let a = rhpl_core::System::Seeded(cfg.seed).local::<f64>(n, nb, &grid);
+            if generated.wait().is_leader() {
+                let live = LIVE.load(Ordering::SeqCst);
+                base.store(live, Ordering::SeqCst);
+                PEAK.store(live, Ordering::SeqCst);
+                BIG.store(0, Ordering::SeqCst);
+            }
+            started.wait();
+            let factored = factorize_local(&grid, &cfg, a).expect("fault-free fabric");
+            let window = finished.wait().is_leader().then(|| {
+                let peak = PEAK.load(Ordering::SeqCst) - base.load(Ordering::SeqCst);
+                (BIG.load(Ordering::SeqCst), peak)
+            });
+            drop(factored);
+            window
+        });
+    out.into_iter().flatten().next().expect("one rank leads")
+}
+
+/// Bytes of the one message copy the broadcast's root makes per panel on
+/// a `1 x 2` grid: the in-process fabric hands the receiver a copy of the
+/// `[top | L2 | ipiv]` buffer (`jb (jb + l2_rows + 1)` elements, `l2_rows`
+/// the rows below the diagonal block).
+fn bcast_copies_1x2(n: usize, nb: usize) -> usize {
+    (0..n)
+        .step_by(nb)
+        .map(|k0| {
+            let jb = nb.min(n - k0);
+            jb * (n - k0 + 1) * std::mem::size_of::<f64>()
+        })
+        .sum()
+}
+
+/// At N = 2048, NB = 64 a panel-sized block is about 1 MB and the loop
+/// runs 32 panels. Allocating the panel's storage afresh for every panel
+/// (the broadcast buffer, copies of `top` and the packed `L2`, as the driver
+/// once did) puts 6x the peak through the allocator on one rank; a loop
+/// that recycles its panel storage allocates about what it holds at its
+/// peak.
+///
+/// On more than one rank the communication layer allocates as well: every
+/// in-process message is a copy of its payload, and the row swap's
+/// collectives at `P = 2` return fresh buffers. So `1 x 2` is allowed the
+/// broadcast's one message copy per panel on top of the bound, and
+/// `2 x 1`, where the row swap's messages and results put about 8x the
+/// peak through the allocator, is measured and not bounded.
+#[test]
+fn the_loop_allocates_no_more_than_it_holds() {
+    let (n, nb) = (2048usize, 64usize);
+    for (p, q, allowance) in [
+        (1, 1, Some(0)),
+        (2, 1, None),
+        (1, 2, Some(bcast_copies_1x2(n, nb))),
+    ] {
+        let (big, peak) = loop_window(n, nb, p, q);
+        eprintln!("{p}x{q}: {big} bytes in large allocations, peak live growth {peak} bytes");
+        if let Some(messages) = allowance {
+            assert!(
+                big <= 2 * peak + messages,
+                "{p}x{q}: {big} bytes in allocations of {LARGE} bytes or more, more than twice \
+                 the {peak}-byte peak live growth plus {messages} bytes of message copies: the \
+                 loop allocates panel storage afresh"
+            );
+        }
+    }
+}

@@ -6,16 +6,26 @@
 //! TRSM leaf — one call per register tile, pack block or leaf, so they
 //! stay covered even if a caller's name stops resolving), the row swap's
 //! column-walk kernels (`gather_cols` / `scatter_cols` and the `P = 1`
-//! one-walk `swap_cols`, one call per section), the in-place panel pack
-//! (`pack_panel_in_place`, which fills a caller-sized broadcast buffer) and
-//! the matrix generator (`fill_local` and its per-strip `fill_strip`, one
-//! call per column block, whose lane states live on the stack);
-//! anything they reach transitively in the compute crates is hot, and any
-//! `Vec::new` / `vec!` / `Box::new` / `format!` / `.collect()` /
-//! `.to_vec()` / `.to_string()` there is a violation. Per-panel setup
-//! (`panel_factor`, sizing the broadcast buffer, `L2`'s `PackedA`) is
-//! deliberately *not* a root: the contract is per-inner-iteration, and
-//! panel-grain allocations are amortized by O(nb³) work.
+//! one-walk `swap_cols`, one call per section), the panel transfers (the
+//! broadcast pack `pack_panel_in_place`, which fills a caller-sized
+//! buffer, and the `Q = 1` constructor `PanelL::in_place`, which packs
+//! `L2` into a retired panel's storage) and the matrix generator
+//! (`fill_local` and its per-strip `fill_strip`, one call per column
+//! block, whose lane states live on the stack); anything they reach
+//! transitively in the compute crates is hot, and any `Vec::new` / `vec!`
+//! / `Box::new` / `format!` / `.collect()` / `.to_vec()` / `.to_string()`
+//! there is a violation.
+//!
+//! Panel-grain allocations are not free: a fresh panel-sized buffer lands
+//! on pages the process has never touched, and the minor faults that
+//! first touch takes cost as much as a large share of the panel's work
+//! (EXPERIMENTS.md, "The panel where it lies"). So the driver recycles a
+//! retired panel's storage — `top`, the pivots, the broadcast buffer and
+//! the packed `L2` — into the next, and every part only grows. The one
+//! allocation the panel transfers reach is `PackedA::refill`'s grow step,
+//! waived because panels only shrink over a run. What stays outside the
+//! roots is per-run setup (the row-swap workspaces, the pool) and the
+//! broadcast itself, whose payloads belong to the fabric.
 
 use crate::analysis::model::{FnId, Workspace};
 use crate::rules::Violation;
@@ -49,6 +59,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core", "swap_cols"),
     ("core", "apply_moves"),
     ("core", "pack_panel_in_place"),
+    ("core", "in_place"),
     ("core", "fill_strip"),
     ("core", "fill_local"),
 ];
