@@ -146,6 +146,14 @@ pub trait Element:
     fn l1_scal_inv(kind: KernelKind, pivot: Self, x: &mut [Self]);
     /// FACT rank-1 row kernel `y -= alpha * x`.
     fn l1_axpy_sub(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]);
+    /// FACT rank-1 row kernel fused with the next pivot search
+    /// (see [`crate::l1simd::axpy_sub_argmax`]).
+    fn l1_axpy_sub_argmax(
+        kind: KernelKind,
+        alpha: Self,
+        x: &[Self],
+        y: &mut [Self],
+    ) -> (usize, Self);
     /// FACT lazy-update accumulator `y += alpha * x`.
     fn l1_axpy_add(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]);
     /// FACT lazy-update apply `y -= x`.
@@ -238,6 +246,15 @@ impl Element for f64 {
     #[inline]
     fn l1_axpy_sub(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]) {
         l1simd::axpy_sub_f64(kind, alpha, x, y)
+    }
+    #[inline]
+    fn l1_axpy_sub_argmax(
+        kind: KernelKind,
+        alpha: Self,
+        x: &[Self],
+        y: &mut [Self],
+    ) -> (usize, Self) {
+        l1simd::axpy_sub_argmax_f64(kind, alpha, x, y)
     }
     #[inline]
     fn l1_axpy_add(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]) {
@@ -340,6 +357,15 @@ impl Element for f32 {
     #[inline]
     fn l1_axpy_sub(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]) {
         l1simd::axpy_sub_f32(kind, alpha, x, y)
+    }
+    #[inline]
+    fn l1_axpy_sub_argmax(
+        kind: KernelKind,
+        alpha: Self,
+        x: &[Self],
+        y: &mut [Self],
+    ) -> (usize, Self) {
+        l1simd::axpy_sub_argmax_f32(kind, alpha, x, y)
     }
     #[inline]
     fn l1_axpy_add(kind: KernelKind, alpha: Self, x: &[Self], y: &mut [Self]) {

@@ -9,7 +9,12 @@
 //!
 //! * `argmax_abs` uses only comparisons (`_CMP_GT_OQ` / `vcgtq_f64` match the
 //!   scalar `>` exactly, including NaN rejection), with first-index-wins tie
-//!   breaking folded out of the lanes at the end;
+//!   breaking folded out of the lanes at the end. The AVX2 bodies run
+//!   [`CHAINS`] independent value/index chains, so the loop is bound by
+//!   loads rather than by one chain's compare-and-blend latency;
+//! * `axpy_sub_argmax` is `axpy_sub` then `argmax_abs` over the updated `y`
+//!   in one pass — FACT's rank-1 update of the next column fused with that
+//!   column's pivot search — with the same two contracts;
 //! * `dscal_inv` divides (`vdivpd` is correctly rounded, identical to the
 //!   scalar `/`) instead of multiplying by a reciprocal;
 //! * `axpy_sub` / `axpy_add` round the product and the sum separately
@@ -43,6 +48,13 @@ pub fn dscal_inv<E: Element>(pivot: E, x: &mut [E]) {
 pub fn axpy_sub<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
     debug_assert!(y.len() <= x.len());
     E::l1_axpy_sub(kernels::active().kind(), alpha, x, y)
+}
+
+/// `y[i] -= alpha * x[i]`, then the index and absolute value of the first
+/// maximal `|y[i]|` — bit for bit [`axpy_sub`] followed by [`argmax_abs`]
+/// on `y`, in one pass over it.
+pub fn axpy_sub_argmax<E: Element>(alpha: E, x: &[E], y: &mut [E]) -> (usize, E) {
+    E::l1_axpy_sub_argmax(kernels::active().kind(), alpha, x, y)
 }
 
 /// `y[i] += alpha * x[i]` (lazy column-update accumulator), mul-then-add
@@ -82,6 +94,8 @@ kind_entry!(scal_inv_f64, f64, dscal_inv_scalar, dscal_inv_simd_f64,
     (pivot: f64, x: &mut [f64]) -> ());
 kind_entry!(axpy_sub_f64, f64, axpy_sub_scalar, axpy_sub_simd_f64,
     (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
+kind_entry!(axpy_sub_argmax_f64, f64, axpy_sub_argmax_scalar, axpy_sub_argmax_simd_f64,
+    (alpha: f64, x: &[f64], y: &mut [f64]) -> (usize, f64));
 kind_entry!(axpy_add_f64, f64, axpy_add_scalar, axpy_add_simd_f64,
     (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
 kind_entry!(sub_f64, f64, dsub_scalar, dsub_simd_f64,
@@ -93,6 +107,8 @@ kind_entry!(scal_inv_f32, f32, dscal_inv_scalar, dscal_inv_simd_f32,
     (pivot: f32, x: &mut [f32]) -> ());
 kind_entry!(axpy_sub_f32, f32, axpy_sub_scalar, axpy_sub_simd_f32,
     (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
+kind_entry!(axpy_sub_argmax_f32, f32, axpy_sub_argmax_scalar, axpy_sub_argmax_simd_f32,
+    (alpha: f32, x: &[f32], y: &mut [f32]) -> (usize, f32));
 kind_entry!(axpy_add_f32, f32, axpy_add_scalar, axpy_add_simd_f32,
     (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
 kind_entry!(sub_f32, f32, dsub_scalar, dsub_simd_f32,
@@ -125,6 +141,21 @@ fn axpy_sub_scalar<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi -= alpha * xi;
     }
+}
+
+fn axpy_sub_argmax_scalar<E: Element>(alpha: E, x: &[E], y: &mut [E]) -> (usize, E) {
+    assert!(x.len() >= y.len(), "x shorter than y");
+    let mut best_v = E::NEG_INFINITY;
+    let mut best_i = usize::MAX;
+    for (i, (yi, &xi)) in y.iter_mut().zip(x).enumerate() {
+        *yi -= alpha * xi;
+        let av = yi.abs();
+        if av > best_v {
+            best_v = av;
+            best_i = i;
+        }
+    }
+    (best_i, best_v)
 }
 
 fn axpy_add_scalar<E: Element>(alpha: E, x: &[E], y: &mut [E]) {
@@ -183,6 +214,34 @@ simd_entry!(axpy_add_simd_f64, axpy_add_avx2, axpy_add_neon, axpy_add_scalar,
 simd_entry!(dsub_simd_f64, dsub_avx2, dsub_neon, dsub_scalar,
     (y: &mut [f64], x: &[f64]) -> ());
 
+/// The fused update-and-search has an AVX2 body only; every other
+/// architecture runs the scalar body.
+macro_rules! x86_entry {
+    ($name:ident, $x86:ident, $scalar:ident,
+     ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        #[inline]
+        fn $name($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: `Kernel::simd()` is the only constructor of a Simd
+                // kernel on x86_64 and it requires `is_x86_feature_detected!`
+                // to confirm the avx2 target feature before handing one out,
+                // so the `#[target_feature(enable = "avx2")]` contract holds.
+                unsafe { x86::$x86($($arg),*) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                $scalar($($arg),*)
+            }
+        }
+    };
+}
+
+x86_entry!(axpy_sub_argmax_simd_f64, axpy_sub_argmax_avx2, axpy_sub_argmax_scalar,
+    (alpha: f64, x: &[f64], y: &mut [f64]) -> (usize, f64));
+x86_entry!(axpy_sub_argmax_simd_f32, axpy_sub_argmax_avx2_f32, axpy_sub_argmax_scalar,
+    (alpha: f32, x: &[f32], y: &mut [f32]) -> (usize, f32));
+
 simd_entry!(argmax_abs_simd_f32, argmax_abs_avx2_f32, argmax_abs_neon_f32, argmax_abs_scalar,
     (x: &[f32]) -> (usize, f32));
 simd_entry!(dscal_inv_simd_f32, dscal_inv_avx2_f32, dscal_inv_neon_f32, dscal_inv_scalar,
@@ -200,8 +259,15 @@ simd_entry!(dsub_simd_f32, dsub_avx2_f32, dsub_neon_f32, dsub_scalar,
 /// column heights are far smaller.
 const F32_IDX_EXACT: usize = 1 << 24;
 
+/// Independent value/index chains in the AVX2 argmax bodies: each takes
+/// every [`CHAINS`]-th register-wide chunk, so consecutive chunks' compare
+/// and blend overlap instead of waiting on one another.
+const CHAINS: usize = 4;
+
 /// Folds per-lane `(value, index)` argmax candidates into the scalar
-/// first-index-wins answer. Lanes that never won keep the `NEG_INFINITY`
+/// first-index-wins answer: the largest value, and among equal values the
+/// smallest index, so the order the lanes (and chains) come in does not
+/// matter. Lanes that never won keep the `NEG_INFINITY`
 /// sentinel (no data element has `|v| == -inf`) and are skipped, which is
 /// exactly the scalar loop never updating from its initial state. Index
 /// lanes hold small exact integers in either precision (`F32_IDX_EXACT`
@@ -225,9 +291,10 @@ mod x86 {
         __m256, __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_and_pd, _mm256_and_ps,
         _mm256_blendv_pd, _mm256_blendv_ps, _mm256_castsi256_pd, _mm256_castsi256_ps,
         _mm256_cmp_pd, _mm256_cmp_ps, _mm256_div_pd, _mm256_div_ps, _mm256_loadu_pd,
-        _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_epi32, _mm256_set1_epi64x,
-        _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_pd, _mm256_setr_ps, _mm256_storeu_pd,
-        _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps, _CMP_GT_OQ,
+        _mm256_loadu_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_or_pd, _mm256_or_ps,
+        _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_pd,
+        _mm256_setr_ps, _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps,
+        _CMP_EQ_OQ, _CMP_GT_OQ, _CMP_LT_OQ,
     };
 
     /// Clears the sign bit of each lane — bit-identical to `f64::abs`
@@ -250,10 +317,156 @@ mod x86 {
         unsafe { _mm256_castsi256_ps(bits) }
     }
 
-    /// 4-lane pivot search. Each lane tracks a strict-`>` running max over
-    /// its index class; the cross-lane/tail fold restores the global
-    /// first-index-wins order. `_CMP_GT_OQ` is the ordered quiet `>` — NaN
-    /// compares false exactly like the scalar `av > best_v`.
+    /// [`super::CHAINS`] running `(|max|, index)` pairs of 4 f64 lanes.
+    /// Every lane sees its elements in ascending index order and keeps a
+    /// strict-`>` maximum, so it holds the first maximum of its elements;
+    /// [`super::fold_lanes`] then restores the global first-index-wins
+    /// answer. `_CMP_GT_OQ` is the ordered quiet `>` — NaN compares false
+    /// exactly like the scalar `av > best_v`.
+    struct ChainsPd {
+        bv: [__m256d; super::CHAINS],
+        bi: [__m256d; super::CHAINS],
+        idx: [__m256d; super::CHAINS],
+    }
+
+    impl ChainsPd {
+        /// Chain `c`'s first chunk holds indices `4c..4c + 4`.
+        #[target_feature(enable = "avx2")]
+        fn new() -> Self {
+            let lane = |c: usize| {
+                let b = (4 * c) as f64;
+                _mm256_setr_pd(b, b + 1.0, b + 2.0, b + 3.0)
+            };
+            let mut idx = [_mm256_set1_pd(0.0); super::CHAINS];
+            for (c, v) in idx.iter_mut().enumerate() {
+                *v = lane(c);
+            }
+            Self {
+                bv: [_mm256_set1_pd(f64::NEG_INFINITY); super::CHAINS],
+                bi: [_mm256_set1_pd(0.0); super::CHAINS],
+                idx,
+            }
+        }
+
+        /// Offers chain `c` the absolute values `av` of its next chunk.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn track(&mut self, c: usize, av: __m256d) {
+            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(av, self.bv[c]);
+            self.bv[c] = _mm256_blendv_pd(self.bv[c], av, gt);
+            self.bi[c] = _mm256_blendv_pd(self.bi[c], self.idx[c], gt);
+            self.idx[c] = _mm256_add_pd(self.idx[c], _mm256_set1_pd((4 * super::CHAINS) as f64));
+        }
+
+        /// Folds every chain's lanes into `(best_v, best_i)`: the chains
+        /// merge lane by lane first — a lane of a later chain wins only
+        /// with a larger value, or an equal one at a smaller index, which
+        /// is [`super::fold_lanes`]'s rule — and the 4 merged lanes then
+        /// fold as one chain's would. Lanes that never won hold
+        /// `(NEG_INFINITY, 0)`, which no lane that did win loses to.
+        #[target_feature(enable = "avx2")]
+        fn fold(&self, best_v: &mut f64, best_i: &mut usize) {
+            let (mut v, mut i) = (self.bv[0], self.bi[0]);
+            for c in 1..super::CHAINS {
+                let (cv, ci) = (self.bv[c], self.bi[c]);
+                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(cv, v);
+                let tie = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_EQ_OQ>(cv, v),
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(ci, i),
+                );
+                let take = _mm256_or_pd(gt, tie);
+                v = _mm256_blendv_pd(v, cv, take);
+                i = _mm256_blendv_pd(i, ci, take);
+            }
+            let mut vs = [0.0f64; 4];
+            let mut is = [0.0f64; 4];
+            // SAFETY: avx2 — both stack arrays have 4 writable lanes.
+            unsafe { _mm256_storeu_pd(vs.as_mut_ptr(), v) };
+            // SAFETY: avx2 — as above.
+            unsafe { _mm256_storeu_pd(is.as_mut_ptr(), i) };
+            super::fold_lanes(&vs, &is, best_v, best_i);
+        }
+    }
+
+    /// 8-lane f32 twin of [`ChainsPd`]; index lanes are f32, exact below
+    /// `F32_IDX_EXACT`.
+    struct ChainsPs {
+        bv: [__m256; super::CHAINS],
+        bi: [__m256; super::CHAINS],
+        idx: [__m256; super::CHAINS],
+    }
+
+    impl ChainsPs {
+        /// Chain `c`'s first chunk holds indices `8c..8c + 8`.
+        #[target_feature(enable = "avx2")]
+        fn new() -> Self {
+            let lane = |c: usize| {
+                let b = (8 * c) as f32;
+                _mm256_setr_ps(
+                    b,
+                    b + 1.0,
+                    b + 2.0,
+                    b + 3.0,
+                    b + 4.0,
+                    b + 5.0,
+                    b + 6.0,
+                    b + 7.0,
+                )
+            };
+            let mut idx = [_mm256_set1_ps(0.0); super::CHAINS];
+            for (c, v) in idx.iter_mut().enumerate() {
+                *v = lane(c);
+            }
+            Self {
+                bv: [_mm256_set1_ps(f32::NEG_INFINITY); super::CHAINS],
+                bi: [_mm256_set1_ps(0.0); super::CHAINS],
+                idx,
+            }
+        }
+
+        /// Offers chain `c` the absolute values `av` of its next chunk.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn track(&mut self, c: usize, av: __m256) {
+            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(av, self.bv[c]);
+            self.bv[c] = _mm256_blendv_ps(self.bv[c], av, gt);
+            self.bi[c] = _mm256_blendv_ps(self.bi[c], self.idx[c], gt);
+            self.idx[c] = _mm256_add_ps(self.idx[c], _mm256_set1_ps((8 * super::CHAINS) as f32));
+        }
+
+        /// Folds every chain's lanes into `(best_v, best_i)`: the chains
+        /// merge lane by lane first — a lane of a later chain wins only
+        /// with a larger value, or an equal one at a smaller index, which
+        /// is [`super::fold_lanes`]'s rule — and the 8 merged lanes then
+        /// fold as one chain's would. Lanes that never won hold
+        /// `(NEG_INFINITY, 0)`, which no lane that did win loses to.
+        #[target_feature(enable = "avx2")]
+        fn fold(&self, best_v: &mut f32, best_i: &mut usize) {
+            let (mut v, mut i) = (self.bv[0], self.bi[0]);
+            for c in 1..super::CHAINS {
+                let (cv, ci) = (self.bv[c], self.bi[c]);
+                let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(cv, v);
+                let tie = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_EQ_OQ>(cv, v),
+                    _mm256_cmp_ps::<_CMP_LT_OQ>(ci, i),
+                );
+                let take = _mm256_or_ps(gt, tie);
+                v = _mm256_blendv_ps(v, cv, take);
+                i = _mm256_blendv_ps(i, ci, take);
+            }
+            let mut vs = [0.0f32; 8];
+            let mut is = [0.0f32; 8];
+            // SAFETY: avx2 — both stack arrays have 8 writable lanes.
+            unsafe { _mm256_storeu_ps(vs.as_mut_ptr(), v) };
+            // SAFETY: avx2 — as above.
+            unsafe { _mm256_storeu_ps(is.as_mut_ptr(), i) };
+            super::fold_lanes(&vs, &is, best_v, best_i);
+        }
+    }
+
+    /// 4-lane pivot search over [`super::CHAINS`] chains ([`ChainsPd`]);
+    /// chunk `q` goes to chain `q % CHAINS`, the scalar tail follows the
+    /// fold with a strict `>`, as every tail index is past every chunk's.
     ///
     /// # Safety
     /// Caller must have verified the `avx2` target feature at runtime.
@@ -265,28 +478,20 @@ mod x86 {
         let chunks = n / 4;
         if chunks > 0 {
             let mask = abs_mask();
-            let mut bv = _mm256_set1_pd(f64::NEG_INFINITY);
-            let mut bi = _mm256_set1_pd(0.0);
-            let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-            let four = _mm256_set1_pd(4.0);
-            for c in 0..chunks {
-                // SAFETY: avx2 — offset `4c` is in bounds (`c < n/4`).
-                let ptr = unsafe { x.as_ptr().add(4 * c) };
-                // SAFETY: avx2 — lanes `4c..4c+4` are in bounds (`c < n/4`).
-                let v = unsafe { _mm256_loadu_pd(ptr) };
-                let av = _mm256_and_pd(v, mask);
-                let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(av, bv);
-                bv = _mm256_blendv_pd(bv, av, gt);
-                bi = _mm256_blendv_pd(bi, idx, gt);
-                idx = _mm256_add_pd(idx, four);
+            let mut ch = ChainsPd::new();
+            for b in 0..chunks.div_ceil(super::CHAINS) {
+                for c in 0..super::CHAINS {
+                    let q = super::CHAINS * b + c;
+                    if q < chunks {
+                        // SAFETY: avx2 — offset `4q` is in bounds (`q < n/4`).
+                        let ptr = unsafe { x.as_ptr().add(4 * q) };
+                        // SAFETY: avx2 — lanes `4q..4q+4` are in bounds.
+                        let v = unsafe { _mm256_loadu_pd(ptr) };
+                        ch.track(c, _mm256_and_pd(v, mask));
+                    }
+                }
             }
-            let mut vs = [0.0f64; 4];
-            let mut is = [0.0f64; 4];
-            // SAFETY: avx2 — both stack arrays have 4 writable lanes.
-            unsafe { _mm256_storeu_pd(vs.as_mut_ptr(), bv) };
-            // SAFETY: avx2 — as above.
-            unsafe { _mm256_storeu_pd(is.as_mut_ptr(), bi) };
-            super::fold_lanes(&vs, &is, &mut best_v, &mut best_i);
+            ch.fold(&mut best_v, &mut best_i);
         }
         for i in 4 * chunks..n {
             let av = x[i].abs();
@@ -298,9 +503,9 @@ mod x86 {
         (best_i, best_v)
     }
 
-    /// 8-lane f32 pivot search; see the f64 twin for the lane/fold argument.
-    /// Index lanes are f32, exact for slices below `F32_IDX_EXACT` — longer
-    /// inputs fall back to the (bitwise-identical) scalar loop.
+    /// 8-lane f32 pivot search; see the f64 twin for the chain/fold
+    /// argument. Slices of `F32_IDX_EXACT` entries or more take the
+    /// (bitwise-identical) scalar loop.
     ///
     /// # Safety
     /// Caller must have verified the `avx2` target feature at runtime.
@@ -315,31 +520,135 @@ mod x86 {
         let chunks = n / 8;
         if chunks > 0 {
             let mask = abs_mask_ps();
-            let mut bv = _mm256_set1_ps(f32::NEG_INFINITY);
-            let mut bi = _mm256_set1_ps(0.0);
-            let mut idx = _mm256_setr_ps(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0);
-            let eight = _mm256_set1_ps(8.0);
-            for c in 0..chunks {
-                // SAFETY: avx2 — offset `8c` is in bounds (`c < n/8`).
-                let ptr = unsafe { x.as_ptr().add(8 * c) };
-                // SAFETY: avx2 — lanes `8c..8c+8` are in bounds (`c < n/8`).
-                let v = unsafe { _mm256_loadu_ps(ptr) };
-                let av = _mm256_and_ps(v, mask);
-                let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(av, bv);
-                bv = _mm256_blendv_ps(bv, av, gt);
-                bi = _mm256_blendv_ps(bi, idx, gt);
-                idx = _mm256_add_ps(idx, eight);
+            let mut ch = ChainsPs::new();
+            for b in 0..chunks.div_ceil(super::CHAINS) {
+                for c in 0..super::CHAINS {
+                    let q = super::CHAINS * b + c;
+                    if q < chunks {
+                        // SAFETY: avx2 — offset `8q` is in bounds (`q < n/8`).
+                        let ptr = unsafe { x.as_ptr().add(8 * q) };
+                        // SAFETY: avx2 — lanes `8q..8q+8` are in bounds.
+                        let v = unsafe { _mm256_loadu_ps(ptr) };
+                        ch.track(c, _mm256_and_ps(v, mask));
+                    }
+                }
             }
-            let mut vs = [0.0f32; 8];
-            let mut is = [0.0f32; 8];
-            // SAFETY: avx2 — both stack arrays have 8 writable lanes.
-            unsafe { _mm256_storeu_ps(vs.as_mut_ptr(), bv) };
-            // SAFETY: avx2 — as above.
-            unsafe { _mm256_storeu_ps(is.as_mut_ptr(), bi) };
-            super::fold_lanes(&vs, &is, &mut best_v, &mut best_i);
+            ch.fold(&mut best_v, &mut best_i);
         }
         for i in 8 * chunks..n {
             let av = x[i].abs();
+            if av > best_v {
+                best_v = av;
+                best_i = i;
+            }
+        }
+        (best_i, best_v)
+    }
+
+    /// `y -= alpha * x` (mul then sub, no FMA) with the pivot search of the
+    /// updated `y` riding along: each chunk's result is stored and offered
+    /// to its chain ([`ChainsPd`]) while still in a register.
+    ///
+    /// # Safety
+    /// Caller must have verified the `avx2` target feature at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn axpy_sub_argmax_avx2(
+        alpha: f64,
+        x: &[f64],
+        y: &mut [f64],
+    ) -> (usize, f64) {
+        let n = y.len();
+        assert!(x.len() >= n, "x shorter than y");
+        let mut best_v = f64::NEG_INFINITY;
+        let mut best_i = usize::MAX;
+        let chunks = n / 4;
+        if chunks > 0 {
+            let mask = abs_mask();
+            let a = _mm256_set1_pd(alpha);
+            let mut ch = ChainsPd::new();
+            for b in 0..chunks.div_ceil(super::CHAINS) {
+                for c in 0..super::CHAINS {
+                    let q = super::CHAINS * b + c;
+                    if q < chunks {
+                        // SAFETY: avx2 — offset `4q` is within both slices
+                        // (`q < n/4`, `x.len() >= n`).
+                        let xptr = unsafe { x.as_ptr().add(4 * q) };
+                        // SAFETY: avx2 — lanes `4q..4q+4` of `x` are readable.
+                        let xv = unsafe { _mm256_loadu_pd(xptr) };
+                        // SAFETY: avx2 — the same in-bounds offset of `y`.
+                        let yptr = unsafe { y.as_mut_ptr().add(4 * q) };
+                        // SAFETY: avx2 — lanes `4q..4q+4` of `y` are readable.
+                        let yv = unsafe { _mm256_loadu_pd(yptr) };
+                        // Separate mul and sub (NOT fmsub), as `axpy_sub`.
+                        let r = _mm256_sub_pd(yv, _mm256_mul_pd(a, xv));
+                        // SAFETY: avx2 — same writable lanes.
+                        unsafe { _mm256_storeu_pd(yptr, r) };
+                        ch.track(c, _mm256_and_pd(r, mask));
+                    }
+                }
+            }
+            ch.fold(&mut best_v, &mut best_i);
+        }
+        for i in 4 * chunks..n {
+            y[i] -= alpha * x[i];
+            let av = y[i].abs();
+            if av > best_v {
+                best_v = av;
+                best_i = i;
+            }
+        }
+        (best_i, best_v)
+    }
+
+    /// f32 twin of [`axpy_sub_argmax_avx2`]. Slices of `F32_IDX_EXACT`
+    /// entries or more take the (bitwise-identical) scalar loop.
+    ///
+    /// # Safety
+    /// Caller must have verified the `avx2` target feature at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn axpy_sub_argmax_avx2_f32(
+        alpha: f32,
+        x: &[f32],
+        y: &mut [f32],
+    ) -> (usize, f32) {
+        let n = y.len();
+        assert!(x.len() >= n, "x shorter than y");
+        if n >= super::F32_IDX_EXACT {
+            return super::axpy_sub_argmax_scalar(alpha, x, y);
+        }
+        let mut best_v = f32::NEG_INFINITY;
+        let mut best_i = usize::MAX;
+        let chunks = n / 8;
+        if chunks > 0 {
+            let mask = abs_mask_ps();
+            let a = _mm256_set1_ps(alpha);
+            let mut ch = ChainsPs::new();
+            for b in 0..chunks.div_ceil(super::CHAINS) {
+                for c in 0..super::CHAINS {
+                    let q = super::CHAINS * b + c;
+                    if q < chunks {
+                        // SAFETY: avx2 — offset `8q` is within both slices
+                        // (`q < n/8`, `x.len() >= n`).
+                        let xptr = unsafe { x.as_ptr().add(8 * q) };
+                        // SAFETY: avx2 — lanes `8q..8q+8` of `x` are readable.
+                        let xv = unsafe { _mm256_loadu_ps(xptr) };
+                        // SAFETY: avx2 — the same in-bounds offset of `y`.
+                        let yptr = unsafe { y.as_mut_ptr().add(8 * q) };
+                        // SAFETY: avx2 — lanes `8q..8q+8` of `y` are readable.
+                        let yv = unsafe { _mm256_loadu_ps(yptr) };
+                        // Separate mul and sub (NOT fmsub), as `axpy_sub`.
+                        let r = _mm256_sub_ps(yv, _mm256_mul_ps(a, xv));
+                        // SAFETY: avx2 — same writable lanes.
+                        unsafe { _mm256_storeu_ps(yptr, r) };
+                        ch.track(c, _mm256_and_ps(r, mask));
+                    }
+                }
+            }
+            ch.fold(&mut best_v, &mut best_i);
+        }
+        for i in 8 * chunks..n {
+            y[i] -= alpha * x[i];
+            let av = y[i].abs();
             if av > best_v {
                 best_v = av;
                 best_i = i;
@@ -1053,6 +1362,148 @@ mod tests {
                 "{what} diverged at [{i}] (n={n} seed={seed}): {x:e} vs {y:e}"
             );
         }
+    }
+
+    /// Every kernel kind this host can run (scalar first).
+    fn kinds() -> Vec<KernelKind> {
+        let mut kinds: Vec<KernelKind> = Kernel::available().iter().map(|k| k.kind()).collect();
+        kinds.dedup();
+        kinds
+    }
+
+    /// Columns of length `n` that probe the argmax contract in either
+    /// precision: mixed values with NaN, ±0, ±inf, subnormals and repeated
+    /// ties; all-equal magnitudes; all NaN; and a maximum repeated at
+    /// strides that put its copies in different lanes, chains and blocks
+    /// of the AVX2 bodies (4 or 8 lanes, [`CHAINS`] chains), including
+    /// ties that only later chains hold.
+    fn probe_columns<E: Element>(n: usize) -> Vec<Vec<E>> {
+        let mut cols = Vec::new();
+        for seed in [1u64, 42, 1234567, 987654321] {
+            let mut s = seed | 1;
+            cols.push(
+                (0..n)
+                    .map(|i| {
+                        s ^= s << 13;
+                        s ^= s >> 7;
+                        s ^= s << 17;
+                        match s % 13 {
+                            0 => E::ZERO,
+                            1 => E::from_f64(-0.0),
+                            2 => E::from_f64(f64::NAN),
+                            3 => E::from_f64(4.25),
+                            4 => E::from_f64(-4.25),
+                            5 => E::from_bits_u64(1 + s % 3), // subnormal
+                            6 => E::from_f64(f64::INFINITY),
+                            7 => E::from_f64(f64::NEG_INFINITY),
+                            // Early indices get the tie values too.
+                            _ if i == 0 && n > 4 => E::from_f64(4.25),
+                            _ => E::from_f64(((s >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3),
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        cols.push(vec![E::from_f64(2.5); n]);
+        let signs = |i: usize| if i.is_multiple_of(3) { -2.5 } else { 2.5 };
+        cols.push((0..n).map(|i| E::from_f64(signs(i))).collect());
+        cols.push(vec![E::from_f64(f64::NAN); n]);
+        cols.push(vec![E::from_f64(-0.0); n]);
+        for (stride, first) in [
+            (5, 4),
+            (7, 6),
+            (9, 8),
+            (4, 4),
+            (8, 8),
+            (16, 5),
+            (17, 16),
+            (33, 32),
+        ] {
+            cols.push(
+                (0..n)
+                    .map(|i| {
+                        let peak = i >= first && (i - first) % stride == 0;
+                        let v = if peak { 7.0 } else { (i % 3) as f64 };
+                        E::from_f64(if i % 2 == 0 { v } else { -v })
+                    })
+                    .collect(),
+            );
+        }
+        cols
+    }
+
+    /// `(index, value bits)` of an argmax answer.
+    fn key<E: Element>((i, v): (usize, E)) -> (usize, u64) {
+        (i, v.to_bits_u64())
+    }
+
+    fn bits<E: Element>(v: &[E]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits_u64()).collect()
+    }
+
+    fn multi_chain_argmax_is_the_scalar_oracle<E: Element>() {
+        for kind in kinds() {
+            for n in 0..=67 {
+                for (c, x) in probe_columns::<E>(n).iter().enumerate() {
+                    assert_eq!(
+                        key(E::l1_argmax_abs(kind, x)),
+                        key(argmax_abs_scalar(x)),
+                        "{} {kind:?} n={n} column {c}",
+                        E::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multi_chain_argmax_is_the_scalar_oracle_f64() {
+        multi_chain_argmax_is_the_scalar_oracle::<f64>();
+    }
+
+    #[test]
+    fn multi_chain_argmax_is_the_scalar_oracle_f32() {
+        multi_chain_argmax_is_the_scalar_oracle::<f32>();
+    }
+
+    fn fused_update_search_is_axpy_sub_then_argmax<E: Element>() {
+        let alphas = [0.0, -0.0, 1.0, -1.7724538509055159, 3.0e-3].map(E::from_f64);
+        for kind in kinds() {
+            for n in 0..=67 {
+                let mut xs = probe_columns::<E>(n + 3);
+                xs.truncate(2);
+                xs.push(vec![E::ZERO; n + 3]);
+                for (c, y0) in probe_columns::<E>(n).iter().enumerate() {
+                    for (xc, x) in xs.iter().enumerate() {
+                        for alpha in alphas {
+                            let what = format!(
+                                "{} {kind:?} n={n} column {c} x {xc} alpha {}",
+                                E::NAME,
+                                alpha.to_f64()
+                            );
+                            let mut fused = y0.clone();
+                            let got = E::l1_axpy_sub_argmax(kind, alpha, x, &mut fused);
+                            let mut split = y0.clone();
+                            E::l1_axpy_sub(kind, alpha, x, &mut split);
+                            let want = E::l1_argmax_abs(kind, &split);
+                            assert_eq!(bits(&fused), bits(&split), "y: {what}");
+                            assert_eq!(key(got), key(want), "argmax: {what}");
+                            assert_eq!(key(got), key(argmax_abs_scalar(&split)), "oracle: {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_update_search_is_axpy_sub_then_argmax_f64() {
+        fused_update_search_is_axpy_sub_then_argmax::<f64>();
+    }
+
+    #[test]
+    fn fused_update_search_is_axpy_sub_then_argmax_f32() {
+        fused_update_search_is_axpy_sub_then_argmax::<f32>();
     }
 
     #[test]

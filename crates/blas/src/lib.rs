@@ -49,7 +49,7 @@ pub mod mat;
 pub use aux::{dlange, dlaswp, dlaswp_inv, swap_rows, Norm};
 pub use elem::{Element, ElementSel};
 pub use l1::idamax;
-pub use l1simd::{argmax_abs, axpy_add, axpy_sub, dscal_inv, dsub};
+pub use l1simd::{argmax_abs, axpy_add, axpy_sub, axpy_sub_argmax, dscal_inv, dsub};
 pub use l2::{dgemv, dger, dtrsv};
 pub use l3::kernels::{self, Kernel, KernelKind, KernelSel};
 pub use l3::{dgemm, dgemm_naive, dgemm_packed, dgemm_with, dtrsm, dtrsm_with, PackedA};

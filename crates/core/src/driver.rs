@@ -98,7 +98,7 @@ struct CkptState<E: Element> {
     /// This rank's world rank (the snapshot index in the store).
     rank: usize,
     id: hpl_ckpt::ConfigId,
-    /// `(iter, [(flat index, value)])`: local-matrix entries as they were
+    /// `(iter, [(packed index, value)])`: local-matrix entries as they were
     /// before iteration `iter`'s own work overwrote them ahead of its
     /// snapshot. Under look-ahead, panel `k` is factored during iteration
     /// `k-1`, and at `P = 1` the split update's right section is swapped
@@ -109,9 +109,10 @@ struct CkptState<E: Element> {
 }
 
 impl<E: Element> CkptState<E> {
-    /// Adds the current values of `data` at `at` to iteration `it`'s
-    /// pre-image when `it` is a checkpoint boundary.
-    fn stash(&mut self, it: usize, data: &[E], at: impl Iterator<Item = usize>) {
+    /// Adds the current values of `a` at the local `(li, lj)` entries `at`
+    /// to iteration `it`'s pre-image when `it` is a checkpoint boundary,
+    /// keyed by their index in the snapshot's packed `mloc x nloc` layout.
+    fn stash(&mut self, it: usize, a: &LocalMatrix<E>, at: impl Iterator<Item = (usize, usize)>) {
         if self.store.is_none() || !hpl_ckpt::due(self.every, it) {
             return;
         }
@@ -119,7 +120,7 @@ impl<E: Element> CkptState<E> {
             self.pre_image = Some((it, Vec::new()));
         }
         if let Some((_, vals)) = &mut self.pre_image {
-            vals.extend(at.map(|i| (i, data[i])));
+            vals.extend(at.map(|(li, lj)| (lj * a.mloc + li, a.get(li, lj))));
         }
     }
 }
@@ -305,8 +306,9 @@ impl<E: WireElem> Driver<'_, E> {
             // the snapshot at the top of iteration `it` needs (see
             // `CkptState::pre_image`).
             let mloc = self.a.mloc;
-            let cols = geom.lj0 * mloc..(geom.lj0 + geom.jb) * mloc;
-            self.ckpt.stash(it, self.a.as_slice(), cols);
+            let cols =
+                (geom.lj0..geom.lj0 + geom.jb).flat_map(|lj| (0..mloc).map(move |li| (li, lj)));
+            self.ckpt.stash(it, &self.a, cols);
 
             let f0 = hpl_trace::now_ns();
             let out: FactOut<E> = {
@@ -390,11 +392,10 @@ impl<E: WireElem> Driver<'_, E> {
             return Ok(());
         };
         let _sp = hpl_trace::span(hpl_trace::Phase::Ckpt);
-        let mloc = self.a.mloc;
-        // Snapshots are stored widened to `f64` regardless of the pipeline
-        // element (one on-disk format); widening is exact, so an `f32` run
-        // restores bitwise.
-        let mut data: Vec<f64> = self.a.as_slice().iter().map(|v| v.to_f64()).collect();
+        // Snapshots are stored widened to `f64` and packed without the
+        // storage's padding regardless of the pipeline element (one on-disk
+        // format; see `LocalMatrix::packed_f64`).
+        let mut data = self.a.packed_f64();
         if let Some((siter, vals)) = &self.ckpt.pre_image {
             if *siter == it {
                 // Under look-ahead, iteration `it`'s work began in
@@ -410,7 +411,7 @@ impl<E: WireElem> Driver<'_, E> {
             id: self.ckpt.id,
             rank: self.ckpt.rank as u64,
             next_iter: it as u64,
-            mloc: mloc as u64,
+            mloc: self.a.mloc as u64,
             nloc: self.a.nloc as u64,
             data,
             pivots: self.pivot_log.get(..factored).unwrap_or(&[]).to_vec(),
@@ -441,7 +442,8 @@ impl<E: WireElem> Driver<'_, E> {
         let bytes = store.load(gen, self.ckpt.rank).map_err(ckpt_err)?;
         let snap = hpl_ckpt::decode(&bytes).map_err(ckpt_err)?;
         snap.validate_id(&self.ckpt.id).map_err(ckpt_err)?;
-        if snap.rank != self.ckpt.rank as u64 || snap.data.len() != self.a.as_slice().len() {
+        let (mloc, nloc) = (self.a.mloc, self.a.nloc);
+        if snap.rank != self.ckpt.rank as u64 || snap.data.len() != mloc * nloc {
             return Err(HplError::Ckpt {
                 what: format!(
                     "snapshot shape mismatch: rank {} with {} local elements, expected rank {} \
@@ -449,13 +451,11 @@ impl<E: WireElem> Driver<'_, E> {
                     snap.rank,
                     snap.data.len(),
                     self.ckpt.rank,
-                    self.a.as_slice().len()
+                    mloc * nloc
                 ),
             });
         }
-        for (d, &v) in self.a.as_mut_slice().iter_mut().zip(&snap.data) {
-            *d = E::from_f64(v);
-        }
+        self.a.unpack_f64(&snap.data);
         self.pivot_log = snap.pivots;
         Ok(Some(snap.next_iter as usize))
     }
@@ -637,15 +637,13 @@ impl<E: WireElem> Driver<'_, E> {
         // The snapshot at the top of iteration `ip` must not see the moves
         // a `P = 1` swap writes now (see `CkptState::pre_image`).
         let rows = self.a.rows;
-        let mloc = self.a.mloc;
         let moves = &ip.plan.moves;
         let at = (right.start..right.end).flat_map(|lj| {
             (moves.iter())
                 .filter(move |&&(d, _)| rows.is_mine(d))
-                .map(move |&(d, _)| lj * mloc + rows.to_local(d))
+                .map(move |&(d, _)| (rows.to_local(d), lj))
         });
-        self.ckpt
-            .stash(ip.geom.k0 / self.cfg.nb, self.a.as_slice(), at);
+        self.ckpt.stash(ip.geom.k0 / self.cfg.nb, &self.a, at);
 
         let mut av = self.a.view_mut();
         row_swap_comm(

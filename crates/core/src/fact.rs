@@ -30,11 +30,17 @@
 //! [`hpl_threads::Ctx::reduce_maxloc`], then the process-column collective
 //! executed by thread 0, which is the only thread that talks to the
 //! "network"). Serial execution is the `T = 1` special case of the same
-//! code path. With the default right-looking variant a column costs three
-//! barriers at `T >= 2`: the argmax reduction, the close of the pivot step
-//! (row `k` is final from there on), and the close of the rank-1 update;
-//! the multiplier scale and the rank-1 update both touch only the thread's
-//! own tiles, so nothing separates them.
+//! code path. With the default right-looking variant a column costs two
+//! barriers at `T >= 2`: the argmax reduction and the close of the pivot
+//! step (row `k` is final from there on). The multiplier scale and the
+//! rank-1 update both touch only the thread's own tiles, so nothing
+//! separates them; the rank-1 update writes column `k + 1` first and
+//! searches it for the next pivot on the way
+//! ([`hpl_blas::axpy_sub_argmax`]), so the thread enters step `k + 1`'s
+//! reduction with its candidate in hand, and that reduction's barrier is
+//! also the close of column `k`. The last column of each recursion base
+//! block keeps a closing barrier of its own: the next column is updated
+//! and searched by a different phase.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -433,18 +439,13 @@ fn rec_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: u
         return;
     }
     let ndiv = st.inp.opts.ndiv.max(2).min(w);
-    // Nearly equal pieces, earlier pieces absorb the remainder.
+    // Nearly equal pieces, earlier pieces absorb the remainder: piece `i`
+    // starts after `i` pieces of `base` and `min(i, rem)` extra columns.
     let base = w / ndiv;
     let rem = w % ndiv;
-    let mut bounds = Vec::with_capacity(ndiv + 1);
-    let mut x = lo;
-    bounds.push(x);
     for i in 0..ndiv {
-        x += base + usize::from(i < rem);
-        bounds.push(x);
-    }
-    for i in 0..ndiv {
-        let (plo, phi) = (bounds[i], bounds[i + 1]);
+        let plo = lo + i * base + i.min(rem);
+        let phi = plo + base + (i < rem) as usize;
         rec_factor(st, ctx, plo, phi);
         if st.err.load(Ordering::Relaxed) != ERR_NONE {
             return;
@@ -491,6 +492,9 @@ fn rec_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: u
 
 /// Unblocked factorization of columns `lo..hi` (the recursion base).
 fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: usize) {
+    // This thread's pivot candidate for column `k`, when the right-looking
+    // rank-1 update of column `k - 1` has already searched it.
+    let mut searched = None;
     for k in lo..hi {
         match st.inp.opts.variant {
             FactVariant::Right => {}
@@ -528,7 +532,7 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
             }
         }
 
-        if !pivot_step(st, ctx, k) {
+        if !pivot_step(st, ctx, k, searched.take()) {
             return; // singular; flag already set and visible to all threads
         }
 
@@ -550,6 +554,9 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                 if k + 1 < hi {
                     // SAFETY: as for the pivot read above.
                     let yrow = unsafe { st.top.rows(k, k + 1) }.submatrix(0, k + 1, 1, hi - k - 1);
+                    let mut best = (f64::NEG_INFINITY, usize::MAX);
+                    // `below_start(k) == cand_start(k + 1)`: these tiles
+                    // are exactly the rows step `k + 1` searches.
                     st.for_own_tiles(ctx, st.below_start(k), |r0, r1| {
                         // SAFETY: own tile, parallel phase.
                         let mut rows = unsafe { st.a.rows_mut(r0, r1) };
@@ -557,13 +564,29 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                             rows.submatrix_mut(0, 0, r1 - r0, hi).split_at_col(k + 1);
                         let x = xcol.col(k);
                         let mut c = rest.submatrix_mut(0, 0, r1 - r0, hi - k - 1);
-                        for j in 0..c.cols() {
+                        // Column k + 1 first, searched for the next pivot
+                        // as it is written — the same per-tile merge as
+                        // `own_candidate`.
+                        let y0 = yrow.get(0, 0);
+                        let (off, av) = if y0 != E::ZERO {
+                            hpl_blas::axpy_sub_argmax(y0, x, c.col_mut(0))
+                        } else {
+                            hpl_blas::argmax_abs(c.col(0))
+                        };
+                        let av = av.to_f64();
+                        if av > best.0 {
+                            best = (av, r0 + off);
+                        }
+                        for j in 1..c.cols() {
                             let yj = yrow.get(0, j);
                             if yj != E::ZERO {
                                 hpl_blas::axpy_sub(yj, x, c.col_mut(j));
                             }
                         }
                     });
+                    // Step k + 1's reduction closes this column.
+                    searched = Some(best);
+                    continue;
                 }
             }
             FactVariant::Crout => {
@@ -630,15 +653,11 @@ fn update_col<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, k: us
     });
 }
 
-/// One pivot selection + swap at column `k`: thread-level argmax reduction,
-/// then, on thread 0, the process-column collective and installation of the
-/// winning row — or, with a process column of one rank, the swap of rows
-/// `k` and the winner in place. Returns `false` if a zero pivot was found
-/// or the collective failed (error flag set).
-fn pivot_step<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, k: usize) -> bool {
-    // Thread-level argmax over this thread's tiles.
-    let mut best_v = f64::NEG_INFINITY;
-    let mut best_i = usize::MAX;
+/// This thread's pivot candidate for column `k`: the first maximal
+/// `|a[i, k]|` over its own candidate rows, widened to `f64`, with its
+/// panel row (`(NEG_INFINITY, usize::MAX)` when it holds none).
+fn own_candidate<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, k: usize) -> (f64, usize) {
+    let mut best = (f64::NEG_INFINITY, usize::MAX);
     st.for_own_tiles(ctx, st.cand_start(k), |r0, r1| {
         // SAFETY: reading own tiles during a parallel phase.
         let rows = unsafe { st.a.rows_mut(r0, r1) };
@@ -647,11 +666,27 @@ fn pivot_step<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, k: usize) -> boo
         // first-index-wins element loop exactly.
         let (off, av) = hpl_blas::argmax_abs(rows.col(k));
         let av = av.to_f64();
-        if av > best_v {
-            best_v = av;
-            best_i = r0 + off;
+        if av > best.0 {
+            best = (av, r0 + off);
         }
     });
+    best
+}
+
+/// One pivot selection + swap at column `k`: thread-level argmax reduction
+/// over this thread's candidate (`searched`, when the previous column's
+/// rank-1 update found it, else [`own_candidate`]), then, on thread 0, the
+/// process-column collective and installation of the winning row — or,
+/// with a process column of one rank, the swap of rows `k` and the winner
+/// in place. Returns `false` if a zero pivot was found or the collective
+/// failed (error flag set).
+fn pivot_step<E: Element>(
+    st: &FactState<'_, E>,
+    ctx: &Ctx<'_>,
+    k: usize,
+    searched: Option<(f64, usize)>,
+) -> bool {
+    let (best_v, best_i) = searched.unwrap_or_else(|| own_candidate(st, ctx, k));
     let (lv, li) = ctx.reduce_maxloc(best_v, best_i);
 
     // Thread 0 alone from here to the barrier below: every other thread has
@@ -835,6 +870,79 @@ mod tests {
         // The claim outlived the region its holder died in; the matrix's
         // address may be handed to another test's matrix next.
         ledger::reset_object(m.as_slice().as_ptr() as usize);
+    }
+
+    /// Barriers thread 0 passes factoring a random `m x jb` panel on a
+    /// process column of one rank with `threads` FACT threads.
+    fn barriers_passed(m: usize, jb: usize, threads: usize, ndiv: usize, nbmin: usize) -> u64 {
+        use crate::config::{FactOpts, FactVariant};
+        use hpl_comm::{Grid, GridOrder, Universe};
+        let out = Universe::run(1, |comm| {
+            let grid = Grid::new(comm, 1, 1, GridOrder::ColumnMajor);
+            let pool = Pool::new(threads);
+            let inp = FactInput {
+                col_comm: grid.col(),
+                rows: Axis {
+                    n: m,
+                    nb: jb,
+                    iproc: 0,
+                    nprocs: 1,
+                },
+                k0: 0,
+                jb,
+                lb: 0,
+                is_curr: true,
+                pool: &pool,
+                opts: FactOpts {
+                    variant: FactVariant::Right,
+                    ndiv,
+                    nbmin,
+                    threads,
+                },
+            };
+            let gen = crate::MatGen::new(5, m);
+            let mut a = Matrix::from_fn(m, jb, |i, j| gen.entry(i, j));
+            let mut av = a.view_mut();
+            let top = SharedMat::new(&mut av.submatrix_mut(0, 0, jb, jb));
+            let st = FactState {
+                inp: &inp,
+                m,
+                jb,
+                a: SharedMat::new(&mut av),
+                top,
+                ipiv: RacyCell::new(vec![0; jb]),
+                comm_ns: AtomicU64::new(0),
+                err: AtomicUsize::new(ERR_NONE),
+                comm_err: Mutex::new(None),
+            };
+            let passed = AtomicU64::new(0);
+            pool.run(threads, |ctx| {
+                rec_factor(&st, ctx, 0, jb);
+                if ctx.thread_id() == 0 {
+                    passed.store(ctx.barriers_passed(), Ordering::Relaxed);
+                }
+            });
+            assert_eq!(st.err.load(Ordering::Relaxed), ERR_NONE, "random panel");
+            passed.into_inner()
+        });
+        out[0]
+    }
+
+    /// The right-looking base case closes column `k` with step `k + 1`'s
+    /// reduction: two barriers a column at T = 2, plus one closing the last
+    /// column of each base block, plus the two of each recursion split
+    /// (the replicated TRSM, then the trailing GEMM).
+    #[test]
+    fn right_looking_columns_cost_two_barriers() {
+        // One base block of 24 columns.
+        assert_eq!(barriers_passed(100, 24, 2, 2, 32), 2 * 24 + 1);
+        // 32 columns -> four base blocks of 8 under three splits.
+        assert_eq!(barriers_passed(100, 32, 2, 2, 8), 2 * 32 + 4 + 2 * 3);
+        // 30 columns, NDIV 3, NBMIN 4: pieces 10 | 10 | 10, each 4 | 3 | 3.
+        assert_eq!(
+            barriers_passed(90, 30, 2, 3, 4),
+            2 * 30 + 9 + 2 * (2 + 3 * 2)
+        );
     }
 
     /// Disjoint tiles and protocol-respecting phases must NOT trip the

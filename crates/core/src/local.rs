@@ -27,7 +27,38 @@ pub struct LocalMatrix<E: Element = f64> {
     pub mloc: usize,
     /// Local column count (including the `b` column if owned).
     pub nloc: usize,
+    /// Column stride of `data` ([`padded_lda`]).
+    lda: usize,
     data: Vec<E>,
+}
+
+/// Bytes in one cache line, the unit of the leading-dimension padding.
+const LINE_BYTES: usize = 64;
+/// Lines in 4 KiB, the span an L1 cache of 64 sets maps onto its sets once:
+/// addresses a multiple of it apart share a set.
+const SET_SPAN_LINES: usize = 64;
+
+/// Leading dimension of a column-major slice of `mloc`-row columns of `E`:
+/// `mloc` rounded up to whole 64-byte cache lines, plus one more line when
+/// that stride is a whole number of 4 KiB. Such a stride puts the copies of
+/// one row in every column into the same L1 set, so a row walk across the
+/// panel (the pivot swap) gets one set's ways; one line more makes the line
+/// count odd, and 64 consecutive columns then fall in 64 different sets.
+/// Other strides keep their length: a line more costs `1/lines` of the
+/// slice (1% at the 2x1 inputs' 96 lines) and bought nothing measurable
+/// there. `mloc == 0` stores nothing and keeps the unit stride.
+pub(crate) fn padded_lda<E>(mloc: usize) -> usize {
+    if mloc == 0 {
+        return 1;
+    }
+    let per_line = LINE_BYTES / std::mem::size_of::<E>();
+    let lines = mloc.div_ceil(per_line);
+    let lines = if lines.is_multiple_of(SET_SPAN_LINES) {
+        lines + 1
+    } else {
+        lines
+    };
+    lines * per_line
 }
 
 /// Where the entries of an `N x (N+1)` augmented system come from. The
@@ -50,10 +81,9 @@ impl System<'_> {
             System::Seeded(seed) => LocalMatrix::generate(n, nb, grid, seed),
             System::Fill(_) => {
                 let mut m = LocalMatrix::unfilled(n, nb, grid);
-                if m.mloc > 0 {
-                    for (lj, col) in m.data.chunks_exact_mut(m.mloc).enumerate() {
-                        self.fill_column(n, m.rows, m.cols.to_global(lj), col);
-                    }
+                for lj in 0..m.nloc {
+                    let j = m.cols.to_global(lj);
+                    self.fill_column(n, m.rows, j, m.col_mut(lj));
                 }
                 m
             }
@@ -110,80 +140,131 @@ impl<E: Element> LocalMatrix<E> {
     /// This rank's slice of the `N x (N+1)` layout, zero-filled.
     fn unfilled(n: usize, nb: usize, grid: &Grid) -> Self {
         let (rows, cols) = axes(n, nb, grid);
+        Self::with_shape(rows, cols)
+    }
+
+    /// A zero-filled slice over the distributions `rows` and `cols`.
+    fn with_shape(rows: Axis, cols: Axis) -> Self {
         let mloc = rows.local_len();
         let nloc = cols.local_len();
+        let lda = padded_lda::<E>(mloc);
+        let len = if mloc == 0 { 0 } else { lda * nloc };
         Self {
             rows,
             cols,
             mloc,
             nloc,
-            data: fresh_storage(mloc * nloc),
+            lda,
+            data: fresh_storage(len),
         }
     }
 
     /// Allocates and fills this rank's slice of the seeded random system.
     pub fn generate(n: usize, nb: usize, grid: &Grid, seed: u64) -> Self {
         let mut m = Self::unfilled(n, nb, grid);
-        MatGen::new(seed, n).fill_local(&mut m.data, m.rows, m.cols);
+        MatGen::new(seed, n).fill_local(&mut m.data, m.lda, m.rows, m.cols);
         m
     }
 
     /// Full local view.
     pub fn view_mut(&mut self) -> MatMut<'_, E> {
-        MatMut::from_slice(&mut self.data, self.mloc, self.nloc, self.mloc.max(1))
+        MatMut::from_slice(&mut self.data, self.mloc, self.nloc, self.lda)
     }
 
     /// Full local view (immutable).
     pub fn view(&self) -> MatRef<'_, E> {
-        MatRef::from_slice(&self.data, self.mloc, self.nloc, self.mloc.max(1))
+        MatRef::from_slice(&self.data, self.mloc, self.nloc, self.lda)
     }
 
-    /// Leading dimension of the local buffer.
+    /// Leading dimension of the local buffer ([`padded_lda`]): at least
+    /// `mloc`, so entries `mloc..lda` of each column are padding no view
+    /// shows.
     #[inline]
     pub fn lda(&self) -> usize {
-        self.mloc.max(1)
+        self.lda
     }
 
-    /// Raw storage (column-major).
+    /// Raw storage: column-major with stride [`LocalMatrix::lda`], padding
+    /// included. Index it as `lj * lda() + li`, never with an `mloc`
+    /// stride.
     pub fn as_slice(&self) -> &[E] {
         &self.data
     }
 
-    /// Raw mutable storage (column-major).
-    pub fn as_mut_slice(&mut self) -> &mut [E] {
-        &mut self.data
+    /// The `mloc` entries of local column `lj`.
+    #[inline]
+    pub(crate) fn col(&self, lj: usize) -> &[E] {
+        assert!(lj < self.nloc, "column {lj} out of {}", self.nloc);
+        if self.mloc == 0 {
+            return &[];
+        }
+        &self.data[lj * self.lda..][..self.mloc]
+    }
+
+    /// The `mloc` entries of local column `lj`, mutably.
+    #[inline]
+    pub(crate) fn col_mut(&mut self, lj: usize) -> &mut [E] {
+        assert!(lj < self.nloc, "column {lj} out of {}", self.nloc);
+        if self.mloc == 0 {
+            return &mut [];
+        }
+        &mut self.data[lj * self.lda..][..self.mloc]
+    }
+
+    /// The `mloc x nloc` entries widened to `f64` and packed column-major
+    /// with stride `mloc`, without the storage's padding — the layout of a
+    /// checkpoint snapshot, which therefore does not depend on [`padded_lda`].
+    /// Widening is exact, so an `f32` slice restores bitwise.
+    pub(crate) fn packed_f64(&self) -> Vec<f64> {
+        let mut data = Vec::with_capacity(self.mloc * self.nloc);
+        for lj in 0..self.nloc {
+            data.extend(self.col(lj).iter().map(|v| v.to_f64()));
+        }
+        data
+    }
+
+    /// Overwrites every entry from `data`, laid out as
+    /// [`LocalMatrix::packed_f64`] packs it.
+    pub(crate) fn unpack_f64(&mut self, data: &[f64]) {
+        assert_eq!(data.len(), self.mloc * self.nloc, "packed slice shape");
+        if self.mloc == 0 {
+            return;
+        }
+        for (lj, src) in data.chunks_exact(self.mloc).enumerate() {
+            for (d, &v) in self.col_mut(lj).iter_mut().zip(src) {
+                *d = E::from_f64(v);
+            }
+        }
     }
 
     /// Element by local indices.
     #[inline]
     pub fn get(&self, li: usize, lj: usize) -> E {
-        self.data[lj * self.lda() + li]
+        debug_assert!(li < self.mloc);
+        self.data[lj * self.lda + li]
     }
 
     /// Writes element by local indices.
     #[inline]
     pub fn set(&mut self, li: usize, lj: usize, v: E) {
-        let lda = self.lda();
-        self.data[lj * lda + li] = v;
+        debug_assert!(li < self.mloc);
+        self.data[lj * self.lda + li] = v;
     }
 }
 
 impl LocalMatrix<f64> {
     /// This slice with every entry rounded to `E` — bitwise the slice
     /// [`System::local::<E>`] generates, since generation computes each
-    /// entry in `f64` and rounds it on store the same way.
+    /// entry in `f64` and rounds it on store the same way. The copy has
+    /// its own precision's [`padded_lda`].
     pub fn demoted<E: Element>(&self) -> LocalMatrix<E> {
-        let mut data = fresh_storage(self.data.len());
-        for (d, &v) in data.iter_mut().zip(&self.data) {
-            *d = E::from_f64(v);
+        let mut out = LocalMatrix::<E>::with_shape(self.rows, self.cols);
+        for lj in 0..self.nloc {
+            for (d, &v) in out.col_mut(lj).iter_mut().zip(self.col(lj)) {
+                *d = E::from_f64(v);
+            }
         }
-        LocalMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            mloc: self.mloc,
-            nloc: self.nloc,
-            data,
-        }
+        out
     }
 }
 
@@ -312,17 +393,19 @@ mod tests {
     }
 
     /// Slices with no storage at all (`mloc == 0` on a process row past the
-    /// last block) and single entries build, generate and demote.
+    /// last block) and single entries build, generate and demote; a
+    /// one-row column is stored as one cache line in either precision.
     #[test]
     fn tiny_and_empty_slices_build() {
         let shapes = Universe::run(2, |comm| {
             let grid = Grid::new(comm, 2, 1, GridOrder::ColumnMajor);
             let a = LocalMatrix::<f64>::generate(1, 4, &grid, 3);
             let d = a.demoted::<f32>();
-            assert_eq!(a.as_slice().len(), d.as_slice().len());
+            assert_eq!((a.mloc, a.nloc), (d.mloc, d.nloc));
+            assert_eq!(a.as_slice().len() * 8, d.as_slice().len() * 4);
             (a.mloc, a.nloc, d.as_slice().len())
         });
-        assert_eq!(shapes, vec![(1, 2, 2), (0, 2, 0)]);
+        assert_eq!(shapes, vec![(1, 2, 32), (0, 2, 0)]);
     }
 
     /// Sums `AnonHugePages` over the mappings of `/proc/self/smaps` that
@@ -391,6 +474,165 @@ mod tests {
                 anon_huge_kib(d.as_slice()) > 0,
                 "f32 slice has no huge pages"
             );
+        });
+    }
+
+    /// The leading dimension of both precisions: at least `mloc`, whole
+    /// 64-byte lines, never a whole number of 4 KiB, and the smallest such;
+    /// `mloc == 0` keeps the unit stride.
+    #[test]
+    fn lda_is_whole_lines_off_4kib_multiples() {
+        fn check<E>(name: &str) {
+            let size = std::mem::size_of::<E>();
+            let per_line = 64 / size;
+            assert_eq!(padded_lda::<E>(0), 1, "{name} mloc=0");
+            // Up to 3 x 4 KiB of column in either precision.
+            for mloc in 1..=3 * 4096 / size + 2 * per_line {
+                let lda = padded_lda::<E>(mloc);
+                let bytes = lda * size;
+                assert!(lda >= mloc, "{name} mloc={mloc} lda={lda}");
+                assert!(
+                    bytes.is_multiple_of(64) && !bytes.is_multiple_of(4096),
+                    "{name} mloc={mloc}: {bytes} B"
+                );
+                let least = mloc.div_ceil(per_line) * per_line;
+                let want = if (least * size).is_multiple_of(4096) {
+                    least + per_line
+                } else {
+                    least
+                };
+                assert_eq!(lda, want, "{name} mloc={mloc}: not the least");
+            }
+        }
+        check::<f64>("f64");
+        check::<f32>("f32");
+        // The benchmark inputs' local columns: 1x1 N = 1536 and N = 3072 in
+        // f64 (and N = 3072 demoted) gain a line, 2x1 N = 1536 keeps 96.
+        assert_eq!(padded_lda::<f64>(1536), 1544);
+        assert_eq!(padded_lda::<f64>(3072), 3080);
+        assert_eq!(padded_lda::<f32>(3072), 3088);
+        assert_eq!(padded_lda::<f64>(768), 768);
+    }
+
+    /// `view`, `view_mut`, `get`, `set` and the column accessors address
+    /// the same entries of the padded storage, and generation leaves the
+    /// padding untouched.
+    #[test]
+    fn accessors_agree_on_the_padded_layout() {
+        fn check<E: Element>(n: usize, nb: usize, p: usize) {
+            let ranks = Universe::run(p, |comm| {
+                let grid = Grid::new(comm, p, 1, GridOrder::ColumnMajor);
+                let mut a = LocalMatrix::<E>::generate(n, nb, &grid, 9);
+                assert_eq!(a.lda(), padded_lda::<E>(a.mloc));
+                let gen = MatGen::new(9, n);
+                for lj in 0..a.nloc {
+                    let j = a.cols.to_global(lj);
+                    for li in 0..a.mloc {
+                        let want = E::from_f64(gen.entry(a.rows.to_global(li), j));
+                        assert_eq!(a.get(li, lj).to_bits_u64(), want.to_bits_u64());
+                        assert_eq!(a.view().get(li, lj).to_bits_u64(), want.to_bits_u64());
+                        assert_eq!(a.col(lj)[li].to_bits_u64(), want.to_bits_u64());
+                    }
+                    if a.mloc > 0 {
+                        let pad = &a.as_slice()[lj * a.lda() + a.mloc..(lj + 1) * a.lda()];
+                        assert!(pad.iter().all(|&v| v == E::ZERO), "padding written");
+                    }
+                }
+                for lj in 0..a.nloc {
+                    for li in 0..a.mloc {
+                        let v = E::from_f64((li * 1000 + lj) as f64);
+                        if (li + lj) % 2 == 0 {
+                            a.set(li, lj, v);
+                        } else {
+                            a.view_mut().set(li, lj, v);
+                        }
+                    }
+                }
+                for lj in 0..a.nloc {
+                    for li in 0..a.mloc {
+                        let v = E::from_f64((li * 1000 + lj) as f64);
+                        assert_eq!(a.get(li, lj), v);
+                        assert_eq!(a.view().col(lj)[li], v);
+                        assert_eq!(a.as_slice()[lj * a.lda() + li], v);
+                    }
+                }
+                a.mloc
+            });
+            assert_eq!(ranks.iter().sum::<usize>(), n);
+        }
+        // N = 1024 on one rank: a 4 KiB f32 column, an 8 KiB f64 one, both
+        // a line longer.
+        for (n, nb, p) in [
+            (37, 5, 1),
+            (37, 5, 3),
+            (150, 16, 2),
+            (7, 8, 2),
+            (1024, 128, 1),
+        ] {
+            check::<f64>(n, nb, p);
+            check::<f32>(n, nb, p);
+        }
+    }
+
+    /// Demoting the `f64` slice lays out `f32` storage of its own stride and
+    /// equals generating in `f32`, column by column, by bits.
+    #[test]
+    fn demoted_equals_f32_generation_by_columns() {
+        for (n, nb, p) in [
+            (37usize, 5usize, 2usize),
+            (64, 16, 1),
+            (9, 4, 3),
+            (1024, 64, 1),
+        ] {
+            Universe::run(p, |comm| {
+                let grid = Grid::new(comm, p, 1, GridOrder::ColumnMajor);
+                let a64 = System::Seeded(3).local::<f64>(n, nb, &grid);
+                let d = a64.demoted::<f32>();
+                let a32 = System::Seeded(3).local::<f32>(n, nb, &grid);
+                assert_eq!(d.lda(), padded_lda::<f32>(d.mloc));
+                assert_eq!((d.mloc, d.nloc, d.lda()), (a32.mloc, a32.nloc, a32.lda()));
+                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                for lj in 0..d.nloc {
+                    assert_eq!(bits(d.col(lj)), bits(a32.col(lj)), "column {lj}");
+                }
+            });
+        }
+    }
+
+    /// A snapshot of a padded slice holds `mloc * nloc` entries and encodes
+    /// byte for byte as the same entries packed with stride `mloc`; unpacking
+    /// it restores the slice.
+    #[test]
+    fn snapshots_pack_without_padding() {
+        Universe::run(2, |comm| {
+            let grid = Grid::new(comm, 2, 1, GridOrder::ColumnMajor);
+            let a = LocalMatrix::<f32>::generate(45, 8, &grid, 4);
+            assert!(a.lda() > a.mloc, "the slice must be padded");
+            let packed = a.packed_f64();
+            assert_eq!(packed.len(), a.mloc * a.nloc);
+            let mut flat = Vec::new();
+            for lj in 0..a.nloc {
+                for li in 0..a.mloc {
+                    flat.push(a.get(li, lj).to_f64());
+                }
+            }
+            let snap = |data: Vec<f64>| hpl_ckpt::Snapshot {
+                id: hpl_ckpt::ConfigId::default(),
+                rank: 0,
+                next_iter: 1,
+                mloc: a.mloc as u64,
+                nloc: a.nloc as u64,
+                data,
+                pivots: Vec::new(),
+                cursors: Vec::new(),
+            };
+            assert_eq!(
+                hpl_ckpt::encode(&snap(packed.clone())),
+                hpl_ckpt::encode(&snap(flat))
+            );
+            let mut b = LocalMatrix::<f32>::unfilled(45, 8, &grid);
+            b.unpack_f64(&packed);
+            assert_eq!(b.as_slice(), a.as_slice());
         });
     }
 

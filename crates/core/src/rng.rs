@@ -291,17 +291,18 @@ impl MatGen {
     }
 
     /// Fills one rank's column-major `rows.local_len() x cols.local_len()`
-    /// slice of the block-cyclic matrix, column by column
-    /// ([`MatGen::fill_column`]).
-    pub fn fill_local<E: Element>(&self, buf: &mut [E], rows: Axis, cols: Axis) {
+    /// slice of the block-cyclic matrix, stored with column stride `lda`,
+    /// column by column ([`MatGen::fill_column`]). The `lda - mloc`
+    /// padding entries of each column are left as they are.
+    pub fn fill_local<E: Element>(&self, buf: &mut [E], lda: usize, rows: Axis, cols: Axis) {
         let (mloc, nloc) = (rows.local_len(), cols.local_len());
-        assert_eq!(buf.len(), mloc * nloc);
-        if mloc == 0 {
+        if mloc == 0 || nloc == 0 {
             return;
         }
+        assert!(lda >= mloc && buf.len() >= lda * (nloc - 1) + mloc);
         let path = GenPath::active();
-        for (lj, col) in buf.chunks_exact_mut(mloc).enumerate() {
-            self.fill_column_on(path, rows, cols.to_global(lj), col);
+        for (lj, col) in buf.chunks_mut(lda).take(nloc).enumerate() {
+            self.fill_column_on(path, rows, cols.to_global(lj), &mut col[..mloc]);
         }
     }
 }

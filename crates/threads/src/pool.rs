@@ -11,6 +11,16 @@
 //! Work distribution is ownership-based (the caller partitions tiles by
 //! thread id), *not* work-stealing: Parallel Cache Assignment relies on each
 //! tile staying with one thread so it remains resident in that core's cache.
+//!
+//! Wait policy: a barrier waiter yields its processor at once, polling the
+//! barrier between yields, then parks on a condvar. When FACT time-shares
+//! a core — the situation of the paper's §III.B — the sibling the waiter
+//! waits for is the only thread that can end the wait, and every round
+//! spent spinning first is time it does not get. With a processor per
+//! thread a yield finds nothing else to run and returns, so the poll
+//! continues: that costs a back-to-back barrier ~40 ns over spinning, but
+//! FACT itself ran faster, not slower, on two processors (DESIGN.md §13).
+//! The region width is never clamped to the processor count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -29,9 +39,10 @@ struct FaultArm {
     injector: Arc<Injector>,
 }
 
-/// Reusable sense-reversing spin barrier for a fixed participant count,
-/// with a park fallback so long waits (e.g. the FACT pivot collective
-/// running on thread 0) stop stealing cycles from working siblings.
+/// Reusable sense-reversing barrier for a fixed participant count: waiters
+/// poll with a yield between polls, with a park fallback so long waits
+/// (e.g. the FACT pivot collective running on thread 0) stop stealing
+/// cycles from working siblings.
 struct SpinBarrier {
     count: AtomicUsize,
     sense: AtomicBool,
@@ -42,9 +53,7 @@ struct SpinBarrier {
     wake: parking_lot::Condvar,
 }
 
-/// Pure-spin rounds before a waiter starts yielding the core.
-const BARRIER_SPINS: u32 = 64;
-/// Yield rounds after spinning before a waiter parks outright.
+/// Yield rounds before a waiter parks outright.
 const BARRIER_YIELDS: u32 = 256;
 
 impl SpinBarrier {
@@ -79,12 +88,10 @@ impl SpinBarrier {
                 self.wake.notify_all();
             }
         } else {
-            let mut spins = 0u32;
+            let mut rounds = 0u32;
             while self.sense.load(Ordering::Acquire) != my_sense {
-                spins += 1;
-                if spins < BARRIER_SPINS {
-                    core::hint::spin_loop();
-                } else if spins < BARRIER_SPINS + BARRIER_YIELDS {
+                rounds += 1;
+                if rounds < BARRIER_YIELDS {
                     // Give oversubscribed siblings a chance to run; this is
                     // exactly the time-sharing scenario of §III.B.
                     std::thread::yield_now();
@@ -156,6 +163,8 @@ pub struct Ctx<'a> {
     /// Slot bank the next reduction uses. Every participant runs the same
     /// sequence of reductions, so the per-thread counters agree.
     bank: core::cell::Cell<usize>,
+    /// Barriers this thread has passed in the region.
+    passed: core::cell::Cell<u64>,
 }
 
 impl<'a> Ctx<'a> {
@@ -165,6 +174,7 @@ impl<'a> Ctx<'a> {
             region,
             local_sense: core::cell::Cell::new(false),
             bank: core::cell::Cell::new(0),
+            passed: core::cell::Cell::new(0),
         }
     }
 }
@@ -192,6 +202,14 @@ impl Ctx<'_> {
         let mut s = self.local_sense.get();
         self.region.barrier.wait(&mut s);
         self.local_sense.set(s);
+        self.passed.set(self.passed.get() + 1);
+    }
+
+    /// How many barriers this thread has passed in the region so far,
+    /// those of the reductions included — a phase count callers can test
+    /// their synchronization schedule against.
+    pub fn barriers_passed(&self) -> u64 {
+        self.passed.get()
     }
 
     /// All-reduce of an `(|value|, index)` pair, returning the pair with the
@@ -434,6 +452,33 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// The yield-first barrier runs every participant and orders phases,
+    /// whatever the host's processor count.
+    #[test]
+    fn yield_first_barrier_orders_phases() {
+        const WIDTH: usize = 3;
+        let region = Region::new(WIDTH);
+        let arrivals = AtomicUsize::new(0);
+        let ok = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..WIDTH {
+                let (region, arrivals, ok) = (&region, &arrivals, &ok);
+                s.spawn(move || {
+                    let ctx = Ctx::new(tid, region);
+                    for round in 1..=50 {
+                        arrivals.fetch_add(1, Ordering::SeqCst);
+                        ctx.barrier();
+                        if arrivals.load(Ordering::SeqCst) >= round * WIDTH {
+                            ok.fetch_add(1, Ordering::SeqCst);
+                        }
+                        ctx.barrier();
+                    }
+                });
+            }
+        });
+        assert_eq!(ok.load(Ordering::SeqCst), 50 * WIDTH);
+    }
+
     #[test]
     fn all_threads_participate() {
         let pool = Pool::new(4);
@@ -494,6 +539,20 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 300);
+    }
+
+    #[test]
+    fn barriers_passed_counts_barriers_and_reductions() {
+        let pool = Pool::new(2);
+        let counts = parking_lot::Mutex::new(Vec::new());
+        pool.run(2, |ctx| {
+            assert_eq!(ctx.barriers_passed(), 0);
+            ctx.barrier();
+            ctx.reduce_maxloc(1.0, ctx.thread_id());
+            ctx.reduce_sum(1.0);
+            counts.lock().push(ctx.barriers_passed());
+        });
+        assert_eq!(counts.into_inner(), vec![3, 3]);
     }
 
     #[test]

@@ -31,6 +31,8 @@ cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
 cargo test -q --release -p hpl-integration-tests --features hpl-threads/race-check \
   --test failure_injection --test x_hash_golden --test trace_determinism
+taskset -c 0 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
+taskset -c 0 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
 
 echo "== [bench] cargo xtask bench"
 cargo xtask bench

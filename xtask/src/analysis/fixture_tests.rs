@@ -167,6 +167,40 @@ fn strip_generator_is_a_hot_path_root() {
     assert!(hits.is_empty(), "gen_negative.rs fired: {hits:?}");
 }
 
+/// FACT's recursion and the fused rank-1 update and pivot search are
+/// roots: a recursion node's split points and a column's running maximum
+/// live on the stack.
+#[test]
+fn fact_recursion_and_fused_search_are_hot_path_roots() {
+    let dir = fixtures_dir().join("hot-path-alloc");
+    for (rel, positive, negative, what, via) in [
+        (
+            "crates/core/src/fixture.rs",
+            "fact_positive.rs",
+            "fact_negative.rs",
+            "`Vec::with_capacity`",
+            "via rec_factor",
+        ),
+        (
+            "crates/blas/src/fixture.rs",
+            "l1_positive.rs",
+            "l1_negative.rs",
+            "`.collect()`",
+            "via axpy_sub_argmax",
+        ),
+    ] {
+        let report = run_one(rel, &read(&dir.join(positive)), FileKind::Library);
+        let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
+        assert!(
+            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
+            "{what} {via} must be flagged in {positive}: {msgs:?}"
+        );
+        let report = run_one(rel, &read(&dir.join(negative)), FileKind::Library);
+        let hits = unwaived(&report, Some("hot-path-alloc"));
+        assert!(hits.is_empty(), "{negative} fired: {hits:?}");
+    }
+}
+
 /// The level-3 inner layer is rooted function by function, so an
 /// allocation in a microkernel, the writeback, the packer or the TRSM leaf
 /// is flagged whether or not the call chain from `dgemm` still resolves.

@@ -1,7 +1,9 @@
 //! `hot-path-alloc` — statically enforces the `PackArena` contract from
 //! PR 5: the steady-state DGEMM/update/factorization inner loops must not
 //! allocate. Roots are the per-element / per-column kernels (one call per
-//! matrix entry or per panel column), the level-3 inner layer by name (the
+//! matrix entry or per panel column — among them FACT's recursion
+//! `rec_factor`, one call per recursion node, and the fused rank-1 update
+//! and pivot search `axpy_sub_argmax`), the level-3 inner layer by name (the
 //! register microkernels, the tile writeback, the strip packer and the
 //! TRSM leaf — one call per register tile, pack block or leaf, so they
 //! stay covered even if a caller's name stops resolving), the row swap's
@@ -46,11 +48,13 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("blas", "pack_strips"),
     ("blas", "trsm_base"),
     ("blas", "forward_full"),
+    ("blas", "axpy_sub_argmax"),
     ("core", "solve_u"),
     ("core", "store_u"),
     ("core", "gemm_update"),
     ("core", "gemm_update_parallel"),
     ("core", "full_update"),
+    ("core", "rec_factor"),
     ("core", "base_factor"),
     ("core", "update_col"),
     ("core", "pivot_step"),
