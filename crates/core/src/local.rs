@@ -16,8 +16,9 @@ use crate::rng::MatGen;
 /// One rank's slice of the global `N x (N+1)` augmented matrix, plus the
 /// index machinery to navigate it. Generic over the pipeline [`Element`]:
 /// entries are always *generated* in `f64` (one seeded generator serves
-/// both precisions, and verification regenerates in `f64`) and demoted on
-/// store for an `f32` factorization.
+/// both precisions, and verification regenerates in `f64`) and rounded on
+/// store for an `f32` factorization, so an `f32` slice is the `f64` one
+/// rounded entry by entry.
 pub struct LocalMatrix<E: Element = f64> {
     /// Row distribution (dimension `N` over `P` process rows).
     pub rows: Axis,
@@ -140,11 +141,6 @@ impl<E: Element> LocalMatrix<E> {
     /// This rank's slice of the `N x (N+1)` layout, zero-filled.
     fn unfilled(n: usize, nb: usize, grid: &Grid) -> Self {
         let (rows, cols) = axes(n, nb, grid);
-        Self::with_shape(rows, cols)
-    }
-
-    /// A zero-filled slice over the distributions `rows` and `cols`.
-    fn with_shape(rows: Axis, cols: Axis) -> Self {
         let mloc = rows.local_len();
         let nloc = cols.local_len();
         let lda = padded_lda::<E>(mloc);
@@ -252,22 +248,6 @@ impl<E: Element> LocalMatrix<E> {
     }
 }
 
-impl LocalMatrix<f64> {
-    /// This slice with every entry rounded to `E` — bitwise the slice
-    /// [`System::local::<E>`] generates, since generation computes each
-    /// entry in `f64` and rounds it on store the same way. The copy has
-    /// its own precision's [`padded_lda`].
-    pub fn demoted<E: Element>(&self) -> LocalMatrix<E> {
-        let mut out = LocalMatrix::<E>::with_shape(self.rows, self.cols);
-        for lj in 0..self.nloc {
-            for (d, &v) in out.col_mut(lj).iter_mut().zip(self.col(lj)) {
-                *d = E::from_f64(v);
-            }
-        }
-        out
-    }
-}
-
 /// Storage for a slice of `len` entries, all zero and none written yet.
 /// `vec![E::ZERO; len]` is a `calloc`, which at slice sizes returns fresh
 /// anonymous pages the kernel has not faulted in; advising them onto
@@ -356,8 +336,7 @@ mod tests {
     }
 
     /// The strip generator and the per-entry `fill` path build the same
-    /// slice, in both precisions, and demoting the `f64` slice is
-    /// generating in `f32`.
+    /// slice, in both precisions.
     #[test]
     fn seeded_and_fill_systems_agree_bitwise() {
         let (n, nb, p, q) = (37usize, 5usize, 3usize, 2usize);
@@ -368,13 +347,10 @@ mod tests {
             let (seeded, filled) = (System::Seeded(7), System::Fill(&fill));
             let a64 = seeded.local::<f64>(n, nb, &grid);
             assert_eq!(a64.as_slice(), filled.local::<f64>(n, nb, &grid).as_slice());
-            let a32 = seeded.local::<f32>(n, nb, &grid);
-            assert_eq!(a32.as_slice(), filled.local::<f32>(n, nb, &grid).as_slice());
-            let demoted = a64.demoted::<f32>();
-            assert_eq!((demoted.mloc, demoted.nloc), (a32.mloc, a32.nloc));
             let bits =
                 |m: &LocalMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&demoted), bits(&a32));
+            let a32 = seeded.local::<f32>(n, nb, &grid);
+            assert_eq!(bits(&a32), bits(&filled.local::<f32>(n, nb, &grid)));
             assert_eq!(seeded.rhs(n), filled.rhs(n));
         });
     }
@@ -393,14 +369,14 @@ mod tests {
     }
 
     /// Slices with no storage at all (`mloc == 0` on a process row past the
-    /// last block) and single entries build, generate and demote; a
-    /// one-row column is stored as one cache line in either precision.
+    /// last block) and single entries build and generate; a one-row column
+    /// is stored as one cache line in either precision.
     #[test]
     fn tiny_and_empty_slices_build() {
         let shapes = Universe::run(2, |comm| {
             let grid = Grid::new(comm, 2, 1, GridOrder::ColumnMajor);
             let a = LocalMatrix::<f64>::generate(1, 4, &grid, 3);
-            let d = a.demoted::<f32>();
+            let d = LocalMatrix::<f32>::generate(1, 4, &grid, 3);
             assert_eq!((a.mloc, a.nloc), (d.mloc, d.nloc));
             assert_eq!(a.as_slice().len() * 8, d.as_slice().len() * 4);
             (a.mloc, a.nloc, d.as_slice().len())
@@ -442,8 +418,8 @@ mod tests {
         kib
     }
 
-    /// Where THP is on (`[always]` or `[madvise]`), a slice well past the
-    /// allocator's mmap threshold, and its demoted copy, end up on huge pages.
+    /// Where THP is on (`[always]` or `[madvise]`), slices well past the
+    /// allocator's mmap threshold end up on huge pages in either precision.
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
@@ -463,8 +439,8 @@ mod tests {
         let n = 2900;
         Universe::run(1, |comm| {
             let grid = Grid::new(comm, 1, 1, GridOrder::ColumnMajor);
-            let a = LocalMatrix::<f64>::generate(n, 64, &grid, 5);
-            let d = a.demoted::<f32>();
+            let a = System::Seeded(5).local::<f64>(n, 64, &grid);
+            let d = System::Seeded(5).local::<f32>(n, 64, &grid);
             assert!(std::mem::size_of_val(d.as_slice()) >= 32 << 20);
             assert!(
                 anon_huge_kib(a.as_slice()) > 0,
@@ -507,7 +483,7 @@ mod tests {
         check::<f64>("f64");
         check::<f32>("f32");
         // The benchmark inputs' local columns: 1x1 N = 1536 and N = 3072 in
-        // f64 (and N = 3072 demoted) gain a line, 2x1 N = 1536 keeps 96.
+        // f64 (and N = 3072 in f32) gain a line, 2x1 N = 1536 keeps 96.
         assert_eq!(padded_lda::<f64>(1536), 1544);
         assert_eq!(padded_lda::<f64>(3072), 3080);
         assert_eq!(padded_lda::<f32>(3072), 3088);
@@ -574,28 +550,33 @@ mod tests {
         }
     }
 
-    /// Demoting the `f64` slice lays out `f32` storage of its own stride and
-    /// equals generating in `f32`, column by column, by bits.
+    /// Generating in `f32` is generating in `f64` and rounding each entry
+    /// with `as f32`, entry by entry and by bits, and the `f32` slice lays
+    /// out storage of its own precision's stride.
     #[test]
     fn demoted_equals_f32_generation_by_columns() {
+        let fill = |i: usize, j: usize| ((i * 7 + j * 13) % 23) as f64 / 3.0 - 3.7;
         for (n, nb, p) in [
             (37usize, 5usize, 2usize),
             (64, 16, 1),
             (9, 4, 3),
             (1024, 64, 1),
         ] {
-            Universe::run(p, |comm| {
-                let grid = Grid::new(comm, p, 1, GridOrder::ColumnMajor);
-                let a64 = System::Seeded(3).local::<f64>(n, nb, &grid);
-                let d = a64.demoted::<f32>();
-                let a32 = System::Seeded(3).local::<f32>(n, nb, &grid);
-                assert_eq!(d.lda(), padded_lda::<f32>(d.mloc));
-                assert_eq!((d.mloc, d.nloc, d.lda()), (a32.mloc, a32.nloc, a32.lda()));
-                let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                for lj in 0..d.nloc {
-                    assert_eq!(bits(d.col(lj)), bits(a32.col(lj)), "column {lj}");
-                }
-            });
+            for system in [System::Seeded(3), System::Fill(&fill)] {
+                Universe::run(p, |comm| {
+                    let grid = Grid::new(comm, p, 1, GridOrder::ColumnMajor);
+                    let a64 = system.local::<f64>(n, nb, &grid);
+                    let a32 = system.local::<f32>(n, nb, &grid);
+                    assert_eq!(a32.lda(), padded_lda::<f32>(a32.mloc));
+                    assert_eq!((a32.mloc, a32.nloc), (a64.mloc, a64.nloc));
+                    for lj in 0..a32.nloc {
+                        for li in 0..a32.mloc {
+                            let want = a64.get(li, lj) as f32;
+                            assert_eq!(a32.get(li, lj).to_bits(), want.to_bits(), "({li},{lj})");
+                        }
+                    }
+                });
+            }
         }
     }
 

@@ -2,14 +2,15 @@
 //! `r = ||A x - b||_inf / (eps * (||A||_inf * ||x||_inf + ||b||_inf) * N)`
 //! must be below 16.0 for the run to pass, computed against the original
 //! system regenerated one column at a time (the factorization destroyed the
-//! one in place).
+//! one in place). HPL-MxP's refinement sweeps call the same [`residual`],
+//! so the sweep that stops its loop is this verification.
 
-use hpl_blas::mat::MatRef;
+use hpl_blas::kernels::{self, Tier};
 use hpl_comm::{Grid, Op};
 
 use crate::dist::Axis;
 use crate::error::HplError;
-use crate::local::{axes, LocalMatrix, System};
+use crate::local::{axes, System};
 
 /// Verification report.
 #[derive(Clone, Copy, Debug)]
@@ -49,14 +50,11 @@ pub fn verify(
     verify_system(grid, n, nb, System::Seeded(seed), x, f64::EPSILON)
 }
 
-/// The verifier proper: regenerates `system` column by column and scales
-/// the residual by `eps` — a pure `f32` factorization is judged against
-/// `f32` accuracy ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while
-/// mixed-precision refinement must recover `f64::EPSILON`-scaled accuracy
-/// to pass. It streams: each local column is generated into one buffer and
-/// consumed before the next, so it holds `O(mloc + n)` entries, never the
-/// local slice, and its result is [`residual`]'s on that slice bit for bit
-/// (the same walk reads both). Collective over the grid.
+/// The verifier proper: the [`Residuals`] half of [`residual`], scaled by
+/// `eps` — a pure `f32` factorization is judged against `f32` accuracy
+/// ([`hpl_blas::Element::UNIT_ROUNDOFF`]), while mixed-precision
+/// refinement must recover `f64::EPSILON`-scaled accuracy to pass.
+/// Collective over the grid.
 pub fn verify_system(
     grid: &Grid,
     n: usize,
@@ -65,75 +63,30 @@ pub fn verify_system(
     x: &[f64],
     eps: f64,
 ) -> Result<Residuals, HplError> {
-    let (rows, cols) = axes(n, nb, grid);
-    let mut streamed = Streamed {
-        system,
-        rows,
-        col: vec![0.0; rows.local_len()],
-    };
-    let (_, res) = residual_walk(grid, rows, cols, &mut streamed, &system.rhs(n), x, eps)?;
-    Ok(res)
+    residual(grid, n, nb, system, x, eps).map(|(_, res)| res)
 }
 
-/// The residual `b - A x` of `x` against an original system that is
-/// already in memory — this rank's unfactored slice `a` and the whole
-/// right-hand side `b` — replicated on every rank, with its HPL scaling
-/// by `eps`. Collective over the grid.
+/// The residual `b - A x` of `x` against the original `n`-row `system`,
+/// blocked by `nb`, replicated on every rank, with its HPL scaling by
+/// `eps`. It streams: each local column of `A` (not the appended `b`
+/// column) is regenerated into one buffer and consumed before the next,
+/// so the call holds `O(mloc + n)` entries, never the local slice. One
+/// pass yields both the partial `A x` and the partial `|A|` row sums of
+/// `||A||_inf`; the partials are then summed across the grid and scaled.
+/// Collective over the grid.
 pub fn residual(
     grid: &Grid,
-    a: &LocalMatrix<f64>,
-    b: &[f64],
+    n: usize,
+    nb: usize,
+    system: System<'_>,
     x: &[f64],
     eps: f64,
 ) -> Result<(Vec<f64>, Residuals), HplError> {
-    residual_walk(grid, a.rows, a.cols, &mut a.view(), b, x, eps)
-}
-
-/// Where [`residual_walk`] reads the original system's local columns.
-trait Columns {
-    /// Local column `lj`, which is global column `g`.
-    fn column(&mut self, lj: usize, g: usize) -> &[f64];
-}
-
-/// A slice already in memory.
-impl Columns for MatRef<'_, f64> {
-    fn column(&mut self, lj: usize, _g: usize) -> &[f64] {
-        self.col(lj)
-    }
-}
-
-/// A system regenerated into one column buffer per call.
-struct Streamed<'s> {
-    system: System<'s>,
-    rows: Axis,
-    col: Vec<f64>,
-}
-
-impl Columns for Streamed<'_> {
-    fn column(&mut self, _lj: usize, g: usize) -> &[f64] {
-        self.system
-            .fill_column(self.rows.n, self.rows, g, &mut self.col);
-        &self.col
-    }
-}
-
-/// The one residual walk behind [`residual`] and [`verify_system`]: one
-/// pass over the local columns of `A` (not the appended `b` column) yields
-/// both the partial `A x` and the partial `|A|` row sums of `||A||_inf`,
-/// then the partials are summed across the grid and scaled.
-fn residual_walk(
-    grid: &Grid,
-    rows: Axis,
-    cols: Axis,
-    a: &mut impl Columns,
-    b: &[f64],
-    x: &[f64],
-    eps: f64,
-) -> Result<(Vec<f64>, Residuals), HplError> {
-    let n = rows.n;
     assert_eq!(x.len(), n);
-    assert_eq!(b.len(), n);
+    let (rows, cols) = axes(n, nb, grid);
     let mloc = rows.local_len();
+    let tier = kernels::active().tier();
+    let mut col = vec![0.0f64; mloc];
     let mut ax_local = vec![0.0f64; mloc];
     let mut row_sums = vec![0.0f64; mloc];
     for lj in 0..cols.local_len() {
@@ -141,19 +94,70 @@ fn residual_walk(
         if g >= n {
             continue;
         }
-        let col = a.column(lj, g);
-        let xv = x[g];
-        if xv != 0.0 {
-            for ((yi, si), &aij) in ax_local.iter_mut().zip(&mut row_sums).zip(col) {
-                *yi += aij * xv;
-                *si += aij.abs();
-            }
-        } else {
-            for (si, &aij) in row_sums.iter_mut().zip(col) {
-                *si += aij.abs();
-            }
+        system.fill_column(n, rows, g, &mut col);
+        accumulate(tier, &col, x[g], &mut ax_local, &mut row_sums);
+    }
+    reduce_and_scale(grid, rows, ax_local, row_sums, &system.rhs(n), x, eps)
+}
+
+/// One column of the residual walk, row by row: `y += a * xv` (skipped
+/// when `xv` is zero) and `s += |a|`. On x86-64 the AVX-512 tier runs
+/// [`accumulate_body`] compiled for 512-bit registers; every other tier
+/// runs the portable build (an AVX2 build gained too little to keep, see
+/// EXPERIMENTS.md). Neither build may fuse — Rust never contracts a
+/// separate multiply and add — and the lanes run across rows, each row's
+/// sum still taking the columns in order, so both give the same bits.
+fn accumulate(tier: Tier, col: &[f64], xv: f64, y: &mut [f64], s: &mut [f64]) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            // SAFETY: a kernel of the Avx512 tier is only constructed
+            // after avx512f was detected on this CPU.
+            unsafe { accumulate_avx512(col, xv, y, s) }
+        }
+        _ => accumulate_body(col, xv, y, s),
+    }
+}
+
+/// [`accumulate_body`] compiled for 512-bit registers.
+///
+/// # Safety
+/// The CPU must support the `avx512f` target feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn accumulate_avx512(col: &[f64], xv: f64, y: &mut [f64], s: &mut [f64]) {
+    accumulate_body(col, xv, y, s)
+}
+
+/// The portable body of [`accumulate`].
+#[inline(always)]
+fn accumulate_body(col: &[f64], xv: f64, y: &mut [f64], s: &mut [f64]) {
+    if xv != 0.0 {
+        for ((yi, si), &aij) in y.iter_mut().zip(s.iter_mut()).zip(col) {
+            *yi += aij * xv;
+            *si += aij.abs();
+        }
+    } else {
+        for (si, &aij) in s.iter_mut().zip(col) {
+            *si += aij.abs();
         }
     }
+}
+
+/// The collective end of [`residual`]: sums this rank's partial `A x`
+/// (`ax_local`) and `|A|` row sums across the grid, forms `r = b - A x`
+/// and scales it.
+fn reduce_and_scale(
+    grid: &Grid,
+    rows: Axis,
+    mut ax_local: Vec<f64>,
+    mut row_sums: Vec<f64>,
+    b: &[f64],
+    x: &[f64],
+    eps: f64,
+) -> Result<(Vec<f64>, Residuals), HplError> {
+    let n = rows.n;
+    assert_eq!(b.len(), n);
     // A x: sum the partials across the process row, scatter into global
     // positions, then sum across the process column (one owner per row).
     hpl_comm::allreduce(grid.row(), Op::Sum, &mut ax_local)?;
@@ -193,6 +197,7 @@ fn residual_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpl_blas::kernels::Kernel;
     use hpl_comm::{GridOrder, Universe};
 
     #[test]
@@ -201,9 +206,7 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         let outs = Universe::run(p * q, |comm| {
             let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
-            let system = System::Seeded(9);
-            let a = system.local(n, nb, &grid);
-            residual(&grid, &a, &system.rhs(n), &x, f64::EPSILON).unwrap()
+            residual(&grid, n, nb, System::Seeded(9), &x, f64::EPSILON).unwrap()
         });
         // Serial reference from the generator.
         let gen = crate::rng::MatGen::new(9, n);
@@ -227,10 +230,10 @@ mod tests {
         }
     }
 
-    /// The streaming verifier reads the same columns through the same walk
-    /// as [`residual`] over the materialized slice, so every field of its
-    /// report is the same bits — on grids where some ranks own a partial
-    /// block (NB does not divide N), for both kinds of system.
+    /// The streamed walk is, bit for bit, the same walk run by a plain loop
+    /// over the materialized `f64` slice — on grids where some ranks own a
+    /// partial block (NB does not divide N), for both kinds of system —
+    /// and `verify_system` is its `Residuals` half.
     #[test]
     fn streaming_verify_is_residual_bit_for_bit() {
         let (n, nb) = (37usize, 5usize);
@@ -238,17 +241,80 @@ mod tests {
         let fill = |i: usize, j: usize| ((i * 31 + j * 17) % 97) as f64 / 97.0 - 0.5;
         let bits =
             |r: &Residuals| [r.err_inf, r.a_inf, r.x_inf, r.b_inf, r.scaled].map(f64::to_bits);
+        let vbits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         for (p, q) in [(1usize, 1usize), (2, 1), (3, 2)] {
             for system in [System::Seeded(13), System::Fill(&fill)] {
                 let outs = Universe::run(p * q, |comm| {
                     let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
-                    let a = system.local(n, nb, &grid);
-                    let (_, held) = residual(&grid, &a, &system.rhs(n), &x, f64::EPSILON).unwrap();
-                    let streamed = verify_system(&grid, n, nb, system, &x, f64::EPSILON).unwrap();
-                    (bits(&held), bits(&streamed))
+                    let a = system.local::<f64>(n, nb, &grid);
+                    let mut ax = vec![0.0f64; a.mloc];
+                    let mut sums = vec![0.0f64; a.mloc];
+                    for lj in 0..a.nloc {
+                        let g = a.cols.to_global(lj);
+                        if g < n {
+                            for ((yi, si), &aij) in ax.iter_mut().zip(&mut sums).zip(a.col(lj)) {
+                                if x[g] != 0.0 {
+                                    *yi += aij * x[g];
+                                }
+                                *si += aij.abs();
+                            }
+                        }
+                    }
+                    let held =
+                        reduce_and_scale(&grid, a.rows, ax, sums, &system.rhs(n), &x, f64::EPSILON)
+                            .unwrap();
+                    let streamed = residual(&grid, n, nb, system, &x, f64::EPSILON).unwrap();
+                    let verified = verify_system(&grid, n, nb, system, &x, f64::EPSILON).unwrap();
+                    assert_eq!(bits(&streamed.1), bits(&verified));
+                    (
+                        (vbits(&held.0), bits(&held.1)),
+                        (vbits(&streamed.0), bits(&streamed.1)),
+                    )
                 });
                 for (held, streamed) in outs {
                     assert_eq!(held, streamed, "{p}x{q}");
+                }
+            }
+        }
+    }
+
+    /// Every tier's build of the column walk gives the portable body's bits:
+    /// every column length through a few vectors and a tail, a zero and a
+    /// nonzero `x` entry, signed zeros, subnormals and magnitudes whose
+    /// products and sums overflow.
+    #[test]
+    fn every_tier_walks_a_column_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MAX / 2.0,
+            -f64::MAX,
+            1.0e300,
+            -3.5e-310,
+        ];
+        let entry = |k: usize, salt: usize| {
+            if (k + salt).is_multiple_of(3) {
+                specials[(k * 5 + salt) % specials.len()]
+            } else {
+                ((k * 37 + salt * 11) % 101) as f64 / 101.0 - 0.5
+            }
+        };
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for kern in Kernel::available() {
+            for len in 0..=67usize {
+                let col: Vec<f64> = (0..len).map(|k| entry(k, 1)).collect();
+                let y0: Vec<f64> = (0..len).map(|k| entry(k, 2)).collect();
+                let s0: Vec<f64> = (0..len).map(|k| entry(k, 4).abs()).collect();
+                for xv in [0.0, -0.0, 0.75, -1.0e10, 3.0e-320, f64::MAX] {
+                    let (mut y, mut s) = (y0.clone(), s0.clone());
+                    accumulate(kern.tier(), &col, xv, &mut y, &mut s);
+                    let (mut y_ref, mut s_ref) = (y0.clone(), s0.clone());
+                    accumulate_body(&col, xv, &mut y_ref, &mut s_ref);
+                    let at = format!("{} len={len} xv={xv:e}", kern.isa());
+                    assert_eq!(bits(&y), bits(&y_ref), "A x, {at}");
+                    assert_eq!(bits(&s), bits(&s_ref), "row sums, {at}");
                 }
             }
         }

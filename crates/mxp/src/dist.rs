@@ -8,9 +8,11 @@
 //! initial solution from the distributed back-substitution, and then
 //! recovers `f64::EPSILON`-scaled accuracy with O(n^2) refinement sweeps:
 //! the residual `b - A x` is evaluated in `f64` against the full-precision
-//! system — generated once, before its demoted copy was factored — and
-//! each correction is solved in `f32` against the factors the elimination
-//! left resident ([`rhpl_core::PipelineOut`]).
+//! system, regenerated one column at a time by the verifier's own walk
+//! ([`rhpl_core::residual`]), and each correction is solved in `f32`
+//! against the factors the elimination left resident
+//! ([`rhpl_core::PipelineOut`]). The run holds one matrix, the `f32`
+//! operand, which is generated directly in `f32`.
 //!
 //! The correction solve is the subtle part. HPL pivoting is
 //! *trailing-only*: at panel `k` the row exchanges touch the panel and the
@@ -46,14 +48,13 @@ pub struct MxpOutput {
     /// mixed-precision solve reached double accuracy.
     pub converged: bool,
     /// The final residual gate at `f64::EPSILON` scaling: the last
-    /// sweep's residual of the returned `x`, evaluated against the `f64`
-    /// system that was generated before the factorization and never
-    /// written (bitwise what [`rhpl_core::verify_system`] computes on a
-    /// fresh regeneration).
+    /// sweep's residual of the returned `x` against the system regenerated
+    /// in `f64` one column at a time — the same call
+    /// [`rhpl_core::verify_system`] makes, so the last sweep is the
+    /// verification.
     pub residuals: Residuals,
-    /// Wall time of generating the system (in `f64`, plus its demoted
-    /// `f32` operand), the `f32` factorization and the initial solve
-    /// (seconds).
+    /// Wall time of generating the `f32` operand, the `f32` factorization
+    /// and the initial solve (seconds).
     pub fact_seconds: f64,
     /// Total wall time: the [`MxpOutput::fact_seconds`] window plus the
     /// refinement sweeps, the last of which is the verification (seconds).
@@ -108,10 +109,9 @@ fn solve_mxp_system(
 
 /// The factor-then-refine pipeline body (tracing owned by the caller).
 ///
-/// The system is generated once, in `f64`; the factorization gets a
-/// demoted copy (bitwise what generating in `f32` gives) and destroys it,
-/// while the `f64` slice is never written again and serves `||A||_inf`,
-/// every sweep's residual and the final verification.
+/// The `f32` operand is generated directly and the factorization destroys
+/// it; no `f64` slice exists. Every sweep's residual, `||A||_inf` and the
+/// final verification regenerate the `f64` system one column at a time.
 fn refine_pipeline(
     grid: &Grid,
     cfg: &HplConfig,
@@ -120,19 +120,17 @@ fn refine_pipeline(
 ) -> Result<MxpOutput, HplError> {
     let n = cfg.n;
     let (t0, faults0) = (Instant::now(), hpl_trace::minor_faults());
-    let a64: LocalMatrix<f64> = system.local(n, cfg.nb, grid);
-    let out = factorize_local(grid, cfg, a64.demoted::<f32>())?;
+    let out = factorize_local(grid, cfg, system.local::<f32>(n, cfg.nb, grid))?;
     let x0 = back_substitute(&out.a, grid, cfg.nb)?;
     let fact_seconds = t0.elapsed().as_secs_f64();
 
-    let b = system.rhs(n);
     let mut x: Vec<f64> = x0.iter().map(|&v| f64::from(v)).collect();
     let mut d = vec![0.0f32; n];
     let mut history = Vec::new();
     // Each sweep's residual is HPL's check of the current `x`; the sweep
     // that stops the loop is therefore the verification of the answer.
     let residuals = loop {
-        let (r, res) = residual(grid, &a64, &b, &x, f64::EPSILON)?;
+        let (r, res) = residual(grid, n, cfg.nb, system, &x, f64::EPSILON)?;
         history.push(res.scaled);
         if res.passed() || history.len() > max_sweeps {
             break res;

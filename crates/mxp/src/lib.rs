@@ -13,7 +13,10 @@
 //! (look-ahead, split update, LBCAST, threaded FACT) in `f32` via
 //! [`rhpl_core::factorize_local`], then replicated `f64` refinement sweeps
 //! replay the pivot log against the resident factors until the solution
-//! passes HPL's residual gate at double accuracy.
+//! passes HPL's residual gate at double accuracy. The only matrix a run
+//! holds is its `f32` operand, generated directly in `f32`; every sweep's
+//! `f64` residual regenerates the system one column at a time through
+//! the verifier's walk ([`rhpl_core::residual`]).
 
 // Lint policy: the triangular solves index their loops the way the
 // reference BLAS/HPL loops do.

@@ -176,8 +176,6 @@ pub fn reset_object(obj: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     // The ledger is process-global and tests run concurrently: each test
     // claims an object id of its own and looks only at that object.
@@ -195,8 +193,12 @@ mod tests {
         assert_eq!(live_claims_on(obj), 0);
     }
 
+    #[cfg(any(debug_assertions, feature = "race-check"))]
     #[test]
     fn overlapping_excl_claims_panic_with_both_sites() {
+        use std::panic::AssertUnwindSafe;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
         let obj = 0x2000;
         let placed = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -237,6 +239,7 @@ mod tests {
         release_current_thread();
     }
 
+    #[cfg(any(debug_assertions, feature = "race-check"))]
     #[test]
     fn shared_overlapping_foreign_excl_panics() {
         let obj = 0x4000;
@@ -251,6 +254,7 @@ mod tests {
         assert_eq!(live_claims_on(obj), 0);
     }
 
+    #[cfg(any(debug_assertions, feature = "race-check"))]
     #[test]
     fn same_thread_overlap_is_allowed() {
         let obj = 0x5000;
@@ -273,10 +277,31 @@ mod tests {
         release_current_thread();
     }
 
+    #[cfg(any(debug_assertions, feature = "race-check"))]
     #[test]
     fn ledger_enabled_in_test_builds() {
         // Tests build with debug_assertions, so the dynamic pass is active
         // for the whole suite — including the FACT end-to-end tests.
         assert!(enabled());
+    }
+
+    /// An optimized build without `race-check` compiles the ledger out:
+    /// claims record nothing, so an overlapping mutable claim from another
+    /// thread returns instead of panicking.
+    #[cfg(not(any(debug_assertions, feature = "race-check")))]
+    #[test]
+    fn ledger_is_a_no_op_when_compiled_out() {
+        let obj = 0x8000;
+        assert!(!enabled());
+        claim_excl(obj, 0, 16);
+        std::thread::spawn(move || {
+            claim_excl(obj, 4, 12);
+            claim_shared(obj, 0, 1);
+            release_current_thread();
+        })
+        .join()
+        .expect("a compiled-out ledger never panics");
+        assert_eq!(live_claims_on(obj), 0);
+        release_current_thread();
     }
 }

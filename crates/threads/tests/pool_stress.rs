@@ -1,7 +1,9 @@
 //! Pool stress tests with the aliasing ledger enabled.
 //!
 //! Tests build with `debug_assertions`, so every claim recorded here is
-//! actually checked (see `hpl_threads::ledger::enabled`). The stress shapes
+//! actually checked (see `hpl_threads::ledger::enabled`); an optimized
+//! build checks them only with `race-check`, and without it the two tests
+//! that need a live ledger are compiled out. The stress shapes
 //! mirror FACT: many small regions back to back on one warm pool, randomized
 //! tile counts per region, and heavy barrier reuse inside each region.
 
@@ -11,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hpl_threads::{ledger, round_robin_tiles, Pool};
 
+#[cfg(any(debug_assertions, feature = "race-check"))]
 #[test]
 fn ledger_is_active_for_these_tests() {
     assert!(
@@ -144,6 +147,7 @@ fn back_to_back_reductions_never_read_a_refilled_bank() {
 /// region: thread 0 claims a tile mutably, then thread 1 claims an
 /// overlapping range in the same phase (ordering enforced, so the panic
 /// always lands on thread 1 and `Pool::run` surfaces it as a dead worker).
+#[cfg(any(debug_assertions, feature = "race-check"))]
 #[test]
 fn ledger_detects_deliberate_overlap_in_region() {
     let pool = Pool::new(2);
