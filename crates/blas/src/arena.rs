@@ -155,20 +155,6 @@ macro_rules! arena_for {
                 scratch_put(buf);
                 r
             }
-
-            /// `with_scratch` with two independent zeroed slices.
-            pub(crate) fn with_scratch2<R>(
-                len0: usize,
-                len1: usize,
-                f: impl FnOnce(&mut [$ty], &mut [$ty]) -> R,
-            ) -> R {
-                let mut b0 = scratch_take(len0);
-                let mut b1 = scratch_take(len1);
-                let r = f(&mut b0[..len0], &mut b1[..len1]);
-                scratch_put(b1);
-                scratch_put(b0);
-                r
-            }
         }
     };
 }
@@ -196,15 +182,6 @@ pub(crate) fn with_pack_bufs<E: Element, R>(
 /// buffer out of the pool.
 pub fn with_scratch<E: Element, R>(len: usize, f: impl FnOnce(&mut [E]) -> R) -> R {
     E::with_scratch(len, f)
-}
-
-/// [`with_scratch`] with two independent zeroed slices.
-pub fn with_scratch2<E: Element, R>(
-    len0: usize,
-    len1: usize,
-    f: impl FnOnce(&mut [E], &mut [E]) -> R,
-) -> R {
-    E::with_scratch2(len0, len1, f)
 }
 
 /// Snapshot of the calling thread's arena counters, summed over both
@@ -292,11 +269,6 @@ mod tests {
             // Warm call: same storage, but zeroed again.
             with_scratch::<f64, _>(16, |s| {
                 assert_eq!(s[3], 0.0, "scratch must be re-zeroed");
-            });
-            with_scratch2::<f64, _>(8, 4, |a, b| {
-                assert_eq!((a.len(), b.len()), (8, 4));
-                a[0] = 1.0;
-                b[0] = 2.0;
             });
             // Nested regions each check out their own pool buffer.
             with_scratch::<f64, _>(4, |outer| {

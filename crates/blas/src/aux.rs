@@ -1,55 +1,9 @@
-//! LAPACK-style auxiliary routines used throughout HPL: norms (DLANGE)
-//! and row interchanges (DLASWP) — generic over the pipeline [`Element`].
+//! LAPACK-style row interchanges — [`swap_rows`], which the serial
+//! [`crate::lu`] oracle applies, and the DLASWP sequence of them — generic
+//! over the pipeline [`Element`].
 
-use crate::mat::{MatMut, MatRef};
+use crate::mat::MatMut;
 use crate::Element;
-
-/// Which norm [`dlange`] computes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Norm {
-    /// Maximum absolute element value.
-    Max,
-    /// Maximum absolute column sum (the 1-norm).
-    One,
-    /// Maximum absolute row sum (the infinity norm).
-    Inf,
-}
-
-/// Computes a norm of `a` (LAPACK DLANGE).
-///
-/// Accumulates in `f64` for either precision — the norms feed the residual
-/// gate, which is an `f64` computation even for an f32 factorization. For
-/// `E = f64` this is exactly the historical behaviour.
-pub fn dlange<E: Element>(norm: Norm, a: MatRef<'_, E>) -> f64 {
-    match norm {
-        Norm::Max => {
-            let mut m = 0.0f64;
-            for j in 0..a.cols() {
-                for &v in a.col(j) {
-                    m = m.max(v.to_f64().abs());
-                }
-            }
-            m
-        }
-        Norm::One => {
-            let mut m = 0.0f64;
-            for j in 0..a.cols() {
-                let s: f64 = a.col(j).iter().map(|v| v.to_f64().abs()).sum();
-                m = m.max(s);
-            }
-            m
-        }
-        Norm::Inf => {
-            let mut sums = vec![0.0f64; a.rows()];
-            for j in 0..a.cols() {
-                for (s, &v) in sums.iter_mut().zip(a.col(j)) {
-                    *s += v.to_f64().abs();
-                }
-            }
-            sums.into_iter().fold(0.0, f64::max)
-        }
-    }
-}
 
 /// Applies a sequence of row interchanges to `a` (LAPACK DLASWP).
 ///
@@ -58,16 +12,6 @@ pub fn dlange<E: Element>(norm: Norm, a: MatRef<'_, E>) -> f64 {
 /// (`incx = 1`) direction of the reference routine.
 pub fn dlaswp<E: Element>(a: &mut MatMut<'_, E>, ipiv: &[usize]) {
     for (k, &p) in ipiv.iter().enumerate() {
-        assert!(p < a.rows(), "dlaswp: pivot {p} out of {} rows", a.rows());
-        if p != k {
-            swap_rows(a, k, p);
-        }
-    }
-}
-
-/// Applies the interchanges of [`dlaswp`] in reverse order, undoing them.
-pub fn dlaswp_inv<E: Element>(a: &mut MatMut<'_, E>, ipiv: &[usize]) {
-    for (k, &p) in ipiv.iter().enumerate().rev() {
         assert!(p < a.rows(), "dlaswp: pivot {p} out of {} rows", a.rows());
         if p != k {
             swap_rows(a, k, p);
@@ -92,22 +36,6 @@ mod tests {
     use crate::mat::Matrix;
 
     #[test]
-    fn dlange_norms() {
-        // [[1, -2], [-3, 4]]
-        let a = Matrix::from_vec(2, 2, vec![1.0, -3.0, -2.0, 4.0]);
-        assert_eq!(dlange(Norm::Max, a.view()), 4.0);
-        assert_eq!(dlange(Norm::One, a.view()), 6.0); // col sums: 4, 6
-        assert_eq!(dlange(Norm::Inf, a.view()), 7.0); // row sums: 3, 7
-    }
-
-    #[test]
-    fn dlange_widens_f32_to_f64() {
-        let a = Matrix::<f32>::from_vec(2, 2, vec![1.0, -3.0, -2.0, 4.0]);
-        assert_eq!(dlange(Norm::Max, a.view()), 4.0f64);
-        assert_eq!(dlange(Norm::Inf, a.view()), 7.0f64);
-    }
-
-    #[test]
     fn dlaswp_roundtrip() {
         let orig = Matrix::from_fn(5, 3, |i, j| (i * 100 + j) as f64);
         let mut a = orig.clone();
@@ -115,8 +43,11 @@ mod tests {
         let mut v = a.view_mut();
         dlaswp(&mut v, &ipiv);
         assert_ne!(a, orig);
+        // Undo: the same interchanges in reverse order.
         let mut v = a.view_mut();
-        dlaswp_inv(&mut v, &ipiv);
+        for (k, &p) in ipiv.iter().enumerate().rev() {
+            swap_rows(&mut v, k, p);
+        }
         assert_eq!(a, orig);
     }
 

@@ -168,12 +168,6 @@ pub trait Element:
     ) -> R;
     /// One zeroed thread-local scratch slice for this precision.
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
-    /// Two independent zeroed scratch slices for this precision.
-    fn with_scratch2<R>(
-        len0: usize,
-        len1: usize,
-        f: impl FnOnce(&mut [Self], &mut [Self]) -> R,
-    ) -> R;
 }
 
 impl Element for f64 {
@@ -277,14 +271,6 @@ impl Element for f64 {
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
         arena::for_f64::with_scratch(len, f)
     }
-    #[inline]
-    fn with_scratch2<R>(
-        len0: usize,
-        len1: usize,
-        f: impl FnOnce(&mut [Self], &mut [Self]) -> R,
-    ) -> R {
-        arena::for_f64::with_scratch2(len0, len1, f)
-    }
 }
 
 impl Element for f32 {
@@ -387,14 +373,6 @@ impl Element for f32 {
     #[inline]
     fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
         arena::for_f32::with_scratch(len, f)
-    }
-    #[inline]
-    fn with_scratch2<R>(
-        len0: usize,
-        len1: usize,
-        f: impl FnOnce(&mut [Self], &mut [Self]) -> R,
-    ) -> R {
-        arena::for_f32::with_scratch2(len0, len1, f)
     }
 }
 

@@ -7,7 +7,7 @@
 //! factorization trace (`seq_hash`) and the replay/checkpoint guarantees are
 //! preserved across `RHPL_KERNEL=scalar|simd` in f64 and f32 alike:
 //!
-//! * `argmax_abs` uses only comparisons (`_CMP_GT_OQ` / `vcgtq_f64` match the
+//! * `argmax_abs` uses only comparisons (`_CMP_GT_OQ` matches the
 //!   scalar `>` exactly, including NaN rejection), with first-index-wins tie
 //!   breaking folded out of the lanes at the end. The AVX2 bodies run
 //!   [`CHAINS`] independent value/index chains, so the loop is bound by
@@ -72,46 +72,55 @@ pub fn dsub<E: Element>(y: &mut [E], x: &[E]) {
 
 // --------------------------------------------- per-precision entry points
 //
-// Monomorphic backing functions for the `Element` l1 hooks: each picks the
-// scalar or per-arch simd body for an explicit kernel kind.
+// Monomorphic backing functions for the `Element` l1 hooks: a Simd kernel
+// runs the AVX2 body on x86-64; a Scalar kernel, or any kernel on another
+// architecture, runs the generic scalar body.
 
 macro_rules! kind_entry {
-    ($name:ident, $ty:ty, $scalar:ident, $simd:ident,
+    ($name:ident, $scalar:ident, $avx2:ident,
      ($($arg:ident: $aty:ty),*) -> $ret:ty) => {
         #[inline]
         pub(crate) fn $name(kind: KernelKind, $($arg: $aty),*) -> $ret {
             match kind {
-                KernelKind::Scalar => $scalar($($arg),*),
-                KernelKind::Simd => $simd($($arg),*),
+                #[cfg(target_arch = "x86_64")]
+                KernelKind::Simd => {
+                    // SAFETY: on x86_64 a Simd kernel exists only after
+                    // `is_x86_feature_detected!` confirmed avx2 (every
+                    // x86-64 SIMD tier requires it, see `kernels::detected`),
+                    // so the `#[target_feature(enable = "avx2")]` contract
+                    // holds.
+                    unsafe { x86::$avx2($($arg),*) }
+                }
+                _ => $scalar($($arg),*),
             }
         }
     };
 }
 
-kind_entry!(argmax_abs_f64, f64, argmax_abs_scalar, argmax_abs_simd_f64,
+kind_entry!(argmax_abs_f64, argmax_abs_scalar, argmax_abs_avx2,
     (x: &[f64]) -> (usize, f64));
-kind_entry!(scal_inv_f64, f64, dscal_inv_scalar, dscal_inv_simd_f64,
+kind_entry!(scal_inv_f64, dscal_inv_scalar, dscal_inv_avx2,
     (pivot: f64, x: &mut [f64]) -> ());
-kind_entry!(axpy_sub_f64, f64, axpy_sub_scalar, axpy_sub_simd_f64,
+kind_entry!(axpy_sub_f64, axpy_sub_scalar, axpy_sub_avx2,
     (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
-kind_entry!(axpy_sub_argmax_f64, f64, axpy_sub_argmax_scalar, axpy_sub_argmax_simd_f64,
+kind_entry!(axpy_sub_argmax_f64, axpy_sub_argmax_scalar, axpy_sub_argmax_avx2,
     (alpha: f64, x: &[f64], y: &mut [f64]) -> (usize, f64));
-kind_entry!(axpy_add_f64, f64, axpy_add_scalar, axpy_add_simd_f64,
+kind_entry!(axpy_add_f64, axpy_add_scalar, axpy_add_avx2,
     (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
-kind_entry!(sub_f64, f64, dsub_scalar, dsub_simd_f64,
+kind_entry!(sub_f64, dsub_scalar, dsub_avx2,
     (y: &mut [f64], x: &[f64]) -> ());
 
-kind_entry!(argmax_abs_f32, f32, argmax_abs_scalar, argmax_abs_simd_f32,
+kind_entry!(argmax_abs_f32, argmax_abs_scalar, argmax_abs_avx2_f32,
     (x: &[f32]) -> (usize, f32));
-kind_entry!(scal_inv_f32, f32, dscal_inv_scalar, dscal_inv_simd_f32,
+kind_entry!(scal_inv_f32, dscal_inv_scalar, dscal_inv_avx2_f32,
     (pivot: f32, x: &mut [f32]) -> ());
-kind_entry!(axpy_sub_f32, f32, axpy_sub_scalar, axpy_sub_simd_f32,
+kind_entry!(axpy_sub_f32, axpy_sub_scalar, axpy_sub_avx2_f32,
     (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
-kind_entry!(axpy_sub_argmax_f32, f32, axpy_sub_argmax_scalar, axpy_sub_argmax_simd_f32,
+kind_entry!(axpy_sub_argmax_f32, axpy_sub_argmax_scalar, axpy_sub_argmax_avx2_f32,
     (alpha: f32, x: &[f32], y: &mut [f32]) -> (usize, f32));
-kind_entry!(axpy_add_f32, f32, axpy_add_scalar, axpy_add_simd_f32,
+kind_entry!(axpy_add_f32, axpy_add_scalar, axpy_add_avx2_f32,
     (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
-kind_entry!(sub_f32, f32, dsub_scalar, dsub_simd_f32,
+kind_entry!(sub_f32, dsub_scalar, dsub_avx2_f32,
     (y: &mut [f32], x: &[f32]) -> ());
 
 // ---------------------------------------------------------------- scalar
@@ -170,98 +179,17 @@ fn dsub_scalar<E: Element>(y: &mut [E], x: &[E]) {
     }
 }
 
-// ------------------------------------------------------------- dispatch
-
-/// The per-arch simd entry points. Only reachable through a [`kernels::Kernel`]
-/// whose construction verified the ISA (mirrors `l3::kernels::micro_simd`);
-/// non-simd architectures fall back to the scalar body.
-macro_rules! simd_entry {
-    ($name:ident, $x86:ident, $neon:ident, $scalar:ident,
-     ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        #[inline]
-        fn $name($($arg: $ty),*) -> $ret {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: `Kernel::simd()` is the only constructor of a Simd
-                // kernel on x86_64 and it requires `is_x86_feature_detected!`
-                // to confirm the avx2 target feature before handing one out,
-                // so the `#[target_feature(enable = "avx2")]` contract holds.
-                unsafe { x86::$x86($($arg),*) }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                // SAFETY: the neon target feature is baseline on every
-                // aarch64 target rustc supports, so the
-                // `#[target_feature(enable = "neon")]` contract is met.
-                unsafe { aarch64::$neon($($arg),*) }
-            }
-            #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-            {
-                $scalar($($arg),*)
-            }
-        }
-    };
-}
-
-simd_entry!(argmax_abs_simd_f64, argmax_abs_avx2, argmax_abs_neon, argmax_abs_scalar,
-    (x: &[f64]) -> (usize, f64));
-simd_entry!(dscal_inv_simd_f64, dscal_inv_avx2, dscal_inv_neon, dscal_inv_scalar,
-    (pivot: f64, x: &mut [f64]) -> ());
-simd_entry!(axpy_sub_simd_f64, axpy_sub_avx2, axpy_sub_neon, axpy_sub_scalar,
-    (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
-simd_entry!(axpy_add_simd_f64, axpy_add_avx2, axpy_add_neon, axpy_add_scalar,
-    (alpha: f64, x: &[f64], y: &mut [f64]) -> ());
-simd_entry!(dsub_simd_f64, dsub_avx2, dsub_neon, dsub_scalar,
-    (y: &mut [f64], x: &[f64]) -> ());
-
-/// The fused update-and-search has an AVX2 body only; every other
-/// architecture runs the scalar body.
-macro_rules! x86_entry {
-    ($name:ident, $x86:ident, $scalar:ident,
-     ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        #[inline]
-        fn $name($($arg: $ty),*) -> $ret {
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SAFETY: `Kernel::simd()` is the only constructor of a Simd
-                // kernel on x86_64 and it requires `is_x86_feature_detected!`
-                // to confirm the avx2 target feature before handing one out,
-                // so the `#[target_feature(enable = "avx2")]` contract holds.
-                unsafe { x86::$x86($($arg),*) }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                $scalar($($arg),*)
-            }
-        }
-    };
-}
-
-x86_entry!(axpy_sub_argmax_simd_f64, axpy_sub_argmax_avx2, axpy_sub_argmax_scalar,
-    (alpha: f64, x: &[f64], y: &mut [f64]) -> (usize, f64));
-x86_entry!(axpy_sub_argmax_simd_f32, axpy_sub_argmax_avx2_f32, axpy_sub_argmax_scalar,
-    (alpha: f32, x: &[f32], y: &mut [f32]) -> (usize, f32));
-
-simd_entry!(argmax_abs_simd_f32, argmax_abs_avx2_f32, argmax_abs_neon_f32, argmax_abs_scalar,
-    (x: &[f32]) -> (usize, f32));
-simd_entry!(dscal_inv_simd_f32, dscal_inv_avx2_f32, dscal_inv_neon_f32, dscal_inv_scalar,
-    (pivot: f32, x: &mut [f32]) -> ());
-simd_entry!(axpy_sub_simd_f32, axpy_sub_avx2_f32, axpy_sub_neon_f32, axpy_sub_scalar,
-    (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
-simd_entry!(axpy_add_simd_f32, axpy_add_avx2_f32, axpy_add_neon_f32, axpy_add_scalar,
-    (alpha: f32, x: &[f32], y: &mut [f32]) -> ());
-simd_entry!(dsub_simd_f32, dsub_avx2_f32, dsub_neon_f32, dsub_scalar,
-    (y: &mut [f32], x: &[f32]) -> ());
-
 /// Largest slice length whose lane indices stay exactly representable in an
 /// f32 index register (integers <= 2^24 are exact in f32). Longer argmax
 /// inputs take the scalar path — never hit in practice, the pipeline's
 /// column heights are far smaller.
+#[cfg(target_arch = "x86_64")]
 const F32_IDX_EXACT: usize = 1 << 24;
 
 /// Independent value/index chains in the AVX2 argmax bodies: each takes
 /// every [`CHAINS`]-th register-wide chunk, so consecutive chunks' compare
 /// and blend overlap instead of waiting on one another.
+#[cfg(target_arch = "x86_64")]
 const CHAINS: usize = 4;
 
 /// Folds per-lane `(value, index)` argmax candidates into the scalar
@@ -272,6 +200,7 @@ const CHAINS: usize = 4;
 /// exactly the scalar loop never updating from its initial state. Index
 /// lanes hold small exact integers in either precision (`F32_IDX_EXACT`
 /// guards the f32 path), so `to_f64 as usize` is lossless.
+#[cfg(target_arch = "x86_64")]
 fn fold_lanes<E: Element>(vs: &[E], is: &[E], best_v: &mut E, best_i: &mut usize) {
     for (&v, &fi) in vs.iter().zip(is) {
         if v == E::NEG_INFINITY {
@@ -858,307 +787,6 @@ mod x86 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod aarch64 {
-    use core::arch::aarch64::{
-        vabsq_f32, vabsq_f64, vaddq_f32, vaddq_f64, vbslq_f32, vbslq_f64, vcgtq_f32, vcgtq_f64,
-        vdivq_f32, vdivq_f64, vdupq_n_f32, vdupq_n_f64, vld1q_f32, vld1q_f64, vmulq_f32, vmulq_f64,
-        vst1q_f32, vst1q_f64, vsubq_f32, vsubq_f64,
-    };
-
-    /// 2-lane pivot search; see the avx2 twin for the lane/fold argument.
-    /// `vcgtq_f64` is ordered `>` (NaN compares false, like scalar).
-    ///
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn argmax_abs_neon(x: &[f64]) -> (usize, f64) {
-        let n = x.len();
-        let mut best_v = f64::NEG_INFINITY;
-        let mut best_i = usize::MAX;
-        let chunks = n / 2;
-        if chunks > 0 {
-            let mut bv = vdupq_n_f64(f64::NEG_INFINITY);
-            let mut bi = vdupq_n_f64(0.0);
-            // SAFETY: neon — loading a 2-lane constant from the stack.
-            let mut idx = unsafe { vld1q_f64([0.0f64, 1.0].as_ptr()) };
-            let two = vdupq_n_f64(2.0);
-            for c in 0..chunks {
-                // SAFETY: neon — offset `2c` is in bounds (`c < n/2`).
-                let ptr = unsafe { x.as_ptr().add(2 * c) };
-                // SAFETY: neon — lanes `2c..2c+2` are in bounds (`c < n/2`).
-                let v = unsafe { vld1q_f64(ptr) };
-                let av = vabsq_f64(v);
-                let gt = vcgtq_f64(av, bv);
-                bv = vbslq_f64(gt, av, bv);
-                bi = vbslq_f64(gt, idx, bi);
-                idx = vaddq_f64(idx, two);
-            }
-            let mut vs = [0.0f64; 2];
-            let mut is = [0.0f64; 2];
-            // SAFETY: neon — both stack arrays have 2 writable lanes.
-            unsafe { vst1q_f64(vs.as_mut_ptr(), bv) };
-            // SAFETY: neon — as above.
-            unsafe { vst1q_f64(is.as_mut_ptr(), bi) };
-            super::fold_lanes(&vs, &is, &mut best_v, &mut best_i);
-        }
-        for i in 2 * chunks..n {
-            let av = x[i].abs();
-            if av > best_v {
-                best_v = av;
-                best_i = i;
-            }
-        }
-        (best_i, best_v)
-    }
-
-    /// 4-lane f32 pivot search; see the f64 twin for the lane/fold argument.
-    /// Index lanes are f32, exact for slices below `F32_IDX_EXACT` — longer
-    /// inputs fall back to the (bitwise-identical) scalar loop.
-    ///
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn argmax_abs_neon_f32(x: &[f32]) -> (usize, f32) {
-        let n = x.len();
-        if n >= super::F32_IDX_EXACT {
-            return super::argmax_abs_scalar(x);
-        }
-        let mut best_v = f32::NEG_INFINITY;
-        let mut best_i = usize::MAX;
-        let chunks = n / 4;
-        if chunks > 0 {
-            let mut bv = vdupq_n_f32(f32::NEG_INFINITY);
-            let mut bi = vdupq_n_f32(0.0);
-            // SAFETY: neon — loading a 4-lane constant from the stack.
-            let mut idx = unsafe { vld1q_f32([0.0f32, 1.0, 2.0, 3.0].as_ptr()) };
-            let four = vdupq_n_f32(4.0);
-            for c in 0..chunks {
-                // SAFETY: neon — offset `4c` is in bounds (`c < n/4`).
-                let ptr = unsafe { x.as_ptr().add(4 * c) };
-                // SAFETY: neon — lanes `4c..4c+4` are in bounds (`c < n/4`).
-                let v = unsafe { vld1q_f32(ptr) };
-                let av = vabsq_f32(v);
-                let gt = vcgtq_f32(av, bv);
-                bv = vbslq_f32(gt, av, bv);
-                bi = vbslq_f32(gt, idx, bi);
-                idx = vaddq_f32(idx, four);
-            }
-            let mut vs = [0.0f32; 4];
-            let mut is = [0.0f32; 4];
-            // SAFETY: neon — both stack arrays have 4 writable lanes.
-            unsafe { vst1q_f32(vs.as_mut_ptr(), bv) };
-            // SAFETY: neon — as above.
-            unsafe { vst1q_f32(is.as_mut_ptr(), bi) };
-            super::fold_lanes(&vs, &is, &mut best_v, &mut best_i);
-        }
-        for i in 4 * chunks..n {
-            let av = x[i].abs();
-            if av > best_v {
-                best_v = av;
-                best_i = i;
-            }
-        }
-        (best_i, best_v)
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dscal_inv_neon(pivot: f64, x: &mut [f64]) {
-        let n = x.len();
-        let p = vdupq_n_f64(pivot);
-        let chunks = n / 2;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `2c` is in bounds (`c < n/2`).
-            let ptr = unsafe { x.as_mut_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` are in bounds (`c < n/2`).
-            let v = unsafe { vld1q_f64(ptr) };
-            // `fdiv` is correctly rounded: bit-identical to the scalar `/`.
-            let q = vdivq_f64(v, p);
-            // SAFETY: neon — same in-bounds lanes, writable.
-            unsafe { vst1q_f64(ptr, q) };
-        }
-        for v in &mut x[2 * chunks..] {
-            *v /= pivot;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dscal_inv_neon_f32(pivot: f32, x: &mut [f32]) {
-        let n = x.len();
-        let p = vdupq_n_f32(pivot);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `4c` is in bounds (`c < n/4`).
-            let ptr = unsafe { x.as_mut_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` are in bounds (`c < n/4`).
-            let v = unsafe { vld1q_f32(ptr) };
-            // `fdiv` is correctly rounded: bit-identical to the scalar `/`.
-            let q = vdivq_f32(v, p);
-            // SAFETY: neon — same in-bounds lanes, writable.
-            unsafe { vst1q_f32(ptr, q) };
-        }
-        for v in &mut x[4 * chunks..] {
-            *v /= pivot;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_sub_neon(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len().min(x.len());
-        let a = vdupq_n_f64(alpha);
-        let chunks = n / 2;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `2c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` are within both slices.
-            let xv = unsafe { vld1q_f64(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` of `y` are readable.
-            let yv = unsafe { vld1q_f64(yptr) };
-            // Separate mul and sub (NOT vfmsq): matches scalar rounding.
-            let r = vsubq_f64(yv, vmulq_f64(a, xv));
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f64(yptr, r) };
-        }
-        for (yi, &xi) in y[2 * chunks..n].iter_mut().zip(&x[2 * chunks..n]) {
-            *yi -= alpha * xi;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_sub_neon_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = y.len().min(x.len());
-        let a = vdupq_n_f32(alpha);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `4c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` are within both slices.
-            let xv = unsafe { vld1q_f32(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` of `y` are readable.
-            let yv = unsafe { vld1q_f32(yptr) };
-            // Separate mul and sub (NOT vfmsq): matches scalar rounding.
-            let r = vsubq_f32(yv, vmulq_f32(a, xv));
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f32(yptr, r) };
-        }
-        for (yi, &xi) in y[4 * chunks..n].iter_mut().zip(&x[4 * chunks..n]) {
-            *yi -= alpha * xi;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_add_neon(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = y.len().min(x.len());
-        let a = vdupq_n_f64(alpha);
-        let chunks = n / 2;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `2c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` are within both slices.
-            let xv = unsafe { vld1q_f64(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` of `y` are readable.
-            let yv = unsafe { vld1q_f64(yptr) };
-            // Separate mul and add (NOT vfmaq): matches scalar rounding.
-            let r = vaddq_f64(yv, vmulq_f64(a, xv));
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f64(yptr, r) };
-        }
-        for (yi, &xi) in y[2 * chunks..n].iter_mut().zip(&x[2 * chunks..n]) {
-            *yi += alpha * xi;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_add_neon_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-        let n = y.len().min(x.len());
-        let a = vdupq_n_f32(alpha);
-        let chunks = n / 4;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `4c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` are within both slices.
-            let xv = unsafe { vld1q_f32(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` of `y` are readable.
-            let yv = unsafe { vld1q_f32(yptr) };
-            // Separate mul and add (NOT vfmaq): matches scalar rounding.
-            let r = vaddq_f32(yv, vmulq_f32(a, xv));
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f32(yptr, r) };
-        }
-        for (yi, &xi) in y[4 * chunks..n].iter_mut().zip(&x[4 * chunks..n]) {
-            *yi += alpha * xi;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dsub_neon(y: &mut [f64], x: &[f64]) {
-        let n = y.len().min(x.len());
-        let chunks = n / 2;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `2c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` are within both slices.
-            let xv = unsafe { vld1q_f64(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(2 * c) };
-            // SAFETY: neon — lanes `2c..2c+2` of `y` are readable.
-            let yv = unsafe { vld1q_f64(yptr) };
-            let r = vsubq_f64(yv, xv);
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f64(yptr, r) };
-        }
-        for (yi, &xi) in y[2 * chunks..n].iter_mut().zip(&x[2 * chunks..n]) {
-            *yi -= xi;
-        }
-    }
-
-    /// # Safety
-    /// Caller must be on a target with the `neon` feature (aarch64 baseline).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dsub_neon_f32(y: &mut [f32], x: &[f32]) {
-        let n = y.len().min(x.len());
-        let chunks = n / 4;
-        for c in 0..chunks {
-            // SAFETY: neon — offset `4c` is within both slices.
-            let xptr = unsafe { x.as_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` are within both slices.
-            let xv = unsafe { vld1q_f32(xptr) };
-            // SAFETY: neon — same in-bounds offset on the writable side.
-            let yptr = unsafe { y.as_mut_ptr().add(4 * c) };
-            // SAFETY: neon — lanes `4c..4c+4` of `y` are readable.
-            let yv = unsafe { vld1q_f32(yptr) };
-            let r = vsubq_f32(yv, xv);
-            // SAFETY: neon — same writable lanes.
-            unsafe { vst1q_f32(yptr, r) };
-        }
-        for (yi, &xi) in y[4 * chunks..n].iter_mut().zip(&x[4 * chunks..n]) {
-            *yi -= xi;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,7 +872,7 @@ mod tests {
             for seed in [1u64, 42, 1234567, 987654321] {
                 let x = data(n, seed);
                 let (si, sv) = argmax_abs_scalar(&x);
-                let (vi, vv) = argmax_abs_simd_f64(&x);
+                let (vi, vv) = argmax_abs_f64(KernelKind::Simd, &x);
                 assert_eq!((si, sv.to_bits()), (vi, vv.to_bits()), "n={n} seed={seed}");
             }
         }
@@ -1260,7 +888,7 @@ mod tests {
             for seed in [1u64, 42, 1234567, 987654321] {
                 let x = data_f32(n, seed);
                 let (si, sv) = argmax_abs_scalar(&x);
-                let (vi, vv) = argmax_abs_simd_f32(&x);
+                let (vi, vv) = argmax_abs_f32(KernelKind::Simd, &x);
                 assert_eq!((si, sv.to_bits()), (vi, vv.to_bits()), "n={n} seed={seed}");
             }
         }
@@ -1280,25 +908,25 @@ mod tests {
                 let mut ys = data(n, seed ^ 0xdead);
                 let mut yv = ys.clone();
                 dscal_inv_scalar(pivot, &mut ys);
-                dscal_inv_simd_f64(pivot, &mut yv);
+                scal_inv_f64(KernelKind::Simd, pivot, &mut yv);
                 assert_bits_eq(&ys, &yv, "dscal_inv", n, seed);
 
                 let mut ys = data(n, seed ^ 0xbeef);
                 let mut yv = ys.clone();
                 axpy_sub_scalar(alpha, &x, &mut ys);
-                axpy_sub_simd_f64(alpha, &x, &mut yv);
+                axpy_sub_f64(KernelKind::Simd, alpha, &x, &mut yv);
                 assert_bits_eq(&ys, &yv, "axpy_sub", n, seed);
 
                 let mut ys = data(n, seed ^ 0xf00d);
                 let mut yv = ys.clone();
                 axpy_add_scalar(alpha, &x, &mut ys);
-                axpy_add_simd_f64(alpha, &x, &mut yv);
+                axpy_add_f64(KernelKind::Simd, alpha, &x, &mut yv);
                 assert_bits_eq(&ys, &yv, "axpy_add", n, seed);
 
                 let mut ys = data(n, seed ^ 0xcafe);
                 let mut yv = ys.clone();
                 dsub_scalar(&mut ys, &x);
-                dsub_simd_f64(&mut yv, &x);
+                sub_f64(KernelKind::Simd, &mut yv, &x);
                 assert_bits_eq(&ys, &yv, "dsub", n, seed);
             }
         }
@@ -1318,25 +946,25 @@ mod tests {
                 let mut ys = data_f32(n, seed ^ 0xdead);
                 let mut yv = ys.clone();
                 dscal_inv_scalar(pivot, &mut ys);
-                dscal_inv_simd_f32(pivot, &mut yv);
+                scal_inv_f32(KernelKind::Simd, pivot, &mut yv);
                 assert_bits_eq_f32(&ys, &yv, "dscal_inv", n, seed);
 
                 let mut ys = data_f32(n, seed ^ 0xbeef);
                 let mut yv = ys.clone();
                 axpy_sub_scalar(alpha, &x, &mut ys);
-                axpy_sub_simd_f32(alpha, &x, &mut yv);
+                axpy_sub_f32(KernelKind::Simd, alpha, &x, &mut yv);
                 assert_bits_eq_f32(&ys, &yv, "axpy_sub", n, seed);
 
                 let mut ys = data_f32(n, seed ^ 0xf00d);
                 let mut yv = ys.clone();
                 axpy_add_scalar(alpha, &x, &mut ys);
-                axpy_add_simd_f32(alpha, &x, &mut yv);
+                axpy_add_f32(KernelKind::Simd, alpha, &x, &mut yv);
                 assert_bits_eq_f32(&ys, &yv, "axpy_add", n, seed);
 
                 let mut ys = data_f32(n, seed ^ 0xcafe);
                 let mut yv = ys.clone();
                 dsub_scalar(&mut ys, &x);
-                dsub_simd_f32(&mut yv, &x);
+                sub_f32(KernelKind::Simd, &mut yv, &x);
                 assert_bits_eq_f32(&ys, &yv, "dsub", n, seed);
             }
         }

@@ -1,5 +1,6 @@
-//! Level-2 BLAS kernels: rank-1 update, matrix-vector product, triangular
-//! solve against a vector — generic over the pipeline [`Element`].
+//! Level-2 BLAS kernels: the rank-1 update of the serial [`crate::lu`]
+//! oracle and the triangular solve against a vector — generic over the
+//! pipeline [`Element`].
 
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
@@ -9,7 +10,7 @@ use crate::{Diag, Trans, Uplo};
 ///
 /// `x.len() == A.rows()`, `y.len() == A.cols()`. This is the inner kernel of
 /// the unblocked right-looking LU factorization.
-pub fn dger<E: Element>(alpha: E, x: &[E], y: &[E], a: &mut MatMut<'_, E>) {
+pub(crate) fn dger<E: Element>(alpha: E, x: &[E], y: &[E], a: &mut MatMut<'_, E>) {
     assert_eq!(x.len(), a.rows(), "dger: x length mismatch");
     assert_eq!(y.len(), a.cols(), "dger: y length mismatch");
     if alpha == E::ZERO || a.is_empty() {
@@ -23,44 +24,6 @@ pub fn dger<E: Element>(alpha: E, x: &[E], y: &[E], a: &mut MatMut<'_, E>) {
         let col = a.col_mut(j);
         for (ci, &xi) in col.iter_mut().zip(x) {
             *ci += ayj * xi;
-        }
-    }
-}
-
-/// Matrix-vector product `y <- alpha * op(A) * x + beta * y`.
-pub fn dgemv<E: Element>(trans: Trans, alpha: E, a: MatRef<'_, E>, x: &[E], beta: E, y: &mut [E]) {
-    let (m, n) = (a.rows(), a.cols());
-    match trans {
-        Trans::No => {
-            assert_eq!(x.len(), n, "dgemv: x length mismatch");
-            assert_eq!(y.len(), m, "dgemv: y length mismatch");
-            if beta != E::ONE {
-                for v in y.iter_mut() {
-                    *v *= beta;
-                }
-            }
-            for j in 0..n {
-                let axj = alpha * x[j];
-                if axj == E::ZERO {
-                    continue;
-                }
-                let col = a.col(j);
-                for (yi, &aij) in y.iter_mut().zip(col) {
-                    *yi += axj * aij;
-                }
-            }
-        }
-        Trans::Yes => {
-            assert_eq!(x.len(), m, "dgemv: x length mismatch");
-            assert_eq!(y.len(), n, "dgemv: y length mismatch");
-            for (j, yj) in y.iter_mut().enumerate() {
-                let col = a.col(j);
-                let mut s = E::ZERO;
-                for (&aij, &xi) in col.iter().zip(x) {
-                    s += aij * xi;
-                }
-                *yj = alpha * s + beta * *yj;
-            }
         }
     }
 }
@@ -137,7 +100,21 @@ pub fn dtrsv<E: Element>(uplo: Uplo, trans: Trans, diag: Diag, a: MatRef<'_, E>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::l3::dgemm_naive;
     use crate::mat::Matrix;
+
+    /// `op(A) * x`, through the naive GEMM on one column.
+    fn matvec(trans: Trans, a: &Matrix, x: &[f64]) -> Vec<f64> {
+        let m = match trans {
+            Trans::No => a.rows(),
+            Trans::Yes => a.cols(),
+        };
+        let mut y = vec![0.0; m];
+        let xv = MatRef::from_slice(x, x.len(), 1, x.len());
+        let mut yv = MatMut::from_slice(&mut y, m, 1, m);
+        dgemm_naive(trans, Trans::No, 1.0, a.view(), xv, 0.0, &mut yv);
+        y
+    }
 
     #[test]
     fn dger_rank1() {
@@ -151,28 +128,12 @@ mod tests {
     }
 
     #[test]
-    fn dgemv_notrans() {
-        // A = [[1, 2], [3, 4]]; y = A * [1, 1] = [3, 7].
-        let a = Matrix::from_vec(2, 2, vec![1.0, 3.0, 2.0, 4.0]);
-        let mut y = vec![100.0, 100.0];
-        dgemv(Trans::No, 1.0, a.view(), &[1.0, 1.0], 0.0, &mut y);
-        assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn dgemv_trans() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 3.0, 2.0, 4.0]);
-        let mut y = vec![0.0, 0.0];
-        dgemv(Trans::Yes, 1.0, a.view(), &[1.0, 1.0], 0.0, &mut y);
-        assert_eq!(y, vec![4.0, 6.0]); // A^T * [1,1]
-    }
-
-    #[test]
     fn l2_kernels_serve_f32() {
+        // Lower triangle [[1, 0], [3, 4]]: forward substitution of [1, 7].
         let a = Matrix::<f32>::from_vec(2, 2, vec![1.0, 3.0, 2.0, 4.0]);
-        let mut y = vec![0.0f32, 0.0];
-        dgemv(Trans::No, 1.0f32, a.view(), &[1.0f32, 1.0], 0.0f32, &mut y);
-        assert_eq!(y, vec![3.0f32, 7.0]);
+        let mut x = vec![1.0f32, 7.0];
+        dtrsv(Uplo::Lower, Trans::No, Diag::NonUnit, a.view(), &mut x);
+        assert_eq!(x, vec![1.0f32, 1.0]);
         let mut b = Matrix::<f32>::zeros(2, 2);
         let mut bv = b.view_mut();
         dger(2.0f32, &[1.0, 2.0], &[10.0, 20.0], &mut bv);
@@ -196,8 +157,7 @@ mod tests {
         let n = 5;
         let l = tri_lower(n);
         let xtrue: Vec<f64> = (0..n).map(|i| i as f64 - 2.0).collect();
-        let mut b = vec![0.0; n];
-        dgemv(Trans::No, 1.0, l.view(), &xtrue, 0.0, &mut b);
+        let mut b = matvec(Trans::No, &l, &xtrue);
         dtrsv(Uplo::Lower, Trans::No, Diag::NonUnit, l.view(), &mut b);
         for (got, want) in b.iter().zip(&xtrue) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
@@ -211,8 +171,7 @@ mod tests {
         // Use L^T as an upper-triangular matrix.
         let u = Matrix::from_fn(n, n, |i, j| l.get(j, i));
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 + 1.0).collect();
-        let mut b = vec![0.0; n];
-        dgemv(Trans::No, 1.0, u.view(), &xtrue, 0.0, &mut b);
+        let mut b = matvec(Trans::No, &u, &xtrue);
         dtrsv(Uplo::Upper, Trans::No, Diag::NonUnit, u.view(), &mut b);
         for (got, want) in b.iter().zip(&xtrue) {
             assert!((got - want).abs() < 1e-10, "{got} vs {want}");
@@ -225,16 +184,14 @@ mod tests {
         let l = tri_lower(n);
         let xtrue: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 2.0).collect();
         // Solve L^T x = b where b = L^T xtrue.
-        let mut b = vec![0.0; n];
-        dgemv(Trans::Yes, 1.0, l.view(), &xtrue, 0.0, &mut b);
+        let mut b = matvec(Trans::Yes, &l, &xtrue);
         dtrsv(Uplo::Lower, Trans::Yes, Diag::NonUnit, l.view(), &mut b);
         for (got, want) in b.iter().zip(&xtrue) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
         }
         // Upper^T: U = L^T, solve U^T x = L x = b.
         let u = Matrix::from_fn(n, n, |i, j| l.get(j, i));
-        let mut b2 = vec![0.0; n];
-        dgemv(Trans::No, 1.0, l.view(), &xtrue, 0.0, &mut b2);
+        let mut b2 = matvec(Trans::No, &l, &xtrue);
         dtrsv(Uplo::Upper, Trans::Yes, Diag::NonUnit, u.view(), &mut b2);
         for (got, want) in b2.iter().zip(&xtrue) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
@@ -252,8 +209,7 @@ mod tests {
             lu.set(i, i, 1234.5);
         }
         let xtrue = vec![1.0, -1.0, 2.0, 0.5];
-        let mut b = vec![0.0; n];
-        dgemv(Trans::No, 1.0, l.view(), &xtrue, 0.0, &mut b);
+        let mut b = matvec(Trans::No, &l, &xtrue);
         dtrsv(Uplo::Lower, Trans::No, Diag::Unit, lu.view(), &mut b);
         for (got, want) in b.iter().zip(&xtrue) {
             assert!((got - want).abs() < 1e-12);

@@ -57,9 +57,9 @@ pub fn dgemm<E: Element>(
     dgemm_with(kernels::active(), transa, transb, alpha, a, b, beta, c);
 }
 
-/// [`dgemm`] with an explicit microkernel — the entry point the parallel
-/// and test paths use so every tile of one logical GEMM shares a single
-/// accumulation semantics.
+/// [`dgemm`] with an explicit microkernel — the entry point [`dtrsm_with`]'s
+/// updates, tests and benches use so one logical operation runs on one
+/// chosen tier.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_with<E: Element>(
     kern: Kernel,

@@ -17,7 +17,6 @@
 //! | tier      | f64 tile | f32 tile | accumulators | A loads + B broadcasts / depth step |
 //! |-----------|----------|----------|--------------|-------------------------------------|
 //! | `Scalar`  | 8x4      | 8x4      | stack tile   | —                                   |
-//! | `Neon`    | 8x4      | 8x4      | 16 / 8 of 32 Q | 4 + 4 / 2 + 4                     |
 //! | `Avx2`    | 8x6      | 16x6     | 12 of 16 YMM | 2 + 6                               |
 //! | `Avx512`  | 32x6     | 64x6     | 24 of 32 ZMM | 4 + 6                               |
 //!
@@ -35,7 +34,7 @@
 //! from the accumulator registers: `alpha*acc` and `beta*c` are vector
 //! multiplies and their sum a vector add — never a fused multiply-add,
 //! which would round once where the scalar writeback rounds twice. Edge
-//! tiles (and every tile of the scalar and NEON kernels) spill the
+//! tiles (and every tile of the scalar kernel) spill the
 //! accumulators to a stack tile and go through the shared scalar
 //! writeback [`store_tile`], which clips to the `mh x nw` edge.
 //!
@@ -76,8 +75,6 @@ pub enum KernelKind {
 pub enum Tier {
     /// The portable mul-then-add tile.
     Scalar,
-    /// aarch64 NEON (baseline on that architecture).
-    Neon,
     /// x86-64 AVX2 + FMA, 256-bit registers.
     Avx2,
     /// x86-64 AVX-512F, 512-bit registers.
@@ -124,7 +121,7 @@ const AVX512_TILE: (usize, usize) = (4, 6);
 /// `(mr, nr)` of the f64 tile on each tier.
 pub(crate) fn shape_f64(tier: Tier) -> (usize, usize) {
     match tier {
-        Tier::Scalar | Tier::Neon => (8, 4),
+        Tier::Scalar => (8, 4),
         Tier::Avx2 => (8, 6),
         Tier::Avx512 => (8 * AVX512_TILE.0, AVX512_TILE.1),
     }
@@ -133,7 +130,7 @@ pub(crate) fn shape_f64(tier: Tier) -> (usize, usize) {
 /// `(mr, nr)` of the f32 tile on each tier.
 pub(crate) fn shape_f32(tier: Tier) -> (usize, usize) {
     match tier {
-        Tier::Scalar | Tier::Neon => (8, 4),
+        Tier::Scalar => (8, 4),
         Tier::Avx2 => (16, 6),
         Tier::Avx512 => (16 * AVX512_TILE.0, AVX512_TILE.1),
     }
@@ -149,12 +146,7 @@ fn detected() -> [Option<Tier>; 2] {
         let avx512 = avx2 && is_x86_feature_detected!("avx512f");
         [avx2.then_some(Tier::Avx2), avx512.then_some(Tier::Avx512)]
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON (incl. 2x f64 / 4x f32 FMA) is baseline on aarch64.
-        [Some(Tier::Neon), None]
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         [None, None]
     }
@@ -197,7 +189,7 @@ impl Kernel {
     pub fn kind(&self) -> KernelKind {
         match self.tier {
             Tier::Scalar => KernelKind::Scalar,
-            Tier::Neon | Tier::Avx2 | Tier::Avx512 => KernelKind::Simd,
+            Tier::Avx2 | Tier::Avx512 => KernelKind::Simd,
         }
     }
 
@@ -240,7 +232,6 @@ impl Kernel {
     pub fn isa(&self) -> &'static str {
         match self.tier {
             Tier::Scalar => "portable",
-            Tier::Neon => "neon",
             Tier::Avx2 => "avx2+fma",
             Tier::Avx512 => "avx512f",
         }
@@ -310,18 +301,9 @@ pub(crate) fn micro_f64(
             // `#[target_feature]` contract.
             unsafe { x86::micro_8x6_avx2fma(kc, astrip, bstrip, alpha, beta, c) }
         }
-        #[cfg(target_arch = "aarch64")]
-        Tier::Neon => micro_stack_tile(alpha, beta, c, |acc| {
-            // SAFETY: the neon target feature is baseline on every aarch64
-            // target rustc supports, so the `#[target_feature(enable =
-            // "neon")]` contract of the kernel is unconditionally met.
-            unsafe { aarch64::micro_8x4_neon(kc, astrip, bstrip, acc) }
-        }),
         // Scalar, and the tiers of other architectures (never constructed
         // here): scalar semantics rather than aborting.
-        _ => micro_stack_tile(alpha, beta, c, |acc| {
-            micro_scalar::<f64, 8, 4>(kc, astrip, bstrip, acc)
-        }),
+        _ => micro_portable(kc, astrip, bstrip, alpha, beta, c),
     }
 }
 
@@ -351,28 +333,23 @@ pub(crate) fn micro_f32(
             // runtime detection of avx2+fma.
             unsafe { x86::micro_16x6_avx2fma_f32(kc, astrip, bstrip, alpha, beta, c) }
         }
-        #[cfg(target_arch = "aarch64")]
-        Tier::Neon => micro_stack_tile(alpha, beta, c, |acc| {
-            // SAFETY: neon is baseline on aarch64.
-            unsafe { aarch64::micro_8x4_neon_f32(kc, astrip, bstrip, acc) }
-        }),
-        _ => micro_stack_tile(alpha, beta, c, |acc| {
-            micro_scalar::<f32, 8, 4>(kc, astrip, bstrip, acc)
-        }),
+        _ => micro_portable(kc, astrip, bstrip, alpha, beta, c),
     }
 }
 
-/// Runs an 8x4 kernel that leaves its raw accumulators in a column-major
-/// stack tile (the scalar and NEON kernels), then writes the tile back.
+/// The portable 8x4 tile: accumulates into a column-major stack tile,
+/// then writes the tile back.
 #[inline(always)]
-fn micro_stack_tile<E: Element>(
+fn micro_portable<E: Element>(
+    kc: usize,
+    astrip: &[E],
+    bstrip: &[E],
     alpha: E,
     beta: E,
     c: &mut MatMut<'_, E>,
-    kernel: impl FnOnce(&mut [E]),
 ) {
     let mut acc = [E::ZERO; 32];
-    kernel(&mut acc);
+    micro_scalar::<E, 8, 4>(kc, astrip, bstrip, &mut acc);
     store_tile(&acc, 8, alpha, beta, c);
 }
 
@@ -765,99 +742,6 @@ mod x86 {
                 // SAFETY: avx2+fma — `lanes` is 8 writable f32.
                 unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), out) };
             }
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod aarch64 {
-    use core::arch::aarch64::{
-        float32x4_t, float64x2_t, vdupq_n_f32, vdupq_n_f64, vfmaq_f32, vfmaq_f64, vld1q_f32,
-        vld1q_f64, vst1q_f32, vst1q_f64,
-    };
-
-    /// NEON `8x4` f64 register tile: sixteen 2-lane accumulators (rows
-    /// split into four Q-register halves, one quartet per column).
-    ///
-    /// # Safety
-    /// The caller must be running on a target with the `neon` target
-    /// feature (baseline on every supported aarch64 target).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn micro_8x4_neon(
-        kc: usize,
-        astrip: &[f64],
-        bstrip: &[f64],
-        acc: &mut [f64],
-    ) {
-        const MR: usize = 8;
-        const NR: usize = 4;
-        assert!(astrip.len() >= kc * MR);
-        assert!(bstrip.len() >= kc * NR);
-        assert_eq!(acc.len(), MR * NR);
-        let mut c: [float64x2_t; 4 * NR] = [vdupq_n_f64(0.0); 4 * NR];
-        for p in 0..kc {
-            let arow = &astrip[p * MR..p * MR + MR];
-            let mut a = [vdupq_n_f64(0.0); 4];
-            for (h, slot) in a.iter_mut().enumerate() {
-                // SAFETY: neon — lanes 2h..2h+2 of the 8-tall packed strip.
-                *slot = unsafe { vld1q_f64(arow[2 * h..].as_ptr()) };
-            }
-            let brow = &bstrip[p * NR..p * NR + NR];
-            for j in 0..NR {
-                let bj = vdupq_n_f64(brow[j]);
-                for h in 0..4 {
-                    c[4 * j + h] = vfmaq_f64(c[4 * j + h], a[h], bj);
-                }
-            }
-        }
-        for j in 0..NR {
-            for h in 0..4 {
-                // SAFETY: neon — `acc[j*MR + 2h..]` has 2 writable lanes
-                // inside the MR*NR accumulator (length asserted above).
-                unsafe { vst1q_f64(acc[j * MR + 2 * h..].as_mut_ptr(), c[4 * j + h]) };
-            }
-        }
-    }
-
-    /// NEON `8x4` f32 register tile: eight 4-lane accumulators (rows split
-    /// into two Q-register halves, one pair per column) — the same loop
-    /// structure as the f64 tile at twice the lane width.
-    ///
-    /// # Safety
-    /// The caller must be running on a target with the `neon` target
-    /// feature (baseline on every supported aarch64 target).
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn micro_8x4_neon_f32(
-        kc: usize,
-        astrip: &[f32],
-        bstrip: &[f32],
-        acc: &mut [f32],
-    ) {
-        const MR: usize = 8;
-        const NR: usize = 4;
-        assert!(astrip.len() >= kc * MR);
-        assert!(bstrip.len() >= kc * NR);
-        assert_eq!(acc.len(), MR * NR);
-        let mut c: [float32x4_t; 2 * NR] = [vdupq_n_f32(0.0); 2 * NR];
-        for p in 0..kc {
-            let arow = &astrip[p * MR..p * MR + MR];
-            // SAFETY: neon — lanes 0..4 of the 8-tall packed strip.
-            let a0 = unsafe { vld1q_f32(arow.as_ptr()) };
-            // SAFETY: neon — lanes 4..8 of the same strip.
-            let a1 = unsafe { vld1q_f32(arow[4..].as_ptr()) };
-            let brow = &bstrip[p * NR..p * NR + NR];
-            for j in 0..NR {
-                let bj = vdupq_n_f32(brow[j]);
-                c[2 * j] = vfmaq_f32(c[2 * j], a0, bj);
-                c[2 * j + 1] = vfmaq_f32(c[2 * j + 1], a1, bj);
-            }
-        }
-        for j in 0..NR {
-            // SAFETY: neon — `acc[j*MR..]` has 4 writable lanes inside the
-            // MR*NR accumulator (length asserted above).
-            unsafe { vst1q_f32(acc[j * MR..].as_mut_ptr(), c[2 * j]) };
-            // SAFETY: neon — second half of column j, inside MR*NR.
-            unsafe { vst1q_f32(acc[j * MR + 4..].as_mut_ptr(), c[2 * j + 1]) };
         }
     }
 }

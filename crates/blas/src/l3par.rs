@@ -1,4 +1,4 @@
-//! Thread-parallel Level-3 kernels over an `hpl-threads` pool.
+//! Thread-parallel GEMM of the trailing update over an `hpl-threads` pool.
 //!
 //! rocHPL's trailing update runs on a massively parallel device; this
 //! module is the CPU-side analogue: `C` is cut into a 2D grid of
@@ -16,96 +16,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hpl_threads::Pool;
 
-use crate::l3::kernels::{self, Kernel};
-use crate::l3::{dgemm_packed, dgemm_with, mc_for, round_up, PackedA, NC};
+use crate::l3::kernels::Kernel;
+use crate::l3::{dgemm_packed, mc_for, round_up, PackedA, NC};
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
 use crate::Trans;
-
-/// Parallel `C <- alpha * op(A) * op(B) + beta * C` over `nthreads` pool
-/// threads with the process-wide kernel. Falls back to the serial kernel
-/// for one thread or tiny `C`.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_parallel<E: Element>(
-    pool: &Pool,
-    nthreads: usize,
-    transa: Trans,
-    transb: Trans,
-    alpha: E,
-    a: MatRef<'_, E>,
-    b: MatRef<'_, E>,
-    beta: E,
-    c: &mut MatMut<'_, E>,
-) {
-    dgemm_parallel_with(
-        kernels::active(),
-        pool,
-        nthreads,
-        transa,
-        transb,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-    );
-}
-
-/// [`dgemm_parallel`] with an explicit microkernel.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_parallel_with<E: Element>(
-    kern: Kernel,
-    pool: &Pool,
-    nthreads: usize,
-    transa: Trans,
-    transb: Trans,
-    alpha: E,
-    a: MatRef<'_, E>,
-    b: MatRef<'_, E>,
-    beta: E,
-    c: &mut MatMut<'_, E>,
-) {
-    let m = c.rows();
-    let n = c.cols();
-    let k = match transa {
-        Trans::No => a.cols(),
-        Trans::Yes => a.rows(),
-    };
-    let nthreads = nthreads.clamp(1, pool.size());
-    let grid = TileGrid::new(kern.mr_for::<E>(), kern.nr_for::<E>(), m, n, nthreads);
-    if nthreads <= 1 || grid.tiles() <= 1 || alpha == E::ZERO || k == 0 {
-        dgemm_with(kern, transa, transb, alpha, a, b, beta, c);
-        return;
-    }
-    let lda = c.lda();
-    // Shared as an address so the `Fn + Sync` closure can capture it; the
-    // disjoint-tile protocol below governs the actual accesses.
-    let cbase = c.as_mut_ptr() as usize;
-    let next = AtomicUsize::new(0);
-    pool.run(nthreads.min(grid.tiles()), |_ctx| {
-        loop {
-            let t = next.fetch_add(1, Ordering::Relaxed);
-            if t >= grid.tiles() {
-                break;
-            }
-            let (ic, jc, mc, nc) = grid.tile(t);
-            let cptr = (cbase as *mut E).wrapping_add(jc * lda + ic);
-            // SAFETY: the grid assigns every (ic, jc) tile to exactly one
-            // `fetch_add` winner, so tiles are disjoint in memory, and the
-            // parent `c` borrow is held for the whole pool region.
-            let mut ctile = unsafe { MatMut::from_raw_parts(cptr, mc, nc, lda) };
-            let atile = match transa {
-                Trans::No => a.submatrix(ic, 0, mc, k),
-                Trans::Yes => a.submatrix(0, ic, k, mc),
-            };
-            let btile = match transb {
-                Trans::No => b.submatrix(0, jc, k, nc),
-                Trans::Yes => b.submatrix(jc, 0, nc, k),
-            };
-            dgemm_with(kern, transa, transb, alpha, atile, btile, beta, &mut ctile);
-        }
-    });
-}
 
 /// Parallel `C <- alpha * A * op(B) + beta * C` where `A` is a pre-packed
 /// [`PackedA`] shared (read-only) by every worker — the trailing-update
@@ -133,6 +48,8 @@ pub fn dgemm_parallel_packed<E: Element>(
         return;
     }
     let lda = c.lda();
+    // Shared as an address so the `Fn + Sync` closure can capture it; the
+    // disjoint-tile protocol below governs the actual accesses.
     let cbase = c.as_mut_ptr() as usize;
     let next = AtomicUsize::new(0);
     pool.run(nthreads.min(grid.tiles()), |_ctx| {
@@ -224,8 +141,27 @@ impl TileGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::l3::dgemm;
+    use crate::l3::{dgemm, dgemm_with, kernels};
     use crate::mat::Matrix;
+
+    /// The trailing-update path with the process-wide kernel: `op(A)` is
+    /// packed once, then [`dgemm_parallel_packed`] runs the tile grid.
+    #[allow(clippy::too_many_arguments)]
+    fn parallel<E: Element>(
+        pool: &Pool,
+        nthreads: usize,
+        transa: Trans,
+        transb: Trans,
+        alpha: E,
+        a: MatRef<'_, E>,
+        b: MatRef<'_, E>,
+        beta: E,
+        c: &mut MatMut<'_, E>,
+    ) {
+        let kern = kernels::active();
+        let packed = PackedA::pack(kern, transa, a);
+        dgemm_parallel_packed(kern, pool, nthreads, alpha, &packed, transb, b, beta, c);
+    }
 
     fn filled(r: usize, c: usize, seed: usize) -> Matrix {
         Matrix::from_fn(r, c, |i, j| {
@@ -262,7 +198,7 @@ mod tests {
                 for threads in [2usize, 3, 4] {
                     let mut par = c0.clone();
                     let mut pv = par.view_mut();
-                    dgemm_parallel(
+                    parallel(
                         &pool,
                         threads,
                         ta,
@@ -283,8 +219,8 @@ mod tests {
         }
     }
 
-    /// Both explicit kernels, both parallel paths (repacking and
-    /// shared-`PackedA`), against the serial kernel — bitwise.
+    /// Every explicit kernel's shared-`PackedA` parallel path against the
+    /// serial kernel — bitwise.
     #[test]
     fn parallel_paths_match_serial_bitwise_per_kernel() {
         let pool = Pool::new(4);
@@ -305,26 +241,6 @@ mod tests {
                     1.0,
                     &mut sv,
                 );
-                let mut par = c0.clone();
-                let mut pv = par.view_mut();
-                dgemm_parallel_with(
-                    kern,
-                    &pool,
-                    4,
-                    Trans::No,
-                    Trans::No,
-                    -1.0,
-                    a.view(),
-                    b.view(),
-                    1.0,
-                    &mut pv,
-                );
-                assert_eq!(
-                    par.as_slice(),
-                    serial.as_slice(),
-                    "repack path, kernel {} m={m} n={n} k={k}",
-                    kern.describe()
-                );
                 let packed = PackedA::pack(kern, Trans::No, a.view());
                 let mut ppar = c0.clone();
                 let mut ppv = ppar.view_mut();
@@ -342,7 +258,7 @@ mod tests {
                 assert_eq!(
                     ppar.as_slice(),
                     serial.as_slice(),
-                    "packed path, kernel {} m={m} n={n} k={k}",
+                    "kernel {} m={m} n={n} k={k}",
                     kern.describe()
                 );
             }
@@ -370,7 +286,7 @@ mod tests {
         );
         let mut par = c0.clone();
         let mut pv = par.view_mut();
-        dgemm_parallel(
+        parallel(
             &pool,
             4,
             Trans::No,
@@ -395,7 +311,7 @@ mod tests {
         dgemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.5, &mut sv);
         let mut par = c0.clone();
         let mut pv = par.view_mut();
-        dgemm_parallel(
+        parallel(
             &pool,
             8,
             Trans::No,
@@ -416,7 +332,7 @@ mod tests {
         let b = filled(8, 8, 2);
         let mut c = Matrix::zeros(8, 8);
         let mut cv = c.view_mut();
-        dgemm_parallel(
+        parallel(
             &pool,
             1,
             Trans::No,

@@ -19,14 +19,17 @@
 //!   over.
 //! * [`mat`] — `MatRef` / `MatMut` column-major views, owned [`mat::Matrix`].
 //! * [`l1`] — `idamax`, the pivot search of the serial [`lu`] oracle.
-//! * [`l2`] — `dger` (rank-1 panel update), `dgemv`, `dtrsv`.
+//! * [`l1simd`] — the vectorized FACT level-1 kernels (pivot search,
+//!   scaling, rank-1 row updates), bitwise equal to their scalar bodies.
+//! * [`l2`] — `dtrsv`, and the rank-1 update of the [`lu`] oracle.
 //! * [`l3`] — blocked/packed [`l3::dgemm`] and recursive [`l3::dtrsm`].
-//! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F
-//!   / NEON, the widest detected tier answering to `simd`)
-//!   and the per-run kernel selection (`RHPL_KERNEL`).
+//! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F,
+//!   the widest detected tier answering to `simd`; off x86-64 only the
+//!   portable tile) and the per-run kernel selection (`RHPL_KERNEL`).
+//! * [`l3par`] — the thread-parallel packed GEMM of the trailing update.
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
-//! * [`aux`] — `dlange` norms, `dlaswp` row interchanges.
+//! * [`aux`] — `swap_rows` and `dlaswp` row interchanges.
 //! * [`lu`] — serial DGETRF/DGETRS used as the correctness oracle.
 
 // Lint policy: indexed loops are used deliberately where they mirror the
@@ -46,15 +49,15 @@ pub mod l3par;
 pub mod lu;
 pub mod mat;
 
-pub use aux::{dlange, dlaswp, dlaswp_inv, swap_rows, Norm};
+pub use aux::{dlaswp, swap_rows};
 pub use elem::{Element, ElementSel};
 pub use l1::idamax;
 pub use l1simd::{argmax_abs, axpy_add, axpy_sub, axpy_sub_argmax, dscal_inv, dsub};
-pub use l2::{dgemv, dger, dtrsv};
+pub use l2::dtrsv;
 pub use l3::kernels::{self, Kernel, KernelKind, KernelSel};
 pub use l3::{dgemm, dgemm_naive, dgemm_packed, dgemm_with, dtrsm, dtrsm_with, PackedA};
-pub use l3par::{dgemm_parallel, dgemm_parallel_packed, dgemm_parallel_with};
-pub use lu::{getrf, getrf_unblocked, getrs, Singular};
+pub use l3par::dgemm_parallel_packed;
+pub use lu::{getrf, getrs, Singular};
 pub use mat::{MatMut, MatRef, Matrix};
 
 /// Whether a matrix argument is used transposed.

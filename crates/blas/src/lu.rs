@@ -1,9 +1,9 @@
 //! Serial dense LU factorization with partial pivoting (LAPACK DGETRF
 //! equivalent) and a dense solver.
 //!
-//! These serve two purposes: the blocked variant is the single-process
-//! oracle the distributed HPL factorization is validated against, and the
-//! unblocked kernel is reused as the base case of the panel factorization.
+//! This is the single-process oracle the distributed HPL factorization is
+//! validated against. The panel factorization (`rhpl-core`'s FACT) has its
+//! own recursive and base-case kernels; nothing here runs in it.
 
 use crate::aux::swap_rows;
 use crate::l1::idamax;
@@ -30,7 +30,7 @@ impl std::error::Error for Singular {}
 /// Unblocked right-looking LU with partial pivoting on an `m x n` matrix
 /// (`m >= n` callers only, as in a panel). Writes 0-based pivot indices
 /// (`piv[k]` = row swapped with row `k`) into `piv[..n]`.
-pub fn getrf_unblocked(a: &mut MatMut<'_>, piv: &mut [usize]) -> Result<(), Singular> {
+fn getrf_unblocked(a: &mut MatMut<'_>, piv: &mut [usize]) -> Result<(), Singular> {
     let m = a.rows();
     let n = a.cols();
     assert!(piv.len() >= n, "pivot array too small");
@@ -139,7 +139,8 @@ pub fn getrs(lu: &MatMut<'_>, piv: &[usize], b: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mat::Matrix;
+    use crate::l3::dgemm_naive;
+    use crate::mat::{MatRef, Matrix};
 
     fn test_matrix(n: usize, seed: u64) -> Matrix {
         // Simple deterministic LCG fill, diagonally dominant enough to be
@@ -157,7 +158,9 @@ mod tests {
         let a0 = test_matrix(n, seed);
         let xtrue: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
         let mut b = vec![0.0; n];
-        crate::l2::dgemv(Trans::No, 1.0, a0.view(), &xtrue, 0.0, &mut b);
+        let xv = MatRef::from_slice(&xtrue, n, 1, n);
+        let mut bv = MatMut::from_slice(&mut b, n, 1, n);
+        dgemm_naive(Trans::No, Trans::No, 1.0, a0.view(), xv, 0.0, &mut bv);
 
         let mut a = a0.clone();
         let mut piv = vec![0usize; n];

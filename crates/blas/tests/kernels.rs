@@ -5,8 +5,8 @@
 
 use hpl_blas::mat::Matrix;
 use hpl_blas::{
-    arena, dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_parallel_with, dgemm_with,
-    Element, Kernel, KernelKind, PackedA, Trans,
+    arena, dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_with, Element, Kernel,
+    KernelKind, PackedA, Trans,
 };
 use hpl_threads::Pool;
 use proptest::prelude::*;
@@ -119,8 +119,9 @@ fn scalar_kernel_is_bit_identical_to_naive_order_free_cases() {
 #[test]
 fn scalar_serial_and_parallel_are_bit_identical() {
     // The determinism contract the schedule-equivalence and fault-soak
-    // gates rely on: under the scalar kernel, any thread count produces
-    // the same bytes as the serial kernel.
+    // gates rely on: under the scalar kernel, any thread count of the
+    // trailing update's shared-`PackedA` path produces the same bytes as
+    // the serial kernel.
     let kern = Kernel::scalar();
     let pool = Pool::new(4);
     for &(m, n, k) in EDGE_SHAPES {
@@ -139,17 +140,17 @@ fn scalar_serial_and_parallel_are_bit_identical() {
             1.0,
             &mut sv,
         );
+        let packed = PackedA::pack(kern, Trans::No, a.view());
         for threads in [2usize, 4] {
             let mut par = c0.clone();
             let mut pv = par.view_mut();
-            dgemm_parallel_with(
+            dgemm_parallel_packed(
                 kern,
                 &pool,
                 threads,
-                Trans::No,
-                Trans::No,
                 -1.0,
-                a.view(),
+                &packed,
+                Trans::No,
                 b.view(),
                 1.0,
                 &mut pv,

@@ -6,7 +6,7 @@
 
 use hpl_blas::mat::Matrix;
 use hpl_blas::{
-    dgemm_naive, dgemm_packed, dgemm_parallel_with, dgemm_with, Kernel, PackedA, Trans,
+    dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_with, Kernel, PackedA, Trans,
 };
 use hpl_threads::Pool;
 use proptest::prelude::*;
@@ -154,17 +154,17 @@ fn f32_serial_and_parallel_are_bit_identical_per_kernel() {
                 1.0,
                 &mut sv,
             );
+            let packed = PackedA::pack(kern, Trans::No, a.view());
             for threads in [2usize, 4] {
                 let mut par = c0.clone();
                 let mut pv = par.view_mut();
-                dgemm_parallel_with(
+                dgemm_parallel_packed(
                     kern,
                     &pool,
                     threads,
-                    Trans::No,
-                    Trans::No,
                     -1.0f32,
-                    a.view(),
+                    &packed,
+                    Trans::No,
                     b.view(),
                     1.0,
                     &mut pv,

@@ -2,7 +2,7 @@
 
 use hpl_blas::mat::Matrix;
 use hpl_blas::{
-    dgemm, dgemm_naive, dgemv, dlange, dlaswp, dlaswp_inv, getrf, getrs, idamax, Norm, Trans,
+    dgemm, dgemm_naive, dlaswp, getrf, getrs, idamax, swap_rows, MatMut, MatRef, Trans,
 };
 use proptest::prelude::*;
 
@@ -87,8 +87,11 @@ proptest! {
             .collect();
         let mut v = a.view_mut();
         dlaswp(&mut v, &ipiv);
+        // Undo: the same interchanges in reverse order.
         let mut v = a.view_mut();
-        dlaswp_inv(&mut v, &ipiv);
+        for (k, &p) in ipiv.iter().enumerate().rev() {
+            swap_rows(&mut v, k, p);
+        }
         prop_assert_eq!(a, orig);
     }
 
@@ -107,7 +110,9 @@ proptest! {
         }
         let xtrue: Vec<f64> = (0..n).map(|i| (i % 7) as f64 - 3.0).collect();
         let mut b = vec![0.0; n];
-        dgemv(Trans::No, 1.0, a.view(), &xtrue, 0.0, &mut b);
+        let xv = MatRef::from_slice(&xtrue, n, 1, n);
+        let mut bv = MatMut::from_slice(&mut b, n, 1, n);
+        dgemm_naive(Trans::No, Trans::No, 1.0, a.view(), xv, 0.0, &mut bv);
         let mut piv = vec![0usize; n];
         let mut av = a.view_mut();
         getrf(&mut av, &mut piv, 8).unwrap();
@@ -115,16 +120,5 @@ proptest! {
         for (got, want) in b.iter().zip(&xtrue) {
             prop_assert!((got - want).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn norms_are_consistent(a in matrix_strategy(20)) {
-        let mx = dlange(Norm::Max, a.view());
-        let one = dlange(Norm::One, a.view());
-        let inf = dlange(Norm::Inf, a.view());
-        prop_assert!(mx <= one + 1e-12);
-        prop_assert!(mx <= inf + 1e-12);
-        prop_assert!(one <= mx * a.rows() as f64 + 1e-9);
-        prop_assert!(inf <= mx * a.cols() as f64 + 1e-9);
     }
 }

@@ -28,18 +28,23 @@ use crate::error::CommError;
 use crate::fabric::Tag;
 use crate::ring::{panel_bcast, BcastAlgo};
 use crate::transport::wire::WireElem;
+use hpl_ckpt::Checksum;
 
 /// Total panel deliveries the root attempts per peer (initial broadcast +
 /// retransmits) before giving up.
 pub const MAX_ATTEMPTS: u32 = 3;
 
-/// Order-independent checksum of a panel: wrapping sum of the element bit
-/// patterns (zero-extended to 64 bits for `f32`) mixed with the length.
-/// Any single bit-flip changes the sum by a nonzero power of two
-/// (mod 2^64), so it is always detected.
-pub fn checksum<E: hpl_blas::Element>(buf: &[E]) -> u64 {
-    buf.iter()
-        .fold(buf.len() as u64, |acc, v| acc.wrapping_add(v.to_bits_u64()))
+/// The panel's [`hpl_ckpt::checksum()`] over its wire encoding (each
+/// element's low `E::WIRE_BYTES` bytes, little-endian) — the sum that
+/// closes transport frames and checkpoints, so any change confined to one
+/// 8-byte word of the encoding, every single bit-flip included, is
+/// detected.
+fn panel_sum<E: WireElem>(buf: &[E]) -> u64 {
+    let mut sum = Checksum::new();
+    for v in buf {
+        sum.update(&v.to_bits_u64().to_le_bytes()[..E::WIRE_BYTES]);
+    }
+    sum.finish()
 }
 
 /// [`panel_bcast`] with checksum verification and bounded retransmission
@@ -57,7 +62,7 @@ pub fn panel_bcast_checked<E: WireElem>(
         return Ok(());
     }
     if comm.rank() == root {
-        let sum = checksum(buf);
+        let sum = panel_sum(buf);
         let others: Vec<usize> = (0..size).filter(|&r| r != root).collect();
         for &r in &others {
             comm.try_send(r, Tag::ABFT_SUM, sum)?;
@@ -103,7 +108,7 @@ pub fn panel_bcast_checked<E: WireElem>(
         panel_bcast(comm, algo, root, buf)?;
         let mut attempt = 1u32;
         loop {
-            let ok = checksum(buf) == sum;
+            let ok = panel_sum(buf) == sum;
             comm.try_send(root, Tag::ABFT_ACK, ok)?;
             if ok {
                 return Ok(());
@@ -155,15 +160,33 @@ mod tests {
 
     #[test]
     fn checksum_detects_any_single_bit_flip() {
-        let buf: Vec<f64> = (0..16).map(|i| (i * 7) as f64).collect();
-        let sum = checksum(&buf);
+        let buf: Vec<f64> = (0..100).map(|i| (i * 7) as f64).collect();
+        let sum = panel_sum(&buf);
+        assert_eq!(sum, hpl_ckpt::checksum(&wire_bytes(&buf)));
         for word in 0..buf.len() {
-            for bit in [0u32, 13, 31, 52, 63] {
+            for bit in 0..64 {
                 let mut c = buf.clone();
                 c[word] = f64::from_bits(c[word].to_bits() ^ (1u64 << bit));
-                assert_ne!(checksum(&c), sum, "word {word} bit {bit}");
+                assert_ne!(panel_sum(&c), sum, "f64 word {word} bit {bit}");
             }
         }
+        let buf: Vec<f32> = (0..200).map(|i| (i * 7) as f32).collect();
+        let sum = panel_sum(&buf);
+        assert_eq!(sum, hpl_ckpt::checksum(&wire_bytes(&buf)));
+        for word in 0..buf.len() {
+            for bit in 0..32 {
+                let mut c = buf.clone();
+                c[word] = f32::from_bits(c[word].to_bits() ^ (1u32 << bit));
+                assert_ne!(panel_sum(&c), sum, "f32 word {word} bit {bit}");
+            }
+        }
+    }
+
+    /// The wire encoding of `buf`, element by element.
+    fn wire_bytes<E: WireElem>(buf: &[E]) -> Vec<u8> {
+        buf.iter()
+            .flat_map(|v| v.to_bits_u64().to_le_bytes()[..E::WIRE_BYTES].to_vec())
+            .collect()
     }
 
     #[test]

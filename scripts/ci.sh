@@ -30,6 +30,7 @@ echo "== [race-check] threaded FACT with the aliasing ledger armed"
 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 cargo test -q --release -p hpl-threads
 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
+cargo test -q --release -p rhpl-core
 cargo test -q --release -p hpl-integration-tests --features hpl-threads/race-check \
   --test failure_injection --test x_hash_golden --test trace_determinism
 taskset -c 0 cargo test -q --release -p hpl-threads --features hpl-threads/race-check

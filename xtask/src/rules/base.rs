@@ -141,14 +141,12 @@ fn comment_blob(lexed: &Lexed, line: u32) -> String {
 /// Target-feature names the `simd-safety` rule accepts in a SAFETY comment;
 /// `avx512` comes first because a region with `_mm512*` intrinsics accepts
 /// nothing else.
-const SIMD_FEATURES: &[&str] = &["avx512", "avx2", "avx", "fma", "neon", "sse"];
+const SIMD_FEATURES: &[&str] = &["avx512", "avx2", "avx", "fma", "sse"];
 
-/// True for identifiers that look like `std::arch` SIMD intrinsics: x86
-/// `_mm*` / `_mm256*` / `_mm512*`, and the NEON `v..q_f64`-style vector ops
-/// (`vld1q_f64`, `vfmaq_f64`, ...).
+/// True for identifiers that look like `std::arch` x86 SIMD intrinsics:
+/// `_mm*` / `_mm256*` / `_mm512*` (the only ones the workspace compiles).
 fn is_simd_intrinsic(name: &str) -> bool {
     name.starts_with("_mm")
-        || (name.starts_with('v') && (name.contains("q_f64") || name.contains("q_f32")))
 }
 
 /// `simd-safety`: an `unsafe` block or fn whose body contains SIMD

@@ -114,14 +114,6 @@ fn simd_unsafe_block_naming_feature_passes() {
 }
 
 #[test]
-fn neon_intrinsics_also_require_feature_name() {
-    let bad = "fn f(p: *const f64) {\n    // SAFETY: p has 2 lanes.\n    let v = unsafe { vld1q_f64(p) };\n}";
-    assert_eq!(rules_of(&check(bad, FileKind::Library)), ["simd-safety"]);
-    let ok = "fn f(p: *const f64) {\n    // SAFETY: neon is mandatory on aarch64; p has 2 lanes.\n    let v = unsafe { vld1q_f64(p) };\n}";
-    assert!(check(ok, FileKind::Library).is_empty());
-}
-
-#[test]
 fn unsafe_fn_with_simd_body_checks_doc_safety_section() {
     let bad = "/// Kernel.\n///\n/// # Safety\n/// Caller promises stuff.\npub unsafe fn k(p: *const f64) { let v = _mm256_loadu_pd(p); }";
     assert_eq!(rules_of(&check(bad, FileKind::Library)), ["simd-safety"]);
