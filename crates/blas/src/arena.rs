@@ -18,8 +18,6 @@
 //! write every element they later read (the packing routines do — padding
 //! included), so the arena never zeroes on reuse.
 
-use crate::Element;
-
 /// Counters for one thread's arenas, for tests and diagnostics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -162,28 +160,6 @@ macro_rules! arena_for {
 arena_for!(for_f64, f64);
 arena_for!(for_f32, f32);
 
-/// Runs `f` with this thread's pack buffers for precision `E` sliced to
-/// `alen`/`blen` elements (see the module docs for the growth contract).
-pub(crate) fn with_pack_bufs<E: Element, R>(
-    alen: usize,
-    blen: usize,
-    f: impl FnOnce(&mut [E], &mut [E]) -> R,
-) -> R {
-    E::with_pack_bufs(alen, blen, f)
-}
-
-/// Runs `f` with one zeroed thread-local scratch slice of `len` elements.
-///
-/// Public counterpart of the pack-buffer arena for per-column workspaces
-/// in the factorization inner loops (`hpl-core`'s `update_col` /
-/// `base_factor`): grow-only pooled storage, zeroed on entry, independent
-/// of the pack buffers so a kernel running inside the closure still gets
-/// the warm packing path. Nesting is fine — each region checks its own
-/// buffer out of the pool.
-pub fn with_scratch<E: Element, R>(len: usize, f: impl FnOnce(&mut [E]) -> R) -> R {
-    E::with_scratch(len, f)
-}
-
 /// Snapshot of the calling thread's arena counters, summed over both
 /// precisions (a single-precision run only ever touches one of them).
 pub fn thread_stats() -> ArenaStats {
@@ -206,6 +182,7 @@ pub fn thread_stats() -> ArenaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Element;
 
     #[test]
     fn warm_calls_do_not_grow() {
@@ -214,7 +191,7 @@ mod tests {
         std::thread::spawn(|| {
             let s0 = thread_stats();
             assert_eq!((s0.calls, s0.grows, s0.capacity), (0, 0, 0));
-            with_pack_bufs::<f64, _>(100, 50, |a, b| {
+            f64::with_pack_bufs(100, 50, |a, b| {
                 assert_eq!((a.len(), b.len()), (100, 50));
                 a[99] = 1.0;
                 b[49] = 2.0;
@@ -224,16 +201,16 @@ mod tests {
             let s1 = thread_stats();
             assert_eq!((s1.calls, s1.grows, s1.capacity), (1, 1, 150 + slack));
             // Warm: same sizes, then smaller — zero further growth.
-            with_pack_bufs::<f64, _>(100, 50, |a, b| {
+            f64::with_pack_bufs(100, 50, |a, b| {
                 assert_eq!((a[99], b[49]), (1.0, 2.0), "storage is reused");
             });
-            with_pack_bufs::<f64, _>(10, 5, |a, b| {
+            f64::with_pack_bufs(10, 5, |a, b| {
                 assert_eq!((a.len(), b.len()), (10, 5));
             });
             let s2 = thread_stats();
             assert_eq!((s2.calls, s2.grows, s2.capacity), (3, 1, 150 + slack));
             // Larger request grows again, once.
-            with_pack_bufs::<f64, _>(200, 50, |_, _| {});
+            f64::with_pack_bufs(200, 50, |_, _| {});
             let s3 = thread_stats();
             assert_eq!((s3.calls, s3.grows, s3.capacity), (4, 2, 250 + slack));
         })
@@ -244,14 +221,14 @@ mod tests {
     #[test]
     fn precisions_have_independent_arenas() {
         std::thread::spawn(|| {
-            with_pack_bufs::<f64, _>(64, 64, |a, _| a[0] = 1.0);
-            with_pack_bufs::<f32, _>(32, 32, |a, _| a[0] = 2.0);
+            f64::with_pack_bufs(64, 64, |a, _| a[0] = 1.0);
+            f32::with_pack_bufs(32, 32, |a, _| a[0] = 2.0);
             let s = thread_stats();
             assert_eq!((s.calls, s.grows), (2, 2));
             assert_eq!(s.capacity, 128 + for_f64::LINE + 64 + for_f32::LINE);
             // The f32 arena growing did not disturb the warm f64 buffers.
-            with_pack_bufs::<f64, _>(64, 64, |a, _| assert_eq!(a[0], 1.0));
-            with_pack_bufs::<f32, _>(32, 32, |a, _| assert_eq!(a[0], 2.0));
+            f64::with_pack_bufs(64, 64, |a, _| assert_eq!(a[0], 1.0));
+            f32::with_pack_bufs(32, 32, |a, _| assert_eq!(a[0], 2.0));
             let s = thread_stats();
             assert_eq!(s.grows, 2, "warm calls in both precisions");
         })
@@ -262,33 +239,33 @@ mod tests {
     #[test]
     fn scratch_is_zeroed_and_reused() {
         std::thread::spawn(|| {
-            with_scratch::<f64, _>(16, |s| {
+            f64::with_scratch(16, |s| {
                 assert!(s.iter().all(|&v| v == 0.0));
                 s[3] = 9.0;
             });
             // Warm call: same storage, but zeroed again.
-            with_scratch::<f64, _>(16, |s| {
+            f64::with_scratch(16, |s| {
                 assert_eq!(s[3], 0.0, "scratch must be re-zeroed");
             });
             // Nested regions each check out their own pool buffer.
-            with_scratch::<f64, _>(4, |outer| {
+            f64::with_scratch(4, |outer| {
                 outer[0] = 5.0;
-                with_scratch::<f64, _>(4, |inner| {
+                f64::with_scratch(4, |inner| {
                     assert_eq!(inner[0], 0.0, "inner scratch is its own buffer");
                     inner[0] = 6.0;
                 });
                 assert_eq!(outer[0], 5.0, "outer scratch untouched by nesting");
                 // A pack region inside a scratch closure takes the warm path.
-                with_pack_bufs::<f64, _>(4, 4, |pa, _| {
+                f64::with_pack_bufs(4, 4, |pa, _| {
                     pa[0] = 1.0;
                 });
             });
             // f32 scratch follows the same contract.
-            with_scratch::<f32, _>(8, |s| {
+            f32::with_scratch(8, |s| {
                 assert!(s.iter().all(|&v| v == 0.0));
                 s[0] = 3.0;
             });
-            with_scratch::<f32, _>(8, |s| assert_eq!(s[0], 0.0));
+            f32::with_scratch(8, |s| assert_eq!(s[0], 0.0));
         })
         .join()
         .expect("scratch test thread panicked");
@@ -297,9 +274,9 @@ mod tests {
     #[test]
     fn reentrant_use_falls_back_to_fresh_buffers() {
         std::thread::spawn(|| {
-            with_pack_bufs::<f64, _>(8, 8, |outer_a, _| {
+            f64::with_pack_bufs(8, 8, |outer_a, _| {
                 outer_a[0] = 7.0;
-                with_pack_bufs::<f64, _>(8, 8, |inner_a, inner_b| {
+                f64::with_pack_bufs(8, 8, |inner_a, inner_b| {
                     assert_eq!(inner_a[0], 0.0, "inner buffers are fresh");
                     assert_eq!((inner_a.len(), inner_b.len()), (8, 8));
                 });

@@ -88,7 +88,7 @@ pub fn dgemm_with<E: Element>(
     // kernel reads (padding included), so stale contents are harmless.
     let alen = round_up(m.min(mc_blk), mr) * k.min(KC);
     let blen = k.min(KC) * round_up(n.min(NC), nr);
-    arena::with_pack_bufs::<E, _>(alen, blen, |apack, bpack| {
+    E::with_pack_bufs(alen, blen, |apack, bpack| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
@@ -299,7 +299,7 @@ pub fn dgemm_packed<E: Element>(
     }
     let mc_blk = mc_for(mr);
     let blen = k.min(KC) * round_up(n.min(NC), nr);
-    arena::with_pack_bufs::<E, _>(0, blen, |_, bpack| {
+    E::with_pack_bufs(0, blen, |_, bpack| {
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {

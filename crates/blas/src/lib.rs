@@ -29,7 +29,7 @@
 //! * [`l3par`] — the thread-parallel packed GEMM of the trailing update.
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
-//! * [`aux`] — `swap_rows` and `dlaswp` row interchanges.
+//! * [`aux`] — the `swap_rows` row interchange.
 //! * [`lu`] — serial DGETRF/DGETRS used as the correctness oracle.
 
 // Lint policy: indexed loops are used deliberately where they mirror the
@@ -49,7 +49,7 @@ pub mod l3par;
 pub mod lu;
 pub mod mat;
 
-pub use aux::{dlaswp, swap_rows};
+pub use aux::swap_rows;
 pub use elem::{Element, ElementSel};
 pub use l1::idamax;
 pub use l1simd::{argmax_abs, axpy_add, axpy_sub, axpy_sub_argmax, dscal_inv, dsub};

@@ -1,9 +1,7 @@
 //! Property-based tests for the BLAS kernels.
 
 use hpl_blas::mat::Matrix;
-use hpl_blas::{
-    dgemm, dgemm_naive, dlaswp, getrf, getrs, idamax, swap_rows, MatMut, MatRef, Trans,
-};
+use hpl_blas::{dgemm, dgemm_naive, getrf, getrs, idamax, MatMut, MatRef, Trans};
 use proptest::prelude::*;
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -66,33 +64,6 @@ proptest! {
         for (x, y) in c1.as_slice().iter().zip(c2.as_slice()) {
             prop_assert!((x - y).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn dlaswp_inverse_roundtrips(
-        rows in 2usize..30,
-        cols in 1usize..10,
-        seed in 0u64..1000,
-    ) {
-        let orig = Matrix::from_fn(rows, cols, |i, j| (i + j * 1000) as f64);
-        let mut a = orig.clone();
-        // Valid pivot vector: ipiv[k] in [k, rows).
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let npiv = rows.min(cols + 3);
-        let ipiv: Vec<usize> = (0..npiv)
-            .map(|k| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                k + (s >> 33) as usize % (rows - k)
-            })
-            .collect();
-        let mut v = a.view_mut();
-        dlaswp(&mut v, &ipiv);
-        // Undo: the same interchanges in reverse order.
-        let mut v = a.view_mut();
-        for (k, &p) in ipiv.iter().enumerate().rev() {
-            swap_rows(&mut v, k, p);
-        }
-        prop_assert_eq!(a, orig);
     }
 
     #[test]

@@ -1,21 +1,41 @@
 //! Checked environment/config parsing for the fabric boundary.
 //!
-//! Every knob the runtime reads from the environment (`RHPL_TRANSPORT`,
-//! `RHPL_KERNEL`, `RHPL_TRACE_SLOW_PHASE` / `_NS`) is checked through this
-//! module, so an invalid value surfaces as a typed [`ConfigError`]
-//! carrying the offending text and what was expected —
-//! never a silent fallback to a default that would make a benchmark
-//! unattributable, and never a bare parse panic.
+//! Both runtime knobs read from the environment (`RHPL_TRANSPORT`,
+//! `RHPL_KERNEL`) are checked through this module, so an invalid value
+//! surfaces as a typed [`ConfigError`] carrying the offending text and
+//! what was expected — never a silent fallback to a default that would
+//! make a run unattributable, and never a bare parse panic. The CLI's
+//! flags report through the same type.
 //!
 //! The CLI calls [`validate_env`] before doing any work and turns an error
 //! into a clean exit; library entry points that cannot return an error
-//! (transport, kernel and slow-phase resolution) fail fast with the same
-//! message.
+//! (transport and kernel resolution) fail fast with the same message.
 
 use crate::transport::TransportSel;
 use hpl_blas::KernelSel;
 
-pub use hpl_trace::ConfigError;
+/// An environment/config value that does not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The variable (or flag) that held the bad value.
+    pub var: &'static str,
+    /// The offending value, verbatim.
+    pub value: String,
+    /// What would have been accepted.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid {}={:?}: expected {}",
+            self.var, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Parses a `RHPL_TRANSPORT` value (`inproc` | `shm` | `tcp`).
 pub fn parse_transport(value: &str) -> Result<TransportSel, ConfigError> {
@@ -57,7 +77,6 @@ pub fn env_kernel() -> Result<KernelSel, ConfigError> {
 pub fn validate_env() -> Result<(), ConfigError> {
     env_transport()?;
     env_kernel()?;
-    hpl_trace::slow_from_env()?;
     Ok(())
 }
 

@@ -1,7 +1,7 @@
 //! Property test of the row-swap phase against LAPACK's definition of it.
 //!
-//! The oracle is a sequential `dlaswp` on a gathered global copy: apply
-//! `k0+k <-> ipiv[k]` one swap at a time. `row_swap` collapses the swaps
+//! The oracle applies LAPACK's `dlaswp` definition inline on a gathered
+//! global copy: `k0+k <-> ipiv[k]`, one swap at a time. `row_swap` collapses the swaps
 //! into a net plan, packs rows through the column-walk kernels and (for
 //! `P > 1`) three collectives; whatever it does inside, the `U` block it
 //! returns, the matrix it leaves behind and the traffic it generates must

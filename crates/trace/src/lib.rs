@@ -26,11 +26,9 @@
 //! to leave the instrumentation compiled into release builds
 //! unconditionally (asserted by the trace-overhead bench lane).
 //!
-//! For deterministic regression-gate tests, setting the environment
-//! variables `RHPL_TRACE_SLOW_PHASE=<phase>` and `RHPL_TRACE_SLOW_NS=<ns>`
-//! injects an artificial delay into every closing span of that phase —
-//! `cargo xtask bench --self-test` uses this to prove the CI gate really
-//! fails when a phase regresses beyond tolerance.
+//! The crate reads no environment variable: what a span records is the
+//! code's own time. `cargo xtask bench` gates only the exact `seq_hash`
+//! and the guard costs; perf verdicts come from `benchmark/`.
 
 pub mod report;
 
@@ -44,7 +42,9 @@ use std::time::Instant;
 /// the row-swap collectives (`RowSwap`), the local scatter of swapped-in
 /// rows (`Scatter`, a GPU kernel in rocHPL), the trailing UPDATE
 /// (DTRSM + DGEMM), and the explicit host<->device panel copies
-/// (`Transfer`).
+/// (`Transfer`). `Fault`, `Ckpt` and `Restore` come after the original
+/// seven so those discriminants — and therefore the [`report::seq_hash`]
+/// of any fault-free, checkpoint-free run — are unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum Phase {
     /// Panel factorization (wall time on the rank thread, pivot collectives
@@ -75,23 +75,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in report order. `Fault`, `Ckpt` and `Restore` are
-    /// appended after the original seven so those discriminants — and
-    /// therefore the [`report::seq_hash`] of any fault-free,
-    /// checkpoint-free run — are unchanged.
-    pub const ALL: [Phase; 10] = [
-        Phase::Fact,
-        Phase::FactComm,
-        Phase::Bcast,
-        Phase::RowSwap,
-        Phase::Scatter,
-        Phase::Update,
-        Phase::Transfer,
-        Phase::Fault,
-        Phase::Ckpt,
-        Phase::Restore,
-    ];
-
     /// Stable snake-case name (the JSON schema key).
     pub fn name(self) -> &'static str {
         match self {
@@ -189,8 +172,6 @@ struct Tracer {
     depth: u32,
     /// Pending byte counts per open-guard depth (index = depth - 1).
     open_bytes: [u64; MAX_NEST],
-    /// Artificial per-span delay for gate self-tests ([`slow_from_env`]).
-    slow: Option<(Phase, u64)>,
 }
 
 const MAX_NEST: usize = 4;
@@ -207,8 +188,6 @@ impl Tracer {
             hidden: false,
             depth: 0,
             open_bytes: [0; MAX_NEST],
-            slow: slow_from_env()
-                .expect("RHPL_TRACE_SLOW_PHASE/_NS must name a phase and whole nanoseconds"),
         }
     }
 
@@ -235,65 +214,6 @@ impl Tracer {
             dropped: self.dropped,
         }
     }
-}
-
-/// An environment/config value that does not parse. It lives in this
-/// crate, the lowest that turns an `RHPL_*` variable into a typed error,
-/// and `hpl_comm::config` re-exports it for every other knob and flag.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The variable (or flag) that held the bad value.
-    pub var: &'static str,
-    /// The offending value, verbatim.
-    pub value: String,
-    /// What would have been accepted.
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {}={:?}: expected {}",
-            self.var, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// The delay `RHPL_TRACE_SLOW_PHASE=<phase>` and `RHPL_TRACE_SLOW_NS=<ns>`
-/// inject into every closing span of that phase; `None` when neither is
-/// set. An unknown phase, a `_NS` that is not whole nanoseconds, or one
-/// variable set without the other (read as empty) is an error, so a typo
-/// cannot make a gate self-test inject nothing. [`install`] fails fast on the error; the
-/// CLI reports it first through `hpl_comm::config::validate_env`.
-pub fn slow_from_env() -> Result<Option<(Phase, u64)>, ConfigError> {
-    parse_slow(
-        std::env::var("RHPL_TRACE_SLOW_PHASE").ok().as_deref(),
-        std::env::var("RHPL_TRACE_SLOW_NS").ok().as_deref(),
-    )
-}
-
-fn parse_slow(phase: Option<&str>, ns: Option<&str>) -> Result<Option<(Phase, u64)>, ConfigError> {
-    if phase.is_none() && ns.is_none() {
-        return Ok(None);
-    }
-    let (phase, ns) = (phase.unwrap_or_default(), ns.unwrap_or_default());
-    let Some(p) = Phase::ALL.into_iter().find(|p| p.name() == phase) else {
-        return Err(ConfigError {
-            var: "RHPL_TRACE_SLOW_PHASE",
-            value: phase.to_owned(),
-            expected: "one of fact, fact_comm, bcast, row_swap, scatter, update, \
-                       transfer, fault, ckpt, restore",
-        });
-    };
-    let ns = ns.parse().map_err(|_| ConfigError {
-        var: "RHPL_TRACE_SLOW_NS",
-        value: ns.to_owned(),
-        expected: "a whole number of nanoseconds",
-    })?;
-    Ok(Some((p, ns)))
 }
 
 thread_local! {
@@ -501,14 +421,6 @@ impl Drop for SpanGuard {
             return;
         }
         let phase = self.phase;
-        // Injected slowdown for regression-gate self-tests: sleep before
-        // measuring the duration so the recorded span carries the delay.
-        let slow = with(|tr| tr.slow);
-        if let Some((p, ns)) = slow {
-            if p == phase && ns > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(ns));
-            }
-        }
         let dur_ns = t0.elapsed().as_nanos() as u64;
         with(|tr| {
             let d = (tr.depth as usize).min(MAX_NEST);
@@ -534,46 +446,6 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slow_env_parses_a_phase_and_whole_nanoseconds() {
-        assert_eq!(parse_slow(None, None), Ok(None));
-        assert_eq!(
-            parse_slow(Some("fact"), Some("100000000")),
-            Ok(Some((Phase::Fact, 100_000_000)))
-        );
-        // The error lists every phase name the parser accepts.
-        let err = parse_slow(Some("?"), Some("1")).unwrap_err();
-        for p in Phase::ALL {
-            assert!(err.expected.contains(p.name()), "{}", err.expected);
-            assert_eq!(parse_slow(Some(p.name()), Some("1")), Ok(Some((p, 1))));
-        }
-    }
-
-    #[test]
-    fn slow_env_rejects_an_unknown_phase() {
-        let err = parse_slow(Some("updte"), Some("10000000")).unwrap_err();
-        assert_eq!(
-            (err.var, err.value.as_str()),
-            ("RHPL_TRACE_SLOW_PHASE", "updte")
-        );
-        assert!(err.to_string().contains("\"updte\""), "{err}");
-    }
-
-    #[test]
-    fn slow_env_rejects_nanoseconds_with_a_unit() {
-        let err = parse_slow(Some("update"), Some("10ms")).unwrap_err();
-        assert_eq!(
-            (err.var, err.value.as_str()),
-            ("RHPL_TRACE_SLOW_NS", "10ms")
-        );
-        assert!(err.to_string().contains("nanoseconds"), "{err}");
-        // Half a pair is as malformed as a bad value.
-        let err = parse_slow(Some("update"), None).unwrap_err();
-        assert_eq!((err.var, err.value.as_str()), ("RHPL_TRACE_SLOW_NS", ""));
-        let err = parse_slow(None, Some("5")).unwrap_err();
-        assert_eq!(err.var, "RHPL_TRACE_SLOW_PHASE");
-    }
 
     fn traced(f: impl FnOnce()) -> Trace {
         install(TraceOpts {

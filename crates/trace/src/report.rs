@@ -125,7 +125,7 @@ pub fn iteration_table(traces: &[Trace], iters: usize) -> Vec<IterRow> {
 }
 
 /// Aggregate phase totals over the whole run: per-rank sums, maxima across
-/// ranks (the critical-path aggregate the tolerance bands gate on).
+/// ranks (the critical-path aggregate).
 pub fn phase_totals(traces: &[Trace]) -> PhaseTotals {
     let mut out = PhaseTotals::default();
     for trace in traces {

@@ -39,9 +39,6 @@ taskset -c 0 cargo test -q --release -p rhpl-core --features hpl-threads/race-ch
 echo "== [bench] cargo xtask bench"
 cargo xtask bench
 
-echo "== [bench] cargo xtask bench --self-test"
-cargo xtask bench --self-test
-
 echo "== [faults] cargo xtask faults"
 cargo xtask faults
 

@@ -7,10 +7,11 @@
 //!   `tests/` and `shims/`: the [`analysis`] engine running the [`rules`].
 //!   Exits non-zero with `file:line: [rule] message` diagnostics when any
 //!   rule is violated; `--json` prints the full report.
-//! - `bench` — performance regression gate: runs a pinned deterministic
-//!   sweep with phase tracing and compares against `bench/baseline.json`
-//!   (see [`bench`]). `--update-baseline` rewrites the baseline;
-//!   `--self-test` verifies the gate can trip.
+//! - `bench` — exact regression gate: runs a pinned deterministic sweep
+//!   with phase tracing and checks its hashes, structure and residuals
+//!   against `bench/baseline.json`, and the disabled-instrumentation guard
+//!   costs against fixed caps (see [`bench`]). Perf verdicts come from
+//!   `benchmark/`. `--update-baseline` re-pins the baseline.
 //! - `faults` — fault-injection soak gate: drives a pinned scenario matrix
 //!   (each fault kind x pinned configs) through `rhpl --fault` and asserts
 //!   clean completion or the expected structured error, inside a deadline,
