@@ -43,7 +43,7 @@ use crate::local::{LocalMatrix, System};
 use crate::panel::{lbcast_store, pack_panel_in_place, PanelGeom, PanelL, PanelStore};
 use crate::solve::back_substitute;
 use crate::swap::{apply_moves, row_swap_comm, ColRange, RsData, SwapPlan};
-use crate::update::{gemm_update_parallel, solve_u, store_u};
+use crate::update::{copy_u, dgemm_l2, dtrsm_u};
 
 /// Result of a benchmark run on one rank.
 pub struct HplResult {
@@ -102,7 +102,8 @@ struct CkptState<E: Element> {
     /// before iteration `iter`'s own work overwrote them ahead of its
     /// snapshot. Under look-ahead, panel `k` is factored during iteration
     /// `k-1`, and at `P = 1` the split update's right section is swapped
-    /// by panel `k`'s pivots there too; the snapshot taken at the top of
+    /// by panel `k`'s pivots there too (its moves and its `U` rows, which
+    /// the swap writes in place); the snapshot taken at the top of
     /// iteration `k` overlays this stash to recover the state a restore
     /// must hand back to `fact_and_bcast` and `prefetch_rs2`.
     pre_image: Option<(usize, Vec<(usize, E)>)>,
@@ -345,10 +346,10 @@ impl<E: WireElem> Driver<'_, E> {
                 store.buf.clear();
                 store.buf.reserve_exact(geom.bcast_len());
                 pack_panel_in_place(&self.a, &geom, &store.top, &store.ipiv, &mut store.buf);
-                lbcast_store(row, self.cfg.bcast, &geom, store)?
+                lbcast_store(row, self.cfg.bcast, &geom, store, false)?
             }
         } else {
-            lbcast_store(row, self.cfg.bcast, &geom, store)?
+            lbcast_store(row, self.cfg.bcast, &geom, store, true)?
         };
         let plan = SwapPlan::build(geom.k0, geom.jb, &panel.ipiv);
         // Every rank holds the broadcast pivots; extend the history
@@ -485,27 +486,42 @@ impl<E: WireElem> Driver<'_, E> {
         Ok(())
     }
 
-    /// DTRSM + store + DGEMM over `range` with the `U` block the row swap
-    /// left in `section`'s workspace.
+    /// DTRSM (+ store) + DGEMM over `range` with the `U` the row swap left:
+    /// at `P = 1` in the diagonal block's own rows of `range`, where it is
+    /// solved and read in place; otherwise in `section`'s workspace.
     fn apply_update(&mut self, ip: &IterPanel<E>, section: Section, range: ColRange) {
+        let g = &ip.geom;
+        // The panel columns lie left of every section, so `L1` can be read
+        // where FACT left it while the section's columns are written.
+        let (left, cols) = self.a.view_mut().split_at_col(range.start);
+        let mut cols = cols.split_at_col(range.width()).0;
+        let l1 = if g.in_panel_col && g.in_curr_row {
+            left.as_ref().submatrix(g.lb, g.lj0, g.jb, g.jb)
+        } else {
+            ip.panel.top.view()
+        };
+        let pool = Some((&self.pool, self.cfg.update_threads));
+        if self.grid.nprow() == 1 {
+            let (u, mut c) = cols.split_at_row(g.lb + g.jb);
+            let mut u = u.split_at_row(g.lb).1;
+            dtrsm_u(l1, &mut u);
+            dgemm_l2(&ip.panel, u.as_ref(), &mut c, pool);
+            return;
+        }
         let u = match section {
             Section::Immediate => &mut self.rs.u,
             Section::Right => &mut self.rs_right.u,
         };
-        solve_u(&ip.panel, u);
-        let mut av = self.a.view_mut();
-        if ip.geom.in_curr_row {
-            store_u(&ip.geom, u, &mut av, range);
+        dtrsm_u(l1, &mut u.view_mut());
+        if g.in_curr_row {
+            copy_u(
+                u.view(),
+                &mut cols.submatrix_mut(g.lb, 0, g.jb, range.width()),
+            );
         }
-        gemm_update_parallel(
-            &ip.geom,
-            &ip.panel,
-            u,
-            &mut av,
-            range,
-            &self.pool,
-            self.cfg.update_threads,
-        );
+        let row0 = g.lb + if g.in_curr_row { g.jb } else { 0 };
+        let mut c = cols.submatrix_mut(row0, 0, g.l2_rows, range.width());
+        dgemm_l2(&ip.panel, u.view(), &mut c, pool);
     }
 
     /// The schedule loop. `cfg.schedule` maps onto it as look-ahead on or
@@ -635,13 +651,15 @@ impl<E: WireElem> Driver<'_, E> {
             end: self.a.nloc,
         };
         // The snapshot at the top of iteration `ip` must not see the moves
-        // a `P = 1` swap writes now (see `CkptState::pre_image`).
+        // and the `U` rows a `P = 1` swap writes now (see
+        // `CkptState::pre_image`).
         let rows = self.a.rows;
-        let moves = &ip.plan.moves;
+        let (k0, jb) = (ip.geom.k0, ip.geom.jb);
+        let written = (ip.plan.moves.iter().map(|&(d, _)| d)).chain(k0..k0 + jb);
         let at = (right.start..right.end).flat_map(|lj| {
-            (moves.iter())
-                .filter(move |&&(d, _)| rows.is_mine(d))
-                .map(move |&(d, _)| (rows.to_local(d), lj))
+            (written.clone())
+                .filter(move |&d| rows.is_mine(d))
+                .map(move |d| (rows.to_local(d), lj))
         });
         self.ckpt.stash(ip.geom.k0 / self.cfg.nb, &self.a, at);
 

@@ -18,10 +18,11 @@
 //! Where `top` lives: on the rank owning the diagonal block it *is* the
 //! panel's leading `jb` rows — row `k` of the block is factored row `k`
 //! once step `k` has run — so installing a pivot row writes one row, not a
-//! separate copy plus the local one. Only the other ranks of the process
-//! column keep `top` in a buffer of its own. With a process column of one
-//! rank the pivot step exchanges nothing: thread 0 swaps rows `k` and the
-//! winner in one walk.
+//! separate copy plus the local one, and no copy is taken afterwards: the
+//! broadcast pack and the update read the block where it lies. Only the
+//! other ranks of the process column keep `top` in a buffer of their own.
+//! With a process column of one rank the pivot step exchanges nothing:
+//! thread 0 swaps rows `k` and the winner in one walk.
 //!
 //! Multi-threading (paper §III.A, Fig 4): the tall-skinny local panel is cut
 //! into `jb`-row tiles round-robined over `T` pool threads. Each tile is
@@ -81,9 +82,10 @@ pub struct FactInput<'a> {
 pub struct FactOut<E: Element = f64> {
     /// Replicated factored diagonal block: row `k` holds the final content
     /// of global row `k0 + k` (unit-lower `L1` below the diagonal, `U11`
-    /// on and above it), full panel width. On the diagonal owner it is a
-    /// copy, taken once after the factorization, of the panel's leading
-    /// `jb` rows, which hold the same block bit for bit.
+    /// on and above it), full panel width. On the diagonal owner the block
+    /// is the panel's leading `jb` rows; [`panel_factor`] copies it here
+    /// once after the factorization, and the driver, which reads it where
+    /// it lies, leaves the storage it handed in untouched.
     pub top: Matrix<E>,
     /// Global pivot row chosen at each of the `jb` steps.
     pub ipiv: Vec<usize>,
@@ -348,13 +350,19 @@ pub fn panel_factor<E: Element>(
     inp: &FactInput<'_>,
     a: &mut MatMut<'_, E>,
 ) -> Result<FactOut<E>, HplError> {
-    panel_factor_into(inp, a, Matrix::zeros(0, 0), Vec::new())
+    let mut out = panel_factor_into(inp, a, Matrix::zeros(0, 0), Vec::new())?;
+    if inp.is_curr {
+        let jb = inp.jb;
+        out.top = Matrix::from_fn(jb, jb, |i, j| a.get(i, j));
+    }
+    Ok(out)
 }
 
-/// [`panel_factor`] writing `top` and the pivots into the storage of `top`
-/// and `ipiv`, whatever their shapes: the driver hands in a retired
-/// panel's, so factoring a panel takes no fresh pages once the first
-/// panels have sized them.
+/// [`panel_factor`] writing the pivots, and `top` off the diagonal owner,
+/// into the storage of `top` and `ipiv`, whatever their shapes: the driver
+/// hands in a retired panel's, so factoring a panel takes no fresh pages
+/// once the first panels have sized them. On the diagonal owner `top` comes
+/// back as it went in: the factored block is the panel's leading rows.
 pub(crate) fn panel_factor_into<E: Element>(
     inp: &FactInput<'_>,
     a: &mut MatMut<'_, E>,
@@ -375,7 +383,6 @@ pub(crate) fn panel_factor_into<E: Element>(
             "diagonal owner must hold the full diagonal block"
         );
     }
-    top.reshape(jb, jb);
     ipiv.clear();
     ipiv.resize(jb, 0);
     // Ranks without the diagonal block keep `top` in a buffer of their own,
@@ -384,6 +391,7 @@ pub(crate) fn panel_factor_into<E: Element>(
     let shared_top = if inp.is_curr {
         SharedMat::new(&mut a.submatrix_mut(0, 0, jb, jb))
     } else {
+        top.reshape(jb, jb);
         SharedMat::new(&mut top.view_mut())
     };
     let st = FactState {
@@ -416,13 +424,6 @@ pub(crate) fn panel_factor_into<E: Element>(
     }
     if err != ERR_NONE {
         return Err(HplError::Singular { col: err });
-    }
-    if inp.is_curr {
-        let block = a.as_ref().submatrix(0, 0, jb, jb);
-        let mut tv = top.view_mut();
-        for j in 0..jb {
-            tv.col_mut(j).copy_from_slice(block.col(j));
-        }
     }
     Ok(FactOut {
         top,

@@ -14,6 +14,12 @@
 //! received on first use. Either copy is timed as the `Transfer` phase, so
 //! Fig 7's column exists.
 //!
+//! The factored diagonal block `L1`/`U11` (`top`) is never copied on the
+//! rank that factored it in place: the broadcast pack and the update read
+//! it from the panel columns. A panel's `top` holds it only on the ranks
+//! that receive it — the other ranks of the process column, through FACT's
+//! pivot exchange, and the broadcast's receivers.
+//!
 //! A panel's storage lives as long as the run: the driver takes a retired
 //! panel's back (`PanelL::into_store`) and the next panel refills it, so
 //! the loop takes no fresh pages for panels after the first two. The host
@@ -144,7 +150,9 @@ pub fn panel_from_host<E: Element>(
 /// `L2` is held packed in DGEMM strip layout, shared by every update
 /// section and worker thread of the iteration.
 pub struct PanelL<E: Element = f64> {
-    /// `jb x jb` factored diagonal block (unit-lower `L1` + `U11`).
+    /// `jb x jb` factored diagonal block (unit-lower `L1` + `U11`), on the
+    /// ranks that received it. Unfilled on the rank that factored it in
+    /// place, whose block is in the local matrix.
     pub top: Matrix<E>,
     /// The LBCAST buffer `[top | L2 | ipiv]`; local `L2` is its
     /// `l2_rows x jb` column-major block at offset `jb * jb`. Empty for a
@@ -167,7 +175,8 @@ pub struct PanelL<E: Element = f64> {
 /// [`PanelL::into_store`]). Every part only grows, and panels only shrink
 /// over a run, so refilling takes no fresh pages.
 pub(crate) struct PanelStore<E: Element> {
-    /// FACT's `top` (the factored diagonal block once FACT has run).
+    /// FACT's `top` (the factored diagonal block once FACT has run, off
+    /// the diagonal owner).
     pub(crate) top: Matrix<E>,
     /// FACT's pivots (likewise).
     pub(crate) ipiv: Vec<usize>,
@@ -192,7 +201,8 @@ impl<E: Element> PanelStore<E> {
 impl<E: Element> PanelL<E> {
     /// Builds panel `g`, factored in place in `a`, where it lies — for a
     /// row communicator of one rank, where LBCAST sends nothing. FACT's
-    /// `top` and `ipiv` move in from `store`, and `L2` (the rows below the
+    /// `ipiv` (and `top`, filled off the diagonal owner; on it the block is
+    /// in `a`) move in from `store`, and `L2` (the rows below the
     /// diagonal block on the current row) is packed once, straight from
     /// the matrix columns, into `store`'s packed storage for kernel `kern`.
     /// That pack is the panel's transfer, timed as `Transfer`.
@@ -219,8 +229,8 @@ impl<E: Element> PanelL<E> {
     }
 
     /// Builds panel `g` around its LBCAST buffer `store.buf`, refilling
-    /// `store`'s `top` and `ipiv` from it.
-    fn from_store(g: &PanelGeom, store: PanelStore<E>) -> Self {
+    /// `store`'s `ipiv` from it, and `top` too when `fill_top`.
+    fn from_store(g: &PanelGeom, store: PanelStore<E>, fill_top: bool) -> Self {
         let PanelStore {
             mut top,
             mut ipiv,
@@ -229,8 +239,10 @@ impl<E: Element> PanelL<E> {
         } = store;
         assert_eq!(buf.len(), g.bcast_len(), "panel buffer size mismatch");
         let (jb, l2_rows) = (g.jb, g.l2_rows);
-        top.reshape(jb, jb);
-        top.as_mut_slice().copy_from_slice(&buf[..jb * jb]);
+        if fill_top {
+            top.reshape(jb, jb);
+            top.as_mut_slice().copy_from_slice(&buf[..jb * jb]);
+        }
         ipiv.clear();
         ipiv.extend(
             buf[jb * (jb + l2_rows)..]
@@ -276,7 +288,7 @@ impl<E: Element> PanelL<E> {
 
     /// `L2` in packed DGEMM layout for kernel `kern`, packed on first call
     /// and reused afterwards — across the `n1`/`n2` split-update sections
-    /// and across `gemm_update_parallel` workers. The kernel is frozen
+    /// and across the update's GEMM workers. The kernel is frozen
     /// per process, so one panel only ever sees one `kern`.
     pub fn l2_packed(&self, kern: Kernel) -> &PackedA<E> {
         let packed = self.l2_packed.get_or_init(|| {
@@ -303,12 +315,14 @@ impl<E: Element> PanelL<E> {
 /// Appends `[top | L2 | ipiv]` to `buf`, with column `j` of `L2` read from
 /// `l2_col(j)`.
 fn pack_into<'s, E: Element>(
-    top: &Matrix<E>,
+    top: MatRef<'_, E>,
     l2_col: impl Fn(usize) -> &'s [E],
     ipiv: &[usize],
     buf: &mut Vec<E>,
 ) {
-    buf.extend_from_slice(top.as_slice());
+    for j in 0..ipiv.len() {
+        buf.extend_from_slice(top.col(j));
+    }
     for j in 0..ipiv.len() {
         buf.extend_from_slice(l2_col(j));
     }
@@ -328,10 +342,11 @@ fn pack_into<'s, E: Element>(
 }
 
 /// The transfer of a panel factored in place in the local matrix: fills
-/// `buf` with the broadcast buffer `[top | L2 | ipiv]`, `L2` read straight
-/// from the matrix columns. On the current row the factored diagonal block
-/// is already in place — `panel_factor` factors it where it lives, and
-/// `top` is a copy of it — so only the rows below it are read as `L2`.
+/// `buf` with the broadcast buffer `[top | L2 | ipiv]`, read straight from
+/// the matrix columns. On the current row the factored diagonal block is
+/// in place — `panel_factor` factors it where it lives — so `top` is read
+/// from the panel's leading rows and the rows below them are `L2`; `top`
+/// is read only on the other rows, where FACT's pivot exchange filled it.
 /// `buf` should hold [`PanelGeom::bcast_len`] elements of capacity; the
 /// caller sizes it, so this allocates nothing.
 pub fn pack_panel_in_place<E: Element>(
@@ -343,9 +358,13 @@ pub fn pack_panel_in_place<E: Element>(
 ) {
     let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
     debug_assert!(g.in_panel_col);
-    let (lb, mp, lj0) = (g.lb, g.mp, g.lj0);
-    let skip = if g.in_curr_row { g.jb } else { 0 };
+    let (lb, mp, lj0, jb) = (g.lb, g.mp, g.lj0, g.jb);
     let av = a.view();
+    let (top, skip) = if g.in_curr_row {
+        (av.submatrix(lb, lj0, jb, jb), jb)
+    } else {
+        (top.view(), 0)
+    };
     buf.clear();
     pack_into(top, |j| &av.col(lj0 + j)[lb + skip..lb + mp], ipiv, buf);
 }
@@ -364,7 +383,12 @@ pub fn pack_panel<E: Element>(
     let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
     let (mp, skip) = (g.mp, if g.in_curr_row { g.jb } else { 0 });
     let mut buf = Vec::with_capacity(g.bcast_len());
-    pack_into(top, |j| &host[j * mp + skip..(j + 1) * mp], ipiv, &mut buf);
+    pack_into(
+        top.view(),
+        |j| &host[j * mp + skip..(j + 1) * mp],
+        ipiv,
+        &mut buf,
+    );
     buf
 }
 
@@ -375,12 +399,12 @@ pub fn unpack_panel<E: Element>(g: &PanelGeom, buf: &[E]) -> PanelL<E> {
         buf: buf.to_vec(),
         ..PanelStore::empty()
     };
-    PanelL::from_store(g, store)
+    PanelL::from_store(g, store, true)
 }
 
 /// Broadcasts the packed panel along the process row from the panel-owning
 /// column; every rank returns the [`PanelL`] built around the buffer the
-/// panel arrived in.
+/// panel arrived in, with `top` filled from it.
 ///
 /// On fault-armed runs (an injector is attached to the fabric) the
 /// checksummed [`panel_bcast_checked`] variant is used, so an in-flight
@@ -397,17 +421,21 @@ pub fn lbcast<E: WireElem>(
         buf: packed.unwrap_or_default(),
         ..PanelStore::empty()
     };
-    lbcast_store(row_comm, algo, g, store)
+    lbcast_store(row_comm, algo, g, store, true)
 }
 
 /// [`lbcast`] into a retired panel's storage. On the panel-owning column
 /// `store.buf` holds the packed panel; elsewhere it is resized to receive
-/// it, and the broadcast overwrites every element.
+/// it, and the broadcast overwrites every element. `top` is filled from
+/// the buffer when `fill_top`: the driver asks for it only on the
+/// receivers, the panel-owning column having `top` already (off the
+/// diagonal owner) or reading it from the matrix (on it).
 pub(crate) fn lbcast_store<E: WireElem>(
     row_comm: &Communicator,
     algo: BcastAlgo,
     g: &PanelGeom,
     mut store: PanelStore<E>,
+    fill_top: bool,
 ) -> Result<PanelL<E>, HplError> {
     store.buf.resize(g.bcast_len(), E::ZERO);
     if row_comm.fault_injector().is_some() {
@@ -415,7 +443,7 @@ pub(crate) fn lbcast_store<E: WireElem>(
     } else {
         panel_bcast(row_comm, algo, g.pcol, &mut store.buf)?;
     }
-    Ok(PanelL::from_store(g, store))
+    Ok(PanelL::from_store(g, store, fill_top))
 }
 
 /// Convenience: extracts the trailing-rows view of the panel columns as a
@@ -448,9 +476,11 @@ mod tests {
     /// Every panel of an `n x n` system on a `p x 1` grid, built both ways
     /// on each rank: in place into the storage the previous panel retired,
     /// and through `pack_panel_in_place` and `lbcast` into fresh storage.
-    /// `top`, the pivots and the product of the packed `L2` with a fixed
-    /// `B` must agree bit for bit. Each side factors its own copy of the
-    /// system, so FACT's recycled `top` is under test too.
+    /// The factored diagonal block (in the matrix on the diagonal owner,
+    /// the in-place panel's `top` elsewhere) against the broadcast `top`,
+    /// the pivots and the product of the packed `L2` with a fixed `B` must
+    /// agree bit for bit. Each side factors its own copy of the system, so
+    /// FACT's recycled `top` is under test too.
     fn in_place_equals_broadcast<E: WireElem>(p: usize, threads: usize) {
         let (n, nb, seed) = (100usize, 24usize, 11u64);
         assert_ne!(n % nb, 0, "the last panel must be narrower");
@@ -497,7 +527,14 @@ mod tests {
                 let bcast = lbcast(grid.row(), BcastAlgo::OneRingM, &g, Some(buf))
                     .expect("a one-rank row sends nothing");
 
-                assert_eq!(bits(in_place.top.view()), bits(bcast.top.view()), "{what}");
+                // The in-place panel holds no `top` where FACT factored
+                // the diagonal block in place: the block is in the matrix.
+                let l1 = if g.in_curr_row {
+                    a_in.view().submatrix(g.lb, g.lj0, g.jb, g.jb)
+                } else {
+                    in_place.top.view()
+                };
+                assert_eq!(bits(l1), bits(bcast.top.view()), "{what}");
                 assert_eq!(in_place.ipiv, bcast.ipiv, "{what}");
                 assert_eq!(in_place.l2_rows, bcast.l2_rows, "{what}");
                 let w = 7;

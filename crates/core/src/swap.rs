@@ -22,12 +22,17 @@
 //! U sources *is* the `U` operand the update reads.
 //!
 //! When the process column holds every row (`col_comm.size() == 1`) one
-//! kernel, `swap_cols`, is the whole phase: per column it reads `U` and the
-//! move sources and writes the moves back while the column is hot, so no
-//! collective runs, nothing is left for [`apply_moves`] and the section is
-//! walked once. Otherwise `gather_cols` packs this rank's sources, the
-//! collectives route them, and `scatter_cols` ([`apply_moves`]) writes the
-//! received moves — possibly one iteration later (the split update).
+//! kernel, `swap_cols`, is the whole phase, and the matrix is its own `U`
+//! block (as in netlib HPL's update for a process column of one): per
+//! column it reads the move sources and the `U` sources into one column
+//! buffer, then writes the moves and the `U` rows — into the diagonal
+//! block's own rows `k0..k0+jb` — while the column is hot. No collective
+//! runs, no `U` block is assembled, nothing is left for [`apply_moves`],
+//! and the section is walked once; the update then solves and multiplies
+//! with `U` where it lies. Otherwise `gather_cols` packs this rank's
+//! sources, the collectives route them and assemble `U` in [`RsData::u`],
+//! and `scatter_cols` ([`apply_moves`]) writes the received moves —
+//! possibly one iteration later (the split update).
 
 use hpl_blas::mat::{MatMut, Matrix};
 use hpl_blas::Element;
@@ -195,33 +200,26 @@ fn scatter_cols<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, rows: &[usiz
 }
 
 /// The whole swap of a process column that holds every row, in one walk:
-/// per column `j` of `range`, the `u_rows` go into column `j` of `u_out`
-/// and the `mv_src` rows into `col_buf`, then `col_buf` is written to the
-/// `mv_dst` rows while the column is hot. Every read of a column comes
-/// before its first write: a pivot row below the diagonal block is both a
-/// `U` source and a move destination, and `U` must get its pre-swap value.
+/// per column of `range`, the `src` rows go into `col_buf`, then `col_buf`
+/// is written to the `dst` rows while the column is hot. Every read of a
+/// column comes before its first write: a pivot row below the diagonal
+/// block is both a `U` source and a move destination, and `U` must get its
+/// pre-swap value.
 fn swap_cols<E: Element>(
     a: &mut MatMut<'_, E>,
     range: ColRange,
-    u_rows: &[usize],
-    u_out: &mut [E],
-    mv_src: &[usize],
-    mv_dst: &[usize],
+    src: &[usize],
+    dst: &[usize],
     col_buf: &mut [E],
 ) {
-    let nu = u_rows.len();
-    debug_assert_eq!(u_out.len(), nu * range.width());
-    debug_assert_eq!(col_buf.len(), mv_src.len());
-    debug_assert_eq!(mv_dst.len(), mv_src.len());
-    for (j, lj) in (range.start..range.end).enumerate() {
+    debug_assert_eq!(col_buf.len(), src.len());
+    debug_assert_eq!(dst.len(), src.len());
+    for lj in range.start..range.end {
         let col = a.col_mut(lj);
-        for (o, &r) in u_out[j * nu..(j + 1) * nu].iter_mut().zip(u_rows) {
+        for (o, &r) in col_buf.iter_mut().zip(src) {
             *o = col[r];
         }
-        for (o, &r) in col_buf.iter_mut().zip(mv_src) {
-            *o = col[r];
-        }
-        for (&r, &v) in mv_dst.iter().zip(col_buf.iter()) {
+        for (&r, &v) in dst.iter().zip(col_buf.iter()) {
             col[r] = v;
         }
     }
@@ -237,32 +235,35 @@ fn set_len<E: Element>(v: &mut Vec<E>, n: usize) {
     }
 }
 
-/// What one section's row swap leaves behind — the assembled `U` block
-/// and, after a communicated swap (`P > 1`), the move rows destined for
-/// this rank, not yet scattered into the local matrix — and the buffers
-/// the phase packs through. A value is reusable across calls and sections:
+/// What one section's row swap leaves behind — after a communicated swap
+/// (`P > 1`), the assembled `U` block and the move rows destined for this
+/// rank, not yet scattered into the local matrix — and the buffers the
+/// phase packs through. A value is reusable across calls and sections:
 /// every buffer only grows, so a driver that sizes one with
 /// [`RsData::for_sections`] at setup allocates nothing in the phase
 /// afterwards.
 pub struct RsData<E: Element = f64> {
-    /// Replicated `U` block (`jb x width`), raw (pre-DTRSM).
+    /// Replicated `U` block (`jb x width`), raw (pre-DTRSM). Empty at
+    /// `P = 1`, where the swap writes `U` into the diagonal block's rows.
     pub u: Matrix<E>,
     /// Local destination row of each move row this rank receives, in move
-    /// order.
+    /// order; at `P = 1`, of every row the swap writes (the moves, then
+    /// the `U` rows that change).
     move_dst: Vec<usize>,
     /// The received move rows, column-major `move_dst.len() x width`; what
     /// [`apply_moves`] scatters. At `P = 1`, the one column `swap_cols`
-    /// stages the move sources through.
+    /// stages the sources through.
     move_vals: Vec<E>,
     /// Whether `move_vals` still has to be scattered: `false` after a
     /// `P = 1` swap, which wrote the moves itself.
     moves_pending: bool,
-    /// Local rows of the `U` sources this rank owns, in `k` order.
+    /// Local rows of the `U` sources this rank owns, in `k` order
+    /// (`P > 1` only).
     u_rows: Vec<usize>,
-    /// Local rows of the move sources this rank owns, in move order.
+    /// Local rows of the move sources this rank owns, in move order; at
+    /// `P = 1`, the source of each `move_dst` row.
     mv_rows: Vec<usize>,
-    /// Packed `U` sources of this rank (`P > 1` only; at `P = 1` the
-    /// kernel reads straight into `u`).
+    /// Packed `U` sources of this rank (`P > 1` only).
     u_chunk: Vec<E>,
     /// Packed move sources of this rank (`P > 1` only).
     mv_chunk: Vec<E>,
@@ -272,16 +273,21 @@ impl<E: Element> RsData<E> {
     /// Buffers for sections of up to `jb x width` on a process column of
     /// `nprow` ranks (`0 x 0`: nothing is allocated until the first use).
     pub fn for_sections(jb: usize, width: usize, nprow: usize) -> Self {
-        // At `P = 1` the move rows pass through one column; otherwise they
-        // arrive in the scatterv's own vector.
-        let (column, packed) = if nprow == 1 { (jb, 0) } else { (0, jb * width) };
+        // At `P = 1` up to `jb` moves and `jb` `U` rows pass through one
+        // column and `U` stays in the matrix; otherwise the moves arrive
+        // in the scatterv's own vector and `U` is assembled here.
+        let (u, rows, column, packed) = if nprow == 1 {
+            (Matrix::zeros(0, 0), 2 * jb, 2 * jb, 0)
+        } else {
+            (Matrix::zeros(jb, width), jb, 0, jb * width)
+        };
         Self {
-            u: Matrix::zeros(jb, width),
-            move_dst: Vec::with_capacity(jb),
+            u,
+            move_dst: Vec::with_capacity(rows),
             move_vals: Vec::with_capacity(column),
             moves_pending: false,
             u_rows: Vec::with_capacity(jb),
-            mv_rows: Vec::with_capacity(jb),
+            mv_rows: Vec::with_capacity(rows),
             u_chunk: Vec::with_capacity(packed),
             mv_chunk: Vec::with_capacity(packed),
         }
@@ -341,13 +347,14 @@ fn repack<E: Element>(
 }
 
 /// The row-swap phase up to the scatter, over one process column. At
-/// `P = 1` that is the whole phase: one `swap_cols` walk assembles `U` in
-/// `data` and writes the moves into `a`, leaving [`apply_moves`] nothing to
-/// do. At `P > 1` it gathers the source rows this rank owns, routes move
-/// rows via the diagonal-owning process row (gatherv + scatterv),
-/// allgathers the `U` sources, and leaves everything in `data` *without
-/// writing to `a`* — the split-update schedule scatters one iteration
-/// later.
+/// `P = 1` that is the whole phase: one `swap_cols` walk writes the moves
+/// and the `U` rows into `a` — `U` into the diagonal block's own rows
+/// `k0..k0+jb`, where the update solves it — leaving [`apply_moves`]
+/// nothing to do and `data.u` empty. At `P > 1` it gathers the source rows
+/// this rank owns, routes move rows via the diagonal-owning process row
+/// (gatherv + scatterv), allgathers the `U` sources into `data.u`, and
+/// leaves everything in `data` *without writing to `a`* — the
+/// split-update schedule scatters one iteration later.
 ///
 /// Collective over `col_comm`; all ranks of the process column must call it
 /// with the same `plan`.
@@ -366,8 +373,26 @@ pub fn row_swap_comm<E: WireElem>(
     let jb = plan.jb;
     let me = col_comm.rank();
     let nprow = col_comm.size();
-
     let local = |g: &usize| rows.to_local(*g);
+    data.moves_pending = nprow > 1;
+
+    if nprow == 1 {
+        // Every source and destination row is local: the moves, then the
+        // `U` rows that change, in one walk.
+        let u_moves = (plan.u_src.iter().enumerate())
+            .map(|(k, &src)| (plan.k0 + k, src))
+            .filter(|(dst, src)| dst != src);
+        data.move_dst.clear();
+        data.mv_rows.clear();
+        for (dst, src) in plan.moves.iter().copied().chain(u_moves) {
+            data.move_dst.push(local(&dst));
+            data.mv_rows.push(local(&src));
+        }
+        set_len(&mut data.move_vals, data.mv_rows.len());
+        swap_cols(a, range, &data.mv_rows, &data.move_dst, &mut data.move_vals);
+        return Ok(());
+    }
+
     let mine = |g: &&usize| rows.owner(**g) == me;
     data.u_rows.clear();
     data.u_rows
@@ -389,22 +414,6 @@ pub fn row_swap_comm<E: WireElem>(
             .map(local),
     );
     data.u.reshape(jb, w);
-    data.moves_pending = nprow > 1;
-
-    if nprow == 1 {
-        // Every source and destination row is local: swap in one walk.
-        set_len(&mut data.move_vals, data.mv_rows.len());
-        swap_cols(
-            a,
-            range,
-            &data.u_rows,
-            data.u.as_mut_slice(),
-            &data.mv_rows,
-            &data.move_dst,
-            &mut data.move_vals,
-        );
-        return Ok(());
-    }
 
     set_len(&mut data.u_chunk, data.u_rows.len() * w);
     set_len(&mut data.mv_chunk, data.mv_rows.len() * w);
@@ -465,9 +474,10 @@ pub fn apply_moves<E: Element>(a: &mut MatMut<'_, E>, range: ColRange, data: &Rs
 }
 
 /// The complete row-swap phase: swap (communicating at `P > 1`), scatter
-/// the moves, and return the assembled `U` block. Owns its buffers; the
-/// driver, which runs the phase every iteration, keeps an [`RsData`] and
-/// calls the two halves.
+/// the moves, and return the assembled `U` block — at `P = 1` a copy of
+/// the diagonal block's rows, where the swap left `U`. Owns its buffers;
+/// the driver, which runs the phase every iteration, keeps an [`RsData`]
+/// and calls the two halves.
 pub fn row_swap<E: WireElem>(
     col_comm: &Communicator,
     rows: Axis,
@@ -480,7 +490,13 @@ pub fn row_swap<E: WireElem>(
     let mut data = RsData::for_sections(plan.jb, range.width(), col_comm.size());
     row_swap_comm(col_comm, rows, plan, prow_curr, a, range, algo, &mut data)?;
     apply_moves(a, range, &data);
-    Ok(data.u)
+    if col_comm.size() > 1 {
+        return Ok(data.u);
+    }
+    let lb = rows.to_local(plan.k0);
+    Ok(Matrix::from_fn(plan.jb, range.width(), |k, j| {
+        a.get(lb + k, range.start + j)
+    }))
 }
 
 #[cfg(test)]

@@ -9,9 +9,13 @@
 //! gives — for pivots that repeat, stay inside the diagonal block or do not
 //! move at all, sections that do not start at column 0 and widths of 0, 1
 //! and not a multiple of the SIMD width, on process columns of 1, 2 and 3
-//! ranks, in both pipeline elements. At `P = 1` the phase is one walk:
-//! `row_swap_comm` alone must leave the definition's matrix, and the
-//! `apply_moves` after it must write nothing and record no `Scatter` span.
+//! ranks, in both pipeline elements. At `P = 1` the phase is one walk that
+//! swaps `U` into its own rows: `row_swap_comm` alone must leave the
+//! definition's matrix — `U` in rows `k0..k0+jb`, every other row as the
+//! definition has it — with no `U` block assembled, and the `apply_moves`
+//! after it must write nothing and record no `Scatter` span. At `P > 1`
+//! the diagonal rows keep their content (the update stores the solved `U`
+//! there afterwards).
 
 use hpl_comm::{Grid, GridOrder, Universe, WireElem};
 use proptest::prelude::*;
@@ -39,7 +43,8 @@ impl Case {
     }
 
     /// The sequential definition on a global copy: `(U, post-swap matrix)`,
-    /// both `n`-row column-major over the section's columns only.
+    /// `U` `jb`-row and the matrix `n`-row column-major, over the section's
+    /// columns only. The matrix holds `U` in rows `k0..k0+jb`.
     fn oracle(&self) -> (Vec<f64>, Vec<f64>) {
         let (n, jb, w) = (self.n, self.jb(), self.range.width());
         let mut g: Vec<f64> = (0..w)
@@ -55,14 +60,18 @@ impl Case {
             .flat_map(|j| (0..jb).map(move |k| (k, j)))
             .map(|(k, j)| g[j * n + self.k0 + k])
             .collect();
-        // The phase returns the diagonal rows as `U` and leaves them in
-        // place (the update stores the solved `U` there afterwards).
-        for j in 0..w {
-            for k in 0..jb {
-                g[j * n + self.k0 + k] = entry(self.k0 + k, self.range.start + j);
+        (u, g)
+    }
+
+    /// The matrix a communicated swap (`P > 1`) leaves: the definition's,
+    /// with the diagonal rows as they were before it.
+    fn diag_unswapped(&self, mut g: Vec<f64>) -> Vec<f64> {
+        for j in 0..self.range.width() {
+            for k in 0..self.jb() {
+                g[j * self.n + self.k0 + k] = entry(self.k0 + k, self.range.start + j);
             }
         }
-        (u, g)
+        g
     }
 
     /// `CommStats` of each rank, by the structure of the phase: a gatherv
@@ -126,6 +135,11 @@ fn section<E: WireElem>(a: &LocalMatrix<E>, range: ColRange) -> Vec<(usize, usiz
 fn run<E: WireElem>(case: &Case) {
     let plan = SwapPlan::build(case.k0, case.jb(), &case.ipiv);
     let (want_u, want_a) = case.oracle();
+    let want_a = if case.p == 1 {
+        want_a
+    } else {
+        case.diag_unswapped(want_a)
+    };
     let range = case.range;
     let outs = Universe::run(case.p, |comm| {
         let grid = Grid::new(comm, case.p, 1, GridOrder::ColumnMajor);
@@ -189,7 +203,11 @@ fn run<E: WireElem>(case: &Case) {
             .filter(|s| s.phase == hpl_trace::Phase::Scatter)
             .count();
         assert_eq!(scatters, if case.p > 1 { 3 } else { 0 }, "Scatter spans");
-        assert_eq!(rs.u, u, "deferred U differs from the one-shot phase");
+        if case.p > 1 {
+            assert_eq!(rs.u, u, "deferred U differs from the one-shot phase");
+        } else {
+            assert_eq!(rs.u.as_slice().len(), 0, "P = 1 assembled a U block");
+        }
         assert_eq!(
             b.as_slice(),
             a.as_slice(),
@@ -218,6 +236,50 @@ fn run<E: WireElem>(case: &Case) {
         let sent: Vec<_> = outs.iter().map(|o| o.sent).collect();
         assert_eq!(sent, case.traffic(&plan), "(messages, elements) per rank");
     }
+}
+
+/// The `P = 1` kernel alone, from a workspace sized as the driver sizes
+/// it: after `row_swap_comm`, rows `k0..k0+jb` of every swept column hold
+/// the definition's `U` rows, every other row of the section equals the
+/// definition, the columns outside it are untouched, and no `U` block was
+/// assembled.
+fn in_place_p1<E: WireElem>(case: &Case) {
+    assert_eq!(case.p, 1);
+    let plan = SwapPlan::build(case.k0, case.jb(), &case.ipiv);
+    let (want_u, want_a) = case.oracle();
+    let (n, jb, range) = (case.n, case.jb(), case.range);
+    Universe::run(1, |comm| {
+        let grid = Grid::new(comm, 1, 1, GridOrder::ColumnMajor);
+        let mut a = System::Fill(&entry).local::<E>(n, case.nb, &grid);
+        let mut rs = RsData::for_sections(jb, range.width(), 1);
+        let rows = a.rows;
+        row_swap_comm(
+            grid.col(),
+            rows,
+            &plan,
+            0,
+            &mut a.view_mut(),
+            range,
+            case.algo,
+            &mut rs,
+        )
+        .expect("a one-rank column sends nothing");
+        assert_eq!(rs.u.as_slice().len(), 0, "P = 1 assembled a U block");
+        for lj in 0..a.nloc {
+            let j = lj.wrapping_sub(range.start);
+            for i in 0..n {
+                let got = a.get(i, lj).to_f64();
+                if !(range.start..range.end).contains(&lj) {
+                    assert_eq!(got, entry(i, lj), "A({i}, {lj}) outside the section");
+                } else if (case.k0..case.k0 + jb).contains(&i) {
+                    let k = i - case.k0;
+                    assert_eq!(got, want_u[j * jb + k], "U({k}, {j}) in place");
+                } else {
+                    assert_eq!(got, want_a[j * n + i], "A({i}, {lj})");
+                }
+            }
+        }
+    });
 }
 
 /// Pivots for panel `k0..k0+jb` of `n` rows: each step draws one of
@@ -285,6 +347,33 @@ proptest! {
         };
         run::<f64>(&case);
         run::<f32>(&case);
+    }
+
+    #[test]
+    fn p1_swap_writes_u_into_its_own_rows(
+        nb in 1usize..=9,
+        nblocks in 1usize..=7,
+        ragged in 0usize..9,
+        kblk in 0usize..7,
+        c0 in 0usize..70,
+        span in 0usize..70,
+        seed in 0u64..u64::MAX,
+    ) {
+        let n = nblocks * nb + ragged % nb;
+        let k0 = (kblk % n.div_ceil(nb)) * nb;
+        let jb = nb.min(n - k0);
+        let start = c0 % (n + 1);
+        let case = Case {
+            n,
+            nb,
+            p: 1,
+            k0,
+            ipiv: pivots(n, k0, jb, seed),
+            range: ColRange { start, end: start + span % (n + 2 - start) },
+            algo: RowSwapAlgo::Ring,
+        };
+        in_place_p1::<f64>(&case);
+        in_place_p1::<f32>(&case);
     }
 }
 

@@ -23,6 +23,15 @@ cargo build --release
 echo "== [test] cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
 
+echo "== [benchmark] benchmark/ built and unit-tested against the workspace"
+# Not --locked (the offline build adds a lock edge); the lock file is
+# restored whether or not the steps pass.
+benchmark_status=0
+{ cargo build --release --manifest-path benchmark/Cargo.toml &&
+  cargo test --manifest-path benchmark/Cargo.toml; } || benchmark_status=$?
+git checkout -- benchmark/Cargo.lock
+[ "$benchmark_status" -eq 0 ]
+
 echo "== [kernel-matrix] cargo test -q under the pinned scalar DGEMM kernel"
 RHPL_KERNEL=scalar cargo test -q
 

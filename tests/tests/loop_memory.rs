@@ -1,7 +1,10 @@
 //! The HPL loop's memory: a panel's storage outlives the panel. The driver
 //! hands a retired panel's `top`, pivots, broadcast buffer and packed `L2`
 //! to the next panel, so after the first panels have sized them the loop
-//! asks the allocator for no more panel-sized blocks.
+//! asks the allocator for no more panel-sized blocks. With one process
+//! (`1 x 1`) the loop holds nothing else of panel size: `U` is swapped
+//! into the matrix and solved there, and the factored diagonal block is
+//! read where FACT left it, so there is no `U` block and no `top` copy.
 //!
 //! A counting global allocator tracks the bytes live across every thread
 //! (the ranks of `Universe::run` are threads of their own, and so are
@@ -84,12 +87,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// What one window saw.
+struct Window {
+    /// Bytes of [`LARGE`] or larger allocations made.
+    big: usize,
+    /// The most bytes live beyond those live when the window opened.
+    peak: usize,
+    /// Bytes the leading rank's GEMM pack arena grew by (the loop runs its
+    /// update on the rank's thread at one update thread).
+    arena: usize,
+}
+
 /// Runs `factorize_local` on every rank of a `p x q` grid at once and
-/// returns, over the window in which the ranks run it, the bytes of large
-/// allocations made and the most bytes live beyond those live when it
-/// opened. The systems are generated before the window opens, and the
-/// ranks talk through the in-process fabric.
-fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> (usize, usize) {
+/// measures the window in which the ranks run it. The systems are
+/// generated before the window opens, and the ranks talk through the
+/// in-process fabric. Each rank runs the loop once before the window
+/// opens as well: the GEMM pack arena is storage of the thread, sized by
+/// the widest update and kept as long as the thread lives, so it is
+/// full-size before the window and the window sees what the loop itself
+/// holds.
+fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> Window {
     let mut cfg = HplConfig::new(n, nb, p, q);
     cfg.schedule = Schedule::LookAhead;
     let (generated, started, finished) = (
@@ -103,7 +120,11 @@ fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> (usize, usize) {
     let out =
         Universe::run_with_transport(p * q, TransportSel::Inproc, FabricOpts::default(), |comm| {
             let grid = Grid::new(comm, p, q, GridOrder::ColumnMajor);
-            let a = rhpl_core::System::Seeded(cfg.seed).local::<f64>(n, nb, &grid);
+            let system = rhpl_core::System::Seeded(cfg.seed);
+            let warm = system.local::<f64>(n, nb, &grid);
+            drop(factorize_local(&grid, &cfg, warm).expect("fault-free fabric"));
+            let a = system.local::<f64>(n, nb, &grid);
+            let arena0 = arena_bytes();
             if generated.wait().is_leader() {
                 let live = LIVE.load(Ordering::SeqCst);
                 base.store(live, Ordering::SeqCst);
@@ -112,9 +133,10 @@ fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> (usize, usize) {
             }
             started.wait();
             let factored = factorize_local(&grid, &cfg, a).expect("fault-free fabric");
-            let window = finished.wait().is_leader().then(|| {
-                let peak = PEAK.load(Ordering::SeqCst) - base.load(Ordering::SeqCst);
-                (BIG.load(Ordering::SeqCst), peak)
+            let window = finished.wait().is_leader().then(|| Window {
+                big: BIG.load(Ordering::SeqCst),
+                peak: PEAK.load(Ordering::SeqCst) - base.load(Ordering::SeqCst),
+                arena: arena_bytes() - arena0,
             });
             drop(factored);
             window
@@ -136,12 +158,40 @@ fn bcast_copies_1x2(n: usize, nb: usize) -> usize {
         .sum()
 }
 
+/// Bytes of this thread's GEMM pack arena (f64).
+fn arena_bytes() -> usize {
+    hpl_blas::arena::thread_stats().capacity * std::mem::size_of::<f64>()
+}
+
+/// Bytes of an `m x nb` `L2` packed for the active kernel: `m` rounded up
+/// to whole register strips, times `nb` columns, plus the cache line
+/// `PackedA` aligns to.
+fn packed_l2(m: usize, nb: usize) -> usize {
+    let mr = hpl_blas::kernels::active().mr_for::<f64>();
+    let f64s = m.div_ceil(mr) * mr * nb + 64 / std::mem::size_of::<f64>();
+    f64s * std::mem::size_of::<f64>()
+}
+
+/// Small buffers the `1 x 1` loop holds besides its panels and the pack
+/// arena — pivots and the pivot log, the row swap's column buffer and row
+/// lists, the pool. They take 35 KiB at N = 2048, NB = 64; one more
+/// `nb x nb` block (32 KiB) on top of them does not fit.
+const SMALL: usize = 48 << 10;
+
 /// At N = 2048, NB = 64 a panel-sized block is about 1 MB and the loop
 /// runs 32 panels. Allocating the panel's storage afresh for every panel
 /// (the broadcast buffer, copies of `top` and the packed `L2`, as the driver
 /// once did) puts 6x the peak through the allocator on one rank; a loop
 /// that recycles its panel storage allocates about what it holds at its
 /// peak.
+///
+/// What the `1 x 1` loop holds at its peak is what the panel geometry
+/// needs: two packed `L2` panels (the first panel's and the look-ahead
+/// one's) and whatever the GEMM pack arena grew by. A `jb x nloc` `U`
+/// block (1 MiB here) or a `jb x jb` copy of the factored diagonal block
+/// (32 KiB) does not fit. On an AVX-512 host the peak live growth reads
+/// 2,034,816 bytes against 1,998,976 for the two panels; when the loop
+/// held a `U` block and `top` copies, it read 3,146,368.
 ///
 /// On more than one rank the communication layer allocates as well: every
 /// in-process message is a copy of its payload, and the row swap's
@@ -157,7 +207,7 @@ fn the_loop_allocates_no_more_than_it_holds() {
         (2, 1, None),
         (1, 2, Some(bcast_copies_1x2(n, nb))),
     ] {
-        let (big, peak) = loop_window(n, nb, p, q);
+        let Window { big, peak, arena } = loop_window(n, nb, p, q);
         eprintln!("{p}x{q}: {big} bytes in large allocations, peak live growth {peak} bytes");
         if let Some(messages) = allowance {
             assert!(
@@ -165,6 +215,16 @@ fn the_loop_allocates_no_more_than_it_holds() {
                 "{p}x{q}: {big} bytes in allocations of {LARGE} bytes or more, more than twice \
                  the {peak}-byte peak live growth plus {messages} bytes of message copies: the \
                  loop allocates panel storage afresh"
+            );
+        }
+        if (p, q) == (1, 1) {
+            let panels = packed_l2(n - nb, nb) + packed_l2(n - 2 * nb, nb);
+            eprintln!("1x1: two packed L2 panels {panels} bytes, pack arena {arena} bytes");
+            assert!(
+                peak <= panels + arena + SMALL,
+                "1x1: the loop's peak live growth of {peak} bytes exceeds two packed L2 panels \
+                 ({panels} bytes) plus the pack arena ({arena} bytes) plus {SMALL} bytes: a \
+                 panel-sized block (a U block, a copy of the diagonal block) is back"
             );
         }
     }

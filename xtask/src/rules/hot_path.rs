@@ -52,8 +52,10 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core", "solve_u"),
     ("core", "store_u"),
     ("core", "gemm_update"),
-    ("core", "gemm_update_parallel"),
     ("core", "full_update"),
+    ("core", "dtrsm_u"),
+    ("core", "copy_u"),
+    ("core", "dgemm_l2"),
     ("core", "rec_factor"),
     ("core", "base_factor"),
     ("core", "update_col"),
