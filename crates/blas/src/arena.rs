@@ -87,12 +87,17 @@ macro_rules! arena_for {
             }
 
             /// Grows `buf` to at least `len` elements, reporting whether it
-            /// grew.
+            /// grew. What the buffer held is not kept: its contents are
+            /// don't-care to every caller, so the old storage is freed
+            /// before the new is taken (never both live, nothing copied),
+            /// and the new comes zeroed from the allocator, whose fresh
+            /// pages are zero until first touched.
             fn ensure(buf: &mut Vec<$ty>, len: usize) -> bool {
                 if buf.len() >= len {
                     return false;
                 }
-                buf.resize(len, 0.0);
+                *buf = Vec::new();
+                *buf = vec![0.0; len];
                 true
             }
 

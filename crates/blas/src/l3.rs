@@ -5,18 +5,17 @@
 //! implemented GotoBLAS-style with cache blocking, panel packing and an
 //! `MR x NR` register microkernel supplied by [`kernels`] — the portable
 //! scalar tile or a runtime-detected SIMD tile (see that module for the
-//! accumulation-order contract). Pack workspaces come from the
-//! thread-local [`crate::arena`], so steady-state calls are
-//! allocation-free, and a panel of `A` can be packed once into a
-//! [`PackedA`] and reused across many calls — the `L2` panel of the
-//! trailing update is packed once per iteration and shared across the
-//! split-update sections and all worker threads. TRSM recurses on the
-//! triangular factor and delegates the rectangular updates to GEMM, so it
-//! inherits its throughput.
+//! accumulation-order contract). Both operands are read as views wherever
+//! they lie and packed one cache block at a time into the thread-local
+//! [`crate::arena`], so steady-state calls are allocation-free and no
+//! operand is ever copied whole: the trailing update's `L2` is packed
+//! `mc x kc` block by block from the panel columns (or the broadcast
+//! buffer) it lies in. TRSM recurses on the triangular factor and
+//! delegates the rectangular updates to GEMM, so it inherits its
+//! throughput.
 
 pub mod kernels;
 
-use crate::arena;
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
 use crate::{Diag, Side, Trans, Uplo};
@@ -33,9 +32,9 @@ pub(crate) const KC: usize = 256;
 pub(crate) const NC: usize = 2048;
 
 /// The `m` cache block for a register tile `mr` rows tall: `MC` rounded
-/// down to whole tiles, so every block of a [`PackedA`] starts on a strip
-/// boundary whatever the tile shape (a 24-row tile with a 256-row block
-/// would slice strips in half).
+/// down to whole tiles, so a block fills whole strips of the pack buffer
+/// whatever the tile shape (a 24-row tile with a 256-row block would
+/// leave a ragged strip in every block, not only the last).
 #[inline]
 pub(crate) fn mc_for(mr: usize) -> usize {
     (MC / mr).max(1) * mr
@@ -118,7 +117,7 @@ pub fn dgemm_with<E: Element>(
 }
 
 /// Validates the `op(A)` / `op(B)` / `C` dimension triangle; returns `k`.
-fn checked_dims<E: Element>(
+pub(crate) fn checked_dims<E: Element>(
     transa: Trans,
     transb: Trans,
     a: MatRef<'_, E>,
@@ -148,182 +147,6 @@ fn checked_dims<E: Element>(
         }
     }
     k
-}
-
-/// A full `m x k` operand `op(A)` packed once into register-strip layout
-/// for reuse across many GEMM calls.
-///
-/// The `k` dimension is cut into the same `KC` panels [`dgemm`] uses:
-/// panel `pc` starts at element `mup * pc` (`mup` = `m` rounded up to the
-/// kernel's `mr`) and holds `ceil(m / mr)` strips of `kc * mr` values
-/// each — bit-for-bit what `dgemm` would pack on the fly, which keeps the
-/// packed and on-the-fly paths bitwise interchangeable. The packed data
-/// starts `off` elements into `buf`, on a cache line, so no full-width
-/// vector load of a strip straddles two lines.
-pub struct PackedA<E: Element = f64> {
-    buf: Vec<E>,
-    off: usize,
-    mr: usize,
-    m: usize,
-    k: usize,
-    mup: usize,
-}
-
-impl<E: Element> PackedA<E> {
-    /// An operand holding no storage, for [`PackedA::refill`] to fill.
-    pub fn empty() -> PackedA<E> {
-        PackedA {
-            buf: Vec::new(),
-            off: 0,
-            mr: 1,
-            m: 0,
-            k: 0,
-            mup: 0,
-        }
-    }
-
-    /// Packs all of the `m x k` operand `op(A)` for kernel `kern` into
-    /// fresh storage ([`PackedA::refill`] on an empty operand).
-    pub fn pack(kern: Kernel, transa: Trans, a: MatRef<'_, E>) -> PackedA<E> {
-        let mut packed = PackedA::empty();
-        packed.refill(kern, transa, a);
-        packed
-    }
-
-    /// Packs all of the `m x k` operand `op(A)` for kernel `kern` into this
-    /// operand's storage, replacing what it held. The storage only grows:
-    /// an operand no larger than the largest packed before lands where
-    /// that one did, so a caller that keeps one `PackedA` across a run's
-    /// shrinking panels touches no fresh page after the first. The result
-    /// is bit for bit what [`PackedA::pack`] gives.
-    pub fn refill(&mut self, kern: Kernel, transa: Trans, a: MatRef<'_, E>) {
-        let (m, k) = match transa {
-            Trans::No => (a.rows(), a.cols()),
-            Trans::Yes => (a.cols(), a.rows()),
-        };
-        let mr = kern.mr_for::<E>();
-        let mup = round_up(m, mr);
-        let need = mup * k + arena::line_len::<E>();
-        if self.buf.len() < need {
-            // xtask-allow: hot-path-alloc — the grow step: taken only when an operand outgrows every one packed before, so a run's shrinking panels take it once
-            self.buf = vec![E::ZERO; need];
-            self.off = arena::line_offset(&self.buf);
-        }
-        let (buf, off) = (&mut self.buf, self.off);
-        let mc_blk = mc_for(mr);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // One cache block of rows at a time, as `dgemm` packs them: a
-            // column pass then scatters into `mc_blk / mr` strips, not
-            // into every strip of a tall panel.
-            for ic in (0..m).step_by(mc_blk) {
-                let mc = mc_blk.min(m - ic);
-                let start = off + mup * pc + ic * kc;
-                let out = &mut buf[start..start + round_up(mc, mr) * kc];
-                pack_a(transa, a, ic, pc, mc, kc, mr, out);
-            }
-        }
-        (self.mr, self.m, self.k, self.mup) = (mr, m, k, mup);
-    }
-
-    /// Row count of the packed operand.
-    pub fn rows(&self) -> usize {
-        self.m
-    }
-
-    /// Depth (`k`) of the packed operand.
-    pub fn depth(&self) -> usize {
-        self.k
-    }
-
-    /// Register-strip height this operand was packed for.
-    pub fn mr(&self) -> usize {
-        self.mr
-    }
-
-    /// The packed strips covering rows `ic..ic+mc` of `k`-panel `pc`, in
-    /// exactly the layout [`macro_kernel`] consumes. `ic` must be
-    /// `mr`-aligned — a block that starts inside a strip would hand the
-    /// kernel rows of the wrong tile — and (`pc`, `kc`) must name one of
-    /// the `KC` panels the constructor created.
-    fn block(&self, ic: usize, pc: usize, mc: usize, kc: usize) -> &[E] {
-        assert_eq!(ic % self.mr, 0, "PackedA::block: ic must be mr-aligned");
-        debug_assert_eq!(pc % KC, 0);
-        debug_assert_eq!(kc, KC.min(self.k - pc));
-        debug_assert!(ic + mc <= self.m);
-        let start = self.off + self.mup * pc + ic * kc;
-        &self.buf[start..start + round_up(mc, self.mr) * kc]
-    }
-}
-
-/// `C <- alpha * A[row0 .. row0 + C.rows(), :] * op(B) + beta * C` where
-/// `A` was packed ahead of time with [`PackedA::pack`].
-///
-/// `row0` must be `mr`-aligned (row tiles in the parallel path are) and
-/// `kern` must be the kernel `packed` was built for. Bitwise identical to
-/// [`dgemm_with`] on the same operands and kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_packed<E: Element>(
-    kern: Kernel,
-    alpha: E,
-    packed: &PackedA<E>,
-    row0: usize,
-    transb: Trans,
-    b: MatRef<'_, E>,
-    beta: E,
-    c: &mut MatMut<'_, E>,
-) {
-    let m = c.rows();
-    let n = c.cols();
-    let k = packed.k;
-    let (mr, nr) = (kern.mr_for::<E>(), kern.nr_for::<E>());
-    assert_eq!(packed.mr, mr, "dgemm_packed: kernel/packing mismatch");
-    assert_eq!(row0 % mr, 0, "dgemm_packed: row0 must be mr-aligned");
-    assert!(row0 + m <= packed.m, "dgemm_packed: rows out of range");
-    match transb {
-        Trans::No => {
-            assert_eq!(b.rows(), k, "dgemm_packed: op(B) rows != A depth");
-            assert_eq!(b.cols(), n, "dgemm_packed: op(B) cols != C cols");
-        }
-        Trans::Yes => {
-            assert_eq!(b.cols(), k, "dgemm_packed: op(B) rows != A depth");
-            assert_eq!(b.rows(), n, "dgemm_packed: op(B) cols != C cols");
-        }
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if alpha == E::ZERO || k == 0 {
-        scale_c(beta, c);
-        return;
-    }
-    let mc_blk = mc_for(mr);
-    let blen = k.min(KC) * round_up(n.min(NC), nr);
-    E::with_pack_bufs(0, blen, |_, bpack| {
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                pack_b(transb, b, pc, jc, kc, nc, nr, bpack);
-                let beta_eff = if pc == 0 { beta } else { E::ONE };
-                for ic in (0..m).step_by(mc_blk) {
-                    let mc = mc_blk.min(m - ic);
-                    let apack = packed.block(row0 + ic, pc, mc, kc);
-                    macro_kernel(
-                        kern,
-                        mc,
-                        nc,
-                        kc,
-                        alpha,
-                        apack,
-                        bpack,
-                        beta_eff,
-                        &mut c.submatrix_mut(ic, jc, mc, nc),
-                    );
-                }
-            }
-        }
-    });
 }
 
 /// Rounds `x` up to a multiple of `to`.
@@ -883,16 +706,17 @@ mod tests {
         }
     }
 
-    /// Every block `dgemm_packed` can ask a `PackedA` for starts on a strip
-    /// boundary, on every tier and for both precisions, and the strips it
-    /// gets are the rows it asked for: three cache blocks and a ragged
-    /// tail, through `row0 = 0` and through each aligned `row0` the
-    /// parallel grid could pass, against the on-the-fly packing.
-    fn packed_blocks_are_strip_aligned<E: Element>() {
+    /// `C`'s rows from any `row0` on, multiplied through the row block of
+    /// `A` that starts there, come out bit for bit as in the whole product,
+    /// on every tier and for both precisions: three cache blocks and a
+    /// ragged tail, with `row0` on a strip boundary (as the parallel tile
+    /// grid cuts) and inside a strip. Where a row falls in the packed
+    /// strips does not change its arithmetic, which is what lets every tile
+    /// of the parallel GEMM pack its own rows of `A`.
+    fn row_blocks_match_the_whole_product<E: Element>() {
         for kern in Kernel::available() {
             let mr = kern.mr_for::<E>();
             let mc_blk = mc_for(mr);
-            assert_eq!(mc_blk % mr, 0, "{}", kern.describe());
             let (m, n, k) = (3 * mc_blk + mr + 3, 7, KC + 5);
             let val = |i: usize, j: usize, s: usize| {
                 E::from_f64(((i * 29 + j * 13 + s) % 41) as f64 / 41.0 - 0.4)
@@ -900,29 +724,15 @@ mod tests {
             let a = Matrix::<E>::from_fn(m, k, |i, j| val(i, j, 1));
             let b = Matrix::<E>::from_fn(k, n, |i, j| val(i, j, 2));
             let c0 = Matrix::<E>::from_fn(m, n, |i, j| val(i, j, 3));
-            let packed = PackedA::pack(kern, Trans::No, a.view());
-            for pc in (0..k).step_by(KC) {
-                for ic in (0..m).step_by(mc_blk) {
-                    let (mc, kc) = (mc_blk.min(m - ic), KC.min(k - pc));
-                    assert_eq!(packed.block(ic, pc, mc, kc).len(), round_up(mc, mr) * kc);
-                }
-            }
-            let mut want = c0.clone();
             let (no, one) = (Trans::No, E::ONE);
-            dgemm_with(
-                kern,
-                no,
-                no,
-                -one,
-                a.view(),
-                b.view(),
-                one,
-                &mut want.view_mut(),
-            );
-            for row0 in [0, mr, mc_blk, mc_blk + 2 * mr] {
+            let mut want = c0.clone();
+            let (av, bv) = (a.view(), b.view());
+            dgemm_with(kern, no, no, -one, av, bv, one, &mut want.view_mut());
+            for row0 in [0, 1, mr, mr + 3, mc_blk, mc_blk + 2 * mr] {
                 let mut got = c0.clone();
                 let mut tail = got.view_mut().split_at_row(row0).1;
-                dgemm_packed(kern, -one, &packed, row0, no, b.view(), one, &mut tail);
+                let a_rows = av.submatrix(row0, 0, m - row0, k);
+                dgemm_with(kern, no, no, -one, a_rows, bv, one, &mut tail);
                 for j in 0..n {
                     for i in row0..m {
                         assert_eq!(
@@ -939,108 +749,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_blocks_are_strip_aligned_f64() {
-        packed_blocks_are_strip_aligned::<f64>();
+    fn row_blocks_match_the_whole_product_f64() {
+        row_blocks_match_the_whole_product::<f64>();
     }
 
     #[test]
-    fn packed_blocks_are_strip_aligned_f32() {
-        packed_blocks_are_strip_aligned::<f32>();
-    }
-
-    /// The packed strips of `p`, the region `dgemm_packed` reads.
-    fn strips<E: Element>(p: &PackedA<E>) -> Vec<u64> {
-        p.buf[p.off..p.off + p.mup * p.k]
-            .iter()
-            .map(|v| v.to_bits_u64())
-            .collect()
-    }
-
-    /// Refilling one `PackedA` gives what a fresh `pack` does, bit for bit:
-    /// after a larger operand, after a smaller one, transposed or not, on
-    /// every tier this host runs. A smaller operand lands in the storage
-    /// the larger one left; only outgrowing it takes new storage.
-    fn refill_is_a_fresh_pack<E: Element>() {
-        let val = |i: usize, j: usize, s: usize| {
-            E::from_f64(((i * 31 + j * 17 + s) % 43) as f64 / 43.0 - 0.45)
-        };
-        for kern in Kernel::available() {
-            let mr = kern.mr_for::<E>();
-            let mut packed = PackedA::empty();
-            // Large, smaller, ragged, transposed, then larger than all.
-            let shapes = [
-                (2 * mc_for(mr) + 5, KC + 3, Trans::No),
-                (mc_for(mr) + mr - 1, 40, Trans::No),
-                (7, 3, Trans::No),
-                (mr + 2, KC + 1, Trans::Yes),
-                (3 * mc_for(mr), KC + 9, Trans::No),
-            ];
-            let mut cap = 0;
-            for (s, &(m, k, tr)) in shapes.iter().enumerate() {
-                let a = match tr {
-                    Trans::No => Matrix::<E>::from_fn(m, k, |i, j| val(i, j, s)),
-                    Trans::Yes => Matrix::<E>::from_fn(k, m, |i, j| val(i, j, s)),
-                };
-                let before = packed.buf.as_ptr();
-                packed.refill(kern, tr, a.view());
-                let fresh = PackedA::pack(kern, tr, a.view());
-                let what = format!("{} {} shape {s}", kern.describe(), E::NAME);
-                assert_eq!((packed.m, packed.k, packed.mr), (m, k, mr), "{what}");
-                assert_eq!(strips(&packed), strips(&fresh), "{what}");
-                let need = round_up(m, mr) * k + arena::line_len::<E>();
-                if need <= cap {
-                    assert_eq!(packed.buf.as_ptr(), before, "{what}: shrinking moved");
-                }
-                cap = cap.max(need);
-                // And the product through it is the fresh pack's.
-                let n = 5;
-                let b = Matrix::<E>::from_fn(k, n, |i, j| val(i, j, 7));
-                let c0 = Matrix::<E>::from_fn(m, n, |i, j| val(i, j, 9));
-                let (mut got, mut want) = (c0.clone(), c0);
-                let one = E::ONE;
-                dgemm_packed(
-                    kern,
-                    -one,
-                    &packed,
-                    0,
-                    Trans::No,
-                    b.view(),
-                    one,
-                    &mut got.view_mut(),
-                );
-                dgemm_packed(
-                    kern,
-                    -one,
-                    &fresh,
-                    0,
-                    Trans::No,
-                    b.view(),
-                    one,
-                    &mut want.view_mut(),
-                );
-                let bits = |c: &Matrix<E>| -> Vec<u64> {
-                    c.as_slice().iter().map(|v| v.to_bits_u64()).collect()
-                };
-                assert_eq!(bits(&got), bits(&want), "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn refill_is_a_fresh_pack_f64() {
-        refill_is_a_fresh_pack::<f64>();
-    }
-
-    #[test]
-    fn refill_is_a_fresh_pack_f32() {
-        refill_is_a_fresh_pack::<f32>();
-    }
-
-    #[test]
-    #[should_panic(expected = "mr-aligned")]
-    fn a_block_inside_a_strip_is_refused() {
-        let kern = Kernel::scalar();
-        let a = Matrix::<f64>::from_fn(40, 4, |i, j| (i + j) as f64);
-        PackedA::pack(kern, Trans::No, a.view()).block(kern.mr() + 1, 0, 8, 4);
+    fn row_blocks_match_the_whole_product_f32() {
+        row_blocks_match_the_whole_product::<f32>();
     }
 }

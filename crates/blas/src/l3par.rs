@@ -4,35 +4,40 @@
 //! module is the CPU-side analogue: `C` is cut into a 2D grid of
 //! `(jc, ic)` macro tiles which the pool threads claim by work-stealing
 //! from a shared atomic counter — so wide, tall *and* skinny-but-tall
-//! updates all scale. Each element of `C` is produced by the same packed
-//! strips, the same register tile and the same `k`-accumulation order as
-//! the serial kernel regardless of how the grid is cut, so within one
-//! kernel choice the parallel result is **bitwise identical** to the
-//! serial one — a property the benchmark driver's schedule-equivalence
-//! tests rely on. All of it is generic over the pipeline [`Element`], so
-//! the f32 factorization scales across the same tile grid.
+//! updates all scale. Each tile is one serial [`dgemm_with`] call on its
+//! own row block of `op(A)` and column block of `op(B)`, packed one cache
+//! block at a time into the claiming thread's arena; no operand is packed
+//! whole or shared in packed form. Every element of `C` still takes the
+//! same `KC`-panel FMA chain, the same register tile arithmetic and the
+//! same `k`-accumulation order as in the serial kernel however the grid
+//! is cut (which strip a row lands in changes no lane's arithmetic), so
+//! within one kernel choice the parallel result is **bitwise identical**
+//! to the serial one — a property the benchmark driver's
+//! schedule-equivalence tests rely on. All of it is generic over the
+//! pipeline [`Element`], so the f32 factorization scales across the same
+//! tile grid.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hpl_threads::Pool;
 
 use crate::l3::kernels::Kernel;
-use crate::l3::{dgemm_packed, mc_for, round_up, PackedA, NC};
+use crate::l3::{checked_dims, dgemm_with, mc_for, round_up, NC};
 use crate::mat::{MatMut, MatRef};
 use crate::Element;
 use crate::Trans;
 
-/// Parallel `C <- alpha * A * op(B) + beta * C` where `A` is a pre-packed
-/// [`PackedA`] shared (read-only) by every worker — the trailing-update
-/// path: the `L2` panel is packed once per iteration and each thread's row
-/// tile slices straight into it instead of repacking.
+/// Parallel `C <- alpha * op(A) * op(B) + beta * C` on `nthreads` threads
+/// of `pool`, with kernel `kern` — the trailing-update path. `A` and `B`
+/// are read where they lie; each claimed tile packs its own blocks.
 #[allow(clippy::too_many_arguments)]
-pub fn dgemm_parallel_packed<E: Element>(
+pub fn dgemm_parallel<E: Element>(
     kern: Kernel,
     pool: &Pool,
     nthreads: usize,
     alpha: E,
-    packed: &PackedA<E>,
+    transa: Trans,
+    a: MatRef<'_, E>,
     transb: Trans,
     b: MatRef<'_, E>,
     beta: E,
@@ -40,11 +45,11 @@ pub fn dgemm_parallel_packed<E: Element>(
 ) {
     let m = c.rows();
     let n = c.cols();
-    let k = packed.depth();
+    let k = checked_dims(transa, transb, a, b, c);
     let nthreads = nthreads.clamp(1, pool.size());
     let grid = TileGrid::new(kern.mr_for::<E>(), kern.nr_for::<E>(), m, n, nthreads);
     if nthreads <= 1 || grid.tiles() <= 1 || alpha == E::ZERO || k == 0 {
-        dgemm_packed(kern, alpha, packed, 0, transb, b, beta, c);
+        dgemm_with(kern, transa, transb, alpha, a, b, beta, c);
         return;
     }
     let lda = c.lda();
@@ -64,11 +69,15 @@ pub fn dgemm_parallel_packed<E: Element>(
             // `fetch_add` winner, so tiles are disjoint in memory, and the
             // parent `c` borrow is held for the whole pool region.
             let mut ctile = unsafe { MatMut::from_raw_parts(cptr, mc, nc, lda) };
+            let atile = match transa {
+                Trans::No => a.submatrix(ic, 0, mc, k),
+                Trans::Yes => a.submatrix(0, ic, k, mc),
+            };
             let btile = match transb {
                 Trans::No => b.submatrix(0, jc, k, nc),
                 Trans::Yes => b.submatrix(jc, 0, nc, k),
             };
-            dgemm_packed(kern, alpha, packed, ic, transb, btile, beta, &mut ctile);
+            dgemm_with(kern, transa, transb, alpha, atile, btile, beta, &mut ctile);
         }
     });
 }
@@ -76,8 +85,8 @@ pub fn dgemm_parallel_packed<E: Element>(
 /// The 2D macro-tile decomposition of an `m x n` C.
 ///
 /// Tiles start at the serial cache-block shape (`mc_for(mr) x NC`) and the
-/// larger dimension is halved (keeping register-tile alignment, so row
-/// tiles stay valid `PackedA` offsets) until the grid has enough tiles to
+/// larger dimension is halved (keeping register-tile alignment, so a row
+/// tile packs whole strips) until the grid has enough tiles to
 /// keep every thread busy or the tiles reach the minimum of four register
 /// tiles a side. Register-tile shapes are per tier and per precision, so
 /// the grid takes the `(mr, nr)` the caller resolved for its kernel and
@@ -141,11 +150,10 @@ impl TileGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::l3::{dgemm, dgemm_with, kernels};
+    use crate::l3::{dgemm, kernels};
     use crate::mat::Matrix;
 
-    /// The trailing-update path with the process-wide kernel: `op(A)` is
-    /// packed once, then [`dgemm_parallel_packed`] runs the tile grid.
+    /// The trailing-update path with the process-wide kernel.
     #[allow(clippy::too_many_arguments)]
     fn parallel<E: Element>(
         pool: &Pool,
@@ -159,8 +167,7 @@ mod tests {
         c: &mut MatMut<'_, E>,
     ) {
         let kern = kernels::active();
-        let packed = PackedA::pack(kern, transa, a);
-        dgemm_parallel_packed(kern, pool, nthreads, alpha, &packed, transb, b, beta, c);
+        dgemm_parallel(kern, pool, nthreads, alpha, transa, a, transb, b, beta, c);
     }
 
     fn filled(r: usize, c: usize, seed: usize) -> Matrix {
@@ -219,8 +226,8 @@ mod tests {
         }
     }
 
-    /// Every explicit kernel's shared-`PackedA` parallel path against the
-    /// serial kernel — bitwise.
+    /// Every explicit kernel's parallel path against the serial kernel —
+    /// bitwise.
     #[test]
     fn parallel_paths_match_serial_bitwise_per_kernel() {
         let pool = Pool::new(4);
@@ -241,15 +248,15 @@ mod tests {
                     1.0,
                     &mut sv,
                 );
-                let packed = PackedA::pack(kern, Trans::No, a.view());
                 let mut ppar = c0.clone();
                 let mut ppv = ppar.view_mut();
-                dgemm_parallel_packed(
+                dgemm_parallel(
                     kern,
                     &pool,
                     4,
                     -1.0,
-                    &packed,
+                    Trans::No,
+                    a.view(),
                     Trans::No,
                     b.view(),
                     1.0,
@@ -348,8 +355,8 @@ mod tests {
 
     #[test]
     fn tile_grid_covers_exactly_once() {
-        // Every tier's tile shape, both precisions: row tiles must stay
-        // valid `PackedA` offsets whatever `mr` is.
+        // Every tier's tile shape, both precisions: row tiles must pack
+        // whole strips whatever `mr` is.
         let shapes = Kernel::available().into_iter().flat_map(|k| {
             [
                 (k.mr_for::<f64>(), k.nr_for::<f64>()),

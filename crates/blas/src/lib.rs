@@ -26,7 +26,7 @@
 //! * [`l3::kernels`] — register microkernels (scalar / AVX2+FMA / AVX-512F,
 //!   the widest detected tier answering to `simd`; off x86-64 only the
 //!   portable tile) and the per-run kernel selection (`RHPL_KERNEL`).
-//! * [`l3par`] — the thread-parallel packed GEMM of the trailing update.
+//! * [`l3par`] — the thread-parallel GEMM of the trailing update.
 //! * [`arena`] — thread-local grow-only pack buffers (allocation-free
 //!   steady-state DGEMM).
 //! * [`aux`] — the `swap_rows` row interchange.
@@ -55,8 +55,8 @@ pub use l1::idamax;
 pub use l1simd::{argmax_abs, axpy_add, axpy_sub, axpy_sub_argmax, dscal_inv, dsub};
 pub use l2::dtrsv;
 pub use l3::kernels::{self, Kernel, KernelKind, KernelSel};
-pub use l3::{dgemm, dgemm_naive, dgemm_packed, dgemm_with, dtrsm, dtrsm_with, PackedA};
-pub use l3par::dgemm_parallel_packed;
+pub use l3::{dgemm, dgemm_naive, dgemm_with, dtrsm, dtrsm_with};
+pub use l3par::dgemm_parallel;
 pub use lu::{getrf, getrs, Singular};
 pub use mat::{MatMut, MatRef, Matrix};
 

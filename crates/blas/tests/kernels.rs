@@ -1,12 +1,12 @@
 //! Kernel-dispatch correctness and determinism tests: every microkernel
 //! against the naive oracle over adversarial edge shapes, bitwise
-//! serial-vs-parallel equivalence per kernel, packed-A path equivalence,
-//! and the allocation-free steady state of the pack arena.
+//! serial-vs-parallel equivalence per kernel, an `A` read in place inside
+//! a larger matrix against a compact copy, and the allocation-free steady
+//! state of the pack arena.
 
 use hpl_blas::mat::Matrix;
 use hpl_blas::{
-    arena, dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_with, Element, Kernel,
-    KernelKind, PackedA, Trans,
+    arena, dgemm_naive, dgemm_parallel, dgemm_with, Element, Kernel, KernelKind, MatRef, Trans,
 };
 use hpl_threads::Pool;
 use proptest::prelude::*;
@@ -120,8 +120,8 @@ fn scalar_kernel_is_bit_identical_to_naive_order_free_cases() {
 fn scalar_serial_and_parallel_are_bit_identical() {
     // The determinism contract the schedule-equivalence and fault-soak
     // gates rely on: under the scalar kernel, any thread count of the
-    // trailing update's shared-`PackedA` path produces the same bytes as
-    // the serial kernel.
+    // trailing update's parallel path produces the same bytes as the
+    // serial kernel.
     let kern = Kernel::scalar();
     let pool = Pool::new(4);
     for &(m, n, k) in EDGE_SHAPES {
@@ -140,16 +140,16 @@ fn scalar_serial_and_parallel_are_bit_identical() {
             1.0,
             &mut sv,
         );
-        let packed = PackedA::pack(kern, Trans::No, a.view());
         for threads in [2usize, 4] {
             let mut par = c0.clone();
             let mut pv = par.view_mut();
-            dgemm_parallel_packed(
+            dgemm_parallel(
                 kern,
                 &pool,
                 threads,
                 -1.0,
-                &packed,
+                Trans::No,
+                a.view(),
                 Trans::No,
                 b.view(),
                 1.0,
@@ -164,36 +164,49 @@ fn scalar_serial_and_parallel_are_bit_identical() {
     }
 }
 
+/// The trailing update reads `L2` where it lies — rows of the panel
+/// columns inside the local matrix, or a block of the broadcast buffer —
+/// not from a compact copy. A view whose rows start inside a larger matrix
+/// and whose columns are that matrix's `lda` apart gives the bits a compact
+/// copy of it gives, on every kernel, serial and on the parallel grid.
 #[test]
-fn packed_a_path_is_bit_identical_to_on_the_fly_packing() {
+fn a_view_in_place_is_bit_identical_to_a_compact_copy() {
+    let pool = Pool::new(3);
     for kern in all_kernels() {
         for &(m, n, k) in EDGE_SHAPES {
-            let a = filled(m, k, 7);
-            let b = filled(k, n, 8);
-            let c0 = filled(m, n, 9);
-            let mut want = c0.clone();
-            let mut wv = want.view_mut();
-            dgemm_with(
-                kern,
-                Trans::No,
-                Trans::No,
-                -1.0,
-                a.view(),
-                b.view(),
-                1.0,
-                &mut wv,
-            );
-            let packed = PackedA::pack(kern, Trans::No, a.view());
-            assert_eq!((packed.rows(), packed.depth()), (m, k));
-            let mut got = c0.clone();
-            let mut gv = got.view_mut();
-            dgemm_packed(kern, -1.0, &packed, 0, Trans::No, b.view(), 1.0, &mut gv);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "kernel {} m={m} n={n} k={k}",
-                kern.describe()
-            );
+            // `A` is rows 5.. of a taller matrix with columns of its own.
+            let host = filled(m + 9, k + 2, 7);
+            let a_in_place = host.view().submatrix(5, 1, m, k);
+            let a = Matrix::from_fn(m, k, |i, j| a_in_place.get(i, j));
+            let (b, c0) = (filled(k, n, 8), filled(m, n, 9));
+            // At one thread `dgemm_parallel` is the serial kernel.
+            let product = |a: MatRef<'_, f64>, threads: usize| {
+                let (mut c, no) = (c0.clone(), Trans::No);
+                let mut cv = c.view_mut();
+                dgemm_parallel(
+                    kern,
+                    &pool,
+                    threads,
+                    -1.0,
+                    no,
+                    a,
+                    no,
+                    b.view(),
+                    1.0,
+                    &mut cv,
+                );
+                c
+            };
+            let want = product(a.view(), 1);
+            let (serial, par) = (product(a_in_place, 1), product(a_in_place, 3));
+            for (got, path) in [(&serial, "serial"), (&par, "parallel")] {
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "kernel {} {path} m={m} n={n} k={k}",
+                    kern.describe()
+                );
+            }
         }
     }
 }
@@ -201,7 +214,7 @@ fn packed_a_path_is_bit_identical_to_on_the_fly_packing() {
 /// The property that lets every SIMD tier answer to the one name `simd`:
 /// a tile shape decides which elements are computed side by side, never
 /// how one element is computed, so all tiers give identical bits — serial,
-/// through a shared `PackedA`, and on the parallel tile grid. Shapes are
+/// through a transposed `A`, and on the parallel tile grid. Shapes are
 /// the edge shapes plus `m`, `n` one short of and one past every tier's
 /// `mr`, `nr` (and a few tiles of them).
 fn simd_tiers_agree_bitwise<E: Element>() {
@@ -229,45 +242,28 @@ fn simd_tiers_agree_bitwise<E: Element>() {
     let pool = Pool::new(3);
     for &(m, n, k) in &shapes {
         let (a, b, c0) = (fill(m, k, 1), fill(k, n, 2), fill(m, n, 3));
+        let a_t = Matrix::<E>::from_fn(k, m, |i, j| a.get(j, i));
         // The last pair has an `alpha` that is no power of two, so that
         // `alpha * acc` rounds and a fused `alpha*acc + c` would differ.
         for (alpha, beta) in [(-1.0, 1.0), (-0.5, 0.75), (1.0, 0.0), (-0.3, 0.7)] {
             let (alpha, beta) = (E::from_f64(alpha), E::from_f64(beta));
-            // The three entry points of one kernel, in a fixed order.
+            // Three runs of one kernel, in a fixed order.
             let run = |kern: Kernel| {
-                let packed = PackedA::pack(kern, Trans::No, a.view());
-                let (mut s, mut p, mut pp) = (c0.clone(), c0.clone(), c0.clone());
-                let (ta, tb) = (Trans::No, Trans::No);
-                dgemm_with(
-                    kern,
-                    ta,
-                    tb,
-                    alpha,
-                    a.view(),
-                    b.view(),
-                    beta,
-                    &mut s.view_mut(),
-                );
-                dgemm_packed(
-                    kern,
-                    alpha,
-                    &packed,
-                    0,
-                    tb,
-                    b.view(),
-                    beta,
-                    &mut p.view_mut(),
-                );
+                let (mut s, mut t, mut pp) = (c0.clone(), c0.clone(), c0.clone());
+                let (no, yes) = (Trans::No, Trans::Yes);
+                let (av, at, bv) = (a.view(), a_t.view(), b.view());
+                dgemm_with(kern, no, no, alpha, av, bv, beta, &mut s.view_mut());
+                dgemm_with(kern, yes, no, alpha, at, bv, beta, &mut t.view_mut());
                 let mut ppv = pp.view_mut();
-                dgemm_parallel_packed(kern, &pool, 3, alpha, &packed, tb, b.view(), beta, &mut ppv);
-                [s, p, pp]
+                dgemm_parallel(kern, &pool, 3, alpha, no, av, no, bv, beta, &mut ppv);
+                [s, t, pp]
             };
             let bits = |m: &Matrix<E>| -> Vec<u64> {
                 m.as_slice().iter().map(|v| v.to_bits_u64()).collect()
             };
             let want = run(*reference);
-            assert_eq!(bits(&want[0]), bits(&want[1]), "serial vs packed");
-            assert_eq!(bits(&want[0]), bits(&want[2]), "serial vs parallel packed");
+            assert_eq!(bits(&want[0]), bits(&want[1]), "serial vs transposed A");
+            assert_eq!(bits(&want[0]), bits(&want[2]), "serial vs parallel");
             for other in others {
                 let got = run(*other);
                 for (w, g) in want.iter().zip(&got) {

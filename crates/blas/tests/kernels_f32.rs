@@ -1,13 +1,11 @@
 //! f32 instantiations of the kernel-dispatch correctness and determinism
 //! tests in `kernels.rs`: every microkernel against the naive oracle over
 //! the same adversarial edge shapes, bitwise serial-vs-parallel
-//! equivalence, and packed-A path equivalence — the guarantees HPL-MxP's
-//! resident f32 factorization leans on.
+//! equivalence, and an `A` read in place against a compact copy — the
+//! guarantees HPL-MxP's resident f32 factorization leans on.
 
 use hpl_blas::mat::Matrix;
-use hpl_blas::{
-    dgemm_naive, dgemm_packed, dgemm_parallel_packed, dgemm_with, Kernel, PackedA, Trans,
-};
+use hpl_blas::{dgemm_naive, dgemm_parallel, dgemm_with, Kernel, MatRef, Trans};
 use hpl_threads::Pool;
 use proptest::prelude::*;
 
@@ -154,16 +152,16 @@ fn f32_serial_and_parallel_are_bit_identical_per_kernel() {
                 1.0,
                 &mut sv,
             );
-            let packed = PackedA::pack(kern, Trans::No, a.view());
             for threads in [2usize, 4] {
                 let mut par = c0.clone();
                 let mut pv = par.view_mut();
-                dgemm_parallel_packed(
+                dgemm_parallel(
                     kern,
                     &pool,
                     threads,
                     -1.0f32,
-                    &packed,
+                    Trans::No,
+                    a.view(),
                     Trans::No,
                     b.view(),
                     1.0,
@@ -180,36 +178,45 @@ fn f32_serial_and_parallel_are_bit_identical_per_kernel() {
     }
 }
 
+/// `kernels.rs`'s in-place view test in f32: rows of a larger matrix,
+/// read where they lie, give a compact copy's bits, serial and parallel.
 #[test]
-fn packed_a_path_is_bit_identical_to_on_the_fly_packing_f32() {
+fn a_view_in_place_is_bit_identical_to_a_compact_copy_f32() {
+    let pool = Pool::new(3);
     for kern in all_kernels() {
         for &(m, n, k) in EDGE_SHAPES {
-            let a = filled(m, k, 7);
-            let b = filled(k, n, 8);
-            let c0 = filled(m, n, 9);
-            let mut want = c0.clone();
-            let mut wv = want.view_mut();
-            dgemm_with(
-                kern,
-                Trans::No,
-                Trans::No,
-                -1.0f32,
-                a.view(),
-                b.view(),
-                1.0,
-                &mut wv,
-            );
-            let packed = PackedA::pack(kern, Trans::No, a.view());
-            assert_eq!((packed.rows(), packed.depth()), (m, k));
-            let mut got = c0.clone();
-            let mut gv = got.view_mut();
-            dgemm_packed(kern, -1.0f32, &packed, 0, Trans::No, b.view(), 1.0, &mut gv);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "kernel {} m={m} n={n} k={k}",
-                kern.describe()
-            );
+            let host = filled(m + 9, k + 2, 7);
+            let a_in_place = host.view().submatrix(5, 1, m, k);
+            let a = Matrix::from_fn(m, k, |i, j| a_in_place.get(i, j));
+            let (b, c0) = (filled(k, n, 8), filled(m, n, 9));
+            // At one thread `dgemm_parallel` is the serial kernel.
+            let product = |a: MatRef<'_, f32>, threads: usize| {
+                let (mut c, no) = (c0.clone(), Trans::No);
+                let mut cv = c.view_mut();
+                dgemm_parallel(
+                    kern,
+                    &pool,
+                    threads,
+                    -1.0f32,
+                    no,
+                    a,
+                    no,
+                    b.view(),
+                    1.0f32,
+                    &mut cv,
+                );
+                c
+            };
+            let want = product(a.view(), 1);
+            let (serial, par) = (product(a_in_place, 1), product(a_in_place, 3));
+            for (got, path) in [(&serial, "serial"), (&par, "parallel")] {
+                assert_eq!(
+                    got.as_slice(),
+                    want.as_slice(),
+                    "kernel {} {path} m={m} n={n} k={k}",
+                    kern.describe()
+                );
+            }
         }
     }
 }

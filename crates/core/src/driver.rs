@@ -341,7 +341,7 @@ impl<E: WireElem> Driver<'_, E> {
 
             (store.top, store.ipiv) = (out.top, out.ipiv);
             if row.size() == 1 {
-                PanelL::in_place(&self.a, &geom, store, hpl_blas::kernels::active())
+                PanelL::in_place(&geom, store)
             } else {
                 store.buf.clear();
                 store.buf.reserve_exact(geom.bcast_len());
@@ -488,24 +488,34 @@ impl<E: WireElem> Driver<'_, E> {
 
     /// DTRSM (+ store) + DGEMM over `range` with the `U` the row swap left:
     /// at `P = 1` in the diagonal block's own rows of `range`, where it is
-    /// solved and read in place; otherwise in `section`'s workspace.
+    /// solved and read in place; otherwise in `section`'s workspace. `L2`
+    /// is read where it lies: at `Q = 1` in the panel columns, otherwise in
+    /// the panel's broadcast buffer.
     fn apply_update(&mut self, ip: &IterPanel<E>, section: Section, range: ColRange) {
         let g = &ip.geom;
-        // The panel columns lie left of every section, so `L1` can be read
-        // where FACT left it while the section's columns are written.
+        // The panel columns lie left of every section, so `L1` and `L2` can
+        // be read where FACT left them while the section's columns are
+        // written: FACT of the next panel writes other columns, and no later
+        // row swap touches factored columns.
         let (left, cols) = self.a.view_mut().split_at_col(range.start);
-        let mut cols = cols.split_at_col(range.width()).0;
+        let (left, mut cols) = (left.as_ref(), cols.split_at_col(range.width()).0);
         let l1 = if g.in_panel_col && g.in_curr_row {
-            left.as_ref().submatrix(g.lb, g.lj0, g.jb, g.jb)
+            left.submatrix(g.lb, g.lj0, g.jb, g.jb)
         } else {
             ip.panel.top.view()
+        };
+        let row0 = g.lb + if g.in_curr_row { g.jb } else { 0 };
+        let l2 = if self.grid.row().size() == 1 {
+            left.submatrix(row0, g.lj0, g.l2_rows, g.jb)
+        } else {
+            ip.panel.l2_view()
         };
         let pool = Some((&self.pool, self.cfg.update_threads));
         if self.grid.nprow() == 1 {
             let (u, mut c) = cols.split_at_row(g.lb + g.jb);
             let mut u = u.split_at_row(g.lb).1;
             dtrsm_u(l1, &mut u);
-            dgemm_l2(&ip.panel, u.as_ref(), &mut c, pool);
+            dgemm_l2(l2, u.as_ref(), &mut c, pool);
             return;
         }
         let u = match section {
@@ -519,9 +529,8 @@ impl<E: WireElem> Driver<'_, E> {
                 &mut cols.submatrix_mut(g.lb, 0, g.jb, range.width()),
             );
         }
-        let row0 = g.lb + if g.in_curr_row { g.jb } else { 0 };
         let mut c = cols.submatrix_mut(row0, 0, g.l2_rows, range.width());
-        dgemm_l2(&ip.panel, u.view(), &mut c, pool);
+        dgemm_l2(l2, u.view(), &mut c, pool);
     }
 
     /// The schedule loop. `cfg.schedule` maps onto it as look-ahead on or

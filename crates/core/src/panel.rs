@@ -4,15 +4,16 @@
 //!
 //! In rocHPL the panel columns are copied from the GPU's HBM to host DDR
 //! for factorization and back afterwards. Here both sides are CPU memory,
-//! so the driver factors the panel in place in the local matrix, and what
-//! is left of the transfer is the one copy of `L2` the update needs. With
-//! one process column (as netlib HPL's `HPL_pdpanel_init` does for
-//! `Q = 1`) there is no broadcast: `PanelL::in_place` packs `L2` straight
-//! from the matrix columns into DGEMM strip layout. With several,
-//! [`pack_panel_in_place`] packs the broadcast buffer `[top | L2 | ipiv]`
-//! from the matrix columns and every rank packs `L2` from the buffer it
-//! received on first use. Either copy is timed as the `Transfer` phase, so
-//! Fig 7's column exists.
+//! so the driver factors the panel in place in the local matrix, and the
+//! update's GEMM reads `L2` where it lies, packing it one cache block at a
+//! time as it goes. With one process column (as netlib HPL's
+//! `HPL_pdpanel_init` does for `Q = 1`) there is no broadcast and no copy
+//! at all: `PanelL::in_place` holds only FACT's pivots (and `top` off the
+//! diagonal owner), and the update reads `L2` from the matrix's panel
+//! columns. With several, [`pack_panel_in_place`] packs the broadcast
+//! buffer `[top | L2 | ipiv]` from the matrix columns — the one copy left,
+//! timed as the `Transfer` phase, so Fig 7's column exists — and every
+//! rank's update reads `L2` from the buffer it holds.
 //!
 //! The factored diagonal block `L1`/`U11` (`top`) is never copied on the
 //! rank that factored it in place: the broadcast pack and the update read
@@ -26,10 +27,8 @@
 //! round trip ([`panel_to_host`], [`host_view`], [`panel_from_host`],
 //! [`pack_panel`]) stays for `benchmark/`'s layer replay.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
-
 use hpl_blas::mat::{MatMut, MatRef, Matrix};
-use hpl_blas::{Element, Kernel, PackedA, Trans};
+use hpl_blas::Element;
 use hpl_comm::{panel_bcast, panel_bcast_checked, BcastAlgo, Communicator, Grid, WireElem};
 
 use crate::dist::Axis;
@@ -147,8 +146,6 @@ pub fn panel_from_host<E: Element>(
 
 /// The panel payload every rank holds after LBCAST: the replicated factored
 /// diagonal block, this process row's slice of `L2`, and the pivot vector.
-/// `L2` is held packed in DGEMM strip layout, shared by every update
-/// section and worker thread of the iteration.
 pub struct PanelL<E: Element = f64> {
     /// `jb x jb` factored diagonal block (unit-lower `L1` + `U11`), on the
     /// ranks that received it. Unfilled on the rank that factored it in
@@ -156,7 +153,8 @@ pub struct PanelL<E: Element = f64> {
     pub top: Matrix<E>,
     /// The LBCAST buffer `[top | L2 | ipiv]`; local `L2` is its
     /// `l2_rows x jb` column-major block at offset `jb * jb`. Empty for a
-    /// panel built in place (`PanelL::in_place`), which has none.
+    /// panel built in place (`PanelL::in_place`), whose `L2` is in the
+    /// local matrix.
     buf: Vec<E>,
     /// Global pivot row per panel column.
     pub ipiv: Vec<usize>,
@@ -164,11 +162,6 @@ pub struct PanelL<E: Element = f64> {
     pub l2_rows: usize,
     /// Panel width.
     pub jb: usize,
-    /// `L2` in packed DGEMM layout: packed at construction in place, else
-    /// from `buf` on first use into `l2_spare`'s storage.
-    l2_packed: OnceLock<PackedA<E>>,
-    /// The retired storage the first-use pack refills (taken once).
-    l2_spare: Mutex<Option<PackedA<E>>>,
 }
 
 /// The storage of a retired panel, for the next panel to refill (see
@@ -182,8 +175,6 @@ pub(crate) struct PanelStore<E: Element> {
     pub(crate) ipiv: Vec<usize>,
     /// The LBCAST buffer (unused with one process column).
     pub(crate) buf: Vec<E>,
-    /// Packed `L2`.
-    pub(crate) l2: PackedA<E>,
 }
 
 impl<E: Element> PanelStore<E> {
@@ -193,38 +184,25 @@ impl<E: Element> PanelStore<E> {
             top: Matrix::zeros(0, 0),
             ipiv: Vec::new(),
             buf: Vec::new(),
-            l2: PackedA::empty(),
         }
     }
 }
 
 impl<E: Element> PanelL<E> {
-    /// Builds panel `g`, factored in place in `a`, where it lies — for a
-    /// row communicator of one rank, where LBCAST sends nothing. FACT's
-    /// `ipiv` (and `top`, filled off the diagonal owner; on it the block is
-    /// in `a`) move in from `store`, and `L2` (the rows below the
-    /// diagonal block on the current row) is packed once, straight from
-    /// the matrix columns, into `store`'s packed storage for kernel `kern`.
-    /// That pack is the panel's transfer, timed as `Transfer`.
-    pub(crate) fn in_place(
-        a: &LocalMatrix<E>,
-        g: &PanelGeom,
-        mut store: PanelStore<E>,
-        kern: Kernel,
-    ) -> Self {
-        let _span = hpl_trace::span(hpl_trace::Phase::Transfer);
+    /// Builds panel `g`, factored in place in the local matrix, where it
+    /// lies — for a row communicator of one rank, where LBCAST sends
+    /// nothing. FACT's `ipiv` (and `top`, filled off the diagonal owner; on
+    /// it the block is in the matrix) move in from `store`. Nothing is
+    /// copied: the update reads `L2` (the rows below the diagonal block on
+    /// the current row) from the matrix's panel columns.
+    pub(crate) fn in_place(g: &PanelGeom, store: PanelStore<E>) -> Self {
         debug_assert!(g.in_panel_col);
-        let skip = if g.in_curr_row { g.jb } else { 0 };
-        let l2 = a.view().submatrix(g.lb + skip, g.lj0, g.l2_rows, g.jb);
-        PackedA::refill(&mut store.l2, kern, Trans::No, l2);
         Self {
             top: store.top,
             buf: store.buf,
             ipiv: store.ipiv,
             l2_rows: g.l2_rows,
             jb: g.jb,
-            l2_packed: store.l2.into(),
-            l2_spare: Mutex::new(None),
         }
     }
 
@@ -235,7 +213,6 @@ impl<E: Element> PanelL<E> {
             mut top,
             mut ipiv,
             buf,
-            l2,
         } = store;
         assert_eq!(buf.len(), g.bcast_len(), "panel buffer size mismatch");
         let (jb, l2_rows) = (g.jb, g.l2_rows);
@@ -255,60 +232,24 @@ impl<E: Element> PanelL<E> {
             ipiv,
             l2_rows,
             jb,
-            l2_packed: OnceLock::new(),
-            l2_spare: Mutex::new(Some(l2)),
         }
     }
 
     /// Gives the panel's storage back, for the next panel to refill.
     pub(crate) fn into_store(self) -> PanelStore<E> {
-        let spare = self
-            .l2_spare
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
         PanelStore {
             top: self.top,
             ipiv: self.ipiv,
             buf: self.buf,
-            l2: self
-                .l2_packed
-                .into_inner()
-                .or(spare)
-                .unwrap_or_else(PackedA::empty),
         }
     }
 
-    /// View of `L2` in the broadcast buffer (a panel built in place has
-    /// none, and never asks: its `L2` is packed at construction).
-    fn l2_view(&self) -> MatRef<'_, E> {
+    /// View of `L2` in the broadcast buffer. A panel built in place has no
+    /// buffer: its `L2` is in the local matrix, where the driver reads it.
+    pub(crate) fn l2_view(&self) -> MatRef<'_, E> {
         let (jb, l2_rows) = (self.jb, self.l2_rows);
         let l2 = &self.buf[jb * jb..jb * (jb + l2_rows)];
         MatRef::from_slice(l2, l2_rows, jb, l2_rows.max(1))
-    }
-
-    /// `L2` in packed DGEMM layout for kernel `kern`, packed on first call
-    /// and reused afterwards — across the `n1`/`n2` split-update sections
-    /// and across the update's GEMM workers. The kernel is frozen
-    /// per process, so one panel only ever sees one `kern`.
-    pub fn l2_packed(&self, kern: Kernel) -> &PackedA<E> {
-        let packed = self.l2_packed.get_or_init(|| {
-            // A poisoned lock still holds a whole `Option`: `take` is the
-            // only update.
-            let spare = self
-                .l2_spare
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let mut packed = spare.unwrap_or_else(PackedA::empty);
-            PackedA::refill(&mut packed, kern, Trans::No, self.l2_view());
-            packed
-        });
-        debug_assert_eq!(
-            packed.mr(),
-            kern.mr_for::<E>(),
-            "L2 packed for another kernel"
-        );
-        packed
     }
 }
 
@@ -462,7 +403,7 @@ mod tests {
     use crate::config::FactOpts;
     use crate::fact::{panel_factor, panel_factor_into, FactInput};
     use crate::local::System;
-    use hpl_blas::{dgemm_packed, kernels};
+    use hpl_blas::{dgemm_with, kernels, Trans};
     use hpl_comm::{GridOrder, Universe};
     use hpl_threads::Pool;
 
@@ -478,8 +419,9 @@ mod tests {
     /// and through `pack_panel_in_place` and `lbcast` into fresh storage.
     /// The factored diagonal block (in the matrix on the diagonal owner,
     /// the in-place panel's `top` elsewhere) against the broadcast `top`,
-    /// the pivots and the product of the packed `L2` with a fixed `B` must
-    /// agree bit for bit. Each side factors its own copy of the system, so
+    /// the pivots and the product of `L2` (read from the matrix's panel
+    /// columns for the in-place panel, from the buffer for the broadcast
+    /// one) with a fixed `B` must agree bit for bit. Each side factors its own copy of the system, so
     /// FACT's recycled `top` is under test too.
     fn in_place_equals_broadcast<E: WireElem>(p: usize, threads: usize) {
         let (n, nb, seed) = (100usize, 24usize, 11u64);
@@ -515,7 +457,7 @@ mod tests {
                     panel_factor_into(&inp, &mut panel, top, ipiv).expect("nonsingular")
                 };
                 (store.top, store.ipiv) = (out.top, out.ipiv);
-                let in_place = PanelL::in_place(&a_in, &g, store, kern);
+                let in_place = PanelL::in_place(&g, store);
 
                 let out = {
                     let mut av = a_bc.view_mut();
@@ -541,24 +483,17 @@ mod tests {
                 let b = Matrix::<E>::from_fn(g.jb, w, |i, j| {
                     E::from_f64(((i * 7 + j * 3) % 11) as f64 / 11.0 - 0.5)
                 });
-                let product = |panel: &PanelL<E>| {
+                let product = |l2: MatRef<'_, E>| {
                     let mut c = Matrix::<E>::from_fn(g.l2_rows, w, |i, j| {
                         E::from_f64(((i + 5 * j) % 13) as f64 / 13.0)
                     });
-                    let l2 = panel.l2_packed(kern);
-                    dgemm_packed(
-                        kern,
-                        -E::ONE,
-                        l2,
-                        0,
-                        Trans::No,
-                        b.view(),
-                        E::ONE,
-                        &mut c.view_mut(),
-                    );
+                    let (no, one) = (Trans::No, E::ONE);
+                    dgemm_with(kern, no, no, -one, l2, b.view(), one, &mut c.view_mut());
                     bits(c.view())
                 };
-                assert_eq!(product(&in_place), product(&bcast), "{what}");
+                let skip = if g.in_curr_row { g.jb } else { 0 };
+                let l2_in_place = a_in.view().submatrix(g.lb + skip, g.lj0, g.l2_rows, g.jb);
+                assert_eq!(product(l2_in_place), product(bcast.l2_view()), "{what}");
                 store = in_place.into_store();
             }
         });

@@ -3,28 +3,30 @@
 //!
 //! This is the phase rocHPL runs on the GPU; 95% of GPU-active time is
 //! spent in the DGEMM here. In this reproduction it runs through
-//! `hpl-blas`'s packed DGEMM on the rank's thread.
+//! `hpl-blas`'s packed DGEMM on the rank's thread (or its update pool),
+//! which packs both operands one cache block at a time as it goes.
 //!
-//! The kernels work on views, wherever their operands lie. With a process
-//! column of one rank (`P = 1`) the driver updates inside the matrix, as
-//! netlib HPL does there: the row swap has left `U` in the diagonal
-//! block's own rows of the section, [`dtrsm_u`] solves it in place with
-//! `L1` read from the panel columns where FACT left it (or from the
-//! broadcast copy on a rank that did not factor the panel), and
-//! [`dgemm_l2`] packs its `B` operand from the same rows — no `U` block,
-//! and nothing to store back. At `P > 1` `U` arrives by allgather into
-//! its own block, and the diagonal-owning process row stores the solved
-//! block into its rows. A row move is exact and neither kernel depends on
-//! the leading dimension, so both paths give the same bits.
+//! The kernels work on views, wherever their operands lie. [`dgemm_l2`]
+//! reads `L2` where it is: with a process row of one rank (`Q = 1`) in
+//! the matrix's panel columns where FACT left it, otherwise in the
+//! broadcast buffer the rank holds. With a process column of one rank
+//! (`P = 1`) the driver updates inside the matrix, as netlib HPL does
+//! there: the row swap has left `U` in the diagonal block's own rows of
+//! the section, [`dtrsm_u`] solves it in place with `L1` read from the
+//! panel columns where FACT left it (or from the broadcast copy on a rank
+//! that did not factor the panel), and [`dgemm_l2`] packs its `B` operand
+//! from the same rows — no `U` block, and nothing to store back. At
+//! `P > 1` `U` arrives by allgather into its own block, and the
+//! diagonal-owning process row stores the solved block into its rows. A
+//! row move is exact and neither kernel depends on where its operands lie
+//! or on their leading dimension, so every path gives the same bits.
 //!
 //! [`solve_u`], [`store_u`], [`gemm_update`] and [`full_update`] are the
 //! same kernels over a [`Matrix`] `U` block and a panel's `top`, for
 //! callers outside the driver.
 
 use hpl_blas::mat::{MatMut, MatRef, Matrix};
-use hpl_blas::{
-    dgemm_packed, dgemm_parallel_packed, dtrsm, kernels, Diag, Element, Side, Trans, Uplo,
-};
+use hpl_blas::{dgemm_parallel, dgemm_with, dtrsm, kernels, Diag, Element, Side, Trans, Uplo};
 use hpl_threads::Pool;
 
 use crate::panel::{PanelGeom, PanelL};
@@ -48,12 +50,12 @@ pub(crate) fn dtrsm_u<E: Element>(l1: MatRef<'_, E>, u: &mut MatMut<'_, E>) {
     );
 }
 
-/// `C -= L2 * U` with the panel's packed `L2` (`c` is the `l2_rows`-row
+/// `C -= L2 * U` with `l2` read where it lies (`c` is the `l2_rows`-row
 /// block under the diagonal block), on `threads` pool threads when `pool`
 /// is given (2D work-stealing macro tiles, bitwise identical to the serial
 /// kernel within one kernel choice).
 pub(crate) fn dgemm_l2<E: Element>(
-    panel: &PanelL<E>,
+    l2: MatRef<'_, E>,
     u: MatRef<'_, E>,
     c: &mut MatMut<'_, E>,
     pool: Option<(&Pool, usize)>,
@@ -63,16 +65,12 @@ pub(crate) fn dgemm_l2<E: Element>(
     }
     let _span = hpl_trace::span(hpl_trace::Phase::Update);
     debug_assert_eq!(u.cols(), c.cols());
-    // `L2` is packed once per iteration (cached on the panel) and shared by
-    // every section of the split update and every worker; only `U` is
-    // repacked (per B tile).
-    let kern = kernels::active();
-    let l2 = panel.l2_packed(kern);
+    let (kern, no) = (kernels::active(), Trans::No);
     match pool {
         Some((pool, threads)) => {
-            dgemm_parallel_packed(kern, pool, threads, -E::ONE, l2, Trans::No, u, E::ONE, c)
+            dgemm_parallel(kern, pool, threads, -E::ONE, no, l2, no, u, E::ONE, c)
         }
-        None => dgemm_packed(kern, -E::ONE, l2, 0, Trans::No, u, E::ONE, c),
+        None => dgemm_with(kern, no, no, -E::ONE, l2, u, E::ONE, c),
     }
 }
 
@@ -117,7 +115,7 @@ pub fn gemm_update<E: Element>(
 ) {
     let row0 = g.lb + if g.in_curr_row { g.jb } else { 0 };
     let mut c = a.submatrix_mut(row0, range.start, g.l2_rows, range.width());
-    dgemm_l2(panel, u.view(), &mut c, None);
+    dgemm_l2(panel.l2_view(), u.view(), &mut c, None);
 }
 
 /// Convenience composition used by the simple schedule: solve `U`, store it

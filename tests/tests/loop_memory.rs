@@ -1,10 +1,12 @@
 //! The HPL loop's memory: a panel's storage outlives the panel. The driver
-//! hands a retired panel's `top`, pivots, broadcast buffer and packed `L2`
-//! to the next panel, so after the first panels have sized them the loop
-//! asks the allocator for no more panel-sized blocks. With one process
-//! (`1 x 1`) the loop holds nothing else of panel size: `U` is swapped
-//! into the matrix and solved there, and the factored diagonal block is
-//! read where FACT left it, so there is no `U` block and no `top` copy.
+//! hands a retired panel's `top`, pivots and broadcast buffer to the next
+//! panel, so after the first panels have sized them the loop asks the
+//! allocator for no more panel-sized blocks. With one process (`1 x 1`)
+//! the loop holds nothing of panel size at all: `U` is swapped into the
+//! matrix and solved there, and the factored diagonal block and `L2` are
+//! read where FACT left them, so there is no `U` block, no `top` copy and
+//! no copy of `L2` — the GEMM packs `L2` one cache block at a time into
+//! its pack arena.
 //!
 //! A counting global allocator tracks the bytes live across every thread
 //! (the ranks of `Universe::run` are threads of their own, and so are
@@ -163,35 +165,26 @@ fn arena_bytes() -> usize {
     hpl_blas::arena::thread_stats().capacity * std::mem::size_of::<f64>()
 }
 
-/// Bytes of an `m x nb` `L2` packed for the active kernel: `m` rounded up
-/// to whole register strips, times `nb` columns, plus the cache line
-/// `PackedA` aligns to.
-fn packed_l2(m: usize, nb: usize) -> usize {
-    let mr = hpl_blas::kernels::active().mr_for::<f64>();
-    let f64s = m.div_ceil(mr) * mr * nb + 64 / std::mem::size_of::<f64>();
-    f64s * std::mem::size_of::<f64>()
-}
-
-/// Small buffers the `1 x 1` loop holds besides its panels and the pack
-/// arena — pivots and the pivot log, the row swap's column buffer and row
-/// lists, the pool. They take 35 KiB at N = 2048, NB = 64; one more
-/// `nb x nb` block (32 KiB) on top of them does not fit.
+/// Small buffers the `1 x 1` loop holds besides the pack arena — pivots
+/// and the pivot log, the row swap's column buffer and row lists, the
+/// pool. They take 35 KiB at N = 2048, NB = 64; one more `nb x nb` block
+/// (32 KiB) on top of them does not fit.
 const SMALL: usize = 48 << 10;
 
 /// At N = 2048, NB = 64 a panel-sized block is about 1 MB and the loop
 /// runs 32 panels. Allocating the panel's storage afresh for every panel
-/// (the broadcast buffer, copies of `top` and the packed `L2`, as the driver
+/// (the broadcast buffer, copies of `top` and a packed `L2`, as the driver
 /// once did) puts 6x the peak through the allocator on one rank; a loop
 /// that recycles its panel storage allocates about what it holds at its
 /// peak.
 ///
-/// What the `1 x 1` loop holds at its peak is what the panel geometry
-/// needs: two packed `L2` panels (the first panel's and the look-ahead
-/// one's) and whatever the GEMM pack arena grew by. A `jb x nloc` `U`
-/// block (1 MiB here) or a `jb x jb` copy of the factored diagonal block
-/// (32 KiB) does not fit. On an AVX-512 host the peak live growth reads
-/// 2,034,816 bytes against 1,998,976 for the two panels; when the loop
-/// held a `U` block and `top` copies, it read 3,146,368.
+/// What the `1 x 1` loop holds at its peak is whatever the GEMM pack arena
+/// grew by and the small buffers: no panel-sized block at all. A packed
+/// `L2` panel (about 1 MB here), a `jb x nloc` `U` block (1 MiB) or a
+/// `jb x jb` copy of the factored diagonal block (32 KiB) does not fit. On
+/// an AVX-512 host the peak live growth reads 35,840 bytes; when the loop
+/// kept two packed `L2` panels (1,998,976 bytes) it read 2,034,816, and
+/// when it held a `U` block and `top` copies as well, 3,146,368.
 ///
 /// On more than one rank the communication layer allocates as well: every
 /// in-process message is a copy of its payload, and the row swap's
@@ -218,13 +211,12 @@ fn the_loop_allocates_no_more_than_it_holds() {
             );
         }
         if (p, q) == (1, 1) {
-            let panels = packed_l2(n - nb, nb) + packed_l2(n - 2 * nb, nb);
-            eprintln!("1x1: two packed L2 panels {panels} bytes, pack arena {arena} bytes");
+            eprintln!("1x1: pack arena grew by {arena} bytes");
             assert!(
-                peak <= panels + arena + SMALL,
-                "1x1: the loop's peak live growth of {peak} bytes exceeds two packed L2 panels \
-                 ({panels} bytes) plus the pack arena ({arena} bytes) plus {SMALL} bytes: a \
-                 panel-sized block (a U block, a copy of the diagonal block) is back"
+                peak <= arena + SMALL,
+                "1x1: the loop's peak live growth of {peak} bytes exceeds the pack arena's \
+                 growth ({arena} bytes) plus {SMALL} bytes: a panel-sized block (a packed L2, a \
+                 U block, a copy of the diagonal block) is back"
             );
         }
     }

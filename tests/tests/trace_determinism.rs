@@ -144,14 +144,17 @@ struct Golden {
 /// refactor of how the driver is written must leave every value alone.
 /// The `(1, 1)` and `(1, 2)` rows were re-pinned once since, when the
 /// `P = 1` update began to solve `U` in the matrix rows the row swap wrote
-/// it to, and its `store_u` span went away.
+/// it to, and its `store_u` span went away. The `(1, 1)` and `(2, 1)` rows
+/// were re-pinned once more, when the `Q = 1` update began to read `L2`
+/// from the panel columns and the panel's `Transfer` span (its one `L2`
+/// pack) went away.
 const GOLDEN: [Golden; 4] = [
     Golden {
         name: "simple",
         schedule: Schedule::Simple,
         by_grid: [
-            [0x3631c747c31238a5, 0xaabdde8b9d068e29],
-            [0xd5d3437890fa7ae9, 0x90bf6ad858e8d1ce],
+            [0xe60327558b2bb9a4, 0x438d545131894e28],
+            [0xbf7aae9571accc31, 0x9b13e150dd990e4e],
             [0xa3a51a2dede3d58b, 0xa8a47a97b10ad07a],
             [0x14c3366c86b44da8, 0xc7f393d1a600c0a6],
             [0x23be99d7bdc1d1ae, 0x606c9de8bfe280a5],
@@ -162,8 +165,8 @@ const GOLDEN: [Golden; 4] = [
         name: "lookahead",
         schedule: Schedule::LookAhead,
         by_grid: [
-            [0xd5a38892ba12d8a6, 0xfc79f82e6c5ab82a],
-            [0xe967302288e30187, 0x72a8101903b6b6ac],
+            [0x15b56de05d599243, 0xbfb649dcf8edfdc3],
+            [0xf91d0dd8b3d698db, 0x7714a70d30c564ac],
             [0x465c31a783b5f4a6, 0x6ef870fcb2ecbe2c],
             [0x67cae0cf1c174bb0, 0x327c006a6b964f5b],
             [0xb25876f869f0930b, 0xa27db2ab95dd93ae],
@@ -174,8 +177,8 @@ const GOLDEN: [Golden; 4] = [
         name: "split-update:0.5",
         schedule: Schedule::SplitUpdate { frac: 0.5 },
         by_grid: [
-            [0x496146fdeaa05784, 0x6e001575c486dd49],
-            [0xaf317f7d9bbdac07, 0xe915a27958197101],
+            [0x2d757c3b607adde1, 0xb5945d12fa0e4320],
+            [0x9899e6d6f439ecd7, 0x86ca6320ae832d99],
             [0x2dd5da14fcb74b61, 0xf272d9365dafbc1d],
             [0x37c12d4ea2a5a128, 0xa06fca9d92f86822],
             [0x75f9b1db38c1b66b, 0xdd831628721f9e5a],
@@ -186,8 +189,8 @@ const GOLDEN: [Golden; 4] = [
         name: "split-update:0.3",
         schedule: Schedule::SplitUpdate { frac: 0.3 },
         by_grid: [
-            [0x52c77ea61c7616e5, 0x6b2200332a5b452e],
-            [0xdd6e784e5d86662e, 0x9fef7175785f9a70],
+            [0x8d4556c7ddc01a40, 0xd4b6e9b373a2c747],
+            [0xab33947041c96ab6, 0x0f4ad56e7763d184],
             [0x17c31a7c73fabd87, 0xf453703dd6e278c3],
             [0x238e312564b8c45b, 0xee4130b9a0e1e090],
             [0xd0757747d7e2713f, 0xbc11bcfca882565f],

@@ -43,6 +43,10 @@ pub struct Report {
     pub diags: Vec<Diag>,
     /// Number of files scanned.
     pub scanned: usize,
+    /// `hot-path-alloc` roots that resolve to no non-test function, as
+    /// `crate::fn` (see [`hot_path::roots`]); `cargo xtask check` fails on
+    /// any. A run over a few fixture files leaves most of them here.
+    pub unresolved_roots: Vec<String>,
 }
 
 impl Report {
@@ -109,6 +113,7 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
 
     // Pass 2 + 4: resolve and run the workspace rules.
     let ws = Workspace::build(parsed);
+    let unresolved_roots = hot_path::roots(&ws).err().unwrap_or_default();
     hot_path::check(&ws, &mut violations);
     comm_protocol::check(&ws, &mut violations);
     error_taxonomy::check(&ws, &mut violations);
@@ -177,6 +182,7 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
     Report {
         diags,
         scanned: inputs.len(),
+        unresolved_roots,
     }
 }
 
@@ -207,6 +213,12 @@ pub fn to_json(report: &Report) -> Value {
         })
         .collect();
     root.insert("diagnostics".to_string(), Value::Arr(diags));
+    let unresolved = report
+        .unresolved_roots
+        .iter()
+        .map(|r| Value::Str(r.clone()))
+        .collect();
+    root.insert("unresolved_roots".to_string(), Value::Arr(unresolved));
     Value::Obj(root)
 }
 

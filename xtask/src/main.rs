@@ -118,11 +118,18 @@ fn run_check_mode(root: &Path, json: bool) -> i32 {
 
     let report = analysis::engine::run(&inputs);
     let unwaived = report.unwaived().count();
+    let unresolved = &report.unresolved_roots;
     if json {
         println!("{}", analysis::engine::to_json(&report).write());
-        return i32::from(unwaived > 0);
+        return i32::from(unwaived > 0 || !unresolved.is_empty());
     }
-    if unwaived == 0 {
+    for root in unresolved {
+        println!(
+            "xtask/src/rules/hot_path.rs: [hot-path-alloc] root `{root}` resolves to no non-test \
+             function: rename or delete it in `ROOTS`"
+        );
+    }
+    if unwaived == 0 && unresolved.is_empty() {
         println!("xtask check: {} files clean", report.scanned);
         0
     } else {
@@ -130,7 +137,8 @@ fn run_check_mode(root: &Path, json: bool) -> i32 {
             println!("{}", d.v);
         }
         println!(
-            "xtask check: {unwaived} violation(s) in {} files",
+            "xtask check: {unwaived} violation(s) and {} unresolved hot-path root(s) in {} files",
+            unresolved.len(),
             report.scanned
         );
         1

@@ -8,10 +8,10 @@
 //! TRSM leaf — one call per register tile, pack block or leaf, so they
 //! stay covered even if a caller's name stops resolving), the row swap's
 //! column-walk kernels (`gather_cols` / `scatter_cols` and the `P = 1`
-//! one-walk `swap_cols`, one call per section), the panel transfers (the
-//! broadcast pack `pack_panel_in_place`, which fills a caller-sized
-//! buffer, and the `Q = 1` constructor `PanelL::in_place`, which packs
-//! `L2` into a retired panel's storage) and the matrix generator
+//! one-walk `swap_cols`, one call per section), the panel construction
+//! (the broadcast pack `pack_panel_in_place`, which fills a caller-sized
+//! buffer, and the `Q = 1` constructor `PanelL::in_place`, which takes a
+//! retired panel's storage) and the matrix generator
 //! (`fill_local` and its per-strip `fill_strip`, one call per column
 //! block, whose lane states live on the stack); anything they reach
 //! transitively in the compute crates is hot, and any `Vec::new` / `vec!`
@@ -22,12 +22,17 @@
 //! on pages the process has never touched, and the minor faults that
 //! first touch takes cost as much as a large share of the panel's work
 //! (EXPERIMENTS.md, "The panel where it lies"). So the driver recycles a
-//! retired panel's storage — `top`, the pivots, the broadcast buffer and
-//! the packed `L2` — into the next, and every part only grows. The one
-//! allocation the panel transfers reach is `PackedA::refill`'s grow step,
-//! waived because panels only shrink over a run. What stays outside the
-//! roots is per-run setup (the row-swap workspaces, the pool) and the
-//! broadcast itself, whose payloads belong to the fabric.
+//! retired panel's storage — `top`, the pivots and the broadcast buffer —
+//! into the next, and every part only grows; the update's GEMM packs `L2`
+//! one cache block at a time into its pack arena, so no panel keeps a
+//! packed copy. The panel path allocates nothing and waives nothing. What
+//! stays outside the roots is per-run setup (the row-swap workspaces, the
+//! pool) and the broadcast itself, whose payloads belong to the fabric.
+//!
+//! Every root must resolve: a name that matches no non-test function
+//! roots nothing, so a renamed kernel would leave the hot region without
+//! a word. [`roots`] returns such names as its error, and `cargo xtask
+//! check` fails with them.
 
 use crate::analysis::model::{FnId, Workspace};
 use crate::rules::Violation;
@@ -36,14 +41,14 @@ use crate::rules::Violation;
 pub const ROOTS: &[(&str, &str)] = &[
     ("blas", "dgemm"),
     ("blas", "dgemm_with"),
-    ("blas", "dgemm_packed"),
+    ("blas", "dgemm_parallel"),
     ("blas", "dtrsm"),
     ("blas", "dtrsm_with"),
     ("blas", "micro_avx512_f64"),
     ("blas", "micro_avx512_f32"),
     ("blas", "micro_8x6_avx2fma"),
     ("blas", "micro_16x6_avx2fma_f32"),
-    ("blas", "micro_stack_tile"),
+    ("blas", "micro_portable"),
     ("blas", "store_tile"),
     ("blas", "pack_strips"),
     ("blas", "trsm_base"),
@@ -75,24 +80,38 @@ pub const ROOTS: &[(&str, &str)] = &[
 /// into `comm` would only produce waiver noise.
 pub const HOT_CRATES: &[&str] = &["blas", "core"];
 
-/// Resolves the root set against the workspace (non-test fns only).
-pub fn roots(ws: &Workspace) -> Vec<FnId> {
-    let mut out = Vec::new();
+/// Resolves the root set against the workspace (non-test fns only). The
+/// error names, as `crate::fn`, every root that resolves to no function.
+pub fn roots(ws: &Workspace) -> Result<Vec<FnId>, Vec<String>> {
+    match resolve(ws) {
+        (ids, missing) if missing.is_empty() => Ok(ids),
+        (_, missing) => Err(missing),
+    }
+}
+
+/// The roots that resolve, and the names of those that do not.
+fn resolve(ws: &Workspace) -> (Vec<FnId>, Vec<String>) {
+    let (mut ids, mut missing) = (Vec::new(), Vec::new());
     for (krate, name) in ROOTS {
-        out.extend(
+        let before = ids.len();
+        ids.extend(
             ws.fns_named(name, Some(krate))
                 .into_iter()
                 .filter(|&id| !ws.fns[id].facts.cfg_test),
         );
+        if ids.len() == before {
+            missing.push(format!("{krate}::{name}"));
+        }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
+    ids.sort_unstable();
+    ids.dedup();
+    (ids, missing)
 }
 
-/// Runs the rule over the whole workspace.
+/// Runs the rule over the whole workspace, from the roots that resolve (a
+/// single fixture file resolves only those it defines).
 pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
-    let roots = roots(ws);
+    let roots = resolve(ws).0;
     let crate_ok = |k: &str| HOT_CRATES.contains(&k);
     let reach = ws.reachable(&roots, crate_ok);
     for &id in reach.keys() {

@@ -265,3 +265,47 @@ fn diagnostics_carry_file_line_rule() {
     let d = vs[0].to_string();
     assert!(d.starts_with("fixture.rs:2: [no-unwrap]"), "{d}");
 }
+
+// --- hot-path-alloc roots ----------------------------------------------
+
+/// One library file per root, each defining that root's function in its
+/// crate, leaving out `skip`; `cfg_test` wraps the definition of
+/// `test_only` in a `#[cfg(test)]` module instead.
+fn root_files(skip: &str, test_only: &str) -> Vec<(String, String, FileKind)> {
+    super::hot_path::ROOTS
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, name))| *name != skip)
+        .map(|(i, (krate, name))| {
+            let src = if *name == test_only {
+                format!("#[cfg(test)]\nmod tests {{\n    fn {name}() {{}}\n}}\n")
+            } else {
+                format!("fn {name}() {{}}\n")
+            };
+            (
+                format!("crates/{krate}/src/root{i}.rs"),
+                src,
+                FileKind::Library,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn every_hot_path_root_resolves_when_defined() {
+    let report = engine::run(&root_files("", ""));
+    assert!(
+        report.unresolved_roots.is_empty(),
+        "{:?}",
+        report.unresolved_roots
+    );
+}
+
+#[test]
+fn a_hot_path_root_matching_no_function_is_reported_by_name() {
+    let report = engine::run(&root_files("micro_portable", ""));
+    assert_eq!(report.unresolved_roots, ["blas::micro_portable"]);
+    // A test-only function of the root's name roots nothing either.
+    let report = engine::run(&root_files("", "dgemm_l2"));
+    assert_eq!(report.unresolved_roots, ["core::dgemm_l2"]);
+}
