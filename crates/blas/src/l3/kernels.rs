@@ -26,8 +26,8 @@
 //! in `p` order, followed by `beta*c + alpha*acc` as separate multiplies
 //! and an add. Lanes never mix, so an element's value does not depend on
 //! the tile it fell in, the tier, or the thread that computed it — which
-//! is what lets all tiers share the name `simd` (one `x_hash` table, one
-//! `bench/baseline.json`) and is pinned by `tests/kernels.rs`.
+//! is what lets all tiers share the name `simd` (one `x_hash` table per
+//! pinned input) and is pinned by `tests/kernels.rs`.
 //!
 //! **The microkernel owns the `C` update.** On the x86-64 tiers a full
 //! `MR x NR` tile of `C` is prefetched before the depth loop and updated

@@ -180,7 +180,7 @@ impl std::error::Error for CkptError {}
 /// boundary — there is nothing to save yet).
 ///
 /// This is the *disabled-path guard* the driver evaluates every iteration;
-/// it must stay branch-cheap (the trace_overhead harness pins its cost).
+/// it must stay branch-cheap (`tests/trace_determinism.rs` caps its cost).
 #[inline]
 pub fn due(every: usize, it: usize) -> bool {
     every != 0 && it != 0 && it.is_multiple_of(every)

@@ -1,5 +1,5 @@
 //! The `BENCH_hpl.json` emitter: serializes a sweep's phase traces into the
-//! stable schema the `cargo xtask bench` regression gate consumes.
+//! stable schema that `benchmark/` and the CLI tests read.
 //!
 //! Schema (`rhpl-bench-v1`) — one file per invocation:
 //!

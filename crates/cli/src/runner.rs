@@ -144,7 +144,7 @@ pub fn expand(
 
 /// Runs one configuration at pipeline element `elem` and verifies it. Any
 /// rank's solve or verification failure propagates as the typed
-/// [`HplError`] so the caller (CLI driver, bench gate) keeps its recovery
+/// [`HplError`] so the caller (the CLI driver) keeps its recovery
 /// and reporting options instead of aborting the whole sweep. Each rank's
 /// phase trace is kept in the record (present only when
 /// `cfg.trace.enabled`; index = rank, the order `Universe::run` returns).

@@ -4,22 +4,11 @@
 //! or the schedule. Each case spawns the real binary with `--trace-json`
 //! and compares fields of the emitted `BENCH_hpl.json`.
 
+mod common;
+
 use std::process::Command;
 
-/// Pulls the string right after `"key": ` out of a flat JSON object —
-/// enough to compare the scalar fields of `BENCH_hpl.json` byte-for-byte
-/// without a JSON parser (the workspace serde_json shim only serializes).
-fn json_field<'a>(doc: &'a str, key: &str) -> &'a str {
-    let needle = format!("\"{key}\":");
-    let at = doc
-        .find(&needle)
-        .unwrap_or_else(|| panic!("no {key} in JSON"));
-    let rest = doc[at + needle.len()..].trim_start();
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("unterminated {key} value"));
-    rest[..end].trim().trim_matches('"')
-}
+use common::{json_field, runs};
 
 /// Writes the built-in sample HPL.dat to a temp path and returns it (the
 /// sample is the parser's own reference input, so it always parses).
@@ -59,17 +48,20 @@ fn run_mxp(dat: &std::path::Path, transport: &str) -> (String, String, String) {
     );
     let doc = std::fs::read_to_string(&json_path).expect("read BENCH_hpl.json");
     let _ = std::fs::remove_file(&json_path);
-    assert_eq!(json_field(&doc, "mode"), "mxp", "transport {transport}");
-    assert_eq!(json_field(&doc, "element"), "f32", "transport {transport}");
+    let [run] = runs(&doc)[..] else {
+        panic!("transport {transport}: the sample is one run, got {doc}");
+    };
+    assert_eq!(json_field(run, "mode"), "mxp", "transport {transport}");
+    assert_eq!(json_field(run, "element"), "f32", "transport {transport}");
     assert_eq!(
-        json_field(&doc, "passed"),
+        json_field(run, "passed"),
         "true",
         "transport {transport} --mxp must pass the residual gate"
     );
     (
-        json_field(&doc, "seq_hash").to_owned(),
-        json_field(&doc, "residual").to_owned(),
-        json_field(&doc, "sweeps").to_owned(),
+        json_field(run, "seq_hash").to_owned(),
+        json_field(run, "residual").to_owned(),
+        json_field(run, "sweeps").to_owned(),
     )
 }
 

@@ -446,7 +446,7 @@ fn rec_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: u
     let rem = w % ndiv;
     for i in 0..ndiv {
         let plo = lo + i * base + i.min(rem);
-        let phi = plo + base + (i < rem) as usize;
+        let phi = plo + base + usize::from(i < rem);
         rec_factor(st, ctx, plo, phi);
         if st.err.load(Ordering::Relaxed) != ERR_NONE {
             return;

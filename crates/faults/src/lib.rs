@@ -15,8 +15,8 @@
 //!
 //! * **Zero-cost when disabled.** Every hook takes `&Option<Arc<Injector>>`;
 //!   the unarmed path is a single `Option` discriminant check (asserted to
-//!   stay in the same ~ns budget as a disabled trace-span guard by the
-//!   `trace_overhead` harness and the `cargo xtask bench` gate).
+//!   stay in the same ~ns budget as a disabled trace-span guard by
+//!   `tests/trace_determinism.rs`).
 //! * **Deterministic.** Events are matched by `(world rank, site, n-th
 //!   event)` counters. Each rank performs its communication from one thread
 //!   at a time (the rank thread, or pool thread 0 during FACT while the rank

@@ -24,11 +24,11 @@
 //! When no tracer is installed every entry point is a thread-local flag
 //! check (single branch, no allocation) — the disabled path is cheap enough
 //! to leave the instrumentation compiled into release builds
-//! unconditionally (asserted by the trace-overhead bench lane).
+//! unconditionally (`tests/trace_determinism.rs` caps its cost).
 //!
 //! The crate reads no environment variable: what a span records is the
-//! code's own time. `cargo xtask bench` gates only the exact `seq_hash`
-//! and the guard costs; perf verdicts come from `benchmark/`.
+//! code's own time. Tier-1 pins only the exact `seq_hash` and caps the
+//! guard costs; perf verdicts come from `benchmark/`.
 
 pub mod report;
 

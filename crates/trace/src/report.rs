@@ -1,7 +1,7 @@
 //! Turning raw per-rank span traces into the Fig 7-style artifacts of
 //! `BENCH_hpl.json`: the per-iteration phase table (critical-path view),
 //! phase totals, the overlap-efficiency metric, and a deterministic
-//! phase-sequence hash used by the `cargo xtask bench` regression gate.
+//! phase-sequence hash the tests pin as golden values.
 
 use crate::{Phase, Span, Trace};
 
@@ -165,8 +165,8 @@ pub fn overlap_efficiency(traces: &[Trace]) -> f64 {
 
 /// Deterministic FNV-1a hash over the phase *sequence* — `(rank, iter,
 /// phase, bytes, hidden)` for every span in order, durations excluded.
-/// Same seed + config ⇒ identical hash on any machine; the regression gate
-/// pins it in `bench/baseline.json` as the trace-determinism check.
+/// Same seed + config ⇒ identical hash on any machine; golden tables in
+/// the tests pin it as the trace-determinism check.
 pub fn seq_hash(traces: &[Trace]) -> u64 {
     seq_hash_from(traces, 0)
 }

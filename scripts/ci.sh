@@ -45,9 +45,6 @@ cargo test -q --release -p hpl-integration-tests --features hpl-threads/race-che
 taskset -c 0 cargo test -q --release -p hpl-threads --features hpl-threads/race-check
 taskset -c 0 cargo test -q --release -p rhpl-core --features hpl-threads/race-check
 
-echo "== [bench] cargo xtask bench"
-cargo xtask bench
-
 echo "== [faults] cargo xtask faults"
 cargo xtask faults
 

@@ -1,27 +1,38 @@
-//! Phase-trace guarantees the bench gate relies on (DESIGN.md §8):
+//! Phase-trace guarantees (DESIGN.md §8), pinned exactly:
 //!
 //! 1. **Determinism** — the same seed and config produce the identical span
 //!    *sequence* (iteration, phase, bytes, hidden flag) on every run; only
-//!    durations vary. This is what lets `cargo xtask bench` pin exact
-//!    `seq_hash` values in `bench/baseline.json`.
+//!    durations vary. This is what lets a test pin an exact `seq_hash`.
 //! 2. **Near-zero disabled cost** — with tracing off, a run carries no
-//!    trace and the compiled-in guards cost well under 1% of wall time.
+//!    trace, and the compiled-in span guards, fault hooks and checkpoint
+//!    cadence check each cost a few nanoseconds and well under 1% of wall
+//!    time; checkpointing on costs under 15%.
 //! 3. **A pinned order** — every schedule's span sequence is a golden
 //!    `seq_hash` per grid and problem shape (see [`GOLDEN`]).
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use hpl_ckpt::CkptStore;
 use hpl_comm::Universe;
+use hpl_faults::{FaultPlan, Site};
+use hpl_trace::Phase;
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl, CkptOpts, HplConfig};
 
-/// One traced run; returns each rank's trace (rank-indexed).
-fn traced_run(cfg: &HplConfig) -> Vec<hpl_trace::Trace> {
+/// One traced run; returns each rank's trace and wall time (rank-indexed).
+fn traced_run_walls(cfg: &HplConfig) -> Vec<(hpl_trace::Trace, f64)> {
     let mut cfg = cfg.clone();
     cfg.trace = hpl_trace::TraceOpts::on();
     Universe::run(cfg.ranks(), |comm| {
         let r = run_hpl(comm, &cfg).expect("nonsingular");
-        r.trace.expect("tracing was enabled")
+        (r.trace.expect("tracing was enabled"), r.wall)
     })
+}
+
+/// One traced run; returns each rank's trace (rank-indexed).
+fn traced_run(cfg: &HplConfig) -> Vec<hpl_trace::Trace> {
+    traced_run_walls(cfg).into_iter().map(|(t, _)| t).collect()
 }
 
 #[test]
@@ -53,7 +64,7 @@ fn same_seed_and_config_give_identical_phase_sequence() {
         }
     }
 
-    // The rollup the bench gate actually pins.
+    // The rollup the golden tables pin.
     assert_eq!(
         hpl_trace::report::seq_hash(&a),
         hpl_trace::report::seq_hash(&b)
@@ -75,47 +86,138 @@ fn different_schedule_changes_the_sequence() {
     );
 }
 
+/// Best-of-batches nanoseconds per call of `f` (given the call's index):
+/// the fastest batch is the guard's cost with the least interference from
+/// whatever else shares the machine.
+fn ns_per_call(mut f: impl FnMut(usize)) -> f64 {
+    const BATCHES: usize = 5;
+    const CALLS: usize = 1_000_000;
+    (0..BATCHES)
+        .map(|_| {
+            let t0 = Instant::now();
+            for i in 0..CALLS {
+                f(i);
+            }
+            t0.elapsed().as_nanos() as f64 / CALLS as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Best of this many runs for every wall-clock reading below.
+const RUNS: usize = 3;
+
+/// What the instrumentation compiled into every run costs when it is
+/// switched off, and what checkpointing costs when it is on, at
+/// `N = 192`, `NB = 32`, 2x2, `split-update:0.5`:
+///
+/// - one disabled span guard, one fault hook with no injector armed
+///   (`hpl_faults::on_send(&None)`) and one cadence check with
+///   checkpointing off (`hpl_ckpt::due(0, i)`) each cost under 200 ns;
+/// - the span guards of a run (guard cost x the spans a traced run
+///   records) and its fault hooks (guard cost x the send, receive and
+///   region sites an empty fault plan counts) each cost under 1% of the
+///   untraced run's wall time — the deterministic form of "< 1% when off":
+///   a wall-vs-wall comparison at this size is noise;
+/// - checkpointing every 2 iterations into an in-memory store costs under
+///   15%: the `Ckpt` spans' time over the ranks' summed wall, both from the
+///   same run.
+///
+/// Every reading is the best of several, so a busy machine slows none of
+/// them past its cap; the caps are never raised.
 #[test]
 fn disabled_tracing_carries_no_trace_and_costs_under_one_percent() {
-    let mut cfg = HplConfig::new(160, 32, 2, 2);
+    let mut cfg = HplConfig::new(192, 32, 2, 2);
     cfg.schedule = Schedule::SplitUpdate { frac: 0.5 };
-    cfg.seed = 77;
 
-    // An untraced run returns no trace at all.
-    let results = Universe::run(cfg.ranks(), |comm| {
-        let r = run_hpl(comm, &cfg).expect("nonsingular");
-        (r.wall, r.trace.is_none())
-    });
-    assert!(
-        results.iter().all(|r| r.1),
-        "trace must be None when disabled"
-    );
-    let wall = results.iter().map(|r| r.0).fold(0.0f64, f64::max);
+    // An untraced run returns no trace at all. The first run warms the
+    // allocator and the page cache; the fastest of the rest is the wall.
+    let mut wall = f64::INFINITY;
+    for _ in 0..=RUNS {
+        let results = Universe::run(cfg.ranks(), |comm| {
+            let r = run_hpl(comm, &cfg).expect("nonsingular");
+            (r.wall, r.trace.is_none())
+        });
+        assert!(
+            results.iter().all(|r| r.1),
+            "trace must be None when disabled"
+        );
+        wall = wall.min(results.iter().map(|r| r.0).fold(0.0f64, f64::max));
+    }
 
     // Span count the instrumentation would emit for this config, from a
     // traced run of the same problem.
     let spans: usize = traced_run(&cfg).iter().map(|t| t.spans.len()).sum();
 
-    // Cost of one disabled guard (no tracer installed on this thread):
-    // a thread-local flag read on open and on drop.
-    let calls = 1_000_000u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..calls {
-        let g = hpl_trace::span(hpl_trace::Phase::Update);
-        std::hint::black_box(&g);
-    }
-    let ns_per_call = t0.elapsed().as_nanos() as f64 / f64::from(calls);
+    // Fault-hook count: an armed empty plan fires nothing, but its
+    // injector counts every guard it passes, world and split
+    // communicators alike. The armed path routes panel broadcasts through
+    // the checksummed variant, which adds a few control messages per
+    // panel, so the count is conservative.
+    let run = Universe::run_with_faults(cfg.ranks(), FaultPlan::new(0), |comm| {
+        run_hpl(comm, &cfg).expect("nonsingular");
+    });
+    let fault_guards: u64 = (0..cfg.ranks())
+        .flat_map(|r| [Site::Send, Site::Recv, Site::Region].map(|s| run.injector.site_count(r, s)))
+        .sum();
 
-    // Deterministic form of the "<1% wall" requirement: guard cost times
-    // span count against the untraced wall time. A direct wall-vs-wall
-    // comparison at test-sized problems is noise-dominated; this derived
-    // fraction is the stable signal (same metric `cargo xtask bench`
-    // gates via the trace_overhead harness).
-    let frac = ns_per_call * spans as f64 / (wall * 1e9);
+    // Guard costs, with no tracer installed and no injector armed on this
+    // thread: every guard takes its fast path. The hooks are `#[inline]`,
+    // so their inputs pass through `black_box`: the branch is measured,
+    // not folded away.
+    let span_ns = ns_per_call(|_| {
+        let g = hpl_trace::span(Phase::Update);
+        black_box(&g);
+    });
+    let no_injector = None;
+    let fault_ns = ns_per_call(|_| {
+        black_box(hpl_faults::on_send(black_box(&no_injector)));
+    });
+    let ckpt_ns = ns_per_call(|i| {
+        black_box(hpl_ckpt::due(black_box(0), i));
+    });
+
+    // Checkpointing on: the best of a few runs' `Ckpt` share.
+    let mut ckpt_cfg = cfg.clone();
+    let mut ckpt_frac = f64::INFINITY;
+    for _ in 0..RUNS {
+        ckpt_cfg.ckpt = CkptOpts {
+            every: 2,
+            store: Some(CkptStore::mem(cfg.ranks())),
+            resume: false,
+        };
+        let traces = traced_run_walls(&ckpt_cfg);
+        let ckpt_span_ns: u64 = traces
+            .iter()
+            .flat_map(|(t, _)| &t.spans)
+            .filter(|s| s.phase == Phase::Ckpt)
+            .map(|s| s.dur_ns)
+            .sum();
+        let wall_sum: f64 = traces.iter().map(|(_, w)| w).sum();
+        ckpt_frac = ckpt_frac.min(ckpt_span_ns as f64 / (wall_sum * 1e9));
+    }
+
+    let span_frac = span_ns * spans as f64 / (wall * 1e9);
+    let fault_frac = fault_ns * fault_guards as f64 / (wall * 1e9);
+    let readings = [
+        ("span guard ns/call", span_ns, 200.0),
+        ("disabled tracing share of wall", span_frac, 0.01),
+        ("fault hook ns/call", fault_ns, 200.0),
+        ("disabled fault hooks share of wall", fault_frac, 0.01),
+        ("checkpoint cadence check ns/call", ckpt_ns, 200.0),
+        ("enabled checkpointing share of wall", ckpt_frac, 0.15),
+    ];
+    for (what, v, cap) in &readings {
+        println!("{what}: {v:.6} (cap {cap})");
+    }
+    let over: Vec<String> = readings
+        .iter()
+        .filter(|(_, v, cap)| v >= cap)
+        .map(|(what, v, cap)| format!("{what} {v:.5} exceeds its cap {cap}"))
+        .collect();
     assert!(
-        frac < 0.01,
-        "disabled tracing overhead {frac:.5} (= {ns_per_call:.1} ns/guard x {spans} spans \
-         over {wall:.4} s) exceeds 1% of wall"
+        over.is_empty(),
+        "{over:#?}\n({spans} spans and {fault_guards} fault guards per run, untraced wall \
+         {wall:.4} s)"
     );
 }
 

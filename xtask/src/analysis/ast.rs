@@ -235,6 +235,12 @@ pub struct FnFacts {
     pub name: String,
     /// Enclosing `impl` type, when the fn is an associated item.
     pub impl_ty: Option<String>,
+    /// Inline `mod` blocks enclosing the fn within its file, outermost
+    /// first.
+    pub mods: Vec<String>,
+    /// Generic type and const parameters in scope: the enclosing `impl`'s,
+    /// then the fn's own.
+    pub generics: Vec<String>,
     /// 1-based line of the `fn` keyword (used by tests and kept for
     /// definition-site diagnostics).
     #[allow(dead_code)]
@@ -300,15 +306,7 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
     let trees = parse_trees(&lexed.tokens);
     let mut fns = Vec::new();
     let mut tag_consts = Vec::new();
-    walk_items(
-        &trees,
-        &ItemCtx {
-            cfg_test: false,
-            impl_ty: None,
-        },
-        &mut fns,
-        &mut tag_consts,
-    );
+    walk_items(&trees, &ItemCtx::default(), &mut fns, &mut tag_consts);
     ParsedFile {
         rel: rel.to_string(),
         lexed,
@@ -317,9 +315,12 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
     }
 }
 
+#[derive(Default)]
 struct ItemCtx {
     cfg_test: bool,
     impl_ty: Option<String>,
+    mods: Vec<String>,
+    generics: Vec<String>,
 }
 
 /// True if the attribute group (`[..]` contents) marks test-only code:
@@ -364,6 +365,35 @@ fn skip_angles(trees: &[Tree], mut i: usize) -> usize {
     i
 }
 
+/// The names a `<..>` generics region (from its `<` to just past its `>`)
+/// declares: the first identifier of each top-level parameter, after a
+/// `const` keyword. Lifetimes never reach the token stream.
+fn generic_params(angles: &[Tree]) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut depth = 0usize;
+    let mut expect_name = false;
+    for t in angles {
+        if t.is_punct('<') {
+            depth += 1;
+            expect_name = depth == 1;
+        } else if t.is_punct('>') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 1 && t.is_punct(',') {
+            expect_name = true;
+        } else if expect_name {
+            match t.ident() {
+                Some("const") => {}
+                Some(name) => {
+                    names.push(name.to_string());
+                    expect_name = false;
+                }
+                None => expect_name = false,
+            }
+        }
+    }
+    names
+}
+
 /// Recursive item walk. `mod`/`impl`/`trait` bodies recurse with updated
 /// context; `fn` items get their facts extracted.
 fn walk_items(trees: &[Tree], ctx: &ItemCtx, fns: &mut Vec<FnFacts>, tags: &mut Vec<String>) {
@@ -404,11 +434,14 @@ fn walk_items(trees: &[Tree], ctx: &ItemCtx, fns: &mut Vec<FnFacts>, tags: &mut 
                     j += 1;
                 }
                 if let Some(g) = trees.get(j).and_then(Tree::group) {
+                    let mut mods = ctx.mods.clone();
+                    mods.extend(trees.get(i + 1).and_then(Tree::ident).map(str::to_string));
                     walk_items(
                         &g.trees,
                         &ItemCtx {
                             cfg_test: item_test,
-                            impl_ty: None,
+                            mods,
+                            ..ItemCtx::default()
                         },
                         fns,
                         tags,
@@ -422,8 +455,11 @@ fn walk_items(trees: &[Tree], ctx: &ItemCtx, fns: &mut Vec<FnFacts>, tags: &mut 
                 pending_test_attr = false;
                 // Find the body `{..}`, collecting the header tokens.
                 let mut j = i + 1;
+                let mut generics = ctx.generics.clone();
                 if trees.get(j).is_some_and(|t| t.is_punct('<')) {
-                    j = skip_angles(trees, j);
+                    let end = skip_angles(trees, j);
+                    generics.extend(generic_params(&trees[j..end]));
+                    j = end;
                 }
                 let header_start = j;
                 while j < trees.len() {
@@ -448,6 +484,8 @@ fn walk_items(trees: &[Tree], ctx: &ItemCtx, fns: &mut Vec<FnFacts>, tags: &mut 
                         &ItemCtx {
                             cfg_test: item_test,
                             impl_ty,
+                            mods: ctx.mods.clone(),
+                            generics,
                         },
                         fns,
                         tags,
@@ -560,8 +598,11 @@ fn parse_fn(
         return i + 1;
     };
     j += 1;
+    let mut generics = ctx.generics.clone();
     if trees.get(j).is_some_and(|t| t.is_punct('<')) {
-        j = skip_angles(trees, j);
+        let end = skip_angles(trees, j);
+        generics.extend(generic_params(&trees[j..end]));
+        j = end;
     }
     // Parameter list.
     let Some(params) = trees
@@ -595,6 +636,8 @@ fn parse_fn(
     let mut fx = FnFacts {
         name,
         impl_ty: ctx.impl_ty.clone(),
+        mods: ctx.mods.clone(),
+        generics,
         line: fn_line,
         end_line: body.map_or(fn_line, |g| g.close_line),
         cfg_test,

@@ -21,6 +21,8 @@ pub struct Workspace {
     edges: Vec<Vec<FnId>>,
     /// All `const NAME: Tag` declarations seen anywhere.
     pub tag_consts: BTreeSet<String>,
+    /// Every crate name [`crate_of`] gives a scanned file.
+    crates: BTreeSet<String>,
 }
 
 /// One function plus its location metadata.
@@ -89,12 +91,14 @@ impl Workspace {
                 });
             }
         }
+        let crates = files.iter().map(|pf| crate_of(&pf.rel)).collect();
         let mut ws = Workspace {
             files,
             fns,
             by_name,
             edges: Vec::new(),
             tag_consts,
+            crates,
         };
         ws.edges = (0..ws.fns.len()).map(|id| ws.resolve_callees(id)).collect();
         ws
@@ -152,17 +156,28 @@ impl Workspace {
             if pool.is_empty() || pool.len() > MAX_CANDIDATES {
                 continue;
             }
-            // When the call is path-qualified (`Type::f` / `module::f`),
-            // prefer candidates whose impl type matches the qualifier.
+            // A path-qualified call (`Type::f` / `module::f`) reaches the
+            // candidates whose impl type is the qualifier (for `Self`, the
+            // caller's); failing those, only the ones the qualifier could
+            // still name (a module, a crate, a generic), never every
+            // same-name fn: `usize::from` is not `HplError::from`.
             let pool = if call.path.len() >= 2 && call.kind == CallKind::Plain {
                 let qual = &call.path[call.path.len() - 2];
+                let ty = match qual.as_str() {
+                    "Self" => caller.facts.impl_ty.as_deref(),
+                    q => Some(q),
+                };
                 let matching: Vec<FnId> = pool
                     .iter()
                     .copied()
-                    .filter(|&c| self.fns[c].facts.impl_ty.as_deref() == Some(qual))
+                    .filter(|&c| {
+                        ty.is_some_and(|t| self.fns[c].facts.impl_ty.as_deref() == Some(t))
+                    })
                     .collect();
                 if matching.is_empty() {
-                    pool
+                    pool.into_iter()
+                        .filter(|&c| self.may_name_home(qual, caller, c))
+                        .collect()
                 } else {
                     matching
                 }
@@ -174,6 +189,25 @@ impl Workspace {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// True when the path qualifier `qual` of a call in `caller` could name
+    /// where candidate `cand` lives: a relative path keyword (`crate`,
+    /// `self`, `super`, `Self`), a workspace crate (`hpl_blas`, `rhpl_core`,
+    /// ...), a directory, file stem or inline `mod` on the candidate's
+    /// path, or a generic parameter of the caller (`E::f()` dispatches on a
+    /// type the index cannot see).
+    fn may_name_home(&self, qual: &str, caller: &FnEntry, cand: FnId) -> bool {
+        let krate = qual.trim_start_matches("hpl_").trim_start_matches("rhpl_");
+        let c = &self.fns[cand];
+        let rel = &self.files[c.file].rel;
+        let path = rel.strip_suffix(".rs").unwrap_or(rel).split('/');
+        matches!(qual, "crate" | "self" | "super" | "Self")
+            || self.crates.contains(krate)
+            || path
+                .chain(c.facts.mods.iter().map(String::as_str))
+                .any(|seg| seg == qual)
+            || caller.facts.generics.iter().any(|g| g == qual)
     }
 
     /// BFS over call edges from `roots`, visiting only functions whose

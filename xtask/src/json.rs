@@ -1,18 +1,13 @@
-//! A minimal recursive-descent JSON parser. The workspace's vendored
-//! `serde_json` shim only *writes* JSON; the bench gate needs to *read*
-//! `BENCH_hpl.json` and `bench/baseline.json`, so xtask carries its own
-//! std-only parser (same philosophy as the hand-rolled Rust lexer next
-//! door). Covers the full JSON grammar except `\u` escapes beyond the BMP;
-//! numbers parse as `f64`, which is exact for every integer the bench
-//! schema emits (nanosecond totals stay far below 2^53).
+//! The JSON writer behind `cargo xtask check --json`: a [`Value`] tree
+//! built by the analyzer, printed as the stable `rhpl-check-v1` document.
+//! xtask writes JSON; it reads none. std-only, like the hand-rolled Rust
+//! lexer next door.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
+/// A JSON value.
+#[derive(Debug, PartialEq)]
 pub enum Value {
-    /// `null`
-    Null,
     /// `true` / `false`
     Bool(bool),
     /// Any number.
@@ -21,55 +16,15 @@ pub enum Value {
     Str(String),
     /// Array.
     Arr(Vec<Value>),
-    /// Object (sorted keys; duplicate keys keep the last value).
+    /// Object (sorted keys).
     Obj(BTreeMap<String, Value>),
 }
 
 impl Value {
-    /// Member access: `v.get("runs")`.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The value as an array.
-    pub fn arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The value as a number.
-    pub fn num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Serializes the value back to JSON text, pretty-printed with
-    /// 2-space indents. Round-trips with [`parse`]; integers in the f64
-    /// exact range print without a fractional part, so the `--json`
-    /// diagnostics schema stays stable byte-for-byte across runs.
+    /// Serializes the value to JSON text, pretty-printed with 2-space
+    /// indents. Integers in the f64 exact range print without a fractional
+    /// part, so the `--json` diagnostics schema stays stable byte-for-byte
+    /// across runs.
     pub fn write(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out, 0);
@@ -78,7 +33,6 @@ impl Value {
 
     fn write_into(&self, out: &mut String, indent: usize) {
         match self {
-            Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9.0e15 {
@@ -130,7 +84,8 @@ impl Value {
     }
 }
 
-/// Writes one JSON string literal with the escapes [`parse`] understands.
+/// Writes one JSON string literal, escaping quotes, backslashes and
+/// control characters.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -147,210 +102,42 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed).
-pub fn parse(src: &str) -> Result<Value, String> {
-    let b = src.as_bytes();
-    let mut pos = 0usize;
-    let v = value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-        Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => literal(b, pos, "null", Value::Null),
-        Some(_) => number(b, pos),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(v)
-    } else {
-        Err(format!("expected `{word}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Value::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = b.get(*pos).ok_or("unterminated escape")?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", *other as char)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // `[`
-    let mut out = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(out));
-    }
-    loop {
-        out.push(value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(out));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // `{`
-    let mut out = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(out));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        out.insert(key, value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(out));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_bench_like_document() {
-        let src = r#"{"schema":"rhpl-bench-v1","runs":[{"tv":"WC112R16","gflops":1.5,
-            "passed":true,"seq_hash":"0xabc","iterations":[{"iter":0}],"x":null}]}"#;
-        let v = parse(src).unwrap();
-        assert_eq!(v.get("schema").and_then(Value::str), Some("rhpl-bench-v1"));
-        let run = &v.get("runs").and_then(Value::arr).unwrap()[0];
-        assert_eq!(run.get("gflops").and_then(Value::num), Some(1.5));
-        assert_eq!(run.get("passed").and_then(Value::bool), Some(true));
-        assert_eq!(run.get("seq_hash").and_then(Value::str), Some("0xabc"));
-        assert_eq!(run.get("x"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn parses_numbers_and_escapes() {
-        let v = parse(r#"[-1.5e3, 0, 42, "a\n\"bA"]"#).unwrap();
-        let a = v.arr().unwrap();
-        assert_eq!(a[0].num(), Some(-1500.0));
-        assert_eq!(a[2].num(), Some(42.0));
-        assert_eq!(a[3].str(), Some("a\n\"bA"));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("12 34").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-    }
-
-    #[test]
-    fn empty_containers() {
-        assert_eq!(parse("[]").unwrap(), Value::Arr(vec![]));
-        assert_eq!(parse("{}").unwrap(), Value::Obj(BTreeMap::new()));
-    }
-
-    #[test]
     fn write_round_trips() {
-        let src = r#"{"diags":[{"file":"a/b.rs","line":7,"msg":"x \"y\"\nz","waived":false}],
-            "n":-1.5,"none":null,"empty":[],"eo":{}}"#;
-        let v = parse(src).unwrap();
-        let text = v.write();
-        assert_eq!(parse(&text).unwrap(), v, "write/parse round trip");
-        // Integers stay integers in the output (schema stability).
-        assert!(text.contains("\"line\": 7"), "{text}");
-        assert!(!text.contains("7.0"), "{text}");
+        let obj = |pairs: Vec<(&str, Value)>| {
+            Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let diag = obj(vec![
+            ("file", Value::Str("a/b.rs".into())),
+            ("line", Value::Num(7.0)),
+            ("msg", Value::Str("x \"y\"\nz\\\t\u{1}".into())),
+            ("waived", Value::Bool(false)),
+        ]);
+        let doc = obj(vec![
+            ("diags", Value::Arr(vec![diag])),
+            ("n", Value::Num(-1.5)),
+            ("ok", Value::Bool(true)),
+            ("empty", Value::Arr(vec![])),
+            ("eo", obj(vec![])),
+        ]);
+        let expected = r#"{
+  "diags": [
+    {
+      "file": "a/b.rs",
+      "line": 7,
+      "msg": "x \"y\"\nz\\\t\u0001",
+      "waived": false
+    }
+  ],
+  "empty": [],
+  "eo": {},
+  "n": -1.5,
+  "ok": true
+}"#;
+        assert_eq!(doc.write(), expected);
     }
 }

@@ -7,11 +7,6 @@
 //!   `tests/` and `shims/`: the [`analysis`] engine running the [`rules`].
 //!   Exits non-zero with `file:line: [rule] message` diagnostics when any
 //!   rule is violated; `--json` prints the full report.
-//! - `bench` — exact regression gate: runs a pinned deterministic sweep
-//!   with phase tracing and checks its hashes, structure and residuals
-//!   against `bench/baseline.json`, and the disabled-instrumentation guard
-//!   costs against fixed caps (see [`bench`]). Perf verdicts come from
-//!   `benchmark/`. `--update-baseline` re-pins the baseline.
 //! - `faults` — fault-injection soak gate: drives a pinned scenario matrix
 //!   (each fault kind x pinned configs) through `rhpl --fault` and asserts
 //!   clean completion or the expected structured error, inside a deadline,
@@ -26,7 +21,6 @@
 //! sandboxed CI image.
 
 mod analysis;
-mod bench;
 mod faults;
 mod json;
 mod lexer;
@@ -55,10 +49,6 @@ fn main() {
             let root = workspace_root();
             std::process::exit(run_check_mode(&root, json));
         }
-        "bench" => {
-            let root = workspace_root();
-            std::process::exit(bench::run_bench(&root, &args[1..]));
-        }
         "faults" => {
             let root = workspace_root();
             std::process::exit(faults::run_faults(&root, &args[1..]));
@@ -70,8 +60,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown xtask command `{other}` (expected `check`, `bench`, `faults` or \
-                 `list-rules`)"
+                "unknown xtask command `{other}` (expected `check`, `faults` or `list-rules`)"
             );
             std::process::exit(2);
         }
