@@ -9,7 +9,7 @@
 //!   "aggregate_gflops": 1.23,
 //!   "runs": [{
 //!     "tv": "WC112R16", "n": 192, "nb": 32, "p": 2, "q": 2,
-//!     "schedule": "split-update:0.5",
+//!     "schedule": "split-update:0.5", "threads": 2, "swap": "ring",
 //!     "mode": "hpl", "element": "f64",
 //!     "fact_seconds": 0.0, "fact_gflops": 0.0, "sweeps": 0,
 //!     "wall_seconds": 0.01, "minor_faults": 120, "gflops": 1.2,
@@ -66,6 +66,11 @@ pub struct RunReport {
     pub q: usize,
     /// Schedule name (`simple`, `lookahead`, `split-update:<frac>`).
     pub schedule: String,
+    /// FACT threads per rank (`--threads`).
+    pub threads: usize,
+    /// Row-swap algorithm (HPL.dat `SWAP`): `ring`, `bin-exch` or
+    /// `mix:<threshold>`.
+    pub swap: String,
     /// Benchmark mode: `hpl` (classic FP64) or `mxp` (mixed precision).
     pub mode: String,
     /// Element type the factorization ran in (`f64` / `f32`).
@@ -80,11 +85,12 @@ pub struct RunReport {
     pub sweeps: u64,
     /// DGEMM microkernel the process resolved to (`scalar` / `simd`).
     pub kernel: String,
-    /// Transport the universe resolved to (`inproc` / `shm` / `tcp`, from
+    /// Transport the run's universe used (`inproc` / `shm` / `tcp`, from
     /// `RHPL_TRANSPORT`).
     pub transport: String,
-    /// Per-directed-link transport counters of the most recent run (empty
-    /// under the in-process fabric, which moves no bytes).
+    /// Per-directed-link transport counters of the run's universe, which
+    /// also carried its verification (empty under the in-process fabric,
+    /// which moves no bytes).
     pub links: Vec<LinkReport>,
     /// Wall time of factorization + solve (seconds).
     pub wall_seconds: f64,
@@ -145,6 +151,10 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
         rhpl_core::config::Schedule::LookAhead => "lookahead".to_string(),
         rhpl_core::config::Schedule::SplitUpdate { frac } => format!("split-update:{frac}"),
     };
+    let swap = match rec.cfg.swap {
+        rhpl_core::RowSwapAlgo::Mix { threshold } => format!("mix:{threshold}"),
+        algo => algo.name().to_string(),
+    };
     RunReport {
         tv: rec.tv.clone(),
         n: rec.cfg.n,
@@ -152,14 +162,17 @@ pub fn run_report(rec: &RunRecord) -> RunReport {
         p: rec.cfg.p,
         q: rec.cfg.q,
         schedule,
+        threads: rec.cfg.fact.threads,
+        swap,
         mode: rec.mode().to_string(),
         element: rec.element.to_string(),
         fact_seconds: rec.mxp.as_ref().map_or(0.0, |m| m.fact_seconds),
         fact_gflops: rec.mxp.as_ref().map_or(0.0, |m| m.fact_gflops),
         sweeps: rec.mxp.as_ref().map_or(0, |m| m.sweeps as u64),
         kernel: hpl_blas::kernels::active().name().to_string(),
-        transport: hpl_comm::active_transport_name().to_string(),
-        links: hpl_comm::last_run_link_stats()
+        transport: rec.transport.to_string(),
+        links: rec
+            .links
             .iter()
             .map(|l| LinkReport {
                 src: l.src,

@@ -131,6 +131,8 @@ mod tests {
             element: "f64",
             x_hash: 0,
             mxp: None,
+            transport: "inproc",
+            links: Vec::new(),
             traces: Vec::new(),
         }
     }

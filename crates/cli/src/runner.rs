@@ -2,7 +2,7 @@
 //! result record per combination, exactly like the reference `xhpl` binary.
 
 use hpl_blas::ElementSel;
-use hpl_comm::{Grid, Universe};
+use hpl_comm::{FabricOpts, Grid, LinkStat, TransportSel, Universe};
 use rhpl_core::config::Schedule;
 use rhpl_core::{run_hpl_system, verify_system, FactOpts, HplConfig, HplError, System};
 
@@ -39,6 +39,12 @@ pub struct RunRecord {
     pub x_hash: u64,
     /// Mixed-precision extras; `Some` only for `--mxp` runs.
     pub mxp: Option<MxpStats>,
+    /// Transport the run's universe used (`inproc` / `shm` / `tcp`).
+    pub transport: &'static str,
+    /// Per-directed-link transport counters of the run's universe, which
+    /// also carried its verification (empty under the in-process fabric,
+    /// which moves no bytes).
+    pub links: Vec<LinkStat>,
     /// Per-rank phase traces (empty unless `cfg.trace.enabled`).
     pub traces: Vec<hpl_trace::Trace>,
 }
@@ -142,10 +148,24 @@ pub fn expand(
     out
 }
 
-/// Runs one configuration at pipeline element `elem` and verifies it. Any
-/// rank's solve or verification failure propagates as the typed
-/// [`HplError`] so the caller (the CLI driver) keeps its recovery
-/// and reporting options instead of aborting the whole sweep. Each rank's
+/// Runs one configuration at pipeline element `elem` and verifies it, on
+/// the transport `RHPL_TRANSPORT` selects ([`run_one_on`]).
+pub fn run_one(
+    cfg: &HplConfig,
+    depth: usize,
+    threshold: f64,
+    elem: ElementSel,
+) -> Result<RunRecord, HplError> {
+    run_one_on(hpl_comm::env_transport_sel(), cfg, depth, threshold, elem)
+}
+
+/// Runs one configuration at pipeline element `elem` on transport `sel`
+/// and verifies it in the same universe: the solution is replicated on
+/// every rank, so each rank goes straight on to the collective residual
+/// check, and the record's link counters cover the run and its check.
+/// Any rank's solve or verification failure propagates as the typed
+/// [`HplError`] so the caller (the CLI driver) keeps its recovery and
+/// reporting options instead of aborting the whole sweep. Each rank's
 /// phase trace is kept in the record (present only when
 /// `cfg.trace.enabled`; index = rank, the order `Universe::run` returns).
 ///
@@ -154,28 +174,34 @@ pub fn expand(
 /// answer actually carries (the classic `f64` gate would reject every f32
 /// run; recovering double accuracy from f32 factors is [`run_one_mxp`]'s
 /// job).
-pub fn run_one(
+pub fn run_one_on(
+    sel: TransportSel,
     cfg: &HplConfig,
     depth: usize,
     threshold: f64,
     elem: ElementSel,
 ) -> Result<RunRecord, HplError> {
     let system = System::Seeded(cfg.seed);
-    let results = Universe::run(cfg.ranks(), |comm| match elem {
-        ElementSel::F64 => run_hpl_system::<f64>(comm, cfg, system),
-        ElementSel::F32 => run_hpl_system::<f32>(comm, cfg, system),
-    });
-    let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let x = results[0].x.clone();
     let eps = match elem {
         ElementSel::F64 => f64::EPSILON,
         ElementSel::F32 => f32::EPSILON as f64,
     };
-    let res = Universe::run(cfg.ranks(), |comm| {
+    let results = Universe::run_with_transport(cfg.ranks(), sel, FabricOpts::default(), |comm| {
+        let solved = match elem {
+            ElementSel::F64 => run_hpl_system::<f64>(comm.clone(), cfg, system),
+            ElementSel::F32 => run_hpl_system::<f32>(comm.clone(), cfg, system),
+        }?;
         let grid = Grid::new(comm, cfg.p, cfg.q, cfg.order);
-        verify_system(&grid, cfg.n, cfg.nb, system, &x, eps)
+        let res = verify_system(&grid, cfg.n, cfg.nb, system, &solved.x, eps)?;
+        Ok::<_, HplError>((solved, res))
     });
-    let res = res.into_iter().collect::<Result<Vec<_>, _>>()?[0];
+    let links = links_of(sel);
+    let (mut results, res): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    let res = res[0];
     let traces = results.iter_mut().filter_map(|r| r.trace.take()).collect();
     Ok(RunRecord {
         cfg: cfg.clone(),
@@ -190,8 +216,21 @@ pub fn run_one(
         element: results[0].element,
         x_hash: results[0].x_hash,
         mxp: None,
+        transport: sel.name(),
+        links,
         traces,
     })
+}
+
+/// The link counters of the universe that just ran on `sel`. The
+/// in-process fabric records none, so under it an earlier transport run's
+/// counters are not reported as this run's.
+fn links_of(sel: TransportSel) -> Vec<LinkStat> {
+    if sel == TransportSel::Inproc {
+        Vec::new()
+    } else {
+        hpl_comm::last_run_link_stats()
+    }
 }
 
 /// Runs one configuration as the HPL-MxP benchmark: f32 factorization via
@@ -201,7 +240,9 @@ pub fn run_one(
 /// solve and every sweep; the last sweep's residual is the verification,
 /// so there is no separate verify pass outside it.
 pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunRecord, HplError> {
+    let sel = hpl_comm::env_transport_sel();
     let results = Universe::run(cfg.ranks(), |comm| hpl_mxp::solve_mxp(comm, cfg));
+    let links = links_of(sel);
     let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let traces = results.iter_mut().filter_map(|r| r.trace.take()).collect();
     let r0 = &results[0];
@@ -223,6 +264,8 @@ pub fn run_one_mxp(cfg: &HplConfig, depth: usize, threshold: f64) -> Result<RunR
             fact_gflops: r0.fact_gflops,
             history: r0.history.clone(),
         }),
+        transport: sel.name(),
+        links,
         traces,
     })
 }

@@ -5,7 +5,9 @@
 //! (`x_hash`) of the same problem run in-process. The in-process
 //! configuration is written out field by field, not read through the CLI's
 //! `dat`, `flags` or `runner` modules, so a CLI slip that maps a flag or a
-//! dat line to the wrong field makes the two sides disagree.
+//! dat line to the wrong field makes the two sides disagree — including
+//! the FACT thread count and the row-swap algorithm, which move neither
+//! hash and are compared as the run record echoes them.
 
 mod common;
 
@@ -152,6 +154,10 @@ fn binary_reports_the_library_run_of_its_input() {
             assert_eq!(json_field(run, "mode"), mode, "{id}");
             assert_eq!(run.matches("\"phases\":").count(), 6, "{id}: iterations");
             assert_eq!(json_field(run, "passed"), "true", "{id}: residual check");
+            let cfg = library_cfg(depth);
+            let threads = cfg.fact.threads.to_string();
+            assert_eq!(json_field(run, "threads"), threads, "{id}: --threads");
+            assert_eq!(json_field(run, "swap"), cfg.swap.name(), "{id}: SWAP");
 
             let hashes = (json_field(run, "seq_hash"), json_field(run, "x_hash"));
             let (seq, x) = library_hashes(depth, mxp);

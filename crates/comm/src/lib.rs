@@ -70,4 +70,4 @@ pub use ring::{panel_bcast, BcastAlgo};
 pub use spsc::SpscRing;
 pub use transport::wire::{put_elems, take_elems, Wire, WireElem};
 pub use transport::{last_run_link_stats, LinkStat, TransportSel};
-pub use universe::{active_transport_name, FaultedRun, Universe};
+pub use universe::{env_transport_sel, FaultedRun, Universe};

@@ -61,12 +61,6 @@ pub fn env_transport_sel() -> TransportSel {
     })
 }
 
-/// Name of the transport env-constructed universes resolve to — recorded
-/// in run reports next to the kernel name.
-pub fn active_transport_name() -> &'static str {
-    env_transport_sel().name()
-}
-
 impl Universe {
     /// Runs `f` on `nranks` concurrent ranks (one OS thread each) and
     /// returns their results ordered by rank. `f` may borrow from the

@@ -11,7 +11,7 @@ use hpl_blas::Element;
 use hpl_comm::Grid;
 
 use crate::dist::Axis;
-use crate::rng::MatGen;
+use crate::rng::{Affine, ColumnWalk, MatGen};
 
 /// One rank's slice of the global `N x (N+1)` augmented matrix, plus the
 /// index machinery to navigate it. Generic over the pipeline [`Element`]:
@@ -80,28 +80,39 @@ impl System<'_> {
     pub fn local<E: Element>(&self, n: usize, nb: usize, grid: &Grid) -> LocalMatrix<E> {
         match *self {
             System::Seeded(seed) => LocalMatrix::generate(n, nb, grid, seed),
-            System::Fill(_) => {
+            System::Fill(fill) => {
                 let mut m = LocalMatrix::unfilled(n, nb, grid);
                 for lj in 0..m.nloc {
-                    let j = m.cols.to_global(lj);
-                    self.fill_column(n, m.rows, j, m.col_mut(lj));
+                    let (rows, j) = (m.rows, m.cols.to_global(lj));
+                    for (li, v) in m.col_mut(lj).iter_mut().enumerate() {
+                        *v = E::from_f64(fill(rows.to_global(li), j));
+                    }
                 }
                 m
             }
         }
     }
 
-    /// Fills `col` with this rank's rows (`rows`) of global column `j` of
-    /// the `n`-row system — the column [`System::local`] stores, bit for
-    /// bit, so the verifier can regenerate one column at a time.
-    pub(crate) fn fill_column<E: Element>(&self, n: usize, rows: Axis, j: usize, col: &mut [E]) {
+    /// This rank's rows (`rows`) of the `n`-row system's columns, walked a
+    /// chunk of about `target` local rows at a time — the entries
+    /// [`System::local`] stores, bit for bit, so the verifier can
+    /// regenerate the system a few columns and rows at a time.
+    pub(crate) fn column_chunks(&self, n: usize, rows: Axis, target: usize) -> ColumnChunks<'_> {
         match *self {
-            System::Seeded(seed) => MatGen::new(seed, n).fill_column(rows, j, col),
-            System::Fill(fill) => {
-                for (li, v) in col.iter_mut().enumerate() {
-                    *v = E::from_f64(fill(rows.to_global(li), j));
+            System::Seeded(seed) => {
+                let walk = MatGen::new(seed, n).column_walk(rows);
+                let (rows_per_chunk, next_chunk) = walk.chunks(target);
+                ColumnChunks {
+                    source: ChunkSource::Seeded { walk, next_chunk },
+                    rows,
+                    rows_per_chunk,
                 }
             }
+            System::Fill(fill) => ColumnChunks {
+                source: ChunkSource::Fill(fill),
+                rows,
+                rows_per_chunk: target.max(1),
+            },
         }
     }
 
@@ -116,6 +127,65 @@ impl System<'_> {
             }
             System::Fill(fill) => (0..n).map(|i| fill(i, n)).collect(),
         }
+    }
+}
+
+/// A walk down one rank's rows of a [`System`]'s columns, a chunk of
+/// local rows at a time ([`System::column_chunks`]).
+pub(crate) struct ColumnChunks<'a> {
+    source: ChunkSource<'a>,
+    rows: Axis,
+    /// Local rows per chunk; every chunk but a column's last is this long.
+    pub(crate) rows_per_chunk: usize,
+}
+
+/// Where a [`ColumnChunks`] walk takes its entries from.
+enum ChunkSource<'a> {
+    /// The seeded generator, and the map from one chunk's first state to
+    /// the next's.
+    Seeded {
+        walk: ColumnWalk,
+        next_chunk: Affine,
+    },
+    /// The caller's entries, one call an entry.
+    Fill(&'a (dyn Fn(usize, usize) -> f64 + Sync)),
+}
+
+/// Where one column's chunked walk stands: the next chunk's first local
+/// row and, for a seeded system, its generator state.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ColumnCursor {
+    j: usize,
+    li: usize,
+    state: u64,
+}
+
+impl ColumnChunks<'_> {
+    /// A cursor at the first local row of global column `j`.
+    pub(crate) fn start(&self, j: usize) -> ColumnCursor {
+        let state = match &self.source {
+            ChunkSource::Seeded { walk, .. } => walk.start(j),
+            ChunkSource::Fill(_) => 0,
+        };
+        ColumnCursor { j, li: 0, state }
+    }
+
+    /// Fills `out` — a whole chunk, or less at the column's end — with the
+    /// cursor's next local rows and moves the cursor one chunk down.
+    pub(crate) fn fill_next<E: Element>(&self, cur: &mut ColumnCursor, out: &mut [E]) {
+        debug_assert!(out.len() <= self.rows_per_chunk);
+        match &self.source {
+            ChunkSource::Seeded { walk, next_chunk } => {
+                walk.fill_from(cur.state, out);
+                cur.state = next_chunk.apply(cur.state);
+            }
+            ChunkSource::Fill(fill) => {
+                for (k, v) in out.iter_mut().enumerate() {
+                    *v = E::from_f64(fill(self.rows.to_global(cur.li + k), cur.j));
+                }
+            }
+        }
+        cur.li += self.rows_per_chunk;
     }
 }
 

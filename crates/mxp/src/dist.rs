@@ -8,7 +8,7 @@
 //! initial solution from the distributed back-substitution, and then
 //! recovers `f64::EPSILON`-scaled accuracy with O(n^2) refinement sweeps:
 //! the residual `b - A x` is evaluated in `f64` against the full-precision
-//! system, regenerated one column at a time by the verifier's own walk
+//! system, regenerated a block of columns at a time by the verifier's walk
 //! ([`rhpl_core::residual`]), and each correction is solved in `f32`
 //! against the factors the elimination left resident
 //! ([`rhpl_core::PipelineOut`]). The run holds one matrix, the `f32`

@@ -23,12 +23,21 @@ cargo build --release
 echo "== [test] cargo test -q --no-fail-fast"
 cargo test -q --no-fail-fast
 
-echo "== [benchmark] benchmark/ built and unit-tested against the workspace"
+echo "== [benchmark] benchmark/ built, unit-tested and run on one workload"
 # Not --locked (the offline build adds a lock edge); the lock file is
-# restored whether or not the steps pass.
+# restored whether or not the steps pass. The end-to-end run's last line
+# must say its runs were correct.
+benchmark_e2e() {
+  local last
+  last=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload comm_2x1_inproc --seconds 2 --trace 0 | tail -n 1)
+  echo "$last"
+  case "$last" in *'"correct": true'*) ;; *) return 1 ;; esac
+}
 benchmark_status=0
 { cargo build --release --manifest-path benchmark/Cargo.toml &&
-  cargo test --manifest-path benchmark/Cargo.toml; } || benchmark_status=$?
+  cargo test --manifest-path benchmark/Cargo.toml &&
+  benchmark_e2e; } || benchmark_status=$?
 git checkout -- benchmark/Cargo.lock
 [ "$benchmark_status" -eq 0 ]
 

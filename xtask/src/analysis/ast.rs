@@ -493,6 +493,16 @@ fn walk_items(trees: &[Tree], ctx: &ItemCtx, fns: &mut Vec<FnFacts>, tags: &mut 
                 }
                 i = j + 1;
             }
+            // `const fn` (and `const unsafe fn`): `const` is a prefix like
+            // `pub`, and the `fn` arm parses the item.
+            Some("const")
+                if matches!(
+                    trees.get(i + 1).and_then(Tree::ident),
+                    Some("fn") | Some("unsafe")
+                ) =>
+            {
+                i += 1;
+            }
             Some("const") => {
                 // `const NAME: Tag = ..;` — collect tag constants. The type
                 // is the path between `:` and `=`; we match its last
@@ -987,6 +997,18 @@ mod tests {
                 .collect::<Vec<_>>(),
             [("lib", false), ("t", true), ("helper", true)]
         );
+    }
+
+    /// A `const fn` is a function like any other, and the items after it
+    /// are still seen (the `const` item arm once skipped from `const fn`
+    /// to the next top-level `;`, hiding every item in between).
+    #[test]
+    fn const_fns_are_fns_and_hide_nothing() {
+        let src = "const fn a() -> u8 { 1 }\nstruct S { x: u8 }\n\
+                   impl S { pub const fn b(&self) -> u8 { self.x } pub fn c() {} }\n\
+                   const unsafe fn d() {}\nconst N: usize = 3;\nfn e() {}";
+        let names: Vec<String> = facts(src).iter().map(FnFacts::qual_name).collect();
+        assert_eq!(names, ["a", "S::b", "S::c", "d", "e"]);
     }
 
     #[test]
