@@ -119,7 +119,7 @@ pub struct RunReport {
     /// pivot log.
     pub x_hash: String,
     /// Ring-buffer evictions summed over ranks (0 unless the run was longer
-    /// than the configured trace capacity).
+    /// than the trace ring, `hpl_trace::CAPACITY` spans).
     pub dropped_spans: u64,
     /// Critical-path aggregate: per-rank phase sums, maxima across ranks.
     pub phase_totals: PhaseTotals,

@@ -11,11 +11,10 @@
 //!    the configured algorithm.
 //! 2. Each peer verifies its received panel against the checksum and acks
 //!    the root (`true`/`false`).
-//! 3. For every nack the root backs off (the fabric's
-//!    [`RetryPolicy`](crate::fabric::RetryPolicy) — bounded exponential with
-//!    deterministic jitter, recorded as a fault span) and retransmits the
-//!    panel *directly* to the nacking peer — bypassing relays, so a
-//!    corrupting forwarder cannot re-poison it.
+//! 3. For every nack the root backs off (the fabric's `backoff` — bounded
+//!    exponential with deterministic jitter, recorded as a fault span) and
+//!    retransmits the panel *directly* to the nacking peer — bypassing
+//!    relays, so a corrupting forwarder cannot re-poison it.
 //! 4. After [`MAX_ATTEMPTS`] deliveries the root sends a give-up marker
 //!    (an empty payload) and both sides surface [`CommError::Corrupt`].
 //!
@@ -95,7 +94,7 @@ pub fn panel_bcast_checked<E: WireElem>(
             }
             {
                 let _sp = hpl_trace::span(hpl_trace::Phase::Fault);
-                std::thread::sleep(comm.retry_policy().backoff(root as u64, attempt));
+                std::thread::sleep(crate::fabric::backoff(root as u64, attempt));
             }
             for &r in &nack {
                 comm.try_send_slice(r, Tag::ABFT_CTRL, buf)?;

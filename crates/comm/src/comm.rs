@@ -337,12 +337,6 @@ impl Communicator {
         self.fabric.poison_info()
     }
 
-    /// The retry/backoff policy installed on this job's fabric (shared by
-    /// timed-out receive polls and ABFT retransmit rounds).
-    pub fn retry_policy(&self) -> crate::fabric::RetryPolicy {
-        self.fabric.retry_policy()
-    }
-
     /// Records one ABFT retransmit applied on the calling world rank (used
     /// by [`crate::abft::panel_bcast_checked`]; surfaced per rank in
     /// [`crate::universe::FaultedRun`]).

@@ -122,54 +122,36 @@ pub fn recv_timeout() -> std::time::Duration {
         .unwrap_or(std::time::Duration::from_secs(120))
 }
 
-/// Bounded-exponential-backoff schedule for blocked receives and
-/// drop-retransmit recovery: attempt `a` waits `base * 2^a` (capped), with
-/// a deterministic ±`jitter_frac` perturbation derived by hashing
-/// `(salt, attempt)` — no RNG state, so a replayed run backs off
-/// identically. Transient delay/drop faults are absorbed by these retry
-/// rounds; only when the cumulative wait crosses the receive timeout does
-/// the fabric escalate to [`CommError::Timeout`] (and poisoning escalates
-/// to [`CommError::RankFailed`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// First backoff step, microseconds.
-    pub base_us: u64,
-    /// Largest backoff step, microseconds (also bounded by the 100 ms
-    /// poison-poll step at the wait site).
-    pub cap_us: u64,
-    /// Jitter amplitude as a fraction of the step (0.0 disables).
-    pub jitter_frac: f64,
-}
+/// First backoff step, microseconds.
+const BACKOFF_BASE_US: u64 = 1_000;
+/// Largest backoff step, microseconds: the poison-poll step.
+const BACKOFF_CAP_US: u64 = WAIT_STEP.as_micros() as u64;
+/// Jitter amplitude as a fraction of the step.
+const BACKOFF_JITTER: f64 = 0.25;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            base_us: 1_000,
-            cap_us: WAIT_STEP.as_micros() as u64,
-            jitter_frac: 0.25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The wait for retry round `attempt` (0-based), jittered by `salt`.
-    pub fn backoff(&self, salt: u64, attempt: u32) -> std::time::Duration {
-        let exp = self
-            .base_us
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cap_us.max(1));
-        // SplitMix64-style finalizer: deterministic jitter without RNG state.
-        let mut z = salt
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        let factor = 1.0 + (unit * 2.0 - 1.0) * self.jitter_frac;
-        let us = ((exp as f64 * factor) as u64).clamp(1, self.cap_us.max(1));
-        std::time::Duration::from_micros(us)
-    }
+/// The wait before retry round `attempt` (0-based) of a blocked receive, a
+/// drop-retransmit or an ABFT retransmit: bounded exponential backoff,
+/// 1 ms doubling per attempt up to 100 ms, with a deterministic ±25%
+/// perturbation derived by hashing `(salt, attempt)` — no RNG state, so a
+/// replayed run backs off identically. Transient delay/drop faults are
+/// absorbed by these retry rounds; only when the cumulative wait crosses
+/// the receive timeout does the fabric escalate to [`CommError::Timeout`]
+/// (and poisoning escalates to [`CommError::RankFailed`]).
+pub(crate) fn backoff(salt: u64, attempt: u32) -> std::time::Duration {
+    let exp = BACKOFF_BASE_US
+        .saturating_mul(1u64 << attempt.min(20))
+        .min(BACKOFF_CAP_US);
+    // SplitMix64-style finalizer: deterministic jitter without RNG state.
+    let mut z = salt
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+    let factor = 1.0 + (unit * 2.0 - 1.0) * BACKOFF_JITTER;
+    let us = ((exp as f64 * factor) as u64).clamp(1, BACKOFF_CAP_US);
+    std::time::Duration::from_micros(us)
 }
 
 /// Per-world-rank recovery observability counters. Every communicator of a
@@ -312,7 +294,6 @@ pub struct Fabric {
     faults: Option<Arc<hpl_faults::Injector>>,
     /// Per-fabric receive-timeout override; falls back to [`recv_timeout`].
     timeout: Option<std::time::Duration>,
-    retry: RetryPolicy,
     counters: Arc<RecoveryCounters>,
     /// Per-world-rank count of splits of the world communicator: every
     /// rank performs the same ordered sequence of collective `split` calls,
@@ -389,8 +370,6 @@ pub struct FabricOpts {
     /// Receive timeout for this fabric; `None` uses the process-wide
     /// [`recv_timeout`] resolution.
     pub timeout: Option<std::time::Duration>,
-    /// Backoff schedule for blocked receives and drop-retransmit recovery.
-    pub retry: RetryPolicy,
     /// SPSC ring capacity override; `None` uses the built-in default.
     /// Tests pass tiny values to force the spill lane.
     pub mailbox_cap: Option<usize>,
@@ -398,8 +377,8 @@ pub struct FabricOpts {
 
 impl Fabric {
     /// Creates an in-process fabric connecting `size` ranks, with the
-    /// robustness options (timeout, retry policy, fault injector, ring
-    /// capacity) of `opts`.
+    /// robustness options (timeout, fault injector, ring capacity) of
+    /// `opts`.
     pub fn new(size: usize, opts: FabricOpts) -> Arc<Self> {
         Self::build(size, opts, Arc::new(RecoveryCounters::new(size)), None)
     }
@@ -493,7 +472,6 @@ impl Fabric {
             poison: Poison::default(),
             faults: opts.faults,
             timeout: opts.timeout,
-            retry: opts.retry,
             counters,
             split_seq: (0..size).map(|_| AtomicU64::new(0)).collect(),
             remote,
@@ -508,11 +486,6 @@ impl Fabric {
     /// The armed fault injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<hpl_faults::Injector>> {
         self.faults.clone()
-    }
-
-    /// This fabric's retry/backoff schedule.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// This job's recovery observability counters.
@@ -616,7 +589,7 @@ impl Fabric {
                 // retransmit delivery.
                 ledger.count(elems);
                 let _sp = hpl_trace::span(hpl_trace::Phase::Fault);
-                std::thread::sleep(self.retry.backoff(src as u64, 0));
+                std::thread::sleep(backoff(src as u64, 0));
             }
             hpl_faults::SendAction::Corrupt { bit } => {
                 if let Some(v) = msg.downcast_mut::<Vec<f64>>() {
@@ -749,8 +722,8 @@ impl Fabric {
     ///
     /// Fails with [`CommError::RankFailed`] if the job is poisoned before a
     /// matching message shows up, and with [`CommError::Timeout`] — carrying
-    /// the mailbox's pending `(src, tag)` keys — once the [`RetryPolicy`]
-    /// backoff ladder has cumulatively waited past the receive timeout
+    /// the mailbox's pending `(src, tag)` keys — once the [`backoff`]
+    /// ladder has cumulatively waited past the receive timeout
     /// ([`recv_timeout`]: default 120 s, `--comm-timeout` to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
@@ -813,7 +786,7 @@ impl Fabric {
             if let Some(m) = mbox.try_take(src, tag) {
                 return Ok(m);
             }
-            let step = self.retry.backoff(dst as u64, attempt).min(WAIT_STEP);
+            let step = backoff(dst as u64, attempt);
             if mbox.park(step, || self.poison.is_set()) {
                 waited += step;
                 attempt = attempt.saturating_add(1);
@@ -1022,23 +995,24 @@ mod tests {
 
     #[test]
     fn retry_policy_is_deterministic_bounded_and_jittered() {
-        let p = RetryPolicy::default();
         for attempt in 0..32 {
             for salt in 0..8u64 {
-                let a = p.backoff(salt, attempt);
-                let b = p.backoff(salt, attempt);
+                let a = backoff(salt, attempt);
+                let b = backoff(salt, attempt);
                 assert_eq!(a, b, "same (salt, attempt) must give the same wait");
                 assert!(a.as_micros() >= 1);
-                assert!(
-                    a.as_micros() as u64 <= p.cap_us,
-                    "attempt {attempt} exceeded the cap: {a:?}"
-                );
+                assert!(a <= WAIT_STEP, "attempt {attempt} exceeded the cap: {a:?}");
             }
         }
-        // The ladder actually grows before the cap…
-        assert!(p.backoff(0, 4) > p.backoff(0, 0));
+        // The first step is 1 ms within the ±25% jitter…
+        for salt in 0..8u64 {
+            let first = backoff(salt, 0).as_micros();
+            assert!((750..=1250).contains(&first), "first step {first} us");
+        }
+        // …the ladder actually grows before the cap…
+        assert!(backoff(0, 4) > backoff(0, 0));
         // …and jitter separates salts at the same attempt.
-        assert_ne!(p.backoff(1, 0), p.backoff(2, 0));
+        assert_ne!(backoff(1, 0), backoff(2, 0));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! [`abft::panel_bcast_checked`] adds checksum-verified panel broadcasts
 //! with bounded retransmission against in-flight corruption.
 //!
-//! Recovery (PR 6): timed-out receive polls back off under a configurable
-//! [`RetryPolicy`] (bounded exponential with deterministic jitter) and are
+//! Recovery (PR 6): timed-out receive polls back off (bounded exponential
+//! with deterministic jitter, `fabric::backoff`) and are
 //! counted per rank in [`RecoveryCounters`]; the receive deadline is
 //! settable per process ([`set_comm_timeout`], the CLI's `--comm-timeout`)
 //! or per fabric ([`FabricOpts`]); and [`Universe::run_with_injector`] restarts a
@@ -62,8 +62,7 @@ pub use comm::Communicator;
 pub use config::ConfigError;
 pub use error::CommError;
 pub use fabric::{
-    recv_timeout, set_comm_timeout, CommStats, Fabric, FabricOpts, RecoveryCounters, RetryPolicy,
-    Tag,
+    recv_timeout, set_comm_timeout, CommStats, Fabric, FabricOpts, RecoveryCounters, Tag,
 };
 pub use grid::{Grid, GridOrder};
 pub use ring::{panel_bcast, BcastAlgo};

@@ -41,7 +41,7 @@ pub struct FaultedRun<T> {
     /// `(rank, phase)` of the first recorded rank death, if any.
     pub poison: Option<(usize, String)>,
     /// Per-world-rank count of timed-out receive polls that were retried
-    /// with backoff (see [`crate::fabric::RetryPolicy`]).
+    /// with backoff (see `fabric::backoff`).
     pub retries: Vec<u64>,
     /// Per-world-rank count of ABFT retransmits applied after a checksum
     /// mismatch (see [`crate::abft::panel_bcast_checked`]).

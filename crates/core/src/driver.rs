@@ -68,7 +68,7 @@ pub struct HplResult {
     /// from-scratch run).
     pub resumed_from: Option<usize>,
     /// Timed-out receive polls this rank retried with backoff (see
-    /// `hpl_comm::RetryPolicy`).
+    /// `hpl_comm::RecoveryCounters`).
     pub retries: u64,
     /// Digest of the answer: [`hpl_trace::report::x_hash`] over `x` and
     /// the pivot log. Identical on every rank.
@@ -145,11 +145,11 @@ struct Driver<'a, E: Element> {
     /// update — it must outlive the immediate sections in between. Empty
     /// outside the split-update schedule.
     rs_right: RsData<E>,
-    /// The storage of the last retired panel, which the next
-    /// `fact_and_bcast` refills. At most two panels are live at once (the
-    /// current one and the look-ahead one), so one spare keeps the loop off
-    /// fresh pages after its first two panels.
-    spare: Option<PanelStore<E>>,
+    /// The storage of the last retired panel and its swap plan, which the
+    /// next `fact_and_bcast` refills. At most two panels are live at once
+    /// (the current one and the look-ahead one), so one spare keeps the
+    /// loop off the allocator after its first two panels.
+    spare: Option<(PanelStore<E>, SwapPlan)>,
 }
 
 /// Maps a checkpoint-layer failure into the pipeline taxonomy.
@@ -264,7 +264,7 @@ pub fn factorize_local<E: WireElem>(
             id: cfg.ckpt_id(),
             pre_image: None,
         },
-        pivot_log: Vec::new(),
+        pivot_log: Vec::with_capacity(cfg.n),
         rs,
         // Sized for the schedule's right section by `run`.
         rs_right: RsData::for_sections(0, 0, 1),
@@ -300,7 +300,10 @@ impl<E: WireElem> Driver<'_, E> {
     /// broadcast, and the panel is built where it lies.
     fn fact_and_bcast(&mut self, it: usize) -> Result<IterPanel<E>, HplError> {
         let geom = self.geom(it);
-        let mut store = self.spare.take().unwrap_or_else(PanelStore::empty);
+        let (mut store, mut plan) = self
+            .spare
+            .take()
+            .unwrap_or_else(|| (PanelStore::empty(), SwapPlan::default()));
         let row = self.grid.row();
         let panel = if geom.in_panel_col {
             // Factoring destroys the panel columns' pre-fact values, which
@@ -351,7 +354,7 @@ impl<E: WireElem> Driver<'_, E> {
         } else {
             lbcast_store(row, self.cfg.bcast, &geom, store, true)?
         };
-        let plan = SwapPlan::build(geom.k0, geom.jb, &panel.ipiv);
+        plan.rebuild(geom.k0, geom.jb, &panel.ipiv);
         // Every rank holds the broadcast pivots; extend the history
         // unconditionally (idempotent on a resumed re-factor) — snapshots
         // carry it, and the refinement sweeps replay it.
@@ -457,7 +460,8 @@ impl<E: WireElem> Driver<'_, E> {
             });
         }
         self.a.unpack_f64(&snap.data);
-        self.pivot_log = snap.pivots;
+        self.pivot_log.clear();
+        self.pivot_log.extend_from_slice(&snap.pivots);
         Ok(Some(snap.next_iter as usize))
     }
 
@@ -640,7 +644,7 @@ impl<E: WireElem> Driver<'_, E> {
                     hpl_trace::set_hidden(false);
                 }
             }
-            self.spare = Some(cur.panel.into_store());
+            self.spare = Some((cur.panel.into_store(), cur.plan));
             carried = next;
         }
         Ok(())

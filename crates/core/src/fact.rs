@@ -602,7 +602,7 @@ fn base_factor<E: Element>(st: &FactState<'_, E>, ctx: &Ctx<'_>, lo: usize, hi: 
                     let topv = unsafe { st.top.rows(lo, k + 1) };
                     // This runs once per panel column: scratch comes from
                     // the arena pool so the steady state stays
-                    // allocation-free (hot-path-alloc contract).
+                    // allocation-free (`tests/tests/loop_allocations.rs`).
                     E::with_scratch(hi - k - 1, |contrib| {
                         for (jj, c) in contrib.iter_mut().enumerate() {
                             let mut s = E::ZERO;
@@ -742,7 +742,6 @@ fn pivot_exchange<E: Element>(st: &FactState<'_, E>, k: usize, lv: f64, li: usiz
     let mine = if li != usize::MAX && lv > f64::NEG_INFINITY {
         // SAFETY: thread-0-exclusive phase.
         let cand = unsafe { st.a.rows(li, li + 1) };
-        // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
         let mut row = Vec::with_capacity(st.jb);
         for j in 0..st.jb {
             row.push(cand.get(0, j));
@@ -751,20 +750,19 @@ fn pivot_exchange<E: Element>(st: &FactState<'_, E>, k: usize, lv: f64, li: usiz
             val: lv,
             grow: st.global_row(li) as u64,
             row,
-            currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
+            currow: Vec::new(),
         }
     } else {
         PivotMsg {
             val: f64::NEG_INFINITY,
             grow: u64::MAX,
-            row: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
-            currow: Vec::new(), // xtask-allow: hot-path-alloc — empty sentinel, never allocates
+            row: Vec::new(),
+            currow: Vec::new(),
         }
     };
     let mine = if st.inp.is_curr {
         // SAFETY: thread-0-exclusive phase.
         let cur = unsafe { st.a.rows(k, k + 1) };
-        // xtask-allow: hot-path-alloc — pivot collective payload: ownership transfers to the fabric, which frees it on delivery
         let mut currow = Vec::with_capacity(st.jb);
         for j in 0..st.jb {
             currow.push(cur.get(0, j));

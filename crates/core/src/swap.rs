@@ -87,7 +87,7 @@ impl RowSwapAlgo {
 }
 
 /// The net effect of a panel's row interchanges.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwapPlan {
     /// Panel start.
     pub k0: usize,
@@ -103,39 +103,44 @@ pub struct SwapPlan {
 impl SwapPlan {
     /// Collapses the sequential swaps `k0+k <-> ipiv[k]` into a net plan.
     pub fn build(k0: usize, jb: usize, ipiv: &[usize]) -> Self {
+        let mut plan = Self::default();
+        plan.rebuild(k0, jb, ipiv);
+        plan
+    }
+
+    /// [`SwapPlan::build`] into this plan's storage, which allocates
+    /// nothing once the plan has held a panel of `jb` columns: the driver
+    /// rebuilds a retired panel's plan for the next panel.
+    pub fn rebuild(&mut self, k0: usize, jb: usize, ipiv: &[usize]) {
         assert_eq!(ipiv.len(), jb);
-        // The swaps touch the diagonal block (dense: `diag[k]` is the
+        (self.k0, self.jb) = (k0, jb);
+        // The swaps touch the diagonal block (dense: `u_src[k]` is the
         // content of position `k0 + k`) and the distinct pivot rows below
-        // it (`below`, sorted, with `below_src[i]` the content of position
-        // `below[i]`): a lookup is a binary search and the moves come out
-        // ordered by destination.
-        let mut below: Vec<usize> = ipiv.iter().copied().filter(|&p| p >= k0 + jb).collect();
-        below.sort_unstable();
-        below.dedup();
-        let mut below_src = below.clone();
-        let mut diag: Vec<usize> = (k0..k0 + jb).collect();
+        // it (`moves[i] = (position, content)`, sorted by position): a
+        // lookup is a binary search and the moves come out ordered by
+        // destination.
+        self.u_src.clear();
+        self.u_src.reserve(jb);
+        self.u_src.extend(k0..k0 + jb);
+        self.moves.clear();
+        self.moves.reserve(jb);
+        let below = ipiv.iter().filter(|&&p| p >= k0 + jb);
+        self.moves.extend(below.map(|&p| (p, p)));
+        self.moves.sort_unstable();
+        self.moves.dedup();
         for (k, &p) in ipiv.iter().enumerate() {
             debug_assert!(p >= k0 + k, "pivot must come from the trailing rows");
             if p < k0 + jb {
-                diag.swap(k, p - k0);
+                self.u_src.swap(k, p - k0);
             } else {
-                let i = below
-                    .binary_search(&p)
+                let i = self
+                    .moves
+                    .binary_search_by_key(&p, |&(dst, _)| dst)
                     .expect("every pivot row below the block was collected");
-                std::mem::swap(&mut diag[k], &mut below_src[i]);
+                std::mem::swap(&mut self.u_src[k], &mut self.moves[i].1);
             }
         }
-        let moves = below
-            .into_iter()
-            .zip(below_src)
-            .filter(|(dst, src)| dst != src)
-            .collect();
-        Self {
-            k0,
-            jb,
-            u_src: diag,
-            moves,
-        }
+        self.moves.retain(|(dst, src)| dst != src);
     }
 }
 
@@ -536,6 +541,21 @@ mod tests {
         // swap0: p0=2, p2=0; swap1: identity; swap2: p2<->p2 identity.
         assert_eq!(plan.u_src, vec![2, 1, 0]);
         assert!(plan.moves.is_empty());
+    }
+
+    #[test]
+    fn rebuild_matches_build_in_reused_storage() {
+        let mut plan = SwapPlan::build(0, 4, &[9, 5, 2, 9]);
+        let (u_src, moves) = (plan.u_src.as_ptr(), plan.moves.as_ptr());
+        for (k0, ipiv) in [
+            (4, [4, 11, 6, 20]),
+            (8, [8, 9, 10, 11]),
+            (12, [30, 13, 31, 15]),
+        ] {
+            plan.rebuild(k0, 4, &ipiv);
+            assert_eq!(plan, SwapPlan::build(k0, 4, &ipiv), "k0 {k0}");
+            assert_eq!((plan.u_src.as_ptr(), plan.moves.as_ptr()), (u_src, moves));
+        }
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //! phase then uses `P * T = P + C̄` cores with `T = 1 + C̄ / P` threads per
 //! participating rank, regardless of which column currently owns the panel.
 //!
-//! This module reimplements the arithmetic of rocHPL's launch wrapper script
-//! and is consumed by the benchmark driver to size its FACT thread pools.
+//! This module reimplements the arithmetic of rocHPL's launch wrapper script.
+//! The driver does not bind threads; the table binary `core_binding_table`,
+//! the example `examples/fact_tiling_map.rs` and the integration test
+//! `tests/tests/model_vs_functional.rs` use it to show and check the
+//! paper's layouts.
 
 /// Error from [`time_shared_bindings`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

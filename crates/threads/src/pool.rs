@@ -103,6 +103,15 @@ impl SpinBarrier {
         }
     }
 
+    /// Returns the barrier to its state at creation, for a new region's
+    /// participants (whose `local_sense` starts `false`). Only while no
+    /// participant is inside `wait`: [`Pool::run`] calls it before it hands
+    /// the region out, and the hand-out orders the stores before any wait.
+    fn reset(&self) {
+        self.count.store(0, Ordering::Relaxed);
+        self.sense.store(false, Ordering::Relaxed);
+    }
+
     /// Slow path: park on the condvar until the release flips `sense`.
     #[cold]
     fn park(&self, my_sense: bool) {
@@ -115,7 +124,8 @@ impl SpinBarrier {
     }
 }
 
-/// Per-region shared state.
+/// Per-region shared state. A pool keeps one for each width and hands it
+/// to every region of that width.
 struct Region {
     barrier: SpinBarrier,
     /// Two banks of one `(value, index)` slot per participant; reductions
@@ -278,15 +288,14 @@ struct Job {
 
 // SAFETY: `data` points to a closure constrained to `Fn(&Ctx<'_>) + Sync` by
 // `Pool::run`, so sharing the pointee across threads is sound; the pointer
-// itself is plain data. Liveness is upheld by `Pool::run` blocking on the
-// `done` channel until every worker has finished calling it.
+// itself is plain data. Liveness is upheld by `Pool::run` blocking on every
+// participating worker's done channel until it has finished calling it.
 unsafe impl Send for Job {}
 
 struct Packet {
     job: Job,
     region: Arc<Region>,
     tid: usize,
-    done: Sender<()>,
     arm: Option<FaultArm>,
 }
 
@@ -296,8 +305,19 @@ enum Msg {
 }
 
 /// Persistent fork-join worker pool. See the module docs.
+///
+/// Everything a region needs is made with the pool, so [`Pool::run`]
+/// allocates nothing: the region of each width, and per worker a job
+/// channel and a done channel. A worker owns the sending half of its done
+/// channel for its whole life, so a worker that dies — a panic in the
+/// region closure — disconnects it, and `run` reports the death instead of
+/// waiting forever.
 pub struct Pool {
     senders: Vec<Sender<Msg>>,
+    /// `done[w]` receives worker `w + 1`'s end-of-region signal.
+    done: Vec<Receiver<()>>,
+    /// `regions[t - 1]` is the region of width `t`.
+    regions: Vec<Arc<Region>>,
     handles: Vec<JoinHandle<()>>,
     size: usize,
     /// Set once by [`Pool::arm_faults`] on fault-injected runs; `None` on
@@ -311,19 +331,24 @@ impl Pool {
     pub fn new(size: usize) -> Self {
         assert!(size >= 1, "pool needs at least one thread");
         let mut senders = Vec::with_capacity(size - 1);
+        let mut done = Vec::with_capacity(size - 1);
         let mut handles = Vec::with_capacity(size - 1);
         for w in 1..size {
             let (tx, rx): (Sender<Msg>, Receiver<Msg>) = bounded(1);
+            let (done_tx, done_rx) = bounded(1);
             senders.push(tx);
+            done.push(done_rx);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("hpl-pool-{w}"))
-                    .spawn(move || worker_loop(rx))
+                    .spawn(move || worker_loop(rx, done_tx))
                     .expect("spawn pool worker"),
             );
         }
         Self {
             senders,
+            done,
+            regions: (1..=size).map(|t| Arc::new(Region::new(t))).collect(),
             handles,
             size,
             faults: OnceLock::new(),
@@ -357,17 +382,17 @@ impl Pool {
     {
         let nthreads = nthreads.clamp(1, self.size);
         let arm = self.faults.get();
+        let region = &self.regions[nthreads - 1];
+        region.barrier.reset();
         if nthreads == 1 {
-            let region = Region::new(1);
             enter_region(arm, 0);
-            f(&Ctx::new(0, &region));
+            f(&Ctx::new(0, region));
             crate::ledger::release_current_thread();
             return;
         }
-        let region = Arc::new(Region::new(nthreads));
         /// # Safety
         /// `data` must point to a live `F`; `Pool::run` guarantees this by
-        /// blocking until every worker's `done` signal arrives.
+        /// blocking until every participating worker's done signal arrives.
         unsafe fn trampoline<F: Fn(&Ctx<'_>) + Sync>(data: *const (), ctx: &Ctx<'_>) {
             // SAFETY: contract above — `data` was produced from `&f` in the
             // enclosing `run` call, which is still on the caller's stack.
@@ -378,30 +403,26 @@ impl Pool {
             data: &f as *const F as *const (),
             call: trampoline::<F>,
         };
-        let (done_tx, done_rx) = bounded(nthreads - 1);
         for tid in 1..nthreads {
             self.senders[tid - 1]
                 .send(Msg::Run(Packet {
                     job,
-                    region: Arc::clone(&region),
+                    region: Arc::clone(region),
                     tid,
-                    done: done_tx.clone(),
                     arm: arm.cloned(),
                 }))
                 .expect("pool worker died");
         }
-        // Drop the prototype sender so `done_rx` holds only the workers'
-        // clones: if a worker dies without signaling (e.g. a panic in the
-        // region closure), `recv` below reports it instead of hanging.
-        drop(done_tx);
         // Participate as thread 0.
         enter_region(arm, 0);
-        f(&Ctx::new(0, &region));
+        f(&Ctx::new(0, region));
         crate::ledger::release_current_thread();
         // Wait for all workers before returning: this keeps the borrow of
-        // `f` (captured by raw pointer) alive for the region's duration.
-        for _ in 1..nthreads {
-            done_rx.recv().expect("pool worker died");
+        // `f` (captured by raw pointer) alive for the region's duration. A
+        // worker that died without signaling dropped its done sender, so
+        // `recv` reports it instead of hanging.
+        for done in &self.done[..nthreads - 1] {
+            done.recv().expect("pool worker died");
         }
     }
 }
@@ -419,7 +440,7 @@ fn enter_region(arm: Option<&FaultArm>, tid: usize) {
     }
 }
 
-fn worker_loop(rx: Receiver<Msg>) {
+fn worker_loop(rx: Receiver<Msg>, done: Sender<()>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Run(p) => {
@@ -429,7 +450,7 @@ fn worker_loop(rx: Receiver<Msg>) {
                 // closure behind `job.data` outlives this call.
                 unsafe { (p.job.call)(p.job.data, &ctx) };
                 crate::ledger::release_current_thread();
-                let _ = p.done.send(());
+                let _ = done.send(());
             }
             Msg::Shutdown => break,
         }

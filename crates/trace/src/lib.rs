@@ -118,36 +118,22 @@ pub struct Span {
 }
 
 /// Tracing options carried by the benchmark configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceOpts {
     /// Master switch; when false the tracer is never installed.
     pub enabled: bool,
-    /// Ring-buffer capacity in spans per rank.
-    pub capacity: usize,
-}
-
-impl Default for TraceOpts {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            capacity: DEFAULT_CAPACITY,
-        }
-    }
 }
 
 impl TraceOpts {
-    /// Enabled with the default ring capacity.
+    /// Tracing on.
     pub fn on() -> Self {
-        Self {
-            enabled: true,
-            capacity: DEFAULT_CAPACITY,
-        }
+        Self { enabled: true }
     }
 }
 
-/// Default ring-buffer capacity (spans per rank). At ~10 spans per
-/// iteration this covers runs of several thousand iterations.
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Ring-buffer capacity (spans per rank). At ~10 spans per iteration this
+/// covers runs of several thousand iterations.
+pub const CAPACITY: usize = 1 << 16;
 
 /// The completed trace of one rank: spans in chronological order.
 #[derive(Clone, Debug, Default)]
@@ -160,11 +146,10 @@ pub struct Trace {
 
 struct Tracer {
     epoch: Instant,
-    /// Ring buffer: `buf` holds at most `capacity` spans; `head` is the
-    /// logical start once the buffer has wrapped.
+    /// Ring buffer: `buf` holds at most [`CAPACITY`] spans;
+    /// `head` is the logical start once the buffer has wrapped.
     buf: Vec<Span>,
     head: usize,
-    capacity: usize,
     dropped: u64,
     iter: u32,
     hidden: bool,
@@ -177,12 +162,11 @@ struct Tracer {
 const MAX_NEST: usize = 4;
 
 impl Tracer {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         Self {
             epoch: Instant::now(),
-            buf: Vec::with_capacity(capacity.min(1024)),
+            buf: Vec::with_capacity(1024),
             head: 0,
-            capacity: capacity.max(1),
             dropped: 0,
             iter: 0,
             hidden: false,
@@ -196,12 +180,12 @@ impl Tracer {
     }
 
     fn push(&mut self, span: Span) {
-        if self.buf.len() < self.capacity {
+        if self.buf.len() < CAPACITY {
             self.buf.push(span);
         } else {
             // Overwrite the oldest span (ring semantics).
             self.buf[self.head] = span;
-            self.head = (self.head + 1) % self.capacity;
+            self.head = (self.head + 1) % CAPACITY;
             self.dropped += 1;
         }
     }
@@ -240,7 +224,7 @@ pub fn install(opts: TraceOpts) {
     if !opts.enabled {
         return;
     }
-    TRACER.with(|t| *t.borrow_mut() = Some(Tracer::new(opts.capacity)));
+    TRACER.with(|t| *t.borrow_mut() = Some(Tracer::new()));
     ENABLED.with(|e| e.set(true));
 }
 
@@ -448,10 +432,7 @@ mod tests {
     use super::*;
 
     fn traced(f: impl FnOnce()) -> Trace {
-        install(TraceOpts {
-            enabled: true,
-            capacity: 64,
-        });
+        install(TraceOpts::on());
         f();
         take().expect("tracer was installed")
     }
@@ -508,21 +489,18 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest() {
-        install(TraceOpts {
-            enabled: true,
-            capacity: 4,
-        });
-        for i in 0..10 {
+        install(TraceOpts::on());
+        let spans = CAPACITY + 6;
+        for i in 0..spans {
             set_iter(i);
             let _g = span(Phase::Fact);
         }
         let t = take().unwrap();
-        assert_eq!(t.spans.len(), 4);
+        assert_eq!(t.spans.len(), CAPACITY);
         assert_eq!(t.dropped, 6);
-        assert_eq!(
-            t.spans.iter().map(|s| s.iter).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
+        let iters: Vec<usize> = t.spans.iter().map(|s| s.iter as usize).collect();
+        assert_eq!(iters[..2], [6, 7]);
+        assert_eq!(iters[CAPACITY - 1], spans - 1);
     }
 
     #[test]

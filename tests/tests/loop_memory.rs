@@ -8,93 +8,27 @@
 //! no copy of `L2` — the GEMM packs `L2` one cache block at a time into
 //! its pack arena.
 //!
-//! A counting global allocator tracks the bytes live across every thread
-//! (the ranks of `Universe::run` are threads of their own, and so are
-//! their pool workers), the peak they reach, and the running total of
-//! every large allocation. Storage that lives as long as the run is
-//! counted once and is part of the peak; a block allocated afresh for
-//! every panel is counted once per panel while only two panels are ever
-//! live, so it drives the total far past the peak. This binary holds one
-//! test, so nothing else allocates beside it.
+//! `common`'s counting allocator tracks the bytes live across every
+//! thread, the peak they reach, and the running total of every large
+//! allocation. Storage that lives as long as the run is counted once and
+//! is part of the peak; a block allocated afresh for every panel is
+//! counted once per panel while only two panels are ever live, so it
+//! drives the total far past the peak. This binary holds one test, so
+//! nothing else allocates beside it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+mod common;
+
+use std::sync::{Barrier, OnceLock};
 
 use hpl_comm::{FabricOpts, Grid, GridOrder, TransportSel, Universe};
 use rhpl_core::{factorize_local, HplConfig, Schedule};
 
-/// An allocation at least this large counts towards [`BIG`].
-const LARGE: usize = 64 << 10;
-
-/// Bytes currently allocated, across threads.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most `LIVE` has been since the window opened.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Bytes of [`LARGE`] or larger allocations since the window opened.
-static BIG: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
-    PEAK.fetch_max(live, Ordering::SeqCst);
-    if bytes >= LARGE {
-        BIG.fetch_add(bytes, Ordering::SeqCst);
-    }
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::SeqCst);
-}
-
-/// The system allocator, counting live bytes, their peak, and the large
-/// blocks handed out.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// `Counting` upholds exactly the guarantees `System` does; the counters are
-// atomics that never allocate.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, passed on.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        // SAFETY: same layout the caller gave us, valid per its contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        // SAFETY: same layout the caller gave us, valid per its contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size);
-        shrink(layout.size());
-        // SAFETY: `ptr`/`layout` came from `System` through this allocator
-        // and `new_size` is valid, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use common::{Seen, Window, LARGE};
 
 /// What one window saw.
-struct Window {
-    /// Bytes of [`LARGE`] or larger allocations made.
-    big: usize,
-    /// The most bytes live beyond those live when the window opened.
-    peak: usize,
+struct LoopWindow {
+    /// What the allocator saw.
+    seen: Seen,
     /// Bytes the leading rank's GEMM pack arena grew by (the loop runs its
     /// update on the rank's thread at one update thread).
     arena: usize,
@@ -108,7 +42,7 @@ struct Window {
 /// the widest update and kept as long as the thread lives, so it is
 /// full-size before the window and the window sees what the loop itself
 /// holds.
-fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> Window {
+fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> LoopWindow {
     let mut cfg = HplConfig::new(n, nb, p, q);
     cfg.schedule = Schedule::LookAhead;
     let (generated, started, finished) = (
@@ -116,7 +50,7 @@ fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> Window {
         Barrier::new(p * q),
         Barrier::new(p * q),
     );
-    let base = AtomicUsize::new(0);
+    let window = OnceLock::new();
     // The in-process fabric whatever `RHPL_TRANSPORT` says: a byte-moving
     // transport's frame buffers are its own, not the loop's.
     let out =
@@ -128,20 +62,16 @@ fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> Window {
             let a = system.local::<f64>(n, nb, &grid);
             let arena0 = arena_bytes();
             if generated.wait().is_leader() {
-                let live = LIVE.load(Ordering::SeqCst);
-                base.store(live, Ordering::SeqCst);
-                PEAK.store(live, Ordering::SeqCst);
-                BIG.store(0, Ordering::SeqCst);
+                let _ = window.set(Window::open());
             }
             started.wait();
             let factored = factorize_local(&grid, &cfg, a).expect("fault-free fabric");
-            let window = finished.wait().is_leader().then(|| Window {
-                big: BIG.load(Ordering::SeqCst),
-                peak: PEAK.load(Ordering::SeqCst) - base.load(Ordering::SeqCst),
+            let seen = finished.wait().is_leader().then(|| LoopWindow {
+                seen: window.get().expect("the leader opened the window").seen(),
                 arena: arena_bytes() - arena0,
             });
             drop(factored);
-            window
+            seen
         });
     out.into_iter().flatten().next().expect("one rank leads")
 }
@@ -200,7 +130,8 @@ fn the_loop_allocates_no_more_than_it_holds() {
         (2, 1, None),
         (1, 2, Some(bcast_copies_1x2(n, nb))),
     ] {
-        let Window { big, peak, arena } = loop_window(n, nb, p, q);
+        let LoopWindow { seen, arena } = loop_window(n, nb, p, q);
+        let Seen { big, peak, .. } = seen;
         eprintln!("{p}x{q}: {big} bytes in large allocations, peak live growth {peak} bytes");
         if let Some(messages) = allowance {
             assert!(

@@ -6,9 +6,9 @@
 //! and a full `syn` shim would be a bigger liability than this purpose-built
 //! subset): balanced delimiter groups, an item walk that understands
 //! `mod`/`impl`/`trait` nesting, `#[cfg(test)]` scoping and function
-//! signatures, and per-function **facts** — call sites, allocation
-//! expressions, panic macros, `unwrap`/`expect` chains, `hpl-trace` span
-//! guards and fabric send/recv sites with their tags — which is exactly the
+//! signatures, and per-function **facts** — call sites, panic macros,
+//! `unwrap`/`expect` chains, `hpl-trace` span guards and fabric send/recv
+//! sites with their tags — which is exactly the
 //! vocabulary the rules in [`crate::rules`] are written in.
 
 use crate::lexer::{Lexed, SpannedTok, Tok};
@@ -140,15 +140,6 @@ pub struct CallSite {
     pub kind: CallKind,
 }
 
-/// A heap-allocation expression on a line.
-#[derive(Clone, Debug)]
-pub struct AllocSite {
-    /// 1-based line.
-    pub line: u32,
-    /// What allocated, as written (`vec!`, `Vec::new`, `.collect()`, ...).
-    pub what: String,
-}
-
 /// A `panic!`/`todo!`/`unimplemented!` invocation.
 #[derive(Clone, Debug)]
 pub struct PanicSite {
@@ -254,8 +245,6 @@ pub struct FnFacts {
     pub ret_idents: Vec<String>,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
-    /// Heap allocations in the body.
-    pub allocs: Vec<AllocSite>,
     /// Panic-macro invocations in the body.
     pub panics: Vec<PanicSite>,
     /// `.unwrap()` / `.expect(..)` sites in the body.
@@ -675,19 +664,6 @@ fn collect_idents(t: &Tree, out: &mut Vec<String>) {
     }
 }
 
-/// Names that make a method call an allocation on a hot path.
-const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
-/// Paths (joined with `::`) that allocate.
-const ALLOC_PATHS: &[&str] = &[
-    "Vec::new",
-    "Vec::with_capacity",
-    "Box::new",
-    "String::new",
-    "String::from",
-    "String::with_capacity",
-];
-/// Macros that allocate.
-const ALLOC_MACROS: &[&str] = &["vec", "format"];
 /// Panic macros.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 /// Send-direction callee names. `ctrl_send` is the transport-era control
@@ -759,12 +735,6 @@ fn scan_body(trees: &[Tree], stmt_level: bool, fx: &mut FnFacts) {
                     && path.len() == 1
                 {
                     let mac = &path[0];
-                    if ALLOC_MACROS.contains(&mac.as_str()) {
-                        fx.allocs.push(AllocSite {
-                            line,
-                            what: format!("{mac}!"),
-                        });
-                    }
                     if PANIC_MACROS.contains(&mac.as_str()) {
                         fx.panics.push(PanicSite {
                             line,
@@ -786,7 +756,6 @@ fn scan_body(trees: &[Tree], stmt_level: bool, fx: &mut FnFacts) {
                     .filter(|g| g.delim == '(')
                 {
                     let callee = path.last().cloned().unwrap_or_default();
-                    let joined = path.join("::");
                     fx.calls.push(CallSite {
                         path: path.clone(),
                         line,
@@ -796,14 +765,6 @@ fn scan_body(trees: &[Tree], stmt_level: bool, fx: &mut FnFacts) {
                             CallKind::Plain
                         },
                     });
-                    if ALLOC_PATHS.iter().any(|p| joined.ends_with(p)) {
-                        fx.allocs.push(AllocSite { line, what: joined });
-                    } else if is_method && ALLOC_METHODS.contains(&callee.as_str()) {
-                        fx.allocs.push(AllocSite {
-                            line,
-                            what: format!(".{callee}()"),
-                        });
-                    }
                     if is_method && (callee == "unwrap" || callee == "expect") {
                         let is_expect = callee == "expect";
                         let unwrap_ok = !is_expect && args.trees.is_empty();
@@ -1036,8 +997,16 @@ mod tests {
             if bad { panic!("boom"); }
         }"#;
         let f = &facts(src)[0];
-        let allocs: Vec<&str> = f.allocs.iter().map(|a| a.what.as_str()).collect();
-        assert_eq!(allocs, ["Vec::new", "vec!", "format!"]);
+        // Allocations are calls like any other.
+        let kinds = |name: &str| {
+            (f.calls.iter())
+                .filter(|c| c.path.last().is_some_and(|l| l == name))
+                .map(|c| c.kind)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(kinds("new"), [CallKind::Plain]);
+        assert_eq!(kinds("vec"), [CallKind::Macro]);
+        assert_eq!(kinds("format"), [CallKind::Macro]);
         assert_eq!(f.panics.len(), 1);
         assert!(f.calls.iter().any(|c| c.path == ["helper"]));
         assert!(f.calls.iter().any(|c| c.path == ["other", "path", "g"]));

@@ -9,8 +9,8 @@
 //!    name-resolved call graph and the tag-constant table
 //!    ([`super::model`]).
 //! 3. **Per-file rules** — the five base rules plus `span-balance`.
-//! 4. **Workspace rules** — `hot-path-alloc`, `comm-protocol`,
-//!    `error-taxonomy` (these need call edges across files).
+//! 4. **Workspace rules** — `comm-protocol`, `error-taxonomy` (these
+//!    need call edges across files).
 //! 5. **Waivers** — every violation is checked against the
 //!    `// xtask-allow: <rules> — <justification>` annotation on its line
 //!    or the line above. Each annotation records whether it suppressed
@@ -24,9 +24,7 @@ use std::collections::BTreeMap;
 use super::ast::{parse_file, ParsedFile};
 use super::model::Workspace;
 use crate::json::Value;
-use crate::rules::{
-    base, comm_protocol, error_taxonomy, hot_path, span_balance, FileKind, Violation, RULES,
-};
+use crate::rules::{base, comm_protocol, error_taxonomy, span_balance, FileKind, Violation, RULES};
 
 /// One diagnostic after waiver resolution.
 #[derive(Clone, Debug)]
@@ -43,10 +41,6 @@ pub struct Report {
     pub diags: Vec<Diag>,
     /// Number of files scanned.
     pub scanned: usize,
-    /// `hot-path-alloc` roots that resolve to no non-test function, as
-    /// `crate::fn` (see [`hot_path::roots`]); `cargo xtask check` fails on
-    /// any. A run over a few fixture files leaves most of them here.
-    pub unresolved_roots: Vec<String>,
 }
 
 impl Report {
@@ -113,8 +107,6 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
 
     // Pass 2 + 4: resolve and run the workspace rules.
     let ws = Workspace::build(parsed);
-    let unresolved_roots = hot_path::roots(&ws).err().unwrap_or_default();
-    hot_path::check(&ws, &mut violations);
     comm_protocol::check(&ws, &mut violations);
     error_taxonomy::check(&ws, &mut violations);
 
@@ -182,7 +174,6 @@ pub fn run(inputs: &[(String, String, FileKind)]) -> Report {
     Report {
         diags,
         scanned: inputs.len(),
-        unresolved_roots,
     }
 }
 
@@ -213,12 +204,6 @@ pub fn to_json(report: &Report) -> Value {
         })
         .collect();
     root.insert("diagnostics".to_string(), Value::Arr(diags));
-    let unresolved = report
-        .unresolved_roots
-        .iter()
-        .map(|r| Value::Str(r.clone()))
-        .collect();
-    root.insert("unresolved_roots".to_string(), Value::Arr(unresolved));
     Value::Obj(root)
 }
 

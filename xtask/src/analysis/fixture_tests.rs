@@ -37,7 +37,6 @@ fn unwaived(report: &Report, rule: Option<&str>) -> Vec<(u32, String)> {
 /// `(rule, mount path)` for each `<rule>/` fixture directory. The mount
 /// path puts the fixture in a crate where the rule is armed.
 const RULE_MOUNTS: &[(&str, &str)] = &[
-    ("hot-path-alloc", "crates/blas/src/fixture.rs"),
     ("comm-protocol", "crates/comm/src/fixture.rs"),
     ("error-taxonomy", "crates/core/src/fixture.rs"),
     ("span-balance", "crates/trace/src/fixture.rs"),
@@ -86,146 +85,6 @@ fn waived_fixtures_are_suppressed_and_not_stale() {
     }
 }
 
-/// The row-swap kernels joined the hot-path roots when the phase stopped
-/// allocating; their fixtures mount in `core`, where those roots resolve.
-#[test]
-fn row_swap_kernels_are_hot_path_roots() {
-    let dir = fixtures_dir().join("hot-path-alloc");
-    let rel = "crates/core/src/fixture.rs";
-    let report = run_one(rel, &read(&dir.join("swap_positive.rs")), FileKind::Library);
-    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`.collect()`") && m.contains("via gather_cols")),
-        "gather_cols must be a root: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`.to_vec()`") && m.contains("via apply_moves")),
-        "apply_moves must be a root: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("`vec!`") && m.contains("via swap_cols")),
-        "swap_cols must be a root: {msgs:?}"
-    );
-    let report = run_one(rel, &read(&dir.join("swap_negative.rs")), FileKind::Library);
-    let hits = unwaived(&report, Some("hot-path-alloc"));
-    assert!(hits.is_empty(), "swap_negative.rs fired: {hits:?}");
-}
-
-/// The in-place panel pack is a root: it fills the broadcast buffer its
-/// caller sized, so neither it nor the packer it shares with `pack_panel`
-/// may allocate.
-#[test]
-fn in_place_panel_pack_is_a_hot_path_root() {
-    let dir = fixtures_dir().join("hot-path-alloc");
-    let rel = "crates/core/src/fixture.rs";
-    let report = run_one(
-        rel,
-        &read(&dir.join("panel_positive.rs")),
-        FileKind::Library,
-    );
-    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-    for (what, via) in [
-        ("`Vec::with_capacity`", "via pack_panel_in_place"),
-        ("`.to_vec()`", "pack_panel_in_place -> pack_into"),
-    ] {
-        assert!(
-            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
-            "{what} {via} must be flagged: {msgs:?}"
-        );
-    }
-    let report = run_one(
-        rel,
-        &read(&dir.join("panel_negative.rs")),
-        FileKind::Library,
-    );
-    let hits = unwaived(&report, Some("hot-path-alloc"));
-    assert!(hits.is_empty(), "panel_negative.rs fired: {hits:?}");
-}
-
-/// The matrix generator is a root: its lane states stay on the stack and it
-/// writes into the slice its caller allocated.
-#[test]
-fn strip_generator_is_a_hot_path_root() {
-    let dir = fixtures_dir().join("hot-path-alloc");
-    let rel = "crates/core/src/fixture.rs";
-    let report = run_one(rel, &read(&dir.join("gen_positive.rs")), FileKind::Library);
-    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-    for (what, via) in [
-        ("`vec!`", "via fill_strip"),
-        ("`.collect()`", "via fill_local"),
-    ] {
-        assert!(
-            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
-            "{what} {via} must be flagged: {msgs:?}"
-        );
-    }
-    let report = run_one(rel, &read(&dir.join("gen_negative.rs")), FileKind::Library);
-    let hits = unwaived(&report, Some("hot-path-alloc"));
-    assert!(hits.is_empty(), "gen_negative.rs fired: {hits:?}");
-}
-
-/// FACT's recursion and the fused rank-1 update and pivot search are
-/// roots: a recursion node's split points and a column's running maximum
-/// live on the stack.
-#[test]
-fn fact_recursion_and_fused_search_are_hot_path_roots() {
-    let dir = fixtures_dir().join("hot-path-alloc");
-    for (rel, positive, negative, what, via) in [
-        (
-            "crates/core/src/fixture.rs",
-            "fact_positive.rs",
-            "fact_negative.rs",
-            "`Vec::with_capacity`",
-            "via rec_factor",
-        ),
-        (
-            "crates/blas/src/fixture.rs",
-            "l1_positive.rs",
-            "l1_negative.rs",
-            "`.collect()`",
-            "via axpy_sub_argmax",
-        ),
-    ] {
-        let report = run_one(rel, &read(&dir.join(positive)), FileKind::Library);
-        let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-        assert!(
-            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
-            "{what} {via} must be flagged in {positive}: {msgs:?}"
-        );
-        let report = run_one(rel, &read(&dir.join(negative)), FileKind::Library);
-        let hits = unwaived(&report, Some("hot-path-alloc"));
-        assert!(hits.is_empty(), "{negative} fired: {hits:?}");
-    }
-}
-
-/// The level-3 inner layer is rooted function by function, so an
-/// allocation in a microkernel, the writeback, the packer or the TRSM leaf
-/// is flagged whether or not the call chain from `dgemm` still resolves.
-#[test]
-fn level3_inner_layer_fns_are_hot_path_roots() {
-    let dir = fixtures_dir().join("hot-path-alloc");
-    let rel = "crates/blas/src/fixture.rs";
-    let report = run_one(rel, &read(&dir.join("l3_positive.rs")), FileKind::Library);
-    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-    for (what, via) in [
-        ("`.collect()`", "via micro_avx512_f64"),
-        ("`.to_vec()`", "via store_tile"),
-        ("`vec!`", "via pack_strips"),
-        ("`Box::new`", "forward_full"),
-    ] {
-        assert!(
-            msgs.iter().any(|m| m.contains(what) && m.contains(via)),
-            "{what} {via} must be flagged: {msgs:?}"
-        );
-    }
-    let report = run_one(rel, &read(&dir.join("l3_negative.rs")), FileKind::Library);
-    let hits = unwaived(&report, Some("hot-path-alloc"));
-    assert!(hits.is_empty(), "l3_negative.rs fired: {hits:?}");
-}
-
 /// An `unsafe` region with AVX-512 intrinsics must name avx512 itself:
 /// naming only the narrower feature the same function also detects would
 /// document the wrong check.
@@ -248,14 +107,6 @@ fn avx512_blocks_must_name_avx512() {
 #[test]
 fn positive_fixture_details() {
     // Spot-check the messages carry the analysis, not just the verdict.
-    let src = read(&fixtures_dir().join("hot-path-alloc").join("positive.rs"));
-    let report = run_one("crates/blas/src/fixture.rs", &src, FileKind::Library);
-    let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("dgemm -> helper")),
-        "hot-path message must carry the call path: {msgs:?}"
-    );
-
     let src = read(&fixtures_dir().join("comm-protocol").join("positive.rs"));
     let report = run_one("crates/comm/src/fixture.rs", &src, FileKind::Library);
     let msgs: Vec<&str> = report.unwaived().map(|d| d.v.msg.as_str()).collect();

@@ -111,6 +111,7 @@ impl Workspace {
 
     /// All `FnId`s whose simple name is `name`, optionally restricted to
     /// one crate.
+    #[cfg(test)]
     pub fn fns_named(&self, name: &str, krate: Option<&str>) -> Vec<FnId> {
         self.by_name
             .get(name)
@@ -123,8 +124,13 @@ impl Workspace {
             .unwrap_or_default()
     }
 
-    /// Name-based callee resolution for one caller. Same-crate candidates
-    /// are preferred when any exist; method calls only ever resolve
+    /// Name-based callee resolution for one caller. A path-qualified call
+    /// (`Type::f` / `module::f`) reaches, in any crate, the candidates
+    /// whose impl type is the qualifier (for `Self`, the caller's own
+    /// type); failing those, only the ones the qualifier could still name
+    /// (a module, a crate, a generic), never every same-name fn:
+    /// `usize::from` is not `HplError::from`. An unqualified call prefers
+    /// same-crate candidates when any exist; method calls only ever resolve
     /// same-crate (cross-crate method dispatch through traits is beyond a
     /// name index, and guessing would wire unrelated `send`s together).
     fn resolve_callees(&self, id: FnId) -> Vec<FnId> {
@@ -141,49 +147,39 @@ impl Workspace {
             let Some(cands) = self.by_name.get(name) else {
                 continue;
             };
-            let same_crate: Vec<FnId> = cands
-                .iter()
-                .copied()
-                .filter(|&c| self.fns[c].krate == caller.krate && c != id)
-                .collect();
-            let pool: Vec<FnId> = if !same_crate.is_empty() {
-                same_crate
-            } else if call.kind == CallKind::Method {
-                continue;
-            } else {
-                cands.iter().copied().filter(|&c| c != id).collect()
-            };
-            if pool.is_empty() || pool.len() > MAX_CANDIDATES {
-                continue;
-            }
-            // A path-qualified call (`Type::f` / `module::f`) reaches the
-            // candidates whose impl type is the qualifier (for `Self`, the
-            // caller's); failing those, only the ones the qualifier could
-            // still name (a module, a crate, a generic), never every
-            // same-name fn: `usize::from` is not `HplError::from`.
-            let pool = if call.path.len() >= 2 && call.kind == CallKind::Plain {
+            let others = cands.iter().copied().filter(|&c| c != id);
+            let same_crate = |&c: &FnId| self.fns[c].krate == caller.krate;
+            let pool: Vec<FnId> = if call.path.len() >= 2 && call.kind == CallKind::Plain {
                 let qual = &call.path[call.path.len() - 2];
-                let ty = match qual.as_str() {
-                    "Self" => caller.facts.impl_ty.as_deref(),
-                    q => Some(q),
+                let (ty, home) = match qual.as_str() {
+                    "Self" => (caller.facts.impl_ty.as_deref(), true),
+                    q => (Some(q), false),
                 };
-                let matching: Vec<FnId> = pool
-                    .iter()
-                    .copied()
-                    .filter(|&c| {
-                        ty.is_some_and(|t| self.fns[c].facts.impl_ty.as_deref() == Some(t))
-                    })
-                    .collect();
+                let of_type = |&c: &FnId| {
+                    ty.is_some_and(|t| self.fns[c].facts.impl_ty.as_deref() == Some(t))
+                        && (!home || same_crate(&c))
+                };
+                let matching: Vec<FnId> = others.clone().filter(of_type).collect();
                 if matching.is_empty() {
-                    pool.into_iter()
+                    others
                         .filter(|&c| self.may_name_home(qual, caller, c))
                         .collect()
                 } else {
                     matching
                 }
             } else {
-                pool
+                let local: Vec<FnId> = others.clone().filter(same_crate).collect();
+                if !local.is_empty() {
+                    local
+                } else if call.kind == CallKind::Method {
+                    continue;
+                } else {
+                    others.collect()
+                }
             };
+            if pool.len() > MAX_CANDIDATES {
+                continue;
+            }
             out.extend(pool);
         }
         out.sort_unstable();
@@ -193,20 +189,23 @@ impl Workspace {
 
     /// True when the path qualifier `qual` of a call in `caller` could name
     /// where candidate `cand` lives: a relative path keyword (`crate`,
-    /// `self`, `super`, `Self`), a workspace crate (`hpl_blas`, `rhpl_core`,
-    /// ...), a directory, file stem or inline `mod` on the candidate's
-    /// path, or a generic parameter of the caller (`E::f()` dispatches on a
-    /// type the index cannot see).
+    /// `self`, `super`, `Self`) the caller's crate, a workspace crate
+    /// (`hpl_blas`, `rhpl_core`, ...) that crate, or a directory, file stem
+    /// or inline `mod` on the candidate's path, or a generic parameter of
+    /// the caller (`E::f()` dispatches on a type the index cannot see).
     fn may_name_home(&self, qual: &str, caller: &FnEntry, cand: FnId) -> bool {
         let krate = qual.trim_start_matches("hpl_").trim_start_matches("rhpl_");
         let c = &self.fns[cand];
+        if matches!(qual, "crate" | "self" | "super" | "Self") {
+            return c.krate == caller.krate;
+        }
+        if self.crates.contains(krate) {
+            return c.krate == krate;
+        }
         let rel = &self.files[c.file].rel;
         let path = rel.strip_suffix(".rs").unwrap_or(rel).split('/');
-        matches!(qual, "crate" | "self" | "super" | "Self")
-            || self.crates.contains(krate)
-            || path
-                .chain(c.facts.mods.iter().map(String::as_str))
-                .any(|seg| seg == qual)
+        path.chain(c.facts.mods.iter().map(String::as_str))
+            .any(|seg| seg == qual)
             || caller.facts.generics.iter().any(|g| g == qual)
     }
 
@@ -316,6 +315,88 @@ mod tests {
         let callees = w.callees(top);
         assert_eq!(callees.len(), 1);
         assert_eq!(w.fns[callees[0]].krate, "a");
+    }
+
+    /// The files of the callees of every fn named `caller`, sorted.
+    fn callee_files<'w>(w: &'w Workspace, caller: &str) -> Vec<&'w str> {
+        let mut files: Vec<&str> = (w.fns_named(caller, None).into_iter())
+            .flat_map(|id| w.callees(id).iter().map(|&c| w.file_of(c)))
+            .collect();
+        files.sort_unstable();
+        files.dedup();
+        files
+    }
+
+    #[test]
+    fn a_path_qualified_call_reaches_only_what_its_path_could_name() {
+        let w = ws(&[
+            // The std's `usize::from` and `core::array::from_fn` name no
+            // workspace fn of their names: no edge to these two.
+            (
+                "crates/core/src/error.rs",
+                "impl From<u8> for HplError {\n    fn from(_: u8) -> Self { HplError(0) }\n}",
+            ),
+            (
+                "crates/blas/src/matrix.rs",
+                "impl Matrix {\n    pub fn from_fn() -> Self { Matrix(0) }\n}",
+            ),
+            (
+                "crates/core/src/fact.rs",
+                "fn rec_factor(b: bool) -> usize { usize::from(b) }",
+            ),
+            (
+                "crates/blas/src/l3par.rs",
+                "fn dgemm_parallel() { core::array::from_fn::<usize, 4, _>(|i| i); }",
+            ),
+            // A module or file stem, `Self`, a workspace crate and a generic
+            // parameter of the caller each still resolve.
+            ("crates/blas/src/mat.rs", "pub fn zeros() {}"),
+            ("crates/blas/src/l3.rs", "fn dgemm_with() { mat::zeros(); }"),
+            (
+                "crates/blas/src/pack.rs",
+                "impl Packer {\n    fn dgemm() { Self::scratch(); }\n    fn scratch() {}\n}",
+            ),
+            ("crates/blas/src/pool.rs", "pub fn workspace() {}"),
+            (
+                "crates/core/src/update.rs",
+                "fn gemm_update() { hpl_blas::workspace(); }",
+            ),
+            (
+                "crates/blas/src/elem.rs",
+                "impl Elem for f64 {\n    fn zeroed() {}\n}",
+            ),
+            (
+                "crates/blas/src/trsm.rs",
+                "fn dtrsm<T: Elem>() { T::zeroed(); }",
+            ),
+        ]);
+        assert!(callee_files(&w, "rec_factor").is_empty());
+        assert!(callee_files(&w, "dgemm_parallel").is_empty());
+        assert_eq!(callee_files(&w, "dgemm_with"), ["crates/blas/src/mat.rs"]);
+        assert_eq!(callee_files(&w, "dgemm"), ["crates/blas/src/pack.rs"]);
+        assert_eq!(callee_files(&w, "gemm_update"), ["crates/blas/src/pool.rs"]);
+        assert_eq!(callee_files(&w, "dtrsm"), ["crates/blas/src/elem.rs"]);
+    }
+
+    /// A qualified call reaches the fn its path names in another crate even
+    /// when the caller's crate has a fn of the same name; an unqualified
+    /// one still prefers the caller's crate.
+    #[test]
+    fn a_path_qualified_call_reaches_across_crates() {
+        let w = ws(&[
+            ("crates/blas/src/l3/kernels.rs", "pub fn active() -> u8 { 0 }"),
+            ("crates/core/src/trace.rs", "pub fn active() -> bool { true }"),
+            (
+                "crates/core/src/update.rs",
+                "fn dgemm_l2() { kernels::active(); }\nfn traced() { active(); }\nfn own() { crate::active(); }",
+            ),
+        ]);
+        assert_eq!(
+            callee_files(&w, "dgemm_l2"),
+            ["crates/blas/src/l3/kernels.rs"]
+        );
+        assert_eq!(callee_files(&w, "traced"), ["crates/core/src/trace.rs"]);
+        assert_eq!(callee_files(&w, "own"), ["crates/core/src/trace.rs"]);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 pub mod base;
 pub mod comm_protocol;
 pub mod error_taxonomy;
-pub mod hot_path;
 pub mod span_balance;
 
 #[cfg(test)]
@@ -38,10 +37,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "simd-safety",
         "unsafe SIMD intrinsic code must name its detected target feature in the SAFETY comment",
-    ),
-    (
-        "hot-path-alloc",
-        "no heap allocation reachable from the DGEMM/update/fact inner loops (PackArena contract)",
     ),
     (
         "comm-protocol",

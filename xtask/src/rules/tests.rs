@@ -265,111 +265,3 @@ fn diagnostics_carry_file_line_rule() {
     let d = vs[0].to_string();
     assert!(d.starts_with("fixture.rs:2: [no-unwrap]"), "{d}");
 }
-
-// --- hot-path-alloc roots ----------------------------------------------
-
-/// One library file per root, each defining that root's function in its
-/// crate, leaving out `skip`; `cfg_test` wraps the definition of
-/// `test_only` in a `#[cfg(test)]` module instead.
-fn root_files(skip: &str, test_only: &str) -> Vec<(String, String, FileKind)> {
-    super::hot_path::ROOTS
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, name))| *name != skip)
-        .map(|(i, (krate, name))| {
-            let src = if *name == test_only {
-                format!("#[cfg(test)]\nmod tests {{\n    fn {name}() {{}}\n}}\n")
-            } else {
-                format!("fn {name}() {{}}\n")
-            };
-            (
-                format!("crates/{krate}/src/root{i}.rs"),
-                src,
-                FileKind::Library,
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn every_hot_path_root_resolves_when_defined() {
-    let report = engine::run(&root_files("", ""));
-    assert!(
-        report.unresolved_roots.is_empty(),
-        "{:?}",
-        report.unresolved_roots
-    );
-}
-
-#[test]
-fn a_hot_path_root_matching_no_function_is_reported_by_name() {
-    let report = engine::run(&root_files("micro_portable", ""));
-    assert_eq!(report.unresolved_roots, ["blas::micro_portable"]);
-    // A test-only function of the root's name roots nothing either.
-    let report = engine::run(&root_files("", "dgemm_l2"));
-    assert_eq!(report.unresolved_roots, ["core::dgemm_l2"]);
-}
-
-// --- hot-path-alloc call resolution ---------------------------------
-
-/// The files of the hot-path allocations the engine finds in `files`
-/// (library code, sorted, one entry per file).
-fn hot_alloc_files(files: &[(&str, &str)]) -> Vec<String> {
-    let inputs: Vec<_> = files
-        .iter()
-        .map(|(rel, src)| (rel.to_string(), src.to_string(), FileKind::Library))
-        .collect();
-    let mut hit: Vec<String> = engine::run(&inputs)
-        .unwaived()
-        .filter(|d| d.v.rule == "hot-path-alloc")
-        .map(|d| d.v.file.clone())
-        .collect();
-    hit.sort();
-    hit.dedup();
-    hit
-}
-
-#[test]
-fn a_path_qualified_call_reaches_only_what_its_path_could_name() {
-    let hits = hot_alloc_files(&[
-        // The std's `usize::from` and `core::array::from_fn` name no
-        // workspace fn of their names: no edge to these two.
-        (
-            "crates/core/src/error.rs",
-            "impl From<u8> for HplError {\n    fn from(_: u8) -> Self { HplError(Vec::new()) }\n}",
-        ),
-        (
-            "crates/blas/src/matrix.rs",
-            "impl Matrix {\n    pub fn from_fn() -> Self { Matrix(Vec::new()) }\n}",
-        ),
-        ("crates/core/src/fact.rs", "fn rec_factor(b: bool) -> usize { usize::from(b) }"),
-        (
-            "crates/blas/src/l3par.rs",
-            "fn dgemm_parallel() { core::array::from_fn::<usize, 4, _>(|i| i); }",
-        ),
-        // A module or file stem, `Self`, a workspace crate and a generic
-        // parameter of the caller each still resolve.
-        ("crates/blas/src/mat.rs", "pub fn zeros() -> Vec<f64> { Vec::new() }"),
-        ("crates/blas/src/l3.rs", "fn dgemm_with() { mat::zeros(); }"),
-        (
-            "crates/blas/src/pack.rs",
-            "impl Packer {\n    fn dgemm() { Self::scratch(); }\n    fn scratch() -> Vec<f64> { Vec::new() }\n}",
-        ),
-        ("crates/blas/src/pool.rs", "pub fn workspace() -> Vec<f64> { Vec::new() }"),
-        ("crates/core/src/update.rs", "fn gemm_update() { hpl_blas::workspace(); }"),
-        (
-            "crates/blas/src/elem.rs",
-            "impl Elem for f64 {\n    fn zeroed() -> Vec<f64> { Vec::new() }\n}",
-        ),
-        ("crates/blas/src/trsm.rs", "fn dtrsm<T: Elem>() { T::zeroed(); }"),
-    ]);
-    assert_eq!(
-        hits,
-        [
-            "crates/blas/src/elem.rs",
-            "crates/blas/src/mat.rs",
-            "crates/blas/src/pack.rs",
-            "crates/blas/src/pool.rs",
-        ]
-    );
-}
