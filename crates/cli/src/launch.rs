@@ -601,12 +601,17 @@ struct RankEnv {
 
 fn read_rank_env() -> Result<RankEnv, String> {
     let var = |k: &str| std::env::var(k).map_err(|_| format!("missing {k}"));
-    let rank = var("RHPL_LAUNCH_RANK")?
+    let rank: usize = var("RHPL_LAUNCH_RANK")?
         .parse()
         .map_err(|e| format!("bad RHPL_LAUNCH_RANK: {e}"))?;
-    let ranks = var("RHPL_LAUNCH_RANKS")?
+    let ranks: usize = var("RHPL_LAUNCH_RANKS")?
         .parse()
         .map_err(|e| format!("bad RHPL_LAUNCH_RANKS: {e}"))?;
+    if rank >= ranks {
+        return Err(format!(
+            "RHPL_LAUNCH_RANK={rank} is outside a world of RHPL_LAUNCH_RANKS={ranks} ranks"
+        ));
+    }
     let ctrl = var("RHPL_LAUNCH_CTRL")?
         .parse()
         .map_err(|e| format!("bad RHPL_LAUNCH_CTRL: {e}"))?;

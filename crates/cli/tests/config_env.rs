@@ -174,3 +174,35 @@ fn launch_rejects_bad_arguments_cleanly() {
         .expect("spawn rhpl");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A rank process checks its rank against its world before it dials its
+/// supervisor: `RHPL_LAUNCH_RANK` at or past `RHPL_LAUNCH_RANKS` is an
+/// error naming both variables and values, not a silenced panic inside
+/// the fabric. No supervisor runs here; the input is valid, so the check
+/// is all that stops the rank.
+#[test]
+fn rank_outside_its_world_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("rhpl-rank-world-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let input = dir.join("HPL.dat");
+    let (code, sample, _) = run_with_args(&["--sample"]);
+    assert_eq!(code, 0);
+    std::fs::write(&input, sample).expect("write the sample input");
+    let out = rhpl()
+        .arg("_rank")
+        .arg(&input)
+        .env("RHPL_LAUNCH_RANK", "7")
+        .env("RHPL_LAUNCH_RANKS", "4")
+        .env("RHPL_LAUNCH_CTRL", "127.0.0.1:1")
+        .env("RHPL_TRANSPORT", "tcp")
+        .output()
+        .expect("spawn rhpl");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "a panic, stderr: {stderr}");
+    assert!(
+        stderr.contains("RHPL_LAUNCH_RANK=7") && stderr.contains("RHPL_LAUNCH_RANKS=4"),
+        "stderr: {stderr}"
+    );
+}

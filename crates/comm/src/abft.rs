@@ -84,7 +84,7 @@ pub fn panel_bcast_checked<E: WireElem>(
                 // Give-up marker: an empty payload (a real retransmit is
                 // never empty — the empty-buffer case returned above).
                 for &r in &nack {
-                    E::vec_send(comm, r, Tag::ABFT_CTRL, Vec::new(), 1)?;
+                    comm.try_send(r, Tag::ABFT_CTRL, Vec::<E>::new())?;
                 }
                 return Err(CommError::Corrupt {
                     root,
@@ -112,22 +112,15 @@ pub fn panel_bcast_checked<E: WireElem>(
             if ok {
                 return Ok(());
             }
-            let ctrl: Vec<E> = E::vec_recv(comm, root, Tag::ABFT_CTRL)?;
-            if ctrl.is_empty() {
+            let ctrl = comm.recv_packet(root, Tag::ABFT_CTRL)?;
+            if comm.elements::<E>(root, &ctrl)?.len() == 0 {
                 return Err(CommError::Corrupt {
                     root,
                     rank: comm.rank(),
                     attempts: attempt,
                 });
             }
-            if ctrl.len() != buf.len() {
-                return Err(CommError::CountMismatch {
-                    what: "abft retransmit",
-                    expected: buf.len(),
-                    got: ctrl.len(),
-                });
-            }
-            buf.copy_from_slice(&ctrl);
+            comm.decode_into(root, &ctrl, buf, "abft retransmit")?;
             comm.note_abft_repair();
             attempt += 1;
         }

@@ -8,7 +8,8 @@
 //! Slice collectives are generic over the pipeline precision via
 //! [`WireElem`] (`f64` for classic HPL, `f32` for the HPL-MxP
 //! factorization); element types are inferred from the buffers at call
-//! sites, so existing `f64` callers read unchanged.
+//! sites. The vector collectives write their result into a buffer the
+//! caller keeps, and each received block is decoded straight into it.
 //!
 //! Every collective is fallible: recoverable misuse (count mismatches, a
 //! missing root value) and substrate failures (receive timeout, a dead
@@ -20,7 +21,7 @@
 use crate::comm::Communicator;
 use crate::error::CommError;
 use crate::fabric::Tag;
-use crate::transport::wire::{Wire, WireElem};
+use crate::transport::wire::{Packet, Wire, WireElem};
 
 /// Reduction operator for [`allreduce`] / [`reduce`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,39 +56,78 @@ fn unrel(vrank: usize, root: usize, size: usize) -> usize {
     (vrank + root) % size
 }
 
-/// Binomial-tree broadcast of an arbitrary cloneable value. On the root,
-/// `value` must be `Some` (else [`CommError::MissingRoot`]); elsewhere it is
-/// ignored. Every rank returns the broadcast value.
-pub fn bcast<T: Wire + Clone>(
-    comm: &Communicator,
-    root: usize,
-    value: Option<T>,
-) -> Result<T, CommError> {
+/// This rank's place in the binomial tree rooted at `root`, the one tree
+/// under every broadcast: its parent (`None` at the root) and its
+/// children, as ranks of `comm`. The parent of virtual rank `me` is `me`
+/// with its highest set bit cleared; its children are `me + 2^k` for `k`
+/// above that bit.
+fn binomial(comm: &Communicator, root: usize) -> (Option<usize>, impl Iterator<Item = usize>) {
     let size = comm.size();
     let me = rel(comm.rank(), root, size);
-    // Binomial tree: the parent of virtual rank `me` is `me` with its
-    // highest set bit cleared.
-    let v: T = if me == 0 {
-        value.ok_or(CommError::MissingRoot { what: "bcast" })?
+    let (parent, first) = if me == 0 {
+        (None, 0)
     } else {
         let hb = usize::BITS - 1 - me.leading_zeros();
-        let parent = me - (1usize << hb);
-        comm.try_recv(unrel(parent, root, size), Tag::BCAST)?
+        (Some(unrel(me - (1usize << hb), root, size)), hb + 1)
     };
-    // Send to children: me + 2^k for k above my highest set bit.
-    let start = if me == 0 {
-        0
-    } else {
-        usize::BITS - me.leading_zeros()
+    let children = (first..usize::BITS)
+        .map(move |k| me + (1usize << k))
+        .take_while(move |&child| child < size)
+        .map(move |child| unrel(child, root, size));
+    (parent, children)
+}
+
+/// Sends the packet `pkt()` makes (only if there is a child) to each of
+/// `children`: a copy of its bytes to all but the last, which gets the
+/// packet itself. Each send counts one element, like a typed send.
+fn fan_out(
+    comm: &Communicator,
+    mut children: impl Iterator<Item = usize>,
+    pkt: impl FnOnce() -> Packet,
+) -> Result<(), CommError> {
+    let Some(mut next) = children.next() else {
+        return Ok(());
     };
-    for k in start..usize::BITS {
-        let child = me + (1usize << k);
-        if child >= size {
-            break;
-        }
-        comm.try_send(unrel(child, root, size), Tag::BCAST, v.clone())?;
+    let pkt = pkt();
+    for child in children {
+        comm.send_packet(next, Tag::BCAST, pkt.clone(), 1)?;
+        next = child;
     }
+    comm.send_packet(next, Tag::BCAST, pkt, 1)
+}
+
+/// Binomial-tree broadcast of any [`Wire`] value. On the root, `value`
+/// must be `Some` (else [`CommError::MissingRoot`]); elsewhere it is
+/// ignored. Every rank returns the broadcast value: the root encodes it
+/// once, and every other rank forwards the bytes it received and decodes
+/// them once.
+pub fn bcast<T: Wire>(comm: &Communicator, root: usize, value: Option<T>) -> Result<T, CommError> {
+    let (parent, children) = binomial(comm, root);
+    let Some(src) = parent else {
+        let v = value.ok_or(CommError::MissingRoot { what: "bcast" })?;
+        fan_out(comm, children, || Packet::pack(&v))?;
+        return Ok(v);
+    };
+    let pkt = comm.recv_packet(src, Tag::BCAST)?;
+    let v = comm.decode(src, &pkt)?;
+    fan_out(comm, children, || pkt)?;
     Ok(v)
+}
+
+/// [`bcast`] of the root's `buf` into every other rank's `buf` (of the
+/// same length), each decoding straight into it.
+fn bcast_into<E: WireElem>(
+    comm: &Communicator,
+    root: usize,
+    buf: &mut [E],
+) -> Result<(), CommError> {
+    let (parent, children) = binomial(comm, root);
+    let Some(src) = parent else {
+        return fan_out(comm, children, || Packet::from_slice(buf));
+    };
+    let pkt = comm.recv_packet(src, Tag::BCAST)?;
+    comm.decode_into(src, &pkt, buf, "bcast")?;
+    fan_out(comm, children, || pkt)
 }
 
 /// Binomial-tree reduction of `buf` to `root`; the result overwrites `buf`
@@ -111,7 +151,9 @@ pub fn reduce<E: WireElem>(
         }
         let partner = me + mask;
         if partner < size {
-            let other: Vec<E> = E::vec_recv(comm, unrel(partner, root, size), Tag::REDUCE)?;
+            let src = unrel(partner, root, size);
+            let pkt = comm.recv_packet(src, Tag::REDUCE)?;
+            let other = comm.elements::<E>(src, &pkt)?;
             if other.len() != buf.len() {
                 return Err(CommError::CountMismatch {
                     what: "reduce",
@@ -132,49 +174,7 @@ pub fn reduce<E: WireElem>(
 /// rank with the reduced result.
 pub fn allreduce<E: WireElem>(comm: &Communicator, op: Op, buf: &mut [E]) -> Result<(), CommError> {
     reduce(comm, 0, op, buf)?;
-    let out = bcast_vec(
-        comm,
-        0,
-        if comm.rank() == 0 {
-            Some(buf.to_vec())
-        } else {
-            None
-        },
-    )?;
-    buf.copy_from_slice(&out);
-    Ok(())
-}
-
-/// [`bcast`] specialized to a `Vec<E>` payload through the [`WireElem`]
-/// hooks (the blanket `bcast` needs `Vec<E>: Wire`, which generic element
-/// code cannot name). Identical binomial topology and message counts.
-pub fn bcast_vec<E: WireElem>(
-    comm: &Communicator,
-    root: usize,
-    value: Option<Vec<E>>,
-) -> Result<Vec<E>, CommError> {
-    let size = comm.size();
-    let me = rel(comm.rank(), root, size);
-    let v: Vec<E> = if me == 0 {
-        value.ok_or(CommError::MissingRoot { what: "bcast" })?
-    } else {
-        let hb = usize::BITS - 1 - me.leading_zeros();
-        let parent = me - (1usize << hb);
-        E::vec_recv(comm, unrel(parent, root, size), Tag::BCAST)?
-    };
-    let start = if me == 0 {
-        0
-    } else {
-        usize::BITS - me.leading_zeros()
-    };
-    for k in start..usize::BITS {
-        let child = me + (1usize << k);
-        if child >= size {
-            break;
-        }
-        E::vec_send(comm, unrel(child, root, size), Tag::BCAST, v.clone(), 1)?;
-    }
-    Ok(v)
+    bcast_into(comm, 0, buf)
 }
 
 /// The `(value, location)` pair used by [`allreduce_maxloc`].
@@ -215,7 +215,7 @@ pub fn allreduce_maxloc(comm: &Communicator, mine: MaxLoc) -> Result<MaxLoc, Com
 /// so one collective both finds and distributes the pivot row.
 pub fn allreduce_with<T, F>(comm: &Communicator, mine: T, combine: F) -> Result<T, CommError>
 where
-    T: Wire + Clone,
+    T: Wire,
     F: Fn(T, T) -> T,
 {
     let size = comm.size();
@@ -224,7 +224,7 @@ where
     let mut mask = 1usize;
     while mask < size {
         if me & mask != 0 {
-            comm.try_send(me - mask, Tag::REDUCE, acc.clone())?;
+            comm.send_packet(me - mask, Tag::REDUCE, Packet::pack(&acc), 1)?;
             break;
         }
         let partner = me + mask;
@@ -237,69 +237,73 @@ where
     bcast(comm, 0, if me == 0 { Some(acc) } else { None })
 }
 
-/// Gathers variable-size chunks to `root`. Every rank passes its chunk;
-/// the root returns `Some(concatenation ordered by rank)`, others `None`.
+/// Gathers variable-size chunks to `root`: there `out` becomes every
+/// rank's chunk concatenated in rank order, each received chunk decoded
+/// straight onto it; elsewhere `out` is left as it was.
 pub fn gatherv<E: WireElem>(
     comm: &Communicator,
     root: usize,
     chunk: &[E],
-) -> Result<Option<Vec<E>>, CommError> {
-    if comm.rank() == root {
-        let mut parts: Vec<Vec<E>> = Vec::with_capacity(comm.size());
-        for src in 0..comm.size() {
-            if src == root {
-                parts.push(chunk.to_vec());
-            } else {
-                parts.push(E::vec_recv(comm, src, Tag::GATHER)?);
-            }
-        }
-        Ok(Some(parts.concat()))
-    } else {
-        comm.try_send_slice(root, Tag::GATHER, chunk)?;
-        Ok(None)
+    out: &mut Vec<E>,
+) -> Result<(), CommError> {
+    if comm.rank() != root {
+        return comm.try_send_slice(root, Tag::GATHER, chunk);
     }
+    out.clear();
+    for src in 0..comm.size() {
+        if src == root {
+            out.extend_from_slice(chunk);
+        } else {
+            let pkt = comm.recv_packet(src, Tag::GATHER)?;
+            out.extend(comm.elements::<E>(src, &pkt)?);
+        }
+    }
+    Ok(())
 }
 
 /// Scatters variable-size chunks from `root`. The root passes
 /// `Some((sendbuf, counts))` with `sendbuf.len() == counts.sum()`; every
-/// rank returns its chunk (of length `counts[rank]`).
+/// rank's `out` becomes its chunk (of length `counts[rank]`), a received
+/// one decoded straight into it.
 pub fn scatterv<E: WireElem>(
     comm: &Communicator,
     root: usize,
     send: Option<(&[E], &[usize])>,
-) -> Result<Vec<E>, CommError> {
-    if comm.rank() == root {
-        let (buf, counts) = send.ok_or(CommError::MissingRoot { what: "scatterv" })?;
-        if counts.len() != comm.size() {
-            return Err(CommError::CountMismatch {
-                what: "scatterv counts",
-                expected: comm.size(),
-                got: counts.len(),
-            });
-        }
-        let total: usize = counts.iter().sum();
-        if total != buf.len() {
-            return Err(CommError::CountMismatch {
-                what: "scatterv buffer",
-                expected: total,
-                got: buf.len(),
-            });
-        }
-        let mut off = 0;
-        let mut mine = Vec::new();
-        for (dst, &cnt) in counts.iter().enumerate() {
-            let piece = &buf[off..off + cnt];
-            if dst == root {
-                mine = piece.to_vec();
-            } else {
-                comm.try_send_slice(dst, Tag::SCATTER, piece)?;
-            }
-            off += cnt;
-        }
-        Ok(mine)
-    } else {
-        E::vec_recv(comm, root, Tag::SCATTER)
+    out: &mut Vec<E>,
+) -> Result<(), CommError> {
+    out.clear();
+    if comm.rank() != root {
+        let pkt = comm.recv_packet(root, Tag::SCATTER)?;
+        out.extend(comm.elements::<E>(root, &pkt)?);
+        return Ok(());
     }
+    let (buf, counts) = send.ok_or(CommError::MissingRoot { what: "scatterv" })?;
+    if counts.len() != comm.size() {
+        return Err(CommError::CountMismatch {
+            what: "scatterv counts",
+            expected: comm.size(),
+            got: counts.len(),
+        });
+    }
+    let total: usize = counts.iter().sum();
+    if total != buf.len() {
+        return Err(CommError::CountMismatch {
+            what: "scatterv buffer",
+            expected: total,
+            got: buf.len(),
+        });
+    }
+    let mut off = 0;
+    for (dst, &cnt) in counts.iter().enumerate() {
+        let piece = &buf[off..off + cnt];
+        if dst == root {
+            out.extend_from_slice(piece);
+        } else {
+            comm.try_send_slice(dst, Tag::SCATTER, piece)?;
+        }
+        off += cnt;
+    }
+    Ok(())
 }
 
 /// Prefix offsets of `counts` (shared by both allgatherv variants).
@@ -314,18 +318,15 @@ fn block_offsets(counts: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// Ring allgatherv: every rank contributes `chunk` (length `counts[rank]`)
-/// and returns the concatenation over all ranks in rank order. `size - 1`
-/// steps, each forwarding the block received in the previous step — the
-/// bandwidth-optimal algorithm HPL uses to assemble the `U` matrix in the
-/// row-swap phase.
-pub fn allgatherv<E: WireElem>(
+/// Checks an allgatherv's `counts` and `chunk` against the communicator
+/// and sizes `out` to hold every block.
+fn allgatherv_layout<E: WireElem>(
     comm: &Communicator,
     chunk: &[E],
     counts: &[usize],
-) -> Result<Vec<E>, CommError> {
+    out: &mut Vec<E>,
+) -> Result<(), CommError> {
     let size = comm.size();
-    let me = comm.rank();
     if counts.len() != size {
         return Err(CommError::CountMismatch {
             what: "allgatherv counts",
@@ -333,6 +334,7 @@ pub fn allgatherv<E: WireElem>(
             got: counts.len(),
         });
     }
+    let me = comm.rank();
     if chunk.len() != counts[me] {
         return Err(CommError::CountMismatch {
             what: "allgatherv chunk",
@@ -340,36 +342,49 @@ pub fn allgatherv<E: WireElem>(
             got: chunk.len(),
         });
     }
+    // Every block is written before it is read: only growth needs a value.
+    let total = counts.iter().sum();
+    out.truncate(total);
+    out.resize(total, E::ZERO);
+    Ok(())
+}
+
+/// Ring allgatherv: every rank contributes `chunk` (length `counts[rank]`)
+/// and `out` becomes the concatenation over all ranks in rank order.
+/// `size - 1` steps, each forwarding the block received in the previous
+/// step — the bandwidth-optimal algorithm HPL uses to assemble the `U`
+/// matrix in the row-swap phase.
+pub fn allgatherv<E: WireElem>(
+    comm: &Communicator,
+    chunk: &[E],
+    counts: &[usize],
+    out: &mut Vec<E>,
+) -> Result<(), CommError> {
+    allgatherv_layout(comm, chunk, counts, out)?;
+    let (size, me) = (comm.size(), comm.rank());
     let offsets = block_offsets(counts);
-    let total: usize = counts.iter().sum();
-    let mut out = vec![E::ZERO; total];
-    out[offsets[me]..offsets[me] + counts[me]].copy_from_slice(chunk);
+    let block = |b: usize| offsets[b]..offsets[b] + counts[b];
+    out[block(me)].copy_from_slice(chunk);
     if size == 1 {
-        return Ok(out);
+        return Ok(());
     }
     let right = (me + 1) % size;
     let left = (me + size - 1) % size;
-    // At step s, send the block that originated at rank (me - s) mod size,
+    // At step s, send the block that originated at rank (me - s) mod size
+    // (this rank's own, then each received packet's bytes as they came),
     // receive the block that originated at (me - s - 1) mod size.
-    let mut send_block = me;
-    for _ in 0..size - 1 {
-        let send_piece =
-            out[offsets[send_block]..offsets[send_block] + counts[send_block]].to_vec();
-        E::vec_send(comm, right, Tag::ALLGATHER, send_piece, 1)?;
-        let recv_block = (send_block + size - 1) % size;
-        let piece: Vec<E> = E::vec_recv(comm, left, Tag::ALLGATHER)?;
-        if piece.len() != counts[recv_block] {
-            // A peer disagreed about `counts` — caller error on its side.
-            return Err(CommError::CountMismatch {
-                what: "allgatherv received block",
-                expected: counts[recv_block],
-                got: piece.len(),
-            });
-        }
-        out[offsets[recv_block]..offsets[recv_block] + counts[recv_block]].copy_from_slice(&piece);
-        send_block = recv_block;
+    let mut pkt = Packet::from_slice(chunk);
+    let mut recv_block = me;
+    for _ in 1..size {
+        comm.send_packet(right, Tag::ALLGATHER, pkt, 1)?;
+        recv_block = (recv_block + size - 1) % size;
+        pkt = comm.recv_packet(left, Tag::ALLGATHER)?;
+        // A mismatch means a peer disagreed about `counts` — caller error
+        // on its side.
+        let got = &mut out[block(recv_block)];
+        comm.decode_into(left, &pkt, got, "allgatherv received block")?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Recursive-doubling ("binary exchange") allgatherv: `log2 p` rounds, in
@@ -382,38 +397,25 @@ pub fn allgatherv_rd<E: WireElem>(
     comm: &Communicator,
     chunk: &[E],
     counts: &[usize],
-) -> Result<Vec<E>, CommError> {
+    out: &mut Vec<E>,
+) -> Result<(), CommError> {
     let size = comm.size();
     if !size.is_power_of_two() {
-        return allgatherv(comm, chunk, counts);
+        return allgatherv(comm, chunk, counts, out);
     }
+    allgatherv_layout(comm, chunk, counts, out)?;
     let me = comm.rank();
-    if counts.len() != size {
-        return Err(CommError::CountMismatch {
-            what: "allgatherv_rd counts",
-            expected: size,
-            got: counts.len(),
-        });
-    }
-    if chunk.len() != counts[me] {
-        return Err(CommError::CountMismatch {
-            what: "allgatherv_rd chunk",
-            expected: counts[me],
-            got: chunk.len(),
-        });
-    }
     // Blocks currently held, keyed by origin rank.
     let mut have: Vec<(usize, Vec<E>)> = vec![(me, chunk.to_vec())];
     let mut dist = 1usize;
     while dist < size {
         let partner = me ^ dist;
-        E::pairs_send(comm, partner, Tag::ALLGATHER, have.clone())?;
-        let theirs: Vec<(usize, Vec<E>)> = E::pairs_recv(comm, partner, Tag::ALLGATHER)?;
+        comm.send_packet(partner, Tag::ALLGATHER, Packet::pack(&have), 1)?;
+        let theirs: Vec<(usize, Vec<E>)> = comm.try_recv(partner, Tag::ALLGATHER)?;
         have.extend(theirs);
         dist <<= 1;
     }
     let offsets = block_offsets(counts);
-    let mut out = vec![E::ZERO; counts.iter().sum()];
     // INVARIANT: after log2(size) doubling rounds each origin rank's block
     // was merged exactly once — the hypercube exchange visits every rank.
     // Violations are bugs in the loop above, not runtime conditions.
@@ -428,7 +430,7 @@ pub fn allgatherv_rd<E: WireElem>(
         }
         out[offsets[origin]..offsets[origin] + counts[origin]].copy_from_slice(&data);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -438,6 +440,43 @@ mod tests {
 
     fn sizes() -> Vec<usize> {
         vec![1, 2, 3, 4, 5, 7, 8]
+    }
+
+    /// [`gatherv`] into a fresh buffer: `Some` on the root.
+    fn gathered<E: WireElem>(comm: &Communicator, root: usize, chunk: &[E]) -> Option<Vec<E>> {
+        let mut out = Vec::new();
+        gatherv(comm, root, chunk, &mut out).unwrap();
+        (comm.rank() == root).then_some(out)
+    }
+
+    /// [`scatterv`] into a fresh buffer.
+    fn scattered<E: WireElem>(
+        comm: &Communicator,
+        root: usize,
+        send: Option<(&[E], &[usize])>,
+    ) -> Result<Vec<E>, CommError> {
+        let mut out = Vec::new();
+        scatterv(comm, root, send, &mut out).map(|()| out)
+    }
+
+    /// [`allgatherv`] into a fresh buffer.
+    fn ring<E: WireElem>(
+        comm: &Communicator,
+        chunk: &[E],
+        counts: &[usize],
+    ) -> Result<Vec<E>, CommError> {
+        let mut out = Vec::new();
+        allgatherv(comm, chunk, counts, &mut out).map(|()| out)
+    }
+
+    /// [`allgatherv_rd`] into a fresh buffer.
+    fn doubling<E: WireElem>(
+        comm: &Communicator,
+        chunk: &[E],
+        counts: &[usize],
+    ) -> Result<Vec<E>, CommError> {
+        let mut out = Vec::new();
+        allgatherv_rd(comm, chunk, counts, &mut out).map(|()| out)
     }
 
     #[test]
@@ -558,7 +597,7 @@ mod tests {
                 let out = Universe::run(n, |comm| {
                     let r = comm.rank();
                     let chunk: Vec<f64> = (0..r + 1).map(|i| (r * 10 + i) as f64).collect();
-                    gatherv(&comm, root, &chunk).unwrap()
+                    gathered(&comm, root, &chunk)
                 });
                 let mut expect = Vec::new();
                 for r in 0..n {
@@ -583,7 +622,7 @@ mod tests {
                     let counts: Vec<usize> = (0..n).map(|r| r + 1).collect();
                     let total: usize = counts.iter().sum();
                     let buf: Vec<f64> = (0..total).map(|i| i as f64).collect();
-                    scatterv(
+                    scattered(
                         &comm,
                         root,
                         (comm.rank() == root).then_some((buf.as_slice(), counts.as_slice())),
@@ -603,11 +642,11 @@ mod tests {
     #[test]
     fn scatterv_misuse_is_an_error_not_a_panic() {
         // Root forgets its buffer.
-        let out = Universe::run(1, |comm| scatterv::<f64>(&comm, 0, None));
+        let out = Universe::run(1, |comm| scattered::<f64>(&comm, 0, None));
         assert_eq!(out[0], Err(CommError::MissingRoot { what: "scatterv" }));
         // Counts don't cover the communicator.
         let out = Universe::run(1, |comm| {
-            scatterv(&comm, 0, Some(([1.0].as_slice(), [1usize, 1].as_slice())))
+            scattered(&comm, 0, Some(([1.0].as_slice(), [1usize, 1].as_slice())))
         });
         assert!(matches!(
             out[0],
@@ -618,7 +657,7 @@ mod tests {
         ));
         // Buffer shorter than the counts claim.
         let out = Universe::run(1, |comm| {
-            scatterv(&comm, 0, Some(([1.0].as_slice(), [2usize].as_slice())))
+            scattered(&comm, 0, Some(([1.0].as_slice(), [2usize].as_slice())))
         });
         assert!(matches!(
             out[0],
@@ -637,7 +676,7 @@ mod tests {
                 let r = comm.rank();
                 let counts: Vec<usize> = (0..n).map(|k| (k % 3) + 1).collect();
                 let chunk: Vec<f64> = (0..counts[r]).map(|i| (r * 100 + i) as f64).collect();
-                allgatherv(&comm, &chunk, &counts).unwrap()
+                ring(&comm, &chunk, &counts).unwrap()
             });
             let counts: Vec<usize> = (0..n).map(|k| (k % 3) + 1).collect();
             let mut expect = Vec::new();
@@ -652,7 +691,7 @@ mod tests {
 
     #[test]
     fn allgatherv_count_mismatch_is_an_error() {
-        let out = Universe::run(1, |comm| allgatherv(&comm, &[1.0], &[1, 1]));
+        let out = Universe::run(1, |comm| ring(&comm, &[1.0], &[1, 1]));
         assert!(matches!(
             out[0],
             Err(CommError::CountMismatch {
@@ -660,7 +699,7 @@ mod tests {
                 ..
             })
         ));
-        let out = Universe::run(1, |comm| allgatherv(&comm, &[1.0, 2.0], &[1]));
+        let out = Universe::run(1, |comm| ring(&comm, &[1.0, 2.0], &[1]));
         assert!(matches!(
             out[0],
             Err(CommError::CountMismatch {
@@ -678,8 +717,8 @@ mod tests {
                 let r = comm.rank();
                 let counts: Vec<usize> = (0..n).map(|k| (k % 4) + 1).collect();
                 let chunk: Vec<f64> = (0..counts[r]).map(|i| (r * 100 + i) as f64).collect();
-                let a = allgatherv(&comm, &chunk, &counts).unwrap();
-                let b = allgatherv_rd(&comm, &chunk, &counts).unwrap();
+                let a = ring(&comm, &chunk, &counts).unwrap();
+                let b = doubling(&comm, &chunk, &counts).unwrap();
                 (a, b)
             });
             for (a, b) in out {
@@ -694,7 +733,7 @@ mod tests {
         let stats = Universe::run(8, |comm| {
             let counts = [4usize; 8];
             let chunk = vec![comm.rank() as f64; 4];
-            let _ = allgatherv_rd(&comm, &chunk, &counts).unwrap();
+            let _ = doubling(&comm, &chunk, &counts).unwrap();
             comm.stats().snapshot().0
         });
         for s in stats {
@@ -708,7 +747,7 @@ mod tests {
             let counts = [2, 0, 1, 0];
             let r = comm.rank();
             let chunk: Vec<f64> = (0..counts[r]).map(|i| (r * 10 + i) as f64).collect();
-            allgatherv(&comm, &chunk, &counts).unwrap()
+            ring(&comm, &chunk, &counts).unwrap()
         });
         for o in out {
             assert_eq!(o, vec![0.0, 1.0, 20.0]);
@@ -743,9 +782,9 @@ mod tests {
             let r = comm.rank() as f32;
             let mut s = vec![r, 1.0f32];
             allreduce(&comm, Op::Sum, &mut s).unwrap();
-            let g = allgatherv(&comm, &[r], &[1, 1, 1, 1]).unwrap();
-            let rd = allgatherv_rd(&comm, &[r], &[1, 1, 1, 1]).unwrap();
-            let gat = gatherv(&comm, 0, &[r]).unwrap();
+            let g = ring(&comm, &[r], &[1, 1, 1, 1]).unwrap();
+            let rd = doubling(&comm, &[r], &[1, 1, 1, 1]).unwrap();
+            let gat = gathered(&comm, 0, &[r]);
             (s, g, rd, gat)
         });
         for (rank, (s, g, rd, gat)) in out.into_iter().enumerate() {
@@ -769,7 +808,7 @@ mod tests {
             let mut b = vec![comm.rank() as f64];
             allreduce(&comm, Op::Sum, &mut b).unwrap();
             let c = bcast(&comm, 2, (comm.rank() == 2).then_some(7u8)).unwrap();
-            let d = allgatherv(&comm, &[comm.rank() as f64], &[1, 1, 1, 1]).unwrap();
+            let d = ring(&comm, &[comm.rank() as f64], &[1, 1, 1, 1]).unwrap();
             assert!(comm.stats().snapshot().0 > 0);
             (a, b[0], c, d)
         });

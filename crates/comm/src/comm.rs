@@ -10,17 +10,18 @@
 //! context 0. The same views run on every transport — the in-process
 //! fabric shared by all rank threads, and a transport-backed endpoint (one
 //! OS process per rank, or the thread-mode harness) whose only receiving
-//! mailbox is its own. Every typed payload crossing a process boundary is
-//! encoded through [`Wire`] into a [`Packet`] *before* the fabric choke
-//! point, so fault injection, stats and traced bytes see the identical
-//! send either way — the invariant behind transport-invariant `seq_hash`.
+//! mailbox is its own. Every payload is encoded through [`Wire`] into a
+//! [`Packet`] *before* the fabric choke point and decoded at the receive,
+//! whichever transport carries it, so fault injection, stats and traced
+//! bytes see the identical send either way — the invariant behind
+//! transport-invariant `seq_hash`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::CommError;
 use crate::fabric::{CommStats, Fabric, Tag};
-use crate::transport::wire::{read_elems, Packet, SplitInfo, Wire, WireElem};
+use crate::transport::wire::{Packet, SplitInfo, Wire, WireElem};
 
 /// One communicator as seen by one of its members: which world ranks it
 /// spans, the context its tags carry, and this member's own traffic ledger.
@@ -51,12 +52,14 @@ pub struct Communicator {
     view: Arc<CommView>,
 }
 
-/// A matched message's payload, as [`Communicator::recv_payload`] finds it.
-enum Payload<T> {
-    /// The sender's own value, handed over in process.
-    Local(T),
-    /// The encoding of a value sent from another process.
-    Remote(Box<Packet>),
+/// Unwinds an infallible send with the death its fallible form returned —
+/// a send's only error (this rank's own injected death, or a destination
+/// whose link is gone).
+fn die(e: CommError) -> ! {
+    let CommError::RankFailed { rank, phase } = e else {
+        unreachable!("unexpected send error: {e}");
+    };
+    std::panic::panic_any(hpl_faults::RankDeath { rank, phase })
 }
 
 impl Communicator {
@@ -113,31 +116,17 @@ impl Communicator {
         Tag(tag.0 | (self.view.ctx << Tag::CTX_SHIFT))
     }
 
-    /// True when payloads must cross a process boundary to reach `dst`.
-    #[inline]
-    fn crosses_process(&self, world_dst: usize) -> bool {
-        self.fabric.remote_rank().is_some_and(|me| world_dst != me)
-    }
-
     /// Sends `value` to `dst` with `tag`. Asynchronous: never blocks.
     pub fn send<T: Wire>(&self, dst: usize, tag: Tag, value: T) {
         if let Err(e) = self.try_send(dst, tag, value) {
-            let CommError::RankFailed { rank, phase } = e else {
-                // try_send's only errors are deaths (own or a peer's).
-                unreachable!("unexpected send error: {e}");
-            };
-            std::panic::panic_any(hpl_faults::RankDeath { rank, phase });
+            die(e)
         }
     }
 
-    /// Sends an element slice (copied) to `dst`; counted in element stats.
+    /// Sends an element slice to `dst`; counted in element stats.
     pub fn send_slice<E: WireElem>(&self, dst: usize, tag: Tag, data: &[E]) {
         if let Err(e) = self.try_send_slice(dst, tag, data) {
-            let CommError::RankFailed { rank, phase } = e else {
-                // try_send_slice's only errors are deaths (own or a peer's).
-                unreachable!("unexpected send error: {e}");
-            };
-            std::panic::panic_any(hpl_faults::RankDeath { rank, phase });
+            die(e)
         }
     }
 
@@ -147,89 +136,46 @@ impl Communicator {
     /// so collectives running on pool worker threads can exit their
     /// parallel region cleanly.
     pub fn try_send<T: Wire>(&self, dst: usize, tag: Tag, value: T) -> Result<(), CommError> {
-        self.try_send_counted(dst, tag, value, 1)
+        self.send_packet(dst, tag, Packet::pack(&value), 1)
     }
 
     /// Fallible [`Communicator::send_slice`]; see [`Communicator::try_send`].
-    /// A remote send encodes straight from `data`; an in-process one hands
-    /// over a copy.
+    /// Encodes straight from `data`.
     pub fn try_send_slice<E: WireElem>(
         &self,
         dst: usize,
         tag: Tag,
         data: &[E],
     ) -> Result<(), CommError> {
-        let elems = data.len() as u64;
-        if self.crosses_process(self.world_of(dst)) {
-            self.send_boxed(dst, tag, Box::new(Packet::elems(data)), elems)
-        } else {
-            E::vec_send(self, dst, tag, data.to_vec(), elems)
-        }
+        self.send_packet(dst, tag, Packet::from_slice(data), data.len() as u64)
     }
 
-    pub(crate) fn try_send_counted<T: Wire>(
+    /// Sends the encoded `pkt` to `dst`, counted as `elems` elements: the
+    /// one path every send takes to the fabric.
+    pub(crate) fn send_packet(
         &self,
         dst: usize,
         tag: Tag,
-        value: T,
-        elems: u64,
-    ) -> Result<(), CommError> {
-        // Encode *before* the choke point so the fault hooks (which fire
-        // inside `Fabric::try_send_counted`) mutate the bytes that
-        // actually travel.
-        let boxed: Box<dyn std::any::Any + Send> = if self.crosses_process(self.world_of(dst)) {
-            Box::new(Packet::pack(&value))
-        } else {
-            Box::new(value)
-        };
-        self.send_boxed(dst, tag, boxed, elems)
-    }
-
-    fn send_boxed(
-        &self,
-        dst: usize,
-        tag: Tag,
-        boxed: Box<dyn std::any::Any + Send>,
+        pkt: Packet,
         elems: u64,
     ) -> Result<(), CommError> {
         let world_dst = self.world_of(dst);
         let world_src = self.world_of(self.rank);
         let tag = self.fold(tag);
         self.fabric
-            .try_send_counted(&self.view.stats, world_src, world_dst, tag, boxed, elems)
+            .try_send_counted(&self.view.stats, world_src, world_dst, tag, pkt, elems)
     }
 
-    /// Waits for the message from `(src, tag)`: the sender's own `T` when
-    /// it ran in this process, else the [`Packet`] it was encoded into. A
-    /// payload of any other type panics — that is a bug in the matched
-    /// send, not a runtime condition (documented on [`Communicator::try_recv`]).
-    fn recv_payload<T: std::any::Any>(
-        &self,
-        src: usize,
-        tag: Tag,
-    ) -> Result<Payload<T>, CommError> {
+    /// Waits for the packet from `(src, tag)`: the one path every receive
+    /// takes from the fabric.
+    pub(crate) fn recv_packet(&self, src: usize, tag: Tag) -> Result<Packet, CommError> {
         let world_src = self.world_of(src);
         let world_dst = self.world_of(self.rank);
-        let any = self.fabric.try_recv(world_dst, world_src, self.fold(tag))?;
-        let any = match any.downcast::<T>() {
-            Ok(v) => return Ok(Payload::Local(*v)),
-            Err(original) => original,
-        };
-        match any.downcast::<Packet>() {
-            Ok(pkt) => Ok(Payload::Remote(pkt)),
-            Err(_) => {
-                // xtask-allow: no-panic, error-taxonomy — programming-error contract
-                panic!(
-                    "rank {}: recv type mismatch from rank {src} tag {tag:?} (expected {})",
-                    self.rank,
-                    std::any::type_name::<T>()
-                )
-            }
-        }
+        self.fabric.try_recv(world_dst, world_src, self.fold(tag))
     }
 
-    /// The error a transport-delivered payload from `src` that failed its
-    /// checksum or its decode is reported as.
+    /// The error a packet from `src` that failed its frame checksum,
+    /// carries another schema or cannot be decoded is reported as.
     fn corrupt(&self, src: usize) -> CommError {
         CommError::Corrupt {
             root: src,
@@ -238,13 +184,51 @@ impl Communicator {
         }
     }
 
-    /// Receives a `T` from `(src, tag)`, blocking. Panics if the matching
-    /// message has a different payload type (a programming error on the
-    /// matched send side).
+    /// Decodes the packet `pkt` from `src` as a `T`.
+    pub(crate) fn decode<T: Wire>(&self, src: usize, pkt: &Packet) -> Result<T, CommError> {
+        pkt.unpack().ok_or_else(|| self.corrupt(src))
+    }
+
+    /// The elements of the `Vec<E>` packet `pkt` from `src`, decoded as
+    /// they are read (see [`Packet::elements`]).
+    pub(crate) fn elements<'p, E: WireElem>(
+        &self,
+        src: usize,
+        pkt: &'p Packet,
+    ) -> Result<impl ExactSizeIterator<Item = E> + 'p, CommError> {
+        pkt.elements().ok_or_else(|| self.corrupt(src))
+    }
+
+    /// Decodes the `Vec<E>` packet `pkt` from `src` into `buf`, which must
+    /// hold exactly as many elements ([`CommError::CountMismatch`] naming
+    /// `what` otherwise).
+    pub(crate) fn decode_into<E: WireElem>(
+        &self,
+        src: usize,
+        pkt: &Packet,
+        buf: &mut [E],
+        what: &'static str,
+    ) -> Result<(), CommError> {
+        let elems = self.elements(src, pkt)?;
+        if elems.len() != buf.len() {
+            return Err(CommError::CountMismatch {
+                what,
+                expected: buf.len(),
+                got: elems.len(),
+            });
+        }
+        for (d, v) in buf.iter_mut().zip(elems) {
+            *d = v;
+        }
+        Ok(())
+    }
+
+    /// Receives a `T` from `(src, tag)`, blocking. Panics on any receive
+    /// error, with its diagnostic.
     pub fn recv<T: Wire>(&self, src: usize, tag: Tag) -> T {
         self.try_recv(src, tag).unwrap_or_else(|e| {
-            // Deadlock/death diagnostics must fail loudly on the infallible
-            // path (see `Fabric::recv`).
+            // Deliberate deadlock detector: real MPI would hang forever
+            // here; failing loudly is the feature.
             // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
             panic!("{e}")
         })
@@ -253,15 +237,12 @@ impl Communicator {
     /// Fallible [`Communicator::recv`]: returns [`CommError::Timeout`] (with
     /// the mailbox's pending `(src, tag)` keys) instead of wedging until the
     /// deadlock detector panics, [`CommError::RankFailed`] when the job was
-    /// poisoned by a dead rank, and [`CommError::Corrupt`] when a
-    /// transport-delivered payload failed its frame checksum or cannot be
-    /// decoded as `T`. A payload-type mismatch on the in-process path still
-    /// panics — that is a bug in the matched send, not a runtime condition.
+    /// poisoned by a dead rank, and [`CommError::Corrupt`] when the payload
+    /// failed its frame checksum, was sent as another type, or cannot be
+    /// decoded as `T` — on every transport alike.
     pub fn try_recv<T: Wire>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
-        match self.recv_payload::<T>(src, tag)? {
-            Payload::Local(v) => Ok(v),
-            Payload::Remote(pkt) => pkt.unpack::<T>().ok_or_else(|| self.corrupt(src)),
-        }
+        let pkt = self.recv_packet(src, tag)?;
+        self.decode(src, &pkt)
     }
 
     /// Receives a `Vec<E>` from `(src, tag)` into `buf` (lengths must
@@ -277,35 +258,16 @@ impl Communicator {
 
     /// Fallible [`Communicator::recv_into`]: a length mismatch (which an
     /// injected corruption cannot cause, but a protocol bug can) comes back
-    /// as [`CommError::CountMismatch`] instead of a panic. A remote payload
-    /// is decoded straight into `buf`.
+    /// as [`CommError::CountMismatch`] instead of a panic. The payload is
+    /// decoded straight into `buf`.
     pub fn try_recv_into<E: WireElem>(
         &self,
         src: usize,
         tag: Tag,
         buf: &mut [E],
     ) -> Result<(), CommError> {
-        let expected = buf.len();
-        let mismatch = |got: usize| CommError::CountMismatch {
-            what: "recv_into",
-            expected,
-            got,
-        };
-        let pkt = match self.recv_payload::<Vec<E>>(src, tag)? {
-            Payload::Local(v) if v.len() == expected => {
-                buf.copy_from_slice(&v);
-                return Ok(());
-            }
-            Payload::Local(v) => return Err(mismatch(v.len())),
-            Payload::Remote(pkt) => pkt,
-        };
-        let run = pkt.elem_bytes::<E>().ok_or_else(|| self.corrupt(src))?;
-        let got = run.len() / E::WIRE_BYTES;
-        if got != expected {
-            return Err(mismatch(got));
-        }
-        read_elems(run, buf);
-        Ok(())
+        let pkt = self.recv_packet(src, tag)?;
+        self.decode_into(src, &pkt, buf, "recv_into")
     }
 
     /// Simultaneous exchange: sends `send` to `dst` and receives the
@@ -313,12 +275,7 @@ impl Communicator {
     /// because sends never block.
     pub fn sendrecv<E: WireElem>(&self, dst: usize, src: usize, tag: Tag, send: &[E]) -> Vec<E> {
         self.send_slice(dst, tag, send);
-        E::vec_recv(self, src, tag).unwrap_or_else(|e| {
-            // Same rationale as `recv`: diagnostics must fail loudly on the
-            // infallible path.
-            // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
-            panic!("{e}")
-        })
+        self.recv(src, tag)
     }
 
     /// Traffic statistics for this rank on this communicator.
@@ -436,16 +393,8 @@ impl Communicator {
             streams.push(mine);
             for src in 1..n {
                 let from = self.world_of(src);
-                let any = self.fabric.ctrl_recv(me, from, tag)?;
-                let words = any
-                    .downcast::<Packet>()
-                    .ok()
-                    .and_then(|p| p.unpack::<Vec<u64>>())
-                    .ok_or(CommError::Corrupt {
-                        root: src,
-                        rank: self.rank,
-                        attempts: 1,
-                    })?;
+                let pkt = self.fabric.ctrl_recv(me, from, tag)?;
+                let words = self.decode(src, &pkt)?;
                 streams.push(words);
             }
             Ok(Some(streams))
@@ -624,12 +573,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn recv_type_mismatch_panics() {
-        // Single-rank "self-send" keeps the panic on the main thread.
-        Universe::run(1, |comm| {
-            comm.send(0, Tag::user(0), 42u32);
-            let _: Vec<f64> = comm.recv(0, Tag::user(0));
+    fn mismatched_receive_is_corrupt_on_every_transport() {
+        // In process: a self-send on one rank.
+        let got =
+            Universe::run_with_transport(1, TransportSel::Inproc, FabricOpts::default(), |c| {
+                c.send(0, Tag::user(0), 42u32);
+                c.try_recv::<Vec<f64>>(0, Tag::user(0))
+            });
+        let want = CommError::Corrupt {
+            root: 0,
+            rank: 0,
+            attempts: 1,
+        };
+        assert_eq!(got, vec![Err(want)]);
+        // Across processes: rank 0's `u32` reaches rank 1 over TCP.
+        let got = Universe::run_with_transport(2, TransportSel::Tcp, FabricOpts::default(), |c| {
+            if c.rank() == 0 {
+                c.send(1, Tag::user(0), 42u32);
+                None
+            } else {
+                Some(c.try_recv::<Vec<f64>>(0, Tag::user(0)))
+            }
         });
+        let want = CommError::Corrupt {
+            root: 0,
+            rank: 1,
+            attempts: 1,
+        };
+        assert_eq!(got, vec![None, Some(Err(want))]);
     }
 }

@@ -1,8 +1,9 @@
 //! The message fabric: per-rank mailboxes with MPI-style `(source, tag)`
 //! matching.
 //!
-//! Sends are asynchronous (the payload is moved into the destination's
-//! mailbox and the sender continues immediately — "eager protocol");
+//! Sends are asynchronous (the encoded [`Packet`] is moved into the
+//! destination's mailbox, or framed to its process, and the sender
+//! continues immediately — "eager protocol");
 //! receives block until a matching message arrives. Message order between a
 //! fixed `(source, tag)` pair is FIFO, which is what MPI guarantees per
 //! (source, tag, communicator) and what the collective algorithms rely on.
@@ -22,7 +23,6 @@
 //!   fabric — fails promptly with [`CommError::RankFailed`] instead of
 //!   wedging until the deadlock detector fires.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use crate::error::CommError;
 use crate::spsc::LockfreeMailbox;
 use crate::transport::frame::{Frame, FrameKind};
-use crate::transport::wire::{Packet, VEC_F32_WIRE_ID, VEC_F64_WIRE_ID};
+use crate::transport::wire::{Packet, WireElem};
 use crate::transport::{FrameSink, LinkStat, Transport};
 
 /// Message tag. User tags live below [`Tag::RESERVED_BASE`]; the collective
@@ -89,8 +89,6 @@ impl std::fmt::Display for Tag {
         write!(f, "tag={} ctx={}", self.base(), self.ctx())
     }
 }
-
-type Boxed = Box<dyn Any + Send>;
 
 /// SPSC ring capacity per `(src, dst)` pair; deep enough that the
 /// collectives and look-ahead panel traffic never spill in practice,
@@ -302,7 +300,7 @@ pub struct Fabric {
     /// later on the same fabric never reuse a context.
     split_seq: Vec<AtomicU64>,
     /// Remote endpoint state when this fabric is one rank of a
-    /// transport-backed universe (`None` for the in-process oracle).
+    /// transport-backed universe (`None` for the in-process fabric).
     remote: Option<RemoteCtx>,
 }
 
@@ -338,7 +336,7 @@ impl FrameSink for FabricSink {
             bytes: frame.payload,
             corrupt: !sum_ok,
         };
-        f.boxes[r.my_rank].deposit(src, Tag(frame.tag), Box::new(pkt));
+        f.boxes[r.my_rank].deposit(src, Tag(frame.tag), pkt);
     }
 
     fn peer_death(&self, _from: usize, dead: usize, phase: &str) {
@@ -557,7 +555,7 @@ impl Fabric {
             .unwrap_or_else(|| site.to_string())
     }
 
-    /// Deposits a message for `dst` (or frames it to a remote peer),
+    /// Deposits the packet `msg` for `dst` (or frames it to a remote peer),
     /// applying any matched send-site fault and counting it in `ledger`,
     /// the sending communicator's stats. The only errors are deaths: the
     /// sending rank's own injected one (after poisoning the job), or a
@@ -568,7 +566,7 @@ impl Fabric {
         src: usize,
         dst: usize,
         tag: Tag,
-        msg: Boxed,
+        mut msg: Packet,
         elems: u64,
     ) -> Result<(), CommError> {
         assert!(
@@ -576,7 +574,6 @@ impl Fabric {
             "send to rank {dst} of {}",
             self.boxes.len()
         );
-        let mut msg = msg;
         match hpl_faults::on_send(&self.faults) {
             hpl_faults::SendAction::Deliver => {}
             hpl_faults::SendAction::Delay { micros } => {
@@ -591,26 +588,11 @@ impl Fabric {
                 let _sp = hpl_trace::span(hpl_trace::Phase::Fault);
                 std::thread::sleep(backoff(src as u64, 0));
             }
-            hpl_faults::SendAction::Corrupt { bit } => {
-                if let Some(v) = msg.downcast_mut::<Vec<f64>>() {
-                    if !v.is_empty() {
-                        let i = v.len() / 2;
-                        v[i] = f64::from_bits(v[i].to_bits() ^ (1u64 << (bit % 64)));
-                    }
-                } else if let Some(v) = msg.downcast_mut::<Vec<f32>>() {
-                    if !v.is_empty() {
-                        let i = v.len() / 2;
-                        v[i] = f32::from_bits(v[i].to_bits() ^ (1u32 << (bit % 32)));
-                    }
-                } else if let Some(p) = msg.downcast_mut::<Packet>() {
-                    // Remote payloads are already encoded when the hook
-                    // fires; flip the same bit of the same element the
-                    // in-process arm flips, *before* the frame checksum is
-                    // computed — injected corruption travels with a valid
-                    // frame and is caught by ABFT, exactly like in-process.
-                    corrupt_packet(p, bit);
-                }
-            }
+            // The payload is already encoded when the hook fires, so the
+            // flip lands *before* a frame checksum is computed: injected
+            // corruption travels with a valid frame and is caught by ABFT,
+            // on every transport alike.
+            hpl_faults::SendAction::Corrupt { bit } => corrupt_packet(&mut msg, bit),
             hpl_faults::SendAction::Death => {
                 let rank = hpl_faults::world_rank().unwrap_or(src);
                 let phase = Self::here("send");
@@ -626,24 +608,7 @@ impl Fabric {
         // bytes — negligible against panel traffic, kept for determinism.
         hpl_trace::add_bytes(elems * 8);
         match &self.remote {
-            Some(r) if dst != r.my_rank => {
-                let pkt = match msg.downcast::<Packet>() {
-                    Ok(p) => p,
-                    // Remote sends are always pre-encoded by the
-                    // communicator layer; anything else is a wiring bug.
-                    // xtask-allow: no-panic, error-taxonomy — internal contract violation
-                    Err(_) => panic!("remote send of a non-wire payload (tag {tag:?})"),
-                };
-                let frame = Frame {
-                    kind: FrameKind::Data,
-                    src: src as u32,
-                    dst: dst as u32,
-                    tag: tag.0,
-                    wire_id: pkt.wire_id,
-                    payload: pkt.bytes,
-                };
-                self.transport_send(r, dst, &frame)
-            }
+            Some(r) if dst != r.my_rank => self.transport_send(r, src, dst, tag, msg),
             _ => {
                 self.boxes[dst].deposit(src, tag, msg);
                 Ok(())
@@ -651,17 +616,32 @@ impl Fabric {
         }
     }
 
-    /// Pushes one frame through the attached transport; a failed link means
-    /// the destination process is gone, which poisons the job with that
-    /// rank's identity (first recorded death still wins).
-    fn transport_send(&self, r: &RemoteCtx, dst: usize, frame: &Frame) -> Result<(), CommError> {
+    /// Frames `pkt` and pushes it through the attached transport; a failed
+    /// link means the destination process is gone, which poisons the job
+    /// with that rank's identity (first recorded death still wins).
+    fn transport_send(
+        &self,
+        r: &RemoteCtx,
+        src: usize,
+        dst: usize,
+        tag: Tag,
+        pkt: Packet,
+    ) -> Result<(), CommError> {
         let Some(t) = r.transport.get() else {
             return Err(CommError::RankFailed {
                 rank: dst,
                 phase: "transport-unwired".to_string(),
             });
         };
-        match t.send(dst, frame) {
+        let frame = Frame {
+            kind: FrameKind::Data,
+            src: src as u32,
+            dst: dst as u32,
+            tag: tag.0,
+            wire_id: pkt.wire_id,
+            payload: pkt.bytes,
+        };
+        match t.send(dst, &frame) {
             Ok(()) => Ok(()),
             Err(_) => {
                 self.poison_observed(dst, "link-lost");
@@ -689,19 +669,9 @@ impl Fabric {
             self.boxes.len()
         );
         match &self.remote {
-            Some(r) if dst != r.my_rank => {
-                let frame = Frame {
-                    kind: FrameKind::Data,
-                    src: src as u32,
-                    dst: dst as u32,
-                    tag: tag.0,
-                    wire_id: pkt.wire_id,
-                    payload: pkt.bytes,
-                };
-                self.transport_send(r, dst, &frame)
-            }
+            Some(r) if dst != r.my_rank => self.transport_send(r, src, dst, tag, pkt),
             _ => {
-                self.boxes[dst].deposit(src, tag, Box::new(pkt));
+                self.boxes[dst].deposit(src, tag, pkt);
                 Ok(())
             }
         }
@@ -709,7 +679,7 @@ impl Fabric {
 
     /// Control-plane receive: the blocking wait without the recv-site fault
     /// hooks (see [`Fabric::ctrl_send`]).
-    pub(crate) fn ctrl_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
+    pub(crate) fn ctrl_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Packet, CommError> {
         assert!(
             src < self.boxes.len(),
             "ctrl recv from rank {src} of {}",
@@ -727,7 +697,7 @@ impl Fabric {
     /// ([`recv_timeout`]: default 120 s, `--comm-timeout` to override).
     /// Each timed-out poll round is counted in [`RecoveryCounters`]. A
     /// matched recv-site fault may stall first or kill the receiving rank.
-    pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
+    pub fn try_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Packet, CommError> {
         assert!(
             src < self.boxes.len(),
             "recv from rank {src} of {}",
@@ -756,7 +726,7 @@ impl Fabric {
     /// mismatched schedule; we turn that into a diagnosable failure after a
     /// (generous, overridable) timeout so broken collective orderings fail
     /// loudly in tests instead of wedging the whole run.
-    fn wait_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Boxed, CommError> {
+    fn wait_recv(&self, dst: usize, src: usize, tag: Tag) -> Result<Packet, CommError> {
         let mbox = &self.boxes[dst];
         if let Some(m) = mbox.spin_take(src, tag) {
             return Ok(m);
@@ -804,18 +774,6 @@ impl Fabric {
         }
     }
 
-    /// Infallible [`Fabric::try_recv`] for call sites outside the fallible
-    /// pipeline. Keeps the historical deadlock-detector behaviour: a timeout
-    /// (or poisoned job) panics with the full diagnostic.
-    pub fn recv(&self, dst: usize, src: usize, tag: Tag) -> Boxed {
-        self.try_recv(dst, src, tag).unwrap_or_else(|e| {
-            // Deliberate deadlock detector: real MPI would hang forever
-            // here; failing loudly is the feature.
-            // xtask-allow: no-panic, error-taxonomy — deadlock diagnostics
-            panic!("{e}")
-        })
-    }
-
     /// True if no undelivered messages remain anywhere (used by tests to
     /// assert collectives are self-contained).
     pub fn quiescent(&self) -> bool {
@@ -823,16 +781,18 @@ impl Fabric {
     }
 }
 
-/// The encoded-payload twin of the in-process bulk-vector corruption arms:
-/// flips bit `bit % word_bits` of element `len / 2`. A bulk wire payload
-/// is an 8-byte length prefix followed by little-endian bit patterns
-/// (8 bytes per element for `Vec<f64>`, 4 for `Vec<f32>`), so the
-/// element's word starts at byte `8 + (len / 2) * word`.
+/// The bit-flip fault: flips bit `bit % word_bits` of element `len / 2`
+/// of a bulk vector payload, and leaves every other payload alone. A bulk
+/// payload is an 8-byte length prefix followed by little-endian bit
+/// patterns (8 bytes per element for `Vec<f64>`, 4 for `Vec<f32>`), so
+/// the element's word starts at byte `8 + (len / 2) * word`.
 fn corrupt_packet(p: &mut Packet, bit: u32) {
-    let word = match p.wire_id {
-        VEC_F64_WIRE_ID => 8,
-        VEC_F32_WIRE_ID => 4,
-        _ => return,
+    let word = if p.wire_id == f64::VEC_WIRE_ID {
+        8
+    } else if p.wire_id == f32::VEC_WIRE_ID {
+        4
+    } else {
+        return;
     };
     if p.bytes.len() < 8 + word {
         return;
@@ -854,6 +814,7 @@ fn corrupt_packet(p: &mut Packet, bit: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::wire::Wire;
     use std::thread;
 
     fn fabric(size: usize) -> Arc<Fabric> {
@@ -861,9 +822,15 @@ mod tests {
     }
 
     /// Sends `msg` from `src` to `dst`, counted in a throwaway ledger.
-    fn put<T: Any + Send>(f: &Fabric, src: usize, dst: usize, tag: Tag, msg: T) {
-        f.try_send_counted(&CommStats::default(), src, dst, tag, Box::new(msg), 1)
+    fn put<T: Wire>(f: &Fabric, src: usize, dst: usize, tag: Tag, msg: T) {
+        f.try_send_counted(&CommStats::default(), src, dst, tag, Packet::pack(&msg), 1)
             .unwrap();
+    }
+
+    /// Receives `dst`'s message from `(src, tag)`, decoded as a `T`.
+    fn take<T: Wire>(f: &Fabric, dst: usize, src: usize, tag: Tag) -> T {
+        let pkt = f.try_recv(dst, src, tag).unwrap();
+        pkt.unpack().expect("payload type")
     }
 
     #[test]
@@ -871,26 +838,26 @@ mod tests {
         let f = fabric(2);
         put(&f, 0, 1, Tag::user(7), 1u32);
         put(&f, 0, 1, Tag::user(7), 2u32);
-        let a = *f.recv(1, 0, Tag::user(7)).downcast::<u32>().unwrap();
-        let b = *f.recv(1, 0, Tag::user(7)).downcast::<u32>().unwrap();
+        let a: u32 = take(&f, 1, 0, Tag::user(7));
+        let b: u32 = take(&f, 1, 0, Tag::user(7));
         assert_eq!((a, b), (1, 2));
     }
 
     #[test]
     fn tags_do_not_cross_match() {
         let f = fabric(2);
-        put(&f, 0, 1, Tag::user(1), "one");
-        put(&f, 0, 1, Tag::user(2), "two");
-        let t2 = *f.recv(1, 0, Tag::user(2)).downcast::<&str>().unwrap();
-        let t1 = *f.recv(1, 0, Tag::user(1)).downcast::<&str>().unwrap();
-        assert_eq!((t1, t2), ("one", "two"));
+        put(&f, 0, 1, Tag::user(1), 1u32);
+        put(&f, 0, 1, Tag::user(2), 2u32);
+        let t2: u32 = take(&f, 1, 0, Tag::user(2));
+        let t1: u32 = take(&f, 1, 0, Tag::user(1));
+        assert_eq!((t1, t2), (1, 2));
     }
 
     #[test]
     fn recv_blocks_until_send() {
         let f = fabric(2);
         let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || *f2.recv(1, 0, Tag::user(3)).downcast::<u64>().unwrap());
+        let h = thread::spawn(move || take::<u64>(&f2, 1, 0, Tag::user(3)));
         thread::sleep(std::time::Duration::from_millis(20));
         put(&f, 0, 1, Tag::user(3), 99u64);
         assert_eq!(h.join().unwrap(), 99);
@@ -925,8 +892,9 @@ mod tests {
     fn recv_timeout_panics_with_diagnostic() {
         let f = one_second_fabric(2, None);
         put(&f, 1, 1, Tag::user(11), 5u8); // unrelated pending msg
+        let comm = crate::comm::Communicator::new(Arc::clone(&f), 1);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = f.recv(1, 0, Tag::user(9));
+            let _: u8 = comm.recv(0, Tag::user(9));
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -976,11 +944,7 @@ mod tests {
         put(&f, 0, 1, Tag::user(1), 7u32);
         f.poison(0, "update");
         // The delivered-before-death message wins; the next recv fails.
-        let v = *f
-            .try_recv(1, 0, Tag::user(1))
-            .unwrap()
-            .downcast::<u32>()
-            .unwrap();
+        let v: u32 = take(&f, 1, 0, Tag::user(1));
         assert_eq!(v, 7);
         assert!(f.try_recv(1, 0, Tag::user(1)).is_err());
     }
@@ -1043,10 +1007,10 @@ mod tests {
     fn stats_count_sends() {
         let f = fabric(2);
         let ledger = CommStats::default();
-        f.try_send_counted(&ledger, 0, 1, Tag::user(0), Box::new(0u8), 128)
+        f.try_send_counted(&ledger, 0, 1, Tag::user(0), Packet::pack(&0u8), 128)
             .unwrap();
         assert_eq!(ledger.snapshot(), (1, 128));
-        let _ = f.recv(1, 0, Tag::user(0));
+        let _: u8 = take(&f, 1, 0, Tag::user(0));
         assert!(f.quiescent());
     }
 
@@ -1056,10 +1020,7 @@ mod tests {
         put(&f, 0, 1, Tag::user(4), 41u32);
         put(&f, 0, 1, Tag::user(4), 42u32);
         for want in [41u32, 42] {
-            let got = *f
-                .recv(1, 0, Tag::user(4))
-                .downcast::<u32>()
-                .expect("payload type");
+            let got: u32 = take(&f, 1, 0, Tag::user(4));
             assert_eq!(got, want, "FIFO broken");
         }
         assert!(f.quiescent(), "undelivered messages left behind");
@@ -1074,10 +1035,7 @@ mod tests {
             put(&f, 0, 1, Tag::user(7), i);
         }
         for want in 0..64u32 {
-            let got = *f
-                .recv(1, 0, Tag::user(7))
-                .downcast::<u32>()
-                .expect("payload type");
+            let got: u32 = take(&f, 1, 0, Tag::user(7));
             assert_eq!(got, want);
         }
         assert!(f.quiescent());
@@ -1094,10 +1052,7 @@ mod tests {
         // Receive in an order that forces stash traffic: highest src first.
         for src in [2usize, 1, 0] {
             for want in 0..8u32 {
-                let got = *f
-                    .recv(3, src, Tag::user(src as u64))
-                    .downcast::<u32>()
-                    .expect("payload type");
+                let got: u32 = take(&f, 3, src, Tag::user(src as u64));
                 assert_eq!(got, want, "per-(src, tag) FIFO broken for src {src}");
             }
         }
@@ -1134,10 +1089,7 @@ mod tests {
         let f = fabric(2);
         put(&f, 0, 1, Tag::user(2), 9u32);
         f.poison(0, "fact");
-        let v = *f
-            .recv(1, 0, Tag::user(2))
-            .downcast::<u32>()
-            .expect("payload type");
+        let v: u32 = take(&f, 1, 0, Tag::user(2));
         assert_eq!(v, 9, "delivered-before-death message must beat the poison");
         let e = f.try_recv(1, 0, Tag::user(2)).unwrap_err();
         assert!(matches!(e, CommError::RankFailed { rank: 0, .. }));

@@ -8,7 +8,10 @@
 //! algorithms over point-to-point messages* — binomial trees, rings, and
 //! scatter+allgather — rather than shared-memory shortcuts, so the
 //! communication structure (who talks to whom, in what order, with what
-//! volume) is exactly what an MPI-based HPL would produce.
+//! volume) is exactly what an MPI-based HPL would produce. As with MPI,
+//! every message is bytes: a send encodes its payload into a
+//! [`transport::wire::Packet`], whichever transport carries it, and the
+//! receive decodes it.
 //!
 //! Quick map:
 //! * [`Universe::run`] — `mpirun -np N` analogue (one thread per rank).
@@ -55,8 +58,8 @@ pub mod universe;
 
 pub use abft::panel_bcast_checked;
 pub use coll::{
-    allgatherv, allgatherv_rd, allreduce, allreduce_maxloc, allreduce_with, bcast, bcast_vec,
-    gatherv, reduce, scatterv, MaxLoc, Op,
+    allgatherv, allgatherv_rd, allreduce, allreduce_maxloc, allreduce_with, bcast, gatherv, reduce,
+    scatterv, MaxLoc, Op,
 };
 pub use comm::Communicator;
 pub use config::ConfigError;

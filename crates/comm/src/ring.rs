@@ -234,8 +234,8 @@ fn scatter_allgather<E: WireElem>(
             }
         }
     } else if count(gid) > 0 {
-        let v: Vec<E> = E::vec_recv(comm, to_actual(0), Tag::RING)?;
-        buf[offset(gid)..offset(gid) + count(gid)].copy_from_slice(&v);
+        let mine = &mut buf[offset(gid)..offset(gid) + count(gid)];
+        comm.try_recv_into(to_actual(0), Tag::RING, mine)?;
     }
     // Ring allgather over the group.
     let right = to_actual((gid + 1) % gsize);
@@ -246,15 +246,8 @@ fn scatter_allgather<E: WireElem>(
         comm.try_send_slice(right, Tag::RING, &buf[o..o + c])?;
         let rb = (block + gsize - 1) % gsize;
         let (ro, rc) = (offset(rb), count(rb));
-        let v: Vec<E> = E::vec_recv(comm, left, Tag::RING)?;
-        if v.len() != rc {
-            return Err(CommError::CountMismatch {
-                what: "long bcast chunk",
-                expected: rc,
-                got: v.len(),
-            });
-        }
-        buf[ro..ro + rc].copy_from_slice(&v);
+        let pkt = comm.recv_packet(left, Tag::RING)?;
+        comm.decode_into(left, &pkt, &mut buf[ro..ro + rc], "long bcast chunk")?;
         block = rb;
     }
     Ok(())

@@ -34,8 +34,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fabric::Tag;
-
-type Boxed = Box<dyn std::any::Any + Send>;
+use crate::transport::wire::Packet;
 
 /// A bounded single-producer/single-consumer ring (Lamport queue).
 ///
@@ -184,7 +183,7 @@ struct SpillLane {
     /// consumer under `queue`'s lock once the lane is drained. While up,
     /// every send takes the lane (keeping FIFO against queued spills).
     spilled: AtomicBool,
-    queue: Mutex<VecDeque<(Tag, Boxed)>>,
+    queue: Mutex<VecDeque<(Tag, Packet)>>,
 }
 
 impl SpillLane {
@@ -213,9 +212,9 @@ const SPIN_HINT_ROUNDS: u32 = 16;
 /// mutex is uncontended; the `stashed` counter lets the fast path skip it
 /// entirely.
 pub(crate) struct LockfreeMailbox {
-    rings: Vec<SpscRing<(Tag, Boxed)>>,
+    rings: Vec<SpscRing<(Tag, Packet)>>,
     spill: Vec<SpillLane>,
-    stash: Mutex<HashMap<(usize, Tag), VecDeque<Boxed>>>,
+    stash: Mutex<HashMap<(usize, Tag), VecDeque<Packet>>>,
     stashed: AtomicUsize,
     /// True while the consumer is (about to be) blocked on `arrived`.
     parked: AtomicBool,
@@ -238,7 +237,7 @@ impl LockfreeMailbox {
 
     /// Producer side (rank `src`'s thread only): never blocks, never
     /// drops — a full ring diverts to the spill lane.
-    pub(crate) fn deposit(&self, src: usize, tag: Tag, msg: Boxed) {
+    pub(crate) fn deposit(&self, src: usize, tag: Tag, msg: Packet) {
         let lane = &self.spill[src];
         let bounced = if lane.spilled.load(Ordering::Acquire) {
             Some((tag, msg))
@@ -281,7 +280,7 @@ impl LockfreeMailbox {
         self.wake();
     }
 
-    fn stash_push(&self, src: usize, tag: Tag, msg: Boxed) {
+    fn stash_push(&self, src: usize, tag: Tag, msg: Packet) {
         self.stash
             .lock()
             .entry((src, tag))
@@ -290,7 +289,7 @@ impl LockfreeMailbox {
         self.stashed.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn stash_pop(&self, src: usize, tag: Tag) -> Option<Boxed> {
+    fn stash_pop(&self, src: usize, tag: Tag) -> Option<Packet> {
         if self.stashed.load(Ordering::Relaxed) == 0 {
             return None;
         }
@@ -322,7 +321,7 @@ impl LockfreeMailbox {
     /// Non-blocking matched take (consumer only): stash first (older
     /// messages), then the source's ring — mismatches are stashed as they
     /// are passed over — then the spill lane.
-    pub(crate) fn try_take(&self, src: usize, tag: Tag) -> Option<Boxed> {
+    pub(crate) fn try_take(&self, src: usize, tag: Tag) -> Option<Packet> {
         if let Some(m) = self.stash_pop(src, tag) {
             return Some(m);
         }
@@ -354,7 +353,7 @@ impl LockfreeMailbox {
     }
 
     /// Bounded busy-wait for a match before parking (consumer only).
-    pub(crate) fn spin_take(&self, src: usize, tag: Tag) -> Option<Boxed> {
+    pub(crate) fn spin_take(&self, src: usize, tag: Tag) -> Option<Packet> {
         for round in 0..SPIN_ROUNDS {
             if let Some(m) = self.try_take(src, tag) {
                 return Some(m);
@@ -501,19 +500,24 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    fn pkt(v: u32) -> Packet {
+        Packet::pack(&v)
+    }
+
+    fn take(mb: &LockfreeMailbox, src: usize, tag: Tag) -> Option<u32> {
+        mb.try_take(src, tag)
+            .map(|p| p.unpack().expect("payload type"))
+    }
+
     #[test]
     fn mailbox_spills_on_full_ring_and_keeps_fifo() {
         let mb = LockfreeMailbox::new(1, 2);
         let t = Tag::user(1);
         for i in 0..10u32 {
-            mb.deposit(0, t, Box::new(i));
+            mb.deposit(0, t, pkt(i));
         }
         for want in 0..10u32 {
-            let got = *mb
-                .try_take(0, t)
-                .expect("all ten must be delivered")
-                .downcast::<u32>()
-                .expect("payload type");
+            let got = take(&mb, 0, t).expect("all ten must be delivered");
             assert_eq!(got, want, "ring→spill handoff must stay FIFO");
         }
         assert!(mb.try_take(0, t).is_none());
@@ -524,23 +528,23 @@ mod tests {
     fn mailbox_tag_mismatch_goes_to_stash_in_order() {
         let mb = LockfreeMailbox::new(1, 8);
         let (a, b) = (Tag::user(1), Tag::user(2));
-        mb.deposit(0, a, Box::new(1u32));
-        mb.deposit(0, b, Box::new(10u32));
-        mb.deposit(0, a, Box::new(2u32));
+        mb.deposit(0, a, pkt(1));
+        mb.deposit(0, b, pkt(10));
+        mb.deposit(0, a, pkt(2));
         // Taking tag b first stashes the older a-message…
-        assert_eq!(*mb.try_take(0, b).unwrap().downcast::<u32>().unwrap(), 10);
+        assert_eq!(take(&mb, 0, b), Some(10));
         // …which must still come out before the newer a-message.
-        assert_eq!(*mb.try_take(0, a).unwrap().downcast::<u32>().unwrap(), 1);
-        assert_eq!(*mb.try_take(0, a).unwrap().downcast::<u32>().unwrap(), 2);
+        assert_eq!(take(&mb, 0, a), Some(1));
+        assert_eq!(take(&mb, 0, a), Some(2));
         assert!(mb.is_empty());
     }
 
     #[test]
     fn mailbox_pending_keys_sees_ring_spill_and_stash() {
         let mb = LockfreeMailbox::new(2, 1);
-        mb.deposit(0, Tag::user(3), Box::new(0u8));
-        mb.deposit(0, Tag::user(4), Box::new(0u8)); // spills (cap 1)
-        mb.deposit(1, Tag::user(5), Box::new(0u8));
+        mb.deposit(0, Tag::user(3), pkt(0));
+        mb.deposit(0, Tag::user(4), pkt(0)); // spills (cap 1)
+        mb.deposit(1, Tag::user(5), pkt(0));
         assert_eq!(
             mb.pending_keys(),
             vec![(0, Tag::user(3)), (0, Tag::user(4)), (1, Tag::user(5))]
@@ -552,7 +556,7 @@ mod tests {
         let mb = LockfreeMailbox::new(1, 2);
         let step = std::time::Duration::from_millis(10);
         assert!(mb.park(step, || false), "empty mailbox: park times out");
-        mb.deposit(0, Tag::user(1), Box::new(0u8));
+        mb.deposit(0, Tag::user(1), pkt(0));
         assert!(!mb.park(step, || false), "pending arrival: no wait");
         let _ = mb.try_take(0, Tag::user(1));
         assert!(!mb.park(step, || true), "should_wake (poison): no wait");

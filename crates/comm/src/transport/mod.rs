@@ -1,8 +1,9 @@
 //! The transport fabric: how frames move between ranks that do not share
 //! an address space.
 //!
-//! The in-process mailbox path (threads, `Box<dyn Any>` hand-off) stays the
-//! determinism oracle; this module adds a [`Transport`] seam at the
+//! Every message is an encoded [`wire::Packet`] whichever way it travels;
+//! in process the fabric moves it into the destination's mailbox, and this
+//! module adds a [`Transport`] seam at the
 //! `Fabric::try_send_counted`/`try_recv` choke point with two remote backends:
 //!
 //! * [`tcp`] — length-prefixed frames over loopback/LAN TCP sockets, one
@@ -32,7 +33,7 @@ use frame::Frame;
 /// Which transport a universe (or `rhpl launch`) uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TransportSel {
-    /// Threads in one process sharing mailboxes directly (the oracle).
+    /// Threads in one process sharing mailboxes directly.
     #[default]
     Inproc,
     /// Append-only shared-memory frame logs (co-located processes).

@@ -1,13 +1,10 @@
-//! Payload serialization for remote transports.
-//!
-//! In-process ranks move payloads as `Box<dyn Any + Send>` — zero-copy,
-//! type-checked at the receive. Across a process boundary the payload must
-//! be bytes, so every type the communicator carries implements [`Wire`]:
-//! a stable little-endian encoding plus a `WIRE_ID` schema tag carried in
-//! the frame header. Decoding is *lazy*: the receiver thread deposits a
-//! [`Packet`] into the ordinary mailbox, and the typed receive decodes it
-//! on match — so the mailbox protocol (FIFO per `(src, tag)`, poison
-//! precedence, spill lane) is identical across transports.
+//! The one message form. Every payload, in process and across processes,
+//! travels as a [`Packet`]: a schema id and the bytes of a stable
+//! little-endian encoding. Every type the communicator carries implements
+//! [`Wire`]; a send encodes before the fabric's choke point, the mailbox
+//! moves the packet by value (or a transport frames it), and a receive
+//! decodes it after checking the schema id — so fault injection, stats and
+//! traced bytes see the same send on every transport.
 //!
 //! A decode failure (schema mismatch or damaged bytes) surfaces as
 //! [`crate::error::CommError::Corrupt`] at the receive — never a hang, and
@@ -16,14 +13,14 @@
 //! Bulk payloads (element vectors, the `(origin, chunk)` lists, and any
 //! outside payload built on [`put_elems`] / [`take_elems`]) size their
 //! buffer once and move their elements in one pass each way; a decoder
-//! checks a run's count against the bytes present before allocating.
+//! checks a run's count against the bytes present before allocating, and
+//! [`Packet::elements`] decodes a vector straight into wherever its reader
+//! puts it.
+
+use std::mem::MaybeUninit;
 
 use hpl_blas::Element;
 use hpl_ckpt::words::{le_word, put_words};
-
-use crate::comm::Communicator;
-use crate::error::CommError;
-use crate::fabric::Tag;
 
 /// A type that can cross a process boundary.
 ///
@@ -44,9 +41,9 @@ pub trait Wire: Send + 'static {
         Self: Sized;
 }
 
-/// An encoded payload in flight: what the communicator boxes for a remote
-/// send, and what a transport receiver deposits into the mailbox.
-#[derive(Debug)]
+/// A message: what a send encodes, what the mailbox holds and a transport
+/// frames, and what a receive decodes.
+#[derive(Clone, Debug)]
 pub struct Packet {
     /// Schema id of the encoded value.
     pub wire_id: u32,
@@ -58,35 +55,24 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Encodes an element slice as the `Vec<E>` payload it would be sent
-    /// as, without first copying it into a `Vec`.
-    pub(crate) fn elems<E: WireElem>(data: &[E]) -> Packet {
-        let mut bytes = Vec::new();
-        put_elems(&mut bytes, data);
-        Packet {
-            wire_id: E::VEC_WIRE_ID,
-            bytes,
-            corrupt: false,
-        }
-    }
-
-    /// The encoded elements of a `Vec<E>` packet (after the count word,
-    /// `WIRE_BYTES` each); `None` on corruption, schema mismatch or
-    /// damaged bytes.
-    pub(crate) fn elem_bytes<E: WireElem>(&self) -> Option<&[u8]> {
-        if self.corrupt || self.wire_id != E::VEC_WIRE_ID {
-            return None;
-        }
-        let (run, rest) = elem_run::<E>(&self.bytes)?;
-        rest.is_empty().then_some(run)
-    }
-
-    /// Encodes `value` into a packet ready to frame.
+    /// Encodes `value` into a packet.
     pub fn pack<T: Wire>(value: &T) -> Packet {
         let mut bytes = Vec::new();
         value.wire_encode(&mut bytes);
         Packet {
             wire_id: T::WIRE_ID,
+            bytes,
+            corrupt: false,
+        }
+    }
+
+    /// Encodes an element slice as the `Vec<E>` payload it would be sent
+    /// as, without first copying it into a `Vec`.
+    pub(crate) fn from_slice<E: WireElem>(data: &[E]) -> Packet {
+        let mut bytes = Vec::new();
+        put_elems(&mut bytes, data);
+        Packet {
+            wire_id: E::VEC_WIRE_ID,
             bytes,
             corrupt: false,
         }
@@ -99,6 +85,17 @@ impl Packet {
             return None;
         }
         T::wire_decode(&self.bytes)
+    }
+
+    /// The elements of a `Vec<E>` packet, decoded as they are read — into
+    /// a slice, onto a vector or into a reduction; `None` on corruption,
+    /// schema mismatch or damaged bytes.
+    pub(crate) fn elements<E: WireElem>(&self) -> Option<impl ExactSizeIterator<Item = E> + '_> {
+        if self.corrupt || self.wire_id != E::VEC_WIRE_ID {
+            return None;
+        }
+        let (run, rest) = elem_run::<E>(&self.bytes)?;
+        rest.is_empty().then(|| decode_run(run))
     }
 }
 
@@ -128,14 +125,17 @@ pub(crate) fn get_u64(bytes: &[u8], at: usize) -> Option<u64> {
 /// element's little-endian bit pattern (`E::WIRE_BYTES` bytes), written in
 /// one pass into `out`, which grows once.
 pub fn put_elems<E: Element>(out: &mut Vec<u8>, src: &[E]) {
-    let w = E::WIRE_BYTES;
-    out.reserve(8 + src.len() * w);
+    let (w, len) = (E::WIRE_BYTES, src.len() * E::WIRE_BYTES);
+    out.reserve(8 + len);
     put_u64(out, src.len() as u64);
     let start = out.len();
-    out.resize(start + src.len() * w, 0);
-    for (dst, &v) in out[start..].chunks_exact_mut(w).zip(src) {
-        dst.copy_from_slice(&v.to_bits_u64().to_le_bytes()[..w]);
+    // Written straight into the reserved capacity: no zero fill first.
+    for (dst, &v) in out.spare_capacity_mut()[..len].chunks_exact_mut(w).zip(src) {
+        dst.copy_from_slice(&v.to_bits_u64().to_le_bytes().map(MaybeUninit::new)[..w]);
     }
+    // SAFETY: the loop initialized all `len` bytes after `start`, which
+    // lie within the capacity reserved above.
+    unsafe { out.set_len(start + len) };
 }
 
 /// Splits the count-prefixed run at the front of `bytes` into its encoded
@@ -147,13 +147,10 @@ fn elem_run<E: Element>(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     (len <= body.len()).then(|| body.split_at(len))
 }
 
-/// Decodes encoded elements (`E::WIRE_BYTES` each) into `dst`, which holds
-/// exactly as many.
-pub(crate) fn read_elems<E: Element>(run: &[u8], dst: &mut [E]) {
-    debug_assert_eq!(run.len(), dst.len() * E::WIRE_BYTES);
-    for (d, c) in dst.iter_mut().zip(run.chunks_exact(E::WIRE_BYTES)) {
-        *d = E::from_bits_u64(le_word(c));
-    }
+/// The elements of an encoded run (`E::WIRE_BYTES` each), in order.
+fn decode_run<E: Element>(run: &[u8]) -> impl ExactSizeIterator<Item = E> + '_ {
+    run.chunks_exact(E::WIRE_BYTES)
+        .map(|c| E::from_bits_u64(le_word(c)))
 }
 
 /// Reads the count-prefixed run [`put_elems`] wrote at the front of
@@ -162,11 +159,7 @@ pub(crate) fn read_elems<E: Element>(run: &[u8], dst: &mut [E]) {
 /// anything is allocated.
 pub fn take_elems<E: Element>(bytes: &[u8]) -> Option<(Vec<E>, &[u8])> {
     let (run, rest) = elem_run::<E>(bytes)?;
-    let v = run
-        .chunks_exact(E::WIRE_BYTES)
-        .map(|c| E::from_bits_u64(le_word(c)))
-        .collect();
-    Some((v, rest))
+    Some((decode_run(run).collect(), rest))
 }
 
 /// The words of a payload that is exactly one count-prefixed run of them.
@@ -237,24 +230,6 @@ impl Wire for f64 {
             return None;
         }
         Some(f64::from_bits(get_u64(bytes, 0)?))
-    }
-}
-
-/// Schema id of `Vec<f64>` — the bulk payload. The injected-corruption
-/// parity logic in the fabric keys off this id to flip the same bit of the
-/// same element an in-process bit-flip fault would.
-pub const VEC_F64_WIRE_ID: u32 = 7;
-
-impl Wire for Vec<f64> {
-    const WIRE_ID: u32 = VEC_F64_WIRE_ID;
-
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_elems(out, self);
-    }
-
-    fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        let (v, rest) = take_elems(bytes)?;
-        rest.is_empty().then_some(v)
     }
 }
 
@@ -354,19 +329,6 @@ fn take_pairs<E: Element>(bytes: &[u8]) -> Option<Vec<(usize, Vec<E>)>> {
     rest.is_empty().then_some(v)
 }
 
-// The recursive-doubling allgather exchanges (origin, chunk) lists.
-impl Wire for Vec<(usize, Vec<f64>)> {
-    const WIRE_ID: u32 = 12;
-
-    fn wire_encode(&self, out: &mut Vec<u8>) {
-        put_pairs(out, self);
-    }
-
-    fn wire_decode(bytes: &[u8]) -> Option<Self> {
-        take_pairs(bytes)
-    }
-}
-
 impl Wire for SplitInfo {
     const WIRE_ID: u32 = 13;
 
@@ -395,13 +357,30 @@ impl Wire for f32 {
     }
 }
 
-/// Schema id of `Vec<f32>` — the bulk payload of an f32 factorization.
-/// The injected-corruption parity logic keys off this id the same way it
-/// does for [`VEC_F64_WIRE_ID`].
-pub const VEC_F32_WIRE_ID: u32 = 16;
+/// A pipeline element precision: it crosses a process boundary as a
+/// scalar (the `Wire` supertrait), as a vector and inside the
+/// recursive-doubling `(origin, chunk)` lists, under the schema ids named
+/// here, so code generic over `E: WireElem` sends and receives all three.
+pub trait WireElem: Element + Wire {
+    /// Schema id of `Vec<Self>` — the bulk payload, which the fabric's
+    /// bit-flip fault keys off.
+    const VEC_WIRE_ID: u32;
+    /// Schema id of a `Vec<(usize, Vec<Self>)>` list.
+    const PAIRS_WIRE_ID: u32;
+}
 
-impl Wire for Vec<f32> {
-    const WIRE_ID: u32 = VEC_F32_WIRE_ID;
+impl WireElem for f64 {
+    const VEC_WIRE_ID: u32 = 7;
+    const PAIRS_WIRE_ID: u32 = 12;
+}
+
+impl WireElem for f32 {
+    const VEC_WIRE_ID: u32 = 16;
+    const PAIRS_WIRE_ID: u32 = 17;
+}
+
+impl<E: WireElem> Wire for Vec<E> {
+    const WIRE_ID: u32 = E::VEC_WIRE_ID;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
         put_elems(out, self);
@@ -413,9 +392,9 @@ impl Wire for Vec<f32> {
     }
 }
 
-// The f32 twin of the recursive-doubling (origin, chunk) list payload.
-impl Wire for Vec<(usize, Vec<f32>)> {
-    const WIRE_ID: u32 = 17;
+// The recursive-doubling allgather exchanges (origin, chunk) lists.
+impl<E: WireElem> Wire for Vec<(usize, Vec<E>)> {
+    const WIRE_ID: u32 = E::PAIRS_WIRE_ID;
 
     fn wire_encode(&self, out: &mut Vec<u8>) {
         put_pairs(out, self);
@@ -425,93 +404,6 @@ impl Wire for Vec<(usize, Vec<f32>)> {
         take_pairs(bytes)
     }
 }
-
-/// A pipeline element precision that can cross a process boundary in every
-/// payload shape the collectives and the factorization use: the scalar
-/// itself (the `Wire` supertrait), bulk vectors, and the
-/// recursive-doubling `(origin, chunk)` lists.
-///
-/// `Vec<Self>: Wire` cannot be written as a supertrait (trait where-clauses
-/// are not implied bounds at use sites), so the vector payload surface is
-/// expressed as hook methods: each precision's impl delegates to the typed
-/// [`Communicator`] operations with the concrete payload type, and code
-/// generic over `E: WireElem` needs no further bounds.
-pub trait WireElem: hpl_blas::Element + Wire {
-    /// Schema id of `Vec<Self>` — the bulk payload id the fabric's
-    /// injected-corruption parity logic keys off.
-    const VEC_WIRE_ID: u32;
-
-    /// Fallible typed send of a `Vec<Self>` payload, counted as `elems`
-    /// elements in traffic stats.
-    fn vec_send(
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: Vec<Self>,
-        elems: u64,
-    ) -> Result<(), CommError>;
-
-    /// Fallible typed receive of a `Vec<Self>` payload.
-    fn vec_recv(comm: &Communicator, src: usize, tag: Tag) -> Result<Vec<Self>, CommError>;
-
-    /// Fallible typed send of a recursive-doubling `(origin, chunk)` list.
-    fn pairs_send(
-        comm: &Communicator,
-        dst: usize,
-        tag: Tag,
-        data: Vec<(usize, Vec<Self>)>,
-    ) -> Result<(), CommError>;
-
-    /// Fallible typed receive of a recursive-doubling `(origin, chunk)`
-    /// list.
-    fn pairs_recv(
-        comm: &Communicator,
-        src: usize,
-        tag: Tag,
-    ) -> Result<Vec<(usize, Vec<Self>)>, CommError>;
-}
-
-macro_rules! wire_elem {
-    ($ty:ty, $vec_id:expr) => {
-        impl WireElem for $ty {
-            const VEC_WIRE_ID: u32 = $vec_id;
-
-            fn vec_send(
-                comm: &Communicator,
-                dst: usize,
-                tag: Tag,
-                data: Vec<$ty>,
-                elems: u64,
-            ) -> Result<(), CommError> {
-                comm.try_send_counted(dst, tag, data, elems)
-            }
-
-            fn vec_recv(comm: &Communicator, src: usize, tag: Tag) -> Result<Vec<$ty>, CommError> {
-                comm.try_recv(src, tag)
-            }
-
-            fn pairs_send(
-                comm: &Communicator,
-                dst: usize,
-                tag: Tag,
-                data: Vec<(usize, Vec<$ty>)>,
-            ) -> Result<(), CommError> {
-                comm.try_send(dst, tag, data)
-            }
-
-            fn pairs_recv(
-                comm: &Communicator,
-                src: usize,
-                tag: Tag,
-            ) -> Result<Vec<(usize, Vec<$ty>)>, CommError> {
-                comm.try_recv(src, tag)
-            }
-        }
-    };
-}
-
-wire_elem!(f64, VEC_F64_WIRE_ID);
-wire_elem!(f32, VEC_F32_WIRE_ID);
 
 // The generic-combiner allreduce test payload (max value + merged ids).
 impl Wire for (f64, Vec<usize>) {
@@ -624,40 +516,42 @@ mod tests {
     #[test]
     fn slice_packets_decode_straight_into_a_slice() {
         let v = vec![1.5f64, -2.25, f64::MIN_POSITIVE, -0.0];
-        let p = Packet::elems(&v[..]);
+        let p = Packet::from_slice(&v[..]);
         let q = Packet::pack(&v);
         assert_eq!((p.wire_id, &p.bytes), (q.wire_id, &q.bytes));
-        let run = p.elem_bytes::<f64>().expect("intact");
         let mut back = vec![0.0f64; v.len()];
-        read_elems(run, &mut back);
+        let elems = p.elements::<f64>().expect("intact");
+        assert_eq!(elems.len(), v.len());
+        for (d, x) in back.iter_mut().zip(elems) {
+            *d = x;
+        }
         assert_eq!(
             back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
         let w = vec![3.5f32, -0.0, f32::MIN_POSITIVE];
-        let p = Packet::elems(&w[..]);
-        let mut back = vec![0.0f32; w.len()];
-        read_elems(p.elem_bytes::<f32>().expect("intact"), &mut back);
+        let p = Packet::from_slice(&w[..]);
+        let back: Vec<f32> = p.elements().expect("intact").collect();
         assert_eq!(back, w);
-        assert!(p.elem_bytes::<f64>().is_none(), "schema mismatch");
+        assert!(p.elements::<f64>().is_none(), "schema mismatch");
     }
 
     #[test]
     fn bulk_decoders_reject_damage_before_allocating() {
-        let mut p = Packet::elems(&[1.0f64, 2.0][..]);
+        let mut p = Packet::from_slice(&[1.0f64, 2.0][..]);
         p.bytes.push(0);
-        assert!(p.elem_bytes::<f64>().is_none(), "trailing byte");
+        assert!(p.elements::<f64>().is_none(), "trailing byte");
         p.bytes.truncate(20);
-        assert!(p.elem_bytes::<f64>().is_none(), "cut short");
+        assert!(p.elements::<f64>().is_none(), "cut short");
         // A count no buffer could hold is refused, not allocated for.
         let mut huge = u64::MAX.to_le_bytes().to_vec();
         huge.extend_from_slice(&[0; 16]);
         assert!(take_elems::<f64>(&huge).is_none());
         assert!(Vec::<u64>::wire_decode(&huge).is_none());
         assert!(Vec::<(usize, Vec<f32>)>::wire_decode(&huge).is_none());
-        let mut p = Packet::elems(&[1.0f64][..]);
+        let mut p = Packet::from_slice(&[1.0f64][..]);
         p.corrupt = true;
-        assert!(p.elem_bytes::<f64>().is_none(), "corrupt flag");
+        assert!(p.elements::<f64>().is_none(), "corrupt flag");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! column-communicator broadcast of each solved block.
 
 use hpl_blas::{dtrsv, Diag, Trans, Uplo};
-use hpl_comm::{allgatherv, bcast_vec, reduce, Grid, Op, WireElem};
+use hpl_comm::{allgatherv, bcast, reduce, Grid, Op, WireElem};
 
 use crate::error::HplError;
 use crate::local::LocalMatrix;
@@ -62,7 +62,7 @@ pub fn back_substitute<E: WireElem>(
         if grid.mycol() == pcol_j {
             // Broadcast x_j down the process column and fold it into the
             // contributions of all rows above the block.
-            let xj = bcast_vec(grid.col(), prow_j, xj)?;
+            let xj = bcast(grid.col(), prow_j, xj)?;
             let lc = a.cols.to_local(j0);
             let above = a.rows.local_lower_bound(j0);
             for (dj, &xv) in xj.iter().enumerate() {
@@ -103,7 +103,8 @@ fn assemble_solution<E: WireElem>(
             .map(|c| crate::dist::numroc(n, nb, c, grid.npcol()))
             .collect();
         debug_assert_eq!(mine.len(), counts[grid.mycol()]);
-        let flat = allgatherv(grid.row(), &mine, &counts)?;
+        let mut flat = Vec::new();
+        allgatherv(grid.row(), &mine, &counts, &mut flat)?;
         // Un-cycle: element `l` of column-owner `c`'s chunk is global index
         // local_to_global(l, nb, c, Q).
         let mut offsets = vec![0usize; grid.npcol()];
@@ -121,7 +122,7 @@ fn assemble_solution<E: WireElem>(
     } else {
         None
     };
-    Ok(bcast_vec(grid.col(), 0, full)?)
+    Ok(bcast(grid.col(), 0, full)?)
 }
 
 #[cfg(test)]

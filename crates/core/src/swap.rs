@@ -255,9 +255,11 @@ pub struct RsData<E: Element = f64> {
     /// order; at `P = 1`, of every row the swap writes (the moves, then
     /// the `U` rows that change).
     move_dst: Vec<usize>,
-    /// The received move rows, column-major `move_dst.len() x width`; what
-    /// [`apply_moves`] scatters. At `P = 1`, the one column `swap_cols`
-    /// stages the sources through.
+    /// The received move rows, column-major `move_dst.len() x width`,
+    /// decoded straight here by the scatterv; what [`apply_moves`]
+    /// scatters. On the diagonal row it holds the gathered move rows
+    /// first. At `P = 1`, the one column `swap_cols` stages the sources
+    /// through.
     move_vals: Vec<E>,
     /// Whether `move_vals` still has to be scattered: `false` after a
     /// `P = 1` swap, which wrote the moves itself.
@@ -270,7 +272,10 @@ pub struct RsData<E: Element = f64> {
     mv_rows: Vec<usize>,
     /// Packed `U` sources of this rank (`P > 1` only).
     u_chunk: Vec<E>,
-    /// Packed move sources of this rank (`P > 1` only).
+    /// Packed move sources of this rank (`P > 1` only). Once they are
+    /// sent it holds, on the diagonal row, the move rows blocked by
+    /// destination owner for the scatterv, and then, everywhere, the
+    /// allgathered `U` rows blocked by owner.
     mv_chunk: Vec<E>,
 }
 
@@ -279,12 +284,12 @@ impl<E: Element> RsData<E> {
     /// `nprow` ranks (`0 x 0`: nothing is allocated until the first use).
     pub fn for_sections(jb: usize, width: usize, nprow: usize) -> Self {
         // At `P = 1` up to `jb` moves and `jb` `U` rows pass through one
-        // column and `U` stays in the matrix; otherwise the moves arrive
-        // in the scatterv's own vector and `U` is assembled here.
+        // column and `U` stays in the matrix; otherwise up to `jb` move
+        // rows arrive in `move_vals` and `U` is assembled here.
         let (u, rows, column, packed) = if nprow == 1 {
             (Matrix::zeros(0, 0), 2 * jb, 2 * jb, 0)
         } else {
-            (Matrix::zeros(jb, width), jb, 0, jb * width)
+            (Matrix::zeros(jb, width), jb, jb * width, jb * width)
         };
         Self {
             u,
@@ -436,34 +441,46 @@ pub fn row_swap_comm<E: WireElem>(
     // processes ... via a Scatterv"). ----
     data.move_vals.clear();
     if !plan.moves.is_empty() {
-        let gathered = gatherv(col_comm, prow_curr, &data.mv_chunk)?;
-        // On the root, `flat` concatenates each rank's block of the moves
-        // it owns the *source* of; the scatter wants them blocked by
-        // destination owner.
-        let routed = gathered.map(|flat| {
+        gatherv(col_comm, prow_curr, &data.mv_chunk, &mut data.move_vals)?;
+        if me == prow_curr {
+            // The gather concatenates each rank's block of the moves it
+            // owns the *source* of; the scatter wants them blocked by
+            // destination owner.
             let by_src = Blocks::layout(plan.moves.iter().map(|&(_, s)| rows.owner(s)), nprow, w);
             let by_dst = Blocks::layout(plan.moves.iter().map(|&(d, _)| rows.owner(d)), nprow, w);
-            let mut out = vec![E::ZERO; flat.len()];
-            repack(w, &by_src.slots, &flat, &by_dst.slots, &mut out);
-            (out, by_dst.counts)
-        });
-        data.move_vals = match routed {
-            Some((buf, counts)) => scatterv(col_comm, prow_curr, Some((&buf, &counts)))?,
-            None => scatterv(col_comm, prow_curr, None)?,
-        };
+            set_len(&mut data.mv_chunk, data.move_vals.len());
+            repack(
+                w,
+                &by_src.slots,
+                &data.move_vals,
+                &by_dst.slots,
+                &mut data.mv_chunk,
+            );
+            let send = Some((&data.mv_chunk[..], &by_dst.counts[..]));
+            scatterv(col_comm, prow_curr, send, &mut data.move_vals)?;
+        } else {
+            scatterv(col_comm, prow_curr, None, &mut data.move_vals)?;
+        }
         debug_assert_eq!(data.move_vals.len(), data.move_dst.len() * w);
     }
 
     // ---- U assembly: allgatherv of the U source rows, then rank-major
     // blocks into k-order. ----
     let by_owner = Blocks::layout(plan.u_src.iter().map(|&s| rows.owner(s)), nprow, w);
-    let flat = match algo.resolve(w) {
-        RowSwapAlgo::Ring => allgatherv(col_comm, &data.u_chunk, &by_owner.counts)?,
-        RowSwapAlgo::BinaryExchange => allgatherv_rd(col_comm, &data.u_chunk, &by_owner.counts)?,
+    let (chunk, counts, flat) = (&data.u_chunk, &by_owner.counts, &mut data.mv_chunk);
+    match algo.resolve(w) {
+        RowSwapAlgo::Ring => allgatherv(col_comm, chunk, counts, flat)?,
+        RowSwapAlgo::BinaryExchange => allgatherv_rd(col_comm, chunk, counts, flat)?,
         RowSwapAlgo::Mix { .. } => unreachable!("resolve() returns a fixed variant"),
-    };
+    }
     let in_u: Vec<(usize, usize)> = (0..jb).map(|k| (k, jb)).collect();
-    repack(w, &by_owner.slots, &flat, &in_u, data.u.as_mut_slice());
+    repack(
+        w,
+        &by_owner.slots,
+        &data.mv_chunk,
+        &in_u,
+        data.u.as_mut_slice(),
+    );
     Ok(())
 }
 

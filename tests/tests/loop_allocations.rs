@@ -110,16 +110,16 @@ fn counts<E: WireElem>(case: Case) -> [usize; 2] {
 }
 
 /// Allocations per panel on a `2 x 1` grid. Every one is the
-/// communication layer's: the in-process fabric hands each message over as
-/// a copy of its payload in a box (two allocations a message); FACT's
-/// pivot collective builds its payload rows afresh at every column and the
-/// reduction and broadcast clone them; and the row swap's collectives
-/// return fresh result buffers and lay out their routing tables per
-/// section.
-const PER_PANEL_2X1: usize = 620;
+/// communication layer's: every message is encoded into one buffer of
+/// bytes; FACT's pivot collective builds its payload rows afresh at every
+/// column, and each rank decodes the rows it receives into new vectors;
+/// and the row swap lays out its routing tables per section. The row
+/// swap's collectives decode into buffers the swap keeps.
+const PER_PANEL_2X1: usize = 600;
 /// Allocations per panel on a `1 x 2` grid: the panel broadcast's one
-/// message, its copy and its box. FACT and the row swap exchange nothing.
-const PER_PANEL_1X2: usize = 2;
+/// message, encoded into one buffer and decoded straight into the
+/// receiver's panel. FACT and the row swap exchange nothing.
+const PER_PANEL_1X2: usize = 1;
 /// A message that arrives before its receive is posted waits in the
 /// mailbox's stash, whose growth follows the ranks' timing, not the panel
 /// count.

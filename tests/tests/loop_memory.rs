@@ -76,10 +76,10 @@ fn loop_window(n: usize, nb: usize, p: usize, q: usize) -> LoopWindow {
     out.into_iter().flatten().next().expect("one rank leads")
 }
 
-/// Bytes of the one message copy the broadcast's root makes per panel on
-/// a `1 x 2` grid: the in-process fabric hands the receiver a copy of the
-/// `[top | L2 | ipiv]` buffer (`jb (jb + l2_rows + 1)` elements, `l2_rows`
-/// the rows below the diagonal block).
+/// Bytes of the one message the broadcast's root sends per panel on a
+/// `1 x 2` grid: the `[top | L2 | ipiv]` buffer encoded into one buffer of
+/// bytes (`jb (jb + l2_rows + 1)` elements, `l2_rows` the rows below the
+/// diagonal block).
 fn bcast_copies_1x2(n: usize, nb: usize) -> usize {
     (0..n)
         .step_by(nb)
@@ -117,11 +117,10 @@ const SMALL: usize = 48 << 10;
 /// when it held a `U` block and `top` copies as well, 3,146,368.
 ///
 /// On more than one rank the communication layer allocates as well: every
-/// in-process message is a copy of its payload, and the row swap's
-/// collectives at `P = 2` return fresh buffers. So `1 x 2` is allowed the
-/// broadcast's one message copy per panel on top of the bound, and
-/// `2 x 1`, where the row swap's messages and results put about 8x the
-/// peak through the allocator, is measured and not bounded.
+/// message is encoded into a buffer of its own. So `1 x 2` is allowed the
+/// broadcast's one message per panel on top of the bound, and `2 x 1`,
+/// where the row swap's messages put about 3x the peak through the
+/// allocator, is measured and not bounded.
 #[test]
 fn the_loop_allocates_no_more_than_it_holds() {
     let (n, nb) = (2048usize, 64usize);

@@ -189,9 +189,9 @@ pub struct SpanSite {
 /// Direction of a fabric/communicator traffic call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CommDir {
-    /// `send` / `try_send` / `send_slice` / `try_send_slice` / `vec_send`.
+    /// `send` / `try_send` / `send_slice` / `try_send_slice` / `send_packet`.
     Send,
-    /// `recv` / `try_recv` / `recv_into` / `try_recv_into` / `vec_recv`.
+    /// `recv` / `try_recv` / `recv_into` / `try_recv_into` / `recv_packet`.
     Recv,
 }
 
@@ -669,19 +669,19 @@ const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 /// Send-direction callee names. `ctrl_send` is the transport-era control
 /// plane (barrier / trace gather frames that bypass fault hooks and
 /// stats); its tag protocol deadlocks the same way the data plane's does,
-/// so it participates in orphan matching. `vec_send` is the
-/// precision-generic wire codec entry point (`WireElem::vec_send`) the
-/// collectives moved to when the pipeline became generic over the element
-/// type — same frames on the wire, so same orphan semantics.
+/// so it participates in orphan matching. `send_packet` is the
+/// communicator's one path to the fabric, which the collectives call with
+/// a payload they encoded themselves — same frames on the wire, so same
+/// orphan semantics.
 const SEND_NAMES: &[&str] = &[
     "send",
     "try_send",
     "send_slice",
     "try_send_slice",
     "ctrl_send",
-    "vec_send",
+    "send_packet",
 ];
-/// Recv-direction callee names (`ctrl_recv` / `vec_recv`: see
+/// Recv-direction callee names (`ctrl_recv` / `recv_packet`: see
 /// [`SEND_NAMES`]).
 const RECV_NAMES: &[&str] = &[
     "recv",
@@ -689,7 +689,7 @@ const RECV_NAMES: &[&str] = &[
     "recv_into",
     "try_recv_into",
     "ctrl_recv",
-    "vec_recv",
+    "recv_packet",
 ];
 
 /// Scans one nesting level of a function body. `stmt_level` is true when
